@@ -1,6 +1,6 @@
 # Convenience targets; everything is ultimately driven by dune.
 
-.PHONY: all build build-all test check check-smoke check-deep smoke fuzz-smoke bench bench-kernels bench-vm bench-native bench-serve bench-adapt bench-nn fmt clean
+.PHONY: all build build-all test check check-smoke check-deep smoke fuzz-smoke bench bench-kernels bench-vm bench-serve bench-adapt bench-nn fmt clean
 
 all: build
 
@@ -54,14 +54,6 @@ bench-kernels:
 # corpus, with speedups persisted in BENCH_vm.json.
 bench-vm:
 	dune exec bench/main.exe -- --quick --json BENCH_vm.json interp
-
-# Native-tier benchmark (DESIGN.md §13): IR -> OCaml -> cmxs vs the
-# pre-compiling VM, with per-engine compile/run splits and the break-even
-# run count in BENCH_native.json.  Exits non-zero when the kernels speedup
-# drops below 3x over the VM (skipped cleanly where the toolchain is
-# absent).
-bench-native:
-	dune exec bench/main.exe -- --quick --json BENCH_native.json native
 
 # Serving smoke + benchmark (DESIGN.md §11): trains and publishes a model,
 # forks the daemon, drives it with concurrent clients, and writes

@@ -9,10 +9,6 @@
       dune exec bench/main.exe -- micro        # bechamel suite
       dune exec bench/main.exe -- kernels      # Fmat vs pre-rewrite kernels
       dune exec bench/main.exe -- interp       # VM vs reference interpreter
-      dune exec bench/main.exe -- native       # native (ocamlopt+Dynlink)
-                                               #   tier vs VM: compile time,
-                                               #   amortization break-even,
-                                               #   MIPS -> BENCH_native.json
       dune exec bench/main.exe -- serve        # classification daemon under
                                                #   load -> BENCH_serve.json
       dune exec bench/main.exe -- corpus       # paper-scale streaming corpus
@@ -28,7 +24,7 @@
                                                #   -> BENCH_nn.json
 
     Execution-runtime knobs (lib/exec):
-      --engine vm|ref|native (or --engine=E)   # which execution engine the
+      --engine vm|ref (or --engine=E)          # which execution engine the
                                                #   figures run on (lib/vm
                                                #   switchboard; default vm,
                                                #   outcomes are bit-identical)
@@ -751,12 +747,6 @@ let kernels () =
 let vm_results : (string * float * float * (string * string) list) list ref =
   ref []
 
-(* recorded for the "native" section of the --json summary: (workload,
-   vm seconds, native seconds, extras) *)
-let native_results :
-    (string * float * float * (string * string) list) list ref =
-  ref []
-
 (* per-engine compile-vs-run wall-second splits, one entry per
    (workload, engine), recorded by whichever engine benchmarks ran *)
 let engine_splits : (string * string * float * float) list ref = ref []
@@ -884,212 +874,6 @@ let interp () =
      and reused across every run above)\n"
     (Ir.Arena.created Ir.Interp.arena)
     (Yali.Vm.arenas_created ())
-
-(* ------------------------------------------------------------------ *)
-(* Native-tier benchmark: ocamlopt+Dynlink plugins vs the VM           *)
-(* ------------------------------------------------------------------ *)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
-
-let native_json = "BENCH_native.json"
-
-let record_native name vm_s nat_s extras =
-  native_results := (name, vm_s, nat_s, extras) :: !native_results;
-  Printf.printf "%-10s %12.4f %12.4f %9.2fx" name vm_s nat_s (vm_s /. nat_s);
-  List.iter (fun (k, v) -> Printf.printf "  %s=%s" k v) extras;
-  Printf.printf "\n%!"
-
-(** The native tier (DESIGN.md §13) against the VM, on the same two
-    regimes as [interp]: the benchmark-game kernels (compile amortized,
-    dynamic MIPS) and the validation corpus (one batched compile, many
-    inputs; compile time reported separately as an engine split).  Uses a
-    private cold cache directory so compile seconds are real compiles, not
-    cache hits from an earlier run.  Written to [BENCH_native.json];
-    exits nonzero when the kernels land below the 3x-over-VM gate.  Where
-    the toolchain is unavailable the summary says so and the gate is
-    skipped. *)
-let native_bench () =
-  header "Native tier: IR -> OCaml -> cmxs (Dynlink) vs the pre-compiling VM";
-  match Yali.Native.why_unavailable () with
-  | Some why ->
-      Printf.printf "native tier unavailable here: %s\nspeed gate skipped\n"
-        why;
-      let oc = open_out native_json in
-      Printf.fprintf oc "{\n  \"available\": false,\n  \"reason\": \"%s\"\n}\n"
-        (String.escaped why);
-      close_out oc;
-      Printf.printf "native summary written to %s\n" native_json
-  | None ->
-      let reps = 5 in
-      Printf.printf "(best of %d, interleaved)\n\n" reps;
-      Printf.printf "%-10s %12s %12s %9s\n" "workload" "vm(s)" "native(s)"
-        "speedup";
-      let clock = Yali.Exec.Telemetry.clock in
-      (* a private cache directory: compile seconds below must be real
-         ocamlopt work, not hits on artifacts from an earlier run *)
-      let tmp_cache =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "yali-native-bench-%d" (Unix.getpid ()))
-      in
-      let old_cache =
-        try Some (Sys.getenv "YALI_NATIVE_CACHE") with Not_found -> None
-      in
-      Unix.putenv "YALI_NATIVE_CACHE" tmp_cache;
-      Fun.protect
-        ~finally:(fun () ->
-          (match old_cache with
-          | Some v -> Unix.putenv "YALI_NATIVE_CACHE" v
-          | None -> Unix.putenv "YALI_NATIVE_CACHE" "");
-          rm_rf tmp_cache)
-      @@ fun () ->
-      (* raw throughput: the sixteen benchmark-game kernels, one plugin *)
-      let mods = Yali.Dataset.Benchgame.modules () in
-      let fuel = 100_000_000 in
-      let steps =
-        List.fold_left (fun a (_, m) -> a + (Yali.Vm.run ~fuel m []).steps) 0
-          mods
-      in
-      let t0 = clock () in
-      let prepared =
-        match Yali.Native.prepare_many (Array.of_list (List.map snd mods)) with
-        | Ok ps -> ps
-        | Error e -> failwith ("native compile failed on kernels: " ^ e)
-      in
-      let t_compile = clock () -. t0 in
-      let t_vm_compile =
-        best_of ~reps (fun () ->
-            List.iter (fun (_, m) -> ignore (Yali.Vm.compile m)) mods)
-      in
-      let vm_compiled = List.map (fun (_, m) -> Yali.Vm.compile m) mods in
-      let t_vm, t_nat =
-        best_pair ~reps
-          (fun () ->
-            List.iter
-              (fun p -> ignore (Yali.Vm.run_compiled ~fuel p []))
-              vm_compiled)
-          (fun () -> Array.iter (fun p -> ignore (p ~fuel [])) prepared)
-      in
-      (* the full differential contract lives in test/ and the check
-         oracle; here just refuse to report a speedup over different work *)
-      let nat_steps =
-        Array.fold_left (fun a p -> a + (p ~fuel []).Ir.Interp.steps) 0
-          prepared
-      in
-      if nat_steps <> steps then
-        failwith
-          (Printf.sprintf "native/vm dynamic step totals disagree: %d vs %d"
-             nat_steps steps);
-      let mips t = float_of_int steps /. t /. 1e6 in
-      let speedup = t_vm /. t_nat in
-      let break_even =
-        if t_vm > t_nat then t_compile /. (t_vm -. t_nat) else infinity
-      in
-      record_native "kernels" t_vm t_nat
-        [
-          ("dynamic_steps", string_of_int steps);
-          ("mips_vm", Printf.sprintf "%.1f" (mips t_vm));
-          ("mips_native", Printf.sprintf "%.1f" (mips t_nat));
-          ("compile_seconds", Printf.sprintf "%.4f" t_compile);
-          ("break_even_runs", Printf.sprintf "%.2f" break_even);
-        ];
-      record_split ~workload:"kernels" ~engine:"vm" ~compile_s:t_vm_compile
-        ~run_s:t_vm;
-      record_split ~workload:"kernels" ~engine:"native" ~compile_s:t_compile
-        ~run_s:t_nat;
-
-      (* the validation shape: a generated corpus compiled in one batched
-         plugin, then probed on many input vectors *)
-      let n_progs = scale 32 in
-      let n_inputs = 32 in
-      let corpus_fuel = 200_000 in
-      let rng = Rng.make 42 in
-      let corpus =
-        Array.init n_progs (fun k ->
-            Yali.lower (Yali.Check.Gen.program (Rng.split_ix rng k)))
-      in
-      let inputs =
-        List.init n_inputs (fun i ->
-            List.init 32 (fun j ->
-                Int64.of_int ((((i * 53) + (j * 17)) mod 2001) - 1000)))
-      in
-      let execs = n_progs * n_inputs in
-      let t0 = clock () in
-      let nat_ps =
-        match Yali.Native.prepare_many corpus with
-        | Ok ps -> ps
-        | Error e -> failwith ("native compile failed on corpus: " ^ e)
-      in
-      let t_nat_compile_c = clock () -. t0 in
-      let t0 = clock () in
-      let vm_ps = Array.map Yali.Vm.compile corpus in
-      let t_vm_compile_c = clock () -. t0 in
-      let t_vm_run, t_nat_run =
-        best_pair ~reps
-          (fun () ->
-            Array.iter
-              (fun p ->
-                List.iter
-                  (fun input ->
-                    ignore (Yali.Vm.run_compiled ~fuel:corpus_fuel p input))
-                  inputs)
-              vm_ps)
-          (fun () ->
-            Array.iter
-              (fun p ->
-                List.iter
-                  (fun input -> ignore (p ~fuel:corpus_fuel input))
-                  inputs)
-              nat_ps)
-      in
-      record_native "corpus" t_vm_run t_nat_run
-        [
-          ("programs", string_of_int n_progs);
-          ("execs", string_of_int execs);
-          ("compile_seconds_vm", Printf.sprintf "%.4f" t_vm_compile_c);
-          ("compile_seconds_native", Printf.sprintf "%.4f" t_nat_compile_c);
-          ("execs_per_s_vm",
-           Printf.sprintf "%.0f" (float_of_int execs /. t_vm_run));
-          ("execs_per_s_native",
-           Printf.sprintf "%.0f" (float_of_int execs /. t_nat_run));
-        ];
-      record_split ~workload:"corpus" ~engine:"vm" ~compile_s:t_vm_compile_c
-        ~run_s:t_vm_run;
-      record_split ~workload:"corpus" ~engine:"native"
-        ~compile_s:t_nat_compile_c ~run_s:t_nat_run;
-      Printf.printf
-        "\nkernels: %.1f -> %.1f MIPS (%.2fx), compile %.2fs, break-even \
-         %.2f runs\n"
-        (mips t_vm) (mips t_nat) speedup t_compile break_even;
-      let pass = speedup >= 3.0 in
-      let oc = open_out native_json in
-      Printf.fprintf oc "{\n  \"available\": true,\n  \"quick\": %b,\n" !quick;
-      Printf.fprintf oc
-        "  \"kernels\": {\"dynamic_steps\": %d, \"vm_seconds\": %.4f, \
-         \"native_seconds\": %.4f, \"speedup\": %.2f, \"mips_vm\": %.1f, \
-         \"mips_native\": %.1f, \"compile_seconds\": %.4f, \
-         \"break_even_runs\": %.2f},\n"
-        steps t_vm t_nat speedup (mips t_vm) (mips t_nat) t_compile break_even;
-      Printf.fprintf oc
-        "  \"corpus\": {\"programs\": %d, \"execs\": %d, \
-         \"vm_compile_seconds\": %.4f, \"vm_run_seconds\": %.4f, \
-         \"native_compile_seconds\": %.4f, \"native_run_seconds\": %.4f, \
-         \"run_speedup\": %.2f},\n"
-        n_progs execs t_vm_compile_c t_vm_run t_nat_compile_c t_nat_run
-        (t_vm_run /. t_nat_run);
-      Printf.fprintf oc "  \"pass\": %b\n}\n" pass;
-      close_out oc;
-      Printf.printf "native summary written to %s\n" native_json;
-      if not pass then begin
-        Printf.eprintf "native benchmark FAILED (%.2fx < 3x over vm)\n"
-          speedup;
-        exit 1
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Serving benchmark: the classification daemon under synthetic load   *)
@@ -1249,6 +1033,14 @@ let peak_rss_mb () =
                 else go ()
           in
           go ())
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir);
+    try Sys.rmdir dir with Sys_error _ -> ()
+  end
 
 (** The paper-scale tier: generate the full 104-class corpus straight to a
     sharded on-disk store, embed it into an out-of-core feature file, and
@@ -1595,7 +1387,7 @@ let nn_chain_graph ~(n : int) ~(flavor : int) : E.Graph.t =
     check fails. *)
 (* interleaved best-of-[reps] timing: both sides see the same cache and
    allocator state, and taking the minimum strips scheduler noise (the
-   same idiom as the native-tier benchmark) *)
+   same idiom as the engine benchmark) *)
 let best_pair ~reps f g =
   let clock = Yali.Exec.Telemetry.clock in
   let bf = ref infinity and bg = ref infinity in
@@ -2020,7 +1812,7 @@ let parse_args (args : string list) : string list =
     match Yali.Execution.engine_of_string v with
     | Some e -> Yali.Execution.set_engine e
     | None ->
-        Printf.eprintf "--engine expects vm, ref, or native, got %s\n" v;
+        Printf.eprintf "--engine expects vm or ref, got %s\n" v;
         exit 2
   in
   (* fail on an unwritable report path now, not after a long figure run *)
@@ -2106,7 +1898,6 @@ let write_json path ~total (timings : (string * float) list) =
   section "kernels" ("reference_seconds", "fmat_seconds")
     (List.rev !kernel_results);
   section "vm" ("reference_seconds", "vm_seconds") (List.rev !vm_results);
-  section "native" ("vm_seconds", "native_seconds") (List.rev !native_results);
   let f5 = List.rev !fig5_results in
   if f5 <> [] then begin
     Printf.fprintf oc ",\n  \"fig5\": [\n";
@@ -2156,7 +1947,6 @@ let () =
           if name = "micro" then timed "micro" micro
           else if name = "kernels" then timed "kernels" kernels
           else if name = "interp" then timed "interp" interp
-          else if name = "native" then timed "native" native_bench
           else if name = "serve" then timed "serve" serve
           else if name = "corpus" then timed "corpus" corpus_bench
           else if name = "adapt" then timed "adapt" adapt_bench
@@ -2166,7 +1956,7 @@ let () =
             | Some f -> timed name f
             | None ->
                 Printf.eprintf
-                  "unknown target %s (expected fig5..fig16, abl-*, ablations, micro, kernels, interp, native, serve, corpus, adapt, nn, all)\n"
+                  "unknown target %s (expected fig5..fig16, abl-*, ablations, micro, kernels, interp, serve, corpus, adapt, nn, all)\n"
                   name)
         names);
   let total = Yali.Exec.Telemetry.clock () -. t0 in

@@ -68,24 +68,22 @@ let configure_jobs = function
   | Some _ -> die ~code:2 "--jobs must be positive"
   | None -> ()
 
-(* engine switchboard (lib/vm): all engines produce bit-identical outcomes,
-   so this only trades speed (and, for native, a compile step) *)
+(* engine switchboard (lib/vm): both engines produce bit-identical
+   outcomes, so this only trades speed *)
 let engine_arg =
   Arg.(
     value
     & opt string "vm"
-    & info [ "engine" ] ~docv:"vm|ref|native"
+    & info [ "engine" ] ~docv:"vm|ref"
         ~doc:
           "Execution engine: the pre-compiling virtual machine ($(b,vm), \
-           default), the frozen reference interpreter ($(b,ref)), or the \
-           native tier ($(b,native): IR compiled to OCaml and dynlinked; \
-           falls back to $(b,vm) with a warning when no ocamlfind/ocamlopt \
-           toolchain is on PATH); outcomes are bit-identical.")
+           default) or the frozen reference interpreter ($(b,ref)); \
+           outcomes are bit-identical.")
 
 let configure_engine s =
   match Yali.Execution.engine_of_string s with
   | Some e -> Yali.Execution.set_engine e
-  | None -> die ~code:2 "unknown engine %s (have: vm ref native)" s
+  | None -> die ~code:2 "unknown engine %s (have: vm ref)" s
 
 (* fail on an unwritable report path before the game runs, not after *)
 let configure_telemetry = function
@@ -145,8 +143,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute a mini-C program (VM by default, --engine=ref for the \
-             reference interpreter, --engine=native for the dynlinked \
-             native tier).")
+             reference interpreter).")
     Term.(const run $ engine_arg $ level_arg $ src_arg $ input_arg)
 
 (* -- obfuscate ------------------------------------------------------------- *)
@@ -401,7 +398,7 @@ let fuzz_cmd =
   let corpus_arg =
     Arg.(
       value
-      & opt string Yali.Fuzz.Corpus.default_dir
+      & opt string Yali.Check.Corpus.default_dir
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:
             "Corpus directory, replayed before fresh generation (skipped \
@@ -441,21 +438,21 @@ let fuzz_cmd =
     | Some ix ->
         let root = Yali.Rng.make seed in
         let pri = Yali.Rng.split_ix (Yali.Rng.split_ix root 1) ix in
-        let p = Yali.Fuzz.Gen.program (Yali.Rng.split_ix pri 0) in
+        let p = Yali.Check.Gen.program (Yali.Rng.split_ix pri 0) in
         print_string (Yali.Minic.Pp.program_to_string p);
         exit 0
     | None -> ());
     let variants =
       match variants with
-      | None -> Yali.Fuzz.Pipelines.all
+      | None -> Yali.Check.Pipelines.all
       | Some names ->
           List.map
             (fun n ->
-              match Yali.Fuzz.Pipelines.find n with
+              match Yali.Check.Pipelines.find n with
               | Some v -> v
               | None ->
                   die ~code:2 "unknown variant %s (have: %s)" n
-                    (String.concat " " (Yali.Fuzz.Pipelines.names ())))
+                    (String.concat " " (Yali.Check.Pipelines.names ())))
             names
     in
     let count =

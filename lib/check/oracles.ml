@@ -346,78 +346,6 @@ let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
       in
       List.for_all Fun.id (List.mapi variant_ok Pipelines.all)
 
-(* The native tier against the frozen reference interpreter, same contract
-   as {!vm_matches_interp}: full-outcome bit identity (steps and cost
-   included) plus exact exception classification, across every registered
-   pipeline variant.  All of a case's surviving variant modules are batched
-   into a single plugin ({!Yali_native.Native.prepare_many}) so each case
-   pays one [ocamlopt] invocation, not 22.  When the toolchain is absent
-   the case passes vacuously — that environment is the fallback tests'
-   concern — but a compile [Error] on a verified module is a finding: the
-   codegen rejected input inside its contract. *)
-let native_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
-  if not (Yali_native.Native.available ()) then true
-  else
-    let inputs = engine_inputs (Rng.split_ix rng 0) in
-    match Yali_minic.Lower.lower_program p with
-    | exception _ -> true (* a lowering crash is another oracle's finding *)
-    | m0 ->
-        let live =
-          List.filter_map Fun.id
-            (List.mapi
-               (fun k (v : Pipelines.variant) ->
-                 let vrng = Rng.split_ix rng (1 + k) in
-                 match
-                   List.fold_left
-                     (fun (m, ix) (s : Pipelines.stage) ->
-                       (s.srun (Rng.split_ix vrng ix) m, ix + 1))
-                     (m0, 0) v.vstages
-                 with
-                 | exception _ -> None
-                 | m, _ ->
-                     if Yali_ir.Verify.check_module m <> [] then None
-                     else Some (m, engine_fuel * v.vfuel))
-               Pipelines.all)
-        in
-        live = []
-        ||
-        (* compile each distinct module once: on small programs many
-           variants converge to the same module, and the plugin's size is
-           what the ocamlopt invocation's cost scales with *)
-        let tbl = Hashtbl.create 16 in
-        let uniq = ref [] and n = ref 0 in
-        let ixs =
-          List.map
-            (fun (m, _) ->
-              let key = Yali_serve.Codec.encode_module m in
-              match Hashtbl.find_opt tbl key with
-              | Some j -> j
-              | None ->
-                  let j = !n in
-                  Hashtbl.add tbl key j;
-                  incr n;
-                  uniq := m :: !uniq;
-                  j)
-            live
-        in
-        let mods = Array.of_list (List.rev !uniq) in
-        (match Yali_native.Native.prepare_many mods with
-        | Error _ -> false
-        | Ok ps ->
-            List.for_all2
-              (fun j (m, fuel) ->
-                let prep = ps.(j) in
-                Array.for_all
-                  (fun input ->
-                    let a = classify (fun () -> Interp.run ~fuel m input) in
-                    let b = classify (fun () -> prep ~fuel input) in
-                    match (a, b) with
-                    | Ok oa, Ok ob -> Stdlib.compare oa ob = 0
-                    | Error ea, Error eb -> String.equal ea eb
-                    | Ok _, Error _ | Error _, Ok _ -> false)
-                  inputs)
-              ixs live)
-
 let engines =
   [
     Prop.make ~name:"engines/vm-vs-interp-differential" ~show:show_engine_case
@@ -425,13 +353,6 @@ let engines =
         List.map (fun q -> (q, rng)) (Shrink.candidates p))
       ~measure:(fun (p, _) -> Shrink.stmt_count p)
       gen_engine_case vm_matches_interp;
-    (* each case costs an ocamlopt run; 200 is the ISSUE's deep-tier budget *)
-    Prop.make ~name:"engines/native-vs-interp-differential"
-      ~show:show_engine_case
-      ~candidates:(fun (p, rng) ->
-        List.map (fun q -> (q, rng)) (Shrink.candidates p))
-      ~measure:(fun (p, _) -> Shrink.stmt_count p)
-      ~max_count:200 gen_engine_case native_matches_interp;
   ]
 
 (* -- serve: the binary codec against the textual Pp path -------------------- *)

@@ -1,7 +1,7 @@
 (** Invariant oracles for the non-IR layers, packaged as {!Prop}
     properties so the smoke and deep tiers run them at different depths.
 
-    Three families:
+    The families:
     - {!kernels}: the rewritten numeric kernels against the frozen
       pre-rewrite implementations in {!Yali_ml.Reference} (decision tree,
       forest, k-NN), tiled vs naive matmul bit-identity, and Fmat layout
@@ -11,16 +11,11 @@
       finite number, never [nan], on degenerate inputs);
     - {!exec}: {!Yali_exec.Pool} determinism at arbitrary [--jobs] and
       {!Yali_exec.Cache} transparency;
-    - {!engines}: the {!Yali_vm.Vm} and {!Yali_native.Native} execution
-      engines against the frozen reference interpreter — each generated
-      program is pushed through every registered pipeline variant
-      ({!Pipelines.all}) and the engines must produce bit-identical
-      outcomes (steps and cost included) with identical
-      [Trap]/[Out_of_fuel] classification.  The native differential
-      batches a case's surviving variants into one plugin compile and
-      passes vacuously where the toolchain is absent; its deep-tier case
-      count is capped at 200 ([max_count]) because each case pays an
-      [ocamlopt] invocation;
+    - {!engines}: the {!Yali_vm.Vm} against the frozen reference
+      interpreter — each generated program is pushed through every
+      registered pipeline variant ({!Pipelines.all}) and both must produce
+      bit-identical outcomes (steps and cost included) with identical
+      [Trap]/[Out_of_fuel] classification;
     - {!serve}: the {!Yali_serve.Codec} binary format — each generated
       program, through every registered pipeline variant, must survive
       encode/decode with full structural identity and print bit-identically

@@ -15,9 +15,8 @@
       benchmark-game kernels
     - {!Exec}: the execution runtime — domain pool, content-addressed
       cache, telemetry ([--jobs], [--telemetry])
-    - {!Vm} / {!Native} / {!Execution}: the pre-compiling IR virtual
-      machine, the compile-to-OCaml native tier, and the engine
-      switchboard ([--engine=vm|ref|native]; bit-identical outcomes, the
+    - {!Vm} / {!Execution}: the pre-compiling IR virtual machine and the
+      engine switchboard ([--engine=vm|ref]; bit-identical outcomes, the
       interpreter stays the frozen oracle)
     - {!Fuzz}: the differential fuzzing subsystem — whole-pipeline oracle
       and campaign driver ([yali fuzz])
@@ -52,7 +51,6 @@ module Serve = Yali_serve
 module Corpus = Yali_corpus
 module Adapt = Yali_adapt
 module Vm = Yali_vm.Vm
-module Native = Yali_native.Native
 module Execution = Yali_vm.Execution
 
 (** Parse mini-C source text into an AST. *)

@@ -16,6 +16,10 @@
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
 module Telemetry = Yali_exec.Telemetry
+module Gen = Yali_check.Gen
+module Shrink = Yali_check.Shrink
+module Corpus = Yali_check.Corpus
+module Pipelines = Yali_check.Pipelines
 
 type config = {
   seed : int;

@@ -10,15 +10,15 @@ type config = {
   shrink : bool;  (** minimize failing programs before reporting *)
   corpus_dir : string option;  (** replayed first when it exists *)
   save_findings : bool;  (** persist minimized reproducers to the corpus *)
-  variants : Pipelines.variant list;
-  gen_cfg : Gen.cfg;
+  variants : Yali_check.Pipelines.variant list;
+  gen_cfg : Yali_check.Gen.cfg;
   fuel : int;
   shrink_checks : int;  (** predicate-call cap per shrink *)
   log : string -> unit;  (** progress lines; [ignore] for silence *)
 }
 
 (** Seed 42, 100 programs, all variants, shrinking on, corpus at
-    {!Corpus.default_dir}, no persistence, silent. *)
+    {!Yali_check.Corpus.default_dir}, no persistence, silent. *)
 val default : config
 
 type finding = {

@@ -14,6 +14,7 @@ module Rng = Yali_util.Rng
 module Ir = Yali_ir
 module Interp = Yali_ir.Interp
 module Execution = Yali_vm.Execution
+module Pipelines = Yali_check.Pipelines
 
 type failure_kind =
   | Verify_failed of { stage : string; error : string }

@@ -34,7 +34,7 @@ val default_fuel : int
 
 val check :
   ?fuel:int ->
-  ?variants:Pipelines.variant list ->
+  ?variants:Yali_check.Pipelines.variant list ->
   ?inputs:int64 list array ->
   Yali_util.Rng.t ->
   Yali_minic.Ast.program ->

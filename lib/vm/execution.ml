@@ -1,48 +1,17 @@
 (** See execution.mli. *)
 
-type engine = Vm | Ref | Native
+type engine = Vm | Ref
 
 let current : engine Atomic.t = Atomic.make Vm
-
-(* Per-domain override, so [with_engine] can't race concurrent runs in
-   other domains.  The cell is created lazily per domain. *)
-let override : engine option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let get_engine () =
-  match !(Domain.DLS.get override) with
-  | Some e -> e
-  | None -> Atomic.get current
-
+let get_engine () = Atomic.get current
 let set_engine e = Atomic.set current e
-
-let with_engine e f =
-  let cell = Domain.DLS.get override in
-  let prev = !cell in
-  cell := Some e;
-  Fun.protect ~finally:(fun () -> cell := prev) f
 
 let engine_of_string = function
   | "vm" -> Some Vm
   | "ref" | "interp" -> Some Ref
-  | "native" -> Some Native
   | _ -> None
 
-let engine_to_string = function Vm -> "vm" | Ref -> "ref" | Native -> "native"
-
-(* Native-tier fallback: when the toolchain is absent (bytecode build,
-   sandboxed CI, scrubbed PATH) or a compile fails, degrade to the VM —
-   same contract, just slower.  One warning per process; every fallback is
-   counted so tests and telemetry can observe the path taken. *)
-let warned = Atomic.make false
-
-let native_fallback why =
-  Yali_exec.Telemetry.incr "execution.native_fallback";
-  if not (Atomic.exchange warned true) then begin
-    Yali_exec.Telemetry.incr "execution.native_fallback_warned";
-    Printf.eprintf
-      "warning: native engine unavailable (%s); falling back to vm\n%!" why
-  end
+let engine_to_string = function Vm -> "vm" | Ref -> "ref"
 
 let prepare ?engine m =
   let e = match engine with Some e -> e | None -> get_engine () in
@@ -51,19 +20,9 @@ let prepare ?engine m =
       let p = Vm.compile m in
       fun ~fuel input -> Vm.run_compiled ~fuel p input
   | Ref -> fun ~fuel input -> Yali_ir.Interp.run ~fuel m input
-  | Native -> (
-      match Yali_native.Native.prepare m with
-      | Ok p -> fun ~fuel input -> p ~fuel input
-      | Error why ->
-          native_fallback why;
-          let p = Vm.compile m in
-          fun ~fuel input -> Vm.run_compiled ~fuel p input)
 
 let run ?engine ?fuel m input =
   let e = match engine with Some e -> e | None -> get_engine () in
   match e with
   | Vm -> Vm.run ?fuel m input
   | Ref -> Yali_ir.Interp.run ?fuel m input
-  | Native ->
-      let fuel = match fuel with Some f -> f | None -> 10_000_000 in
-      prepare ~engine:Native m ~fuel input

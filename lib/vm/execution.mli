@@ -1,50 +1,34 @@
 (** The engine switchboard: one place that decides how IR gets executed.
 
-    Three engines produce bit-identical {!Yali_ir.Interp.outcome}s:
+    Two engines produce bit-identical {!Yali_ir.Interp.outcome}s:
     - [Vm] (the default) — pre-compiling direct-threaded {!Vm};
-    - [Ref] — the frozen tree-walking oracle {!Yali_ir.Interp};
-    - [Native] — {!Yali_native.Native}: IR → OCaml → [ocamlopt -shared] →
-      [Dynlink], with a content-addressed on-disk artifact cache.  When
-      the toolchain is unavailable (bytecode build, sandboxed CI, scrubbed
-      PATH) it degrades to [Vm] with a single process-wide warning; the
-      telemetry counters [execution.native_fallback] (every fallback) and
-      [execution.native_fallback_warned] (at most 1) record the path taken.
+    - [Ref] — the frozen tree-walking oracle {!Yali_ir.Interp}.
 
-    The fuzzer, the translation-validation tiers, the games layer and the
-    CLI all route through here, so [--engine=ref|native] can re-run any
-    campaign under another engine, and a divergence report can name the
-    engine that observed it. *)
+    The fuzzer, the translation-validation tiers, the adaptive evaders and
+    the CLI all route through here, so [--engine=ref] can re-run any
+    campaign under the oracle, and a divergence report can name the engine
+    that observed it. *)
 
-type engine = Vm | Ref | Native
+type engine = Vm | Ref
 
-(** The effective engine: this domain's {!with_engine} override if one is
-    active, else the process-wide default ([Vm] unless {!set_engine}d). *)
+(** The process-wide engine ([Vm] unless {!set_engine}d). *)
 val get_engine : unit -> engine
 
-(** Set the process-wide default. *)
+(** Set the process-wide engine. *)
 val set_engine : engine -> unit
-
-(** Run [f] with the engine swapped; restores on exit even if [f] raises.
-    The override is domain-local (via [Domain.DLS]), so concurrent runs in
-    other domains are unaffected — in particular it does NOT propagate into
-    [Exec.Pool] worker domains.  Code that fans work out to a pool should
-    resolve the engine first (e.g. call {!prepare} in the submitting
-    domain) rather than read {!get_engine} from inside pool tasks. *)
-val with_engine : engine -> (unit -> 'a) -> 'a
 
 val engine_of_string : string -> engine option
 val engine_to_string : engine -> string
 
 (** Same contract as {!Yali_ir.Interp.run}, dispatched to [engine]
-    (default: the effective engine). *)
+    (default: {!get_engine}). *)
 val run :
   ?engine:engine -> ?fuel:int -> Yali_ir.Irmod.t -> int64 list ->
   Yali_ir.Interp.outcome
 
 (** [prepare m] resolves the engine once and compiles [m] once (VM
-    bytecode, or a native plugin — cached across processes); the returned
-    closure then runs cheaply per input.  This is the shape the fuzz/check
-    loops want: one module, many seeded inputs. *)
+    bytecode); the returned closure then runs cheaply per input.  This is
+    the shape the fuzz/check loops want: one module, many seeded inputs. *)
 val prepare :
   ?engine:engine -> Yali_ir.Irmod.t ->
   fuel:int -> int64 list -> Yali_ir.Interp.outcome

@@ -120,10 +120,10 @@ let test_passdb_feeds_fuzzer () =
      built-in entry must be reachable as a pipeline variant of its name *)
   List.iter
     (fun (e : Passdb.entry) ->
-      match Yali.Fuzz.Pipelines.find e.ename with
+      match Check.Pipelines.find e.ename with
       | Some v ->
           Alcotest.(check string) "variant name" e.ename
-            v.Yali.Fuzz.Pipelines.vname
+            v.Check.Pipelines.vname
       | None ->
           Alcotest.failf "pass %s has no fuzz pipeline variant" e.ename)
     Passdb.builtin

@@ -5,6 +5,7 @@
 module Rng = Yali.Rng
 module Ir = Yali.Ir
 module Fuzz = Yali.Fuzz
+module Check = Yali.Check
 module Pp = Yali.Minic.Pp
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -14,15 +15,15 @@ let qtest = QCheck_alcotest.to_alcotest
 let gen_deterministic =
   QCheck.Test.make ~count:30 ~name:"equal seeds generate equal programs"
     QCheck.small_nat (fun seed ->
-      let p1 = Fuzz.Gen.program (Rng.make seed) in
-      let p2 = Fuzz.Gen.program (Rng.make seed) in
+      let p1 = Check.Gen.program (Rng.make seed) in
+      let p2 = Check.Gen.program (Rng.make seed) in
       String.equal (Pp.program_to_string p1) (Pp.program_to_string p2))
 
 let gen_valid =
   QCheck.Test.make ~count:30
     ~name:"generated programs lower, verify, and terminate" QCheck.small_nat
     (fun seed ->
-      let p = Fuzz.Gen.program (Rng.make seed) in
+      let p = Check.Gen.program (Rng.make seed) in
       let m = Yali.lower p in
       (match Ir.Verify.check_module m with
       | [] -> ()
@@ -46,7 +47,7 @@ let oracle_clean () =
   List.iter
     (fun seed ->
       let rng = Rng.make seed in
-      let p = Fuzz.Gen.program (Rng.split_ix rng 0) in
+      let p = Check.Gen.program (Rng.split_ix rng 0) in
       let r = Fuzz.Oracle.check (Rng.split_ix rng 1) p in
       Alcotest.(check bool) "baseline ok" true r.baseline_ok;
       List.iter
@@ -59,7 +60,7 @@ let oracle_clean () =
 (* -- driver: jobs-determinism ----------------------------------------------- *)
 
 let subset names =
-  List.map (fun n -> Option.get (Fuzz.Pipelines.find n)) names
+  List.map (fun n -> Option.get (Check.Pipelines.find n)) names
 
 let fuzz_counters () =
   List.map
@@ -129,9 +130,9 @@ let broken_fold (m : Ir.Irmod.t) : Ir.Irmod.t =
 
 let broken_variant =
   {
-    Fuzz.Pipelines.vname = "broken-constfold";
+    Check.Pipelines.vname = "broken-constfold";
     vfuel = 4;
-    vstages = [ Fuzz.Pipelines.pure "broken-constfold" broken_fold ];
+    vstages = [ Check.Pipelines.pure "broken-constfold" broken_fold ];
   }
 
 let broken_campaign () =
@@ -158,7 +159,7 @@ let broken_pass_caught () =
       match f.f_minimized with
       | None -> Alcotest.failf "finding %s was not shrunk" f.f_origin
       | Some p ->
-          let n = Fuzz.Shrink.stmt_count p in
+          let n = Check.Shrink.stmt_count p in
           if n > 5 then
             Alcotest.failf "%s shrank to %d statements (> 5):\n%s" f.f_origin n
               (Pp.program_to_string p))
@@ -196,10 +197,10 @@ let with_temp_dir f =
 
 let corpus_roundtrip () =
   with_temp_dir (fun dir ->
-      let p = Fuzz.Gen.program (Rng.make 9) in
-      let path = Fuzz.Corpus.save ~dir p in
-      Alcotest.(check string) "idempotent save" path (Fuzz.Corpus.save ~dir p);
-      (match Fuzz.Corpus.load dir with
+      let p = Check.Gen.program (Rng.make 9) in
+      let path = Check.Corpus.save ~dir p in
+      Alcotest.(check string) "idempotent save" path (Check.Corpus.save ~dir p);
+      (match Check.Corpus.load dir with
       | [ (name, Ok p') ] ->
           Alcotest.(check string) "file is the saved one" name
             (Filename.basename path);
@@ -215,15 +216,15 @@ let corpus_roundtrip () =
       let errors =
         List.filter
           (fun (_, e) -> Result.is_error e)
-          (Fuzz.Corpus.load dir)
+          (Check.Corpus.load dir)
       in
       Alcotest.(check int) "unparseable entries surface as errors" 1
         (List.length errors))
 
 let corpus_replayed_first () =
   with_temp_dir (fun dir ->
-      let p = Fuzz.Gen.program (Rng.make 9) in
-      ignore (Fuzz.Corpus.save ~dir p);
+      let p = Check.Gen.program (Rng.make 9) in
+      ignore (Check.Corpus.save ~dir p);
       let r =
         Fuzz.Driver.run
           {

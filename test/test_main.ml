@@ -21,7 +21,7 @@ let () =
       ("gen_dsl", Test_gen_dsl.suite);
       ("exec", Test_exec.suite);
       ("vm", Test_vm.suite);
-      ("native", Test_native.suite);
+      ("native", Test_vm.native_suite);
       ("fuzz", Test_fuzz.suite);
       ("check", Test_check.suite);
       ("games", Test_games.suite);

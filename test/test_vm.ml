@@ -2,7 +2,8 @@
     bit-identical-outcome contract against the reference interpreter on the
     nasty edges — division traps, [Int64.min_int / -1], narrow-width
     wraparound, exact fuel boundaries, allocator exhaustion, pointer/int
-    coercions — plus engine selection and memory-arena reuse. *)
+    coercions, float infinities and NaN — plus engine selection and
+    memory-arena reuse. *)
 
 open Helpers
 module Ir = Yali.Ir
@@ -277,6 +278,20 @@ let test_intrinsics_parity () =
         (List.map Int64.to_int o.output)
   | r -> Alcotest.failf "intrinsics run failed: %s" (show r)
 
+(* the VM's float path (fmul/fadd, fdiv by zero, NaN) printed via
+   print_float, which lands in [foutput] *)
+let test_float_parity () =
+  let r =
+    both_src
+      "double h(double x) { return x * 1.5 + 0.25; } int main() { double a = h(3.0); print_float(a); print_float(a / 0.0); print_float(0.0 / 0.0); return 0; }"
+  in
+  match r with
+  | Finished { foutput = [ a; inf; nan ]; _ } ->
+      Alcotest.(check (float 0.0)) "h(3.0)" 4.75 a;
+      Alcotest.(check bool) "a/0.0 is +inf" true (inf = Float.infinity);
+      Alcotest.(check bool) "0.0/0.0 is nan" true (Float.is_nan nan)
+  | r -> Alcotest.failf "expected three float outputs, got %s" (show r)
+
 let test_switch_and_globals_parity () =
   let m = Ir.Parser.parse_module {|
 @g = global i64
@@ -320,18 +335,21 @@ let test_engine_selection () =
     (Execution.engine_of_string "jit" = None);
   Alcotest.(check string) "names round-trip" "ref"
     (Execution.engine_to_string Execution.Ref);
-  let before = Execution.get_engine () in
-  let inside =
-    Execution.with_engine Execution.Ref (fun () -> Execution.get_engine ())
+  (* both engines behind [prepare]: compile once, run on several inputs *)
+  let m =
+    lower
+      (parse
+         "int main() { int n = read_int(); int s = 0; while (n > 0) { s = s + n * n; n = n - 1; } print_int(s); return s % 7; }")
   in
-  Alcotest.(check bool) "with_engine scopes the override" true
-    (inside = Execution.Ref && Execution.get_engine () = before);
-  (* restored even when the thunk raises *)
-  (try
-     Execution.with_engine Execution.Ref (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check bool) "restored after an exception" true
-    (Execution.get_engine () = before)
+  let vm = Execution.prepare ~engine:Execution.Vm m in
+  let rf = Execution.prepare ~engine:Execution.Ref m in
+  List.iter
+    (fun n ->
+      let run p = show (Finished (p ~fuel:100_000 [ n ])) in
+      Alcotest.(check string)
+        (Printf.sprintf "prepare vm = prepare ref on %Ld" n)
+        (run rf) (run vm))
+    [ 0L; 1L; 9L; 40L ]
 
 let test_arena_reuse () =
   let m = lower (parse "int main() { int a[64]; a[3] = 5; return a[3]; }") in
@@ -356,9 +374,22 @@ let suite =
     Alcotest.test_case "pointer coercions" `Quick test_pointer_coercions;
     Alcotest.test_case "recursion parity" `Quick test_recursion_parity;
     Alcotest.test_case "intrinsics parity" `Quick test_intrinsics_parity;
+    Alcotest.test_case "float parity" `Quick test_float_parity;
     Alcotest.test_case "switch and globals parity" `Quick
       test_switch_and_globals_parity;
     test_dataset_parity;
     Alcotest.test_case "engine selection" `Quick test_engine_selection;
     Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
+  ]
+
+(* The native execution tier was deleted.  Its engine name must now be
+   refused (the CLI reports "unknown engine" and exits 2), not mapped onto
+   another engine. *)
+let test_native_engine_selection () =
+  Alcotest.(check bool) "native rejected" true
+    (Execution.engine_of_string "native" = None)
+
+let native_suite =
+  [
+    Alcotest.test_case "engine selection" `Quick test_native_engine_selection;
   ]

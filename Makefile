@@ -1,6 +1,6 @@
 # Convenience targets; everything is ultimately driven by dune.
 
-.PHONY: all build build-all test check check-smoke check-deep smoke fuzz-smoke bench bench-kernels bench-vm bench-serve bench-adapt bench-nn fmt clean
+.PHONY: all build build-all test check check-smoke check-deep smoke bench bench-kernels bench-vm bench-serve bench-adapt bench-nn fmt clean
 
 all: build
 
@@ -16,27 +16,25 @@ test:
 
 # The PR gate: full build (including examples and bench) + test suite, then
 # a 2-domain smoke run of the figure harness to exercise the
-# parallel/cached/telemetry paths end to end, and a short differential
-# fuzzing run over every registered pipeline.
-check: build-all test smoke fuzz-smoke
+# parallel/cached/telemetry paths end to end, and a short differential run
+# over every registered pass, pipeline and composition.
+check: build-all test smoke check-smoke
 
 smoke:
 	dune exec bench/main.exe -- --jobs 2 --quick fig5
 
-# Differential oracle smoke: generator -> every pipeline variant -> verify +
-# compare interpreter behaviour; exits non-zero on any finding.
-fuzz-smoke:
-	dune exec bin/yali_cli.exe -- fuzz --seed 2 --count 50 --jobs 2 --shrink
-
-# Per-pass translation validation + invariant oracles, smoke tier (seconds).
-# The same tier also runs inside `dune runtest` (test/test_check.ml).
+# Differential smoke (seconds): 50 generated programs (plus the regression
+# corpus) through every Passdb entry, verified after every stage and
+# compared against the -O0 baseline, plus the invariant oracles at smoke
+# depth; exits non-zero on any failure.  A smaller smoke tier also runs
+# inside `dune runtest` (test/test_check.ml).
 check-smoke:
-	dune exec bin/yali_cli.exe -- check --seed 42
+	dune exec bin/yali_cli.exe -- check --seed 2 --per-pass 50 --jobs 2
 
 # The deep correctness tier (DESIGN.md §9, minutes): 200 generated programs
-# through every pass and pipeline with per-pass translation validation, plus
-# 300-case sweeps of every invariant oracle.  Minimized counterexamples are
-# written to _check_artifacts/ on failure.
+# through every pass, pipeline and composition with translation validation,
+# plus 300-case sweeps of every invariant oracle.  Minimized counterexamples
+# are written to _check_artifacts/ on failure.
 check-deep:
 	dune exec bin/yali_cli.exe -- check --deep --seed 42 --out _check_artifacts
 

@@ -767,7 +767,7 @@ let record_vm name ref_s vm_s extras =
       figure-13 / benchgame regime, reported as dynamic MIPS);
     - "corpus": the validation shape — a fixed seeded corpus of generated
       programs, each compiled once and probed on many input vectors (what
-      one fuzz/check deep-tier oracle call looks like; compile time is
+      one check deep-tier validation looks like; compile time is
       inside the measured region).
     "Reference" is the frozen tree-walking interpreter. *)
 (* Interleave the two engines' timed passes within each rep, so a phase of

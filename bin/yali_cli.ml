@@ -9,8 +9,8 @@
     - [dataset]   export the corpus as .c files
     - [opt]       run a pass pipeline over textual IR (an `opt` clone)
     - [play]      run one adversarial game and report the verdict
-    - [fuzz]      differential fuzzing of the whole pass stack
-    - [check]     per-pass translation validation + invariant oracles
+    - [check]     differential testing of every pass and pipeline +
+                  invariant oracles
     - [train]     train a classifier and publish it into a model registry
     - [serve]     classification daemon on a Unix socket
     - [query]     talk to a running daemon
@@ -370,129 +370,7 @@ let play_cmd =
       const run $ seed_arg $ jobs_arg $ telemetry_arg $ game_arg $ evader_arg
       $ model_arg $ classes_arg $ train_arg $ test_arg $ threshold_arg)
 
-(* -- fuzz: the differential oracle over the whole pass stack --------------- *)
-
-let fuzz_cmd =
-  let count_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "count"; "n" ] ~docv:"N"
-          ~doc:
-            "Programs to generate (default 200, unlimited when a time \
-             budget is given).")
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-budget" ] ~docv:"SECONDS"
-          ~doc:"Stop generating after \\$(docv) of wall time.")
-  in
-  let shrink_arg =
-    Arg.(
-      value & flag
-      & info [ "shrink" ]
-          ~doc:"Minimize failing programs before reporting them.")
-  in
-  let corpus_arg =
-    Arg.(
-      value
-      & opt string Yali.Check.Corpus.default_dir
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:
-            "Corpus directory, replayed before fresh generation (skipped \
-             when absent); \"none\" disables.")
-  in
-  let save_arg =
-    Arg.(
-      value & flag
-      & info [ "save" ]
-          ~doc:"Persist minimized reproducers into the corpus directory.")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-chunk progress.")
-  in
-  let variants_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "variants" ] ~docv:"V1,V2,..."
-          ~doc:
-            "Restrict the differential check to these pipeline variants \
-             (default: all; see the DESIGN notes for the registry).")
-  in
-  let dump_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "dump" ] ~docv:"N"
-          ~doc:"Print generated program \\$(docv) of this seed and exit.")
-  in
-  let run seed jobs telemetry engine count budget shrink corpus save quiet
-      variants dump =
-    configure_jobs jobs;
-    configure_telemetry telemetry;
-    configure_engine engine;
-    (match dump with
-    | Some ix ->
-        let root = Yali.Rng.make seed in
-        let pri = Yali.Rng.split_ix (Yali.Rng.split_ix root 1) ix in
-        let p = Yali.Check.Gen.program (Yali.Rng.split_ix pri 0) in
-        print_string (Yali.Minic.Pp.program_to_string p);
-        exit 0
-    | None -> ());
-    let variants =
-      match variants with
-      | None -> Yali.Check.Pipelines.all
-      | Some names ->
-          List.map
-            (fun n ->
-              match Yali.Check.Pipelines.find n with
-              | Some v -> v
-              | None ->
-                  die ~code:2 "unknown variant %s (have: %s)" n
-                    (String.concat " " (Yali.Check.Pipelines.names ())))
-            names
-    in
-    let count =
-      match (count, budget) with
-      | Some n, _ -> n
-      | None, Some _ -> max_int
-      | None, None -> 200
-    in
-    let cfg =
-      {
-        Yali.Fuzz.Driver.default with
-        seed;
-        count;
-        time_budget = budget;
-        shrink;
-        corpus_dir = (if corpus = "none" then None else Some corpus);
-        save_findings = save;
-        variants;
-        log = (if quiet then ignore else prerr_endline);
-      }
-    in
-    Printf.printf "fuzzing %d pipeline variants (seed %d, jobs %d)\n%!"
-      (List.length cfg.variants) seed
-      (Yali.Exec.Pool.get_jobs ());
-    let r = Yali.Fuzz.Driver.run cfg in
-    print_string (Yali.Fuzz.Driver.summary r);
-    dump_telemetry telemetry;
-    if r.r_findings <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Differentially fuzz every pipeline variant against the -O0 \
-          baseline; exits nonzero on any divergence.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ telemetry_arg $ engine_arg $ count_arg
-      $ budget_arg $ shrink_arg $ corpus_arg $ save_arg $ quiet_arg
-      $ variants_arg $ dump_arg)
-
-(* -- check: per-pass translation validation + invariant oracles ------------ *)
+(* -- check: differential testing + invariant oracles ----------------------- *)
 
 let check_cmd =
   let deep_arg =
@@ -557,7 +435,7 @@ let check_cmd =
       }
     in
     Printf.printf "validating %d passes/pipelines (%s tier, seed %d, jobs %d)\n%!"
-      (List.length (Yali.Check.Engine.entries ()))
+      (List.length Yali.Check.Passdb.all)
       (if deep then "deep" else "smoke")
       seed
       (Yali.Exec.Pool.get_jobs ());
@@ -1165,4 +1043,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "yali" ~doc)
-          [ compile_cmd; run_cmd; obfuscate_cmd; embed_cmd; generate_cmd; dataset_cmd; opt_cmd; play_cmd; fuzz_cmd; check_cmd; corpus_cmd; train_cmd; serve_cmd; query_cmd; adapt_cmd ]))
+          [ compile_cmd; run_cmd; obfuscate_cmd; embed_cmd; generate_cmd; dataset_cmd; opt_cmd; play_cmd; check_cmd; corpus_cmd; train_cmd; serve_cmd; query_cmd; adapt_cmd ]))

@@ -2,9 +2,9 @@
     afl/libFuzzer seed-directory style.
 
     [fuzz/corpus/*.c] holds both hand-written seeds and minimized
-    reproducers saved by the driver ([crash-<hash>.c]); every fuzz run
-    replays the directory first, so a once-found divergence keeps guarding
-    the passes after it is fixed. *)
+    reproducers saved by [check --save] ([crash-<hash>.c]); every
+    {!Tv.run} replays the directory first, so a once-found divergence keeps
+    guarding the passes after it is fixed. *)
 
 let default_dir = Filename.concat "fuzz" "corpus"
 

@@ -1,7 +1,5 @@
 (** See engine.mli. *)
 
-module P = Yali_transforms.Pipeline
-
 type tier = Smoke | Deep
 
 type config = {
@@ -26,17 +24,6 @@ let default =
     corpus_dir = Some Corpus.default_dir;
     log = ignore;
   }
-
-(* pipeline compositions validated on top of the unit passes; O3 inlines
-   and so runs hotter, give it the roomier budget *)
-let pipeline_entries : Passdb.entry list =
-  [
-    Passdb.pure "O1" P.o1;
-    Passdb.pure "O2" P.o2;
-    Passdb.pure ~fuel:8 "O3" P.o3;
-  ]
-
-let entries () = Passdb.all () @ pipeline_entries
 
 let tier_per_pass = function Smoke -> 5 | Deep -> 200
 let tier_prop_count = function Smoke -> 25 | Deep -> 300
@@ -64,20 +51,24 @@ let summary (r : report) : string =
   Printf.bprintf b "\ncheck %s\n" (if r.e_ok then "OK" else "FAILED");
   Buffer.contents b
 
-(* one .c artifact per translation-validation failure: the minimized
-   reproducer (or the original program when shrinking was off), with the
-   pass name and failure kind in a leading comment — exactly what a CI
+(* the minimized reproducer, or the original program when shrinking was
+   off; [None] for a corpus file that did not parse *)
+let reproducer (f : Tv.failure) =
+  match f.Tv.f_minimized with Some p -> Some p | None -> f.Tv.f_program
+
+(* one .c artifact per translation-validation failure: the reproducer, with
+   the pass name and failure kind in a leading comment — exactly what a CI
    artifact needs to replay the bug locally *)
 let dump_artifacts dir (r : report) =
   mkdir_p dir;
   List.iteri
     (fun k (f : Tv.failure) ->
-      let p = Option.value f.Tv.f_minimized ~default:f.Tv.f_program in
       let body =
         Printf.sprintf "// pass: %s\n// origin: %s\n// engine: %s\n// %s\n%s"
           f.Tv.f_pass f.Tv.f_origin f.Tv.f_engine
           (Tv.failure_kind_to_string f.Tv.f_kind)
-          (Yali_minic.Pp.program_to_string p)
+          (Option.fold ~none:"" ~some:Yali_minic.Pp.program_to_string
+             (reproducer f))
       in
       write_file
         (Filename.concat dir
@@ -97,7 +88,6 @@ let run (cfg : config) : report =
         Tv.default with
         seed = cfg.seed;
         per_pass;
-        entries = entries ();
         corpus_dir = cfg.corpus_dir;
         log = cfg.log;
       }
@@ -112,9 +102,8 @@ let run (cfg : config) : report =
      match cfg.corpus_dir with
      | Some dir ->
          List.iter
-           (fun (f : Tv.failure) ->
-             let p = Option.value f.Tv.f_minimized ~default:f.Tv.f_program in
-             ignore (Corpus.save ~dir p))
+           (fun f ->
+             Option.iter (fun p -> ignore (Corpus.save ~dir p)) (reproducer f))
            tv.Tv.c_failures
      | None -> ());
   report

@@ -23,10 +23,6 @@ type config = {
 
 val default : config
 
-(** Every entry the engine validates: {!Passdb.all} plus the [O1]/[O2]/[O3]
-    pipeline compositions (the title says {e every pass and pipeline}). *)
-val entries : unit -> Passdb.entry list
-
 type report = {
   e_tv : Tv.report;
   e_props : Prop.result list;

@@ -284,12 +284,12 @@ let exec =
 
 module Interp = Yali_ir.Interp
 
-(* One case = one generated program pushed through every registered pipeline
-   variant (the 22 of {!Pipelines.all}) and executed under both engines on
-   seeded inputs.  The engines must agree on the FULL outcome — output,
-   foutput, exit value, steps and abstract cost, not just the observation —
-   and on the exception classification (the exact [Trap] message vs
-   [Out_of_fuel]).  Variants whose transforms crash or fail the verifier are
+(* One case = one generated program pushed through every registered entry
+   (the 22 of {!Passdb.all}) and executed under both engines on seeded
+   inputs.  The engines must agree on the FULL outcome — output, foutput,
+   exit value, steps and abstract cost, not just the observation — and on
+   the exception classification (the exact [Trap] message vs
+   [Out_of_fuel]).  Entries whose transforms crash or fail the verifier are
    skipped here: those are translation-validation findings, and unverified
    SSA is outside the VM's exactness contract (vm.mli). *)
 let engine_fuel = 200_000
@@ -307,29 +307,18 @@ let classify (run : unit -> Interp.outcome) =
   | exception Interp.Out_of_fuel -> Error "out of fuel"
   | exception e -> Error ("exn: " ^ Printexc.to_string e)
 
-let engine_inputs (rng : Rng.t) =
-  Array.init 2 (fun ix ->
-      let r = Rng.split_ix rng ix in
-      List.init 32 (fun _ -> Int64.of_int (Rng.int_range r (-1000) 1000)))
-
 let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
-  let inputs = engine_inputs (Rng.split_ix rng 0) in
+  let inputs = Tv.inputs_for (Rng.split_ix rng 0) ~vectors:2 ~len:32 in
   match Yali_minic.Lower.lower_program p with
   | exception _ -> true (* a lowering crash is another oracle's finding *)
   | m0 ->
-      let variant_ok k (v : Pipelines.variant) =
-        let vrng = Rng.split_ix rng (1 + k) in
-        match
-          List.fold_left
-            (fun (m, ix) (s : Pipelines.stage) ->
-              (s.srun (Rng.split_ix vrng ix) m, ix + 1))
-            (m0, 0) v.vstages
-        with
+      let entry_ok k (e : Passdb.entry) =
+        match Passdb.apply e (Rng.split_ix rng (1 + k)) m0 with
         | exception _ -> true
-        | m, _ ->
+        | m ->
             if Yali_ir.Verify.check_module m <> [] then true
             else
-              let fuel = engine_fuel * v.vfuel in
+              let fuel = engine_fuel * e.efuel in
               let cp = Yali_vm.Vm.compile m in
               Array.for_all
                 (fun input ->
@@ -344,7 +333,7 @@ let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
                   | Ok _, Error _ | Error _, Ok _ -> false)
                 inputs
       in
-      List.for_all Fun.id (List.mapi variant_ok Pipelines.all)
+      List.for_all Fun.id (List.mapi entry_ok Passdb.all)
 
 let engines =
   [
@@ -360,26 +349,20 @@ let engines =
 module Codec = Yali_serve.Codec
 module Wire = Yali_serve.Wire
 
-(* One case = one generated program pushed through every registered pipeline
-   variant; each resulting module must survive encode/decode with full
-   structural identity (high-water marks included, [Stdlib.compare] so NaN
-   constants count as themselves), print bit-identically under Pp, and
-   re-encode to the identical blob.  Variants whose transforms crash are
-   skipped — those are translation-validation findings. *)
+(* One case = one generated program pushed through every registered entry;
+   each resulting module must survive encode/decode with full structural
+   identity (high-water marks included, [Stdlib.compare] so NaN constants
+   count as themselves), print bit-identically under Pp, and re-encode to
+   the identical blob.  Entries whose transforms crash are skipped — those
+   are translation-validation findings. *)
 let codec_roundtrip ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
   match Yali_minic.Lower.lower_program p with
   | exception _ -> true
   | m0 ->
-      let variant_ok k (v : Pipelines.variant) =
-        let vrng = Rng.split_ix rng (1 + k) in
-        match
-          List.fold_left
-            (fun (m, ix) (s : Pipelines.stage) ->
-              (s.srun (Rng.split_ix vrng ix) m, ix + 1))
-            (m0, 0) v.vstages
-        with
+      let entry_ok k (e : Passdb.entry) =
+        match Passdb.apply e (Rng.split_ix rng (1 + k)) m0 with
         | exception _ -> true
-        | m, _ -> (
+        | m -> (
             let blob = Codec.encode_module m in
             match Codec.decode_module blob with
             | exception Yali_util.Bin.Corrupt _ -> false
@@ -389,7 +372,7 @@ let codec_roundtrip ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
                    = Yali_ir.Pp.module_to_string m
                 && String.equal (Codec.encode_module m') blob)
       in
-      List.for_all Fun.id (List.mapi variant_ok Pipelines.all)
+      List.for_all Fun.id (List.mapi entry_ok Passdb.all)
 
 let gen_wire_case (rng : Rng.t) =
   let blob n = String.init (Rng.int rng n) (fun _ -> Char.chr (Rng.int rng 256)) in

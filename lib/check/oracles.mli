@@ -13,11 +13,11 @@
       {!Yali_exec.Cache} transparency;
     - {!engines}: the {!Yali_vm.Vm} against the frozen reference
       interpreter — each generated program is pushed through every
-      registered pipeline variant ({!Pipelines.all}) and both must produce
+      registered entry ({!Passdb.all}) and both must produce
       bit-identical outcomes (steps and cost included) with identical
       [Trap]/[Out_of_fuel] classification;
     - {!serve}: the {!Yali_serve.Codec} binary format — each generated
-      program, through every registered pipeline variant, must survive
+      program, through every registered entry, must survive
       encode/decode with full structural identity and print bit-identically
       under {!Yali_ir.Pp}, and re-encode to the identical blob; plus
       {!Yali_serve.Wire} message round-trips;

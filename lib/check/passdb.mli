@@ -1,41 +1,50 @@
-(** The single pass-registration table behind per-pass translation
-    validation.
+(** The single pass registry behind the differential-testing engine
+    ({!Tv}) and the IR oracles ({!Oracles}).
 
-    Every optimization pass ({!Yali_transforms.Pipeline.all_passes}) and
-    every O-LLVM-style obfuscation pass is an {!entry}; the differential
-    fuzzer's single-pass pipeline variants are derived from this table too,
-    so a future pass registered here gets per-pass validation, fuzzing and
-    the deep CI tier for free.  {!register} exists for test-only passes
-    (e.g. a deliberately planted miscompile used to prove the validator
-    catches one); it never persists beyond the process. *)
+    An {!entry} is a named sequence of IR-to-IR stages applied to the
+    [-O0] lowering of a program.  {!all} covers everything the paper's
+    games can hand a classifier: the clang-style [-O0]…[-O3] pipelines,
+    every optimization pass on its own, each O-LLVM obfuscator, and
+    compositions of the two families ([fla+O2] and friends).  A pass
+    registered here gets translation validation, the engine and codec
+    oracles, and the deep CI tier for free. *)
 
-type kind =
-  | Opt  (** optimization pass (deterministic, rng unused) *)
-  | Obf  (** obfuscation pass (seeded) *)
-  | Test  (** test-only registration, excluded from {!builtin} *)
+type stage = {
+  sname : string;  (** one transform, e.g. ["O2"] or ["fla"] *)
+  srun : Yali_util.Rng.t -> Yali_ir.Irmod.t -> Yali_ir.Irmod.t;
+}
 
 type entry = {
   ename : string;
-  ekind : kind;
-  erun : Yali_util.Rng.t -> Yali_ir.Irmod.t -> Yali_ir.Irmod.t;
   efuel : int;
       (** interpreter fuel multiplier vs the [-O0] baseline (obfuscators
           add dispatch loops and bogus blocks) *)
+  estages : stage list;  (** applied in order to the [-O0] lowering *)
 }
 
-(** Wrap a deterministic module transform as an entry. *)
+(** A one-stage entry around a deterministic module transform (fuel
+    multiplier 4 unless given). *)
 val pure :
-  ?kind:kind -> ?fuel:int -> string -> (Yali_ir.Irmod.t -> Yali_ir.Irmod.t) -> entry
+  ?fuel:int -> string -> (Yali_ir.Irmod.t -> Yali_ir.Irmod.t) -> entry
 
-(** Every built-in pass: the transform passes (in registry order) followed
-    by the obfuscators [sub], [bcf], [fla], [ollvm]. *)
-val builtin : entry list
+(** [(stage, exn)]: stage [stage], or the [check] run on its output,
+    raised [exn]. *)
+exception Stage_failed of string * exn
 
-(** Runtime registrations, appended after {!builtin} in {!all}.
-    Re-registering a name replaces the previous runtime entry. *)
-val register : entry -> unit
+(** [apply ?check e rng m] runs [e]'s stages in order on [m], stage [k]
+    under [Rng.split_ix rng k], and calls [check] on every stage's output
+    before the next stage runs.
+    @raise Stage_failed naming the stage that raised *)
+val apply :
+  ?check:(Yali_ir.Irmod.t -> unit) ->
+  entry ->
+  Yali_util.Rng.t ->
+  Yali_ir.Irmod.t ->
+  Yali_ir.Irmod.t
 
-val unregister : string -> unit
-val all : unit -> entry list
+(** The 22 built-in entries: [O0]–[O3], the transform passes in registry
+    order, [sub]/[bcf]/[fla]/[ollvm], then the six compositions.  The
+    order is fixed: the oracles key each entry's rng on its position. *)
+val all : entry list
+
 val find : string -> entry option
-val names : unit -> string list

@@ -2,7 +2,7 @@
     integrated greedy shrinking, deterministic replay.
 
     This is the reusable core that {!Shrink} (and through it the
-    differential fuzzer) and the translation-validation campaigns are built
+    differential-testing engine {!Tv}) and the invariant oracles are built
     on.  Everything is a pure function of an explicit seed: a property run
     derives one independent rng per case with {!Yali_util.Rng.split_ix}
     keyed by (seed, property name, case index), so any failing case can be

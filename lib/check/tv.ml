@@ -8,26 +8,28 @@ module Pool = Yali_exec.Pool
 module Telemetry = Yali_exec.Telemetry
 
 type failure_kind =
-  | Verify_failed of { error : string }
-  | Transform_crash of { error : string }
+  | Verify_failed of { stage : string; error : string }
+  | Transform_crash of { stage : string; error : string }
   | Run_crash of { input_ix : int; error : string }
   | Divergence of { input_ix : int; expected : string; got : string }
 
 type verdict = Valid | Bad_baseline of string | Miscompiled of failure_kind
 
 let failure_kind_to_string = function
-  | Verify_failed { error } -> Printf.sprintf "verifier error: %s" error
-  | Transform_crash { error } -> Printf.sprintf "pass raised: %s" error
+  | Verify_failed { stage; error } ->
+      Printf.sprintf "verifier error after %s: %s" stage error
+  | Transform_crash { stage; error } ->
+      Printf.sprintf "exception in %s: %s" stage error
   | Run_crash { input_ix; error } ->
       Printf.sprintf "runtime fault on input #%d: %s" input_ix error
   | Divergence { input_ix; expected; got } ->
-      Printf.sprintf "divergence on input #%d: baseline %s, pass %s" input_ix
-        expected got
+      Printf.sprintf "divergence on input #%d: baseline %s, entry %s"
+        input_ix expected got
 
-(* identical derivations to the whole-pipeline oracle: child 0 of the check
-   rng seeds the input vectors, child [salt name] seeds the pass — so
-   re-validating a single pass (the shrink predicate) reproduces the exact
-   randomness of the full sweep *)
+(* child 0 of the check rng seeds the input vectors, child [salt name]
+   seeds the entry — keyed by name, not list position, so re-validating a
+   single entry (the shrink predicate) reproduces the exact randomness of
+   the full sweep *)
 let salt (name : string) : int =
   let h = String.fold_left (fun h ch -> (h * 131) + Char.code ch) 5381 name in
   1 + (h land 0xFFFFF)
@@ -51,7 +53,7 @@ let observation_to_string (o : Interp.outcome) : string =
     (String.concat ";" (List.map string_of_float floats))
     exitv
 
-(* the [-O0] side of one program, computed once and shared by every pass *)
+(* the [-O0] side of one program, computed once and shared by every entry *)
 type prepared = {
   p_mod : Ir.Irmod.t;
   p_inputs : int64 list array;
@@ -77,48 +79,52 @@ let prepare ~fuel ~vectors (rng : Rng.t) (p : Yali_minic.Ast.program) :
   | exception Interp.Out_of_fuel -> Error "baseline out of fuel"
   | exception e -> Error (Printexc.to_string e)
 
-(* apply one pass to a prepared baseline: verify, run, compare *)
-let check_entry ~fuel (prep : prepared) (e : Passdb.entry) (prng : Rng.t) :
+exception Invalid of string
+
+(* apply an entry to a prepared baseline, verifying after every stage; then
+   run and compare.  [rng] is the program's check rng. *)
+let check_entry ~fuel (prep : prepared) (e : Passdb.entry) (rng : Rng.t) :
     failure_kind option =
-  match e.erun prng prep.p_mod with
-  | exception ex ->
-      Some (Transform_crash { error = Printexc.to_string ex })
-  | m1 -> (
-      match verify_errors m1 with
-      | Some err -> Some (Verify_failed { error = err })
-      | None ->
-          let vfuel = fuel * e.efuel in
-          let run1 = Execution.prepare m1 in
-          let n = Array.length prep.p_inputs in
-          let rec go input_ix =
-            if input_ix >= n then None
-            else
-              match run1 ~fuel:vfuel prep.p_inputs.(input_ix) with
-              | o ->
-                  if Interp.equal_behaviour prep.p_base.(input_ix) o then
-                    go (input_ix + 1)
-                  else
-                    Some
-                      (Divergence
-                         {
-                           input_ix;
-                           expected =
-                             observation_to_string prep.p_base.(input_ix);
-                           got = observation_to_string o;
-                         })
-              | exception Interp.Trap msg ->
-                  Some (Run_crash { input_ix; error = "trap: " ^ msg })
-              | exception Interp.Out_of_fuel ->
-                  Some (Run_crash { input_ix; error = "out of fuel" })
-          in
-          go 0)
+  let check m =
+    Option.iter (fun err -> raise (Invalid err)) (verify_errors m)
+  in
+  match Passdb.apply ~check e (Rng.split_ix rng (salt e.ename)) prep.p_mod with
+  | exception Passdb.Stage_failed (stage, Invalid error) ->
+      Some (Verify_failed { stage; error })
+  | exception Passdb.Stage_failed (stage, ex) ->
+      Some (Transform_crash { stage; error = Printexc.to_string ex })
+  | m1 ->
+      let vfuel = fuel * e.efuel in
+      let run1 = Execution.prepare m1 in
+      let n = Array.length prep.p_inputs in
+      let rec go input_ix =
+        if input_ix >= n then None
+        else
+          match run1 ~fuel:vfuel prep.p_inputs.(input_ix) with
+          | o ->
+              if Interp.equal_behaviour prep.p_base.(input_ix) o then
+                go (input_ix + 1)
+              else
+                Some
+                  (Divergence
+                     {
+                       input_ix;
+                       expected = observation_to_string prep.p_base.(input_ix);
+                       got = observation_to_string o;
+                     })
+          | exception Interp.Trap msg ->
+              Some (Run_crash { input_ix; error = "trap: " ^ msg })
+          | exception Interp.Out_of_fuel ->
+              Some (Run_crash { input_ix; error = "out of fuel" })
+      in
+      go 0
 
 let validate ?(fuel = default_fuel) ?(vectors = 3) (e : Passdb.entry)
     (rng : Rng.t) (p : Yali_minic.Ast.program) : verdict =
   match prepare ~fuel ~vectors rng p with
   | Error msg -> Bad_baseline msg
   | Ok prep -> (
-      match check_entry ~fuel prep e (Rng.split_ix rng (salt e.ename)) with
+      match check_entry ~fuel prep e rng with
       | None -> Valid
       | Some kind -> Miscompiled kind)
 
@@ -129,7 +135,7 @@ type failure = {
   f_origin : string;
   f_kind : failure_kind;
   f_engine : string;
-  f_program : Yali_minic.Ast.program;
+  f_program : Yali_minic.Ast.program option;
   f_minimized : Yali_minic.Ast.program option;
 }
 
@@ -156,7 +162,7 @@ let default =
   {
     seed = 42;
     per_pass = 50;
-    entries = Passdb.all ();
+    entries = Passdb.all;
     gen_cfg = Gen.default;
     fuel = default_fuel;
     vectors = 3;
@@ -175,7 +181,7 @@ type report = {
   c_elapsed : float;
 }
 
-(* the shrink predicate: the candidate still miscompiles under this pass,
+(* the shrink predicate: the candidate still miscompiles under this entry,
    with exactly the detection-time rng (baseline must stay healthy, so a
    candidate that is itself broken does not count) *)
 let still_fails (cfg : config) (e : Passdb.entry) (rng : Rng.t)
@@ -197,7 +203,7 @@ let make_failure (cfg : config) ~origin ~rng (e : Passdb.entry)
     f_origin = origin;
     f_kind = kind;
     f_engine = current_engine ();
-    f_program = p;
+    f_program = Some p;
     f_minimized = minimized;
   }
 
@@ -211,12 +217,8 @@ let sweep (cfg : config) (rng : Rng.t) (p : Yali_minic.Ast.program) :
       Ok
         (List.filter_map
            (fun (e : Passdb.entry) ->
-             match
-               check_entry ~fuel:cfg.fuel prep e
-                 (Rng.split_ix rng (salt e.ename))
-             with
-             | None -> None
-             | Some kind -> Some (e, kind))
+             Option.map (fun kind -> (e, kind))
+               (check_entry ~fuel:cfg.fuel prep e rng))
            cfg.entries)
 
 let run (cfg : config) : report =
@@ -226,22 +228,26 @@ let run (cfg : config) : report =
   let gen_rng = Rng.split_ix root 1 in
   let programs = ref 0 and validations = ref 0 in
   let failures = ref [] in
-  (* fold one swept program into the totals, on the calling domain *)
-  let absorb ~origin ~rng (p : Yali_minic.Ast.program) result =
+  (* a program that never reached the entries: unparseable or bad baseline *)
+  let unchecked ~origin ~pass ~stage program error =
     incr programs;
-    match result with
+    failures :=
+      {
+        f_pass = pass;
+        f_origin = origin;
+        f_kind = Transform_crash { stage; error };
+        f_engine = current_engine ();
+        f_program = program;
+        f_minimized = None;
+      }
+      :: !failures
+  in
+  (* fold one swept program into the totals, on the calling domain *)
+  let absorb ~origin ~rng (p : Yali_minic.Ast.program) = function
     | Error msg ->
-        failures :=
-          {
-            f_pass = "baseline";
-            f_origin = origin;
-            f_kind = Transform_crash { error = msg };
-            f_engine = current_engine ();
-            f_program = p;
-            f_minimized = None;
-          }
-          :: !failures
+        unchecked ~origin ~pass:"baseline" ~stage:"lower" (Some p) msg
     | Ok fails ->
+        incr programs;
         validations := !validations + List.length cfg.entries;
         List.iter
           (fun (e, kind) ->
@@ -257,17 +263,7 @@ let run (cfg : config) : report =
       let origin = "corpus:" ^ name in
       match entry with
       | Error msg ->
-          incr programs;
-          failures :=
-            {
-              f_pass = "corpus-parse";
-              f_origin = origin;
-              f_kind = Transform_crash { error = msg };
-              f_engine = current_engine ();
-              f_program = { Yali_minic.Ast.pfuncs = [] };
-              f_minimized = None;
-            }
-            :: !failures
+          unchecked ~origin ~pass:"corpus-parse" ~stage:"parse" None msg
       | Ok p ->
           let rng = Rng.split_ix corpus_rng k in
           absorb ~origin ~rng p (sweep cfg rng p))

@@ -1,26 +1,26 @@
-(** Per-pass translation validation.
+(** The differential-testing engine: translation validation of every
+    {!Passdb} entry on generated and corpus programs.
 
-    One {!validate} call proves one pass on one program: lower at [-O0],
+    One {!validate} call checks one entry on one program: lower at [-O0],
     verify, execute on seeded input vectors (under the engine selected in
     {!Yali_vm.Execution} — the VM by default, [--engine=ref] for the frozen
-    interpreter; both produce bit-identical outcomes); apply
-    {e just that pass}; re-verify the SSA/dominance invariants
-    ({!Yali_ir.Verify.check_module}); re-run and compare observable
-    behaviour.  This is the per-pass refinement of the whole-pipeline
-    differential oracle in [lib/fuzz] — a miscompile is localized to the
-    single pass that introduced it rather than to a 5-stage pipeline.
+    interpreter; both produce bit-identical outcomes); apply the entry's
+    stages one at a time, re-verifying the SSA/dominance invariants
+    ({!Yali_ir.Verify.check_module}) after {e every} stage; re-run and
+    compare observable behaviour.  A miscompile is localized to its entry,
+    and a broken invariant to the stage that introduced it.
 
-    {!campaign} fans generated programs out over the {!Yali_exec.Pool}
-    (bit-identical findings at any [--jobs]), replays the persisted
-    regression corpus first, and minimizes every failing program with
-    {!Shrink} down to a minimal reproducer + pass name. *)
+    {!run} fans generated programs out over the {!Yali_exec.Pool}
+    (bit-identical findings at any [--jobs]), replays the regression corpus
+    first, and minimizes every failing program with {!Shrink} down to a
+    minimal reproducer + entry name. *)
 
 module Rng = Yali_util.Rng
 
 type failure_kind =
-  | Verify_failed of { error : string }
-      (** the pass broke an SSA/dominance/CFG invariant *)
-  | Transform_crash of { error : string }
+  | Verify_failed of { stage : string; error : string }
+      (** the stage broke an SSA/dominance/CFG invariant *)
+  | Transform_crash of { stage : string; error : string }
   | Run_crash of { input_ix : int; error : string }
   | Divergence of { input_ix : int; expected : string; got : string }
 
@@ -28,14 +28,22 @@ type verdict =
   | Valid  (** verifier-clean and observationally equivalent *)
   | Bad_baseline of string
       (** the program itself failed to lower/verify/run — a generator or
-          corpus problem, not attributable to the pass *)
+          corpus problem, not attributable to the entry *)
   | Miscompiled of failure_kind
 
 val failure_kind_to_string : failure_kind -> string
 
+(** [inputs_for rng ~vectors ~len] — seeded input streams shared by every
+    entry checked on one program (does not advance [rng]). *)
+val inputs_for : Rng.t -> vectors:int -> len:int -> int64 list array
+
+(** Baseline interpreter fuel; an entry gets [fuel * efuel]. *)
+val default_fuel : int
+
 (** [validate entry rng p] — rng children: 0 seeds the input vectors,
-    [salt entry.ename] seeds the pass (stable under re-validation of a
-    single pass, as the shrink predicate does). *)
+    [salt entry.ename] seeds the entry, whose stage [k] runs under child
+    [k] of that (stable under re-validation of a single entry, as the
+    shrink predicate does). *)
 val validate :
   ?fuel:int ->
   ?vectors:int ->
@@ -45,12 +53,13 @@ val validate :
   verdict
 
 type failure = {
-  f_pass : string;
+  f_pass : string;  (** entry name, ["baseline"] or ["corpus-parse"] *)
   f_origin : string;  (** ["gen:<ix>"] or ["corpus:<file>"] *)
   f_kind : failure_kind;
   f_engine : string;
       (** execution engine ({!Yali_vm.Execution}) that observed it *)
-  f_program : Yali_minic.Ast.program;
+  f_program : Yali_minic.Ast.program option;
+      (** [None] for a corpus file that did not parse *)
   f_minimized : Yali_minic.Ast.program option;
 }
 
@@ -69,7 +78,7 @@ type config = {
   log : string -> unit;
 }
 
-(** Seed 42, 50 programs per pass, {!Passdb.all}, shrinking on, corpus
+(** Seed 42, 50 programs per entry, {!Passdb.all}, shrinking on, corpus
     replay from {!Corpus.default_dir}. *)
 val default : config
 
@@ -77,7 +86,7 @@ type report = {
   c_passes : int;  (** entries validated *)
   c_programs : int;  (** distinct programs (corpus + generated) *)
   c_corpus : int;  (** corpus entries replayed *)
-  c_validations : int;  (** program x pass validations *)
+  c_validations : int;  (** program x entry validations *)
   c_failures : failure list;
   c_elapsed : float;
 }

@@ -18,10 +18,10 @@
     - {!Vm} / {!Execution}: the pre-compiling IR virtual machine and the
       engine switchboard ([--engine=vm|ref]; bit-identical outcomes, the
       interpreter stays the frozen oracle)
-    - {!Fuzz}: the differential fuzzing subsystem — whole-pipeline oracle
-      and campaign driver ([yali fuzz])
     - {!Check}: the correctness-tooling layer — property-testing engine,
-      per-pass translation validation, invariant oracles, smoke/deep tiers
+      the differential-testing engine (every pass, pipeline and
+      optimize/obfuscate composition against the [-O0] baseline, verified
+      after every stage), invariant oracles, smoke/deep tiers
       ([yali check])
     - {!Serve}: classification-as-a-service — binary IR codec, versioned
       model registry, micro-batching daemon ([yali serve])
@@ -45,7 +45,6 @@ module Embeddings = Yali_embeddings
 module Ml = Yali_ml
 module Dataset = Yali_dataset
 module Games = Yali_games
-module Fuzz = Yali_fuzz
 module Check = Yali_check
 module Serve = Yali_serve
 module Corpus = Yali_corpus

@@ -45,7 +45,7 @@ let read_clamped lo hi =
   (* abs(read_int()) % (hi - lo + 1) + lo *)
   Bin (Add, Bin (Mod, Call ("abs", [ Call ("read_int", []) ]), i (hi - lo + 1)), i lo)
 
-(* -- safety combinators (shared with the fuzzer) -------------------------- *)
+(* -- safety combinators (shared with Check.Gen) --------------------------- *)
 
 (** [nonzero e] — a strictly positive value derived from [e]
     ([abs e % 97 + 1]); the standard safe denominator. *)

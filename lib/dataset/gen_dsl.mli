@@ -40,8 +40,8 @@ val print : expr -> stmt
     accept workload sizes safely. *)
 val read_clamped : int -> int -> expr
 
-(* safety combinators, shared with the fuzzer (lib/fuzz): expressions that
-   can never trap regardless of operand values *)
+(* safety combinators, shared with the program generator of lib/check:
+   expressions that can never trap regardless of operand values *)
 
 (** A strictly positive value derived from [e] ([abs e % 97 + 1]). *)
 val nonzero : expr -> expr

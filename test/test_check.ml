@@ -1,8 +1,10 @@
 (** The correctness-tooling layer: the property engine's determinism,
-    replay and shrinking contracts; the pass-registration table; per-pass
-    translation validation — including a deliberately planted miscompile
-    that must be caught, localized to its pass, and minimized; and the
-    smoke tier of the engine coming back clean. *)
+    replay and shrinking contracts; the program generator's contract; the
+    pass registry; translation validation — including a deliberately
+    planted miscompile that must be caught, localized to its pass, and
+    minimized, and a broken intermediate caught at the stage that made it;
+    the smoke tier of the engine coming back clean; and the regression
+    corpus. *)
 
 module Rng = Yali.Rng
 module Ir = Yali.Ir
@@ -97,59 +99,49 @@ let test_prop_run_deterministic () =
     (render (Prop.run ~count:40 ~seed:11 p))
     (render (Prop.run ~count:40 ~seed:11 p))
 
-(* -- the pass-registration table -------------------------------------------- *)
+(* -- the generator ---------------------------------------------------------- *)
+
+let qtest = QCheck_alcotest.to_alcotest
+
+let gen_deterministic =
+  QCheck.Test.make ~count:30 ~name:"gen: equal seeds, equal programs"
+    QCheck.small_nat (fun seed ->
+      let p1 = Check.Gen.program (Rng.make seed) in
+      let p2 = Check.Gen.program (Rng.make seed) in
+      String.equal (Pp.program_to_string p1) (Pp.program_to_string p2))
+
+let gen_valid =
+  QCheck.Test.make ~count:30 ~name:"gen: programs lower, verify, terminate"
+    QCheck.small_nat (fun seed ->
+      let p = Check.Gen.program (Rng.make seed) in
+      let m = Yali.lower p in
+      (match Ir.Verify.check_module m with
+      | [] -> ()
+      | e :: _ ->
+          QCheck.Test.fail_reportf "verify: %s"
+            (Format.asprintf "%a" Ir.Verify.pp_error e));
+      let inputs = Tv.inputs_for (Rng.make (seed + 1)) ~vectors:2 ~len:16 in
+      Array.for_all
+        (fun input ->
+          ignore (Ir.Interp.run ~fuel:Tv.default_fuel m input);
+          true)
+        inputs)
+
+(* -- the pass registry ------------------------------------------------------ *)
 
 let test_passdb_covers_registry () =
-  let names = List.map (fun (e : Passdb.entry) -> e.ename) Passdb.builtin in
-  List.iter
-    (fun (p : Yali.Transforms.Pipeline.pass) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "pass %s registered" p.pname)
-        true
-        (List.mem p.pname names))
-    Yali.Transforms.Pipeline.all_passes;
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "obfuscator %s registered" n)
-        true (List.mem n names))
-    [ "sub"; "bcf"; "fla"; "ollvm" ]
-
-let test_passdb_feeds_fuzzer () =
-  (* the fuzzer's single-pass variants are derived from this table: every
-     built-in entry must be reachable as a pipeline variant of its name *)
-  List.iter
-    (fun (e : Passdb.entry) ->
-      match Check.Pipelines.find e.ename with
-      | Some v ->
-          Alcotest.(check string) "variant name" e.ename
-            v.Check.Pipelines.vname
-      | None ->
-          Alcotest.failf "pass %s has no fuzz pipeline variant" e.ename)
-    Passdb.builtin
-
-let test_passdb_register_unregister () =
-  let entry = Passdb.pure ~kind:Passdb.Test "tmp-identity" Fun.id in
-  Fun.protect
-    ~finally:(fun () -> Passdb.unregister "tmp-identity")
-    (fun () ->
-      Passdb.register entry;
-      Alcotest.(check bool) "findable" true (Passdb.find "tmp-identity" <> None);
-      Alcotest.(check bool) "listed" true
-        (List.mem "tmp-identity" (Passdb.names ()));
-      Alcotest.(check bool) "not builtin" false
-        (List.exists
-           (fun (e : Passdb.entry) -> e.ename = "tmp-identity")
-           Passdb.builtin);
-      (* re-registering replaces rather than duplicates *)
-      Passdb.register { entry with efuel = 9 };
-      Alcotest.(check int) "single entry after re-register" 1
-        (List.length
-           (List.filter
-              (fun (e : Passdb.entry) -> e.ename = "tmp-identity")
-              (Passdb.all ()))));
-  Alcotest.(check bool) "gone after unregister" true
-    (Passdb.find "tmp-identity" = None)
+  (* every transform pass and obfuscator, the pipelines and the
+     compositions; the engine and codec oracles key each entry's rng on its
+     position, so the order is part of the contract *)
+  Alcotest.(check (list string))
+    "entries, in order"
+    ([ "O0"; "O1"; "O2"; "O3" ]
+    @ List.map
+        (fun (p : Yali.Transforms.Pipeline.pass) -> p.pname)
+        Yali.Transforms.Pipeline.all_passes
+    @ [ "sub"; "bcf"; "fla"; "ollvm" ]
+    @ [ "O2+sub"; "O2+bcf"; "O2+fla"; "O3+ollvm"; "fla+O2"; "ollvm+O3" ])
+    (List.map (fun (e : Passdb.entry) -> e.ename) Passdb.all)
 
 (* -- per-pass translation validation ---------------------------------------- *)
 
@@ -167,8 +159,8 @@ let test_validate_real_pass () =
             (Tv.failure_kind_to_string k))
     [ 21; 22; 23 ]
 
-(* A deliberately planted miscompile, registered as a [Test] entry: an
-   off-by-one "strength reduction" that rewrites [x + c] into [x + (c+1)].
+(* A deliberately planted miscompile, as a test-only entry: an off-by-one
+   "strength reduction" that rewrites [x + c] into [x + (c+1)].
    Structurally valid SSA — only the differential run can see it.  Unlike a
    fold-to-zero bug it cannot stall loop counters, so modest fuel
    suffices. *)
@@ -195,8 +187,7 @@ let off_by_one (m : Ir.Irmod.t) : Ir.Irmod.t =
          }))
     m
 
-let broken_entry =
-  Passdb.pure ~kind:Passdb.Test ~fuel:4 "planted-off-by-one" off_by_one
+let broken_entry = Passdb.pure "planted-off-by-one" off_by_one
 
 let broken_campaign () =
   Tv.run
@@ -204,7 +195,11 @@ let broken_campaign () =
       Tv.default with
       seed = 5;
       per_pass = 6;
-      entries = [ broken_entry; Option.get (Passdb.find "constfold") ];
+      entries =
+        [ broken_entry ]
+        @ List.map
+            (fun n -> Option.get (Passdb.find n))
+            [ "constfold"; "fla+O2" ];
       fuel = 200_000;
       vectors = 2;
       shrink = true;
@@ -237,6 +232,50 @@ let test_planted_miscompile_caught () =
           | Tv.Valid | Tv.Bad_baseline _ ->
               Alcotest.failf "minimized %s no longer reproduces" f.f_origin)
     r.Tv.c_failures
+
+(* A two-stage entry whose first stage inserts an unused [add] reading an
+   SSA id nothing defines, and whose second stage ([dce]) deletes it again:
+   the final module verifies, so only verification after every stage sees
+   the broken intermediate. *)
+let plant_undefined_use (m : Ir.Irmod.t) : Ir.Irmod.t =
+  let f = Ir.Irmod.find_func_exn m "main" in
+  let id, f = Ir.Func.fresh_ids f 2 in
+  let entry = Ir.Func.entry f in
+  let add =
+    Ir.Instr.mk ~id ~ty:Ir.Types.I64
+      (Ir.Instr.Ibin (Ir.Instr.Add, Ir.Value.var (id + 1), Ir.Value.i64 1))
+  in
+  Ir.Irmod.update_func m
+    (Ir.Func.update_block f { entry with instrs = add :: entry.instrs })
+
+let plant_then_dce =
+  {
+    Passdb.ename = "plant+dce";
+    efuel = 4;
+    estages =
+      [
+        {
+          sname = "plant-undefined-use";
+          srun = (fun _ -> plant_undefined_use);
+        };
+        { sname = "dce"; srun = (fun _ -> Yali.Transforms.Pipeline.dce.prun) };
+      ];
+  }
+
+let test_verify_after_every_stage () =
+  let p = Check.Gen.program (Rng.make 21) in
+  let final = Passdb.apply plant_then_dce (Rng.make 0) (Yali.lower p) in
+  Alcotest.(check int) "the final module verifies" 0
+    (List.length (Ir.Verify.check_module final));
+  match Tv.validate plant_then_dce (Rng.make 1) p with
+  | Tv.Miscompiled (Tv.Verify_failed { stage; _ }) ->
+      Alcotest.(check string) "blamed on the first stage"
+        "plant-undefined-use" stage
+  | Tv.Miscompiled k ->
+      Alcotest.failf "expected a verifier failure, got %s"
+        (Tv.failure_kind_to_string k)
+  | Tv.Valid -> Alcotest.fail "only the final module was verified"
+  | Tv.Bad_baseline e -> Alcotest.failf "bad baseline: %s" e
 
 let test_tv_jobs_deterministic () =
   let render (r : Tv.report) =
@@ -278,9 +317,97 @@ let test_engine_smoke_clean () =
     (List.map (fun (p : Prop.result) -> p.Prop.r_name)
        (Prop.failed r.Engine.e_props));
   Alcotest.(check bool) "engine verdict ok" true r.Engine.e_ok;
-  (* every pass and the three pipeline compositions were covered *)
-  let expected = List.length (Engine.entries ()) in
-  Alcotest.(check int) "every entry validated" expected r.Engine.e_tv.Tv.c_passes
+  Alcotest.(check int) "every entry validated" (List.length Passdb.all)
+    r.Engine.e_tv.Tv.c_passes
+
+(* -- the regression corpus -------------------------------------------------- *)
+
+let with_temp_dir f =
+  (* a unique path without depending on Unix: claim a temp file name and
+     reuse it as a directory ([Corpus.save] mkdir-ps it) *)
+  let dir = Filename.temp_file "yali-check-corpus" "" in
+  Sys.remove dir;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm dir)
+    (fun () -> f dir)
+
+let write_garbage dir =
+  let oc = open_out (Filename.concat dir "garbage.c") in
+  output_string oc "int main( { ][ }";
+  close_out oc
+
+let test_corpus_roundtrip () =
+  with_temp_dir (fun dir ->
+      let p = Check.Gen.program (Rng.make 9) in
+      let path = Check.Corpus.save ~dir p in
+      Alcotest.(check string) "idempotent save" path (Check.Corpus.save ~dir p);
+      (match Check.Corpus.load dir with
+      | [ (name, Ok p') ] ->
+          Alcotest.(check string) "file is the saved one" name
+            (Filename.basename path);
+          Alcotest.(check string)
+            "parses back to the same program" (Pp.program_to_string p)
+            (Pp.program_to_string p')
+      | entries ->
+          Alcotest.failf "expected one parseable entry, got %d"
+            (List.length entries));
+      write_garbage dir;
+      let errors =
+        List.filter (fun (_, e) -> Result.is_error e) (Check.Corpus.load dir)
+      in
+      Alcotest.(check int) "unparseable entries surface as errors" 1
+        (List.length errors))
+
+let test_corpus_replayed_first () =
+  with_temp_dir (fun dir ->
+      let p = Check.Gen.program (Rng.make 9) in
+      ignore (Check.Corpus.save ~dir p);
+      let r =
+        Tv.run
+          {
+            Tv.default with
+            seed = 5;
+            per_pass = 0;
+            corpus_dir = Some dir;
+            entries = [ Option.get (Passdb.find "O2") ];
+          }
+      in
+      Alcotest.(check int) "corpus entry replayed" 1 r.Tv.c_corpus;
+      Alcotest.(check int) "no fresh generation" 1 r.Tv.c_programs;
+      Alcotest.(check (list string)) "clean replay" []
+        (List.map (fun (f : Tv.failure) -> f.f_origin) r.Tv.c_failures))
+
+(* [--save] persists reproducers of failing programs; a corpus file that
+   does not parse has none, and saving an empty one would fail every later
+   run on [main] missing *)
+let test_save_skips_unparsed () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      write_garbage dir;
+      let module Engine = Check.Engine in
+      let r =
+        Engine.run
+          {
+            Engine.default with
+            seed = 1;
+            per_pass = Some 0;
+            prop_count = Some 0;
+            corpus_dir = Some dir;
+            save_findings = true;
+          }
+      in
+      Alcotest.(check bool) "the unparseable file fails the run" false
+        r.Engine.e_ok;
+      Alcotest.(check (list string))
+        "nothing saved beside it" [ "garbage.c" ]
+        (Array.to_list (Sys.readdir dir)))
 
 let suite =
   [
@@ -297,17 +424,23 @@ let suite =
       test_prop_integrated_shrinking;
     Alcotest.test_case "prop: deterministic runs" `Quick
       test_prop_run_deterministic;
+    qtest gen_deterministic;
+    qtest gen_valid;
     Alcotest.test_case "passdb: covers the pass registry" `Quick
       test_passdb_covers_registry;
-    Alcotest.test_case "passdb: feeds the fuzzer" `Quick
-      test_passdb_feeds_fuzzer;
-    Alcotest.test_case "passdb: register/unregister" `Quick
-      test_passdb_register_unregister;
     Alcotest.test_case "tv: real pass validates" `Quick test_validate_real_pass;
     Alcotest.test_case "tv: planted miscompile caught + minimized" `Quick
       test_planted_miscompile_caught;
+    Alcotest.test_case "tv: verifies after every stage" `Quick
+      test_verify_after_every_stage;
     Alcotest.test_case "tv: jobs-deterministic" `Quick
       test_tv_jobs_deterministic;
     Alcotest.test_case "engine: smoke tier clean" `Quick
       test_engine_smoke_clean;
+    Alcotest.test_case "corpus: save/load roundtrip" `Quick
+      test_corpus_roundtrip;
+    Alcotest.test_case "corpus: replayed before generation" `Quick
+      test_corpus_replayed_first;
+    Alcotest.test_case "corpus: --save skips unparsed files" `Quick
+      test_save_skips_unparsed;
   ]

@@ -22,7 +22,6 @@ let () =
       ("exec", Test_exec.suite);
       ("vm", Test_vm.suite);
       ("native", Test_vm.native_suite);
-      ("fuzz", Test_fuzz.suite);
       ("check", Test_check.suite);
       ("games", Test_games.suite);
       ("antivirus", Test_antivirus.suite);

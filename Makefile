@@ -71,8 +71,8 @@ bench-adapt:
 # Neural-tier gate (DESIGN.md §15): kernelized minibatch cnn/dgcnn
 # trainers vs the frozen per-sample reference.  Exits non-zero unless the
 # cnn step kernel is >=5x over the reference and the trained weights are
-# bit-identical, jobs-invariant and stream-invariant -- this is CI's nn
-# gate.  Numbers land in BENCH_nn.json.
+# bit-identical and jobs-invariant -- this is CI's nn gate.  Numbers land
+# in BENCH_nn.json.
 bench-nn:
 	dune exec bench/main.exe -- --quick nn
 

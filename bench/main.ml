@@ -651,7 +651,7 @@ let kernels () =
           Some
             (Ml.Random_forest.train
                ~params:{ Ml.Random_forest.n_trees; max_depth = 24 }
-               (Rng.make 42) ~n_classes fm_tr ys_tr))
+               (Rng.make 42) ~n_classes (Ml.Fblock.Mem fm_tr) ys_tr))
   in
   let ref_pred =
     Array.map (Ml.Reference.Random_forest.predict (Option.get !ref_forest)) xs_te
@@ -1044,9 +1044,10 @@ let rm_rf dir =
 
 (** The paper-scale tier: generate the full 104-class corpus straight to a
     sharded on-disk store, embed it into an out-of-core feature file, and
-    train lr + rf both streamed (minibatch over blocks) and in memory —
-    the streamed models must hold accuracy within 2 points of the
-    in-memory ones on a held-out corpus, and the whole run must fit the
+    train lr + rf with each model's one trainer, streamed from the file in
+    4096-row blocks and from memory as one block — the streamed models must
+    hold accuracy within 2 points of the in-memory ones on a held-out
+    corpus, and the whole run must fit the
     RSS cap (--rss-cap-mb, default 2048).  [--quick] drops to 104x50.
     Written to [BENCH_corpus.json]; exits nonzero when a gate fails (CI's
     paper-scale smoke). *)
@@ -1120,8 +1121,8 @@ let corpus_bench () =
             let t0 = clock () in
             let snap_stream =
               Option.get
-                (Ml.Model.train_snapshot_stream ~block_rows:4096 kind
-                   (Rng.make 7) ~n_classes (Ml.Fblock.Disk fr) ys)
+                (Ml.Model.train_snapshot ~block_rows:4096 kind (Rng.make 7)
+                   ~n_classes (Ml.Fblock.Disk fr) ys)
             in
             let t_stream = clock () -. t0 in
             let x = Ml.Fblock.materialize (Ml.Fblock.Disk fr) in
@@ -1129,7 +1130,8 @@ let corpus_bench () =
             let t0 = clock () in
             let snap_mem =
               Option.get
-                (Ml.Model.train_snapshot kind (Rng.make 7) ~n_classes x ys)
+                (Ml.Model.train_snapshot kind (Rng.make 7) ~n_classes
+                   (Ml.Fblock.Mem x) ys)
             in
             let t_mem = clock () -. t0 in
             let a_s = accuracy snap_stream and a_m = accuracy snap_mem in
@@ -1381,8 +1383,8 @@ let nn_chain_graph ~(n : int) ~(flavor : int) : E.Graph.t =
     against the frozen naive reference in [Ml.Reference], on the same
     synthetic shapes the differential tests pin.  Reports wall seconds,
     speedup, and training throughput; re-checks the bit-identity contract
-    (kernel = reference, --jobs 1 = --jobs 4, streamed = in-memory) on the
-    benchmark workload itself.  Written to [BENCH_nn.json]; exits nonzero
+    (kernel = reference, --jobs 1 = --jobs 4) on the benchmark workload
+    itself.  Written to [BENCH_nn.json]; exits nonzero
     when the cnn lands below the 5x-over-reference gate or any identity
     check fails. *)
 (* interleaved best-of-[reps] timing: both sides see the same cache and
@@ -1458,7 +1460,10 @@ let nn_bench () =
         ref_cnn :=
           Some (Ml.Reference.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
       (fun () ->
-        ker_cnn := Some (Ml.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
+        ker_cnn :=
+          Some
+            (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x)
+               ys))
   in
   let ref_cnn = Option.get !ref_cnn and ker_cnn = Option.get !ker_cnn in
   let weights_ok =
@@ -1466,16 +1471,10 @@ let nn_bench () =
   in
   let cnn_at jobs =
     Yali.Exec.Pool.with_jobs jobs (fun () ->
-        Ml.Cnn.dump_weights (Ml.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
+        Ml.Cnn.dump_weights
+          (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x) ys))
   in
   let jobs_ok = dump_eq (cnn_at 1) (cnn_at 4) in
-  let streamed_cnn =
-    Ml.Cnn.train_stream ~params (Rng.make 11) ~n_classes (Ml.Fblock.of_fmat x)
-      ys
-  in
-  let stream_ok =
-    dump_eq (Ml.Cnn.dump_weights ker_cnn) (Ml.Cnn.dump_weights streamed_cnn)
-  in
   let speedup = t_ref /. t_ker in
   let row_visits = float_of_int (n * params.Ml.Cnn.epochs) in
   let rows_s = row_visits /. t_ker in
@@ -1484,9 +1483,8 @@ let nn_bench () =
      rows/s\n"
     t_ref t_ker speedup rows_s;
   Printf.printf
-    "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b   \
-     streamed-identical: %b\n\n%!"
-    weights_ok jobs_ok stream_ok;
+    "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b\n\n%!"
+    weights_ok jobs_ok;
 
   (* dgcnn: two-class chain graphs (the shape the differential tests pin) *)
   let gn = scale 96 in
@@ -1522,26 +1520,14 @@ let nn_bench () =
              ~feat_dim:4 graphs gys))
   in
   let gjobs_ok = dump_eq (dgcnn_at 1) (dgcnn_at 4) in
-  let streamed_g =
-    Ml.Model.train_dgcnn_stream ~params:gparams (Rng.make 31) ~n_classes:2
-      (Ml.Gsource.of_graphs graphs) gys
-  in
-  let gstream_ok =
-    dump_eq (Ml.Dgcnn.dump_weights ker_g) (Ml.Dgcnn.dump_weights streamed_g)
-  in
   let gspeedup = t_gref /. t_gker in
   let graphs_s = float_of_int (gn * gparams.Ml.Dgcnn.epochs) /. t_gker in
   Printf.printf "  reference %.3fs   kernel %.3fs   speedup %.2fx   %.0f graphs/s\n"
     t_gref t_gker gspeedup graphs_s;
-  Printf.printf
-    "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b   \
-     streamed-identical: %b\n%!"
-    gweights_ok gjobs_ok gstream_ok;
+  Printf.printf "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b\n%!"
+    gweights_ok gjobs_ok;
 
-  let identical =
-    weights_ok && jobs_ok && stream_ok && gweights_ok && gjobs_ok
-    && gstream_ok
-  in
+  let identical = weights_ok && jobs_ok && gweights_ok && gjobs_ok in
   let pass = step_speedup >= 5.0 && identical in
   let oc = open_out nn_json in
   Printf.fprintf oc "{\n  \"quick\": %b,\n  \"jobs\": %d,\n" !quick
@@ -1552,17 +1538,16 @@ let nn_bench () =
      \"step_kernel_seconds\": %.5f, \"step_speedup\": %.2f, \
      \"train_reference_seconds\": %.4f, \"train_kernel_seconds\": %.4f, \
      \"train_speedup\": %.2f, \"train_rows_per_s\": %.0f, \
-     \"weights_identical\": %b, \"jobs_invariant\": %b, \
-     \"stream_identical\": %b},\n"
+     \"weights_identical\": %b, \"jobs_invariant\": %b},\n"
     n d n_classes params.Ml.Cnn.epochs m t_sref t_sker step_speedup t_ref
-    t_ker speedup rows_s weights_ok jobs_ok stream_ok;
+    t_ker speedup rows_s weights_ok jobs_ok;
   Printf.fprintf oc
     "  \"dgcnn\": {\"graphs\": %d, \"epochs\": %d, \"reference_seconds\": \
      %.4f, \"kernel_seconds\": %.4f, \"speedup\": %.2f, \
      \"train_graphs_per_s\": %.0f, \"weights_identical\": %b, \
-     \"jobs_invariant\": %b, \"stream_identical\": %b},\n"
+     \"jobs_invariant\": %b},\n"
     gn gparams.Ml.Dgcnn.epochs t_gref t_gker gspeedup graphs_s gweights_ok
-    gjobs_ok gstream_ok;
+    gjobs_ok;
   Printf.fprintf oc "  \"pass\": %b\n}\n" pass;
   close_out oc;
   Printf.printf "nn summary written to %s\n" nn_json;
@@ -1697,8 +1682,8 @@ let abl_rf_trees () =
       let t0 = Yali.Exec.Telemetry.clock () in
       let params = { Ml.Random_forest.n_trees; max_depth = 24 } in
       let trained =
-        Ml.Random_forest.train ~params (Rng.make 3) ~n_classes p.xs_train
-          p.ys_train
+        Ml.Random_forest.train ~params (Rng.make 3) ~n_classes
+          (Ml.Fblock.Mem p.xs_train) p.ys_train
       in
       let pred = Ml.Random_forest.predict_batch trained p.xs_test in
       Printf.printf "%-8d %10.4f %10.2f\n%!" n_trees

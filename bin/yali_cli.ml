@@ -348,8 +348,10 @@ let play_cmd =
     in
     let rng = Rng.make seed in
     let split =
-      Yali.Dataset.Poj.make rng ~n_classes:classes ~train_per_class:train
-        ~test_per_class:test
+      try
+        Yali.Dataset.Poj.make rng ~n_classes:classes ~train_per_class:train
+          ~test_per_class:test
+      with Invalid_argument msg -> die ~code:2 "%s" msg
     in
     let r =
       Yali.Games.Arena.run_flat (Rng.split rng) ~n_classes:classes
@@ -988,7 +990,10 @@ let adapt_cmd =
       }
     in
     let log = prerr_endline in
-    let prep = try D.prepare ~log cfg with Failure msg -> die ~code:2 "%s" msg in
+    let prep =
+      try D.prepare ~log cfg
+      with Failure msg | Invalid_argument msg -> die ~code:2 "%s" msg
+    in
     if Array.length prep.p_challenges = 0 then
       die ~code:1 "adapt: every challenge was dropped (raise --fuel?)";
     let report =

@@ -84,7 +84,7 @@ let prepare ?(log = ignore) (cfg : config) : prepared =
         match
           Model.train_snapshot kind
             (Rng.split_ix train_rng ix)
-            ~n_classes:cfg.a_classes x ys
+            ~n_classes:cfg.a_classes (Yali_ml.Fblock.Mem x) ys
         with
         | Some s -> (kind, s)
         | None -> failwith ("adapt: no snapshot form for model " ^ kind))

@@ -48,7 +48,10 @@ let tree_vs_reference (n_classes, xs, ys, txs, seed) =
 let forest_vs_reference (n_classes, xs, ys, txs, seed) =
   let params = { Ml.Random_forest.n_trees = 5; max_depth = 6 } in
   let ref_params = { Ml.Reference.Random_forest.n_trees = 5; max_depth = 6 } in
-  let f_new = Ml.Random_forest.train ~params (Rng.make seed) ~n_classes (F.of_rows xs) ys in
+  let f_new =
+    Ml.Random_forest.train ~params (Rng.make seed) ~n_classes
+      (Ml.Fblock.Mem (F.of_rows xs)) ys
+  in
   let f_ref =
     Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed) ~n_classes xs ys
   in
@@ -511,9 +514,10 @@ let corpus_store_roundtrip (spec, rps, _) =
                  l = l_ref && l = Corpus_store.label r i && m = m_ref)
                (Array.init (Array.length reference) Fun.id)))
 
-(* Out-of-core training against the in-memory trainers: on a source that
-   fits one block, every snapshot-able model must produce a byte-identical
-   Model.save blob (the DESIGN.md §12 equivalence contract). *)
+(* One trainer, two sources: the on-disk feature file read as one block
+   and the in-memory matrix must give every snapshot-able model a
+   byte-identical Model.save blob (the DESIGN.md §12 equivalence
+   contract). *)
 let corpus_stream_train_bit_identical (spec, rps, train_seed) =
   with_tmp_dir (fun dir ->
       Corpus_gen.generate ~dir ~records_per_shard:rps spec;
@@ -539,12 +543,12 @@ let corpus_stream_train_bit_identical (spec, rps, train_seed) =
                    (fun kind ->
                      let inmem =
                        Ml.Model.train_snapshot kind (Rng.make train_seed)
-                         ~n_classes:spec.Corpus_gen.n_classes x ys
+                         ~n_classes:spec.Corpus_gen.n_classes
+                         (Ml.Fblock.Mem x) ys
                      in
                      let streamed =
-                       Ml.Model.train_snapshot_stream
-                         ~block_rows:(max 1 x.F.n) kind
-                         (Rng.make train_seed)
+                       Ml.Model.train_snapshot ~block_rows:(max 1 x.F.n)
+                         kind (Rng.make train_seed)
                          ~n_classes:spec.Corpus_gen.n_classes src ys
                      in
                      match (inmem, streamed) with
@@ -552,9 +556,9 @@ let corpus_stream_train_bit_identical (spec, rps, train_seed) =
                      | _ -> false)
                    Ml.Model.snapshot_kinds)))
 
-(* Feature standardisation is blocking-invariant: fit_stream must equal
-   fit_fmat bit for bit at ANY block size (sum order is preserved), and the
-   on-disk feature file must round-trip doubles exactly. *)
+(* Feature standardisation is blocking-invariant: fit_stream must equal the
+   row-array fit bit for bit at ANY block size (sum order is preserved),
+   and the on-disk feature file must round-trip doubles exactly. *)
 let fblock_fit_stream_blocking (n_classes, xs, _, _, seed) =
   ignore n_classes;
   let x = F.of_rows xs in
@@ -567,8 +571,8 @@ let fblock_fit_stream_blocking (n_classes, xs, _, _, seed) =
         ~finally:(fun () -> Ml.Fblock.close_reader fr)
         (fun () ->
           let disk = Ml.Fblock.Disk fr in
-          let s_ref = Ml.Features.fit_fmat x in
-          let s_mem = Ml.Features.fit_stream ~block_rows (Ml.Fblock.of_fmat x) in
+          let s_ref = Ml.Features.fit xs in
+          let s_mem = Ml.Features.fit_stream ~block_rows (Ml.Fblock.Mem x) in
           let s_disk = Ml.Features.fit_stream ~block_rows disk in
           let under s =
             let c = F.create x.F.n x.F.d in
@@ -749,41 +753,10 @@ let nn_jobs_invariant (d, n_classes, batch, seed) =
         in
         let params = { Ml.Cnn.default_params with epochs = 1; batch } in
         Ml.Cnn.dump_weights
-          (Ml.Cnn.train ~params (Rng.make seed) ~n_classes x ys))
+          (Ml.Cnn.train ~params (Rng.make seed) ~n_classes (Ml.Fblock.Mem x)
+             ys))
   in
   train 1 = train 4
-
-(* Streamed training vs in-memory on one block: identical cnn Model.save
-   blobs, identical dgcnn weight dumps over a Gsource. *)
-let nn_stream_vs_inmem (n, feat_dim, seed) =
-  let d = 8 + feat_dim and n_classes = 2 in
-  let rows = 4 * n in
-  let cnn_ok =
-    let x, ys = nn_blobs (seed + 1) ~n:rows ~d ~n_classes in
-    let inmem = Ml.Model.train_snapshot "cnn" (Rng.make seed) ~n_classes x ys in
-    let streamed =
-      Ml.Model.train_snapshot_stream ~block_rows:rows "cnn" (Rng.make seed)
-        ~n_classes (Ml.Fblock.of_fmat x) ys
-    in
-    match (inmem, streamed) with
-    | Some a, Some b -> Ml.Model.save a = Ml.Model.save b
-    | _ -> false
-  in
-  let dgcnn_ok =
-    let graphs, ys = nn_random_graphs seed ~n ~feat_dim in
-    let inmem =
-      Ml.Dgcnn.train ~params:nn_params_small (Rng.make seed) ~n_classes:2
-        ~feat_dim graphs ys
-    in
-    let streamed =
-      Ml.Model.train_dgcnn_stream ~params:nn_params_small (Rng.make seed)
-        ~n_classes:2
-        (Ml.Gsource.of_graphs graphs)
-        ys
-    in
-    Ml.Dgcnn.dump_weights inmem = Ml.Dgcnn.dump_weights streamed
-  in
-  cnn_ok && dgcnn_ok
 
 let nn =
   [
@@ -793,8 +766,6 @@ let nn =
       ~max_count:12 gen_graph_case dgcnn_kernel_vs_reference;
     Prop.make ~name:"ml/nn-jobs-invariant" ~show:show_nn_case ~max_count:12
       gen_nn_case nn_jobs_invariant;
-    Prop.make ~name:"ml/nn-stream-vs-inmem" ~show:show_graph_case
-      ~max_count:8 gen_graph_case nn_stream_vs_inmem;
   ]
 
 let all = kernels @ metrics @ exec @ engines @ serve @ corpus @ nn @ adapt

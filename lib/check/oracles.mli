@@ -23,9 +23,10 @@
       {!Yali_serve.Wire} message round-trips;
     - {!corpus}: the {!Yali_corpus} streaming layer — a generated sharded
       store must replay {!Yali_corpus.Gen.materialize} record for record;
-      out-of-core training over a single block must produce byte-identical
-      {!Yali_ml.Model.save} blobs to the in-memory trainers; and feature
-      standardisation must be blocking-invariant bit for bit
+      each model's one trainer must produce byte-identical
+      {!Yali_ml.Model.save} blobs from the on-disk feature file read as one
+      block and from the in-memory matrix; and feature standardisation must
+      be blocking-invariant bit for bit against the row-array fit
       (DESIGN.md §12). *)
 
 val kernels : Prop.t list
@@ -38,9 +39,7 @@ val corpus : Prop.t list
 (** The kernelized neural tier (DESIGN.md §15): [Nn.train_batch] and the
     cnn/dgcnn minibatch trainers against the frozen naive implementations
     in {!Yali_ml.Reference} (losses, input gradients and weights bit for
-    bit), weight invariance under [--jobs], and streamed-vs-in-memory
-    equality (byte-identical cnn [Model.save] blobs on one block; identical
-    dgcnn weight dumps over a {!Yali_ml.Gsource}). *)
+    bit), and weight invariance under [--jobs]. *)
 val nn : Prop.t list
 
 (** {!Yali_adapt}: the [adapt/search-determinism] oracle — the same seed

@@ -44,19 +44,3 @@ let to_fmat ~(embedding : Embedding.t) (r : Store.reader) :
         Array.blit row 0 x.Fmat.data (i * d) d);
     (x, Store.labels r)
   end
-
-(* Graph twin of {!to_fmat}'s streaming side: a random-access {!Gsource}
-   whose getter decodes + embeds corpus record [i] on demand, so the DGCNN
-   trainer holds one minibatch of graphs at a time (never the corpus). *)
-let graph_source ~(embedding : Embedding.t) (r : Store.reader) :
-    Yali_ml.Gsource.t =
-  let n = Store.length r in
-  let feat_dim =
-    if n = 0 then 1
-    else
-      let _, m0 = Store.get r 0 in
-      (Embedding.to_graph embedding m0).Yali_embeddings.Graph.feat_dim
-  in
-  Yali_ml.Gsource.of_fn ~n ~feat_dim (fun i ->
-      let _, m = Store.get r i in
-      Embedding.to_graph_cached embedding m)

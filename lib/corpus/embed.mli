@@ -14,11 +14,3 @@ val to_file :
 val to_fmat :
   embedding:Yali_embeddings.Embedding.t -> Store.reader ->
   Yali_ml.Fmat.t * int array
-
-(** Graph-embedding twin of the streamed path: a {!Yali_ml.Gsource.t} that
-    decodes and embeds record [i] on demand — the DGCNN's minibatch trainer
-    ({!Yali_ml.Model.train_dgcnn_stream}) holds one minibatch of graphs at a
-    time, never the whole corpus.  Labels come from [Store.labels].  Uses
-    the graph-embedding cache, so repeated epochs re-embed cheaply. *)
-val graph_source :
-  embedding:Yali_embeddings.Embedding.t -> Store.reader -> Yali_ml.Gsource.t

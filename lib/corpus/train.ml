@@ -31,39 +31,46 @@ let ensure_features ~(embedding : Embedding.t) (r : Store.reader)
 
 let train ~(dir : string) ~(embedding : Embedding.t) ~(kind : string)
     ~(seed : int) ?block_rows () : (Registry.entry, string) result =
-  match Store.open_ dir with
-  | exception Bin.Corrupt m ->
-      Error (Printf.sprintf "corrupt corpus in %s: %s" dir m)
-  | exception Sys_error m -> Error (Printf.sprintf "no corpus in %s: %s" dir m)
-  | r ->
-      Fun.protect
-        ~finally:(fun () -> Store.close r)
-        (fun () ->
-          let path, dim = ensure_features ~embedding r ~dir in
-          let fr = Fblock.open_reader path in
+  match block_rows with
+  | Some b when b < 1 ->
+      Error (Printf.sprintf "block rows must be at least 1, got %d" b)
+  | _ -> (
+      match Store.open_ dir with
+      | exception Bin.Corrupt m ->
+          Error (Printf.sprintf "corrupt corpus in %s: %s" dir m)
+      | exception Sys_error m ->
+          Error (Printf.sprintf "no corpus in %s: %s" dir m)
+      | r ->
           Fun.protect
-            ~finally:(fun () -> Fblock.close_reader fr)
+            ~finally:(fun () -> Store.close r)
             (fun () ->
-              let ys = Store.labels r in
-              let rng = Rng.make seed in
-              match
-                Model.train_snapshot_stream ?block_rows kind (Rng.split rng)
-                  ~n_classes:(Store.n_classes r) (Fblock.Disk fr) ys
-              with
-              | None -> Error (Printf.sprintf "no snapshot-able model named %s" kind)
-              | Some snapshot ->
-                  Ok
-                    {
-                      Registry.meta =
+              let path, dim = ensure_features ~embedding r ~dir in
+              let fr = Fblock.open_reader path in
+              Fun.protect
+                ~finally:(fun () -> Fblock.close_reader fr)
+                (fun () ->
+                  let ys = Store.labels r in
+                  let rng = Rng.make seed in
+                  match
+                    Model.train_snapshot ?block_rows kind (Rng.split rng)
+                      ~n_classes:(Store.n_classes r) (Fblock.Disk fr) ys
+                  with
+                  | None ->
+                      Error
+                        (Printf.sprintf "no snapshot-able model named %s" kind)
+                  | Some snapshot ->
+                      Ok
                         {
-                          kind;
-                          version = 0;
-                          embedding = embedding.Embedding.name;
-                          n_classes = Store.n_classes r;
-                          dim;
-                          n_train = Store.length r;
-                          seed;
-                          source = Store.meta r;
-                        };
-                      snapshot;
-                    }))
+                          Registry.meta =
+                            {
+                              kind;
+                              version = 0;
+                              embedding = embedding.Embedding.name;
+                              n_classes = Store.n_classes r;
+                              dim;
+                              n_train = Store.length r;
+                              seed;
+                              source = Store.meta r;
+                            };
+                          snapshot;
+                        })))

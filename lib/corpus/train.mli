@@ -1,9 +1,8 @@
 (** Out-of-core training from a stored corpus: embed (or reuse) the on-disk
-    feature file, then stream it through
-    {!Yali_ml.Model.train_snapshot_stream}.  The resulting registry entry
-    records the corpus meta string as its provenance ([meta.source]), so a
-    published model names the exact recipe that produced it
-    (DESIGN.md §12). *)
+    feature file, then stream it through {!Yali_ml.Model.train_snapshot}.
+    The resulting registry entry records the corpus meta string as its
+    provenance ([meta.source]), so a published model names the exact recipe
+    that produced it (DESIGN.md §12). *)
 
 (** The feature-file path for an embedding within a corpus directory
     (["<dir>/features-<embedding>.yfmb"]). *)
@@ -18,7 +17,7 @@ val ensure_features :
 (** [train ~dir ~embedding ~kind ~seed ()] opens the corpus at [dir] and
     trains [kind] out of core ([version 0] until published).  [block_rows]
     caps the feature rows resident at once.  [Error] covers a missing or
-    corrupt corpus and unknown model kinds. *)
+    corrupt corpus, unknown model kinds and [block_rows < 1]. *)
 val train :
   dir:string ->
   embedding:Yali_embeddings.Embedding.t ->

@@ -77,6 +77,11 @@ let test_sample (p : plan) (j : int) : labelled =
 
 let plan ?(shuffle_classes = false) (rng : Rng.t) ~(n_classes : int)
     ~(train_per_class : int) ~(test_per_class : int) : plan =
+  let n_problems = List.length Genprog.all in
+  if n_classes < 1 || n_classes > n_problems then
+    invalid_arg
+      (Printf.sprintf "classes must be in 1..%d (the POJ problems), got %d"
+         n_problems n_classes);
   let problems =
     if shuffle_classes then Rng.sample rng n_classes Genprog.all
     else List.filteri (fun k _ -> k < n_classes) Genprog.all

@@ -34,7 +34,9 @@ val plan_of :
   plan
 
 (** Plan a balanced split over the first [n_classes] POJ problems, or a
-    random class subset when [shuffle_classes] is set. *)
+    random class subset when [shuffle_classes] is set.
+    @raise Invalid_argument when [n_classes] is outside [1..104], naming
+    the limit *)
 val plan :
   ?shuffle_classes:bool ->
   Yali_util.Rng.t ->
@@ -57,7 +59,8 @@ val realize : plan -> split
 
 (** Build a balanced split over the first [n_classes] problems, or a random
     class subset when [shuffle_classes] is set (the paper's RQ1 draws 32 of
-    104 at random).  Labels are re-indexed 0..n_classes-1. *)
+    104 at random).  Labels are re-indexed 0..n_classes-1.
+    @raise Invalid_argument as {!plan} *)
 val make :
   ?shuffle_classes:bool ->
   Yali_util.Rng.t ->

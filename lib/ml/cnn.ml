@@ -7,9 +7,8 @@
     Training is minibatch SGD through the batched {!Nn.train_batch} kernel
     (im2col convolutions, cache-tiled matmuls, sharded gradient workers) —
     bit-identical at any [--jobs] and to the frozen naive trainer in
-    [Reference.Cnn].  {!train_stream} is the out-of-core variant over
-    {!Fblock} sources; on a source that fits one block it is bit-identical
-    to {!train}. *)
+    [Reference.Cnn].  {!train} consumes an {!Fblock} source, in memory or
+    on disk. *)
 
 module Rng = Yali_util.Rng
 
@@ -86,39 +85,29 @@ let run_batches ~(lr : float) ~(rng : Rng.t) ~(batch : int) (net : Nn.t)
     ignore (Nn.train_batch ~need_dx:false ~lr ~rng net xb yb)
   done
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let scaler, x = Features.fit_transform_fmat x in
-  let net = build_net rng ~d_in:x.Fmat.d ~n_classes in
-  let order = Array.init x.Fmat.n Fun.id in
-  for epoch = 0 to params.epochs - 1 do
-    let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    shuffle rng order;
-    run_batches ~lr ~rng ~batch:params.batch net x order (fun i ->
-        ys.(order.(i)))
-  done;
-  { scaler; net }
-
-(** Minibatch SGD over streamed blocks; per-epoch shuffles stay within a
-    block (persistent per-block orders), minibatches never straddle a block
-    boundary.  One block = exactly {!train}. *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+(** Minibatch SGD over blocks; per-epoch shuffles stay within a block
+    (persistent per-block orders), minibatches never straddle a block
+    boundary.  A source that is one block — any [Mem] source given no
+    [block_rows] — is standardised once and shuffled as one global
+    order. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let scaler = Features.fit_stream ?block_rows src in
-  let n = Fblock.rows src in
   let net = build_net rng ~d_in:(Fblock.dim src) ~n_classes in
-  let bs_rows =
-    match block_rows with Some b -> b | None -> Fblock.default_block_rows
-  in
   let orders =
-    Array.init (Fblock.n_blocks ?block_rows src) (fun b ->
-        Array.init (min bs_rows (n - (b * bs_rows))) Fun.id)
+    Array.map
+      (fun bn -> Array.init bn Fun.id)
+      (Fblock.block_sizes ?block_rows src)
+  in
+  let each_block =
+    Fblock.prepared ?block_rows src (fun block ->
+        Features.transform_fmat_inplace scaler block;
+        block)
   in
   for epoch = 0 to params.epochs - 1 do
     let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    Fblock.iter_blocks ?block_rows src (fun lo block ->
-        Features.transform_fmat_inplace scaler block;
-        let order = orders.(lo / bs_rows) in
+    each_block (fun blk lo block ->
+        let order = orders.(blk) in
         shuffle rng order;
         run_batches ~lr ~rng ~batch:params.batch net block order (fun i ->
             ys.(lo + order.(i))))

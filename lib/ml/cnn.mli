@@ -13,18 +13,10 @@ type params = { epochs : int; lr : float; batch : int }
 
 val default_params : params
 
+(** Minibatch SGD over feature blocks (DESIGN.md §12/§15); per-epoch
+    shuffles and minibatches stay within a block.  Every source that is one
+    block fits the same model. *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Minibatch SGD over streamed blocks (the out-of-core path of DESIGN.md
-    §12/§15); per-epoch shuffles and minibatches stay within a block.  On a
-    source that fits one block the model is bit-identical to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

@@ -21,9 +21,7 @@
     flat vectors feed one batched {!Nn.train_batch} step of the head, and
     the graph-convolution gradients are accumulated per shard and merged in
     a fixed tree order — bit-identical at any [--jobs] and to the frozen
-    naive trainer in [Reference.Dgcnn].  {!train_source} consumes a
-    {!Gsource.t} (graphs streamed from a corpus store); {!train} is the
-    in-memory special case. *)
+    naive trainer in [Reference.Dgcnn]. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
@@ -277,12 +275,11 @@ let dump_weights (t : t) : float array array =
        (List.map (fun (w : Matrix.t) -> Array.copy w.Matrix.data) t.gc_weights))
     (Nn.dump_weights t.head)
 
-let train_source ?(params = default_params) (rng : Rng.t)
-    ~(n_classes : int) (src : Gsource.t) (ys : int array) : t =
-  let feat_dim = src.Gsource.feat_dim in
+let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
+    ~(feat_dim : int) (graphs : Graph.t array) (ys : int array) : t =
   let gc_weights = init_gc_weights rng params ~feat_dim in
   let head = build_head rng params ~n_classes in
-  let n = src.Gsource.n in
+  let n = Array.length graphs in
   let order = Array.init n Fun.id in
   let flat_w = params.sortpool_k * total_channels params in
   for epoch = 0 to params.epochs - 1 do
@@ -311,7 +308,7 @@ let train_source ?(params = default_params) (rng : Rng.t)
           let slo, shi = shard_rows s in
           for i = slo to shi - 1 do
             states.(i) <-
-              Some (forward_graph params gc_weights (src.Gsource.get order.(lo + i)))
+              Some (forward_graph params gc_weights graphs.(order.(lo + i)))
           done);
       let flats = Fmat.create m flat_w in
       Fmat.of_rows_into flats
@@ -348,12 +345,6 @@ let train_source ?(params = default_params) (rng : Rng.t)
     done
   done;
   { params; gc_weights; head; feat_dim; n_classes }
-
-let train ?params (rng : Rng.t) ~(n_classes : int) ~(feat_dim : int)
-    (graphs : Graph.t array) (ys : int array) : t =
-  train_source ?params rng ~n_classes
-    (Gsource.of_fn ~n:(Array.length graphs) ~feat_dim (fun i -> graphs.(i)))
-    ys
 
 let predict (t : t) (g : Graph.t) : int =
   let st = forward_graph t.params t.gc_weights g in

@@ -21,24 +21,12 @@ val default_params : params
 
 type t
 
-(** In-memory training: delegates to {!train_source} over
-    {!Gsource.of_fn}, so the two are bit-identical by construction. *)
 val train :
   ?params:params ->
   Yali_util.Rng.t ->
   n_classes:int ->
   feat_dim:int ->
   Yali_embeddings.Graph.t array ->
-  int array ->
-  t
-
-(** Minibatch training over a streamed graph source; only one minibatch of
-    graphs is held at a time, so corpora never need materialising. *)
-val train_source :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Gsource.t ->
   int array ->
   t
 

@@ -167,36 +167,58 @@ type source = Mem of Fmat.t | Disk of reader
 let rows = function Mem m -> m.Fmat.n | Disk r -> r.n
 let dim = function Mem m -> m.Fmat.d | Disk r -> r.d
 
-let iter_blocks ?(block_rows = default_block_rows) (src : source)
-    (f : int -> Fmat.t -> unit) : unit =
-  if block_rows < 1 then invalid_arg "Fblock.iter_blocks: block_rows < 1";
-  let n = rows src and d = dim src in
-  let lo = ref 0 in
-  while !lo < n do
-    let bn = min block_rows (n - !lo) in
-    let block =
-      match src with
-      | Disk r -> read_block r ~lo:!lo ~rows:bn
-      | Mem m ->
-          (* a fresh copy every time: callees may scale the block in place *)
-          let b = Fmat.create bn d in
-          Array.blit m.Fmat.data (!lo * d) b.Fmat.data 0 (bn * d);
-          b
-    in
-    f !lo block;
-    lo := !lo + bn
-  done
+(* The one place block layout is decided: an explicit [block_rows] wins; a
+   [Mem] source is otherwise one block at any size (it is resident
+   already), a [Disk] source [default_block_rows] per block. *)
+let block_rows_of ?block_rows (src : source) : int =
+  match (block_rows, src) with
+  | Some b, _ ->
+      if b < 1 then invalid_arg "Fblock: block_rows < 1";
+      b
+  | None, Mem m -> max 1 m.Fmat.n
+  | None, Disk _ -> default_block_rows
 
-let n_blocks ?(block_rows = default_block_rows) (src : source) : int =
-  if block_rows < 1 then invalid_arg "Fblock.n_blocks: block_rows < 1";
-  (rows src + block_rows - 1) / block_rows
+(* rows [lo, lo + rows) as a fresh matrix: callees may scale it in place *)
+let fresh_block (src : source) ~(lo : int) ~(rows : int) : Fmat.t =
+  match src with
+  | Disk r -> read_block r ~lo ~rows
+  | Mem m ->
+      let d = m.Fmat.d in
+      let b = Fmat.create rows d in
+      Array.blit m.Fmat.data (lo * d) b.Fmat.data 0 (rows * d);
+      b
+
+let block_sizes ?block_rows (src : source) : int array =
+  let b = block_rows_of ?block_rows src and n = rows src in
+  Array.init ((n + b - 1) / b) (fun k -> min b (n - (k * b)))
+
+let n_blocks ?block_rows (src : source) : int =
+  Array.length (block_sizes ?block_rows src)
+
+let iter_blocks ?block_rows (src : source) (f : int -> Fmat.t -> unit) : unit =
+  let lo = ref 0 in
+  Array.iter
+    (fun bn ->
+      f !lo (fresh_block src ~lo:!lo ~rows:bn);
+      lo := !lo + bn)
+    (block_sizes ?block_rows src)
+
+let prepared ?block_rows (src : source) (prepare : Fmat.t -> Fmat.t) :
+    (int -> int -> Fmat.t -> unit) -> unit =
+  if n_blocks ?block_rows src = 1 then begin
+    let block = prepare (fresh_block src ~lo:0 ~rows:(rows src)) in
+    fun f -> f 0 0 block
+  end
+  else fun f ->
+    let k = ref 0 in
+    iter_blocks ?block_rows src (fun lo b ->
+        f !k lo (prepare b);
+        incr k)
 
 let materialize (src : source) : Fmat.t =
   match src with
   | Mem m -> m
   | Disk r -> if r.n = 0 then Fmat.create 0 r.d else read_block r ~lo:0 ~rows:r.n
-
-let of_fmat (m : Fmat.t) : source = Mem m
 
 let to_file (path : string) (m : Fmat.t) : unit =
   let w = Writer.create path ~n:m.Fmat.n ~d:m.Fmat.d in

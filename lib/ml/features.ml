@@ -42,43 +42,10 @@ let transform_into (s : scaler) (src : float array) (dst : float array) : unit
     dst.(j) <- (src.(j) -. s.means.(j)) /. s.stds.(j)
   done
 
-(* The flat-matrix counterparts.  The accumulation loops visit elements in
-   exactly the order of the row-array versions above (samples outer,
-   features inner), so fitted parameters and transformed values are
-   bit-identical to the pre-Fmat pipeline. *)
-
-let fit_fmat (x : Fmat.t) : scaler =
-  if x.Fmat.n = 0 then { means = [||]; stds = [||] }
-  else begin
-    let n = x.Fmat.n and d = x.Fmat.d and data = x.Fmat.data in
-    let means = Array.make d 0.0 and stds = Array.make d 0.0 in
-    for i = 0 to n - 1 do
-      let base = i * d in
-      for j = 0 to d - 1 do
-        means.(j) <- means.(j) +. data.(base + j)
-      done
-    done;
-    for j = 0 to d - 1 do
-      means.(j) <- means.(j) /. float_of_int n
-    done;
-    for i = 0 to n - 1 do
-      let base = i * d in
-      for j = 0 to d - 1 do
-        stds.(j) <- stds.(j) +. ((data.(base + j) -. means.(j)) ** 2.0)
-      done
-    done;
-    for j = 0 to d - 1 do
-      stds.(j) <- sqrt (stds.(j) /. float_of_int n);
-      if stds.(j) < 1e-9 then stds.(j) <- 1.0
-    done;
-    { means; stds }
-  end
-
 (** Fit over streamed blocks.  Blocks arrive in row order and each pass
-    accumulates samples-outer / features-inner exactly as {!fit_fmat}, so
-    the fitted parameters are bit-identical to the in-memory fit at any
-    [block_rows] — the streamed trainers inherit the in-memory scaler
-    verbatim. *)
+    accumulates samples-outer / features-inner exactly as {!fit} does over
+    rows, so the fitted parameters are bit-identical to it at any
+    [block_rows]. *)
 let fit_stream ?block_rows (src : Fblock.source) : scaler =
   let n = Fblock.rows src and d = Fblock.dim src in
   if n = 0 then { means = [||]; stds = [||] }
@@ -122,7 +89,7 @@ let transform_fmat_inplace (s : scaler) (x : Fmat.t) : unit =
 (** Fit on [x] and return a standardised copy ([x] itself is left intact:
     callers share one embedded matrix across several models). *)
 let fit_transform_fmat (x : Fmat.t) : scaler * Fmat.t =
-  let s = fit_fmat x in
+  let s = fit_stream (Fblock.Mem x) in
   let y = Fmat.copy x in
   transform_fmat_inplace s y;
   (s, y)

@@ -13,12 +13,8 @@ val fit_transform : float array array -> scaler * float array array
     allocating. *)
 val transform_into : scaler -> float array -> float array -> unit
 
-(** Fit on a flat feature matrix.  Parameters are bit-identical to {!fit}
-    on the equivalent rows (same accumulation order). *)
-val fit_fmat : Fmat.t -> scaler
-
-(** Fit over streamed blocks.  Bit-identical to {!fit_fmat} on the
-    materialised source at any [block_rows] (same accumulation order). *)
+(** Fit over streamed blocks.  Bit-identical to {!fit} on the source's
+    rows at any [block_rows] (same accumulation order). *)
 val fit_stream : ?block_rows:int -> Fblock.source -> scaler
 
 (** Standardise a flat matrix in place. *)

@@ -53,94 +53,37 @@ let argmax (v : float array) : int =
   Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
   !best
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let scaler, x = Features.fit_transform_fmat x in
-  let n = x.Fmat.n in
-  let d = x.Fmat.d in
-  let xd = x.Fmat.data in
-  let w = Matrix.random rng n_classes d ~scale:0.01 in
-  let bias = Array.make n_classes 0.0 in
-  let order = Array.init n Fun.id in
-  for epoch = 0 to params.epochs - 1 do
-    let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    (* shuffle *)
-    for i = n - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp
-    done;
-    let b = ref 0 in
-    while !b < n do
-      let hi = min n (!b + params.batch) in
-      let gw = Matrix.create n_classes d and gb = Array.make n_classes 0.0 in
-      let gd = gw.Matrix.data in
-      for k = !b to hi - 1 do
-        let i = order.(k) in
-        let xbase = i * d in
-        let p = softmax (logits_row w bias xd xbase d) in
-        for c = 0 to n_classes - 1 do
-          let err = p.(c) -. (if c = ys.(i) then 1.0 else 0.0) in
-          gb.(c) <- gb.(c) +. err;
-          let gbase = c * d in
-          for j = 0 to d - 1 do
-            Array.unsafe_set gd (gbase + j)
-              (Array.unsafe_get gd (gbase + j)
-              +. (err *. Array.unsafe_get xd (xbase + j)))
-          done
-        done
-      done;
-      let bs = float_of_int (hi - !b) in
-      let wd = w.Matrix.data in
-      for c = 0 to n_classes - 1 do
-        bias.(c) <- bias.(c) -. (lr *. gb.(c) /. bs);
-        let base = c * d in
-        for j = 0 to d - 1 do
-          let wij = Array.unsafe_get wd (base + j) in
-          Array.unsafe_set wd (base + j)
-            (wij
-            -. (lr
-               *. ((Array.unsafe_get gd (base + j) /. bs)
-                  +. (params.l2 *. wij))))
-        done
-      done;
-      b := hi
-    done
-  done;
-  { scaler; weights = w; bias; n_classes }
-
-(** Minibatch SGD over streamed blocks (DESIGN.md §12).  Each epoch walks
-    the blocks in order, shuffling {e within} each block with the same
-    persistent-order Fisher–Yates as {!train}; minibatches never cross a
-    block boundary.  When the whole corpus fits one block — the default
-    [block_rows] on a small corpus — every rng draw, shuffle, batch
-    boundary and float operation coincides with {!train}'s, so the fitted
-    model is bit-identical (the [corpus/stream-vs-inmem] oracle holds
-    {!Model.save} blobs equal). *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+(** Minibatch SGD over blocks (DESIGN.md §12).  Each epoch walks the blocks
+    in order, shuffling {e within} each block with a persistent-order
+    Fisher–Yates; minibatches never cross a block boundary.  A source that
+    is one block — any [Mem] source given no [block_rows] — is standardised
+    once and shuffled as one global order, so training in memory and from
+    a one-block feature file fit bit-identical models (the
+    [corpus/stream-train-bit-identical] oracle holds {!Model.save} blobs
+    equal). *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let scaler = Features.fit_stream ?block_rows src in
-  let n = Fblock.rows src in
   let d = Fblock.dim src in
   let w = Matrix.random rng n_classes d ~scale:0.01 in
   let bias = Array.make n_classes 0.0 in
-  let bs_rows =
-    match block_rows with Some b -> b | None -> Fblock.default_block_rows
-  in
-  (* per-block sample orders persist across epochs, as [train]'s one global
-     order does *)
+  (* per-block sample orders persist across epochs *)
   let orders =
-    Array.init (Fblock.n_blocks ?block_rows src) (fun b ->
-        Array.init (min bs_rows (n - (b * bs_rows))) Fun.id)
+    Array.map
+      (fun bn -> Array.init bn Fun.id)
+      (Fblock.block_sizes ?block_rows src)
+  in
+  let each_block =
+    Fblock.prepared ?block_rows src (fun block ->
+        Features.transform_fmat_inplace scaler block;
+        block)
   in
   for epoch = 0 to params.epochs - 1 do
     let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    Fblock.iter_blocks ?block_rows src (fun lo block ->
-        Features.transform_fmat_inplace scaler block;
+    each_block (fun blk lo block ->
         let bn = block.Fmat.n in
         let xd = block.Fmat.data in
-        let order = orders.(lo / bs_rows) in
+        let order = orders.(blk) in
         for i = bn - 1 downto 1 do
           let j = Rng.int rng (i + 1) in
           let tmp = order.(i) in

@@ -7,18 +7,10 @@ type params = { epochs : int; lr : float; l2 : float; batch : int }
 
 val default_params : params
 
+(** Minibatch SGD over feature blocks; per-epoch shuffles stay within a
+    block.  Every source that is one block — in memory or on disk — fits
+    the same model (DESIGN.md §12). *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Minibatch SGD over streamed feature blocks; per-epoch shuffles stay
-    within a block.  On a corpus that fits one block the fitted model is
-    bit-identical to {!train} (DESIGN.md §12). *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

@@ -10,10 +10,14 @@ type params = { hidden : int; epochs : int; lr : float }
 
 let default_params = { hidden = 100; epochs = 40; lr = 0.02 }
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let scaler, x = Features.fit_transform_fmat x in
-  let d = x.Fmat.d in
+(** Per-sample SGD over blocks; per-epoch shuffles stay within a block
+    (persistent per-block orders).  A source that is one block — any [Mem]
+    source given no [block_rows] — is standardised once and shuffled as one
+    global order. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
+    ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
+  let scaler = Features.fit_stream ?block_rows src in
+  let d = Fblock.dim src in
   let net =
     {
       Nn.layers =
@@ -25,58 +29,23 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
       n_classes;
     }
   in
-  let n = x.Fmat.n in
-  let order = Array.init n Fun.id in
+  let orders =
+    Array.map
+      (fun bn -> Array.init bn Fun.id)
+      (Fblock.block_sizes ?block_rows src)
+  in
+  let each_block =
+    Fblock.prepared ?block_rows src (fun block ->
+        Features.transform_fmat_inplace scaler block;
+        block)
+  in
   (* one reused row buffer: [Nn.train_step] consumes the sample within the
      step, so the buffer may be overwritten for the next one *)
   let buf = Array.make d 0.0 in
   for epoch = 0 to params.epochs - 1 do
     let lr = params.lr /. (1.0 +. (0.03 *. float_of_int epoch)) in
-    for i = n - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp
-    done;
-    Array.iter
-      (fun i ->
-        Fmat.row_into x i buf;
-        ignore (Nn.train_step ~lr ~rng net buf ys.(i)))
-      order
-  done;
-  { scaler; net }
-
-(** Per-sample SGD over streamed blocks; per-epoch shuffles stay within a
-    block (persistent per-block orders).  One block = exactly {!train}. *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
-    ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
-  let scaler = Features.fit_stream ?block_rows src in
-  let d = Fblock.dim src in
-  let n = Fblock.rows src in
-  let net =
-    {
-      Nn.layers =
-        [
-          Nn.dense rng ~d_in:d ~d_out:params.hidden;
-          Nn.relu ();
-          Nn.dense rng ~d_in:params.hidden ~d_out:n_classes;
-        ];
-      n_classes;
-    }
-  in
-  let bs_rows =
-    match block_rows with Some b -> b | None -> Fblock.default_block_rows
-  in
-  let orders =
-    Array.init (Fblock.n_blocks ?block_rows src) (fun b ->
-        Array.init (min bs_rows (n - (b * bs_rows))) Fun.id)
-  in
-  let buf = Array.make d 0.0 in
-  for epoch = 0 to params.epochs - 1 do
-    let lr = params.lr /. (1.0 +. (0.03 *. float_of_int epoch)) in
-    Fblock.iter_blocks ?block_rows src (fun lo block ->
-        Features.transform_fmat_inplace scaler block;
-        let order = orders.(lo / bs_rows) in
+    each_block (fun blk lo block ->
+        let order = orders.(blk) in
         for i = block.Fmat.n - 1 downto 1 do
           let j = Rng.int rng (i + 1) in
           let tmp = order.(i) in

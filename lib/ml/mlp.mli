@@ -7,17 +7,9 @@ type params = { hidden : int; epochs : int; lr : float }
 
 val default_params : params
 
+(** Per-sample SGD over feature blocks; every source that is one block fits
+    the same model. *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Per-sample SGD over streamed feature blocks; one block = bit-identical
-    to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

@@ -32,101 +32,6 @@ type graph = {
     gtrained;
 }
 
-let rf =
-  {
-    fname = "rf";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Random_forest.train rng ~n_classes x ys in
-        {
-          predict = Random_forest.predict m;
-          predict_batch = Random_forest.predict_batch m;
-          size_bytes = Random_forest.size_bytes m + Features.bytes_of_fmat x;
-        });
-  }
-
-let svm =
-  {
-    fname = "svm";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Svm.train rng ~n_classes x ys in
-        {
-          predict = Svm.predict m;
-          predict_batch = Svm.predict_batch m;
-          size_bytes = Svm.size_bytes m;
-        });
-  }
-
-let knn =
-  {
-    fname = "knn";
-    ftrain =
-      (fun _rng ~n_classes x ys ->
-        let m = Knn.train ~n_classes x ys in
-        {
-          predict = Knn.predict m;
-          predict_batch = Knn.predict_batch m;
-          size_bytes = Knn.size_bytes m;
-        });
-  }
-
-let lr =
-  {
-    fname = "lr";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Logreg.train rng ~n_classes x ys in
-        {
-          predict = Logreg.predict m;
-          predict_batch = Logreg.predict_batch m;
-          size_bytes = Logreg.size_bytes m;
-        });
-  }
-
-let mlp =
-  {
-    fname = "mlp";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Mlp.train rng ~n_classes x ys in
-        {
-          predict = Mlp.predict m;
-          predict_batch = Mlp.predict_batch m;
-          size_bytes = Mlp.size_bytes m;
-        });
-  }
-
-let cnn =
-  {
-    fname = "cnn";
-    ftrain =
-      (fun rng ~n_classes x ys ->
-        let m = Cnn.train rng ~n_classes x ys in
-        {
-          predict = Cnn.predict m;
-          predict_batch = Cnn.predict_batch m;
-          (* the paper's cnn is a memory hog relative to mlp: it keeps the
-             full activation planes; reflect the working-set footprint *)
-          size_bytes = Cnn.size_bytes m + (4 * Features.bytes_of_fmat x);
-        });
-  }
-
-let dgcnn =
-  {
-    gname = "dgcnn";
-    gtrain =
-      (fun rng ~n_classes ~feat_dim graphs ys ->
-        let m = Dgcnn.train rng ~n_classes ~feat_dim graphs ys in
-        { gpredict = Dgcnn.predict m; gsize_bytes = Dgcnn.size_bytes m });
-  }
-
-(** The six models of the paper's Figures 7–12 grids, which all consume the
-    flat HISTOGRAM embedding. *)
-let all_flat : flat list = [ rf; svm; knn; lr; mlp; cnn ]
-
-let find_flat name = List.find_opt (fun m -> m.fname = name) all_flat
-
 (* -- snapshots -------------------------------------------------------------- *)
 
 module Bin = Yali_util.Bin
@@ -149,58 +54,20 @@ let snapshot_kind = function
 
 let snapshot_kinds = [ "rf"; "svm"; "knn"; "lr"; "mlp"; "cnn" ]
 
-let train_snapshot name rng ~n_classes x ys =
+(** One trainer per model, in memory or out of core: lr/svm/mlp/cnn run
+    minibatch SGD over the source's blocks, rf grows trees over them, and
+    knn keeps every training row by definition (it materialises the
+    source).  The block layout is {!Fblock}'s: a [Mem] source given no
+    [block_rows] is one block. *)
+let train_snapshot ?block_rows name rng ~n_classes (src : Fblock.source) ys =
   match name with
-  | "lr" -> Some (S_lr (Logreg.train rng ~n_classes x ys))
-  | "svm" -> Some (S_svm (Svm.train rng ~n_classes x ys))
-  | "knn" -> Some (S_knn (Knn.train ~n_classes x ys))
-  | "mlp" -> Some (S_mlp (Mlp.train rng ~n_classes x ys))
-  | "rf" -> Some (S_rf (Random_forest.train rng ~n_classes x ys))
-  | "cnn" -> Some (S_cnn (Cnn.train rng ~n_classes x ys))
-  | _ -> None
-
-(** The out-of-core counterpart of {!train_snapshot}: lr/svm/mlp/cnn train
-    by minibatch SGD over streamed blocks, rf grows trees per block; knn
-    keeps every training row by definition and materialises the source.  On
-    a source that fits one block the snapshot is bit-identical to
-    {!train_snapshot}'s. *)
-let train_snapshot_stream ?block_rows name rng ~n_classes
-    (src : Fblock.source) ys =
-  match name with
-  | "lr" -> Some (S_lr (Logreg.train_stream ?block_rows rng ~n_classes src ys))
-  | "svm" -> Some (S_svm (Svm.train_stream ?block_rows rng ~n_classes src ys))
+  | "lr" -> Some (S_lr (Logreg.train ?block_rows rng ~n_classes src ys))
+  | "svm" -> Some (S_svm (Svm.train ?block_rows rng ~n_classes src ys))
   | "knn" -> Some (S_knn (Knn.train ~n_classes (Fblock.materialize src) ys))
-  | "mlp" -> Some (S_mlp (Mlp.train_stream ?block_rows rng ~n_classes src ys))
-  | "rf" ->
-      Some (S_rf (Random_forest.train_stream ?block_rows rng ~n_classes src ys))
-  | "cnn" -> Some (S_cnn (Cnn.train_stream ?block_rows rng ~n_classes src ys))
+  | "mlp" -> Some (S_mlp (Mlp.train ?block_rows rng ~n_classes src ys))
+  | "rf" -> Some (S_rf (Random_forest.train ?block_rows rng ~n_classes src ys))
+  | "cnn" -> Some (S_cnn (Cnn.train ?block_rows rng ~n_classes src ys))
   | _ -> None
-
-(** The graph twin of {!train_snapshot_stream}; delegates to the (single)
-    streamed dgcnn trainer. *)
-let train_dgcnn_stream ?params rng ~n_classes (src : Gsource.t) ys =
-  Dgcnn.train_source ?params rng ~n_classes src ys
-
-(** First-maximum index — the arena-wide argmax convention (every model's
-    [predict] scans scores left to right and displaces only on a strictly
-    greater value, so ties break to the lowest class). *)
-let argmax (v : float array) : int =
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
-  !best
-
-(** Per-class scores of a snapshot — raw logits for lr/mlp/cnn, one-vs-rest
-    scores for svm, vote counts for knn/rf.  The contract shared by every
-    kind: [argmax (margins s v) = (restore s).predict v], bit for bit, and
-    a {!save}/{!load} round trip preserves the scores exactly.  The adaptive
-    evaders ({!Yali_adapt}) optimise against these scores. *)
-let margins = function
-  | S_lr m -> Logreg.margins m
-  | S_svm m -> Svm.margins m
-  | S_knn m -> Knn.margins m
-  | S_mlp m -> Mlp.margins m
-  | S_rf m -> Random_forest.margins m
-  | S_cnn m -> Cnn.margins m
 
 let restore = function
   | S_lr m ->
@@ -239,6 +106,67 @@ let restore = function
         predict_batch = Cnn.predict_batch m;
         size_bytes = Cnn.size_bytes m;
       }
+
+(* -- the flat models ------------------------------------------------------ *)
+
+(* [ftrain] is the snapshot trainer on the in-memory matrix.  [working_set]
+   charges Figure 7's memory column for the training matrix a model keeps
+   hot, in multiples of its footprint: rf bins it, and the paper's cnn is a
+   memory hog relative to mlp because it keeps the full activation
+   planes. *)
+let flat_model ?(working_set = 0) fname =
+  {
+    fname;
+    ftrain =
+      (fun rng ~n_classes x ys ->
+        let snapshot = train_snapshot fname rng ~n_classes (Fblock.Mem x) ys in
+        let t = restore (Option.get snapshot) in
+        let working = working_set * Features.bytes_of_fmat x in
+        { t with size_bytes = t.size_bytes + working });
+  }
+
+let rf = flat_model ~working_set:1 "rf"
+let svm = flat_model "svm"
+let knn = flat_model "knn"
+let lr = flat_model "lr"
+let mlp = flat_model "mlp"
+let cnn = flat_model ~working_set:4 "cnn"
+
+let dgcnn =
+  {
+    gname = "dgcnn";
+    gtrain =
+      (fun rng ~n_classes ~feat_dim graphs ys ->
+        let m = Dgcnn.train rng ~n_classes ~feat_dim graphs ys in
+        { gpredict = Dgcnn.predict m; gsize_bytes = Dgcnn.size_bytes m });
+  }
+
+(** The six models of the paper's Figures 7–12 grids, which all consume the
+    flat HISTOGRAM embedding. *)
+let all_flat : flat list = [ rf; svm; knn; lr; mlp; cnn ]
+
+let find_flat name = List.find_opt (fun m -> m.fname = name) all_flat
+
+(** First-maximum index — the arena-wide argmax convention (every model's
+    [predict] scans scores left to right and displaces only on a strictly
+    greater value, so ties break to the lowest class). *)
+let argmax (v : float array) : int =
+  let best = ref 0 in
+  Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
+  !best
+
+(** Per-class scores of a snapshot — raw logits for lr/mlp/cnn, one-vs-rest
+    scores for svm, vote counts for knn/rf.  The contract shared by every
+    kind: [argmax (margins s v) = (restore s).predict v], bit for bit, and
+    a {!save}/{!load} round trip preserves the scores exactly.  The adaptive
+    evaders ({!Yali_adapt}) optimise against these scores. *)
+let margins = function
+  | S_lr m -> Logreg.margins m
+  | S_svm m -> Svm.margins m
+  | S_knn m -> Knn.margins m
+  | S_mlp m -> Mlp.margins m
+  | S_rf m -> Random_forest.margins m
+  | S_cnn m -> Cnn.margins m
 
 (* Snapshot blob: magic + u16 version + u8 kind tag + weight payload.
    The magic keeps a model file from ever being confused with an IR blob

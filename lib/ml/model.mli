@@ -13,7 +13,8 @@ type trained = {
   size_bytes : int;
 }
 
-(** A trainable flat model. *)
+(** A trainable flat model: [ftrain] is {!train_snapshot} on the in-memory
+    matrix, then {!restore}. *)
 type flat = {
   fname : string;
   ftrain :
@@ -61,8 +62,7 @@ val find_flat : string -> flat option
     bit-exactly: {!restore} of a saved-and-loaded snapshot predicts
     bit-identically to the in-memory trained model.  Every flat model has a
     snapshot form; the graph-consuming [dgcnn] does not (margins and the
-    registry are flat-vector interfaces — see {!train_dgcnn_stream} for its
-    streamed trainer). *)
+    registry are flat-vector interfaces). *)
 
 type snapshot =
   | S_lr of Logreg.t
@@ -79,22 +79,13 @@ val snapshot_kind : snapshot -> string
 val snapshot_kinds : string list
 
 (** Train the named model and capture its weights.  [None] for unknown
-    names.  The trained model behind the snapshot is exactly
-    [find_flat name].ftrain on the same inputs (same rng consumption). *)
+    names.  This is each model's one trainer, in memory ([Fblock.Mem]) or
+    out of core ([Fblock.Disk], DESIGN.md §12): lr/svm/mlp/cnn run
+    minibatch SGD over blocks, rf grows trees over them, knn materialises
+    the source (it keeps every row by definition).  A [Mem] source given
+    no [block_rows] is one block; every one-block source of the same rows
+    gives the same snapshot. *)
 val train_snapshot :
-  string ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  snapshot option
-
-(** {!train_snapshot} over a streamed feature source (out-of-core
-    training, DESIGN.md §12).  lr/svm/mlp/cnn run minibatch SGD over
-    blocks, rf grows trees block-by-block, knn materialises (it keeps every
-    row by definition).  On a source that fits one [block_rows] the
-    snapshot is bit-identical to {!train_snapshot}'s. *)
-val train_snapshot_stream :
   ?block_rows:int ->
   string ->
   Yali_util.Rng.t ->
@@ -103,20 +94,8 @@ val train_snapshot_stream :
   int array ->
   snapshot option
 
-(** The graph twin of {!train_snapshot_stream}: train the [dgcnn] over a
-    streamed graph source ({!Gsource.t}), holding only one minibatch of
-    graphs at a time.  Bit-identical to [Dgcnn.train] on the materialised
-    array (they share the same trainer). *)
-val train_dgcnn_stream :
-  ?params:Dgcnn.params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Gsource.t ->
-  int array ->
-  Dgcnn.t
-
-(** The predictor of a snapshot; class decisions are identical to the
-    {!trained} returned by the original [ftrain]. *)
+(** The predictor of a snapshot.  Its [size_bytes] is the model's alone:
+    [ftrain] adds the training matrix rf and cnn keep hot (Figure 7). *)
 val restore : snapshot -> trained
 
 (** First-maximum index of a score vector — the argmax convention shared by

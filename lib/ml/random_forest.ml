@@ -14,39 +14,7 @@ type params = { n_trees : int; max_depth : int }
 
 let default_params = { n_trees = 64; max_depth = 24 }
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let n = x.Fmat.n in
-  let d = x.Fmat.d in
-  let fps = max 1 (max (int_of_float (sqrt (float_of_int d))) (d / 2)) in
-  let tree_params =
-    {
-      Decision_tree.max_depth = params.max_depth;
-      min_samples_split = 2;
-      features_per_split = Some fps;
-    }
-  in
-  (* one global binning, shared read-only across all trees *)
-  let pb = Decision_tree.prebin x in
-  (* pre-derive one stream per tree (identical to the former
-     split-per-iteration loop), then bag and grow the trees in parallel:
-     each task owns its stream, so the forest is the same at any [jobs] *)
-  let tree_rngs = Rng.split_n rng params.n_trees in
-  let trees =
-    Yali_exec.Pool.parallel_array_map
-      (fun tree_rng ->
-        (* bootstrap sample: indices into the shared matrix *)
-        let bidx = Array.make n 0 in
-        for i = 0 to n - 1 do
-          bidx.(i) <- Rng.int tree_rng n
-        done;
-        Decision_tree.train ~params:tree_params ~prebinned:pb ~sample:bidx
-          tree_rng ~n_classes x ys)
-      tree_rngs
-  in
-  { trees; n_classes }
-
-(* Per-tree bootstrap cap for the streamed path: bounds gather memory at
+(* Per-tree bootstrap cap for the multi-block path: bounds gather memory at
    [gather_group * max_tree_rows * d] floats no matter how big the corpus
    grows.  The group size is a constant, not the pool width, so the forest
    is the same at any [jobs]. *)
@@ -54,17 +22,18 @@ let max_tree_rows = 65536
 
 let gather_group = 8
 
-(** Incremental forest growth over streamed blocks.  Each tree bootstraps
-    over the {e whole} row range — same draw order as {!train} — and the
-    blocks are then streamed once per group of {!gather_group} trees,
-    copying only the rows a tree actually sampled into a per-tree gather
-    matrix (unique rows; duplicates stay index-level, as in {!train}).
-    Resident memory is one block plus one group's gathers, bounded by
-    {!max_tree_rows}.  When the source fits a single block the code takes
-    the in-memory path verbatim: same pre-derived per-tree streams, same
-    bootstrap draws, same shared binning — the forest is bit-identical to
-    {!train}'s. *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+(** Forest growth over blocks.  A source that is one block — any [Mem]
+    source given no [block_rows] — is read once and binned once
+    ({!Decision_tree.prebin}); the binning is shared read-only by all
+    trees, and each tree's bootstrap is an index array into it, so bagging
+    copies no feature data at all.  Larger sources are grown incrementally:
+    each tree bootstraps over the {e whole} row range — the same draws as
+    the one-block path — and the blocks are then streamed once per group
+    of {!gather_group} trees, copying only the rows a tree actually sampled
+    into a per-tree gather matrix (unique rows; duplicates stay
+    index-level).  Resident memory is then one block plus one group's
+    gathers, bounded by {!max_tree_rows}. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let n = Fblock.rows src in
   let d = Fblock.dim src in
@@ -76,27 +45,29 @@ let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
       features_per_split = Some fps;
     }
   in
-  let n_blocks = max 1 (Fblock.n_blocks ?block_rows src) in
+  (* one stream per tree, derived up front: each task owns its stream, so
+     the forest is the same at any [jobs] *)
   let tree_rngs = Rng.split_n rng params.n_trees in
-  if n_blocks = 1 then begin
-    let trees = ref [||] in
-    Fblock.iter_blocks ?block_rows src (fun _lo block ->
-        let pb = Decision_tree.prebin block in
-        trees :=
-          Yali_exec.Pool.parallel_array_map
-            (fun tree_rng ->
-              let bidx = Array.make n 0 in
-              for i = 0 to n - 1 do
-                bidx.(i) <- Rng.int tree_rng n
-              done;
-              Decision_tree.train ~params:tree_params ~prebinned:pb
-                ~sample:bidx tree_rng ~n_classes block ys)
-            tree_rngs);
-    { trees = !trees; n_classes }
+  if Fblock.n_blocks ?block_rows src <= 1 then begin
+    let x = Fblock.materialize src in
+    let pb = Decision_tree.prebin x in
+    let trees =
+      Yali_exec.Pool.parallel_array_map
+        (fun tree_rng ->
+          let bidx = Array.make n 0 in
+          for i = 0 to n - 1 do
+            bidx.(i) <- Rng.int tree_rng n
+          done;
+          Decision_tree.train ~params:tree_params ~prebinned:pb ~sample:bidx
+            tree_rng ~n_classes x ys)
+        tree_rngs
+    in
+    { trees; n_classes }
   end
   else begin
     (* draw every tree's bootstrap up front (global row indices, the same
-       rng order [train] uses), then gather and grow group by group *)
+       rng order as the one-block path), then gather and grow group by
+       group *)
     let s = min n max_tree_rows in
     let samples =
       Array.map (fun tr -> Array.init s (fun _ -> Rng.int tr n)) tree_rngs

@@ -11,18 +11,11 @@ type params = { n_trees : int; max_depth : int }
 
 val default_params : params
 
+(** A source that is one block is binned once and shared by every tree.
+    Larger sources grow each tree on a gather of the rows its bootstrap
+    drew, streaming the blocks once per group of trees (one block
+    resident). *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Incremental growth over streamed feature blocks: trees are dealt
-    round-robin over blocks and each grows on its block alone (at most one
-    block resident).  One block = bit-identical to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

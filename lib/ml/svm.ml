@@ -53,61 +53,12 @@ let score_flat (w : Matrix.t) (c : int) (xd : float array) (xbase : int)
   done;
   !acc
 
-let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
-    (x : Fmat.t) (ys : int array) : t =
-  let scaler, x = Features.fit_transform_fmat x in
-  let xs = augment_fmat x in
-  let n = xs.Fmat.n in
-  let d = if n = 0 then 1 else xs.Fmat.d in
-  let xd = xs.Fmat.data in
-  let w = Matrix.create n_classes d in
-  let w_sum = Matrix.create n_classes d in
-  let wd = w.Matrix.data in
-  let t_step = ref 0 in
-  let n_avg = ref 0 in
-  for _epoch = 0 to params.epochs - 1 do
-    for _ = 0 to n - 1 do
-      let i = Rng.int rng n in
-      incr t_step;
-      let eta =
-        1.0 /. (params.lambda *. (float_of_int !t_step +. params.step_offset))
-      in
-      let xbase = i * d in
-      for c = 0 to n_classes - 1 do
-        let y = if ys.(i) = c then 1.0 else -1.0 in
-        let margin = y *. score_flat w c xd xbase d in
-        let shrink = 1.0 -. (eta *. params.lambda) in
-        let wbase = c * d in
-        if margin < 1.0 then begin
-          let s = eta *. y in
-          for j = 0 to d - 1 do
-            Array.unsafe_set wd (wbase + j)
-              ((Array.unsafe_get wd (wbase + j) *. shrink)
-              +. (s *. Array.unsafe_get xd (xbase + j)))
-          done
-        end
-        else
-          for j = 0 to d - 1 do
-            Array.unsafe_set wd (wbase + j)
-              (Array.unsafe_get wd (wbase + j) *. shrink)
-          done
-      done;
-      (* tail averaging: accumulate the second half of the trajectory *)
-      if 2 * !t_step > params.epochs * n then begin
-        incr n_avg;
-        Matrix.axpy ~a:1.0 w w_sum
-      end
-    done
-  done;
-  let weights =
-    if !n_avg > 0 then Matrix.scale (1.0 /. float_of_int !n_avg) w_sum else w
-  in
-  { scaler; weights; n_classes }
-
-(** Pegasos over streamed blocks: per-block uniform draws replace the
-    global ones, the step counter and tail-averaging window stay global.
-    One block = exactly {!train} (same draws, same updates). *)
-let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
+(** Pegasos over blocks: per-block uniform draws, with the step counter and
+    tail-averaging window global.  A source that is one block — any [Mem]
+    source given no [block_rows] — is standardised and augmented once, and
+    its draws are global: in memory and from a one-block feature file, the
+    same model. *)
+let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let scaler = Features.fit_stream ?block_rows src in
   let n = Fblock.rows src in
@@ -117,10 +68,13 @@ let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
   let wd = w.Matrix.data in
   let t_step = ref 0 in
   let n_avg = ref 0 in
-  for _epoch = 0 to params.epochs - 1 do
-    Fblock.iter_blocks ?block_rows src (fun lo block ->
+  let each_block =
+    Fblock.prepared ?block_rows src (fun block ->
         Features.transform_fmat_inplace scaler block;
-        let xs = augment_fmat block in
+        augment_fmat block)
+  in
+  for _epoch = 0 to params.epochs - 1 do
+    each_block (fun _ lo xs ->
         let bn = xs.Fmat.n in
         let xd = xs.Fmat.data in
         for _ = 0 to bn - 1 do
@@ -150,6 +104,7 @@ let train_stream ?(params = default_params) ?block_rows (rng : Rng.t)
                   (Array.unsafe_get wd (wbase + j) *. shrink)
               done
           done;
+          (* tail averaging: accumulate the second half of the trajectory *)
           if 2 * !t_step > params.epochs * n then begin
             incr n_avg;
             Matrix.axpy ~a:1.0 w w_sum

@@ -7,17 +7,9 @@ type params = { epochs : int; lambda : float; step_offset : float }
 
 val default_params : params
 
+(** Pegasos over feature blocks; the step counter and averaging window
+    stay global.  Every source that is one block fits the same model. *)
 val train :
-  ?params:params ->
-  Yali_util.Rng.t ->
-  n_classes:int ->
-  Fmat.t ->
-  int array ->
-  t
-
-(** Pegasos over streamed feature blocks; the step counter and averaging
-    window stay global.  One block = bit-identical to {!train}. *)
-val train_stream :
   ?params:params ->
   ?block_rows:int ->
   Yali_util.Rng.t ->

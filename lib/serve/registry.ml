@@ -164,30 +164,39 @@ let load ~dir spec =
 
 let train ~seed ~embedding ~kind ~n_classes ~per_class =
   let rng = Rng.make seed in
-  let split =
-    Yali_dataset.Poj.make rng ~n_classes ~train_per_class:per_class
-      ~test_per_class:0
-  in
-  let modules, _ =
-    Yali_games.Arena.build_modules (Rng.split rng) Yali_games.Game.game0 split
-  in
-  let x = Yali_games.Arena.embed_fmat embedding modules in
-  let ys = Array.map snd modules in
-  match Model.train_snapshot kind (Rng.split rng) ~n_classes x ys with
-  | None -> Error (Printf.sprintf "no snapshot-able model named %s" kind)
-  | Some snapshot ->
-      let meta =
-        {
-          kind;
-          version = 0;
-          embedding = embedding.Yali_embeddings.Embedding.name;
-          n_classes;
-          dim = x.Yali_ml.Fmat.d;
-          n_train = x.Yali_ml.Fmat.n;
-          seed;
-          source =
-            Printf.sprintf "inline:poj:seed=%d:classes=%d:per=%d" seed
-              n_classes per_class;
-        }
-      in
-      Ok { meta; snapshot }
+  if per_class < 1 then
+    Error (Printf.sprintf "per-class must be at least 1, got %d" per_class)
+  else
+    match
+      Yali_dataset.Poj.make rng ~n_classes ~train_per_class:per_class
+        ~test_per_class:0
+    with
+    | exception Invalid_argument msg -> Error msg
+    | split -> (
+        let modules, _ =
+          Yali_games.Arena.build_modules (Rng.split rng) Yali_games.Game.game0
+            split
+        in
+        let x = Yali_games.Arena.embed_fmat embedding modules in
+        let ys = Array.map snd modules in
+        match
+          Model.train_snapshot kind (Rng.split rng) ~n_classes
+            (Yali_ml.Fblock.Mem x) ys
+        with
+        | None -> Error (Printf.sprintf "no snapshot-able model named %s" kind)
+        | Some snapshot ->
+            let meta =
+              {
+                kind;
+                version = 0;
+                embedding = embedding.Yali_embeddings.Embedding.name;
+                n_classes;
+                dim = x.Yali_ml.Fmat.d;
+                n_train = x.Yali_ml.Fmat.n;
+                seed;
+                source =
+                  Printf.sprintf "inline:poj:seed=%d:classes=%d:per=%d" seed
+                    n_classes per_class;
+              }
+            in
+            Ok { meta; snapshot })

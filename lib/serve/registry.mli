@@ -55,7 +55,8 @@ val load : dir:string -> string -> (entry, string) result
 (** Train a fresh snapshot on the synthetic corpus — the same Game0
     modules and embedding matrix the arena would build — and return it
     with its recipe metadata (version 0 until {!publish} assigns one).
-    [Error] for unknown model kinds (including the snapshot-less [cnn]). *)
+    [Error] for unknown model kinds, [per_class < 1], and [n_classes]
+    outside the POJ problems ({!Yali_dataset.Poj.plan}). *)
 val train :
   seed:int ->
   embedding:Yali_embeddings.Embedding.t ->

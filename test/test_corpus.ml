@@ -1,7 +1,8 @@
 (** Tests for the streaming corpus layer (lib/corpus): sharded store
     round-trips against the in-memory reference path, corruption rejection
     (truncated shards, stale indexes), the on-disk feature-file format, and
-    the out-of-core/in-memory training equivalence (DESIGN.md §12). *)
+    one trainer's equivalence across on-disk and in-memory sources
+    (DESIGN.md §12). *)
 
 module Rng = Yali.Rng
 module Gen = Yali.Corpus.Gen
@@ -202,8 +203,9 @@ let test_fblock_roundtrip_bitexact () =
 
 (* -- out-of-core training ----------------------------------------------------- *)
 
-(* One epoch, source fits one block: the streamed logreg must reproduce the
-   in-memory weights to 1e-9 (they are in fact byte-identical). *)
+(* One epoch, one trainer, two one-block sources: logreg streamed from the
+   feature file must reproduce the weights it fits in memory, bit for
+   bit. *)
 let test_stream_logreg_one_epoch () =
   with_temp_dir (fun dir ->
       let spec = small_spec 42 in
@@ -224,10 +226,10 @@ let test_stream_logreg_one_epoch () =
               let params = { Logreg.default_params with epochs = 1 } in
               let inmem =
                 Logreg.train ~params (Rng.make 7)
-                  ~n_classes:spec.Gen.n_classes x ys
+                  ~n_classes:spec.Gen.n_classes (Fblock.Mem x) ys
               in
               let streamed =
-                Logreg.train_stream ~params ~block_rows:x.Fmat.n (Rng.make 7)
+                Logreg.train ~params ~block_rows:x.Fmat.n (Rng.make 7)
                   ~n_classes:spec.Gen.n_classes (Fblock.Disk fr) ys
               in
               let wa = (Logreg.weights inmem).Yali.Ml.Matrix.data in
@@ -236,10 +238,28 @@ let test_stream_logreg_one_epoch () =
                 (Array.length wb);
               Array.iteri
                 (fun i a ->
-                  if Float.abs (a -. wb.(i)) > 1e-9 then
+                  if Int64.bits_of_float a <> Int64.bits_of_float wb.(i) then
                     Alcotest.failf "weight %d drifted: %.17g vs %.17g" i a
                       wb.(i))
                 wa)))
+
+(* A [Mem] source given no [block_rows] is one block at any size, even past
+   [Fblock.default_block_rows]: the trainer then sees exactly what an
+   explicit one-block layout gives it. *)
+let test_mem_source_is_one_block () =
+  let n = Fblock.default_block_rows + 1 and d = 3 in
+  let rng = Rng.make 5 in
+  let x = Fmat.init n d (fun i j -> float_of_int ((i * (j + 3)) mod 17)) in
+  let ys = Array.init n (fun _ -> Rng.int rng 2) in
+  let src = Fblock.Mem x in
+  Alcotest.(check int) "one block" 1 (Fblock.n_blocks src);
+  let params = { Logreg.default_params with epochs = 1 } in
+  let fit ?block_rows () =
+    Logreg.weights
+      (Logreg.train ~params ?block_rows (Rng.make 2) ~n_classes:2 src ys)
+  in
+  Alcotest.(check bool) "no block_rows = ~block_rows:n" true
+    ((fit ()).Yali.Ml.Matrix.data = (fit ~block_rows:n ()).Yali.Ml.Matrix.data)
 
 (* Multi-block streaming is a different (still deterministic) SGD order; it
    must stay deterministic and classify the easy synthetic corpus well. *)
@@ -261,9 +281,8 @@ let test_stream_multiblock_deterministic () =
               ~finally:(fun () -> Fblock.close_reader fr)
               (fun () ->
                 Option.get
-                  (Model.train_snapshot_stream ~block_rows:4 "lr"
-                     (Rng.make 3) ~n_classes:spec.Gen.n_classes
-                     (Fblock.Disk fr) ys))
+                  (Model.train_snapshot ~block_rows:4 "lr" (Rng.make 3)
+                     ~n_classes:spec.Gen.n_classes (Fblock.Disk fr) ys))
           in
           Alcotest.(check bool) "two runs, same blob" true
             (Model.save (train ()) = Model.save (train ()))))
@@ -288,6 +307,19 @@ let test_train_records_provenance () =
           Alcotest.(check string) "provenance survives the registry codec"
             entry.Registry.meta.source back.Registry.meta.source)
 
+(* A block size below one is a usage error, not a crash. *)
+let test_train_rejects_zero_block_rows () =
+  with_temp_dir (fun dir ->
+      Gen.generate ~dir ~records_per_shard:5 (small_spec 8);
+      match
+        Ctrain.train ~dir ~embedding:Embedding.histogram ~kind:"lr" ~seed:9
+          ~block_rows:0 ()
+      with
+      | Ok _ -> Alcotest.fail "block_rows = 0 accepted"
+      | Error msg ->
+          Alcotest.(check bool) ("names block rows: " ^ msg) true
+            (Helpers.contains_substring msg "block rows"))
+
 let suite =
   [
     Alcotest.test_case "spec strings round-trip" `Quick
@@ -307,8 +339,12 @@ let suite =
       test_fblock_roundtrip_bitexact;
     Alcotest.test_case "streamed logreg = in-memory after one epoch" `Quick
       test_stream_logreg_one_epoch;
+    Alcotest.test_case "Mem source is one block at any size" `Quick
+      test_mem_source_is_one_block;
     Alcotest.test_case "multi-block streaming is deterministic" `Quick
       test_stream_multiblock_deterministic;
     Alcotest.test_case "corpus training records provenance" `Quick
       test_train_records_provenance;
+    Alcotest.test_case "corpus training rejects block_rows 0" `Quick
+      test_train_rejects_zero_block_rows;
   ]

@@ -65,6 +65,24 @@ let test_split_shuffled_classes () =
   let s1 = D.Poj.make ~shuffle_classes:true (Rng.make 1) ~n_classes:5 ~train_per_class:1 ~test_per_class:1 in
   Alcotest.(check int) "requested size" 5 (Array.length s1.train)
 
+(* A class count outside the POJ problems is rejected, naming the limit,
+   instead of silently truncated to the problems there are. *)
+let test_plan_rejects_class_count () =
+  List.iter
+    (fun n_classes ->
+      match
+        D.Poj.plan (Rng.make 1) ~n_classes ~train_per_class:1 ~test_per_class:0
+      with
+      | _ -> Alcotest.failf "n_classes %d accepted" n_classes
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) ("names the limit: " ^ msg) true
+            (contains_substring msg "104"))
+    [ 0; 105; 200 ];
+  Alcotest.(check int) "104 classes still plan" 104
+    (D.Poj.train_size
+       (D.Poj.plan (Rng.make 1) ~n_classes:104 ~train_per_class:1
+          ~test_per_class:0))
+
 (* -- mirai ---------------------------------------------------------------- *)
 
 let test_mirai_structure () =
@@ -199,6 +217,8 @@ let suite =
       test_samples_solve_same_problem;
     Alcotest.test_case "balanced split" `Quick test_split_balanced;
     Alcotest.test_case "shuffled classes" `Quick test_split_shuffled_classes;
+    Alcotest.test_case "plan rejects classes outside 1..104" `Quick
+      test_plan_rejects_class_count;
     Alcotest.test_case "mirai structure" `Quick test_mirai_structure;
     test_mirai_runs;
     test_benign_runs;

@@ -112,15 +112,15 @@ let test_blocked_distance_close =
 
 (* -- scaler ---------------------------------------------------------------- *)
 
-let test_fit_fmat_bit_identical =
-  qtest ~count:20 "fit_fmat = fit (bitwise via transform)" (fun seed ->
+let test_fit_stream_bit_identical =
+  qtest ~count:20 "fit_stream = fit (bitwise transform)" (fun seed ->
       let rng = Rng.make seed in
       let n = 1 + Rng.int rng 30 and d = 1 + Rng.int rng 8 in
       let rows =
         Array.init n (fun _ -> Array.init d (fun _ -> Rng.gaussian rng))
       in
       let s_rows = Ml.Features.fit rows in
-      let s_fmat = Ml.Features.fit_fmat (F.of_rows rows) in
+      let s_fmat = Ml.Features.fit_stream (Ml.Fblock.Mem (F.of_rows rows)) in
       let probe = Array.init d (fun j -> float_of_int j -. 1.5) in
       Ml.Features.transform s_rows probe = Ml.Features.transform s_fmat probe)
 
@@ -209,7 +209,7 @@ let test_forest_matches_reference =
       in
       let f_new =
         Ml.Random_forest.train ~params (Rng.make seed) ~n_classes
-          (F.of_rows xs) ys
+          (Ml.Fblock.Mem (F.of_rows xs)) ys
       in
       let f_ref =
         Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed)
@@ -258,7 +258,8 @@ let test_logreg_matches_reference =
         { Ml.Reference.Logreg.epochs = 8; lr = 0.1; l2 = 1e-4; batch = 16 }
       in
       let m_new =
-        Ml.Logreg.train ~params (Rng.make seed) ~n_classes (F.of_rows xs) ys
+        Ml.Logreg.train ~params (Rng.make seed) ~n_classes
+          (Ml.Fblock.Mem (F.of_rows xs)) ys
       in
       let m_ref =
         Ml.Reference.Logreg.train ~params:ref_params (Rng.make seed)
@@ -283,7 +284,7 @@ let suite =
     test_tiled_matmul_bit_identical;
     test_matmul_bias_matches_loop;
     test_blocked_distance_close;
-    test_fit_fmat_bit_identical;
+    test_fit_stream_bit_identical;
     test_tree_matches_reference_binned;
     test_tree_matches_reference_wide;
     test_forest_matches_reference;

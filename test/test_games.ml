@@ -125,6 +125,9 @@ let test_game1_grid_regression () =
       ("sub", "rf", 7); ("sub", "knn", 6); ("sub", "lr", 10);
       ("fla", "rf", 8); ("fla", "knn", 8); ("fla", "lr", 9);
       ("bcf", "rf", 7); ("bcf", "knn", 2); ("bcf", "lr", 3);
+      ("sub", "svm", 8); ("fla", "svm", 6); ("bcf", "svm", 3);
+      ("sub", "mlp", 5); ("fla", "mlp", 9); ("bcf", "mlp", 3);
+      ("sub", "cnn", 6); ("fla", "cnn", 6); ("bcf", "cnn", 3);
     ]
 
 (* -- obfuscator discovery (RQ7) ------------------------------------------- *)

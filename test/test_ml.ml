@@ -221,7 +221,7 @@ let test_margins_agree_with_predict () =
   (* argmax over Model.margins must reproduce predict bit for bit, on both
      training rows and novel points, for every snapshot kind *)
   let xs, ys = blobs (Rng.make 31) ~n_classes:3 ~n_per_class:25 ~d:6 in
-  let fx = Ml.Fmat.of_rows xs in
+  let fx = Ml.Fblock.Mem (Ml.Fmat.of_rows xs) in
   let novel, _ = blobs (Rng.make 207) ~n_classes:3 ~n_per_class:10 ~d:6 in
   List.iter
     (fun kind ->
@@ -244,7 +244,7 @@ let test_margins_agree_with_predict () =
 
 let test_margins_survive_save_load () =
   let xs, ys = blobs (Rng.make 41) ~n_classes:2 ~n_per_class:20 ~d:4 in
-  let fx = Ml.Fmat.of_rows xs in
+  let fx = Ml.Fblock.Mem (Ml.Fmat.of_rows xs) in
   List.iter
     (fun kind ->
       let s =

@@ -1,8 +1,7 @@
 (** Differential tests for the kernelized neural tier (DESIGN.md §15): the
     minibatch trainers (Nn.train_batch, Cnn.train, Dgcnn.train) must produce
     weights bit-identical to the frozen naive implementations in
-    {!Yali.Ml.Reference}, at any [--jobs], and through the streamed
-    training paths. *)
+    {!Yali.Ml.Reference}, at any [--jobs]. *)
 
 module Ml = Yali.Ml
 module Rng = Yali.Rng
@@ -91,7 +90,9 @@ let cnn_differential ~(d : int) () =
   let mk_data () = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d in
   let params = { Ml.Cnn.default_params with epochs = 3 } in
   let x, ys = mk_data () in
-  let kernel = Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys in
+  let kernel =
+    Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 (Ml.Fblock.Mem x) ys
+  in
   let x, ys = mk_data () in
   let naive = Ml.Reference.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys in
   Alcotest.check weights "cnn weights identical"
@@ -120,7 +121,8 @@ let test_cnn_jobs_invariant () =
   let train jobs =
     Pool.with_jobs jobs (fun () ->
         let x, ys = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
-        Ml.Cnn.dump_weights (Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys))
+        Ml.Cnn.dump_weights
+          (Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 (Ml.Fblock.Mem x) ys))
   in
   Alcotest.check weights "cnn --jobs 1 = --jobs 4" (train 1) (train 4)
 
@@ -134,33 +136,6 @@ let test_dgcnn_jobs_invariant () =
              graphs ys))
   in
   Alcotest.check weights "dgcnn --jobs 1 = --jobs 4" (train 1) (train 4)
-
-(* -- streamed vs in-memory --------------------------------------------------- *)
-
-let test_cnn_stream_one_block () =
-  let params = { Ml.Cnn.default_params with epochs = 3 } in
-  let x, ys = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
-  let inmem = Ml.Cnn.train ~params (Rng.make 7) ~n_classes:3 x ys in
-  let x, _ = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
-  let streamed =
-    Ml.Cnn.train_stream ~params (Rng.make 7) ~n_classes:3 (Ml.Fblock.of_fmat x)
-      ys
-  in
-  Alcotest.check weights "one block = in-memory"
-    (Ml.Cnn.dump_weights inmem) (Ml.Cnn.dump_weights streamed)
-
-let test_dgcnn_stream_vs_inmem () =
-  let params = { Ml.Dgcnn.default_params with epochs = 2 } in
-  let graphs, ys = chain_graphs (Rng.make 3) ~n:40 in
-  let inmem =
-    Ml.Dgcnn.train ~params (Rng.make 17) ~n_classes:2 ~feat_dim:4 graphs ys
-  in
-  let streamed =
-    Ml.Model.train_dgcnn_stream ~params (Rng.make 17) ~n_classes:2
-      (Ml.Gsource.of_graphs graphs) ys
-  in
-  Alcotest.check weights "gsource = in-memory"
-    (Ml.Dgcnn.dump_weights inmem) (Ml.Dgcnn.dump_weights streamed)
 
 (* -- transpose cache --------------------------------------------------------- *)
 
@@ -198,7 +173,9 @@ let test_transpose_cache_invalidation () =
 let test_cnn_snapshot_roundtrip () =
   let x, ys = blobs (Rng.make 11) ~n_classes:3 ~n:70 ~d:24 in
   let s =
-    Option.get (Ml.Model.train_snapshot "cnn" (Rng.make 7) ~n_classes:3 x ys)
+    Option.get
+      (Ml.Model.train_snapshot "cnn" (Rng.make 7) ~n_classes:3
+         (Ml.Fblock.Mem x) ys)
   in
   let s' = Ml.Model.load (Ml.Model.save s) in
   Alcotest.(check string) "kind" "cnn" (Ml.Model.snapshot_kind s');
@@ -230,10 +207,6 @@ let suite =
     Alcotest.test_case "dgcnn = reference" `Slow dgcnn_differential;
     Alcotest.test_case "cnn jobs-invariant" `Slow test_cnn_jobs_invariant;
     Alcotest.test_case "dgcnn jobs-invariant" `Slow test_dgcnn_jobs_invariant;
-    Alcotest.test_case "cnn stream one block = in-memory" `Slow
-      test_cnn_stream_one_block;
-    Alcotest.test_case "dgcnn gsource = in-memory" `Slow
-      test_dgcnn_stream_vs_inmem;
     Alcotest.test_case "transpose cache invalidation" `Quick
       test_transpose_cache_invalidation;
     Alcotest.test_case "cnn snapshot round-trip" `Quick

@@ -12,6 +12,7 @@ module Server = Serve.Server
 module Client = Serve.Client
 module Model = Yali.Ml.Model
 module Fmat = Yali.Ml.Fmat
+module Fblock = Yali.Ml.Fblock
 module Rng = Yali.Rng
 module Pipeline = Yali.Transforms.Pipeline
 
@@ -177,7 +178,9 @@ let test_snapshot_save_load_bit_identity () =
   let x, y, rows, n_classes = synthetic_training () in
   List.iter
     (fun kind ->
-      match Model.train_snapshot kind (Rng.make 23) ~n_classes x y with
+      match
+        Model.train_snapshot kind (Rng.make 23) ~n_classes (Fblock.Mem x) y
+      with
       | None -> Alcotest.failf "%s: no snapshot form" kind
       | Some snap ->
           let blob = Model.save snap in
@@ -199,7 +202,10 @@ let test_snapshot_save_load_bit_identity () =
 
 let test_snapshot_rejects_corruption () =
   let x, y, _, n_classes = synthetic_training () in
-  let snap = Option.get (Model.train_snapshot "knn" (Rng.make 3) ~n_classes x y) in
+  let snap =
+    Option.get
+      (Model.train_snapshot "knn" (Rng.make 3) ~n_classes (Fblock.Mem x) y)
+  in
   let blob = Model.save snap in
   let bad name s =
     match Model.load s with
@@ -245,7 +251,10 @@ let test_registry_spec_parsing () =
 let test_registry_publish_and_load () =
   with_temp_dir (fun dir ->
       let x, y, _, n_classes = synthetic_training () in
-      let snap = Option.get (Model.train_snapshot "rf" (Rng.make 8) ~n_classes x y) in
+      let snap =
+        Option.get
+          (Model.train_snapshot "rf" (Rng.make 8) ~n_classes (Fblock.Mem x) y)
+      in
       let meta =
         {
           Registry.kind = "rf";
@@ -287,6 +296,24 @@ let test_registry_publish_and_load () =
       | Ok _ -> Alcotest.fail "loaded a corrupt registry file"
       | Error _ -> ())
 
+(* Registry.train turns bad shapes into errors: an empty training set, and
+   more classes than the POJ problems. *)
+let test_registry_train_rejects_bad_shapes () =
+  let train ~n_classes ~per_class =
+    Registry.train ~seed:1 ~embedding:Yali.Embeddings.Embedding.histogram
+      ~kind:"lr" ~n_classes ~per_class
+  in
+  (match train ~n_classes:4 ~per_class:0 with
+  | Ok _ -> Alcotest.fail "per_class 0 accepted"
+  | Error msg ->
+      Alcotest.(check bool) ("names per-class: " ^ msg) true
+        (contains_substring msg "per-class"));
+  match train ~n_classes:200 ~per_class:1 with
+  | Ok _ -> Alcotest.fail "200 classes accepted"
+  | Error msg ->
+      Alcotest.(check bool) ("names the limit: " ^ msg) true
+        (contains_substring msg "104")
+
 let test_registry_roundtrip_margins () =
   (* the adaptive evaders' via-serve contract: a snapshot's margins must
      survive the registry encode/decode exactly, for every kind *)
@@ -295,7 +322,9 @@ let test_registry_roundtrip_margins () =
       List.iter
         (fun kind ->
           let snap =
-            Option.get (Model.train_snapshot kind (Rng.make 29) ~n_classes x y)
+            Option.get
+              (Model.train_snapshot kind (Rng.make 29) ~n_classes
+                 (Fblock.Mem x) y)
           in
           let meta =
             {
@@ -442,6 +471,8 @@ let suite =
       test_registry_publish_and_load;
     Alcotest.test_case "registry round-trip preserves margins" `Quick
       test_registry_roundtrip_margins;
+    Alcotest.test_case "registry train rejects bad shapes" `Quick
+      test_registry_train_rejects_bad_shapes;
     Alcotest.test_case "daemon end-to-end over a unix socket" `Slow
       test_daemon_end_to_end;
   ]

@@ -41,20 +41,21 @@ check-deep:
 bench:
 	dune exec bench/main.exe
 
-# Numeric-kernel microbenchmarks (DESIGN.md §8): rewritten kernels vs the
-# frozen lib/ml/reference.ml implementations, with speedups and
-# predictions-match checks in BENCH_kernels.json.
+# Numeric-kernel gate (DESIGN.md §8): rewritten kernels vs the frozen
+# lib/ml/reference.ml implementations, with speedups in BENCH_kernels.json.
+# Exits non-zero unless rf and k-NN predictions match, the distance sweep
+# agrees within 1e-9 and the matmul is bit-identical.
 bench-kernels:
-	dune exec bench/main.exe -- --quick --json BENCH_kernels.json kernels
+	dune exec bench/main.exe -- --quick kernels
 
 # Engine benchmark (DESIGN.md §10): the frozen reference interpreter vs the
 # pre-compiling VM on interpretation-bound kernels and a generated-program
 # corpus, with speedups persisted in BENCH_vm.json.
 bench-vm:
-	dune exec bench/main.exe -- --quick --json BENCH_vm.json interp
+	dune exec bench/main.exe -- --quick interp
 
 # Serving smoke + benchmark (DESIGN.md §11): trains and publishes a model,
-# forks the daemon, drives it with concurrent clients, and writes
+# starts the daemon, drives it with concurrent clients, and writes
 # throughput/latency/batch-size numbers to BENCH_serve.json.  Exits
 # non-zero unless every reply is deterministic and SIGTERM shutdown is
 # clean — this is CI's serve gate.

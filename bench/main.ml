@@ -1,42 +1,40 @@
 (** The figure harness: regenerates every table and figure of the paper's
-    evaluation (Figures 5-16) on the synthetic corpus, plus a Bechamel
-    micro-benchmark suite for the framework's own moving parts.
+    evaluation (Figures 5-16) on the synthetic corpus, the ablations, and
+    the benchmark gates of the framework's own moving parts.
 
     Usage:
       dune exec bench/main.exe                 # all figures
       dune exec bench/main.exe -- fig8 fig13   # selected figures
       dune exec bench/main.exe -- --quick all  # smaller workloads
-      dune exec bench/main.exe -- micro        # bechamel suite
-      dune exec bench/main.exe -- kernels      # Fmat vs pre-rewrite kernels
-      dune exec bench/main.exe -- interp       # VM vs reference interpreter
-      dune exec bench/main.exe -- serve        # classification daemon under
-                                               #   load -> BENCH_serve.json
-      dune exec bench/main.exe -- corpus       # paper-scale streaming corpus
-                                               #   + out-of-core training under
-                                               #   an RSS cap (--rss-cap-mb N,
-                                               #   default 2048); --quick drops
-                                               #   104x500 to 104x50
-                                               #   -> BENCH_corpus.json
-      dune exec bench/main.exe -- nn           # kernelized minibatch neural
-                                               #   trainers vs the frozen
-                                               #   naive reference: speedup
-                                               #   gate + bit-identity
-                                               #   -> BENCH_nn.json
+      dune exec bench/main.exe -- ablations    # every abl-* target
 
-    Execution-runtime knobs (lib/exec):
-      --engine vm|ref (or --engine=E)          # which execution engine the
-                                               #   figures run on (lib/vm
-                                               #   switchboard; default vm,
-                                               #   outcomes are bit-identical)
-      --jobs N (or --jobs=N, or YALI_JOBS)     # worker domains; default
-                                               #   Domain.recommended_domain_count
-      --telemetry out.json (or --telemetry=F)  # dump the runtime's JSON report:
-                                               #   tasks, steals, cache hit
-                                               #   rates, per-phase wall time
-      --json BENCH_quick.json (or --json=F)    # machine-readable run summary
-                                               #   (per-target wall seconds);
-                                               #   CI uploads these as the
-                                               #   perf-trajectory artifact
+    Gates: each writes its BENCH_*.json (the run's quick and jobs, its
+    sections, its named checks, pass) and exits 1 naming every failed
+    check.
+      kernels  Fmat kernels vs the frozen pre-rewrite code -> BENCH_kernels.json
+      interp   VM vs the reference interpreter             -> BENCH_vm.json
+      serve    the classification daemon under load        -> BENCH_serve.json
+      corpus   paper-scale streaming corpus + out-of-core
+               training under an RSS cap (--rss-cap-mb N,
+               default 2048); --quick drops 104x500 to
+               104x50                                      -> BENCH_corpus.json
+      adapt    adaptive-evader Pareto fronts, via-serve
+               identity                                    -> BENCH_adapt.json
+      nn       kernelized minibatch neural trainers vs
+               the frozen naive reference: speed gate +
+               bit-identity                                -> BENCH_nn.json
+
+    Flags (each also as --flag=VALUE):
+      --quick                  halve the workloads
+      --rounds N               rounds per figure cell (N >= 1)
+      --jobs N (or YALI_JOBS)  worker domains; default
+                               Domain.recommended_domain_count
+      --telemetry out.json     dump the runtime's JSON report: tasks,
+                               steals, cache hit rates, per-phase wall time
+      --json BENCH_quick.json  the figure summary: per-target wall seconds
+                               and Figure 5's results; CI uploads it as
+                               the perf-trajectory artifact
+    A bad flag or an unknown target exits 2 before anything runs.
     Results are bit-identical at any --jobs setting: per-task RNG streams
     are pre-derived and the caches only memoise pure functions.
 
@@ -50,6 +48,7 @@ module Ml = Yali.Ml
 module G = Yali.Games
 module Ob = Yali.Obfuscation
 module Ir = Yali.Ir
+module J = Yali.Util.Json
 
 let quick = ref false
 let rounds_override = ref None
@@ -69,39 +68,15 @@ let mean_std xs = (Ml.Metrics.mean xs, Ml.Metrics.stddev xs)
 (* shared machinery                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* materialize (embedded) datasets once per setup and reuse across models;
-   embeddings land directly in flat feature matrices — no intermediate
-   row-array dataset is ever built *)
-type prepared = {
-  xs_train : Ml.Fmat.t;
-  ys_train : int array;
-  xs_test : Ml.Fmat.t;
-  ys_test : int array;
-}
-
-let prepare (rng : Rng.t) (setup : G.Game.setup) (embedding : E.Embedding.t)
-    (split : Yali.Dataset.Poj.split) : prepared =
-  let train_mods, test_mods = G.Arena.build_modules rng setup split in
-  let embed mods =
-    Ml.Fmat.parallel_of_fn ~n:(Array.length mods) (fun i ->
-        E.Embedding.to_flat embedding (fst mods.(i)))
+(* One arena run at a fixed seed: the split and the run draw from the
+   same generator, in that order. *)
+let seeded_run ~seed ~n_classes ~train ~test embedding model setup =
+  let rng = Rng.make seed in
+  let split =
+    Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:train
+      ~test_per_class:test
   in
-  {
-    xs_train = embed train_mods;
-    ys_train = Array.map snd train_mods;
-    xs_test = embed test_mods;
-    ys_test = Array.map snd test_mods;
-  }
-
-let eval_model (rng : Rng.t) ~(n_classes : int) (model : Ml.Model.flat)
-    (p : prepared) : float * float * int =
-  let trained = model.ftrain rng ~n_classes p.xs_train p.ys_train in
-  let pred = trained.predict_batch p.xs_test in
-  let acc = Ml.Metrics.accuracy p.ys_test pred in
-  let f1 =
-    Ml.Metrics.macro_f1 (Ml.Metrics.confusion ~n_classes p.ys_test pred)
-  in
-  (acc, f1, trained.size_bytes)
+  G.Arena.run_flat rng ~n_classes embedding model setup split
 
 let evaders_of_fig8 () : Ob.Evader.t list =
   [ Ob.Evader.o3; Ob.Evader.ollvm; Ob.Evader.bcf; Ob.Evader.fla;
@@ -111,10 +86,10 @@ let evaders_of_fig8 () : Ob.Evader.t list =
 (* Figure 5: embeddings on Game0, 32 classes, neural model             *)
 (* ------------------------------------------------------------------ *)
 
-(* per-embedding fig5 results for the --json summary: name, accuracy
-   mean/std, and train throughput (training rows per wall second through
-   the batched neural trainer, mean over rounds) *)
-let fig5_results : (string * float * float * float) list ref = ref []
+(* per-embedding fig5 results for the --json summary, newest first:
+   name, accuracy mean/std, and train throughput (training rows per wall
+   second through the batched neural trainer, mean over rounds) *)
+let fig5_results : J.t list ref = ref []
 
 let fig5 () =
   header "Figure 5: program embeddings on Game0 (32 classes, dgcnn/cnn)";
@@ -143,7 +118,15 @@ let fig5 () =
       in
       let m, s = mean_std accs in
       let tput = Ml.Metrics.mean rows_s in
-      fig5_results := (e.name, m, s, tput) :: !fig5_results;
+      fig5_results :=
+        J.Obj
+          [
+            ("name", J.String e.name);
+            ("accuracy_mean", J.Fixed (4, m));
+            ("accuracy_std", J.Fixed (4, s));
+            ("train_rows_per_s", J.Fixed (1, tput));
+          ]
+        :: !fig5_results;
       Printf.printf "%-14s %8.4f %8.4f %12.1f\n%!" e.name m s tput)
     E.Embedding.all
 
@@ -155,63 +138,39 @@ let fig6 () =
   header "Figure 6: embeddings on Games 1, 2, 3 (32 classes, ollvm evader)";
   let n_classes = 32 in
   let r = rounds 2 in
-  let games =
-    [
-      ("game1", G.Game.game1 Ob.Evader.ollvm);
-      ("game2", G.Game.game2 Ob.Evader.ollvm);
-      ("game3", G.Game.game3 Ob.Evader.ollvm);
-    ]
-  in
+  let games = [ G.Game.game1; G.Game.game2; G.Game.game3 ] in
   (* materialise the (expensively evaded) modules once per game and round,
      then share them across all nine embeddings *)
   let prepared =
     List.map
-      (fun (gname, setup) ->
-        ( gname,
-          List.init r (fun round ->
-              let rng = Rng.make (2000 + round) in
-              let split =
-                Yali.Dataset.Poj.make ~shuffle_classes:true rng ~n_classes
-                  ~train_per_class:(scale 8) ~test_per_class:(scale 3)
-              in
-              let rng' = Rng.split rng in
-              (G.Arena.build_modules (Rng.split rng') setup split, rng')) ))
+      (fun game ->
+        List.init r (fun round ->
+            let rng = Rng.make (2000 + round) in
+            let split =
+              Yali.Dataset.Poj.make ~shuffle_classes:true rng ~n_classes
+                ~train_per_class:(scale 8) ~test_per_class:(scale 3)
+            in
+            let rng' = Rng.split rng in
+            ( G.Arena.build_modules (Rng.split rng') (game Ob.Evader.ollvm) split,
+              rng' )))
       games
   in
-  let eval_cell (e : E.Embedding.t) ((train_mods, test_mods), rng) =
-    let rng = Rng.copy rng in
-    if E.Embedding.is_flat e then begin
-      let embed mods =
-        Ml.Fmat.parallel_of_fn ~n:(Array.length mods) (fun i ->
-            E.Embedding.to_flat e (fst mods.(i)))
-      in
-      let xs = embed train_mods in
-      let ys = Array.map snd train_mods in
-      let trained = Ml.Model.cnn.ftrain (Rng.split rng) ~n_classes xs ys in
-      Ml.Metrics.accuracy (Array.map snd test_mods)
-        (trained.predict_batch (embed test_mods))
-    end
-    else begin
-      let embed m = E.Embedding.to_graph e m in
-      let graphs = Array.map (fun (m, _) -> embed m) train_mods in
-      let ys = Array.map snd train_mods in
-      let feat_dim =
-        if Array.length graphs = 0 then 1 else graphs.(0).E.Graph.feat_dim
-      in
-      let trained =
-        Ml.Model.dgcnn.gtrain (Rng.split rng) ~n_classes ~feat_dim graphs ys
-      in
-      Ml.Metrics.accuracy (Array.map snd test_mods)
-        (Array.map (fun (m, _) -> trained.gpredict (embed m)) test_mods)
-    end
+  let cell (e : E.Embedding.t) (mods, rng) =
+    let rng = Rng.split (Rng.copy rng) in
+    let res =
+      if E.Embedding.is_flat e then
+        G.Arena.flat_cell rng ~n_classes e Ml.Model.cnn mods
+      else G.Arena.graph_cell rng ~n_classes e mods
+    in
+    res.accuracy
   in
   Printf.printf "%-14s %10s %10s %10s\n" "embedding" "game1" "game2" "game3";
   List.iter
     (fun (e : E.Embedding.t) ->
       Printf.printf "%-14s" e.name;
       List.iter
-        (fun (_, per_round) ->
-          let accs = List.map (eval_cell e) per_round in
+        (fun per_round ->
+          let accs = List.map (cell e) per_round in
           Printf.printf " %10.4f%!" (fst (mean_std accs)))
         prepared;
       print_newline ())
@@ -233,20 +192,21 @@ let fig7 () =
     (fun (model : Ml.Model.flat) ->
       let results =
         List.init r (fun round ->
-            let rng = Rng.make (3000 + round) in
-            let split =
-              Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 20)
-                ~test_per_class:(scale 5)
-            in
-            let p = prepare (Rng.split rng) G.Game.game0 E.Embedding.histogram split in
-            let t0 = Yali.Exec.Telemetry.clock () in
-            let acc, _, bytes = eval_model (Rng.split rng) ~n_classes model p in
-            (acc, bytes, Yali.Exec.Telemetry.clock () -. t0))
+            seeded_run ~seed:(3000 + round) ~n_classes ~train:(scale 20)
+              ~test:(scale 5) E.Embedding.histogram model G.Game.game0)
       in
-      let accs = List.map (fun (a, _, _) -> a) results in
-      let m, s = mean_std accs in
-      let bytes = List.fold_left (fun a (_, b, _) -> max a b) 0 results in
-      let time = Ml.Metrics.mean (List.map (fun (_, _, t) -> t) results) in
+      let m, s =
+        mean_std (List.map (fun (res : G.Arena.result) -> res.accuracy) results)
+      in
+      let bytes =
+        List.fold_left
+          (fun a (res : G.Arena.result) -> max a res.model_bytes)
+          0 results
+      in
+      let time =
+        Ml.Metrics.mean
+          (List.map (fun (res : G.Arena.result) -> res.train_seconds) results)
+      in
       Printf.printf "%-6s %8.4f %8.4f %12d %10.2f\n%!" model.fname m s
         (bytes / 1024) time)
     Ml.Model.all_flat
@@ -267,24 +227,27 @@ let evader_model_grid ~(fig : string) ~(mk_setup : Ob.Evader.t -> G.Game.setup)
   print_newline ();
   let row name setup =
     Printf.printf "%-9s" name;
-    (* prepare once per round, share across the six models *)
-    let preps =
+    (* build once per round, share across the six models; the models'
+       rng is split off before the modules' *)
+    let rounds_mods =
       List.init r (fun round ->
           let rng = Rng.make (Hashtbl.hash (fig, name, round)) in
           let split =
             Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 10)
               ~test_per_class:(scale 4)
           in
-          (prepare (Rng.split rng) setup E.Embedding.histogram split, Rng.split rng))
+          let model_rng = Rng.split rng in
+          (G.Arena.build_modules (Rng.split rng) setup split, model_rng))
     in
     List.iter
       (fun (model : Ml.Model.flat) ->
         let accs =
           List.map
-            (fun (p, rng) ->
-              let acc, _, _ = eval_model (Rng.copy rng) ~n_classes model p in
-              acc)
-            preps
+            (fun (mods, rng) ->
+              (G.Arena.flat_cell (Rng.copy rng) ~n_classes
+                 E.Embedding.histogram model mods)
+                .accuracy)
+            rounds_mods
         in
         Printf.printf " %8.4f%!" (fst (mean_std accs)))
       models;
@@ -351,17 +314,13 @@ let fig12 () =
           let accs, f1s =
             List.split
               (List.init r (fun round ->
-                   let rng = Rng.make (4000 + (n_classes * 10) + round) in
-                   let split =
-                     Yali.Dataset.Poj.make rng ~n_classes
-                       ~train_per_class:(scale 16) ~test_per_class:(scale 5)
+                   let res =
+                     seeded_run
+                       ~seed:(4000 + (n_classes * 10) + round)
+                       ~n_classes ~train:(scale 16) ~test:(scale 5)
+                       E.Embedding.histogram model G.Game.game0
                    in
-                   let p =
-                     prepare (Rng.split rng) G.Game.game0 E.Embedding.histogram
-                       split
-                   in
-                   let acc, f1, _ = eval_model (Rng.split rng) ~n_classes model p in
-                   (acc, f1)))
+                   (res.accuracy, res.f1)))
           in
           Printf.printf " %12.4f %11.4f%!" (fst (mean_std accs))
             (fst (mean_std f1s)))
@@ -505,103 +464,114 @@ let fig16 () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
+(* The measuring harness: one timer, one gate shape                    *)
 (* ------------------------------------------------------------------ *)
 
-let micro () =
-  header "Micro-benchmarks (Bechamel): framework building blocks";
-  let open Bechamel in
-  let program = (Yali.Dataset.Genprog.nth 4).generate (Rng.make 1) in
-  let m0 = Yali.lower program in
-  let tests =
-    [
-      Test.make ~name:"lower" (Staged.stage (fun () -> ignore (Yali.lower program)));
-      Test.make ~name:"histogram-embed" (Staged.stage (fun () ->
-           ignore (E.Histogram.of_module m0)));
-      Test.make ~name:"milepost-embed" (Staged.stage (fun () ->
-           ignore (E.Milepost.of_module m0)));
-      Test.make ~name:"ir2vec-embed" (Staged.stage (fun () ->
-           ignore (E.Ir2vec.of_module m0)));
-      Test.make ~name:"cfg-embed" (Staged.stage (fun () ->
-           ignore (E.Graphs.cfg m0)));
-      Test.make ~name:"programl-embed" (Staged.stage (fun () ->
-           ignore (E.Graphs.programl m0)));
-      Test.make ~name:"O3-pipeline" (Staged.stage (fun () ->
-           ignore (Yali.Transforms.Pipeline.o3 m0)));
-      Test.make ~name:"ollvm-evader" (Staged.stage (fun () ->
-           ignore (Ob.Ollvm.run (Rng.make 3) m0)));
-      Test.make ~name:"sub-evader" (Staged.stage (fun () ->
-           ignore (Ob.Sub.run (Rng.make 3) m0)));
-      Test.make ~name:"fla-evader" (Staged.stage (fun () ->
-           ignore (Ob.Fla.run (Rng.make 3) m0)));
-      Test.make ~name:"interp-run" (Staged.stage (fun () ->
-           ignore (Ir.Interp.run ~fuel:1_000_000 m0 [ 5L; 9L; 2L ])));
-      Test.make ~name:"vm-compile" (Staged.stage (fun () ->
-           ignore (Yali.Vm.compile m0)));
-      (let p = Yali.Vm.compile m0 in
-       Test.make ~name:"vm-run" (Staged.stage (fun () ->
-           ignore (Yali.Vm.run_compiled ~fuel:1_000_000 p [ 5L; 9L; 2L ]))));
-    ]
-  in
-  List.iter
-    (fun t ->
-      let instances = [ Toolkit.Instance.monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-      let results = Benchmark.all cfg instances t in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-28s %14.1f ns/run\n%!" name est
-          | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
-        results)
-    tests
+let clock = Yali.Exec.Telemetry.clock
 
+(* Interleaved best-of-[reps] wall seconds of each thunk: every rep runs
+   them all in order, so a phase of machine load (CI neighbours, thermal
+   throttling) lands on every side rather than skewing their ratio, and
+   the minimum strips scheduler noise. *)
+let best_times ~(reps : int) (fs : (unit -> unit) array) : float array =
+  let best = Array.make (Array.length fs) infinity in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i f ->
+        let t0 = clock () in
+        f ();
+        best.(i) <- Float.min best.(i) (clock () -. t0))
+      fs
+  done;
+  best
+
+(* A benchmark target with a verdict: [measure] prints as it goes and
+   returns the named sections and named checks of its summary [file]. *)
+type gate = {
+  name : string;
+  file : string;
+  measure : unit -> (string * J.t) list * (string * bool) list;
+}
+
+(* the header every summary file starts with *)
+let run_header () =
+  [ ("quick", J.Bool !quick); ("jobs", J.Int (Yali.Exec.Pool.get_jobs ())) ]
+
+let run_gate (g : gate) =
+  let sections, checks = g.measure () in
+  let failed = List.filter_map (fun (c, ok) -> if ok then None else Some c) checks in
+  J.write g.file
+    (J.Obj
+       (run_header () @ sections
+       @ [
+           ("checks", J.Obj (List.map (fun (c, ok) -> (c, J.Bool ok)) checks));
+           ("pass", J.Bool (failed = []));
+         ]));
+  List.iter
+    (fun (c, ok) -> Printf.printf "check %-36s %s\n" c (if ok then "ok" else "FAILED"))
+    checks;
+  Printf.printf "%s summary written to %s\n%!" g.name g.file;
+  if failed <> [] then begin
+    Printf.eprintf "%s benchmark FAILED: %s\n%!" g.name (String.concat ", " failed);
+    exit 1
+  end
+
+(* One reference-vs-rewrite row: printed, and returned for the gate's
+   section under [field] for the rewrite's seconds. *)
+let versus ~(field : string) name ref_s new_s (extras : (string * J.t) list) =
+  Printf.printf "%-16s %12.4f %12.4f %9.2fx" name ref_s new_s (ref_s /. new_s);
+  List.iter (fun (k, v) -> Printf.printf "  %s=%s" k (J.to_string v)) extras;
+  Printf.printf "\n%!";
+  J.Obj
+    ([
+       ("name", J.String name);
+       ("reference_seconds", J.Fixed (4, ref_s));
+       (field, J.Fixed (4, new_s));
+       ("speedup", J.Fixed (2, ref_s /. new_s));
+     ]
+    @ extras)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    try
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+    with Sys_error _ -> ()
+
+(* [f] on a fresh temp dir yali-[tag]-<pid>, removed afterwards *)
+let with_temp_dir tag f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "yali-%s-%d" tag (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel micro-benchmarks: the Fmat layer vs the pre-rewrite code     *)
 (* ------------------------------------------------------------------ *)
 
-(* recorded for the "kernels" section of the --json summary *)
-let kernel_results :
-    (string * float * float * (string * string) list) list ref =
-  ref []
-
-let best_of ~(reps : int) (f : unit -> unit) : float =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Yali.Exec.Telemetry.clock () in
-    f ();
-    let t = Yali.Exec.Telemetry.clock () -. t0 in
-    if t < !best then best := t
-  done;
-  !best
-
-let record_kernel name ref_s new_s extras =
-  kernel_results := (name, ref_s, new_s, extras) :: !kernel_results;
-  Printf.printf "%-16s %12.4f %12.4f %9.2fx" name ref_s new_s (ref_s /. new_s);
-  List.iter (fun (k, v) -> Printf.printf "  %s=%s" k v) extras;
-  Printf.printf "\n%!"
-
 (** Before/after numbers for the numeric-kernel layer (DESIGN.md §8):
     forest/tree training (histogram vs per-node sort splits), k-NN
     prediction (blocked norms+dot vs per-row subtract-square), the raw
     distance sweep, and the tiled vs naive matmul.  "Reference" is the
-    frozen pre-rewrite code in [Yali.Ml.Reference]. *)
+    frozen pre-rewrite code in [Yali.Ml.Reference].  Fails unless the
+    rewrites agree with the reference: same rf and k-NN predictions,
+    distances within 1e-9, a bit-identical matmul. *)
 let kernels () =
   header "Kernel benchmarks: frozen pre-rewrite reference vs Fmat kernels";
   let reps = 3 in
   let n_train = scale 1600 and n_test = scale 400 in
   let d = 64 and n_classes = 16 in
-  Printf.printf "train=%d test=%d d=%d classes=%d (best of %d)\n\n" n_train
-    n_test d n_classes reps;
+  Printf.printf "train=%d test=%d d=%d classes=%d (best of %d, interleaved)\n\n"
+    n_train n_test d n_classes reps;
   Printf.printf "%-16s %12s %12s %9s\n" "kernel" "ref(s)" "fmat(s)" "speedup";
-  (* quantized count features — the shape of histogram embeddings, and the
-     regime the tree's 256-bucket histogram path is built for *)
-  let gen_counts seed n =
+  let row = versus ~field:"fmat_seconds" in
+  (* [n] rows with a class-dependent [feature rng ~hot] per column *)
+  let gen feature seed n =
     let rng = Rng.make seed in
     let xs = Array.init n (fun _ -> Array.make d 0.0) in
     let ys = Array.make n 0 in
@@ -609,26 +579,19 @@ let kernels () =
       let cls = Rng.int rng n_classes in
       ys.(i) <- cls;
       for j = 0 to d - 1 do
-        let bump = if j mod n_classes = cls then 20 else 0 in
-        xs.(i).(j) <- float_of_int (Rng.int rng 24 + bump)
+        xs.(i).(j) <- feature rng ~hot:(j mod n_classes = cls)
       done
     done;
     (xs, ys)
   in
+  (* quantized count features — the shape of histogram embeddings, and the
+     regime the tree's 256-bucket histogram path is built for *)
+  let gen_counts =
+    gen (fun rng ~hot -> float_of_int (Rng.int rng 24 + if hot then 20 else 0))
+  in
   (* continuous features for the distance kernels (no exact-tie noise) *)
-  let gen_gauss seed n =
-    let rng = Rng.make seed in
-    let xs = Array.init n (fun _ -> Array.make d 0.0) in
-    let ys = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let cls = Rng.int rng n_classes in
-      ys.(i) <- cls;
-      for j = 0 to d - 1 do
-        xs.(i).(j) <-
-          Rng.gaussian rng +. (if j mod n_classes = cls then 4.0 else 0.0)
-      done
-    done;
-    (xs, ys)
+  let gen_gauss =
+    gen (fun rng ~hot -> Rng.gaussian rng +. if hot then 4.0 else 0.0)
   in
   let xs_tr, ys_tr = gen_counts 11 n_train in
   let xs_te, _ = gen_counts 12 n_test in
@@ -637,39 +600,41 @@ let kernels () =
   (* random-forest training *)
   let n_trees = scale 32 in
   let ref_forest = ref None and new_forest = ref None in
-  let t_ref =
-    best_of ~reps (fun () ->
-        ref_forest :=
-          Some
-            (Ml.Reference.Random_forest.train
-               ~params:{ Ml.Reference.Random_forest.n_trees; max_depth = 24 }
-               (Rng.make 42) ~n_classes xs_tr ys_tr))
-  in
-  let t_new =
-    best_of ~reps (fun () ->
-        new_forest :=
-          Some
-            (Ml.Random_forest.train
-               ~params:{ Ml.Random_forest.n_trees; max_depth = 24 }
-               (Rng.make 42) ~n_classes (Ml.Fblock.Mem fm_tr) ys_tr))
+  let t =
+    best_times ~reps
+      [|
+        (fun () ->
+          ref_forest :=
+            Some
+              (Ml.Reference.Random_forest.train
+                 ~params:{ Ml.Reference.Random_forest.n_trees; max_depth = 24 }
+                 (Rng.make 42) ~n_classes xs_tr ys_tr));
+        (fun () ->
+          new_forest :=
+            Some
+              (Ml.Random_forest.train
+                 ~params:{ Ml.Random_forest.n_trees; max_depth = 24 }
+                 (Rng.make 42) ~n_classes (Ml.Fblock.Mem fm_tr) ys_tr));
+      |]
   in
   let ref_pred =
     Array.map (Ml.Reference.Random_forest.predict (Option.get !ref_forest)) xs_te
   in
   let new_pred = Ml.Random_forest.predict_batch (Option.get !new_forest) fm_te in
-  record_kernel "rf-train" t_ref t_new
-    [ ("predictions_match", string_of_bool (ref_pred = new_pred)) ];
+  let rf_match = ref_pred = new_pred in
+  let rf_row = row "rf-train" t.(0) t.(1) [ ("predictions_match", J.Bool rf_match) ] in
 
   (* single-tree split finding, all features considered *)
-  let t_ref =
-    best_of ~reps (fun () ->
-        ignore (Ml.Reference.Decision_tree.train (Rng.make 5) ~n_classes xs_tr ys_tr))
+  let t =
+    best_times ~reps
+      [|
+        (fun () ->
+          ignore (Ml.Reference.Decision_tree.train (Rng.make 5) ~n_classes xs_tr ys_tr));
+        (fun () ->
+          ignore (Ml.Decision_tree.train (Rng.make 5) ~n_classes fm_tr ys_tr));
+      |]
   in
-  let t_new =
-    best_of ~reps (fun () ->
-        ignore (Ml.Decision_tree.train (Rng.make 5) ~n_classes fm_tr ys_tr))
-  in
-  record_kernel "tree-splits" t_ref t_new [];
+  let tree_row = row "tree-splits" t.(0) t.(1) [] in
 
   (* k-NN prediction *)
   let kxs_tr, kys_tr = gen_gauss 21 n_train in
@@ -678,87 +643,99 @@ let kernels () =
   let ref_knn = Ml.Reference.Knn.train ~n_classes kxs_tr kys_tr in
   let new_knn = Ml.Knn.train ~n_classes kfm_tr kys_tr in
   let rpred = ref [||] and npred = ref [||] in
-  let t_ref =
-    best_of ~reps (fun () ->
-        rpred := Array.map (Ml.Reference.Knn.predict ref_knn) kxs_te)
+  let t =
+    best_times ~reps
+      [|
+        (fun () -> rpred := Array.map (Ml.Reference.Knn.predict ref_knn) kxs_te);
+        (fun () -> npred := Ml.Knn.predict_batch new_knn kfm_te);
+      |]
   in
-  let t_new =
-    best_of ~reps (fun () -> npred := Ml.Knn.predict_batch new_knn kfm_te)
+  let knn_match = !rpred = !npred in
+  let knn_row =
+    row "knn-predict" t.(0) t.(1) [ ("predictions_match", J.Bool knn_match) ]
   in
-  record_kernel "knn-predict" t_ref t_new
-    [ ("predictions_match", string_of_bool (!rpred = !npred)) ];
 
   (* the raw distance sweep: subtract-square rows vs norms + dot over the
-     contiguous matrix *)
+     contiguous matrix.  One sweep is tens of microseconds, so each rep
+     times [passes] sweeps, enough for the faster side to last 1 ms. *)
   let q = kxs_te.(0) in
   let norms = Array.init n_train (Ml.Fmat.sq_norm_row kfm_tr) in
   let out_ref = Array.make n_train 0.0 and out_new = Array.make n_train 0.0 in
-  let t_ref =
-    best_of ~reps (fun () ->
-        for i = 0 to n_train - 1 do
-          let row = kxs_tr.(i) in
-          let acc = ref 0.0 in
-          for j = 0 to d - 1 do
-            let dv = q.(j) -. row.(j) in
-            acc := !acc +. (dv *. dv)
-          done;
-          out_ref.(i) <- !acc
-        done)
+  let sweep_ref () =
+    for i = 0 to n_train - 1 do
+      let row = kxs_tr.(i) in
+      let acc = ref 0.0 in
+      for j = 0 to d - 1 do
+        let dv = q.(j) -. row.(j) in
+        acc := !acc +. (dv *. dv)
+      done;
+      out_ref.(i) <- !acc
+    done
   in
   let qn =
     let acc = ref 0.0 in
     Array.iter (fun v -> acc := !acc +. (v *. v)) q;
     !acc
   in
-  let t_new =
-    best_of ~reps (fun () ->
-        for i = 0 to n_train - 1 do
-          out_new.(i) <-
-            qn -. (2.0 *. Ml.Fmat.dot_row_vec kfm_tr i q) +. norms.(i)
-        done)
+  let sweep_new () =
+    for i = 0 to n_train - 1 do
+      out_new.(i) <- qn -. (2.0 *. Ml.Fmat.dot_row_vec kfm_tr i q) +. norms.(i)
+    done
   in
+  let repeat n f () = for _ = 1 to n do f () done in
+  let rec calibrate passes =
+    let t0 = clock () in
+    repeat passes sweep_new ();
+    if clock () -. t0 >= 1e-3 then passes else calibrate (2 * passes)
+  in
+  let passes = calibrate 1 in
+  let t = best_times ~reps [| repeat passes sweep_ref; repeat passes sweep_new |] in
   let max_diff = ref 0.0 in
   for i = 0 to n_train - 1 do
     max_diff := Float.max !max_diff (Float.abs (out_ref.(i) -. out_new.(i)))
   done;
-  record_kernel "distance-sweep" t_ref t_new
-    [ ("max_abs_diff", Printf.sprintf "%.2e" !max_diff) ];
+  let sweep_row =
+    row "distance-sweep" t.(0) t.(1)
+      [
+        ("passes", J.Int passes);
+        (* exponent notation: the difference sits near 1e-13 *)
+        ("max_abs_diff", J.Raw (Printf.sprintf "%.2e" !max_diff));
+      ]
+  in
 
   (* matmul: naive i-k-j vs cache-tiled *)
   let msize = scale 256 in
   let a = Ml.Matrix.random (Rng.make 1) msize msize ~scale:1.0 in
   let b = Ml.Matrix.random (Rng.make 2) msize msize ~scale:1.0 in
   let c_ref = ref (Ml.Matrix.create 0 0) and c_new = ref (Ml.Matrix.create 0 0) in
-  let t_ref = best_of ~reps (fun () -> c_ref := Ml.Matrix.matmul_naive a b) in
-  let t_new = best_of ~reps (fun () -> c_new := Ml.Matrix.matmul a b) in
+  let t =
+    best_times ~reps
+      [|
+        (fun () -> c_ref := Ml.Matrix.matmul_naive a b);
+        (fun () -> c_new := Ml.Matrix.matmul a b);
+      |]
+  in
   let flops = 2.0 *. float_of_int (msize * msize * msize) in
-  record_kernel "matmul" t_ref t_new
+  let matmul_identical = (!c_ref).data = (!c_new).data in
+  let matmul_row =
+    row "matmul" t.(0) t.(1)
+      [
+        ("gflops_ref", J.Fixed (2, flops /. t.(0) /. 1e9));
+        ("gflops_fmat", J.Fixed (2, flops /. t.(1) /. 1e9));
+        ("bit_identical", J.Bool matmul_identical);
+      ]
+  in
+  ( [ ("kernels", J.List [ rf_row; tree_row; knn_row; sweep_row; matmul_row ]) ],
     [
-      ("gflops_ref", Printf.sprintf "%.2f" (flops /. t_ref /. 1e9));
-      ("gflops_fmat", Printf.sprintf "%.2f" (flops /. t_new /. 1e9));
-      ("bit_identical", string_of_bool ((!c_ref).data = (!c_new).data));
-    ]
+      ("rf_predictions_match", rf_match);
+      ("knn_predictions_match", knn_match);
+      ("distance_max_abs_diff_le_1e-9", !max_diff <= 1e-9);
+      ("matmul_bit_identical", matmul_identical);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Execution-engine benchmarks: reference interpreter vs the VM        *)
 (* ------------------------------------------------------------------ *)
-
-(* recorded for the "vm" section of the --json summary *)
-let vm_results : (string * float * float * (string * string) list) list ref =
-  ref []
-
-(* per-engine compile-vs-run wall-second splits, one entry per
-   (workload, engine), recorded by whichever engine benchmarks ran *)
-let engine_splits : (string * string * float * float) list ref = ref []
-
-let record_split ~workload ~engine ~compile_s ~run_s =
-  engine_splits := (workload, engine, compile_s, run_s) :: !engine_splits
-
-let record_vm name ref_s vm_s extras =
-  vm_results := (name, ref_s, vm_s, extras) :: !vm_results;
-  Printf.printf "%-10s %12.4f %12.4f %9.2fx" name ref_s vm_s (ref_s /. vm_s);
-  List.iter (fun (k, v) -> Printf.printf "  %s=%s" k v) extras;
-  Printf.printf "\n%!"
 
 (** Before/after numbers for the execution engines (DESIGN.md §10).  Two
     workloads, two regimes:
@@ -770,34 +747,12 @@ let record_vm name ref_s vm_s extras =
       one check deep-tier validation looks like; compile time is
       inside the measured region).
     "Reference" is the frozen tree-walking interpreter. *)
-(* Interleave the two engines' timed passes within each rep, so a phase of
-   machine load (CI neighbours, thermal throttling) lands on both engines
-   rather than skewing the ratio; each side still reports its best rep. *)
-let best_pair ~(reps : int) (f : unit -> unit) (g : unit -> unit) :
-    float * float =
-  let bf = ref infinity in
-  let bg = ref infinity in
-  for _ = 1 to reps do
-    f ();
-    (* untimed: refill caches/branch predictor after the other engine *)
-    let t0 = Yali.Exec.Telemetry.clock () in
-    f ();
-    let t1 = Yali.Exec.Telemetry.clock () in
-    g ();
-    (* untimed, same reason *)
-    let t2 = Yali.Exec.Telemetry.clock () in
-    g ();
-    let t3 = Yali.Exec.Telemetry.clock () in
-    if t1 -. t0 < !bf then bf := t1 -. t0;
-    if t3 -. t2 < !bg then bg := t3 -. t2
-  done;
-  (!bf, !bg)
-
 let interp () =
   header "Engine benchmarks: frozen reference interpreter vs pre-compiling VM";
   let reps = 5 in
   Printf.printf "(best of %d, interleaved)\n\n" reps;
-  Printf.printf "%-10s %12s %12s %9s\n" "workload" "ref(s)" "vm(s)" "speedup";
+  Printf.printf "%-16s %12s %12s %9s\n" "workload" "ref(s)" "vm(s)" "speedup";
+  let row = versus ~field:"vm_seconds" in
 
   (* raw throughput on the benchmark-game kernels *)
   let mods = Yali.Dataset.Benchgame.modules () in
@@ -806,30 +761,28 @@ let interp () =
     List.fold_left (fun a (_, m) -> a + (Ir.Interp.run ~fuel m []).steps) 0 mods
   in
   let t_compile =
-    best_of ~reps (fun () ->
-        List.iter (fun (_, m) -> ignore (Yali.Vm.compile m)) mods)
+    (best_times ~reps
+       [| (fun () -> List.iter (fun (_, m) -> ignore (Yali.Vm.compile m)) mods) |]).(0)
   in
   let compiled = List.map (fun (n, m) -> (n, Yali.Vm.compile m)) mods in
-  let t_ref, t_vm =
-    best_pair ~reps
-      (fun () ->
-        List.iter (fun (_, m) -> ignore (Ir.Interp.run ~fuel m [])) mods)
-      (fun () ->
-        List.iter
-          (fun (_, p) -> ignore (Yali.Vm.run_compiled ~fuel p []))
-          compiled)
+  let t =
+    best_times ~reps
+      [|
+        (fun () -> List.iter (fun (_, m) -> ignore (Ir.Interp.run ~fuel m [])) mods);
+        (fun () ->
+          List.iter (fun (_, p) -> ignore (Yali.Vm.run_compiled ~fuel p [])) compiled);
+      |]
   in
-  let mips t = float_of_int steps /. t /. 1e6 in
-  record_vm "kernels" t_ref t_vm
-    [
-      ("dynamic_steps", string_of_int steps);
-      ("mips_ref", Printf.sprintf "%.1f" (mips t_ref));
-      ("mips_vm", Printf.sprintf "%.1f" (mips t_vm));
-      ("compile_seconds", Printf.sprintf "%.4f" t_compile);
-    ];
-  record_split ~workload:"kernels" ~engine:"ref" ~compile_s:0.0 ~run_s:t_ref;
-  record_split ~workload:"kernels" ~engine:"vm" ~compile_s:t_compile
-    ~run_s:t_vm;
+  let mips t = J.Fixed (1, float_of_int steps /. t /. 1e6) in
+  let kernels_row =
+    row "kernels" t.(0) t.(1)
+      [
+        ("dynamic_steps", J.Int steps);
+        ("mips_ref", mips t.(0));
+        ("mips_vm", mips t.(1));
+        ("compile_seconds", J.Fixed (4, t_compile));
+      ]
+  in
 
   (* the validation shape: seeded corpus, compile once, many inputs *)
   let n_progs = scale 64 in
@@ -846,201 +799,207 @@ let interp () =
             Int64.of_int ((((i * 53) + (j * 17)) mod 2001) - 1000)))
   in
   let execs = n_progs * n_inputs in
-  let run_all prepare =
+  let run_all prepare () =
     List.iter
       (fun m ->
         let run1 = prepare m in
         List.iter (fun input -> ignore (run1 ~fuel:corpus_fuel input)) inputs)
       corpus
   in
-  let t_ref, t_vm =
-    best_pair ~reps
-      (fun () -> run_all (Yali.Execution.prepare ~engine:Yali.Execution.Ref))
-      (fun () -> run_all (Yali.Execution.prepare ~engine:Yali.Execution.Vm))
+  let t =
+    best_times ~reps
+      [|
+        run_all (Yali.Execution.prepare ~engine:Yali.Execution.Ref);
+        run_all (Yali.Execution.prepare ~engine:Yali.Execution.Vm);
+      |]
   in
-  record_vm "corpus" t_ref t_vm
-    [
-      ("programs", string_of_int n_progs);
-      ("execs", string_of_int execs);
-      ("execs_per_s_ref", Printf.sprintf "%.0f" (float_of_int execs /. t_ref));
-      ("execs_per_s_vm", Printf.sprintf "%.0f" (float_of_int execs /. t_vm));
-      ("programs_per_s_ref",
-       Printf.sprintf "%.1f" (float_of_int n_progs /. t_ref));
-      ("programs_per_s_vm",
-       Printf.sprintf "%.1f" (float_of_int n_progs /. t_vm));
-    ];
+  let per_s n t digits = J.Fixed (digits, float_of_int n /. t) in
+  let corpus_row =
+    row "corpus" t.(0) t.(1)
+      [
+        ("programs", J.Int n_progs);
+        ("execs", J.Int execs);
+        ("execs_per_s_ref", per_s execs t.(0) 0);
+        ("execs_per_s_vm", per_s execs t.(1) 0);
+        ("programs_per_s_ref", per_s n_progs t.(0) 1);
+        ("programs_per_s_vm", per_s n_progs t.(1) 1);
+      ]
+  in
   Printf.printf
     "\nmemory images allocated: %d interpreter + %d vm (pooled per domain \
      and reused across every run above)\n"
     (Ir.Arena.created Ir.Interp.arena)
-    (Yali.Vm.arenas_created ())
+    (Yali.Vm.arenas_created ());
+  ([ ("vm", J.List [ kernels_row; corpus_row ]) ], [])
 
 (* ------------------------------------------------------------------ *)
-(* Serving benchmark: the classification daemon under synthetic load   *)
+(* The daemon launcher shared by the serve and adapt gates             *)
 (* ------------------------------------------------------------------ *)
 
-let serve_json = "BENCH_serve.json"
-
-(* Hidden daemon mode: [serve] and [adapt_bench] below re-exec this binary
-   with this flag (socket and registry dir as the two operands, plus an
-   optional model spec — default rf) instead of forking. *)
+(* Hidden daemon mode: [with_daemons] re-execs this binary with this flag
+   and the socket, registry dir and model spec as the three operands. *)
 let serve_daemon_flag = "--serve-daemon"
 
-let serve_daemon () =
-  let cfg =
-    {
-      Yali.Serve.Server.socket = Sys.argv.(2);
-      registry_dir = Sys.argv.(3);
-      model_spec = (if Array.length Sys.argv > 4 then Sys.argv.(4) else "rf");
-      queue_cap = 256;
-      max_batch = 64;
-      log = ignore;
-    }
-  in
-  match Yali.Serve.Server.run cfg with
+let serve_daemon socket registry_dir model_spec =
+  match
+    Yali.Serve.Server.run
+      { Yali.Serve.Server.default with socket; registry_dir; model_spec }
+  with
   | Ok () -> exit 0
   | Error msg ->
       Printf.eprintf "daemon: %s\n%!" msg;
       exit 1
 
-(** End-to-end daemon benchmark (DESIGN.md §11): train and publish a
-    snapshot, launch a daemon child on a Unix socket, replay corpus
-    programs from concurrent client connections, and record sustained
-    throughput, latency quantiles, the batch-size histogram, reply
-    determinism, and whether SIGTERM shuts the daemon down cleanly.
-    Written to [BENCH_serve.json]; exits nonzero when determinism or the
-    clean shutdown fails (CI's serve smoke gate). *)
-let serve () =
-  header "Serving: daemon throughput/latency under concurrent clients";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-serve-%d" (Unix.getpid ()))
+(* [Server.run] creates the socket file at bind, before it listens, so a
+   daemon is up only once it answers a ping *)
+let await_daemon socket =
+  let rec go tries =
+    let answers =
+      try
+        let c = Yali.Serve.Client.connect socket in
+        Fun.protect
+          ~finally:(fun () -> Yali.Serve.Client.close c)
+          (fun () -> Yali.Serve.Client.ping c)
+      with Unix.Unix_error _ | Yali.Util.Bin.Corrupt _ -> false
+    in
+    if not answers then
+      if tries = 0 then failwith (socket ^ ": daemon never answered a ping")
+      else begin
+        Unix.sleepf 0.05;
+        go (tries - 1)
+      end
   in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
-  let registry = Filename.concat dir "models" in
-  let socket = Filename.concat dir "yali.sock" in
-  let n_classes = 8 in
-  let entry =
-    match
-      Yali.Serve.Registry.train ~seed:42 ~embedding:E.Embedding.histogram
-        ~kind:"rf" ~n_classes ~per_class:(scale 10)
-    with
-    | Ok e -> e
-    | Error msg -> failwith msg
-  in
-  let version, _ =
-    Yali.Serve.Registry.publish ~dir:registry ~meta:entry.meta entry.snapshot
-  in
-  Printf.printf "model: rf@%d (histogram, %d classes, dim %d, %d rows)\n%!"
-    version n_classes entry.meta.dim entry.meta.n_train;
-  (* launch the daemon as a re-exec of this binary in the hidden
-     [serve_daemon_flag] mode: [Unix.fork] is forbidden once the pool has
-     ever spawned a domain (training above does, at --jobs > 1), while
-     [create_process] goes through [posix_spawn] and stays legal *)
+  go 200
+
+(** Run [f] on the [(kind, socket)] list of one daemon per model kind
+    serving [registry], each answering pings.  Every daemon is a re-exec
+    of this binary: [Unix.fork] is forbidden once the pool has ever
+    spawned a domain, while [create_process] goes through [posix_spawn].
+    Afterwards every daemon gets SIGTERM and is reaped, also when [f]
+    raises; returns [f]'s result and whether every daemon exited 0. *)
+let with_daemons ~dir ~registry (kinds : string list) f =
   flush stdout;
   flush stderr;
-  let child =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; serve_daemon_flag; socket; registry |]
-      Unix.stdin Unix.stdout Unix.stderr
+  let daemons =
+    List.map
+      (fun kind ->
+        let socket = Filename.concat dir (kind ^ ".sock") in
+        let pid =
+          Unix.create_process Sys.executable_name
+            [| Sys.executable_name; serve_daemon_flag; socket; registry; kind |]
+            Unix.stdin Unix.stdout Unix.stderr
+        in
+        (kind, socket, pid))
+      kinds
   in
-  let rec await_socket tries =
-    if Sys.file_exists socket then ()
-    else if tries = 0 then failwith "daemon socket never appeared"
-    else begin
-      Unix.sleepf 0.05;
-      await_socket (tries - 1)
-    end
+  let stop (_, _, pid) =
+    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+    match Unix.waitpid [] pid with
+    | _, status -> status = Unix.WEXITED 0
+    | exception Unix.Unix_error _ -> false
   in
-  await_socket 100;
-  let cfg =
-    {
-      Yali.Serve.Traffic.socket;
-      clients = 16;
-      requests = scale 400;
-      seed = 7;
-      n_classes;
-      per_class = 3;
-      log = prerr_endline;
-    }
-  in
-  let r = Yali.Serve.Traffic.run cfg in
-  Printf.printf
-    "classified %d requests in %.2fs: %.0f programs/s, p50 %dus, p99 %dus\n"
-    r.t_classified r.t_seconds r.t_throughput r.t_p50_us r.t_p99_us;
-  Printf.printf "busy replies %d, errors %d, deterministic %b\n" r.t_busy
-    r.t_errors r.t_deterministic;
-  Printf.printf "batch sizes:";
-  List.iter (fun (s, c) -> Printf.printf " %dx%d" s c) r.t_batch_hist;
-  print_newline ();
-  let server_stats =
-    let c = Yali.Serve.Client.connect socket in
-    Fun.protect
-      ~finally:(fun () -> Yali.Serve.Client.close c)
-      (fun () ->
-        match Yali.Serve.Client.stats c with Ok j -> j | Error e -> failwith e)
-  in
-  (* clean SIGTERM shutdown is part of the contract *)
-  Unix.kill child Sys.sigterm;
-  let _, status = Unix.waitpid [] child in
-  let clean = status = Unix.WEXITED 0 in
-  Printf.printf "daemon SIGTERM shutdown: %s\n"
-    (if clean then "clean (exit 0)" else "UNCLEAN");
-  let oc = open_out serve_json in
-  Printf.fprintf oc
-    "{\n  \"model\": \"rf@%d\",\n  \"classes\": %d,\n  \"clients\": %d,\n\
-    \  \"traffic\": %s,\n  \"server\": %s,\n  \"clean_shutdown\": %b\n}\n"
-    version n_classes cfg.clients
-    (Yali.Serve.Traffic.result_to_json r)
-    server_stats clean;
-  close_out oc;
-  Printf.printf "serving summary written to %s\n" serve_json;
-  let failed =
-    (not clean) || (not r.t_deterministic) || r.t_errors > 0
-    || r.t_classified < cfg.requests
-  in
-  if failed then begin
-    Printf.eprintf "serve benchmark FAILED\n";
-    exit 1
-  end
+  match
+    List.iter (fun (_, socket, _) -> await_daemon socket) daemons;
+    f (List.map (fun (kind, socket, _) -> (kind, socket)) daemons)
+  with
+  | result -> (result, List.for_all Fun.id (List.map stop daemons))
+  | exception e ->
+      List.iter (fun d -> ignore (stop d)) daemons;
+      raise e
+
+(* ------------------------------------------------------------------ *)
+(* Serving benchmark: the classification daemon under synthetic load   *)
+(* ------------------------------------------------------------------ *)
+
+(** End-to-end daemon benchmark (DESIGN.md §11): train and publish a
+    snapshot, launch a daemon, replay corpus programs from concurrent
+    client connections, and record sustained throughput, latency
+    quantiles and the batch-size histogram.  Fails unless every reply is
+    deterministic, none errs, every request is classified and SIGTERM
+    shuts the daemon down with exit 0 (CI's serve smoke gate). *)
+let serve () =
+  header "Serving: daemon throughput/latency under concurrent clients";
+  with_temp_dir "serve" (fun dir ->
+      let registry = Filename.concat dir "models" in
+      let n_classes = 8 in
+      let entry =
+        match
+          Yali.Serve.Registry.train ~seed:42 ~embedding:E.Embedding.histogram
+            ~kind:"rf" ~n_classes ~per_class:(scale 10)
+        with
+        | Ok e -> e
+        | Error msg -> failwith msg
+      in
+      let version, _ =
+        Yali.Serve.Registry.publish ~dir:registry ~meta:entry.meta entry.snapshot
+      in
+      Printf.printf "model: rf@%d (histogram, %d classes, dim %d, %d rows)\n%!"
+        version n_classes entry.meta.dim entry.meta.n_train;
+      let clients = 16 and requests = scale 400 in
+      let (r, server_stats), clean =
+        with_daemons ~dir ~registry [ "rf" ] (fun daemons ->
+            let socket = List.assoc "rf" daemons in
+            let r =
+              Yali.Serve.Traffic.run
+                {
+                  Yali.Serve.Traffic.socket;
+                  clients;
+                  requests;
+                  seed = 7;
+                  n_classes;
+                  per_class = 3;
+                  log = prerr_endline;
+                }
+            in
+            let c = Yali.Serve.Client.connect socket in
+            Fun.protect
+              ~finally:(fun () -> Yali.Serve.Client.close c)
+              (fun () ->
+                match Yali.Serve.Client.stats c with
+                | Ok j -> (r, j)
+                | Error e -> failwith e))
+      in
+      Printf.printf
+        "classified %d requests in %.2fs: %.0f programs/s, p50 %dus, p99 %dus\n"
+        r.t_classified r.t_seconds r.t_throughput r.t_p50_us r.t_p99_us;
+      Printf.printf "busy replies %d, errors %d, deterministic %b\n" r.t_busy
+        r.t_errors r.t_deterministic;
+      Printf.printf "batch sizes:";
+      List.iter (fun (s, c) -> Printf.printf " %dx%d" s c) r.t_batch_hist;
+      print_newline ();
+      Printf.printf "daemon SIGTERM shutdown: %s\n"
+        (if clean then "clean (exit 0)" else "UNCLEAN");
+      ( [
+          ("model", J.String (Printf.sprintf "rf@%d" version));
+          ("classes", J.Int n_classes);
+          ("clients", J.Int clients);
+          ("traffic", Yali.Serve.Traffic.result_json r);
+          ("server", J.Raw server_stats);
+        ],
+        [
+          ("deterministic", r.t_deterministic);
+          ("zero_errors", r.t_errors = 0);
+          ("classified_all_requests", r.t_classified = requests);
+          ("clean_sigterm_exit", clean);
+        ] ))
 
 (* ------------------------------------------------------------------ *)
 (* Corpus benchmark: paper-scale streaming generation and out-of-core  *)
 (* training under a fixed memory cap (DESIGN.md §12)                   *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_json = "BENCH_corpus.json"
 let rss_cap_mb = ref 2048.0
 
 (* Peak resident set (VmHWM) in MiB from /proc/self/status; 0.0 where the
    proc filesystem is unavailable (the gate is then skipped). *)
 let peak_rss_mb () =
-  match open_in "/proc/self/status" with
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
   | exception Sys_error _ -> 0.0
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go () =
-            match input_line ic with
-            | exception End_of_file -> 0.0
-            | line ->
-                if String.length line > 6 && String.sub line 0 6 = "VmHWM:"
-                then
-                  Scanf.sscanf
-                    (String.sub line 6 (String.length line - 6))
-                    " %d" (fun kb -> float_of_int kb /. 1024.0)
-                else go ()
-          in
-          go ())
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             Scanf.sscanf_opt line "VmHWM: %d" (fun kb -> float_of_int kb /. 1024.0))
+      |> Option.value ~default:0.0
 
 (** The paper-scale tier: generate the full 104-class corpus straight to a
     sharded on-disk store, embed it into an out-of-core feature file, and
@@ -1049,33 +1008,21 @@ let rm_rf dir =
     hold accuracy within 2 points of the in-memory ones on a held-out
     corpus, and the whole run must fit the
     RSS cap (--rss-cap-mb, default 2048).  [--quick] drops to 104x50.
-    Written to [BENCH_corpus.json]; exits nonzero when a gate fails (CI's
-    paper-scale smoke). *)
+    Fails when either bound does (CI's paper-scale smoke). *)
 let corpus_bench () =
   let per_class = if !quick then 50 else 500 in
   header "Corpus: paper-scale streaming pipeline (104x%d, cap %.0f MiB)"
     per_class !rss_cap_mb;
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-corpus-bench-%d" (Unix.getpid ()))
-  in
-  let train_dir = Filename.concat tmp "train" in
-  let test_dir = Filename.concat tmp "test" in
-  if not (Sys.file_exists tmp) then Sys.mkdir tmp 0o700;
-  let spec =
-    { Yali.Corpus.Gen.dataset = "poj"; seed = 42; n_classes = 104; per_class }
-  in
-  let test_spec =
-    { spec with Yali.Corpus.Gen.seed = 43;
-      per_class = (if !quick then 5 else 20) }
-  in
-  let clock = Yali.Exec.Telemetry.clock in
-  Fun.protect
-    ~finally:(fun () ->
-      rm_rf train_dir;
-      rm_rf test_dir;
-      rm_rf tmp)
-    (fun () ->
+  with_temp_dir "corpus-bench" (fun tmp ->
+      let train_dir = Filename.concat tmp "train" in
+      let test_dir = Filename.concat tmp "test" in
+      let spec =
+        { Yali.Corpus.Gen.dataset = "poj"; seed = 42; n_classes = 104; per_class }
+      in
+      let test_spec =
+        { spec with Yali.Corpus.Gen.seed = 43;
+          per_class = (if !quick then 5 else 20) }
+      in
       let t0 = clock () in
       Yali.Corpus.Gen.generate ~dir:train_dir spec;
       let t_gen = clock () -. t0 in
@@ -1108,11 +1055,7 @@ let corpus_bench () =
       let ys = Yali.Corpus.Store.labels r in
       let n_classes = Yali.Corpus.Store.n_classes r in
       let accuracy snap =
-        let t = Ml.Model.restore snap in
-        let preds = t.Ml.Model.predict_batch tx in
-        let ok = ref 0 in
-        Array.iteri (fun i p -> if p = tys.(i) then incr ok) preds;
-        float_of_int !ok /. float_of_int (Array.length tys)
+        Ml.Metrics.accuracy tys ((Ml.Model.restore snap).Ml.Model.predict_batch tx)
       in
       let results =
         List.map
@@ -1142,63 +1085,48 @@ let corpus_bench () =
           [ "lr"; "rf" ]
       in
       Yali.Corpus.Store.close r;
-      Sys.remove feat;
       let rss = peak_rss_mb () in
-      let acc_ok =
-        List.for_all (fun (_, _, a_s, _, a_m) -> a_m -. a_s <= 0.02) results
+      Printf.printf "peak RSS %.0f MiB (cap %.0f)\n" rss !rss_cap_mb;
+      let model (kind, t_s, a_s, t_m, a_m) =
+        J.Obj
+          [
+            ("kind", J.String kind);
+            ("stream_seconds", J.Fixed (2, t_s));
+            ("stream_accuracy", J.Fixed (4, a_s));
+            ("inmem_seconds", J.Fixed (2, t_m));
+            ("inmem_accuracy", J.Fixed (4, a_m));
+          ]
       in
-      let rss_ok = rss = 0.0 || rss <= !rss_cap_mb in
-      Printf.printf "peak RSS %.0f MiB (cap %.0f): %s\n" rss !rss_cap_mb
-        (if rss_ok then "ok" else "OVER CAP");
-      let oc = open_out corpus_json in
-      Printf.fprintf oc "{\n  \"quick\": %b,\n  \"jobs\": %d,\n" !quick
-        (Yali.Exec.Pool.get_jobs ());
-      Printf.fprintf oc "  \"spec\": \"%s\",\n  \"programs\": %d,\n"
-        (Yali.Corpus.Gen.spec_to_string spec)
-        n;
-      Printf.fprintf oc "  \"corpus_mib\": %.1f,\n  \"dim\": %d,\n" corpus_mib d;
-      Printf.fprintf oc
-        "  \"gen_seconds\": %.2f,\n  \"gen_programs_per_s\": %.1f,\n" t_gen
-        gen_rate;
-      Printf.fprintf oc
-        "  \"embed_seconds\": %.2f,\n  \"embed_rows_per_s\": %.1f,\n" t_embed
-        embed_rate;
-      Printf.fprintf oc "  \"models\": [\n";
-      List.iteri
-        (fun i (kind, t_s, a_s, t_m, a_m) ->
-          Printf.fprintf oc
-            "    {\"kind\": \"%s\", \"stream_seconds\": %.2f, \
-             \"stream_accuracy\": %.4f, \"inmem_seconds\": %.2f, \
-             \"inmem_accuracy\": %.4f}%s\n"
-            kind t_s a_s t_m a_m
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc
-        "  \"peak_rss_mb\": %.1f,\n  \"rss_cap_mb\": %.1f,\n  \"pass\": %b\n}\n"
-        rss !rss_cap_mb (acc_ok && rss_ok);
-      close_out oc;
-      Printf.printf "corpus summary written to %s\n" corpus_json;
-      if not (acc_ok && rss_ok) then begin
-        Printf.eprintf "corpus benchmark FAILED (accuracy %s, rss %s)\n"
-          (if acc_ok then "ok" else "dropped >2 points")
-          (if rss_ok then "ok" else "over cap");
-        exit 1
-      end)
+      ( [
+          ("spec", J.String (Yali.Corpus.Gen.spec_to_string spec));
+          ("programs", J.Int n);
+          ("corpus_mib", J.Fixed (1, corpus_mib));
+          ("dim", J.Int d);
+          ("gen_seconds", J.Fixed (2, t_gen));
+          ("gen_programs_per_s", J.Fixed (1, gen_rate));
+          ("embed_seconds", J.Fixed (2, t_embed));
+          ("embed_rows_per_s", J.Fixed (1, embed_rate));
+          ("models", J.List (List.map model results));
+          ("peak_rss_mb", J.Fixed (1, rss));
+          ("rss_cap_mb", J.Fixed (1, !rss_cap_mb));
+        ],
+        [
+          ( "stream_accuracy_within_2_points",
+            List.for_all (fun (_, _, a_s, _, a_m) -> a_m -. a_s <= 0.02) results );
+          ("peak_rss_within_cap", rss = 0.0 || rss <= !rss_cap_mb);
+        ] ))
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive evaders: cost-priced Pareto fronts (DESIGN.md §14)         *)
 (* ------------------------------------------------------------------ *)
 
-let adapt_json = "BENCH_adapt.json"
-
 (** Adaptive-evader benchmark: run the classifier-in-the-loop search for
-    each default model kind, emit the per-classifier Pareto fronts
+    each default model kind, report the per-classifier Pareto fronts
     (evasion rate vs cost multiplier), and prove the [--via-serve] path by
     re-running the identical searches against daemon children — the two
-    reports must be bit-identical.  Written to [BENCH_adapt.json]; exits
-    nonzero when a front is too thin (< 3 points on < 2 classifiers) or
-    the via-serve report diverges (CI's adapt gate). *)
+    reports must be bit-identical.  Fails when a front is too thin
+    (< 3 points on < 2 classifiers) or the via-serve report diverges
+    (CI's adapt gate). *)
 let adapt_bench () =
   header "Adaptive evaders: classifier-in-the-loop search, Pareto fronts";
   let module D = Yali.Adapt.Driver in
@@ -1211,10 +1139,10 @@ let adapt_bench () =
       a_challenges_per_class = (if !quick then 2 else 3);
     }
   in
-  let t0 = Yali.Exec.Telemetry.clock () in
+  let t0 = clock () in
   let prep = D.prepare ~log:print_endline cfg in
   let report = D.search_fronts ~log:print_endline cfg prep in
-  let t_search = Yali.Exec.Telemetry.clock () -. t0 in
+  let t_search = clock () -. t0 in
   List.iter
     (fun (f : D.model_front) ->
       Printf.printf "%-5s front:" f.mf_kind;
@@ -1224,88 +1152,53 @@ let adapt_bench () =
         f.mf_front;
       print_newline ())
     report.r_fronts;
-  (* the via-serve proof: publish the prepared snapshots, spawn one daemon
-     child per kind (re-exec via the hidden flag: [fork] is forbidden once
-     the pool has spawned a domain), re-run the identical searches with
-     margins answered over the socket *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-adapt-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
-  let registry = Filename.concat dir "models" in
-  let dim =
-    Array.length
-      (E.Embedding.to_flat D.embedding prep.p_challenges.(0).Fit.ch_module)
-  in
-  List.iter
-    (fun (kind, snapshot) ->
-      let meta =
-        {
-          Yali.Serve.Registry.kind;
-          version = 0;
-          embedding = D.embedding.name;
-          n_classes = cfg.a_classes;
-          dim;
-          n_train = prep.p_n_train;
-          seed = cfg.a_seed;
-          source = "adapt:prepared";
-        }
-      in
-      ignore (Yali.Serve.Registry.publish ~dir:registry ~meta snapshot))
-    prep.p_snapshots;
-  flush stdout;
-  flush stderr;
-  let daemons =
-    List.map
-      (fun (kind, _) ->
-        let socket = Filename.concat dir (kind ^ ".sock") in
-        let pid =
-          Unix.create_process Sys.executable_name
-            [| Sys.executable_name; serve_daemon_flag; socket; registry; kind |]
-            Unix.stdin Unix.stdout Unix.stderr
-        in
-        (kind, socket, pid))
-      prep.p_snapshots
-  in
-  let t1 = Yali.Exec.Telemetry.clock () in
+  (* the via-serve proof: publish the prepared snapshots, serve each kind
+     from its own daemon, re-run the identical searches with margins
+     answered over the socket *)
   let identical, t_serve =
-    Fun.protect
-      ~finally:(fun () ->
+    with_temp_dir "adapt" (fun dir ->
+        let registry = Filename.concat dir "models" in
+        let dim =
+          Array.length
+            (E.Embedding.to_flat D.embedding prep.p_challenges.(0).Fit.ch_module)
+        in
         List.iter
-          (fun (_, _, pid) ->
-            (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          daemons)
-      (fun () ->
-        let rec await socket tries =
-          if Sys.file_exists socket then ()
-          else if tries = 0 then failwith "adapt daemon socket never appeared"
-          else begin
-            Unix.sleepf 0.05;
-            await socket (tries - 1)
-          end
-        in
-        let remotes =
-          List.map
-            (fun (kind, socket, _) ->
-              await socket 200;
-              (kind, Yali.Adapt.Remote.connect ~socket))
-            daemons
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            List.iter (fun (_, r) -> Yali.Adapt.Remote.close r) remotes)
-          (fun () ->
-            let report' =
-              D.search_fronts
-                ~oracle_for:(fun kind ->
-                  Option.map Yali.Adapt.Remote.oracle
-                    (List.assoc_opt kind remotes))
-                cfg prep
+          (fun (kind, snapshot) ->
+            let meta =
+              {
+                Yali.Serve.Registry.kind;
+                version = 0;
+                embedding = D.embedding.name;
+                n_classes = cfg.a_classes;
+                dim;
+                n_train = prep.p_n_train;
+                seed = cfg.a_seed;
+                source = "adapt:prepared";
+              }
             in
-            ( D.reports_identical report report',
-              Yali.Exec.Telemetry.clock () -. t1 )))
+            ignore (Yali.Serve.Registry.publish ~dir:registry ~meta snapshot))
+          prep.p_snapshots;
+        fst
+          (with_daemons ~dir ~registry (List.map fst prep.p_snapshots)
+             (fun daemons ->
+               let t1 = clock () in
+               let remotes =
+                 List.map
+                   (fun (kind, socket) -> (kind, Yali.Adapt.Remote.connect ~socket))
+                   daemons
+               in
+               Fun.protect
+                 ~finally:(fun () ->
+                   List.iter (fun (_, r) -> Yali.Adapt.Remote.close r) remotes)
+                 (fun () ->
+                   let report' =
+                     D.search_fronts
+                       ~oracle_for:(fun kind ->
+                         Option.map Yali.Adapt.Remote.oracle
+                           (List.assoc_opt kind remotes))
+                       cfg prep
+                   in
+                   (D.reports_identical report report', clock () -. t1)))))
   in
   Printf.printf "search %.2fs in-process, %.2fs via serve\n" t_search t_serve;
   Printf.printf "via-serve report bit-identical: %b\n" identical;
@@ -1315,49 +1208,36 @@ let adapt_bench () =
          (fun (f : D.model_front) -> List.length f.mf_front >= 3)
          report.r_fronts)
   in
-  let pass = identical && rich_fronts >= 2 in
-  let oc = open_out adapt_json in
-  Printf.fprintf oc "{\n  \"quick\": %b,\n  \"jobs\": %d,\n" !quick
-    (Yali.Exec.Pool.get_jobs ());
-  Printf.fprintf oc
-    "  \"search_seconds\": %.2f,\n  \"serve_seconds\": %.2f,\n\
-    \  \"via_serve_identical\": %b,\n  \"report\": %s,\n  \"pass\": %b\n}\n"
-    t_search t_serve identical
-    (String.trim (D.report_to_json cfg report))
-    pass;
-  close_out oc;
-  Printf.printf "adapt summary written to %s\n" adapt_json;
-  if not pass then begin
-    Printf.eprintf "adapt benchmark FAILED (%s)\n"
-      (if not identical then "via-serve report diverged"
-       else "fewer than 2 classifiers with a 3-point front");
-    exit 1
-  end
+  ( [
+      ("search_seconds", J.Fixed (2, t_search));
+      ("serve_seconds", J.Fixed (2, t_serve));
+      ("report", D.report_json cfg report);
+    ],
+    [
+      ("two_models_with_3_point_fronts", rich_fronts >= 2);
+      ("via_serve_identical", identical);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Neural-tier benchmark: kernelized minibatch trainers vs reference   *)
 (* ------------------------------------------------------------------ *)
 
-let nn_json = "BENCH_nn.json"
-
 (* bit-level weight-dump equality: the contract is bit-identity, so
    compare IEEE bits rather than trusting polymorphic [=] on floats *)
 let dump_eq (a : float array array) (b : float array array) : bool =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i ra ->
-      let rb = b.(i) in
-      if Array.length ra <> Array.length rb then ok := false
-      else
-        Array.iteri
-          (fun j v ->
-            if Int64.bits_of_float v <> Int64.bits_of_float rb.(j) then
-              ok := false)
-          ra)
-    a;
-  !ok
+  let same_len x y = Array.length x = Array.length y in
+  same_len a b
+  && Array.for_all2
+       (fun ra rb ->
+         same_len ra rb
+         && Array.for_all2
+              (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+              ra rb)
+       a b
+
+(* the same weights at --jobs 1 and --jobs 4 *)
+let jobs_invariant dump =
+  dump_eq (Yali.Exec.Pool.with_jobs 1 dump) (Yali.Exec.Pool.with_jobs 4 dump)
 
 (* gaussian blobs, the flat shape the Fig 5 cnn path trains on *)
 let nn_blobs (rng : Rng.t) ~(n_classes : int) ~(n : int) ~(d : int) :
@@ -1384,28 +1264,10 @@ let nn_chain_graph ~(n : int) ~(flavor : int) : E.Graph.t =
     synthetic shapes the differential tests pin.  Reports wall seconds,
     speedup, and training throughput; re-checks the bit-identity contract
     (kernel = reference, --jobs 1 = --jobs 4) on the benchmark workload
-    itself.  Written to [BENCH_nn.json]; exits nonzero
-    when the cnn lands below the 5x-over-reference gate or any identity
-    check fails. *)
-(* interleaved best-of-[reps] timing: both sides see the same cache and
-   allocator state, and taking the minimum strips scheduler noise (the
-   same idiom as the engine benchmark) *)
-let best_pair ~reps f g =
-  let clock = Yali.Exec.Telemetry.clock in
-  let bf = ref infinity and bg = ref infinity in
-  for _ = 1 to reps do
-    let t0 = clock () in
-    f ();
-    bf := Float.min !bf (clock () -. t0);
-    let t0 = clock () in
-    g ();
-    bg := Float.min !bg (clock () -. t0)
-  done;
-  (!bf, !bg)
-
+    itself.  Fails when the cnn step lands below 5x over the reference or
+    any identity check fails. *)
 let nn_bench () =
   header "Neural tier: minibatch Fmat kernels vs the frozen naive trainer";
-  let clock = Yali.Exec.Telemetry.clock in
 
   (* cnn: flat gaussian blobs, wide enough that the matmuls dominate (the
      shape regime Fig 5's feature vectors live in) *)
@@ -1430,21 +1292,23 @@ let nn_bench () =
   let step_netr = Ml.Cnn.build_net (Rng.make 17) ~d_in:d ~n_classes in
   let krng = Rng.make 19 and nrng = Rng.make 19 in
   let inner = scale 10 in
-  let t_sker, t_sref =
-    best_pair ~reps:5
-      (fun () ->
-        for _ = 1 to inner do
-          ignore
-            (Ml.Nn.train_batch ~need_dx:false ~lr:0.0 ~rng:krng step_net xb
-               yb)
-        done)
-      (fun () ->
-        for _ = 1 to inner do
-          ignore (Ml.Reference.Nnb.train_batch ~lr:0.0 ~rng:nrng step_netr xb yb)
-        done)
+  let t =
+    best_times ~reps:5
+      [|
+        (fun () ->
+          for _ = 1 to inner do
+            ignore
+              (Ml.Nn.train_batch ~need_dx:false ~lr:0.0 ~rng:krng step_net xb
+                 yb)
+          done);
+        (fun () ->
+          for _ = 1 to inner do
+            ignore (Ml.Reference.Nnb.train_batch ~lr:0.0 ~rng:nrng step_netr xb yb)
+          done);
+      |]
   in
-  let t_sker = t_sker /. float_of_int inner
-  and t_sref = t_sref /. float_of_int inner in
+  let t_sker = t.(0) /. float_of_int inner
+  and t_sref = t.(1) /. float_of_int inner in
   let step_speedup = t_sref /. t_sker in
   Printf.printf
     "  step kernel (batch %d): reference %.2fms   kernel %.2fms   speedup \
@@ -1454,27 +1318,29 @@ let nn_bench () =
   (* end-to-end training (real lr schedule), which is also where the
      bit-identity contract is re-checked on the benchmark workload *)
   let ref_cnn = ref None and ker_cnn = ref None in
-  let t_ref, t_ker =
-    best_pair ~reps:2
-      (fun () ->
-        ref_cnn :=
-          Some (Ml.Reference.Cnn.train ~params (Rng.make 11) ~n_classes x ys))
-      (fun () ->
-        ker_cnn :=
-          Some
-            (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x)
-               ys))
+  let t =
+    best_times ~reps:2
+      [|
+        (fun () ->
+          ref_cnn :=
+            Some (Ml.Reference.Cnn.train ~params (Rng.make 11) ~n_classes x ys));
+        (fun () ->
+          ker_cnn :=
+            Some
+              (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x)
+                 ys));
+      |]
   in
+  let t_ref = t.(0) and t_ker = t.(1) in
   let ref_cnn = Option.get !ref_cnn and ker_cnn = Option.get !ker_cnn in
   let weights_ok =
     dump_eq (Ml.Cnn.dump_weights ref_cnn) (Ml.Cnn.dump_weights ker_cnn)
   in
-  let cnn_at jobs =
-    Yali.Exec.Pool.with_jobs jobs (fun () ->
+  let jobs_ok =
+    jobs_invariant (fun () ->
         Ml.Cnn.dump_weights
           (Ml.Cnn.train ~params (Rng.make 11) ~n_classes (Ml.Fblock.Mem x) ys))
   in
-  let jobs_ok = dump_eq (cnn_at 1) (cnn_at 4) in
   let speedup = t_ref /. t_ker in
   let row_visits = float_of_int (n * params.Ml.Cnn.epochs) in
   let rows_s = row_visits /. t_ker in
@@ -1498,76 +1364,100 @@ let nn_bench () =
   let gparams = { Ml.Dgcnn.default_params with epochs = 2 } in
   Printf.printf "dgcnn: %d graphs, 2 classes, %d epochs, batch %d\n%!" gn
     gparams.Ml.Dgcnn.epochs gparams.Ml.Dgcnn.batch;
-  let t0 = clock () in
-  let ref_g =
-    Ml.Reference.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2
-      ~feat_dim:4 graphs gys
+  let ref_g = ref None and ker_g = ref None in
+  let t =
+    best_times ~reps:1
+      [|
+        (fun () ->
+          ref_g :=
+            Some
+              (Ml.Reference.Dgcnn.train ~params:gparams (Rng.make 31)
+                 ~n_classes:2 ~feat_dim:4 graphs gys));
+        (fun () ->
+          ker_g :=
+            Some
+              (Ml.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2
+                 ~feat_dim:4 graphs gys));
+      |]
   in
-  let t_gref = clock () -. t0 in
-  let t0 = clock () in
-  let ker_g =
-    Ml.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2 ~feat_dim:4
-      graphs gys
-  in
-  let t_gker = clock () -. t0 in
+  let t_gref = t.(0) and t_gker = t.(1) in
   let gweights_ok =
-    dump_eq (Ml.Dgcnn.dump_weights ref_g) (Ml.Dgcnn.dump_weights ker_g)
+    dump_eq
+      (Ml.Dgcnn.dump_weights (Option.get !ref_g))
+      (Ml.Dgcnn.dump_weights (Option.get !ker_g))
   in
-  let dgcnn_at jobs =
-    Yali.Exec.Pool.with_jobs jobs (fun () ->
+  let gjobs_ok =
+    jobs_invariant (fun () ->
         Ml.Dgcnn.dump_weights
           (Ml.Dgcnn.train ~params:gparams (Rng.make 31) ~n_classes:2
              ~feat_dim:4 graphs gys))
   in
-  let gjobs_ok = dump_eq (dgcnn_at 1) (dgcnn_at 4) in
   let gspeedup = t_gref /. t_gker in
   let graphs_s = float_of_int (gn * gparams.Ml.Dgcnn.epochs) /. t_gker in
   Printf.printf "  reference %.3fs   kernel %.3fs   speedup %.2fx   %.0f graphs/s\n"
     t_gref t_gker gspeedup graphs_s;
   Printf.printf "  weights bit-identical: %b   jobs-invariant (1 vs 4): %b\n%!"
     gweights_ok gjobs_ok;
+  ( [
+      ( "cnn",
+        J.Obj
+          [
+            ("rows", J.Int n);
+            ("dim", J.Int d);
+            ("classes", J.Int n_classes);
+            ("epochs", J.Int params.Ml.Cnn.epochs);
+            ("batch", J.Int m);
+            ("step_reference_seconds", J.Fixed (5, t_sref));
+            ("step_kernel_seconds", J.Fixed (5, t_sker));
+            ("step_speedup", J.Fixed (2, step_speedup));
+            ("train_reference_seconds", J.Fixed (4, t_ref));
+            ("train_kernel_seconds", J.Fixed (4, t_ker));
+            ("train_speedup", J.Fixed (2, speedup));
+            ("train_rows_per_s", J.Fixed (0, rows_s));
+          ] );
+      ( "dgcnn",
+        J.Obj
+          [
+            ("graphs", J.Int gn);
+            ("epochs", J.Int gparams.Ml.Dgcnn.epochs);
+            ("reference_seconds", J.Fixed (4, t_gref));
+            ("kernel_seconds", J.Fixed (4, t_gker));
+            ("speedup", J.Fixed (2, gspeedup));
+            ("train_graphs_per_s", J.Fixed (0, graphs_s));
+          ] );
+    ],
+    [
+      ("cnn_step_speedup_ge_5x", step_speedup >= 5.0);
+      ("cnn_weights_identical", weights_ok);
+      ("cnn_jobs_invariant", jobs_ok);
+      ("dgcnn_weights_identical", gweights_ok);
+      ("dgcnn_jobs_invariant", gjobs_ok);
+    ] )
 
-  let identical = weights_ok && jobs_ok && gweights_ok && gjobs_ok in
-  let pass = step_speedup >= 5.0 && identical in
-  let oc = open_out nn_json in
-  Printf.fprintf oc "{\n  \"quick\": %b,\n  \"jobs\": %d,\n" !quick
-    (Yali.Exec.Pool.get_jobs ());
-  Printf.fprintf oc
-    "  \"cnn\": {\"rows\": %d, \"dim\": %d, \"classes\": %d, \"epochs\": %d, \
-     \"batch\": %d, \"step_reference_seconds\": %.5f, \
-     \"step_kernel_seconds\": %.5f, \"step_speedup\": %.2f, \
-     \"train_reference_seconds\": %.4f, \"train_kernel_seconds\": %.4f, \
-     \"train_speedup\": %.2f, \"train_rows_per_s\": %.0f, \
-     \"weights_identical\": %b, \"jobs_invariant\": %b},\n"
-    n d n_classes params.Ml.Cnn.epochs m t_sref t_sker step_speedup t_ref
-    t_ker speedup rows_s weights_ok jobs_ok;
-  Printf.fprintf oc
-    "  \"dgcnn\": {\"graphs\": %d, \"epochs\": %d, \"reference_seconds\": \
-     %.4f, \"kernel_seconds\": %.4f, \"speedup\": %.2f, \
-     \"train_graphs_per_s\": %.0f, \"weights_identical\": %b, \
-     \"jobs_invariant\": %b},\n"
-    gn gparams.Ml.Dgcnn.epochs t_gref t_gker gspeedup graphs_s gweights_ok
-    gjobs_ok;
-  Printf.fprintf oc "  \"pass\": %b\n}\n" pass;
-  close_out oc;
-  Printf.printf "nn summary written to %s\n" nn_json;
-  if not pass then begin
-    Printf.eprintf "nn benchmark FAILED (%s)\n"
-      (if not identical then "weights diverged from the frozen reference"
-       else
-         Printf.sprintf "cnn step speedup %.2fx < 5x over reference"
-           step_speedup);
-    exit 1
-  end
+let gates =
+  [
+    { name = "kernels"; file = "BENCH_kernels.json"; measure = kernels };
+    { name = "interp"; file = "BENCH_vm.json"; measure = interp };
+    { name = "serve"; file = "BENCH_serve.json"; measure = serve };
+    { name = "corpus"; file = "BENCH_corpus.json"; measure = corpus_bench };
+    { name = "adapt"; file = "BENCH_adapt.json"; measure = adapt_bench };
+    { name = "nn"; file = "BENCH_nn.json"; measure = nn_bench };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: design choices called out in DESIGN.md                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The ablations' arena cell: rf over [embedding] in [setup], with 12
+   training programs and 4 challenges for each of 16 classes *)
+let abl_rf_accuracy seed embedding setup =
+  (seeded_run ~seed ~n_classes:(scale 16) ~train:(scale 12) ~test:(scale 4)
+     embedding Ml.Model.rf setup)
+    .accuracy
+
 (* Which optimization level suffices as a Game3 normalizer? *)
 let abl_normalizer () =
   header "Ablation: normalizer strength in Game3 (O1 vs O2 vs O3, rf, histogram)";
-  let n_classes = scale 16 in
   let evaders = [ Ob.Evader.sub; Ob.Evader.fla; Ob.Evader.bcf; Ob.Evader.rs; Ob.Evader.drlsg ] in
   let levels =
     [ ("O1", Yali.Transforms.Pipeline.o1); ("O2", Yali.Transforms.Pipeline.o2);
@@ -1581,15 +1471,10 @@ let abl_normalizer () =
       Printf.printf "%-8s" e.ename;
       List.iter
         (fun (_, normalizer) ->
-          let rng = Rng.make (Hashtbl.hash ("abl-n", e.ename)) in
-          let split =
-            Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 12)
-              ~test_per_class:(scale 4)
-          in
-          let setup = G.Game.game3 ~normalizer e in
-          let p = prepare (Rng.split rng) setup E.Embedding.histogram split in
-          let acc, _, _ = eval_model (Rng.split rng) ~n_classes Ml.Model.rf p in
-          Printf.printf " %8.4f%!" acc)
+          Printf.printf " %8.4f%!"
+            (abl_rf_accuracy
+               (Hashtbl.hash ("abl-n", e.ename))
+               E.Embedding.histogram (G.Game.game3 ~normalizer e)))
         levels;
       print_newline ())
     evaders
@@ -1597,7 +1482,6 @@ let abl_normalizer () =
 (* How much does each extra substitution round buy the evader? *)
 let abl_sub_rounds () =
   header "Ablation: instruction-substitution rounds (distance + Game1 rf accuracy)";
-  let n_classes = scale 16 in
   Printf.printf "%-8s %10s %10s %10s\n" "rounds" "distance" "size-ratio" "game1-acc";
   List.iter
     (fun rounds ->
@@ -1618,13 +1502,10 @@ let abl_sub_rounds () =
           apply = (fun rng p -> Ob.Sub.run ~rounds rng (Yali.lower p));
         }
       in
-      let rng = Rng.make (6000 + rounds) in
-      let split =
-        Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 12)
-          ~test_per_class:(scale 4)
+      let acc =
+        abl_rf_accuracy (6000 + rounds) E.Embedding.histogram
+          (G.Game.game1 evader)
       in
-      let p = prepare (Rng.split rng) (G.Game.game1 evader) E.Embedding.histogram split in
-      let acc, _, _ = eval_model (Rng.split rng) ~n_classes Ml.Model.rf p in
       Printf.printf "%-8d %10.2f %10.2f %10.4f\n%!" rounds
         (Ml.Metrics.mean ds) (Ml.Metrics.mean ratios) acc)
     [ 1; 2; 3; 4 ]
@@ -1632,7 +1513,6 @@ let abl_sub_rounds () =
 (* How does bogus-control-flow density trade runtime for evasion? *)
 let abl_bcf_probability () =
   header "Ablation: bcf block-selection probability (distance, slowdown, Game1 acc)";
-  let n_classes = scale 16 in
   Printf.printf "%-8s %10s %10s %10s\n" "prob" "distance" "slowdown" "game1-acc";
   List.iter
     (fun prob ->
@@ -1655,13 +1535,11 @@ let abl_bcf_probability () =
           apply = (fun rng p -> Ob.Bcf.run ~probability:prob rng (Yali.lower p));
         }
       in
-      let rng = Rng.make (Hashtbl.hash ("abl-bcf", prob)) in
-      let split =
-        Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 12)
-          ~test_per_class:(scale 4)
+      let acc =
+        abl_rf_accuracy
+          (Hashtbl.hash ("abl-bcf", prob))
+          E.Embedding.histogram (G.Game.game1 evader)
       in
-      let p = prepare (Rng.split rng) (G.Game.game1 evader) E.Embedding.histogram split in
-      let acc, _, _ = eval_model (Rng.split rng) ~n_classes Ml.Model.rf p in
       Printf.printf "%-8.2f %10.2f %10.2f %10.4f\n%!" prob (Ml.Metrics.mean ds)
         (Ml.Metrics.mean slows) acc)
     [ 0.25; 0.5; 0.75; 1.0 ]
@@ -1675,7 +1553,11 @@ let abl_rf_trees () =
     Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 20)
       ~test_per_class:(scale 6)
   in
-  let p = prepare (Rng.split rng) G.Game.game0 E.Embedding.histogram split in
+  let train_mods, test_mods =
+    G.Arena.build_modules (Rng.split rng) G.Game.game0 split
+  in
+  let xs = G.Arena.embed_fmat E.Embedding.histogram train_mods in
+  let xs_test = G.Arena.embed_fmat E.Embedding.histogram test_mods in
   Printf.printf "%-8s %10s %10s\n" "trees" "accuracy" "train(s)";
   List.iter
     (fun n_trees ->
@@ -1683,18 +1565,17 @@ let abl_rf_trees () =
       let params = { Ml.Random_forest.n_trees; max_depth = 24 } in
       let trained =
         Ml.Random_forest.train ~params (Rng.make 3) ~n_classes
-          (Ml.Fblock.Mem p.xs_train) p.ys_train
+          (Ml.Fblock.Mem xs) (Array.map snd train_mods)
       in
-      let pred = Ml.Random_forest.predict_batch trained p.xs_test in
+      let pred = Ml.Random_forest.predict_batch trained xs_test in
       Printf.printf "%-8d %10.4f %10.2f\n%!" n_trees
-        (Ml.Metrics.accuracy p.ys_test pred)
+        (Ml.Metrics.accuracy (Array.map snd test_mods) pred)
         (Yali.Exec.Telemetry.clock () -. t0))
     [ 4; 8; 16; 32; 64; 128 ]
 
 (* Raw opcode counts vs. L1-normalized proportions *)
 let abl_histogram_norm () =
   header "Ablation: raw vs. L1-normalized histograms (rf, Game0 and Game1-ollvm)";
-  let n_classes = scale 16 in
   let normalized =
     { E.Embedding.name = "histogram-l1"; kind = E.Embedding.Flat E.Histogram.normalized_of_module }
   in
@@ -1702,14 +1583,7 @@ let abl_histogram_norm () =
   List.iter
     (fun (e : E.Embedding.t) ->
       let cell setup =
-        let rng = Rng.make (Hashtbl.hash ("abl-h", e.name)) in
-        let split =
-          Yali.Dataset.Poj.make rng ~n_classes ~train_per_class:(scale 12)
-            ~test_per_class:(scale 4)
-        in
-        let p = prepare (Rng.split rng) setup e split in
-        let acc, _, _ = eval_model (Rng.split rng) ~n_classes Ml.Model.rf p in
-        acc
+        abl_rf_accuracy (Hashtbl.hash ("abl-h", e.name)) e setup
       in
       Printf.printf "%-14s %10.4f %14.4f\n%!" e.name (cell G.Game.game0)
         (cell (G.Game.game1 Ob.Evader.ollvm)))
@@ -1765,192 +1639,112 @@ let figures =
 let telemetry_out = ref None
 let json_out = ref None
 
-(* flags come as "--flag value" or "--flag=value" *)
-let parse_args (args : string list) : string list =
-  let valued ~flag ~set = function
-    | [] ->
-        Printf.eprintf "%s expects a value\n" flag;
-        exit 2
-    | v :: rest ->
-        set v;
-        rest
+let bad_usage fmt =
+  Printf.kfprintf
+    (fun _ ->
+      prerr_string
+        "\nusage: main.exe [--quick] [--rounds N] [--jobs N] [--rss-cap-mb MB]\n\
+        \                [--telemetry FILE] [--json FILE] [TARGET...]\n\
+         targets: fig5..fig16, all (the default), abl-*, ablations,\n\
+        \         kernels, interp, serve, corpus, adapt, nn\n\
+         each flag also takes --flag=VALUE\n";
+      exit 2)
+    stderr fmt
+
+(* the targets a command line names, every one resolved before any runs *)
+let parse_args (args : string list) : (string * (unit -> unit)) list =
+  let positive flag parse zero v =
+    match parse v with
+    | Some x when x > zero -> x
+    | _ -> bad_usage "%s expects a positive number, got %s" flag v
   in
-  let starts_with p a =
-    String.length a > String.length p && String.sub a 0 (String.length p) = p
-  in
-  let cut p a = String.sub a (String.length p) (String.length a - String.length p) in
-  let set_jobs v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> Yali.Exec.Pool.set_jobs n
-    | _ ->
-        Printf.eprintf "--jobs expects a positive integer, got %s\n" v;
-        exit 2
-  in
-  let set_rss_cap v =
-    match float_of_string_opt v with
-    | Some f when f > 0.0 -> rss_cap_mb := f
-    | _ ->
-        Printf.eprintf "--rss-cap-mb expects a positive number, got %s\n" v;
-        exit 2
-  in
-  let set_engine v =
-    match Yali.Execution.engine_of_string v with
-    | Some e -> Yali.Execution.set_engine e
-    | None ->
-        Printf.eprintf "--engine expects vm or ref, got %s\n" v;
-        exit 2
-  in
-  (* fail on an unwritable report path now, not after a long figure run *)
-  let set_telemetry v =
-    (try close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 v)
-     with Sys_error msg ->
-       Printf.eprintf "--telemetry: cannot write %s\n" msg;
-       exit 2);
-    telemetry_out := Some v
+  let valued =
+    [
+      ("--rounds", fun v -> rounds_override := Some (positive "--rounds" int_of_string_opt 0 v));
+      ("--jobs", fun v -> Yali.Exec.Pool.set_jobs (positive "--jobs" int_of_string_opt 0 v));
+      ("--rss-cap-mb", fun v -> rss_cap_mb := positive "--rss-cap-mb" float_of_string_opt 0.0 v);
+      ( "--telemetry",
+        fun v ->
+          (* fail on an unwritable report path now, not after a long run *)
+          (try close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 v)
+           with Sys_error msg -> bad_usage "--telemetry: cannot write %s" msg);
+          telemetry_out := Some v );
+      ("--json", fun v -> json_out := Some v);
+    ]
   in
   let rec go acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->
         quick := true;
         go acc rest
-    | a :: rest when starts_with "--rounds=" a ->
-        rounds_override := int_of_string_opt (cut "--rounds=" a);
-        go acc rest
-    | "--rss-cap-mb" :: rest ->
-        go acc (valued ~flag:"--rss-cap-mb" ~set:set_rss_cap rest)
-    | a :: rest when starts_with "--rss-cap-mb=" a ->
-        set_rss_cap (cut "--rss-cap-mb=" a);
-        go acc rest
-    | "--jobs" :: rest -> go acc (valued ~flag:"--jobs" ~set:set_jobs rest)
-    | a :: rest when starts_with "--jobs=" a ->
-        set_jobs (cut "--jobs=" a);
-        go acc rest
-    | "--engine" :: rest -> go acc (valued ~flag:"--engine" ~set:set_engine rest)
-    | a :: rest when starts_with "--engine=" a ->
-        set_engine (cut "--engine=" a);
-        go acc rest
-    | "--telemetry" :: rest ->
-        go acc (valued ~flag:"--telemetry" ~set:set_telemetry rest)
-    | a :: rest when starts_with "--telemetry=" a ->
-        set_telemetry (cut "--telemetry=" a);
-        go acc rest
-    | "--json" :: rest ->
-        go acc (valued ~flag:"--json" ~set:(fun v -> json_out := Some v) rest)
-    | a :: rest when starts_with "--json=" a ->
-        json_out := Some (cut "--json=" a);
-        go acc rest
-    | a :: rest -> go (a :: acc) rest
+    | flag :: rest when List.mem_assoc flag valued -> (
+        match rest with
+        | v :: rest ->
+            List.assoc flag valued v;
+            go acc rest
+        | [] -> bad_usage "%s expects a value" flag)
+    | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" -> (
+        match String.index_opt a '=' with
+        | Some i when List.mem_assoc (String.sub a 0 i) valued ->
+            List.assoc (String.sub a 0 i) valued
+              (String.sub a (i + 1) (String.length a - i - 1));
+            go acc rest
+        | _ -> bad_usage "unknown flag %s" a)
+    | name :: rest -> go (name :: acc) rest
   in
-  go [] args
+  let target name =
+    match List.assoc_opt name (figures @ ablations) with
+    | Some f -> [ (name, f) ]
+    | None -> (
+        match List.find_opt (fun g -> g.name = name) gates with
+        | Some g -> [ (name, fun () -> run_gate g) ]
+        | None -> bad_usage "unknown target %s" name)
+  in
+  let names = match go [] args with [] -> [ "all" ] | names -> names in
+  List.concat_map
+    (function "all" -> figures | "ablations" -> ablations | name -> target name)
+    names
 
-(* machine-readable run summary, e.g. for the CI perf-trajectory artifact.
-   Sections with no recorded results (their target didn't run) are omitted
-   rather than emitted as empty arrays, so a quick-mode [interp]-only run
-   doesn't ship a meaningless "kernels": []. *)
-let write_json path ~total (timings : (string * float) list) =
-  let oc = open_out path in
-  let extra_field (k, v) =
-    if v = "true" || v = "false" || float_of_string_opt v <> None then
-      Printf.fprintf oc ", \"%s\": %s" k v
-    else Printf.fprintf oc ", \"%s\": \"%s\"" k v
-  in
-  (* one before/after results section: name + the two timing field names *)
-  let section name (field_a, field_b) items =
-    if items <> [] then begin
-      Printf.fprintf oc ",\n  \"%s\": [\n" name;
-      List.iteri
-        (fun i (nm, a, b, extras) ->
-          Printf.fprintf oc
-            "    {\"name\": \"%s\", \"%s\": %.4f, \"%s\": %.4f, \"speedup\": %.2f"
-            nm field_a a field_b b (a /. b);
-          List.iter extra_field extras;
-          Printf.fprintf oc "}%s\n"
-            (if i = List.length items - 1 then "" else ","))
-        items;
-      Printf.fprintf oc "  ]"
-    end
-  in
-  Printf.fprintf oc "{\n  \"quick\": %b,\n  \"jobs\": %d,\n" !quick
-    (Yali.Exec.Pool.get_jobs ());
-  Printf.fprintf oc "  \"total_seconds\": %.3f,\n  \"targets\": [\n" total;
-  List.iteri
-    (fun i (name, secs) ->
-      Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.3f}%s\n" name
-        secs
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  Printf.fprintf oc "  ]";
-  section "kernels" ("reference_seconds", "fmat_seconds")
-    (List.rev !kernel_results);
-  section "vm" ("reference_seconds", "vm_seconds") (List.rev !vm_results);
-  let f5 = List.rev !fig5_results in
-  if f5 <> [] then begin
-    Printf.fprintf oc ",\n  \"fig5\": [\n";
-    List.iteri
-      (fun i (nm, m, s, tput) ->
-        Printf.fprintf oc
-          "    {\"name\": \"%s\", \"accuracy_mean\": %.4f, \"accuracy_std\": \
-           %.4f, \"train_rows_per_s\": %.1f}%s\n"
-          nm m s tput
-          (if i = List.length f5 - 1 then "" else ","))
-      f5;
-    Printf.fprintf oc "  ]"
-  end;
-  let splits = List.rev !engine_splits in
-  if splits <> [] then begin
-    Printf.fprintf oc ",\n  \"engine_splits\": [\n";
-    List.iteri
-      (fun i (workload, engine, compile_s, run_s) ->
-        Printf.fprintf oc
-          "    {\"name\": \"%s/%s\", \"compile_seconds\": %.4f, \
-           \"run_seconds\": %.4f}%s\n"
-          workload engine compile_s run_s
-          (if i = List.length splits - 1 then "" else ","))
-      splits;
-    Printf.fprintf oc "  ]"
-  end;
-  Printf.fprintf oc "\n}\n";
-  close_out oc
+(* the --json run summary: per-target wall seconds and Figure 5's
+   per-embedding results, e.g. for the CI perf-trajectory artifact *)
+let write_summary path ~total (timings : (string * float) list) =
+  let fig5 = List.rev !fig5_results in
+  J.write path
+    (J.Obj
+       (run_header ()
+       @ [
+           ("total_seconds", J.Fixed (3, total));
+           ( "targets",
+             J.List
+               (List.map
+                  (fun (name, secs) ->
+                    J.Obj [ ("name", J.String name); ("seconds", J.Fixed (3, secs)) ])
+                  timings) );
+         ]
+       @ if fig5 = [] then [] else [ ("fig5", J.List fig5) ]))
 
 let () =
-  if Array.length Sys.argv >= 4 && Sys.argv.(1) = serve_daemon_flag then
-    serve_daemon ();
-  let args = parse_args (List.tl (Array.to_list Sys.argv)) in
-  let t0 = Yali.Exec.Telemetry.clock () in
-  let timings = ref [] in
-  let timed name f =
-    let s0 = Yali.Exec.Telemetry.clock () in
-    f ();
-    timings := (name, Yali.Exec.Telemetry.clock () -. s0) :: !timings
+  (match Array.to_list Sys.argv with
+  | [ _; flag; socket; registry; kind ] when flag = serve_daemon_flag ->
+      serve_daemon socket registry kind
+  | _ -> ());
+  let targets = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let t0 = clock () in
+  let timings =
+    List.map
+      (fun (name, f) ->
+        let s0 = clock () in
+        f ();
+        (name, clock () -. s0))
+      targets
   in
-  (match args with
-  | [] | [ "all" ] -> List.iter (fun (name, f) -> timed name f) figures
-  | [ "ablations" ] -> List.iter (fun (name, f) -> timed name f) ablations
-  | names ->
-      List.iter
-        (fun name ->
-          if name = "micro" then timed "micro" micro
-          else if name = "kernels" then timed "kernels" kernels
-          else if name = "interp" then timed "interp" interp
-          else if name = "serve" then timed "serve" serve
-          else if name = "corpus" then timed "corpus" corpus_bench
-          else if name = "adapt" then timed "adapt" adapt_bench
-          else if name = "nn" then timed "nn" nn_bench
-          else
-            match List.assoc_opt name (figures @ ablations) with
-            | Some f -> timed name f
-            | None ->
-                Printf.eprintf
-                  "unknown target %s (expected fig5..fig16, abl-*, ablations, micro, kernels, interp, serve, corpus, adapt, nn, all)\n"
-                  name)
-        names);
-  let total = Yali.Exec.Telemetry.clock () -. t0 in
+  let total = clock () -. t0 in
   Printf.printf "\ntotal time: %.1fs (jobs=%d)\n" total
     (Yali.Exec.Pool.get_jobs ());
   (match !json_out with
   | None -> ()
   | Some path ->
-      write_json path ~total (List.rev !timings);
+      write_summary path ~total timings;
       Printf.printf "bench summary written to %s\n" path);
   match !telemetry_out with
   | None -> ()

@@ -175,49 +175,42 @@ let run ?(log = ignore) ?oracle_for (cfg : config) : report =
 
 (* -- report rendering ------------------------------------------------------- *)
 
-let json_front (f : model_front) : string =
-  let b = Buffer.create 512 in
-  Printf.bprintf b
-    "{\"base_evasion\": %.4f, \"best_evasion\": %.4f, \"best_cost\": %.4f, \
-     \"best_fitness\": %.4f, \"best_seq\": %S, \"evals\": %d, \
-     \"front_points\": %d, \"front\": ["
-    f.mf_base.Fitness.e_evasion f.mf_best.Fitness.e_evasion
-    f.mf_best.Fitness.e_cost f.mf_best.Fitness.e_fitness
-    (Seqspace.to_string f.mf_best.Fitness.e_seq)
-    f.mf_evals
-    (List.length f.mf_front);
-  List.iteri
-    (fun i (p : Pareto.point) ->
-      Printf.bprintf b
-        "%s{\"cost_multiplier\": %.4f, \"evasion_rate\": %.4f, \"seq\": %S}"
-        (if i = 0 then "" else ", ")
-        p.p_cost p.p_evasion p.p_seq)
-    f.mf_front;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let report_json (cfg : config) (r : report) : Yali_util.Json.t =
+  let module J = Yali_util.Json in
+  let point (p : Pareto.point) =
+    J.Obj
+      [
+        ("cost_multiplier", J.Fixed (4, p.p_cost));
+        ("evasion_rate", J.Fixed (4, p.p_evasion));
+        ("seq", J.String p.p_seq);
+      ]
+  in
+  let front f =
+    J.Obj
+      [
+        ("base_evasion", J.Fixed (4, f.mf_base.Fitness.e_evasion));
+        ("best_evasion", J.Fixed (4, f.mf_best.Fitness.e_evasion));
+        ("best_cost", J.Fixed (4, f.mf_best.Fitness.e_cost));
+        ("best_fitness", J.Fixed (4, f.mf_best.Fitness.e_fitness));
+        ("best_seq", J.String (Seqspace.to_string f.mf_best.Fitness.e_seq));
+        ("evals", J.Int f.mf_evals);
+        ("front_points", J.Int (List.length f.mf_front));
+        ("front", J.List (List.map point f.mf_front));
+      ]
+  in
+  J.Obj
+    [
+      ("seed", J.Int cfg.a_seed);
+      ("algo", J.String (Search.algo_to_string cfg.a_algo));
+      ("budget", J.Int cfg.a_budget);
+      ("max_len", J.Int cfg.a_max_len);
+      ("lambda", J.Fixed (4, cfg.a_lambda));
+      ("classes", J.Int cfg.a_classes);
+      ("challenges", J.Int r.r_challenges);
+      ("models", J.Obj (List.map (fun f -> (f.mf_kind, front f)) r.r_fronts));
+    ]
 
-let report_to_json (cfg : config) (r : report) : string =
-  let b = Buffer.create 2048 in
-  Printf.bprintf b
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"algo\": %S,\n\
-    \  \"budget\": %d,\n\
-    \  \"max_len\": %d,\n\
-    \  \"lambda\": %.4f,\n\
-    \  \"classes\": %d,\n\
-    \  \"challenges\": %d,\n\
-    \  \"models\": {\n"
-    cfg.a_seed
-    (Search.algo_to_string cfg.a_algo)
-    cfg.a_budget cfg.a_max_len cfg.a_lambda cfg.a_classes r.r_challenges;
-  List.iteri
-    (fun i f ->
-      Printf.bprintf b "    %S: %s%s\n" f.mf_kind (json_front f)
-        (if i = List.length r.r_fronts - 1 then "" else ","))
-    r.r_fronts;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+let report_to_json cfg r = Yali_util.Json.pretty (report_json cfg r) ^ "\n"
 
 (** Two reports are bit-identical — the via-serve acceptance check. *)
 let reports_identical (a : report) (b : report) : bool =

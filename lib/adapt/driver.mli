@@ -66,7 +66,11 @@ val run :
   config ->
   report
 
-(** The report as JSON (the [BENCH_adapt.json] / [--out] payload). *)
+(** The report as a JSON value (the [report] section of
+    [BENCH_adapt.json]). *)
+val report_json : config -> report -> Yali_util.Json.t
+
+(** {!report_json} printed (the [--out] payload). *)
 val report_to_json : config -> report -> string
 
 (** Structural identity of two reports — the via-serve acceptance check. *)

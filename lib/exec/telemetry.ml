@@ -9,15 +9,12 @@ type report = {
   r_spans : (string * span_stat) list;
 }
 
-type sink = { on_incr : string -> int -> unit; on_span : string -> float -> unit }
-
 let lock = Mutex.create ()
 let counters : (string, int ref) Hashtbl.t = Hashtbl.create 64
 
 type mutable_span = { mutable count : int; mutable seconds : float }
 
 let spans : (string, mutable_span) Hashtbl.t = Hashtbl.create 64
-let sink : sink option ref = ref None
 
 let locked f =
   Mutex.lock lock;
@@ -41,18 +38,15 @@ let clock () =
   Mutex.unlock clock_lock;
   t
 
-let cpu_clock () = Sys.time ()
-
 (* ------------------------------------------------------------------ *)
 (* events                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let incr ?(by = 1) name =
   locked (fun () ->
-      (match Hashtbl.find_opt counters name with
+      match Hashtbl.find_opt counters name with
       | Some r -> r := !r + by
-      | None -> Hashtbl.replace counters name (ref by));
-      match !sink with Some s -> s.on_incr name by | None -> ())
+      | None -> Hashtbl.replace counters name (ref by))
 
 let counter name =
   locked (fun () ->
@@ -60,18 +54,15 @@ let counter name =
 
 let record_span name seconds =
   locked (fun () ->
-      (match Hashtbl.find_opt spans name with
+      match Hashtbl.find_opt spans name with
       | Some s ->
           s.count <- s.count + 1;
           s.seconds <- s.seconds +. seconds
-      | None -> Hashtbl.replace spans name { count = 1; seconds });
-      match !sink with Some s -> s.on_span name seconds | None -> ())
+      | None -> Hashtbl.replace spans name { count = 1; seconds })
 
 let with_span name f =
   let t0 = clock () in
   Fun.protect ~finally:(fun () -> record_span name (clock () -. t0)) f
-
-let set_sink s = locked (fun () -> sink := s)
 
 (* ------------------------------------------------------------------ *)
 (* reporting                                                           *)
@@ -96,45 +87,73 @@ let reset () =
       Hashtbl.reset counters;
       Hashtbl.reset spans)
 
-(* counter and span names are plain identifiers, but escape defensively *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let to_json () =
+let report_json () =
+  let module J = Yali_util.Json in
   let r = snapshot () in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n    %s: %d" (json_string name) v))
-    r.r_counters;
-  Buffer.add_string b "\n  },\n  \"spans\": {";
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n    %s: {\"count\": %d, \"seconds\": %.6f}"
-           (json_string name) s.span_count s.span_seconds))
-    r.r_spans;
-  Buffer.add_string b "\n  }\n}\n";
-  Buffer.contents b
+  let span (name, s) =
+    ( name,
+      J.Obj
+        [ ("count", J.Int s.span_count); ("seconds", J.Fixed (6, s.span_seconds)) ]
+    )
+  in
+  J.Obj
+    [
+      ("counters", J.Obj (List.map (fun (name, v) -> (name, J.Int v)) r.r_counters));
+      ("spans", J.Obj (List.map span r.r_spans));
+    ]
 
-let write_json path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ()))
+let to_json () = Yali_util.Json.pretty (report_json ()) ^ "\n"
+let write_json path = Yali_util.Json.write path (report_json ())
+
+(* ------------------------------------------------------------------ *)
+(* histograms                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Histogram = struct
+  (* Values below [sub] get a bucket each.  Above, every power-of-two
+     range [2^e, 2^(e+1)) splits into [sub] equal buckets, so a bucket is
+     at most 1/[sub] of its lower bound wide; reporting its midpoint is
+     within 1/(2*[sub]) of any value in it. *)
+  let sub_bits = 4
+  let sub = 1 lsl sub_bits
+  let n_buckets = sub + ((Sys.int_size - 1 - sub_bits) * sub)
+
+  type t = { buckets : int array; mutable count : int }
+
+  let create () = { buckets = Array.make n_buckets 0; count = 0 }
+
+  let reset h =
+    Array.fill h.buckets 0 n_buckets 0;
+    h.count <- 0
+
+  let rec msb v = if v <= 1 then 0 else 1 + msb (v lsr 1)
+
+  let index v =
+    if v < sub then max v 0
+    else
+      let shift = msb v - sub_bits in
+      sub + (shift * sub) + ((v lsr shift) - sub)
+
+  (* the midpoint of a bucket: exact below [sub] *)
+  let value_of i =
+    if i < sub then i
+    else
+      let shift = (i - sub) / sub in
+      let lo = (sub + ((i - sub) mod sub)) lsl shift in
+      lo + ((1 lsl shift) / 2)
+
+  let add h v =
+    let i = index v in
+    h.buckets.(i) <- h.buckets.(i) + 1;
+    h.count <- h.count + 1
+
+  let quantile h q =
+    if h.count = 0 then 0
+    else
+      let rank = min (h.count - 1) (int_of_float ((float_of_int (h.count - 1) *. q) +. 0.5)) in
+      let rec find i seen =
+        let seen = seen + h.buckets.(i) in
+        if seen > rank then value_of i else find (i + 1) seen
+      in
+      find 0 0
+end

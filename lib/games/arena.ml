@@ -49,12 +49,6 @@ let build_modules (rng : Rng.t) (setup : Game.setup)
       in
       (train, test))
 
-let eval_predictions ~(n_classes : int) (truth : int array) (pred : int array)
-    : float * float =
-  let acc = Ml.Metrics.accuracy truth pred in
-  let f1 = Ml.Metrics.macro_f1 (Ml.Metrics.confusion ~n_classes truth pred) in
-  (acc, f1)
-
 (** Embed a module array straight into a flat feature matrix: each
     embedding vector is written into its row of one contiguous block, so no
     intermediate [float array array] is ever materialised. *)
@@ -64,72 +58,62 @@ let embed_fmat (embedding : E.Embedding.t) (mods : (Irmod.t * int) array) :
       Ml.Fmat.parallel_of_fn ~n:(Array.length mods) (fun i ->
           E.Embedding.to_flat_cached embedding (fst mods.(i))))
 
-(** Run a game with a flat model over a flat (or flattened) embedding. *)
-let run_flat (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
-    (model : Ml.Model.flat) (setup : Game.setup)
-    (split : Yali_dataset.Poj.split) : result =
-  let train_mods, test_mods = build_modules (Rng.split rng) setup split in
-  let xs = embed_fmat embedding train_mods in
-  let ys = Array.map snd train_mods in
+type modules = (Irmod.t * int) array * (Irmod.t * int) array
+
+(* train under the arena.train span, predict under arena.predict, score *)
+let score ~n_classes ~n_train ~train ~predict ~size (test_mods : (Irmod.t * int) array) =
   let t0 = Exec.Telemetry.clock () in
-  let trained =
-    Exec.Telemetry.with_span "arena.train" (fun () ->
-        model.ftrain (Rng.split rng) ~n_classes xs ys)
-  in
+  let trained = Exec.Telemetry.with_span "arena.train" train in
   let train_seconds = Exec.Telemetry.clock () -. t0 in
   let truth = Array.map snd test_mods in
-  let challenges = embed_fmat embedding test_mods in
-  let pred =
-    Exec.Telemetry.with_span "arena.predict" (fun () ->
-        trained.predict_batch challenges)
-  in
-  let accuracy, f1 = eval_predictions ~n_classes truth pred in
+  let pred = Exec.Telemetry.with_span "arena.predict" (fun () -> predict trained) in
   {
-    accuracy;
-    f1;
-    model_bytes = trained.size_bytes;
+    accuracy = Ml.Metrics.accuracy truth pred;
+    f1 = Ml.Metrics.macro_f1 (Ml.Metrics.confusion ~n_classes truth pred);
+    model_bytes = size trained;
     train_seconds;
-    n_train = xs.Ml.Fmat.n;
+    n_train;
     n_test = Array.length truth;
   }
 
-(** Run a game with the DGCNN over a graph embedding (flat embeddings are
-    wrapped as single-node graphs, mirroring the paper's note that the graph
-    layers "find no service" on arrays). *)
-let run_graph (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
-    (setup : Game.setup) (split : Yali_dataset.Poj.split) : result =
-  let train_mods, test_mods = build_modules (Rng.split rng) setup split in
+let flat_cell (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
+    (model : Ml.Model.flat) ((train_mods, test_mods) : modules) : result =
+  let xs = embed_fmat embedding train_mods in
+  let challenges = embed_fmat embedding test_mods in
+  score ~n_classes ~n_train:xs.Ml.Fmat.n test_mods
+    ~train:(fun () -> model.ftrain rng ~n_classes xs (Array.map snd train_mods))
+    ~predict:(fun (t : Ml.Model.trained) -> t.predict_batch challenges)
+    ~size:(fun t -> t.size_bytes)
+
+(** Flat embeddings are wrapped as single-node graphs, mirroring the
+    paper's note that the graph layers "find no service" on arrays. *)
+let graph_cell (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
+    ((train_mods, test_mods) : modules) : result =
   let embed m = E.Embedding.to_graph_cached embedding m in
   let graphs =
     Exec.Telemetry.with_span "arena.embed" (fun () ->
         Exec.Pool.parallel_array_map (fun (m, _) -> embed m) train_mods)
   in
-  let ys = Array.map snd train_mods in
   let feat_dim =
     if Array.length graphs = 0 then 1 else graphs.(0).E.Graph.feat_dim
   in
-  let t0 = Exec.Telemetry.clock () in
-  let trained =
-    Exec.Telemetry.with_span "arena.train" (fun () ->
-        Ml.Model.dgcnn.gtrain (Rng.split rng) ~n_classes ~feat_dim graphs ys)
-  in
-  let train_seconds = Exec.Telemetry.clock () -. t0 in
-  let truth = Array.map snd test_mods in
-  let pred =
-    Exec.Telemetry.with_span "arena.predict" (fun () ->
-        Exec.Pool.parallel_array_map
-          (fun (m, _) -> trained.gpredict (embed m))
-          test_mods)
-  in
-  let accuracy, f1 = eval_predictions ~n_classes truth pred in
-  {
-    accuracy;
-    f1;
-    model_bytes = trained.gsize_bytes;
-    train_seconds;
-    n_train = Array.length graphs;
-    n_test = Array.length truth;
-  }
+  score ~n_classes ~n_train:(Array.length graphs) test_mods
+    ~train:(fun () ->
+      Ml.Model.dgcnn.gtrain rng ~n_classes ~feat_dim graphs (Array.map snd train_mods))
+    ~predict:(fun (t : Ml.Model.gtrained) ->
+      Exec.Pool.parallel_array_map (fun (m, _) -> t.gpredict (embed m)) test_mods)
+    ~size:(fun t -> t.gsize_bytes)
+
+let run_flat (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
+    (model : Ml.Model.flat) (setup : Game.setup)
+    (split : Yali_dataset.Poj.split) : result =
+  let mods = build_modules (Rng.split rng) setup split in
+  flat_cell (Rng.split rng) ~n_classes embedding model mods
+
+let run_graph (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
+    (setup : Game.setup) (split : Yali_dataset.Poj.split) : result =
+  let mods = build_modules (Rng.split rng) setup split in
+  graph_cell (Rng.split rng) ~n_classes embedding mods
 
 (** The model used for the embedding-comparison experiments (RQ1): dgcnn on
     graph embeddings, its cnn truncation on flat ones — exactly the paper's

@@ -27,7 +27,33 @@ val embed_fmat :
   (Yali_ir.Irmod.t * int) array ->
   Yali_ml.Fmat.t
 
-(** Run a game with a flat model (graph embeddings are flattened). *)
+(** The training modules and the challenges of one round, as
+    {!build_modules} returns them. *)
+type modules = (Yali_ir.Irmod.t * int) array * (Yali_ir.Irmod.t * int) array
+
+(** One arena cell with a flat model over modules already built: embed
+    both halves, train on the given rng (unsplit), predict the
+    challenges.  A figure row builds a round's modules once and runs one
+    cell per model over them. *)
+val flat_cell :
+  Yali_util.Rng.t ->
+  n_classes:int ->
+  Yali_embeddings.Embedding.t ->
+  Yali_ml.Model.flat ->
+  modules ->
+  result
+
+(** One arena cell with the DGCNN over a graph embedding, as {!flat_cell}. *)
+val graph_cell :
+  Yali_util.Rng.t ->
+  n_classes:int ->
+  Yali_embeddings.Embedding.t ->
+  modules ->
+  result
+
+(** Run a game with a flat model (graph embeddings are flattened):
+    {!build_modules} on the first split of the rng, then {!flat_cell} on
+    the second. *)
 val run_flat :
   Yali_util.Rng.t ->
   n_classes:int ->
@@ -37,7 +63,8 @@ val run_flat :
   Yali_dataset.Poj.split ->
   result
 
-(** Run a game with the DGCNN over a graph embedding. *)
+(** Run a game with the DGCNN over a graph embedding: {!build_modules},
+    then {!graph_cell}, as {!run_flat}. *)
 val run_graph :
   Yali_util.Rng.t ->
   n_classes:int ->

@@ -30,7 +30,7 @@ type counters = {
   mutable errors : int;
   mutable batches : int;
   batch_hist : (int, int) Hashtbl.t;  (** batch size -> dispatches *)
-  mutable waits_us : int list;  (** queue waits of served requests *)
+  waits_us : Telemetry.Histogram.t;  (** queue waits of served requests *)
   mutable started : float;
 }
 
@@ -42,47 +42,44 @@ let counters =
     errors = 0;
     batches = 0;
     batch_hist = Hashtbl.create 16;
-    waits_us = [];
+    waits_us = Telemetry.Histogram.create ();
     started = 0.0;
   }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (int_of_float (float_of_int (n - 1) *. q +. 0.5)))
-
+(* the reply to a [Wire.Stats] request (see [Client.stats]) *)
 let stats_json () =
-  let b = Buffer.create 512 in
+  let module J = Yali_util.Json in
   let hist =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters.batch_hist []
     |> List.sort compare
   in
-  let waits = Array.of_list counters.waits_us in
-  Array.sort compare waits;
+  let wait q = J.Int (Telemetry.Histogram.quantile counters.waits_us q) in
   let cache = Embedding.flat_cache_stats () in
-  Buffer.add_string b "{";
-  Printf.bprintf b "\"requests\": %d, " counters.requests;
-  Printf.bprintf b "\"served\": %d, " counters.served;
-  Printf.bprintf b "\"busy\": %d, " counters.busy;
-  Printf.bprintf b "\"errors\": %d, " counters.errors;
-  Printf.bprintf b "\"batches\": %d, " counters.batches;
-  Printf.bprintf b "\"uptime_seconds\": %.3f, "
-    (Telemetry.clock () -. counters.started);
-  Printf.bprintf b "\"queue_wait_us\": {\"p50\": %d, \"p99\": %d}, "
-    (percentile waits 0.5) (percentile waits 0.99);
-  Buffer.add_string b "\"batch_hist\": {";
-  List.iteri
-    (fun i (size, count) ->
-      Printf.bprintf b "%s\"%d\": %d" (if i = 0 then "" else ", ") size count)
-    hist;
-  Buffer.add_string b "}, ";
-  Printf.bprintf b
-    "\"embed_cache\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"size\": %d, \"capacity\": %d, \"hit_rate\": %.4f}"
-    cache.Cache.hits cache.Cache.misses cache.Cache.evictions
-    cache.Cache.size cache.Cache.capacity (Cache.hit_rate cache);
-  Buffer.add_string b "}";
-  Buffer.contents b
+  J.to_string
+    (J.Obj
+       [
+         ("requests", J.Int counters.requests);
+         ("served", J.Int counters.served);
+         ("busy", J.Int counters.busy);
+         ("errors", J.Int counters.errors);
+         ("batches", J.Int counters.batches);
+         ( "uptime_seconds",
+           J.Fixed (3, Telemetry.clock () -. counters.started) );
+         ("queue_wait_us", J.Obj [ ("p50", wait 0.5); ("p99", wait 0.99) ]);
+         ( "batch_hist",
+           J.Obj (List.map (fun (size, n) -> (string_of_int size, J.Int n)) hist)
+         );
+         ( "embed_cache",
+           J.Obj
+             [
+               ("hits", J.Int cache.Cache.hits);
+               ("misses", J.Int cache.Cache.misses);
+               ("evictions", J.Int cache.Cache.evictions);
+               ("size", J.Int cache.Cache.size);
+               ("capacity", J.Int cache.Cache.capacity);
+               ("hit_rate", J.Fixed (4, Cache.hit_rate cache));
+             ] );
+       ])
 
 let reset_counters () =
   counters.requests <- 0;
@@ -91,7 +88,7 @@ let reset_counters () =
   counters.errors <- 0;
   counters.batches <- 0;
   Hashtbl.reset counters.batch_hist;
-  counters.waits_us <- [];
+  Telemetry.Histogram.reset counters.waits_us;
   counters.started <- Telemetry.clock ()
 
 (* -- the loop -------------------------------------------------------------- *)
@@ -241,7 +238,7 @@ let dispatch st =
             int_of_float ((now -. p.arrival) *. 1_000_000.0)
           in
           counters.served <- counters.served + 1;
-          counters.waits_us <- queue_us :: counters.waits_us;
+          Telemetry.Histogram.add counters.waits_us queue_us;
           match p.want with
           | Want_class ->
               send p.origin

@@ -31,9 +31,3 @@ val default : config
     shutdown; [Error] on setup failures (unresolvable model spec, unknown
     embedding, unbindable socket). *)
 val run : config -> (unit, string) result
-
-(** The daemon's telemetry snapshot as JSON — also what a {!Wire.Stats}
-    request returns: request/batch/busy/error counters, the batch-size
-    histogram, queue-wait quantiles, and the embedding cache's
-    hit/miss/eviction statistics ({!Yali_exec.Cache.stats}). *)
-val stats_json : unit -> string

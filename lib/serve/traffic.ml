@@ -11,17 +11,6 @@ type cfg = {
   log : string -> unit;
 }
 
-let default =
-  {
-    socket = "yali.sock";
-    clients = 8;
-    requests = 200;
-    seed = 42;
-    n_classes = 8;
-    per_class = 3;
-    log = ignore;
-  }
-
 type result = {
   t_classified : int;
   t_busy : int;
@@ -53,16 +42,11 @@ type flight = {
   mutable sent_at : float;
 }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (int_of_float (float_of_int (n - 1) *. q +. 0.5)))
-
 let run cfg =
   let pool = build_pool cfg in
   if Array.length pool = 0 then invalid_arg "Traffic.run: empty program pool";
   let classified = ref 0 and busy = ref 0 and errors = ref 0 in
-  let latencies = ref [] in
+  let latencies = Telemetry.Histogram.create () in
   let batch_hist = Hashtbl.create 16 in
   let verdicts = Array.make (Array.length pool) (-1) in
   let deterministic = ref true in
@@ -129,7 +113,7 @@ let run cfg =
                           int_of_float
                             ((Telemetry.clock () -. f.sent_at) *. 1_000_000.)
                         in
-                        latencies := us :: !latencies;
+                        Telemetry.Histogram.add latencies us;
                         Hashtbl.replace batch_hist batch
                           (1
                           + Option.value ~default:0
@@ -160,8 +144,6 @@ let run cfg =
   done;
   Hashtbl.iter (fun _ f -> Client.close f.client) inflight;
   let seconds = Telemetry.clock () -. started in
-  let lat = Array.of_list !latencies in
-  Array.sort compare lat;
   {
     t_classified = !classified;
     t_busy = !busy;
@@ -169,30 +151,28 @@ let run cfg =
     t_seconds = seconds;
     t_throughput =
       (if seconds > 0.0 then float_of_int !classified /. seconds else 0.0);
-    t_p50_us = percentile lat 0.5;
-    t_p99_us = percentile lat 0.99;
+    t_p50_us = Telemetry.Histogram.quantile latencies 0.5;
+    t_p99_us = Telemetry.Histogram.quantile latencies 0.99;
     t_batch_hist =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) batch_hist []
       |> List.sort compare;
     t_deterministic = !deterministic;
   }
 
-let result_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{";
-  Printf.bprintf b "\"classified\": %d, " r.t_classified;
-  Printf.bprintf b "\"busy\": %d, " r.t_busy;
-  Printf.bprintf b "\"errors\": %d, " r.t_errors;
-  Printf.bprintf b "\"seconds\": %.4f, " r.t_seconds;
-  Printf.bprintf b "\"programs_per_second\": %.1f, " r.t_throughput;
-  Printf.bprintf b "\"latency_us\": {\"p50\": %d, \"p99\": %d}, " r.t_p50_us
-    r.t_p99_us;
-  Buffer.add_string b "\"batch_hist\": {";
-  List.iteri
-    (fun i (size, count) ->
-      Printf.bprintf b "%s\"%d\": %d" (if i = 0 then "" else ", ") size count)
-    r.t_batch_hist;
-  Buffer.add_string b "}, ";
-  Printf.bprintf b "\"deterministic\": %b" r.t_deterministic;
-  Buffer.add_string b "}";
-  Buffer.contents b
+let result_json r =
+  let module J = Yali_util.Json in
+  J.Obj
+    [
+      ("classified", J.Int r.t_classified);
+      ("busy", J.Int r.t_busy);
+      ("errors", J.Int r.t_errors);
+      ("seconds", J.Fixed (4, r.t_seconds));
+      ("programs_per_second", J.Fixed (1, r.t_throughput));
+      ( "latency_us",
+        J.Obj [ ("p50", J.Int r.t_p50_us); ("p99", J.Int r.t_p99_us) ] );
+      ( "batch_hist",
+        J.Obj
+          (List.map (fun (size, n) -> (string_of_int size, J.Int n)) r.t_batch_hist)
+      );
+      ("deterministic", J.Bool r.t_deterministic);
+    ]

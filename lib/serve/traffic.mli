@@ -14,15 +14,15 @@ type cfg = {
   log : string -> unit;
 }
 
-val default : cfg
-
 type result = {
   t_classified : int;
   t_busy : int;  (** backpressure replies observed (each retried) *)
   t_errors : int;
   t_seconds : float;
   t_throughput : float;  (** classified programs per second *)
-  t_p50_us : int;  (** request latency, client-side *)
+  t_p50_us : int;
+      (** request latency, client-side, within
+          {!Yali_exec.Telemetry.Histogram}'s error *)
   t_p99_us : int;
   t_batch_hist : (int * int) list;  (** batch size -> replies served at it *)
   t_deterministic : bool;  (** same program -> same class, always *)
@@ -31,4 +31,5 @@ type result = {
 (** @raise Unix.Unix_error when the daemon is unreachable *)
 val run : cfg -> result
 
-val result_to_json : result -> string
+(** The result as the [traffic] section of [BENCH_serve.json]. *)
+val result_json : result -> Yali_util.Json.t

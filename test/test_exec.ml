@@ -225,6 +225,65 @@ let test_telemetry_clock_monotonic () =
   let b = Telemetry.clock () in
   Alcotest.(check bool) "clock never goes backwards" true (b >= a)
 
+(* every quantile of a wide log-spread sample lands within the stated
+   1/32 of the exact nearest-rank value; small values are exact *)
+let test_histogram_quantiles () =
+  let module H = Telemetry.Histogram in
+  let h = H.create () in
+  Alcotest.(check int) "empty reports 0" 0 (H.quantile h 0.99);
+  let rng = Rng.make 11 in
+  let xs =
+    Array.init 5000 (fun _ ->
+        int_of_float (2.0 ** (Rng.float rng *. 30.0)) + Rng.int rng 16)
+  in
+  Array.iter (H.add h) xs;
+  Array.sort compare xs;
+  let n = Array.length xs in
+  List.iter
+    (fun q ->
+      let exact = xs.(min (n - 1) (int_of_float ((float_of_int (n - 1) *. q) +. 0.5))) in
+      let got = H.quantile h q in
+      Alcotest.(check bool)
+        (Printf.sprintf "q%.2f: %d within 1/32 of %d" q got exact)
+        true
+        (abs (got - exact) * 32 <= exact))
+    [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ];
+  H.reset h;
+  Alcotest.(check int) "reset empties" 0 (H.quantile h 0.5);
+  List.iter (H.add h) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
+  Alcotest.(check int) "small values are exact (p50)" 4 (H.quantile h 0.5);
+  Alcotest.(check int) "small values are exact (max)" 9 (H.quantile h 1.0)
+
+(* the exact bytes of both layouts, escapes included *)
+let test_json_writer () =
+  let module J = Yali.Util.Json in
+  let v =
+    J.Obj
+      [
+        ("name", J.String "a\"b\\c\nd\001e");
+        ( "nested",
+          J.Obj
+            [
+              ("xs", J.List [ J.Int 1; J.Fixed (2, 0.5); J.Bool true ]);
+              ("none", J.Fixed (3, Float.nan));
+            ] );
+        ("empty", J.List []);
+      ]
+  in
+  Alcotest.(check string) "one line"
+    {|{"name": "a\"b\\c\nd\u0001e", "nested": {"xs": [1, 0.50, true], "none": null}, "empty": []}|}
+    (J.to_string v);
+  Alcotest.(check string) "pretty"
+    {|{
+  "name": "a\"b\\c\nd\u0001e",
+  "nested": {
+    "xs": [1, 0.50, true],
+    "none": null
+  },
+  "empty": []
+}|}
+    (J.pretty v)
+
 let suite =
   [
     Alcotest.test_case "parallel map = sequential map" `Quick
@@ -249,4 +308,7 @@ let suite =
       test_telemetry_spans_and_json;
     Alcotest.test_case "telemetry clock monotonic" `Quick
       test_telemetry_clock_monotonic;
+    Alcotest.test_case "histogram quantiles within 1/32" `Quick
+      test_histogram_quantiles;
+    Alcotest.test_case "json writer bytes" `Quick test_json_writer;
   ]

@@ -50,7 +50,8 @@ bench-kernels:
 
 # Engine benchmark (DESIGN.md §10): the frozen reference interpreter vs the
 # pre-compiling VM on interpretation-bound kernels and a generated-program
-# corpus, with speedups persisted in BENCH_vm.json.
+# corpus, with speedups persisted in BENCH_vm.json.  Exits 1 if the two
+# engines give a different result on any kernel or corpus run it times.
 bench-vm:
 	dune exec bench/main.exe -- --quick interp
 

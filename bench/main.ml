@@ -746,8 +746,11 @@ let kernels () =
       programs, each compiled once and probed on many input vectors (what
       one check deep-tier validation looks like; compile time is
       inside the measured region).
-    "Reference" is the frozen tree-walking interpreter. *)
+    "Reference" is the frozen tree-walking interpreter.  Outside the timed
+    region, both engines must give the same result on every kernel and
+    every corpus (program, input) pair; the gate fails on a mismatch. *)
 let interp () =
+  let module Ex = Yali.Execution in
   header "Engine benchmarks: frozen reference interpreter vs pre-compiling VM";
   let reps = 5 in
   Printf.printf "(best of %d, interleaved)\n\n" reps;
@@ -757,14 +760,25 @@ let interp () =
   (* raw throughput on the benchmark-game kernels *)
   let mods = Yali.Dataset.Benchgame.modules () in
   let fuel = 100_000_000 in
-  let steps =
-    List.fold_left (fun a (_, m) -> a + (Ir.Interp.run ~fuel m []).steps) 0 mods
-  in
   let t_compile =
     (best_times ~reps
        [| (fun () -> List.iter (fun (_, m) -> ignore (Yali.Vm.compile m)) mods) |]).(0)
   in
   let compiled = List.map (fun (n, m) -> (n, Yali.Vm.compile m)) mods in
+  let ref_results =
+    List.map (fun (_, m) -> Ex.classify (fun () -> Ir.Interp.run ~fuel m [])) mods
+  in
+  let kernels_agree =
+    List.for_all2
+      (fun r (_, p) ->
+        Ex.agree r (Ex.classify (fun () -> Yali.Vm.run_compiled ~fuel p [])))
+      ref_results compiled
+  in
+  let steps =
+    List.fold_left
+      (fun a -> function Ok (o : Ir.Interp.outcome) -> a + o.steps | Error _ -> a)
+      0 ref_results
+  in
   let t =
     best_times ~reps
       [|
@@ -799,6 +813,19 @@ let interp () =
             Int64.of_int ((((i * 53) + (j * 17)) mod 2001) - 1000)))
   in
   let execs = n_progs * n_inputs in
+  let corpus_agree =
+    List.for_all
+      (fun m ->
+        let rf = Ex.prepare ~engine:Ex.Ref m in
+        let vm = Ex.prepare ~engine:Ex.Vm m in
+        List.for_all
+          (fun input ->
+            Ex.agree
+              (Ex.classify (fun () -> rf ~fuel:corpus_fuel input))
+              (Ex.classify (fun () -> vm ~fuel:corpus_fuel input)))
+          inputs)
+      corpus
+  in
   let run_all prepare () =
     List.iter
       (fun m ->
@@ -830,7 +857,11 @@ let interp () =
      and reused across every run above)\n"
     (Ir.Arena.created Ir.Interp.arena)
     (Yali.Vm.arenas_created ());
-  ([ ("vm", J.List [ kernels_row; corpus_row ]) ], [])
+  ( [ ("vm", J.List [ kernels_row; corpus_row ]) ],
+    [
+      ("kernels_engines_agree", kernels_agree);
+      ("corpus_engines_agree", corpus_agree);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* The daemon launcher shared by the serve and adapt gates             *)
@@ -849,27 +880,6 @@ let serve_daemon socket registry_dir model_spec =
   | Error msg ->
       Printf.eprintf "daemon: %s\n%!" msg;
       exit 1
-
-(* [Server.run] creates the socket file at bind, before it listens, so a
-   daemon is up only once it answers a ping *)
-let await_daemon socket =
-  let rec go tries =
-    let answers =
-      try
-        let c = Yali.Serve.Client.connect socket in
-        Fun.protect
-          ~finally:(fun () -> Yali.Serve.Client.close c)
-          (fun () -> Yali.Serve.Client.ping c)
-      with Unix.Unix_error _ | Yali.Util.Bin.Corrupt _ -> false
-    in
-    if not answers then
-      if tries = 0 then failwith (socket ^ ": daemon never answered a ping")
-      else begin
-        Unix.sleepf 0.05;
-        go (tries - 1)
-      end
-  in
-  go 200
 
 (** Run [f] on the [(kind, socket)] list of one daemon per model kind
     serving [registry], each answering pings.  Every daemon is a re-exec
@@ -899,7 +909,9 @@ let with_daemons ~dir ~registry (kinds : string list) f =
     | exception Unix.Unix_error _ -> false
   in
   match
-    List.iter (fun (_, socket, _) -> await_daemon socket) daemons;
+    List.iter
+      (fun (_, socket, _) -> Yali.Serve.Client.await_daemon socket)
+      daemons;
     f (List.map (fun (kind, socket, _) -> (kind, socket)) daemons)
   with
   | result -> (result, List.for_all Fun.id (List.map stop daemons))
@@ -1130,7 +1142,6 @@ let corpus_bench () =
 let adapt_bench () =
   header "Adaptive evaders: classifier-in-the-loop search, Pareto fronts";
   let module D = Yali.Adapt.Driver in
-  let module Fit = Yali.Adapt.Fitness in
   let cfg =
     {
       D.default with
@@ -1158,26 +1169,7 @@ let adapt_bench () =
   let identical, t_serve =
     with_temp_dir "adapt" (fun dir ->
         let registry = Filename.concat dir "models" in
-        let dim =
-          Array.length
-            (E.Embedding.to_flat D.embedding prep.p_challenges.(0).Fit.ch_module)
-        in
-        List.iter
-          (fun (kind, snapshot) ->
-            let meta =
-              {
-                Yali.Serve.Registry.kind;
-                version = 0;
-                embedding = D.embedding.name;
-                n_classes = cfg.a_classes;
-                dim;
-                n_train = prep.p_n_train;
-                seed = cfg.a_seed;
-                source = "adapt:prepared";
-              }
-            in
-            ignore (Yali.Serve.Registry.publish ~dir:registry ~meta snapshot))
-          prep.p_snapshots;
+        ignore (D.publish_prepared ~dir:registry cfg prep);
         fst
           (with_daemons ~dir ~registry (List.map fst prep.p_snapshots)
              (fun daemons ->

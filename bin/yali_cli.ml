@@ -34,6 +34,29 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The one program loader: [front] turns the text of [file] into a program
+   (parse, lower).  A lex, parse or lowering error is reported as
+   FILE: message with exit 1. *)
+let load file front =
+  match front (read_file file) with
+  | p -> p
+  | exception Yali.Minic.Lexer.Lex_error (msg, pos) ->
+      die ~code:1 "%s: %s at byte %d" file msg pos
+  | exception
+      ( Yali.Minic.Parser.Parse_error msg
+      | Yali.Minic.Lower.Lower_error msg
+      | Yali.Ir.Parser.Parse_error msg ) ->
+      die ~code:1 "%s: %s" file msg
+
+(* mini-C source: the AST and its lowered module *)
+let load_source file =
+  load file (fun src ->
+      let p = Yali.parse src in
+      (p, Yali.lower p))
+
+let compile_file level file =
+  Yali.Transforms.Pipeline.optimize level (snd (load_source file))
+
 let src_arg =
   Arg.(
     required
@@ -116,8 +139,7 @@ let level_arg =
 
 let compile_cmd =
   let run level file =
-    let m = Yali.compile ~optimize:level (read_file file) in
-    print_string (Yali.Ir.Pp.module_to_string m)
+    print_string (Yali.Ir.Pp.module_to_string (compile_file level file))
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile mini-C to IR and print it.")
@@ -134,8 +156,16 @@ let input_arg =
 let run_cmd =
   let run engine level file input =
     configure_engine engine;
-    let m = Yali.compile ~optimize:level (read_file file) in
-    let o = Yali.run m (List.map Int64.of_int input) in
+    let m = compile_file level file in
+    if Yali.Ir.Irmod.find_func m "main" = None then
+      die ~code:1 "%s: no function main" file;
+    let fuel = 10_000_000 (* Interp.run's default budget *) in
+    let o =
+      try Yali.run ~fuel m (List.map Int64.of_int input) with
+      | Yali.Ir.Interp.Trap msg -> die ~code:1 "%s: trap: %s" file msg
+      | Yali.Ir.Interp.Out_of_fuel ->
+          die ~code:1 "%s: out of fuel after %d steps" file fuel
+    in
     List.iter (fun x -> Printf.printf "%Ld\n" x) o.output;
     List.iter (fun x -> Printf.printf "%g\n" x) o.foutput;
     Printf.printf "; steps=%d cost=%d\n" o.steps o.cost
@@ -160,8 +190,7 @@ let obfuscate_cmd =
     match Yali.Obfuscation.Evader.find evader with
     | None -> die ~code:2 "unknown evader: %s" evader
     | Some e ->
-        let p = Yali.parse (read_file file) in
-        let m = e.apply (Rng.make seed) p in
+        let m = e.apply (Rng.make seed) (fst (load_source file)) in
         print_string (Yali.Ir.Pp.module_to_string m)
   in
   Cmd.v
@@ -184,8 +213,7 @@ let embed_cmd =
     match Yali.Embeddings.Embedding.find embedding with
     | None -> die ~code:2 "unknown embedding: %s" embedding
     | Some e ->
-        let m = Yali.compile ~optimize:level (read_file file) in
-        let v = Yali.Embeddings.Embedding.to_flat e m in
+        let v = Yali.Embeddings.Embedding.to_flat e (compile_file level file) in
         Array.iteri (fun k x -> Printf.printf "%s%g" (if k = 0 then "" else " ") x) v;
         print_newline ()
   in
@@ -274,26 +302,37 @@ let opt_cmd =
              mem2reg constfold instcombine dce simplifycfg gvn inline licm.")
   in
   let run passes file =
-    let src = read_file file in
+    let passes =
+      List.map
+        (fun name ->
+          match Yali.Transforms.Pipeline.find_pass name with
+          | Some p -> p
+          | None -> die ~code:2 "unknown pass: %s" name)
+        passes
+    in
     (* accept either textual IR or mini-C *)
     let m =
-      if String.length src > 0 && (src.[0] = ';' || String.length src > 6 && String.sub src 0 6 = "define")
-      then Yali.Ir.Parser.parse_module src
-      else Yali.lower (Yali.parse src)
+      load file (fun src ->
+          if
+            String.starts_with ~prefix:";" src
+            || String.starts_with ~prefix:"define" src
+          then Yali.Ir.Parser.parse_module src
+          else Yali.lower (Yali.parse src))
     in
+    let verify what m =
+      match Yali.Ir.Verify.check_module m with
+      | [] -> ()
+      | errs ->
+          List.iter (fun e -> Fmt.epr "%a@." Yali.Ir.Verify.pp_error e) errs;
+          die ~code:1 "opt: %s" what
+    in
+    verify (file ^ " is not a valid module") m;
     let m =
       List.fold_left
-        (fun m name ->
-          match Yali.Transforms.Pipeline.find_pass name with
-          | Some p -> p.prun m
-          | None -> die ~code:2 "unknown pass: %s" name)
+        (fun m (p : Yali.Transforms.Pipeline.pass) -> p.prun m)
         m passes
     in
-    (match Yali.Ir.Verify.check_module m with
-    | [] -> ()
-    | errs ->
-        List.iter (fun e -> Fmt.epr "%a@." Yali.Ir.Verify.pp_error e) errs;
-        die ~code:1 "opt: the pipeline produced an invalid module");
+    verify "the pipeline produced an invalid module" m;
     print_string (Yali.Ir.Pp.module_to_string m)
   in
   Cmd.v
@@ -770,46 +809,29 @@ let rec remove_tree path =
     end
     else try Sys.remove path with Sys_error _ -> ()
 
+(* The two expected failures of a [--via-serve] run: a daemon that never
+   answered a ping, and a remote query the daemon did not answer. *)
+exception Serve_failed of string
+
 (* Publish the prepared snapshots into a scratch registry, spawn one
    [yali serve] daemon per model kind (a [create_process] re-exec of this
-   binary: [fork] is forbidden once the pool has spawned a domain), and
-   hand [f] a per-kind remote margins oracle.  Margins travel f64-exact,
-   so the report is bit-identical to the in-process run. *)
+   binary: [fork] is forbidden once the pool has spawned a domain), wait
+   until each answers a ping, and hand [f] a per-kind remote margins
+   oracle.  Margins travel f64-exact, so the report is bit-identical to
+   the in-process run. *)
 let with_serve_oracles ~log (cfg : Yali.Adapt.Driver.config)
     (prep : Yali.Adapt.Driver.prepared)
     (f : (string -> (Yali.Ir.Irmod.t -> float array) option) -> 'a) : 'a =
-  let module Registry = Yali.Serve.Registry in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "yali-adapt-%d" (Unix.getpid ()))
   in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
   let registry = Filename.concat dir "models" in
-  let dim =
-    match prep.p_challenges with
-    | [||] -> die ~code:1 "adapt: no challenges to size the embedding from"
-    | chs ->
-        Array.length
-          (Yali.Embeddings.Embedding.to_flat Yali.Adapt.Driver.embedding
-             chs.(0).Yali.Adapt.Fitness.ch_module)
-  in
   List.iter
-    (fun (kind, snapshot) ->
-      let meta =
-        {
-          Registry.kind;
-          version = 0;
-          embedding = Yali.Adapt.Driver.embedding.name;
-          n_classes = cfg.a_classes;
-          dim;
-          n_train = prep.p_n_train;
-          seed = cfg.a_seed;
-          source = "adapt:prepared";
-        }
-      in
-      let v, _ = Registry.publish ~dir:registry ~meta snapshot in
+    (fun (kind, v) ->
       log (Printf.sprintf "adapt: published %s@%d to %s" kind v registry))
-    prep.p_snapshots;
+    (Yali.Adapt.Driver.publish_prepared ~dir:registry cfg prep);
   flush stdout;
   flush stderr;
   let daemons =
@@ -836,19 +858,11 @@ let with_serve_oracles ~log (cfg : Yali.Adapt.Driver.config)
     remove_tree dir
   in
   Fun.protect ~finally:kill_all (fun () ->
-      let rec await_socket socket tries =
-        if Sys.file_exists socket then ()
-        else if tries = 0 then
-          die ~code:1 "adapt: daemon socket %s never appeared" socket
-        else begin
-          Unix.sleepf 0.05;
-          await_socket socket (tries - 1)
-        end
-      in
       let remotes =
         List.map
           (fun (kind, socket, _) ->
-            await_socket socket 200;
+            (try Yali.Serve.Client.await_daemon socket
+             with Failure msg -> raise (Serve_failed msg));
             (kind, Yali.Adapt.Remote.connect ~socket))
           daemons
       in
@@ -860,7 +874,10 @@ let with_serve_oracles ~log (cfg : Yali.Adapt.Driver.config)
             (Printf.sprintf "adapt: %d daemons up, routing margins via serve"
                (List.length remotes));
           f (fun kind ->
-              Option.map Yali.Adapt.Remote.oracle
+              Option.map
+                (fun r m ->
+                  try Yali.Adapt.Remote.oracle r m
+                  with Failure msg -> raise (Serve_failed msg))
                 (List.assoc_opt kind remotes))))
 
 let adapt_cmd =
@@ -998,8 +1015,11 @@ let adapt_cmd =
       die ~code:1 "adapt: every challenge was dropped (raise --fuel?)";
     let report =
       if via_serve then
-        with_serve_oracles ~log cfg prep (fun oracle_for ->
-            D.search_fronts ~log ~oracle_for cfg prep)
+        (* reported once every daemon has been stopped *)
+        try
+          with_serve_oracles ~log cfg prep (fun oracle_for ->
+              D.search_fronts ~log ~oracle_for cfg prep)
+        with Serve_failed msg -> die ~code:1 "adapt: %s" msg
       else D.search_fronts ~log cfg prep
     in
     Printf.printf "adapt: %s search, budget %d, lambda %g, %d challenges%s\n"

@@ -115,6 +115,29 @@ let prepare ?(log = ignore) (cfg : config) : prepared =
     p_n_train = Array.length split.train;
   }
 
+let publish_prepared ~dir (cfg : config) (prep : prepared) =
+  let dim =
+    match prep.p_challenges with
+    | [||] -> invalid_arg "Driver.publish_prepared: no challenges"
+    | chs -> Array.length (Embedding.to_flat embedding chs.(0).Fitness.ch_module)
+  in
+  List.map
+    (fun (kind, snapshot) ->
+      let meta =
+        {
+          Yali_serve.Registry.kind;
+          version = 0;
+          embedding = embedding.name;
+          n_classes = cfg.a_classes;
+          dim;
+          n_train = prep.p_n_train;
+          seed = cfg.a_seed;
+          source = "adapt:prepared";
+        }
+      in
+      (kind, fst (Yali_serve.Registry.publish ~dir ~meta snapshot)))
+    prep.p_snapshots
+
 let oracle_of_snapshot (s : Model.snapshot) : Yali_ir.Irmod.t -> float array =
   let margins = Model.margins s in
   (* the uncached pure embedding: safe from any pool worker *)

@@ -33,6 +33,13 @@ type prepared = {
 
 val prepare : ?log:(string -> unit) -> config -> prepared
 
+(** Publish every prepared snapshot into the model registry at [dir]
+    (the next version of its kind), so a daemon can serve it; returns
+    each kind with its assigned version.
+    @raise Invalid_argument when there is no challenge to size the
+    embedding from *)
+val publish_prepared : dir:string -> config -> prepared -> (string * int) list
+
 (** The in-process margins oracle of a snapshot (embed, then
     {!Yali_ml.Model.margins}); pure, safe from pool workers. *)
 val oracle_of_snapshot :

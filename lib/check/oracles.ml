@@ -286,6 +286,7 @@ let exec =
 (* -- execution engines: lib/vm vs the frozen reference interpreter --------- *)
 
 module Interp = Yali_ir.Interp
+module Execution = Yali_vm.Execution
 
 (* One case = one generated program pushed through every registered entry
    (the 22 of {!Passdb.all}) and executed under both engines on seeded
@@ -303,13 +304,6 @@ let gen_engine_case (rng : Rng.t) =
 let show_engine_case ((p : Yali_minic.Ast.program), _) =
   Yali_minic.Pp.program_to_string p
 
-let classify (run : unit -> Interp.outcome) =
-  match run () with
-  | o -> Ok o
-  | exception Interp.Trap msg -> Error ("trap: " ^ msg)
-  | exception Interp.Out_of_fuel -> Error "out of fuel"
-  | exception e -> Error ("exn: " ^ Printexc.to_string e)
-
 let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
   let inputs = Tv.inputs_for (Rng.split_ix rng 0) ~vectors:2 ~len:32 in
   match Yali_minic.Lower.lower_program p with
@@ -325,15 +319,10 @@ let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
               let cp = Yali_vm.Vm.compile m in
               Array.for_all
                 (fun input ->
-                  let a = classify (fun () -> Interp.run ~fuel m input) in
-                  let b =
-                    classify (fun () ->
-                        Yali_vm.Vm.run_compiled ~fuel cp input)
-                  in
-                  match (a, b) with
-                  | Ok oa, Ok ob -> Stdlib.compare oa ob = 0
-                  | Error ea, Error eb -> String.equal ea eb
-                  | Ok _, Error _ | Error _, Ok _ -> false)
+                  Execution.agree
+                    (Execution.classify (fun () -> Interp.run ~fuel m input))
+                    (Execution.classify (fun () ->
+                         Yali_vm.Vm.run_compiled ~fuel cp input)))
                 inputs
       in
       List.for_all Fun.id (List.mapi entry_ok Passdb.all)

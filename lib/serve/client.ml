@@ -39,3 +39,22 @@ let shutdown t =
   match request t Wire.Shutdown with
   | _ -> ()
   | exception Bin.Corrupt _ -> ()
+
+let ready socket =
+  match connect socket with
+  | exception Unix.Unix_error _ -> false
+  | c ->
+      Fun.protect
+        ~finally:(fun () -> close c)
+        (fun () -> try ping c with Unix.Unix_error _ | Bin.Corrupt _ -> false)
+
+let await_daemon socket =
+  let rec go tries =
+    if not (ready socket) then
+      if tries = 0 then failwith (socket ^ ": daemon never answered a ping")
+      else begin
+        Unix.sleepf 0.05;
+        go (tries - 1)
+      end
+  in
+  go 200

@@ -34,3 +34,12 @@ val stats : t -> (string, string) result
 
 (** Ask the daemon to exit; returns once it acknowledges with [Bye]. *)
 val shutdown : t -> unit
+
+(** Whether a daemon answers a ping on [socket] now.  {!Server.run}
+    creates the socket file at [bind], before it calls [listen], so a
+    socket file that exists is not yet a daemon that is up. *)
+val ready : string -> bool
+
+(** Poll {!ready} every 50 ms for up to 10 s.
+    @raise Failure when the daemon never answers *)
+val await_daemon : string -> unit

@@ -142,31 +142,6 @@ type inst =
   | Fbin of int * Instr.fbin * operand * operand
   | Fneg of int * operand
   | Fcmp of int * Instr.fcmp * operand * operand
-  (* Superinstructions, from the peephole pass ({!fuse}): adjacent pairs
-     the O0-style lowering produces constantly.  The [int] before the
-     trailing operands is the second constituent's {!Opcode.cost}; the arm
-     charges it (step, cost, fuel check) between the two halves, so the
-     accounting is exactly as if both instructions had dispatched. *)
-  | Ieq_br of int * operand * operand * int * edge * edge
-  | Ine_br of int * operand * operand * int * edge * edge
-  | Islt_br of int * operand * operand * int * edge * edge
-  | Isle_br of int * operand * operand * int * edge * edge
-  | Isgt_br of int * operand * operand * int * edge * edge
-  | Isge_br of int * operand * operand * int * edge * edge
-  | Iult_br of int * operand * operand * int * edge * edge
-  | Iule_br of int * operand * operand * int * edge * edge
-  | Iugt_br of int * operand * operand * int * edge * edge
-  | Iuge_br of int * operand * operand * int * edge * edge
-  | Add64_st of int * operand * operand * int * operand
-  | Sub64_st of int * operand * operand * int * operand
-  | Mul64_st of int * operand * operand * int * operand
-  | Add32_st of int * operand * operand * int * operand
-  | Sub32_st of int * operand * operand * int * operand
-  | Mul32_st of int * operand * operand * int * operand
-  | Load_st of int * operand * int * operand
-  | Load2 of int * operand * int * int * operand
-  | Gep_ld of int * operand * operand array * int array * int * int
-  | Gep_st of int * operand * operand array * int array * int * operand
   | Alloca of int * int
   | Load of int * operand
   | Store of operand * operand  (* value, pointer *)
@@ -209,9 +184,6 @@ type program = {
   p_max_copy : int;
 }
 
-let code_size (p : program) =
-  Array.fold_left (fun acc c -> acc + Array.length c.c_code) 0 p.p_funcs
-
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -225,110 +197,6 @@ let intrinsic_of_name = function
   | "min" -> Some Min
   | "max" -> Some Max
   | _ -> None
-
-(* Peephole fusion over the flattened code.  Only instruction pairs inside
-   one block fuse (the second member is never a block start), and jumps
-   only ever target block starts, so no edge can land in the middle of a
-   superinstruction.  Edge targets are rewritten through the old-pc ->
-   new-pc map afterwards.  Patterns:
-   - integer compare feeding the immediately following conditional branch
-     (the compare result is still written to its slot — later blocks may
-     read it);
-   - 64-bit add/sub/mul whose result is the value of the next store;
-   - load whose result is the value of the next store (memory copy);
-   - two consecutive loads;
-   - gep whose result is the pointer of the next load or store. *)
-let fuse (code0 : inst array) (costs0 : int array) (is_start : bool array) :
-    inst array * int array * int array =
-  let n = Array.length code0 in
-  let out = ref [] in
-  let outc = ref [] in
-  let remap = Array.make (max 1 n) 0 in
-  let m = ref 0 in
-  let emit i c =
-    out := i :: !out;
-    outc := c :: !outc;
-    incr m
-  in
-  let k = ref 0 in
-  while !k < n do
-    remap.(!k) <- !m;
-    let fused =
-      if !k + 1 < n && not is_start.(!k + 1) then
-        let c2 = costs0.(!k + 1) in
-        match (code0.(!k), code0.(!k + 1)) with
-        | Ieq (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Ieq_br (d, a, b, c2, t, e))
-        | Ine (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Ine_br (d, a, b, c2, t, e))
-        | Islt (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Islt_br (d, a, b, c2, t, e))
-        | Isle (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Isle_br (d, a, b, c2, t, e))
-        | Isgt (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Isgt_br (d, a, b, c2, t, e))
-        | Isge (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Isge_br (d, a, b, c2, t, e))
-        | Iult (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Iult_br (d, a, b, c2, t, e))
-        | Iule (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Iule_br (d, a, b, c2, t, e))
-        | Iugt (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Iugt_br (d, a, b, c2, t, e))
-        | Iuge (d, a, b), Cond_br (Slot c, t, e) when c = d ->
-            Some (Iuge_br (d, a, b, c2, t, e))
-        | Add64 (d, a, b), Store (Slot v, p) when v = d ->
-            Some (Add64_st (d, a, b, c2, p))
-        | Sub64 (d, a, b), Store (Slot v, p) when v = d ->
-            Some (Sub64_st (d, a, b, c2, p))
-        | Mul64 (d, a, b), Store (Slot v, p) when v = d ->
-            Some (Mul64_st (d, a, b, c2, p))
-        | Add32 (d, a, b), Store (Slot v, p) when v = d ->
-            Some (Add32_st (d, a, b, c2, p))
-        | Sub32 (d, a, b), Store (Slot v, p) when v = d ->
-            Some (Sub32_st (d, a, b, c2, p))
-        | Mul32 (d, a, b), Store (Slot v, p) when v = d ->
-            Some (Mul32_st (d, a, b, c2, p))
-        | Load (d, p), Store (Slot v, q) when v = d ->
-            Some (Load_st (d, p, c2, q))
-        | Load (d1, p1), Load (d2, p2) -> Some (Load2 (d1, p1, c2, d2, p2))
-        | Gep (d, base, idxs, strides), Load (d2, Slot p) when p = d ->
-            Some (Gep_ld (d, base, idxs, strides, c2, d2))
-        | Gep (d, base, idxs, strides), Store (v, Slot p) when p = d ->
-            Some (Gep_st (d, base, idxs, strides, c2, v))
-        | _ -> None
-      else None
-    in
-    match fused with
-    | Some fi ->
-        emit fi costs0.(!k);
-        k := !k + 2
-    | None ->
-        emit code0.(!k) costs0.(!k);
-        k := !k + 1
-  done;
-  let re (e : edge) = { e with e_target = remap.(e.e_target) } in
-  let code1 =
-    Array.map
-      (function
-        | Jmp e -> Jmp (re e)
-        | Cond_br (c, t, e) -> Cond_br (c, re t, re e)
-        | Switch (v, x, cs, d) ->
-            Switch (v, x, Array.map (fun (key, e) -> (key, re e)) cs, re d)
-        | Ieq_br (d, a, b, c2, t, e) -> Ieq_br (d, a, b, c2, re t, re e)
-        | Ine_br (d, a, b, c2, t, e) -> Ine_br (d, a, b, c2, re t, re e)
-        | Islt_br (d, a, b, c2, t, e) -> Islt_br (d, a, b, c2, re t, re e)
-        | Isle_br (d, a, b, c2, t, e) -> Isle_br (d, a, b, c2, re t, re e)
-        | Isgt_br (d, a, b, c2, t, e) -> Isgt_br (d, a, b, c2, re t, re e)
-        | Isge_br (d, a, b, c2, t, e) -> Isge_br (d, a, b, c2, re t, re e)
-        | Iult_br (d, a, b, c2, t, e) -> Iult_br (d, a, b, c2, re t, re e)
-        | Iule_br (d, a, b, c2, t, e) -> Iule_br (d, a, b, c2, re t, re e)
-        | Iugt_br (d, a, b, c2, t, e) -> Iugt_br (d, a, b, c2, re t, re e)
-        | Iuge_br (d, a, b, c2, t, e) -> Iuge_br (d, a, b, c2, re t, re e)
-        | i -> i)
-      (Array.of_list (List.rev !out))
-  in
-  (code1, Array.of_list (List.rev !outc), remap)
 
 (* Stride of each gep index position, from the static type chain alone
    (mirrors Interp.gep_addr: first index scales by the pointee size,
@@ -627,26 +495,15 @@ let compile (m : Irmod.t) : program =
         (fun acc (b : Block.t) -> max acc (List.length (Block.phis b)))
         0 blocks
     in
-    let code0 = Array.of_list (List.rev !code) in
-    let costs0 = Array.of_list (List.rev !costs) in
-    let is_start = Array.make (max 1 (Array.length code0)) false in
-    for bi = 0 to nblocks - 1 do
-      is_start.(block_pc.(bi)) <- true
-    done;
-    let code1, costs1, remap = fuse code0 costs0 is_start in
-    let entry =
-      if nblocks = 0 then mk_edge 0 0 [||] [||] None else edge_into None 0
-    in
     {
       c_name = f.name;
       c_nslots = !nslots;
       c_param_slots = param_slots;
       c_param_tys = param_tys;
-      c_code = code1;
-      c_costs = costs1;
+      c_code = Array.of_list (List.rev !code);
+      c_costs = Array.of_list (List.rev !costs);
       c_entry =
-        (if Array.length code0 = 0 then entry
-         else { entry with e_target = remap.(entry.e_target) });
+        (if nblocks = 0 then mk_edge 0 0 [||] [||] None else edge_into None 0);
       c_empty = nblocks = 0;
       c_max_copy = max_copy;
     }
@@ -1097,254 +954,6 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
           | Instr.Oge -> x >= y
         in
         seti frame dst (if r then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Ieq_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = x = y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Ine_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = x <> y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Islt_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = x < y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Isle_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = x <= y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Isgt_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = x > y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Isge_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = x >= y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Iult_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = ult x y in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Iule_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = not (ult y x) in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Iugt_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = ult y x in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Iuge_br (dst, a, b, c2, t, e) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = not (ult x y) in
-        seti frame dst (if r then 1L else 0L);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        branch_to (if r then t else e) steps cost brk
-    | Add64_st (dst, a, b, c2, p) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = Int64.add x y in
-        seti frame dst r;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr '\000';
-        Bigarray.Array1.unsafe_set mem.bits addr r;
-        loop (k + 1) steps cost brk
-    | Sub64_st (dst, a, b, c2, p) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = Int64.sub x y in
-        seti frame dst r;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr '\000';
-        Bigarray.Array1.unsafe_set mem.bits addr r;
-        loop (k + 1) steps cost brk
-    | Mul64_st (dst, a, b, c2, p) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = Int64.mul x y in
-        seti frame dst r;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr '\000';
-        Bigarray.Array1.unsafe_set mem.bits addr r;
-        loop (k + 1) steps cost brk
-    | Add32_st (dst, a, b, c2, p) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = norm32 (Int64.add x y) in
-        seti frame dst r;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr '\000';
-        Bigarray.Array1.unsafe_set mem.bits addr r;
-        loop (k + 1) steps cost brk
-    | Sub32_st (dst, a, b, c2, p) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = norm32 (Int64.sub x y) in
-        seti frame dst r;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr '\000';
-        Bigarray.Array1.unsafe_set mem.bits addr r;
-        loop (k + 1) steps cost brk
-    | Mul32_st (dst, a, b, c2, p) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        let r = norm32 (Int64.mul x y) in
-        seti frame dst r;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr '\000';
-        Bigarray.Array1.unsafe_set mem.bits addr r;
-        loop (k + 1) steps cost brk
-    | Load_st (dst, p, c2, q) ->
-        let addr = getp frame p in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "load out of bounds: %d" addr));
-        let t = Char.code (Bytes.unsafe_get mem.tags addr) in
-        let payload = Bigarray.Array1.unsafe_get mem.bits addr in
-        set_t frame dst t payload;
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr2 = getp frame q in
-        if addr2 < 0 || addr2 >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr2));
-        Bytes.unsafe_set mem.tags addr2 (Char.unsafe_chr t);
-        Bigarray.Array1.unsafe_set mem.bits addr2 payload;
-        loop (k + 1) steps cost brk
-    | Load2 (d1, p1, c2, d2, p2) ->
-        let addr = getp frame p1 in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "load out of bounds: %d" addr));
-        set_t frame d1
-          (Char.code (Bytes.unsafe_get mem.tags addr))
-          (Bigarray.Array1.unsafe_get mem.bits addr);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let addr2 = getp frame p2 in
-        if addr2 < 0 || addr2 >= brk then
-          raise (Interp.Trap (Printf.sprintf "load out of bounds: %d" addr2));
-        set_t frame d2
-          (Char.code (Bytes.unsafe_get mem.tags addr2))
-          (Bigarray.Array1.unsafe_get mem.bits addr2);
-        loop (k + 1) steps cost brk
-    | Gep_ld (dst, base, idxs, strides, c2, d2) ->
-        let off = ref 0 in
-        for j = 0 to Array.length idxs - 1 do
-          off :=
-            !off
-            + Int64.to_int (geti frame (Array.unsafe_get idxs j))
-              * Array.unsafe_get strides j
-        done;
-        let b = getp frame base in
-        let addr = b + !off in
-        set_t frame dst 2 (Int64.of_int addr);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "load out of bounds: %d" addr));
-        set_t frame d2
-          (Char.code (Bytes.unsafe_get mem.tags addr))
-          (Bigarray.Array1.unsafe_get mem.bits addr);
-        loop (k + 1) steps cost brk
-    | Gep_st (dst, base, idxs, strides, c2, v) ->
-        let off = ref 0 in
-        for j = 0 to Array.length idxs - 1 do
-          off :=
-            !off
-            + Int64.to_int (geti frame (Array.unsafe_get idxs j))
-              * Array.unsafe_get strides j
-        done;
-        let b = getp frame base in
-        let addr = b + !off in
-        set_t frame dst 2 (Int64.of_int addr);
-        let steps = steps + 1 in
-        let cost = cost + c2 in
-        if steps > fuel then raise Interp.Out_of_fuel;
-        let t = gtag frame v in
-        let payload = graw frame v in
-        if addr < 0 || addr >= brk then
-          raise (Interp.Trap (Printf.sprintf "store out of bounds: %d" addr));
-        Bytes.unsafe_set mem.tags addr (Char.unsafe_chr t);
-        Bigarray.Array1.unsafe_set mem.bits addr payload;
         loop (k + 1) steps cost brk
     | Alloca (dst, cells) ->
         if brk + cells >= Interp.mem_size then

@@ -3,17 +3,18 @@
     {!Interp} is the executable specification: a tree-walking interpreter
     that re-resolves SSA names, block labels, callees and types through
     hashtables on every function entry.  That is ideal for an oracle —
-    simple, obviously faithful to the semantics — and hopeless for the hot
-    loop every upper layer funnels through (the differential fuzzer, the
-    translation-validation tiers, the Figure 13 game all execute thousands
-    of programs per campaign).
+    simple, obviously faithful to the semantics — and too slow for the
+    loops that execute many programs: the translation-validation tiers of
+    [yali check], the adaptive evaders' behaviour witness and the Figure 13
+    cost model.
 
     The VM does the name resolution {e once}, in {!compile}:
-    - SSA values become dense frame-slot indices; a call allocates one
-      [rvalue array] (recycled through a per-run free list) instead of a
-      hashtable;
+    - SSA values become dense frame-slot indices; a call takes a frame
+      from a per-function free list (recycled within a run) instead of
+      building a hashtable;
     - block labels become instruction offsets in one contiguous code array
-      per function;
+      per function, and every non-phi instruction and terminator becomes
+      exactly one compiled instruction with its own dispatch arm;
     - phi nodes are lowered out of the instruction stream into per-edge
       parallel copies, pre-resolved against each predecessor;
     - callees are pre-bound to function indices (or intrinsic tags), with
@@ -24,13 +25,14 @@
     - the memory image comes from a pooled {!Yali_ir.Arena}.
 
     {b Unboxed representation.}  Frame slots and memory cells are not
-    {!Yali_ir.Interp.rvalue}s but (tag byte, raw 64-bit payload) pairs in
-    two parallel banks — a [Bytes.t] of tags and a flat [float array] of
-    payloads (integers and pointers travel as bit patterns via
-    [Int64.bits_of_float]/[float_of_bits], which are free register moves).
-    Arithmetic, compares, branches, loads/stores, phi copies and calls all
-    execute without allocating; the dynamic-typing discipline survives as
-    tag checks raising the interpreter's exact trap messages.
+    {!Yali_ir.Interp.rvalue}s but (tag, payload) pairs in two parallel
+    banks: a [Bytes.t] with one tag byte per cell (int, float, pointer or
+    unit) and an [int64] [Bigarray] holding the payload, which is the
+    value itself for integers and pointers and its [Int64.bits_of_float]
+    image for floats.  Arithmetic, compares, branches, loads/stores, phi
+    copies and calls all execute without allocating; the dynamic-typing
+    discipline survives as tag checks raising the interpreter's exact trap
+    messages.
 
     A compiled program is immutable and safe to run from any number of
     domains concurrently.
@@ -59,10 +61,6 @@ type program
     to code that raises the interpreter's exact exception when (and only
     when) execution reaches them. *)
 val compile : Yali_ir.Irmod.t -> program
-
-(** Number of compiled instructions, across all functions (for bench
-    reporting). *)
-val code_size : program -> int
 
 (** Run a compiled program; same contract and defaults as
     {!Yali_ir.Interp.run}. *)

@@ -389,15 +389,22 @@ let spawn_daemon ~socket ~dir =
         [| Sys.executable_name; daemon_flag; socket; dir |]
         Unix.stdin devnull devnull)
 
-let await_socket path =
-  let rec go n =
-    if n = 0 then Alcotest.fail "daemon socket never appeared"
-    else if Sys.file_exists path then ()
-    else (
-      Unix.sleepf 0.05;
-      go (n - 1))
-  in
-  go 200
+(* [Server.run] creates the socket file at [bind], before [listen]: a
+   bound socket that is not listening yet must not count as a daemon that
+   is up. *)
+let test_bound_socket_not_ready () =
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o700;
+      let path = Filename.concat dir "bound.sock" in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.bind fd (Unix.ADDR_UNIX path);
+          Alcotest.(check bool) "the socket file exists" true
+            (Sys.file_exists path);
+          Alcotest.(check bool) "bound but not listening: not ready" false
+            (Client.ready path)))
 
 let test_daemon_end_to_end () =
   with_temp_dir (fun dir ->
@@ -417,7 +424,7 @@ let test_daemon_end_to_end () =
               try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
               with Unix.Unix_error _ -> ())
             (fun () ->
-              await_socket socket;
+              Client.await_daemon socket;
               let c = Client.connect socket in
               Alcotest.(check bool) "ping answers pong" true (Client.ping c);
               let m = lower (dataset_program 2) in
@@ -473,6 +480,8 @@ let suite =
       test_registry_roundtrip_margins;
     Alcotest.test_case "registry train rejects bad shapes" `Quick
       test_registry_train_rejects_bad_shapes;
+    Alcotest.test_case "bound socket is not a ready daemon" `Quick
+      test_bound_socket_not_ready;
     Alcotest.test_case "daemon end-to-end over a unix socket" `Slow
       test_daemon_end_to_end;
   ]

@@ -176,7 +176,56 @@ let test_fuel_boundary () =
   (* one short: both engines run dry *)
   check_result "fuel-1 exhausts both engines" "out of fuel"
     (both ~fuel:(steps - 1) m);
-  check_result "tiny fuel exhausts both engines" "out of fuel" (both ~fuel:1 m)
+  check_result "tiny fuel exhausts both engines" "out of fuel" (both ~fuel:1 m);
+  (* Runs that end in a trap: every fuel from 1 up to one past the
+     trapping step goes through [both], so the Trap-vs-[Out_of_fuel]
+     precedence is compared at every step, including the step of the
+     trapping instruction itself.  Each loop ends on an adjacent pair
+     whose second half traps: an add whose result is stored through an
+     out-of-bounds pointer, and a load through an out-of-bounds gep. *)
+  let sweep name msg txt =
+    let m = Ir.Parser.parse_module txt in
+    let rec go fuel =
+      if fuel > 10_000 then Alcotest.failf "%s: no trap within 10000 steps" name;
+      match both ~fuel m with
+      | Exhausted -> go (fuel + 1)
+      | r ->
+          check_result (name ^ ": first trapping fuel") ("trap: " ^ msg) r;
+          check_result (name ^ ": one past it") ("trap: " ^ msg)
+            (both ~fuel:(fuel + 1) m);
+          fuel
+    in
+    Alcotest.(check bool) (name ^ ": the loop ran before trapping") true
+      (go 1 > 20)
+  in
+  sweep "add then store" "store out of bounds: 4" {|
+define i64 @main() {
+e:
+  %0 = alloca [4 x i64]
+  %1 = ptrtoint %0 to i64
+  br label %h
+h:
+  %2 = phi i64 [ 0, %e ], [ %5, %h ]
+  %3 = add i64 %1, %2
+  %4 = inttoptr %3 to i64*
+  %5 = add i64 %2, 1
+  store %5, %4
+  br label %h
+}
+|};
+  sweep "gep then load" "load out of bounds: 4" {|
+define i64 @main() {
+e:
+  %0 = alloca [4 x i64]
+  br label %h
+h:
+  %1 = phi i64 [ 0, %e ], [ %4, %h ]
+  %2 = getelementptr i64* %0, 0, %1
+  %3 = load i64, %2
+  %4 = add i64 %1, 1
+  br label %h
+}
+|}
 
 (* ------------------------------------------------------------------ *)
 (* Allocator exhaustion                                                *)

@@ -1,6 +1,6 @@
 # Convenience targets; everything is ultimately driven by dune.
 
-.PHONY: all build build-all test check check-smoke check-deep smoke bench bench-kernels bench-vm bench-serve bench-adapt bench-nn fmt clean
+.PHONY: all build build-all test check check-smoke check-deep smoke bench bench-kernels bench-vm bench-adapt bench-nn fmt clean
 
 all: build
 
@@ -55,18 +55,11 @@ bench-kernels:
 bench-vm:
 	dune exec bench/main.exe -- --quick interp
 
-# Serving smoke + benchmark (DESIGN.md §11): trains and publishes a model,
-# starts the daemon, drives it with concurrent clients, and writes
-# throughput/latency/batch-size numbers to BENCH_serve.json.  Exits
-# non-zero unless every reply is deterministic and SIGTERM shutdown is
-# clean — this is CI's serve gate.
-bench-serve:
-	dune exec bench/main.exe -- --quick --jobs 2 serve
-
 # Adaptive-evader gate (DESIGN.md §14): classifier-in-the-loop sequence
 # search for each default model kind, Pareto fronts in BENCH_adapt.json.
-# Exits non-zero unless at least two classifiers yield a 3-point front and
-# the via-serve rerun is bit-identical — this is CI's adapt gate.
+# Exits non-zero unless at least two classifiers yield a 3-point front,
+# the via-serve rerun is bit-identical and every daemon exits 0 on
+# SIGTERM — this is CI's adapt gate.
 bench-adapt:
 	dune exec bench/main.exe -- --quick --jobs 2 adapt
 

@@ -13,13 +13,12 @@
     check.
       kernels  Fmat kernels vs the frozen pre-rewrite code -> BENCH_kernels.json
       interp   VM vs the reference interpreter             -> BENCH_vm.json
-      serve    the classification daemon under load        -> BENCH_serve.json
       corpus   paper-scale streaming corpus + out-of-core
                training under an RSS cap (--rss-cap-mb N,
                default 2048); --quick drops 104x500 to
                104x50                                      -> BENCH_corpus.json
       adapt    adaptive-evader Pareto fronts, via-serve
-               identity                                    -> BENCH_adapt.json
+               identity, clean daemon exits                -> BENCH_adapt.json
       nn       kernelized minibatch neural trainers vs
                the frozen naive reference: speed gate +
                bit-identity                                -> BENCH_nn.json
@@ -531,25 +530,6 @@ let versus ~(field : string) name ref_s new_s (extras : (string * J.t) list) =
      ]
     @ extras)
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    try
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    with Sys_error _ -> ()
-
-(* [f] on a fresh temp dir yali-[tag]-<pid>, removed afterwards *)
-let with_temp_dir tag f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-%s-%d" tag (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* ------------------------------------------------------------------ *)
 (* Kernel micro-benchmarks: the Fmat layer vs the pre-rewrite code     *)
 (* ------------------------------------------------------------------ *)
@@ -864,138 +844,6 @@ let interp () =
     ] )
 
 (* ------------------------------------------------------------------ *)
-(* The daemon launcher shared by the serve and adapt gates             *)
-(* ------------------------------------------------------------------ *)
-
-(* Hidden daemon mode: [with_daemons] re-execs this binary with this flag
-   and the socket, registry dir and model spec as the three operands. *)
-let serve_daemon_flag = "--serve-daemon"
-
-let serve_daemon socket registry_dir model_spec =
-  match
-    Yali.Serve.Server.run
-      { Yali.Serve.Server.default with socket; registry_dir; model_spec }
-  with
-  | Ok () -> exit 0
-  | Error msg ->
-      Printf.eprintf "daemon: %s\n%!" msg;
-      exit 1
-
-(** Run [f] on the [(kind, socket)] list of one daemon per model kind
-    serving [registry], each answering pings.  Every daemon is a re-exec
-    of this binary: [Unix.fork] is forbidden once the pool has ever
-    spawned a domain, while [create_process] goes through [posix_spawn].
-    Afterwards every daemon gets SIGTERM and is reaped, also when [f]
-    raises; returns [f]'s result and whether every daemon exited 0. *)
-let with_daemons ~dir ~registry (kinds : string list) f =
-  flush stdout;
-  flush stderr;
-  let daemons =
-    List.map
-      (fun kind ->
-        let socket = Filename.concat dir (kind ^ ".sock") in
-        let pid =
-          Unix.create_process Sys.executable_name
-            [| Sys.executable_name; serve_daemon_flag; socket; registry; kind |]
-            Unix.stdin Unix.stdout Unix.stderr
-        in
-        (kind, socket, pid))
-      kinds
-  in
-  let stop (_, _, pid) =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    match Unix.waitpid [] pid with
-    | _, status -> status = Unix.WEXITED 0
-    | exception Unix.Unix_error _ -> false
-  in
-  match
-    List.iter
-      (fun (_, socket, _) -> Yali.Serve.Client.await_daemon socket)
-      daemons;
-    f (List.map (fun (kind, socket, _) -> (kind, socket)) daemons)
-  with
-  | result -> (result, List.for_all Fun.id (List.map stop daemons))
-  | exception e ->
-      List.iter (fun d -> ignore (stop d)) daemons;
-      raise e
-
-(* ------------------------------------------------------------------ *)
-(* Serving benchmark: the classification daemon under synthetic load   *)
-(* ------------------------------------------------------------------ *)
-
-(** End-to-end daemon benchmark (DESIGN.md §11): train and publish a
-    snapshot, launch a daemon, replay corpus programs from concurrent
-    client connections, and record sustained throughput, latency
-    quantiles and the batch-size histogram.  Fails unless every reply is
-    deterministic, none errs, every request is classified and SIGTERM
-    shuts the daemon down with exit 0 (CI's serve smoke gate). *)
-let serve () =
-  header "Serving: daemon throughput/latency under concurrent clients";
-  with_temp_dir "serve" (fun dir ->
-      let registry = Filename.concat dir "models" in
-      let n_classes = 8 in
-      let entry =
-        match
-          Yali.Serve.Registry.train ~seed:42 ~embedding:E.Embedding.histogram
-            ~kind:"rf" ~n_classes ~per_class:(scale 10)
-        with
-        | Ok e -> e
-        | Error msg -> failwith msg
-      in
-      let version, _ =
-        Yali.Serve.Registry.publish ~dir:registry ~meta:entry.meta entry.snapshot
-      in
-      Printf.printf "model: rf@%d (histogram, %d classes, dim %d, %d rows)\n%!"
-        version n_classes entry.meta.dim entry.meta.n_train;
-      let clients = 16 and requests = scale 400 in
-      let (r, server_stats), clean =
-        with_daemons ~dir ~registry [ "rf" ] (fun daemons ->
-            let socket = List.assoc "rf" daemons in
-            let r =
-              Yali.Serve.Traffic.run
-                {
-                  Yali.Serve.Traffic.socket;
-                  clients;
-                  requests;
-                  seed = 7;
-                  n_classes;
-                  per_class = 3;
-                  log = prerr_endline;
-                }
-            in
-            let c = Yali.Serve.Client.connect socket in
-            Fun.protect
-              ~finally:(fun () -> Yali.Serve.Client.close c)
-              (fun () ->
-                match Yali.Serve.Client.stats c with
-                | Ok j -> (r, j)
-                | Error e -> failwith e))
-      in
-      Printf.printf
-        "classified %d requests in %.2fs: %.0f programs/s, p50 %dus, p99 %dus\n"
-        r.t_classified r.t_seconds r.t_throughput r.t_p50_us r.t_p99_us;
-      Printf.printf "busy replies %d, errors %d, deterministic %b\n" r.t_busy
-        r.t_errors r.t_deterministic;
-      Printf.printf "batch sizes:";
-      List.iter (fun (s, c) -> Printf.printf " %dx%d" s c) r.t_batch_hist;
-      print_newline ();
-      Printf.printf "daemon SIGTERM shutdown: %s\n"
-        (if clean then "clean (exit 0)" else "UNCLEAN");
-      ( [
-          ("model", J.String (Printf.sprintf "rf@%d" version));
-          ("classes", J.Int n_classes);
-          ("clients", J.Int clients);
-          ("traffic", Yali.Serve.Traffic.result_json r);
-          ("server", J.Raw server_stats);
-        ],
-        [
-          ("deterministic", r.t_deterministic);
-          ("zero_errors", r.t_errors = 0);
-          ("classified_all_requests", r.t_classified = requests);
-          ("clean_sigterm_exit", clean);
-        ] ))
-
-(* ------------------------------------------------------------------ *)
 (* Corpus benchmark: paper-scale streaming generation and out-of-core  *)
 (* training under a fixed memory cap (DESIGN.md §12)                   *)
 (* ------------------------------------------------------------------ *)
@@ -1025,7 +873,7 @@ let corpus_bench () =
   let per_class = if !quick then 50 else 500 in
   header "Corpus: paper-scale streaming pipeline (104x%d, cap %.0f MiB)"
     per_class !rss_cap_mb;
-  with_temp_dir "corpus-bench" (fun tmp ->
+  Yali.Util.Fs.with_temp_dir "corpus-bench" (fun tmp ->
       let train_dir = Filename.concat tmp "train" in
       let test_dir = Filename.concat tmp "test" in
       let spec =
@@ -1137,8 +985,10 @@ let corpus_bench () =
     (evasion rate vs cost multiplier), and prove the [--via-serve] path by
     re-running the identical searches against daemon children — the two
     reports must be bit-identical.  Fails when a front is too thin
-    (< 3 points on < 2 classifiers) or the via-serve report diverges
-    (CI's adapt gate). *)
+    (< 3 points on < 2 classifiers), the via-serve report diverges or a
+    daemon does not exit 0 on SIGTERM (CI's adapt gate).  The
+    [via_serve_seconds] time includes publishing the snapshots and
+    starting the daemons. *)
 let adapt_bench () =
   header "Adaptive evaders: classifier-in-the-loop search, Pareto fronts";
   let module D = Yali.Adapt.Driver in
@@ -1163,36 +1013,17 @@ let adapt_bench () =
         f.mf_front;
       print_newline ())
     report.r_fronts;
-  (* the via-serve proof: publish the prepared snapshots, serve each kind
-     from its own daemon, re-run the identical searches with margins
-     answered over the socket *)
-  let identical, t_serve =
-    with_temp_dir "adapt" (fun dir ->
-        let registry = Filename.concat dir "models" in
-        ignore (D.publish_prepared ~dir:registry cfg prep);
-        fst
-          (with_daemons ~dir ~registry (List.map fst prep.p_snapshots)
-             (fun daemons ->
-               let t1 = clock () in
-               let remotes =
-                 List.map
-                   (fun (kind, socket) -> (kind, Yali.Adapt.Remote.connect ~socket))
-                   daemons
-               in
-               Fun.protect
-                 ~finally:(fun () ->
-                   List.iter (fun (_, r) -> Yali.Adapt.Remote.close r) remotes)
-                 (fun () ->
-                   let report' =
-                     D.search_fronts
-                       ~oracle_for:(fun kind ->
-                         Option.map Yali.Adapt.Remote.oracle
-                           (List.assoc_opt kind remotes))
-                       cfg prep
-                   in
-                   (D.reports_identical report report', clock () -. t1)))))
+  (* the via-serve proof: the identical searches with every margin
+     answered by a daemon child *)
+  let t1 = clock () in
+  let report', clean =
+    D.search_fronts_via_serve ~command:Yali.Serve.Client.self_command cfg prep
   in
-  Printf.printf "search %.2fs in-process, %.2fs via serve\n" t_search t_serve;
+  let t_serve = clock () -. t1 in
+  let identical = D.reports_identical report report' in
+  Printf.printf
+    "search %.2fs in-process, %.2fs via serve (daemon start-up included)\n"
+    t_search t_serve;
   Printf.printf "via-serve report bit-identical: %b\n" identical;
   let rich_fronts =
     List.length
@@ -1202,12 +1033,13 @@ let adapt_bench () =
   in
   ( [
       ("search_seconds", J.Fixed (2, t_search));
-      ("serve_seconds", J.Fixed (2, t_serve));
+      ("via_serve_seconds", J.Fixed (2, t_serve));
       ("report", D.report_json cfg report);
     ],
     [
       ("two_models_with_3_point_fronts", rich_fronts >= 2);
       ("via_serve_identical", identical);
+      ("daemons_exit_clean", clean);
     ] )
 
 (* ------------------------------------------------------------------ *)
@@ -1430,7 +1262,6 @@ let gates =
   [
     { name = "kernels"; file = "BENCH_kernels.json"; measure = kernels };
     { name = "interp"; file = "BENCH_vm.json"; measure = interp };
-    { name = "serve"; file = "BENCH_serve.json"; measure = serve };
     { name = "corpus"; file = "BENCH_corpus.json"; measure = corpus_bench };
     { name = "adapt"; file = "BENCH_adapt.json"; measure = adapt_bench };
     { name = "nn"; file = "BENCH_nn.json"; measure = nn_bench };
@@ -1638,7 +1469,7 @@ let bad_usage fmt =
         "\nusage: main.exe [--quick] [--rounds N] [--jobs N] [--rss-cap-mb MB]\n\
         \                [--telemetry FILE] [--json FILE] [TARGET...]\n\
          targets: fig5..fig16, all (the default), abl-*, ablations,\n\
-        \         kernels, interp, serve, corpus, adapt, nn\n\
+        \         kernels, interp, corpus, adapt, nn\n\
          each flag also takes --flag=VALUE\n";
       exit 2)
     stderr fmt
@@ -1716,10 +1547,7 @@ let write_summary path ~total (timings : (string * float) list) =
        @ if fig5 = [] then [] else [ ("fig5", J.List fig5) ]))
 
 let () =
-  (match Array.to_list Sys.argv with
-  | [ _; flag; socket; registry; kind ] when flag = serve_daemon_flag ->
-      serve_daemon socket registry kind
-  | _ -> ());
+  Yali.Serve.Client.daemon_mode ();
   let targets = parse_args (List.tl (Array.to_list Sys.argv)) in
   let t0 = clock () in
   let timings =

@@ -798,88 +798,6 @@ let corpus_cmd =
 
 (* -- adapt: classifier-in-the-loop adaptive evaders ------------------------- *)
 
-(* Best-effort removal of the scratch registry/socket directory. *)
-let rec remove_tree path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter
-        (fun name -> remove_tree (Filename.concat path name))
-        (Sys.readdir path);
-      try Sys.rmdir path with Sys_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
-
-(* The two expected failures of a [--via-serve] run: a daemon that never
-   answered a ping, and a remote query the daemon did not answer. *)
-exception Serve_failed of string
-
-(* Publish the prepared snapshots into a scratch registry, spawn one
-   [yali serve] daemon per model kind (a [create_process] re-exec of this
-   binary: [fork] is forbidden once the pool has spawned a domain), wait
-   until each answers a ping, and hand [f] a per-kind remote margins
-   oracle.  Margins travel f64-exact, so the report is bit-identical to
-   the in-process run. *)
-let with_serve_oracles ~log (cfg : Yali.Adapt.Driver.config)
-    (prep : Yali.Adapt.Driver.prepared)
-    (f : (string -> (Yali.Ir.Irmod.t -> float array) option) -> 'a) : 'a =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-adapt-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
-  let registry = Filename.concat dir "models" in
-  List.iter
-    (fun (kind, v) ->
-      log (Printf.sprintf "adapt: published %s@%d to %s" kind v registry))
-    (Yali.Adapt.Driver.publish_prepared ~dir:registry cfg prep);
-  flush stdout;
-  flush stderr;
-  let daemons =
-    List.map
-      (fun (kind, _) ->
-        let socket = Filename.concat dir (kind ^ ".sock") in
-        let pid =
-          Unix.create_process Sys.executable_name
-            [|
-              Sys.executable_name; "serve"; "--socket"; socket; "--registry";
-              registry; "--model"; kind; "--quiet";
-            |]
-            Unix.stdin Unix.stdout Unix.stderr
-        in
-        (kind, socket, pid))
-      prep.p_snapshots
-  in
-  let kill_all () =
-    List.iter
-      (fun (_, _, pid) ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      daemons;
-    remove_tree dir
-  in
-  Fun.protect ~finally:kill_all (fun () ->
-      let remotes =
-        List.map
-          (fun (kind, socket, _) ->
-            (try Yali.Serve.Client.await_daemon socket
-             with Failure msg -> raise (Serve_failed msg));
-            (kind, Yali.Adapt.Remote.connect ~socket))
-          daemons
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter (fun (_, r) -> Yali.Adapt.Remote.close r) remotes)
-        (fun () ->
-          log
-            (Printf.sprintf "adapt: %d daemons up, routing margins via serve"
-               (List.length remotes));
-          f (fun kind ->
-              Option.map
-                (fun r m ->
-                  try Yali.Adapt.Remote.oracle r m
-                  with Failure msg -> raise (Serve_failed msg))
-                (List.assoc_opt kind remotes))))
-
 let adapt_cmd =
   let module D = Yali.Adapt.Driver in
   let classes_arg =
@@ -1015,11 +933,18 @@ let adapt_cmd =
       die ~code:1 "adapt: every challenge was dropped (raise --fuel?)";
     let report =
       if via_serve then
-        (* reported once every daemon has been stopped *)
-        try
-          with_serve_oracles ~log cfg prep (fun oracle_for ->
-              D.search_fronts ~log ~oracle_for cfg prep)
-        with Serve_failed msg -> die ~code:1 "adapt: %s" msg
+        let command ~socket ~registry ~spec =
+          [|
+            Sys.executable_name; "serve"; "--socket"; socket; "--registry";
+            registry; "--model"; spec; "--quiet";
+          |]
+        in
+        match D.search_fronts_via_serve ~log ~command cfg prep with
+        | report, clean ->
+            if not clean then log "adapt: a daemon did not exit cleanly";
+            report
+        | exception Yali.Serve.Client.No_answer msg ->
+            die ~code:1 "adapt: %s" msg
       else D.search_fronts ~log cfg prep
     in
     Printf.printf "adapt: %s search, budget %d, lambda %g, %d challenges%s\n"

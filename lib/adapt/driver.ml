@@ -61,6 +61,11 @@ type prepared = {
 }
 
 let prepare ?(log = ignore) (cfg : config) : prepared =
+  (* a kind named twice would have two searches share one daemon socket *)
+  let named_twice k = List.length (List.filter (( = ) k) cfg.a_models) > 1 in
+  Option.iter
+    (fun kind -> invalid_arg ("adapt: model kind " ^ kind ^ " named twice"))
+    (List.find_opt named_twice cfg.a_models);
   let rng = Rng.make cfg.a_seed in
   let data_rng = Rng.split_ix rng 0 in
   let train_rng = Rng.split_ix rng 1 in
@@ -195,6 +200,30 @@ let search_fronts ?(log = ignore) ?oracle_for (cfg : config)
 
 let run ?(log = ignore) ?oracle_for (cfg : config) : report =
   search_fronts ~log ?oracle_for cfg (prepare ~log cfg)
+
+let search_fronts_via_serve ?(log = ignore) ~command (cfg : config)
+    (prep : prepared) : report * bool =
+  Yali_util.Fs.with_temp_dir "adapt" (fun dir ->
+      let registry = Filename.concat dir "models" in
+      List.iter
+        (fun (kind, v) ->
+          log (Printf.sprintf "adapt: published %s@%d to %s" kind v registry))
+        (publish_prepared ~dir:registry cfg prep);
+      Yali_serve.Client.with_daemons ~command ~dir ~registry
+        (List.map fst prep.p_snapshots) (fun daemons ->
+          let remotes =
+            List.map (fun (kind, socket) -> (kind, Remote.connect ~socket)) daemons
+          in
+          Fun.protect
+            ~finally:(fun () -> List.iter (fun (_, r) -> Remote.close r) remotes)
+            (fun () ->
+              log
+                (Printf.sprintf "adapt: %d daemons up, routing margins via serve"
+                   (List.length remotes));
+              search_fronts ~log
+                ~oracle_for:(fun kind ->
+                  Option.map Remote.oracle (List.assoc_opt kind remotes))
+                cfg prep)))
 
 (* -- report rendering ------------------------------------------------------- *)
 

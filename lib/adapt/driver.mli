@@ -31,14 +31,8 @@ type prepared = {
   p_n_train : int;
 }
 
+(** @raise Invalid_argument when [a_models] names a kind twice *)
 val prepare : ?log:(string -> unit) -> config -> prepared
-
-(** Publish every prepared snapshot into the model registry at [dir]
-    (the next version of its kind), so a daemon can serve it; returns
-    each kind with its assigned version.
-    @raise Invalid_argument when there is no challenge to size the
-    embedding from *)
-val publish_prepared : dir:string -> config -> prepared -> (string * int) list
 
 (** The in-process margins oracle of a snapshot (embed, then
     {!Yali_ml.Model.margins}); pure, safe from pool workers. *)
@@ -72,6 +66,22 @@ val run :
   ?oracle_for:(string -> (Yali_ir.Irmod.t -> float array) option) ->
   config ->
   report
+
+(** {!search_fronts} with every kind's margins answered by its own
+    daemon: publish the prepared snapshots into a scratch registry, start
+    one daemon per kind through [command]
+    ({!Yali_serve.Client.with_daemons}) and route each kind's queries
+    through {!Remote}.  Margins travel f64-exact, so the report is
+    {!search_fronts}'s; it comes with whether every daemon exited 0.  The
+    scratch directory is removed afterwards.
+    @raise Yali_serve.Client.No_answer when a daemon never answers a ping
+    or leaves a query unanswered *)
+val search_fronts_via_serve :
+  ?log:(string -> unit) ->
+  command:Yali_serve.Client.command ->
+  config ->
+  prepared ->
+  report * bool
 
 (** The report as a JSON value (the [report] section of
     [BENCH_adapt.json]). *)

@@ -21,6 +21,7 @@ let connect ~socket = { client = Client.connect socket; lock = Mutex.create () }
 let close t = Client.close t.client
 
 let oracle (t : t) (m : Yali_ir.Irmod.t) : float array =
+  let unanswered msg = raise (Client.No_answer ("serve margins: " ^ msg)) in
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
@@ -31,8 +32,11 @@ let oracle (t : t) (m : Yali_ir.Irmod.t) : float array =
         | Wire.Busy when tries > 0 ->
             Unix.sleepf 0.002;
             go (tries - 1)
-        | Wire.Busy -> failwith "serve margins: daemon stayed busy"
-        | Wire.Error msg -> failwith ("serve margins: " ^ msg)
-        | _ -> failwith "serve margins: unexpected reply"
+        | Wire.Busy -> unanswered "daemon stayed busy"
+        | Wire.Error msg | (exception Yali_util.Bin.Corrupt msg) ->
+            unanswered msg
+        | exception Unix.Unix_error (err, _, _) ->
+            unanswered (Unix.error_message err)
+        | _ -> unanswered "unexpected reply"
       in
       go 100)

@@ -14,5 +14,6 @@ val close : t -> unit
 (** Per-class scores of a module, server-side.  Thread-safe: the shared
     connection is mutex-serialised, so it can stand in for an in-process
     oracle inside {!Yali_exec.Pool} tasks.
-    @raise Failure on daemon errors or persistent busy replies *)
+    @raise Yali_serve.Client.No_answer on an error reply, a lost
+    connection or persistent busy replies *)
 val oracle : t -> Yali_ir.Irmod.t -> float array

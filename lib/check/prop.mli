@@ -36,8 +36,9 @@ type t
     ["<opaque>"]); [candidates]/[measure] enable integrated shrinking of a
     failing case (defaults: no shrinking).  [max_count] caps the number of
     cases this one property runs regardless of the [count] passed to
-    {!run} — for oracles whose per-case cost (e.g. an [ocamlopt]
-    invocation) makes the deep tier's global count prohibitive.  Case
+    {!run} — for oracles whose per-case cost (e.g. a whole adaptive
+    search, or a trainer run twice) makes the deep tier's global count
+    prohibitive.  Case
     indices below the cap are unchanged, so replay keys stay valid. *)
 val make :
   name:string ->

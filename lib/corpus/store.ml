@@ -91,50 +91,6 @@ let write_index ~dir ~(meta : string) ~(n_classes : int)
     (fun () -> output_string oc (Buffer.contents b));
   Sys.rename tmp (index_file dir)
 
-(* -- sequential writer ------------------------------------------------------- *)
-
-module Writer = struct
-  type t = {
-    dir : string;
-    w_meta : string;
-    w_classes : int;
-    per_shard : int;
-    mutable shard : Shard.t;
-    mutable done_ : (entry array * int) list;  (* reversed *)
-    mutable in_shard : int;
-  }
-
-  let create ~dir ~(meta : string) ~(n_classes : int)
-      ?(records_per_shard = 1024) () : t =
-    if records_per_shard < 1 then
-      invalid_arg "Store.Writer.create: records_per_shard < 1";
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    {
-      dir;
-      w_meta = meta;
-      w_classes = n_classes;
-      per_shard = records_per_shard;
-      shard = Shard.create ~dir 0;
-      done_ = [];
-      in_shard = 0;
-    }
-
-  let roll (t : t) : unit =
-    t.done_ <- Shard.finish t.shard :: t.done_;
-    t.shard <- Shard.create ~dir:t.dir (List.length t.done_);
-    t.in_shard <- 0
-
-  let append (t : t) ~(label : int) (m : Yali_ir.Irmod.t) : unit =
-    if t.in_shard >= t.per_shard then roll t;
-    Shard.append t.shard ~label m;
-    t.in_shard <- t.in_shard + 1
-
-  let close (t : t) : unit =
-    t.done_ <- Shard.finish t.shard :: t.done_;
-    write_index ~dir:t.dir ~meta:t.w_meta ~n_classes:t.w_classes
-      (Array.of_list (List.rev t.done_))
-end
-
 (* -- reader ------------------------------------------------------------------ *)
 
 type reader = {

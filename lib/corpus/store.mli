@@ -57,21 +57,6 @@ val write_index :
   dir:string -> meta:string -> n_classes:int -> (entry array * int) array ->
   unit
 
-(** Sequential convenience writer (tests, small corpora): appends roll
-    over into a fresh shard every [records_per_shard] records. *)
-module Writer : sig
-  type t
-
-  val create :
-    dir:string -> meta:string -> n_classes:int -> ?records_per_shard:int ->
-    unit -> t
-
-  val append : t -> label:int -> Yali_ir.Irmod.t -> unit
-
-  (** Seal the open shard and write the index. *)
-  val close : t -> unit
-end
-
 type reader
 
 (** Open and validate a corpus directory.

@@ -186,20 +186,6 @@ let junk (c : ctx) : stmt list =
     differently). *)
 let reorder (c : ctx) (ss : stmt list) : stmt list = Rng.shuffle c.rng ss
 
-(** Wrap the computation in a helper function with some probability,
-    otherwise keep it inline in [main].  [mk_main] receives the name of the
-    function to call (or [None] when inline). *)
-let maybe_helper (c : ctx) ~(params : (ty * string) list) ~(fret : ty)
-    ~(body : stmt list) ~(mk_main : string option -> stmt list) :
-    func list =
-  if Rng.bernoulli c.rng 0.4 then
-    let hname = name c "compute" in
-    [
-      { fname = hname; fparams = params; fret; fbody = body };
-      { fname = "main"; fparams = []; fret = TInt; fbody = mk_main (Some hname) };
-    ]
-  else [ { fname = "main"; fparams = []; fret = TInt; fbody = mk_main None } ]
-
 (** Assemble a program from functions (main must be present). *)
 let program (funcs : func list) : program = { pfuncs = funcs }
 

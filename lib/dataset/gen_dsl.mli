@@ -88,15 +88,6 @@ val junk : ctx -> stmt list
 (** Shuffle independent statements. *)
 val reorder : ctx -> stmt list -> stmt list
 
-(** Wrap the computation in a helper function with some probability. *)
-val maybe_helper :
-  ctx ->
-  params:(ty * string) list ->
-  fret:ty ->
-  body:stmt list ->
-  mk_main:(string option -> stmt list) ->
-  func list
-
 val program : func list -> program
 
 (** The common generator shape: [prologue @ junk @ body @ epilogue @ return]. *)

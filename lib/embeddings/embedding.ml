@@ -78,4 +78,3 @@ let to_graph_cached (e : t) (m : Irmod.t) : Graph.t =
     (fun () -> to_graph e m)
 
 let flat_cache_stats () = Yali_exec.Cache.stats flat_cache
-let graph_cache_stats () = Yali_exec.Cache.stats graph_cache

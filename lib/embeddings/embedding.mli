@@ -44,4 +44,3 @@ val to_flat_cached : t -> Yali_ir.Irmod.t -> float array
 val to_graph_cached : t -> Yali_ir.Irmod.t -> Graph.t
 
 val flat_cache_stats : unit -> Yali_exec.Cache.stats
-val graph_cache_stats : unit -> Yali_exec.Cache.stats

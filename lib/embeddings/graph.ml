@@ -5,9 +5,6 @@
 
 type edge_type = Control | Data | Call | Memory
 
-let edge_type_index = function Control -> 0 | Data -> 1 | Call -> 2 | Memory -> 3
-let edge_type_count = 4
-
 type t = {
   node_feats : float array array;  (** [n] rows of dimension [feat_dim] *)
   edges : (int * int * edge_type) list;

@@ -5,9 +5,6 @@
 
 type edge_type = Control | Data | Call | Memory
 
-val edge_type_index : edge_type -> int
-val edge_type_count : int
-
 type t = {
   node_feats : float array array;  (** one row of length [feat_dim] per node *)
   edges : (int * int * edge_type) list;

@@ -40,19 +40,3 @@ let retarget_phis ~(old_pred : string) ~(new_pred : string) (b : t) : t =
       b.instrs
   in
   { b with instrs }
-
-(** Remove phi entries coming from a predecessor that no longer branches
-    here. *)
-let remove_phi_entries ~(pred : string) (b : t) : t =
-  let instrs =
-    List.filter_map
-      (fun (i : Instr.t) ->
-        match i.kind with
-        | Phi incoming -> (
-            match List.filter (fun (_, l) -> l <> pred) incoming with
-            | [] -> None
-            | incoming -> Some { i with kind = Instr.Phi incoming })
-        | _ -> Some i)
-      b.instrs
-  in
-  { b with instrs }

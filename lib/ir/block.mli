@@ -16,7 +16,3 @@ val opcodes : t -> Opcode.t list
 
 (** Relabel phi entries from [old_pred] to [new_pred] (CFG surgery). *)
 val retarget_phis : old_pred:string -> new_pred:string -> t -> t
-
-(** Drop phi entries coming from a predecessor that no longer branches
-    here; phis left with no entries are removed. *)
-val remove_phi_entries : pred:string -> t -> t

@@ -2,8 +2,6 @@
 
 open Instr
 
-let pp_value = Value.pp
-
 let pp_operand fmt v =
   (* short form, without the type, for contexts where the type is implied *)
   match v with

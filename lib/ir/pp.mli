@@ -1,7 +1,6 @@
 (** Textual rendering of the IR in an LLVM-flavoured concrete syntax;
     {!Parser} reads it back. *)
 
-val pp_value : Format.formatter -> Value.t -> unit
 val pp_operand : Format.formatter -> Value.t -> unit
 val pp_instr : Format.formatter -> Instr.t -> unit
 val pp_terminator : Format.formatter -> Instr.terminator -> unit

@@ -10,14 +10,9 @@ type t =
 let i1 b = IConst (Types.I1, if b then 1L else 0L)
 let i8 n = IConst (Types.I8, Int64.of_int n)
 let i32 n = IConst (Types.I32, Int64.of_int n)
-let i32_64 n = IConst (Types.I32, n)
 let i64 n = IConst (Types.I64, Int64.of_int n)
 let f64 x = FConst x
 let var i = Var i
-
-let is_const = function
-  | IConst _ | FConst _ -> true
-  | Var _ | Global _ | Undef _ -> false
 
 let equal (a : t) (b : t) = a = b
 

@@ -12,12 +12,10 @@ type t =
 val i1 : bool -> t
 val i8 : int -> t
 val i32 : int -> t
-val i32_64 : int64 -> t
 val i64 : int -> t
 val f64 : float -> t
 val var : int -> t
 
-val is_const : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

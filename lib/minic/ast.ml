@@ -51,8 +51,6 @@ type func = {
 
 type program = { pfuncs : func list }
 
-let func_names (p : program) = List.map (fun f -> f.fname) p.pfuncs
-
 let find_func (p : program) name =
   List.find_opt (fun f -> f.fname = name) p.pfuncs
 

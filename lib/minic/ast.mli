@@ -48,7 +48,6 @@ type func = {
 
 type program = { pfuncs : func list }
 
-val func_names : program -> string list
 val find_func : program -> string -> func option
 
 (** Bottom-up rewriting of every sub-expression. *)

@@ -119,6 +119,5 @@ let pp_func fmt (f : func) =
 let pp_program fmt (p : program) =
   List.iter (fun f -> Fmt.pf fmt "%a@." pp_func f) p.pfuncs
 
-let expr_to_string e = Fmt.str "%a" (pp_expr ~prec:0) e
 let func_to_string f = Fmt.str "%a" pp_func f
 let program_to_string p = Fmt.str "%a" pp_program p

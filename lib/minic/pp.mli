@@ -13,6 +13,5 @@ val pp_stmt : indent:int -> Format.formatter -> Ast.stmt -> unit
 val pp_func : Format.formatter -> Ast.func -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 
-val expr_to_string : Ast.expr -> string
 val func_to_string : Ast.func -> string
 val program_to_string : Ast.program -> string

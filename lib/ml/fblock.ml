@@ -40,43 +40,9 @@ let row_offset ~d i = header_bytes + (8 * d * i)
 
 (* -- writer ----------------------------------------------------------------- *)
 
-module Writer = struct
-  type t = {
-    path : string;
-    n : int;
-    d : int;
-    oc : out_channel;
-    buf : Bytes.t;
-    mutable written : int;
-  }
-
-  let create (path : string) ~(n : int) ~(d : int) : t =
-    let oc = open_out_bin path in
-    output_string oc (encode_header ~n ~d);
-    { path; n; d; oc; buf = Bytes.create (8 * d); written = 0 }
-
-  let append_row (w : t) (row : float array) : unit =
-    if Array.length row <> w.d then
-      invalid_arg "Fblock.Writer.append_row: width mismatch";
-    if w.written >= w.n then
-      invalid_arg "Fblock.Writer.append_row: more rows than declared";
-    put_row w.buf 0 row;
-    output_bytes w.oc w.buf;
-    w.written <- w.written + 1
-
-  let close (w : t) : unit =
-    Fun.protect
-      ~finally:(fun () -> close_out w.oc)
-      (fun () ->
-        if w.written <> w.n then
-          failwith
-            (Printf.sprintf "Fblock.Writer.close: %d of %d rows written"
-               w.written w.n))
-end
-
-(* [create_sized] + [write_rows_at]: the shard-parallel path.  The file is
-   pre-sized, then each task opens its own descriptor and writes only its
-   own disjoint row range, so content is deterministic at any [jobs]. *)
+(* [create_sized] + [Pwrite]: the file is pre-sized, then each task opens
+   its own descriptor and writes only its own rows, so content is
+   deterministic at any [jobs]. *)
 
 let create_sized (path : string) ~(n : int) ~(d : int) : unit =
   let oc = open_out_bin path in
@@ -88,26 +54,6 @@ let create_sized (path : string) ~(n : int) ~(d : int) : unit =
         seek_out oc (row_offset ~d n - 1);
         output_char oc '\000'
       end)
-
-let write_rows_at (path : string) ~(d : int) ~(row0 : int)
-    (rows : float array array) : unit =
-  if Array.length rows = 0 then ()
-  else begin
-    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        ignore (Unix.lseek fd (row_offset ~d row0) Unix.SEEK_SET);
-        let buf = Bytes.create (8 * d) in
-        Array.iter
-          (fun row ->
-            if Array.length row <> d then
-              invalid_arg "Fblock.write_rows_at: width mismatch";
-            put_row buf 0 row;
-            let k = Unix.write fd buf 0 (Bytes.length buf) in
-            if k <> Bytes.length buf then failwith "Fblock: short write")
-          rows)
-  end
 
 module Pwrite = struct
   type t = { fd : Unix.file_descr; d : int; buf : Bytes.t }
@@ -221,10 +167,13 @@ let materialize (src : source) : Fmat.t =
   | Disk r -> if r.n = 0 then Fmat.create 0 r.d else read_block r ~lo:0 ~rows:r.n
 
 let to_file (path : string) (m : Fmat.t) : unit =
-  let w = Writer.create path ~n:m.Fmat.n ~d:m.Fmat.d in
-  let row = Array.make m.Fmat.d 0.0 in
-  for i = 0 to m.Fmat.n - 1 do
-    Fmat.row_into m i row;
-    Writer.append_row w row
-  done;
-  Writer.close w
+  create_sized path ~n:m.Fmat.n ~d:m.Fmat.d;
+  let w = Pwrite.open_ path ~d:m.Fmat.d in
+  Fun.protect
+    ~finally:(fun () -> Pwrite.close w)
+    (fun () ->
+      let row = Array.make m.Fmat.d 0.0 in
+      for i = 0 to m.Fmat.n - 1 do
+        Fmat.row_into m i row;
+        Pwrite.write_row w i row
+      done)

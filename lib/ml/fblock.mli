@@ -23,28 +23,9 @@ val version : int
     equivalence argument of DESIGN.md §12). *)
 val default_block_rows : int
 
-module Writer : sig
-  type t
-
-  (** Declare the exact shape up front; the header is written immediately. *)
-  val create : string -> n:int -> d:int -> t
-
-  (** @raise Invalid_argument on width mismatch or when more than [n] rows
-      are appended *)
-  val append_row : t -> float array -> unit
-
-  (** @raise Failure when fewer than [n] rows were appended *)
-  val close : t -> unit
-end
-
 (** Pre-size a feature file (header plus a hole for [n*d] doubles) so
     parallel writers can fill disjoint row ranges. *)
 val create_sized : string -> n:int -> d:int -> unit
-
-(** [write_rows_at path ~d ~row0 rows] writes [rows] starting at row index
-    [row0], through a private descriptor — safe to call concurrently for
-    disjoint ranges (the shard-parallel embedding path). *)
-val write_rows_at : string -> d:int -> row0:int -> float array array -> unit
 
 (** A positioned row writer over a pre-sized file ({!create_sized}): each
     task opens its own descriptor and writes only its own row indices, so

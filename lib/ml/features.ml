@@ -94,12 +94,6 @@ let fit_transform_fmat (x : Fmat.t) : scaler * Fmat.t =
   transform_fmat_inplace s y;
   (s, y)
 
-(** Memory footprint of a float-array-of-arrays, in bytes (8 bytes per
-    element plus header overhead); used for the paper's Figure 7 memory
-    comparison. *)
-let bytes_of_rows (xs : float array array) : int =
-  Array.fold_left (fun acc r -> acc + (8 * Array.length r) + 24) 24 xs
-
 (** Same footprint estimate for a flat matrix: one header, no per-row
     overhead — the memory argument for the contiguous layout. *)
 let bytes_of_fmat (x : Fmat.t) : int = (8 * x.Fmat.n * x.Fmat.d) + 24

@@ -24,10 +24,6 @@ val transform_fmat_inplace : scaler -> Fmat.t -> unit
     one embedded matrix can be shared across models). *)
 val fit_transform_fmat : Fmat.t -> scaler * Fmat.t
 
-(** Approximate heap footprint of a row matrix, in bytes (for the paper's
-    Figure 7 memory comparison). *)
-val bytes_of_rows : float array array -> int
-
 (** Footprint of a flat matrix (one block, no per-row headers). *)
 val bytes_of_fmat : Fmat.t -> int
 

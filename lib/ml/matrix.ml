@@ -241,9 +241,6 @@ let vm (v : float array) (m : t) : float array =
 let random (rng : Yali_util.Rng.t) rows cols ~scale:s =
   init rows cols (fun _ _ -> Yali_util.Rng.gaussian rng *. s)
 
-let frobenius (m : t) : float =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
 let pp fmt (m : t) =
   Fmt.pf fmt "@[<v>";
   for i = 0 to m.rows - 1 do

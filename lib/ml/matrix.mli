@@ -56,7 +56,6 @@ val vm : float array -> t -> float array
 (** Gaussian random matrix with the given standard deviation. *)
 val random : Yali_util.Rng.t -> int -> int -> scale:float -> t
 
-val frobenius : t -> float
 val pp : Format.formatter -> t -> unit
 
 (** Serialise shape and element bits (model snapshots; bit-exact). *)

@@ -55,7 +55,7 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
         Array.iter
           (fun i ->
             Fmat.row_into block i buf;
-            ignore (Nn.train_step ~lr ~rng net buf ys.(lo + i)))
+            ignore (Nn.train_step ~lr net buf ys.(lo + i)))
           order)
   done;
   { scaler; net }

@@ -216,15 +216,3 @@ let load (blob : string) : snapshot =
   in
   Bin.expect_end r;
   s
-
-let save_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (save s))
-
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> load (really_input_string ic (in_channel_length ic)))

@@ -116,8 +116,3 @@ val save : snapshot -> string
 (** @raise Yali_util.Bin.Corrupt on bad magic, version skew or a
     malformed payload *)
 val load : string -> snapshot
-
-val save_file : string -> snapshot -> unit
-
-(** @raise Yali_util.Bin.Corrupt as {!load}; @raise Sys_error as [open_in] *)
-val load_file : string -> snapshot

@@ -1,10 +1,11 @@
 (** A small feed-forward neural-network kernel with hand-written
-    backpropagation: dense, ReLU, tanh, dropout, 1-D convolution and max
-    pooling layers, plus a softmax/cross-entropy head.  Shared by the MLP,
-    CNN and DGCNN models.
+    backpropagation: dense, ReLU, dropout, 1-D convolution and max pooling
+    layers, plus a softmax/cross-entropy head.  Shared by the MLP, CNN and
+    DGCNN models.
 
     Two training paths coexist:
-    - the per-example {!train_step} (used by the MLP), and
+    - the per-example {!train_step} (used by the MLP, whose net is dense
+      and ReLU layers only), and
     - the batched {!train_batch} minibatch kernel: whole-batch forward and
       backward as cache-tiled matmuls (im2col lowering for the 1-D
       convolutions), gradients accumulated in fixed row shards over
@@ -33,8 +34,6 @@ type conv1d = {
   stride : int;
   mutable filters : Matrix.t;  (** c_out x (c_in * kernel) *)
   mutable cbias : float array;
-  mutable conv_in : float array;
-  mutable in_len : int;
   mutable ft : Matrix.t option;
       (** cached transpose of [filters]; invalidated on update *)
 }
@@ -42,10 +41,9 @@ type conv1d = {
 type layer =
   | Dense of dense
   | Relu of { mutable mask : bool array }
-  | Tanh of { mutable out : float array }
-  | Dropout of { p : float; mutable dmask : float array }
+  | Dropout of { p : float }
   | Conv1d of conv1d
-  | MaxPool of { size : int; mutable argmax : int array; mutable pool_in_len : int }
+  | MaxPool of { size : int }
 
 let dense (rng : Rng.t) ~(d_in : int) ~(d_out : int) : layer =
   Dense
@@ -57,8 +55,7 @@ let dense (rng : Rng.t) ~(d_in : int) ~(d_out : int) : layer =
     }
 
 let relu () = Relu { mask = [||] }
-let tanh_layer () = Tanh { out = [||] }
-let dropout p = Dropout { p; dmask = [||] }
+let dropout p = Dropout { p }
 
 let conv1d (rng : Rng.t) ~(c_in : int) ~(c_out : int) ~(kernel : int)
     ~(stride : int) : layer =
@@ -72,12 +69,10 @@ let conv1d (rng : Rng.t) ~(c_in : int) ~(c_out : int) ~(kernel : int)
         Matrix.random rng c_out (c_in * kernel)
           ~scale:(sqrt (2.0 /. float_of_int (c_in * kernel)));
       cbias = Array.make c_out 0.0;
-      conv_in = [||];
-      in_len = 0;
       ft = None;
     }
 
-let maxpool size = MaxPool { size; argmax = [||]; pool_in_len = 0 }
+let maxpool size = MaxPool { size }
 
 (* Conv layout: a multi-channel signal of [c] channels and length [l] is a
    flat array of size c*l, channel-major: index = ch*l + pos. *)
@@ -101,8 +96,9 @@ let conv_ft (c : conv1d) : Matrix.t =
       c.ft <- Some t;
       t
 
-let forward ?(train = false) ?rng (layer : layer) (x : float array) :
-    float array =
+(* Inference through one layer (dropout is the identity); dense and relu
+   layers also keep what [backward] reads. *)
+let forward (layer : layer) (x : float array) : float array =
   match layer with
   | Dense d ->
       d.last_in <- x;
@@ -111,24 +107,9 @@ let forward ?(train = false) ?rng (layer : layer) (x : float array) :
   | Relu r ->
       r.mask <- Array.map (fun v -> v > 0.0) x;
       Array.map (fun v -> if v > 0.0 then v else 0.0) x
-  | Tanh t ->
-      let out = Array.map tanh x in
-      t.out <- out;
-      out
-  | Dropout d ->
-      if train then begin
-        let rng = Option.get rng in
-        d.dmask <-
-          Array.map
-            (fun _ -> if Rng.float rng < d.p then 0.0 else 1.0 /. (1.0 -. d.p))
-            x;
-        Array.mapi (fun i v -> v *. d.dmask.(i)) x
-      end
-      else x
+  | Dropout _ -> x
   | Conv1d c ->
       let in_len = Array.length x / c.c_in in
-      c.conv_in <- x;
-      c.in_len <- in_len;
       let out_len = conv_out_len c in_len in
       if out_len <= 0 then Array.make c.c_out 0.0
       else begin
@@ -157,20 +138,17 @@ let forward ?(train = false) ?rng (layer : layer) (x : float array) :
          of [size], which for channel-major layouts pools within channels as
          long as the length is a multiple of [size] *)
       let n = Array.length x in
-      let out_n = n / m.size in
-      m.pool_in_len <- n;
-      m.argmax <- Array.make out_n 0;
-      Array.init out_n (fun i ->
+      Array.init (n / m.size) (fun i ->
           let base = i * m.size in
           let best = ref base in
           for k = 1 to m.size - 1 do
             if base + k < n && x.(base + k) > x.(!best) then best := base + k
           done;
-          m.argmax.(i) <- !best;
           x.(!best))
 
 (* Backward pass: given dL/d(out), update parameter grads in-place (SGD with
-   the supplied learning rate) and return dL/d(in). *)
+   the supplied learning rate) and return dL/d(in).  Only the per-example
+   trainer calls it, on dense and relu layers. *)
 let backward ~(lr : float) (layer : layer) (dout : float array) : float array
     =
   match layer with
@@ -193,43 +171,8 @@ let backward ~(lr : float) (layer : layer) (dout : float array) : float array
       d.wt <- None;
       din
   | Relu r -> Array.mapi (fun i v -> if r.mask.(i) then v else 0.0) dout
-  | Tanh t -> Array.mapi (fun i v -> v *. (1.0 -. (t.out.(i) *. t.out.(i)))) dout
-  | Dropout d ->
-      if Array.length d.dmask = Array.length dout then
-        Array.mapi (fun i v -> v *. d.dmask.(i)) dout
-      else dout
-  | Conv1d c ->
-      let in_len = c.in_len in
-      let out_len = conv_out_len c in_len in
-      let din = Array.make (Array.length c.conv_in) 0.0 in
-      if out_len > 0 then begin
-        let fd = c.filters.data and fcols = c.filters.cols in
-        for o = 0 to c.c_out - 1 do
-          let fbase = o * fcols in
-          let gb = ref 0.0 in
-          for p = 0 to out_len - 1 do
-            let g = dout.((o * out_len) + p) in
-            gb := !gb +. g;
-            let s = lr *. g in
-            for ci = 0 to c.c_in - 1 do
-              for k = 0 to c.kernel - 1 do
-                let xi = (ci * in_len) + (p * c.stride) + k in
-                let fi = fbase + (ci * c.kernel) + k in
-                let fv = Array.unsafe_get fd fi in
-                din.(xi) <- din.(xi) +. (g *. fv);
-                Array.unsafe_set fd fi (fv -. (s *. c.conv_in.(xi)))
-              done
-            done
-          done;
-          c.cbias.(o) <- c.cbias.(o) -. (lr *. !gb)
-        done;
-        c.ft <- None
-      end;
-      din
-  | MaxPool m ->
-      let din = Array.make m.pool_in_len 0.0 in
-      Array.iteri (fun i g -> din.(m.argmax.(i)) <- din.(m.argmax.(i)) +. g) dout;
-      din
+  | Dropout _ | Conv1d _ | MaxPool _ ->
+      invalid_arg "Nn.backward: per-example training is dense and relu only"
 
 type t = { layers : layer list; n_classes : int }
 
@@ -238,13 +181,12 @@ let invalidate_caches (net : t) : unit =
     (function
       | Dense d -> d.wt <- None
       | Conv1d c -> c.ft <- None
-      | Relu _ | Tanh _ | Dropout _ | MaxPool _ -> ())
+      | Relu _ | Dropout _ | MaxPool _ -> ())
     net.layers
 
 type layer_view =
   | V_dense of { w : Matrix.t; b : float array }
   | V_relu
-  | V_tanh
   | V_dropout of float
   | V_conv1d of {
       c_in : int;
@@ -261,7 +203,6 @@ let view (net : t) : layer_view list =
     (function
       | Dense d -> V_dense { w = d.w; b = d.b }
       | Relu _ -> V_relu
-      | Tanh _ -> V_tanh
       | Dropout d -> V_dropout d.p
       | Conv1d c ->
           V_conv1d
@@ -282,12 +223,11 @@ let dump_weights (net : t) : float array array =
        (function
          | Dense d -> [ Array.copy d.w.Matrix.data; Array.copy d.b ]
          | Conv1d c -> [ Array.copy c.filters.Matrix.data; Array.copy c.cbias ]
-         | Relu _ | Tanh _ | Dropout _ | MaxPool _ -> [])
+         | Relu _ | Dropout _ | MaxPool _ -> [])
        net.layers)
 
-let forward_all ?(train = false) ?rng (net : t) (x : float array) :
-    float array =
-  List.fold_left (fun x l -> forward ~train ?rng l x) x net.layers
+let forward_all (net : t) (x : float array) : float array =
+  List.fold_left (fun x l -> forward l x) x net.layers
 
 let backward_all ~(lr : float) (net : t) (dout : float array) : float array =
   List.fold_left (fun d l -> backward ~lr l d) dout (List.rev net.layers)
@@ -302,9 +242,9 @@ let softmax (z : float array) : float array =
     the loss and the gradient at the input (useful for models that have
     differentiable layers below the network, like the DGCNN's graph
     convolutions). *)
-let train_step ~(lr : float) ~(rng : Rng.t) (net : t) (x : float array)
-    (y : int) : float * float array =
-  let logits = forward_all ~train:true ~rng net x in
+let train_step ~(lr : float) (net : t) (x : float array) (y : int) :
+    float * float array =
+  let logits = forward_all net x in
   let p = softmax logits in
   let loss = -.log (max 1e-12 p.(y)) in
   let dlogits = Array.mapi (fun i v -> v -. if i = y then 1.0 else 0.0) p in
@@ -340,7 +280,7 @@ let shape_widths (net : t) ~(d_in : int) : int array =
             if d.w.Matrix.cols <> w then
               invalid_arg "Nn.train_batch: dense layer width mismatch";
             d.w.Matrix.rows
-        | Relu _ | Tanh _ | Dropout _ -> w
+        | Relu _ | Dropout _ -> w
         | Conv1d c ->
             let in_len = w / c.c_in in
             let ol = conv_out_len c in_len in
@@ -357,7 +297,6 @@ type grad =
 type bscratch =
   | S_nothing
   | S_input of Matrix.t  (** dense / relu input *)
-  | S_out of Matrix.t  (** tanh output *)
   | S_conv of { im : Matrix.t; in_w : int; out_len : int }
   | S_pool of { argmax : int array; in_w : int; out_w : int }
 
@@ -390,14 +329,6 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
               Array.unsafe_set out.Matrix.data t 0.0
           done;
           scratch.(li) <- S_input out;
-          a := out
-      | Tanh _ ->
-          let out = Matrix.create_uninit rows x.Matrix.cols in
-          for t = 0 to (rows * x.Matrix.cols) - 1 do
-            Array.unsafe_set out.Matrix.data t
-              (tanh (Array.unsafe_get x.Matrix.data t))
-          done;
-          scratch.(li) <- S_out out;
           a := out
       | Dropout _ ->
           let mask = Option.get masks.(li) in
@@ -528,14 +459,6 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
             Array.unsafe_set d_o.Matrix.data t 0.0
         done;
         dout := d_o
-    | Tanh _, S_out out ->
-        let dn = Matrix.create_uninit rows out.Matrix.cols in
-        for t = 0 to (rows * out.Matrix.cols) - 1 do
-          let o = Array.unsafe_get out.Matrix.data t in
-          Array.unsafe_set dn.Matrix.data t
-            (Array.unsafe_get d_o.Matrix.data t *. (1.0 -. (o *. o)))
-        done;
-        dout := dn
     | Dropout _, S_nothing ->
         let mask = Option.get masks.(li) in
         let w = d_o.Matrix.cols in
@@ -730,7 +653,7 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
 
 (** Raw output-layer activations of one inference pass (no softmax). *)
 let logits (net : t) (x : float array) : float array =
-  forward_all ~train:false net x
+  forward_all net x
 
 let predict (net : t) (x : float array) : int =
   let logits = logits net x in
@@ -738,7 +661,7 @@ let predict (net : t) (x : float array) : int =
   Array.iteri (fun i v -> if v > logits.(!best) then best := i) logits;
   !best
 
-(* Batched inference.  A dense-only net (Dense/Relu/Tanh/Dropout) runs the
+(* Batched inference.  A dense-only net (Dense/Relu/Dropout) runs the
    whole batch as one cache-tiled matmul per layer, with the bias added
    after accumulation — the same summation order as the per-row [mv] path.
    Anything with a Conv1d/MaxPool falls back to per-row prediction. *)
@@ -746,7 +669,7 @@ let predict_batch (net : t) (x : Fmat.t) : int array =
   let dense_only =
     List.for_all
       (function
-        | Dense _ | Relu _ | Tanh _ | Dropout _ -> true
+        | Dense _ | Relu _ | Dropout _ -> true
         | Conv1d _ | MaxPool _ -> false)
       net.layers
   in
@@ -772,7 +695,6 @@ let predict_batch (net : t) (x : Fmat.t) : int array =
             done;
             a := out
         | Relu _ -> a := Matrix.map (fun v -> if v > 0.0 then v else 0.0) !a
-        | Tanh _ -> a := Matrix.map tanh !a
         | Dropout _ -> ()
         | Conv1d _ | MaxPool _ -> assert false)
       net.layers;
@@ -796,7 +718,7 @@ let size_bytes (net : t) : int =
       match l with
       | Dense d -> 8 * ((d.w.rows * d.w.cols) + Array.length d.b)
       | Conv1d c -> 8 * ((c.filters.rows * c.filters.cols) + Array.length c.cbias)
-      | Relu _ | Tanh _ | Dropout _ | MaxPool _ -> 0)
+      | Relu _ | Dropout _ | MaxPool _ -> 0)
     0 net.layers
 
 (* -- snapshots -------------------------------------------------------------- *)
@@ -810,7 +732,6 @@ let layer_to_bin b (l : layer) =
       Matrix.to_bin b d.w;
       Bin.w_floats b d.b
   | Relu _ -> Bin.w_u8 b 1
-  | Tanh _ -> Bin.w_u8 b 2
   | Dropout d ->
       Bin.w_u8 b 3;
       Bin.w_f64 b d.p
@@ -835,8 +756,7 @@ let layer_of_bin r : layer =
         Bin.fail r "dense layer bias/weight shape mismatch";
       Dense { w; b; last_in = [||]; wt = None }
   | 1 -> Relu { mask = [||] }
-  | 2 -> Tanh { out = [||] }
-  | 3 -> Dropout { p = Bin.r_f64 r; dmask = [||] }
+  | 3 -> Dropout { p = Bin.r_f64 r }
   | 4 ->
       let c_in = Bin.r_u32 r in
       let c_out = Bin.r_u32 r in
@@ -850,13 +770,11 @@ let layer_of_bin r : layer =
       then Bin.fail r "conv layer filter shape mismatch";
       if Array.length cbias <> c_out then
         Bin.fail r "conv layer bias shape mismatch";
-      Conv1d
-        { c_in; c_out; kernel; stride; filters; cbias; conv_in = [||];
-          in_len = 0; ft = None }
+      Conv1d { c_in; c_out; kernel; stride; filters; cbias; ft = None }
   | 5 ->
       let size = Bin.r_u32 r in
       if size <= 0 then Bin.fail r "maxpool layer with non-positive size";
-      MaxPool { size; argmax = [||]; pool_in_len = 0 }
+      MaxPool { size }
   | n -> Bin.fail r (Printf.sprintf "bad layer tag %d" n)
 
 let to_bin b (net : t) =

@@ -1,7 +1,7 @@
 (** A small feed-forward neural-network kernel with hand-written
-    backpropagation: dense, ReLU, tanh, dropout, 1-D convolution and max
-    pooling, plus a softmax/cross-entropy head.  Shared by the MLP, CNN and
-    DGCNN models.
+    backpropagation: dense, ReLU, dropout, 1-D convolution and max pooling,
+    plus a softmax/cross-entropy head.  Shared by the MLP, CNN and DGCNN
+    models.
 
     Convolution layout: a [c]-channel signal of length [l] is a flat array
     of size [c*l], channel-major.
@@ -17,7 +17,6 @@ type layer
 
 val dense : Yali_util.Rng.t -> d_in:int -> d_out:int -> layer
 val relu : unit -> layer
-val tanh_layer : unit -> layer
 val dropout : float -> layer
 
 val conv1d :
@@ -25,25 +24,15 @@ val conv1d :
 
 val maxpool : int -> layer
 
-val forward :
-  ?train:bool -> ?rng:Yali_util.Rng.t -> layer -> float array -> float array
-
-(** Backward pass: applies the SGD update in place and returns dL/d(in). *)
-val backward : lr:float -> layer -> float array -> float array
-
 type t = { layers : layer list; n_classes : int }
 
-val forward_all :
-  ?train:bool -> ?rng:Yali_util.Rng.t -> t -> float array -> float array
-
-val backward_all : lr:float -> t -> float array -> float array
 val softmax : float array -> float array
 
 (** One SGD step on a (sample, label) pair; returns the loss and the
-    gradient at the network input (used by models with differentiable
-    layers below the network, like the DGCNN's graph convolutions). *)
-val train_step :
-  lr:float -> rng:Yali_util.Rng.t -> t -> float array -> int -> float * float array
+    gradient at the network input.  Dense and ReLU layers only (the MLP's
+    net).
+    @raise Invalid_argument on a dropout, convolution or pooling layer *)
+val train_step : lr:float -> t -> float array -> int -> float * float array
 
 (** Rows per gradient shard of {!train_batch}.  Shard boundaries are a
     function of the batch size only (never of [--jobs]); exposed so the
@@ -102,7 +91,6 @@ val size_bytes : t -> int
 type layer_view =
   | V_dense of { w : Matrix.t; b : float array }
   | V_relu
-  | V_tanh
   | V_dropout of float
   | V_conv1d of {
       c_in : int;

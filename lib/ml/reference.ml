@@ -373,7 +373,6 @@ module Nnb = struct
   type scr =
     | Nothing
     | In of float array
-    | Out of float array
     | ConvS of { xin : float array; in_w : int; out_len : int }
     | PoolS of { argmax : int array; in_w : int; out_w : int }
 
@@ -388,7 +387,7 @@ module Nnb = struct
             if wm.Matrix.cols <> w then
               invalid_arg "Reference.Nnb: dense layer width mismatch";
             wm.Matrix.rows
-        | Nn.V_relu | Nn.V_tanh | Nn.V_dropout _ -> w
+        | Nn.V_relu | Nn.V_dropout _ -> w
         | Nn.V_conv1d c ->
             let in_len = w / c.c_in in
             let ol = ((in_len - c.kernel) / c.stride) + 1 in
@@ -470,10 +469,6 @@ module Nnb = struct
             | Nn.V_relu ->
                 scratch.(li) <- In x;
                 a := Array.map (fun v -> if v > 0.0 then v else 0.0) x
-            | Nn.V_tanh ->
-                let out = Array.map tanh x in
-                scratch.(li) <- Out out;
-                a := out
             | Nn.V_dropout _ ->
                 let mask = Option.get masks.(li) in
                 let wd = widths.(li) in
@@ -556,11 +551,6 @@ module Nnb = struct
                 g :=
                   Array.mapi
                     (fun j v -> if xin.(j) > 0.0 then v else 0.0)
-                    d_o
-            | Nn.V_tanh, Out out, G_none ->
-                g :=
-                  Array.mapi
-                    (fun j v -> v *. (1.0 -. (out.(j) *. out.(j))))
                     d_o
             | Nn.V_dropout _, Nothing, G_none ->
                 let mask = Option.get masks.(li) in

@@ -40,6 +40,38 @@ val shutdown : t -> unit
     socket file that exists is not yet a daemon that is up. *)
 val ready : string -> bool
 
-(** Poll {!ready} every 50 ms for up to 10 s.
-    @raise Failure when the daemon never answers *)
-val await_daemon : string -> unit
+(** A daemon that never answered a ping, or a request it did not answer. *)
+exception No_answer of string
+
+(** How to start one daemon: the argv (program first) that serves the
+    registry model [spec] from [registry] on [socket]. *)
+type command = socket:string -> registry:string -> spec:string -> string array
+
+(** This executable again, in the hidden mode {!daemon_mode} serves. *)
+val self_command : command
+
+(** The hidden daemon mode of an executable that launches itself through
+    {!self_command}: when [Sys.argv] is such a command line, serve with
+    {!Server.default}'s settings and exit (0 after a clean shutdown, 1 on
+    a setup error); otherwise return at once.  Call it before anything
+    reads [Sys.argv]. *)
+val daemon_mode : unit -> unit
+
+(** [with_daemons ~command ~dir ~registry specs f] starts one daemon per
+    model spec, serving on [dir/SPEC.sock], waits until each answers a
+    ping (polling {!ready} every 50 ms for up to 10 s), and runs [f] on
+    the [(spec, socket)] list.  Every daemon is a fresh process running
+    [command] ([Unix.fork] is illegal once the pool has spawned a domain).
+    SIGPIPE is ignored while [f] runs, so a write to a daemon that has
+    died raises [Unix.Unix_error EPIPE] instead of killing this process.
+    Afterwards, also when [f] raises, every daemon gets SIGTERM and is
+    reaped; one still running 10 s later gets SIGKILL.  Returns [f]'s
+    result and whether every daemon exited 0.
+    @raise No_answer when a daemon never answers a ping *)
+val with_daemons :
+  command:command ->
+  dir:string ->
+  registry:string ->
+  string list ->
+  ((string * string) list -> 'a) ->
+  'a * bool

@@ -102,17 +102,6 @@ let versions ~dir kind =
 let latest ~dir kind =
   match List.rev (versions ~dir kind) with [] -> None | v :: _ -> Some v
 
-let list_all ~dir =
-  let files = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.to_list files
-  |> List.filter_map (fun f ->
-         match String.index_opt f '@' with
-         | Some i when Filename.check_suffix f ".ymdl" ->
-             Some (String.sub f 0 i)
-         | _ -> None)
-  |> List.sort_uniq compare
-  |> List.map (fun kind -> (kind, versions ~dir kind))
-
 let write_file path blob =
   let oc = open_out_bin path in
   Fun.protect

@@ -38,9 +38,6 @@ val versions : dir:string -> string -> int list
 
 val latest : dir:string -> string -> int option
 
-(** Every kind with at least one published version. *)
-val list_all : dir:string -> (string * int list) list
-
 (** Write a snapshot into the registry.  [version] defaults to
     latest+1 (or 1); the stored metadata carries the assigned version.
     Returns (assigned version, path).  Creates [dir] when missing. *)

@@ -29,7 +29,6 @@ let w_u32 b v =
 let w_i64 b v = Buffer.add_int64_le b v
 let w_int b v = w_i64 b (Int64.of_int v)
 let w_f64 b v = w_i64 b (Int64.bits_of_float v)
-let w_bool b v = w_u8 b (if v then 1 else 0)
 
 let w_str b s =
   w_u32 b (String.length s);
@@ -78,12 +77,6 @@ let r_i64 r =
 let r_int r = Int64.to_int (r_i64 r)
 
 let r_f64 r = Int64.float_of_bits (r_i64 r)
-
-let r_bool r =
-  match r_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | n -> fail r (Printf.sprintf "bad bool tag %d" n)
 
 let r_raw r n =
   need r n "bytes";

@@ -47,8 +47,6 @@ val w_int : Buffer.t -> int -> unit
 (** IEEE-754 bits, 8 bytes. *)
 val w_f64 : Buffer.t -> float -> unit
 
-val w_bool : Buffer.t -> bool -> unit
-
 (** u32 byte length + raw bytes. *)
 val w_str : Buffer.t -> string -> unit
 
@@ -67,7 +65,6 @@ val r_u32 : r -> int
 val r_i64 : r -> int64
 val r_int : r -> int
 val r_f64 : r -> float
-val r_bool : r -> bool
 val r_str : r -> string
 
 (** [r_raw r n] reads exactly [n] raw bytes. *)

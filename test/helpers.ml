@@ -4,6 +4,11 @@ module Rng = Yali.Rng
 module Ir = Yali.Ir
 module Minic = Yali.Minic
 
+(* The daemons of the serve and adapt suites are this binary re-run in
+   the hidden daemon mode, which must take over before Alcotest reads
+   [Sys.argv]. *)
+let () = Yali.Serve.Client.daemon_mode ()
+
 let parse = Yali.parse
 let lower = Yali.lower
 
@@ -65,6 +70,19 @@ let qtest ?(count = 60) name prop =
     (QCheck.Test.make ~count ~name QCheck.small_int prop)
 
 let approx ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
+
+(** Whether a daemon's [socket] file is gone within 10 s: [Server.run]
+    closes every connection and then removes it on its way out. *)
+let socket_gone (socket : string) : bool =
+  let rec go tries =
+    (not (Sys.file_exists socket))
+    || tries > 0
+       && begin
+         Unix.sleepf 0.05;
+         go (tries - 1)
+       end
+  in
+  go 200
 
 let contains_substring (haystack : string) (needle : string) : bool =
   let nh = String.length haystack and nn = String.length needle in

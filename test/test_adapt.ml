@@ -1,7 +1,7 @@
 (** Tests for the adaptive-evader layer (lib/adapt): the sequence space
     respects its bounds and preserves behaviour, Pareto fronts are exactly
     the non-dominated subset, the four search strategies spend their
-    budget, and the driver is bit-identical at any --jobs. *)
+    budget, and the driver is bit-identical at any --jobs and via serve. *)
 
 open Helpers
 module Adapt = Yali.Adapt
@@ -210,6 +210,64 @@ let test_driver_report_json_shape () =
       "cost_multiplier"; "evasion_rate"; "front_points";
     ]
 
+(* a kind named twice would have two searches share one daemon socket *)
+let test_prepare_rejects_repeated_kind () =
+  match Driver.prepare { tiny_cfg with a_models = [ "rf"; "lr"; "rf" ] } with
+  | _ -> Alcotest.fail "a config naming rf twice was prepared"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("names the kind: " ^ msg) true
+        (contains_substring msg "rf")
+
+(* margins answered by daemons (this binary in its hidden daemon mode)
+   give the in-process report, bit for bit *)
+let test_via_serve_identical () =
+  let cfg = { tiny_cfg with a_models = [ "lr"; "rf" ]; a_budget = 10 } in
+  let in_process = Driver.run cfg in
+  let via_serve, clean =
+    Driver.search_fronts_via_serve ~command:Yali.Serve.Client.self_command cfg
+      (Driver.prepare cfg)
+  in
+  Alcotest.(check bool) "via-serve report bit-identical" true
+    (Driver.reports_identical in_process via_serve);
+  Alcotest.(check bool) "daemons exit 0 on SIGTERM" true clean
+
+(* a daemon that goes away between two queries: the next query's write
+   hits a closed socket and must raise [No_answer], not kill this process
+   with SIGPIPE *)
+let test_remote_daemon_gone () =
+  let module Client = Yali.Serve.Client in
+  let module Registry = Yali.Serve.Registry in
+  Yali.Util.Fs.with_temp_dir "adapt-test" (fun dir ->
+      (match
+         Registry.train ~seed:5 ~embedding:Yali.Embeddings.Embedding.histogram
+           ~kind:"lr" ~n_classes:2 ~per_class:3
+       with
+      | Error e -> Alcotest.failf "train: %s" e
+      | Ok entry ->
+          ignore
+            (Registry.publish ~dir ~meta:entry.Registry.meta
+               entry.Registry.snapshot));
+      let m = lower (dataset_program 1) in
+      let (), clean =
+        Client.with_daemons ~command:Client.self_command ~dir ~registry:dir
+          [ "lr" ] (fun daemons ->
+            let socket = List.assoc "lr" daemons in
+            let remote = Adapt.Remote.connect ~socket in
+            Fun.protect
+              ~finally:(fun () -> Adapt.Remote.close remote)
+              (fun () ->
+                ignore (Adapt.Remote.oracle remote m);
+                let c = Client.connect socket in
+                Client.shutdown c;
+                Client.close c;
+                Alcotest.(check bool) "daemon stops on Shutdown" true
+                  (socket_gone socket);
+                match Adapt.Remote.oracle remote m with
+                | _ -> Alcotest.fail "a stopped daemon answered"
+                | exception Client.No_answer _ -> ()))
+      in
+      Alcotest.(check bool) "daemon exits 0" true clean)
+
 let suite =
   [
     test_random_seq_bounds;
@@ -225,4 +283,10 @@ let suite =
     Alcotest.test_case "driver invariant under --jobs" `Slow
       test_driver_jobs_invariant;
     Alcotest.test_case "driver report json" `Slow test_driver_report_json_shape;
+    Alcotest.test_case "driver rejects a repeated model kind" `Quick
+      test_prepare_rejects_repeated_kind;
+    Alcotest.test_case "via-serve report identical" `Slow
+      test_via_serve_identical;
+    Alcotest.test_case "remote oracle survives a vanished daemon" `Quick
+      test_remote_daemon_gone;
   ]

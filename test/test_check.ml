@@ -322,21 +322,10 @@ let test_engine_smoke_clean () =
 
 (* -- the regression corpus -------------------------------------------------- *)
 
+(* [f] gets a path that does not exist yet ([Corpus.save] mkdir-ps it) *)
 let with_temp_dir f =
-  (* a unique path without depending on Unix: claim a temp file name and
-     reuse it as a directory ([Corpus.save] mkdir-ps it) *)
-  let dir = Filename.temp_file "yali-check-corpus" "" in
-  Sys.remove dir;
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm dir)
-    (fun () -> f dir)
+  Yali.Util.Fs.with_temp_dir "check-corpus" (fun d ->
+      f (Filename.concat d "corpus"))
 
 let write_garbage dir =
   let oc = open_out (Filename.concat dir "garbage.c") in

@@ -15,23 +15,7 @@ module Logreg = Yali.Ml.Logreg
 module Model = Yali.Ml.Model
 module Embedding = Yali.Embeddings.Embedding
 
-let temp_dir_counter = ref 0
-
-let with_temp_dir f =
-  incr temp_dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-corpus-test-%d-%d" (Unix.getpid ())
-         !temp_dir_counter)
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then (
-        Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-        Unix.rmdir dir))
-    (fun () -> f dir)
+let with_temp_dir f = Yali.Util.Fs.with_temp_dir "corpus-test" f
 
 let small_spec seed =
   { Gen.dataset = "poj"; seed; n_classes = 4; per_class = 3 }

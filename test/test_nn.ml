@@ -162,7 +162,7 @@ let test_transpose_cache_invalidation () =
   in
   check_batch_matches_rows "fresh net";
   (* per-example path (mutates weights in place) *)
-  ignore (Ml.Nn.train_step ~lr:0.05 ~rng net (F.row_copy x 0) ys.(0));
+  ignore (Ml.Nn.train_step ~lr:0.05 net (F.row_copy x 0) ys.(0));
   check_batch_matches_rows "after train_step";
   (* batched path *)
   ignore (Ml.Nn.train_batch ~lr:0.05 ~rng net x ys);

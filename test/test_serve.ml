@@ -1,7 +1,7 @@
 (** Tests for the serving layer (lib/serve): codec round-trips and
     corrupt-input rejection, wire framing, model snapshot save/load
-    bit-identity, registry versioning, and a fork-based end-to-end daemon
-    smoke run. *)
+    bit-identity, registry versioning, and end-to-end daemon runs through
+    the shared launcher, one of them under concurrent load. *)
 
 open Helpers
 module Serve = Yali.Serve
@@ -219,21 +219,7 @@ let test_snapshot_rejects_corruption () =
 
 (* -- registry --------------------------------------------------------------- *)
 
-let temp_dir_counter = ref 0
-
-let with_temp_dir f =
-  incr temp_dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-test-%d-%d" (Unix.getpid ()) !temp_dir_counter)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then (
-        Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-        Unix.rmdir dir))
-    (fun () -> f dir)
+let with_temp_dir f = Yali.Util.Fs.with_temp_dir "serve-test" f
 
 let test_registry_spec_parsing () =
   let ok s = match Registry.parse_spec s with Ok kv -> Some kv | Error _ -> None in
@@ -354,47 +340,14 @@ let test_registry_roundtrip_margins () =
 
 (* -- daemon end-to-end ------------------------------------------------------ *)
 
-(* [Unix.fork] is forbidden once any domain has ever been spawned (and
-   earlier suites run [Pool.with_jobs 4]), so the daemon child is a
-   re-exec of this very test binary in a hidden mode: [create_process]
-   goes through [posix_spawn], which multicore permits.  The hook runs at
-   module initialisation, before Alcotest ever sees [argv]. *)
-let daemon_flag = "--serve-daemon"
-
-let () =
-  if Array.length Sys.argv = 4 && Sys.argv.(1) = daemon_flag then begin
-    let code =
-      match
-        Server.run
-          {
-            Server.default with
-            socket = Sys.argv.(2);
-            registry_dir = Sys.argv.(3);
-            model_spec = "knn";
-            log = ignore;
-          }
-      with
-      | Ok () -> 0
-      | Error _ -> 1
-    in
-    exit code
-  end
-
-let spawn_daemon ~socket ~dir =
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close devnull)
-    (fun () ->
-      Unix.create_process Sys.executable_name
-        [| Sys.executable_name; daemon_flag; socket; dir |]
-        Unix.stdin devnull devnull)
+(* The daemons are this test binary re-run in {!Client.daemon_mode}, whose
+   hook is in {!Helpers}. *)
 
 (* [Server.run] creates the socket file at [bind], before [listen]: a
    bound socket that is not listening yet must not count as a daemon that
    is up. *)
 let test_bound_socket_not_ready () =
   with_temp_dir (fun dir ->
-      Unix.mkdir dir 0o700;
       let path = Filename.concat dir "bound.sock" in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
@@ -406,59 +359,114 @@ let test_bound_socket_not_ready () =
           Alcotest.(check bool) "bound but not listening: not ready" false
             (Client.ready path)))
 
+(* [f] on the socket of a knn daemon serving a fresh registry in [dir];
+   returns [f]'s result and whether the daemon exited 0 *)
+let with_knn_daemon dir f =
+  (match
+     Registry.train ~seed:5 ~embedding:Yali.Embeddings.Embedding.histogram
+       ~kind:"knn" ~n_classes:3 ~per_class:3
+   with
+  | Error e -> Alcotest.failf "train: %s" e
+  | Ok entry ->
+      ignore
+        (Registry.publish ~dir ~meta:entry.Registry.meta entry.Registry.snapshot));
+  Client.with_daemons ~command:Client.self_command ~dir ~registry:dir [ "knn" ]
+    (fun daemons -> f (List.assoc "knn" daemons))
+
 let test_daemon_end_to_end () =
   with_temp_dir (fun dir ->
-      let socket = Filename.concat dir "test.sock" in
-      (match
-         Registry.train ~seed:5
-           ~embedding:Yali.Embeddings.Embedding.histogram ~kind:"knn"
-           ~n_classes:3 ~per_class:3
-       with
-      | Error e -> Alcotest.failf "train: %s" e
-      | Ok entry ->
-          ignore (Registry.publish ~dir ~meta:entry.Registry.meta entry.Registry.snapshot));
-      let pid = spawn_daemon ~socket ~dir in
-      Fun.protect
-            ~finally:(fun () ->
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-              with Unix.Unix_error _ -> ())
-            (fun () ->
-              Client.await_daemon socket;
-              let c = Client.connect socket in
-              Alcotest.(check bool) "ping answers pong" true (Client.ping c);
-              let m = lower (dataset_program 2) in
-              let cls r =
-                match r with
-                | Wire.Class { cls; batch; _ } ->
-                    Alcotest.(check bool) "batch size positive" true (batch >= 1);
-                    cls
-                | Wire.Error e -> Alcotest.failf "daemon error: %s" e
-                | _ -> Alcotest.fail "unexpected reply to classify"
-              in
-              let a = cls (Client.classify c m) in
-              let b = cls (Client.classify c m) in
-              Alcotest.(check int) "repeated classify is deterministic" a b;
-              let src = "int main() { int x = read_int(); print_int(x + 1); return 0; }" in
-              (match Client.classify_source c src with
-              | Wire.Class _ -> ()
-              | Wire.Error e -> Alcotest.failf "classify_source: %s" e
-              | _ -> Alcotest.fail "unexpected reply to classify_source");
-              (match Client.request c (Wire.Classify { fmt = Wire.Binary; blob = "not a module" }) with
-              | Wire.Error _ -> ()
-              | _ -> Alcotest.fail "corrupt blob must get an Error reply");
-              (match Client.stats c with
-              | Ok json ->
-                  Alcotest.(check bool) "stats carry embed-cache accounting" true
-                    (contains_substring json "embed_cache");
-                  Alcotest.(check bool) "stats carry batch histogram" true
-                    (contains_substring json "batch_hist")
-              | Error e -> Alcotest.failf "stats: %s" e);
-              Client.shutdown c;
-              Client.close c;
-              let _, status = Unix.waitpid [] pid in
-              Alcotest.(check bool) "daemon exits cleanly on Shutdown" true
-                (status = Unix.WEXITED 0)))
+      let (), clean =
+        with_knn_daemon dir (fun socket ->
+            let c = Client.connect socket in
+            Alcotest.(check bool) "ping answers pong" true (Client.ping c);
+            let m = lower (dataset_program 2) in
+            let cls r =
+              match r with
+              | Wire.Class { cls; batch; _ } ->
+                  Alcotest.(check bool) "batch size positive" true
+                    (batch >= 1);
+                  cls
+              | Wire.Error e -> Alcotest.failf "daemon error: %s" e
+              | _ -> Alcotest.fail "unexpected reply to classify"
+            in
+            let a = cls (Client.classify c m) in
+            let b = cls (Client.classify c m) in
+            Alcotest.(check int) "repeated classify is deterministic" a b;
+            let src =
+              "int main() { int x = read_int(); print_int(x + 1); return 0; }"
+            in
+            (match Client.classify_source c src with
+            | Wire.Class _ -> ()
+            | Wire.Error e -> Alcotest.failf "classify_source: %s" e
+            | _ -> Alcotest.fail "unexpected reply to classify_source");
+            (match
+               Client.request c
+                 (Wire.Classify { fmt = Wire.Binary; blob = "not a module" })
+             with
+            | Wire.Error _ -> ()
+            | _ -> Alcotest.fail "corrupt blob must get an Error reply");
+            (match Client.stats c with
+            | Ok json ->
+                Alcotest.(check bool) "stats carry embed-cache accounting" true
+                  (contains_substring json "embed_cache");
+                Alcotest.(check bool) "stats carry batch histogram" true
+                  (contains_substring json "batch_hist")
+            | Error e -> Alcotest.failf "stats: %s" e);
+            (match Client.request c Wire.Shutdown with
+            | Wire.Bye -> ()
+            | _ -> Alcotest.fail "unexpected reply to shutdown");
+            Client.close c;
+            Alcotest.(check bool) "daemon stops on Shutdown" true
+              (socket_gone socket))
+      in
+      Alcotest.(check bool) "daemon exits cleanly on Shutdown" true clean)
+
+(* Concurrent load: 8 connections, each round one classify request written
+   on every connection before any reply is read, with the programs rotated
+   over the connections; the daemon batches them however it likes. *)
+let test_daemon_concurrent_load () =
+  let programs =
+    Array.init 8 (fun i -> Codec.encode_module (lower (dataset_program (i + 1))))
+  in
+  let n = Array.length programs and rounds = 6 in
+  with_temp_dir (fun dir ->
+      let verdicts, clean =
+        with_knn_daemon dir (fun socket ->
+            let conns = Array.init n (fun _ -> Client.connect socket) in
+            Fun.protect
+              ~finally:(fun () -> Array.iter Client.close conns)
+              (fun () ->
+                Array.init rounds (fun round ->
+                    let program c = (c + round) mod n in
+                    Array.iteri
+                      (fun c conn ->
+                        Wire.write_frame (Client.fd conn)
+                          (Wire.encode_request
+                             (Wire.Classify
+                                { fmt = Wire.Binary; blob = programs.(program c) })))
+                      conns;
+                    let classes = Array.make n (-1) in
+                    Array.iteri
+                      (fun c conn ->
+                        match Wire.read_frame (Client.fd conn) with
+                        | Some payload -> (
+                            match Wire.decode_response payload with
+                            | Wire.Class { cls; _ } -> classes.(program c) <- cls
+                            | _ ->
+                                Alcotest.failf "round %d, connection %d: not a class"
+                                  round c)
+                        | None ->
+                            Alcotest.failf "round %d, connection %d: closed" round c)
+                      conns;
+                    classes)))
+      in
+      Array.iteri
+        (fun round classes ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "round %d: every program keeps its class" round)
+            verdicts.(0) classes)
+        verdicts;
+      Alcotest.(check bool) "daemon exits 0 on SIGTERM" true clean)
 
 let suite =
   [
@@ -484,4 +492,6 @@ let suite =
       test_bound_socket_not_ready;
     Alcotest.test_case "daemon end-to-end over a unix socket" `Slow
       test_daemon_end_to_end;
+    Alcotest.test_case "daemon under concurrent load" `Slow
+      test_daemon_concurrent_load;
   ]

@@ -685,14 +685,14 @@ let kernels () =
 
   (* matmul: naive i-k-j vs cache-tiled *)
   let msize = scale 256 in
-  let a = Ml.Matrix.random (Rng.make 1) msize msize ~scale:1.0 in
-  let b = Ml.Matrix.random (Rng.make 2) msize msize ~scale:1.0 in
-  let c_ref = ref (Ml.Matrix.create 0 0) and c_new = ref (Ml.Matrix.create 0 0) in
+  let a = Ml.Fmat.random (Rng.make 1) msize msize ~scale:1.0 in
+  let b = Ml.Fmat.random (Rng.make 2) msize msize ~scale:1.0 in
+  let c_ref = ref (Ml.Fmat.create 0 0) and c_new = ref (Ml.Fmat.create 0 0) in
   let t =
     best_times ~reps
       [|
-        (fun () -> c_ref := Ml.Matrix.matmul_naive a b);
-        (fun () -> c_new := Ml.Matrix.matmul a b);
+        (fun () -> c_ref := Ml.Fmat.matmul_naive a b);
+        (fun () -> c_new := Ml.Fmat.matmul a b);
       |]
   in
   let flops = 2.0 *. float_of_int (msize * msize * msize) in
@@ -1481,18 +1481,19 @@ let parse_args (args : string list) : (string * (unit -> unit)) list =
     | Some x when x > zero -> x
     | _ -> bad_usage "%s expects a positive number, got %s" flag v
   in
+  (* fail on an unwritable report path now, not after a long run *)
+  let writable flag v =
+    (try Yali.Util.Fs.touch v
+     with Sys_error msg -> bad_usage "%s: cannot write %s" flag msg);
+    Some v
+  in
   let valued =
     [
       ("--rounds", fun v -> rounds_override := Some (positive "--rounds" int_of_string_opt 0 v));
       ("--jobs", fun v -> Yali.Exec.Pool.set_jobs (positive "--jobs" int_of_string_opt 0 v));
       ("--rss-cap-mb", fun v -> rss_cap_mb := positive "--rss-cap-mb" float_of_string_opt 0.0 v);
-      ( "--telemetry",
-        fun v ->
-          (* fail on an unwritable report path now, not after a long run *)
-          (try close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 v)
-           with Sys_error msg -> bad_usage "--telemetry: cannot write %s" msg);
-          telemetry_out := Some v );
-      ("--json", fun v -> json_out := Some v);
+      ("--telemetry", fun v -> telemetry_out := writable "--telemetry" v);
+      ("--json", fun v -> json_out := writable "--json" v);
     ]
   in
   let rec go acc = function

@@ -28,17 +28,11 @@ let die ~code fmt =
       exit code)
     fmt
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* The one program loader: [front] turns the text of [file] into a program
    (parse, lower).  A lex, parse or lowering error is reported as
    FILE: message with exit 1. *)
 let load file front =
-  match front (read_file file) with
+  match front (Yali.Util.Fs.read_file file) with
   | p -> p
   | exception Yali.Minic.Lexer.Lex_error (msg, pos) ->
       die ~code:1 "%s: %s at byte %d" file msg pos
@@ -108,12 +102,16 @@ let configure_engine s =
   | Some e -> Yali.Execution.set_engine e
   | None -> die ~code:2 "unknown engine %s (have: vm ref)" s
 
-(* fail on an unwritable report path before the game runs, not after *)
-let configure_telemetry = function
-  | Some path -> (
-      try close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path)
-      with Sys_error msg -> die ~code:2 "--telemetry: cannot write %s" msg)
-  | None -> ()
+(* fail on an unwritable output before the work that fills it, not after *)
+let check_writable flag path =
+  try Yali.Util.Fs.touch path
+  with Sys_error msg -> die ~code:2 "%s: cannot write %s" flag msg
+
+let make_out_dir flag dir =
+  try Yali.Util.Fs.mkdir_p dir
+  with Sys_error msg -> die ~code:2 "%s: cannot create %s (%s)" flag dir msg
+
+let configure_telemetry = Option.iter (check_writable "--telemetry")
 
 let dump_telemetry = function
   | Some path ->
@@ -266,7 +264,7 @@ let dataset_cmd =
     Arg.(value & opt int 10 & info [ "per-class" ] ~doc:"Samples per class.")
   in
   let run seed out classes per_class =
-    if not (Sys.file_exists out) then Sys.mkdir out 0o755;
+    make_out_dir "--out" out;
     let rng = Rng.make seed in
     List.iteri
       (fun k (p : Yali.Dataset.Genprog.problem) ->
@@ -549,6 +547,7 @@ let train_cmd =
   let run seed jobs registry model embedding classes per_class version corpus
       block_rows =
     configure_jobs jobs;
+    make_out_dir "--registry" registry;
     let e =
       match Yali.Embeddings.Embedding.find embedding with
       | Some e -> e
@@ -692,7 +691,8 @@ let query_cmd =
           in
           match
             Yali.Serve.Client.request c
-              (Yali.Serve.Wire.Classify { fmt; blob = read_file file })
+              (Yali.Serve.Wire.Classify
+                 { fmt; blob = Yali.Util.Fs.read_file file })
           with
           | Yali.Serve.Wire.Class { cls; queue_us; batch } ->
               Printf.printf "class=%d queue_us=%d batch=%d\n" cls queue_us batch
@@ -743,6 +743,7 @@ let corpus_cmd =
     in
     let run seed jobs out dataset classes per_class records_per_shard =
       configure_jobs jobs;
+      make_out_dir "--out" out;
       let spec =
         { Yali.Corpus.Gen.dataset; seed; n_classes = classes; per_class }
       in
@@ -893,6 +894,7 @@ let adapt_cmd =
   let run seed jobs classes train_pc chal_pc models algo budget batch max_len
       lambda vectors fuel out via_serve =
     configure_jobs jobs;
+    Option.iter (check_writable "--out") out;
     let algo =
       match Yali.Adapt.Search.algo_of_string algo with
       | Some a -> a

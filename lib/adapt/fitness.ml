@@ -29,8 +29,8 @@ type challenge = {
   ch_base_cost : float;  (** mean abstract cost of the baseline *)
 }
 
-(* Tv-style seeded input vectors: per-vector streams derived by index, so
-   any vector can be regenerated in isolation. *)
+(* per-vector streams derived by index, so any vector can be regenerated
+   in isolation *)
 let inputs_for (rng : Rng.t) ~(vectors : int) ~(len : int) : int64 list array
     =
   Array.init vectors (fun ix ->

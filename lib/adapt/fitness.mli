@@ -13,7 +13,9 @@ type challenge = {
   ch_base_cost : float;
 }
 
-(** Tv-style seeded vectors: vector [i] is derived from [split_ix rng i]. *)
+(** Seeded input vectors: vector [i] is derived from [split_ix rng i], and
+    [rng] is not advanced.  Translation validation ([Check.Tv]) runs every
+    entry checked on one program on the same vectors. *)
 val inputs_for :
   Yali_util.Rng.t -> vectors:int -> len:int -> int64 list array
 

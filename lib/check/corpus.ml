@@ -8,12 +8,6 @@
 
 let default_dir = Filename.concat "fuzz" "corpus"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (** Load every [*.c] file, sorted by name for reproducible replay order.
     Files that fail to parse are reported as [Error] entries rather than
     dropped — a corpus entry the frontend can no longer read is itself a
@@ -28,7 +22,9 @@ let load (dir : string) :
     |> List.map (fun f ->
            let path = Filename.concat dir f in
            let entry =
-             match Yali_minic.Parser.parse_program (read_file path) with
+             match
+               Yali_minic.Parser.parse_program (Yali_util.Fs.read_file path)
+             with
              | p -> Ok p
              | exception e -> Error (Printexc.to_string e)
            in
@@ -44,17 +40,11 @@ let hash_hex (src : string) : string =
     src;
   Printf.sprintf "%016Lx" !h
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 (** Write a reproducer; the filename is derived from the content hash, so
     re-saving the same program is idempotent.  Returns the path. *)
 let save ~(dir : string) (p : Yali_minic.Ast.program) : string =
   let src = Yali_minic.Pp.program_to_string p in
-  mkdir_p dir;
+  Yali_util.Fs.mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "crash-%s.c" (hash_hex src)) in
   let oc = open_out path in
   Fun.protect

@@ -30,12 +30,6 @@ let tier_prop_count = function Smoke -> 25 | Deep -> 300
 
 type report = { e_tv : Tv.report; e_props : Prop.result list; e_ok : bool }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 let sanitize name =
   String.map (fun c -> if c = ':' || c = '/' || c = ' ' then '-' else c) name
 
@@ -60,7 +54,7 @@ let reproducer (f : Tv.failure) =
    the pass name and failure kind in a leading comment — exactly what a CI
    artifact needs to replay the bug locally *)
 let dump_artifacts dir (r : report) =
-  mkdir_p dir;
+  Yali_util.Fs.mkdir_p dir;
   List.iteri
     (fun k (f : Tv.failure) ->
       let body =

@@ -3,7 +3,6 @@
 module Rng = Yali_util.Rng
 module Ml = Yali_ml
 module F = Yali_ml.Fmat
-module M = Yali_ml.Matrix
 module Pool = Yali_exec.Pool
 module Cache = Yali_exec.Cache
 
@@ -93,26 +92,26 @@ let gen_matmul (rng : Rng.t) =
   let n = 1 + Rng.int rng 40
   and k = 1 + Rng.int rng 40
   and p = 1 + Rng.int rng 40 in
-  (M.random rng n k ~scale:1.0, M.random rng k p ~scale:1.0)
+  (F.random rng n k ~scale:1.0, F.random rng k p ~scale:1.0)
 
-let show_matmul ((a : M.t), (b : M.t)) =
-  Printf.sprintf "matmul %dx%d * %dx%d" a.M.rows a.M.cols b.M.rows b.M.cols
+let show_matmul ((a : F.t), (b : F.t)) =
+  Printf.sprintf "matmul %dx%d * %dx%d" a.F.n a.F.d b.F.n b.F.d
 
-let matmul_bit_identical (a, b) = (M.matmul a b).M.data = (M.matmul_naive a b).M.data
+let matmul_bit_identical (a, b) = (F.matmul a b).F.data = (F.matmul_naive a b).F.data
 
 let matmul_bias_matches (a, b) =
-  let p = b.M.cols and k = a.M.cols and n = a.M.rows in
+  let p = b.F.d and k = a.F.d and n = a.F.n in
   let bias = Array.init p (fun j -> float_of_int j /. 7.0) in
-  let c = M.matmul_bias ~bias a b in
+  let c = F.matmul_bias ~bias a b in
   let expected =
-    M.init n p (fun i j ->
+    F.init n p (fun i j ->
         let acc = ref bias.(j) in
         for l = 0 to k - 1 do
-          acc := !acc +. (M.get a i l *. M.get b l j)
+          acc := !acc +. (F.get a i l *. F.get b l j)
         done;
         !acc)
   in
-  c.M.data = expected.M.data
+  c.F.data = expected.F.data
 
 let gen_fmat (rng : Rng.t) =
   let n = 1 + Rng.int rng 30 and d = 1 + Rng.int rng 8 in
@@ -305,7 +304,9 @@ let show_engine_case ((p : Yali_minic.Ast.program), _) =
   Yali_minic.Pp.program_to_string p
 
 let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
-  let inputs = Tv.inputs_for (Rng.split_ix rng 0) ~vectors:2 ~len:32 in
+  let inputs =
+    Yali_adapt.Fitness.inputs_for (Rng.split_ix rng 0) ~vectors:2 ~len:32
+  in
   match Yali_minic.Lower.lower_program p with
   | exception _ -> true (* a lowering crash is another oracle's finding *)
   | m0 ->
@@ -449,24 +450,6 @@ module Corpus_gen = Yali_corpus.Gen
 module Corpus_store = Yali_corpus.Store
 module Corpus_embed = Yali_corpus.Embed
 
-let tmp_counter = ref 0
-
-let with_tmp_dir (f : string -> 'a) : 'a =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "yali-oracle-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () -> f dir)
-
 let gen_corpus_case (rng : Rng.t) =
   let spec =
     {
@@ -486,7 +469,7 @@ let show_corpus_case (spec, rps, train_seed) =
 (* The sharded store against the in-memory reference path: same modules
    (structural identity), same labels, same order, index metadata intact. *)
 let corpus_store_roundtrip (spec, rps, _) =
-  with_tmp_dir (fun dir ->
+  Yali_util.Fs.with_temp_dir "oracle" (fun dir ->
       Corpus_gen.generate ~dir ~records_per_shard:rps spec;
       let r = Corpus_store.open_ dir in
       Fun.protect
@@ -508,7 +491,7 @@ let corpus_store_roundtrip (spec, rps, _) =
    byte-identical Model.save blob (the DESIGN.md §12 equivalence
    contract). *)
 let corpus_stream_train_bit_identical (spec, rps, train_seed) =
-  with_tmp_dir (fun dir ->
+  Yali_util.Fs.with_temp_dir "oracle" (fun dir ->
       Corpus_gen.generate ~dir ~records_per_shard:rps spec;
       let r = Corpus_store.open_ dir in
       Fun.protect
@@ -552,7 +535,7 @@ let fblock_fit_stream_blocking (n_classes, xs, _, _, seed) =
   ignore n_classes;
   let x = F.of_rows xs in
   let block_rows = 1 + (seed mod 7) in
-  with_tmp_dir (fun dir ->
+  Yali_util.Fs.with_temp_dir "oracle" (fun dir ->
       let path = Filename.concat dir "m.yfmb" in
       Ml.Fblock.to_file path x;
       let fr = Ml.Fblock.open_reader path in

@@ -34,11 +34,6 @@ let salt (name : string) : int =
   let h = String.fold_left (fun h ch -> (h * 131) + Char.code ch) 5381 name in
   1 + (h land 0xFFFFF)
 
-let inputs_for (rng : Rng.t) ~(vectors : int) ~(len : int) : int64 list array =
-  Array.init vectors (fun ix ->
-      let r = Rng.split_ix rng ix in
-      List.init len (fun _ -> Int64.of_int (Rng.int_range r (-1000) 1000)))
-
 let default_fuel = 2_000_000
 
 let verify_errors (m : Ir.Irmod.t) : string option =
@@ -62,7 +57,9 @@ type prepared = {
 
 let prepare ~fuel ~vectors (rng : Rng.t) (p : Yali_minic.Ast.program) :
     (prepared, string) Result.t =
-  let inputs = inputs_for (Rng.split_ix rng 0) ~vectors ~len:32 in
+  let inputs =
+    Yali_adapt.Fitness.inputs_for (Rng.split_ix rng 0) ~vectors ~len:32
+  in
   match
     let m = Yali_minic.Lower.lower_program p in
     match verify_errors m with

@@ -33,10 +33,6 @@ type verdict =
 
 val failure_kind_to_string : failure_kind -> string
 
-(** [inputs_for rng ~vectors ~len] — seeded input streams shared by every
-    entry checked on one program (does not advance [rng]). *)
-val inputs_for : Rng.t -> vectors:int -> len:int -> int64 list array
-
 (** Baseline interpreter fuel; an entry gets [fuel * efuel]. *)
 val default_fuel : int
 

@@ -102,12 +102,6 @@ type reader = {
   chans : in_channel option array;  (* lazily opened, sequential use only *)
 }
 
-let read_file path : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Validate one shard file against the index: existence, exact size, header. *)
 let check_shard dir s ~(bytes : int) : unit =
   let path = shard_file dir s in
@@ -134,7 +128,7 @@ let check_shard dir s ~(bytes : int) : unit =
       if id <> s then corrupt "shard file %d says it is shard %d" s id)
 
 let open_ (dir : string) : reader =
-  let r = Bin.reader (read_file (index_file dir)) in
+  let r = Bin.reader (Yali_util.Fs.read_file (index_file dir)) in
   let m = Bin.r_raw r 4 in
   if m <> index_magic then corrupt "bad corpus index magic %S" m;
   let v = Bin.r_u16 r in

@@ -29,16 +29,10 @@ type plan = {
   test_perm : int array;
 }
 
-(* Fisher–Yates permutation of [0, n), identical draw pattern to
-   [Rng.shuffle] on an n-element list *)
+(* Fisher–Yates permutation of [0, n) *)
 let permutation (rng : Rng.t) (n : int) : int array =
   let p = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let tmp = p.(i) in
-    p.(i) <- p.(j);
-    p.(j) <- tmp
-  done;
+  Rng.shuffle_in_place rng p;
   p
 
 let plan_of ~(gens : generator array) (rng : Rng.t) ~(train_per_class : int)

@@ -8,7 +8,10 @@
     (im2col convolutions, cache-tiled matmuls, sharded gradient workers) —
     bit-identical at any [--jobs] and to the frozen naive trainer in
     [Reference.Cnn].  {!train} consumes an {!Fblock} source, in memory or
-    on disk. *)
+    on disk.
+
+    [t] — a scaler and a network — is also the trained {!Mlp}: the
+    functions from {!predict} on serve both models. *)
 
 module Rng = Yali_util.Rng
 
@@ -62,14 +65,6 @@ let build_net (rng : Rng.t) ~(d_in : int) ~(n_classes : int) : Nn.t =
 let of_parts ~(scaler : Features.scaler) ~(net : Nn.t) : t = { scaler; net }
 let dump_weights (t : t) : float array array = Nn.dump_weights t.net
 
-let shuffle (rng : Rng.t) (order : int array) : unit =
-  for i = Array.length order - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let tmp = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- tmp
-  done
-
 (* One epoch of minibatch steps over [x] rows in [order.(lo0 .. )] order;
    [labels i] maps a position in [order] to its class. *)
 let run_batches ~(lr : float) ~(rng : Rng.t) ~(batch : int) (net : Nn.t)
@@ -85,33 +80,18 @@ let run_batches ~(lr : float) ~(rng : Rng.t) ~(batch : int) (net : Nn.t)
     ignore (Nn.train_batch ~need_dx:false ~lr ~rng net xb yb)
   done
 
-(** Minibatch SGD over blocks; per-epoch shuffles stay within a block
-    (persistent per-block orders), minibatches never straddle a block
-    boundary.  A source that is one block — any [Mem] source given no
-    [block_rows] — is standardised once and shuffled as one global
-    order. *)
+(** Minibatch SGD over {!Features.sgd_epochs}' block walk: minibatches
+    never straddle a block boundary. *)
 let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
-  let scaler = Features.fit_stream ?block_rows src in
   let net = build_net rng ~d_in:(Fblock.dim src) ~n_classes in
-  let orders =
-    Array.map
-      (fun bn -> Array.init bn Fun.id)
-      (Fblock.block_sizes ?block_rows src)
-  in
-  let each_block =
-    Fblock.prepared ?block_rows src (fun block ->
-        Features.transform_fmat_inplace scaler block;
-        block)
-  in
-  for epoch = 0 to params.epochs - 1 do
-    let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    each_block (fun blk lo block ->
-        let order = orders.(blk) in
-        shuffle rng order;
+  let scaler =
+    Features.sgd_epochs ?block_rows src rng ~epochs:params.epochs
+      (fun epoch ~lo block order ->
+        let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
         run_batches ~lr ~rng ~batch:params.batch net block order (fun i ->
             ys.(lo + order.(i))))
-  done;
+  in
   { scaler; net }
 
 let predict (t : t) (x : float array) : int =

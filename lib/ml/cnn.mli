@@ -5,7 +5,10 @@
 
     Trained by minibatch SGD through the batched {!Nn.train_batch} kernel —
     bit-identical at any [--jobs] and to the frozen naive trainer in
-    [Reference.Cnn] (the ml/nn-kernel-vs-reference oracle). *)
+    [Reference.Cnn] (the ml/nn-kernel-vs-reference oracle).
+
+    A trained {!Mlp} is a [t] too: standardise, then run the network.  The
+    functions from {!predict} to {!of_bin} serve both models. *)
 
 type t
 
@@ -39,8 +42,8 @@ val size_bytes : t -> int
 (** Training internals, exposed for the frozen reference trainer
     ([Reference.Cnn]) and the differential tests: the architecture builder
     (consumes the rng exactly as {!train}'s initialisation does),
-    reassembly from parts, and the parameter dump compared for
-    bit-identity. *)
+    reassembly from parts ({!Mlp.train} builds its model this way too),
+    and the parameter dump compared for bit-identity. *)
 
 val build_net : Yali_util.Rng.t -> d_in:int -> n_classes:int -> Nn.t
 

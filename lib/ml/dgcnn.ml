@@ -51,23 +51,23 @@ let default_params =
 
 type t = {
   params : params;
-  gc_weights : Matrix.t list;  (** one per graph-conv layer *)
+  gc_weights : Fmat.t list;  (** one per graph-conv layer *)
   head : Nn.t;
   feat_dim : int;
   n_classes : int;
 }
 
 (* Propagation: Y = D^-1 (A + I) X, computed over adjacency lists. *)
-let propagate (adj : int list array) (x : Matrix.t) : Matrix.t =
-  let n = x.Matrix.rows and d = x.Matrix.cols in
-  let y = Matrix.create n d in
+let propagate (adj : int list array) (x : Fmat.t) : Fmat.t =
+  let n = x.Fmat.n and d = x.Fmat.d in
+  let y = Fmat.create n d in
   for i = 0 to n - 1 do
     let neigh = i :: adj.(i) in
     let deg = float_of_int (List.length neigh) in
     List.iter
       (fun j ->
         for c = 0 to d - 1 do
-          Matrix.set y i c (Matrix.get y i c +. (Matrix.get x j c /. deg))
+          Fmat.set y i c (Fmat.get y i c +. (Fmat.get x j c /. deg))
         done)
       neigh
   done;
@@ -75,16 +75,16 @@ let propagate (adj : int list array) (x : Matrix.t) : Matrix.t =
 
 (* Transposed propagation for the backward pass: given dY, returns dX where
    Y = P X and P_(i,j) = 1/deg(i) for j in N(i) u {i}. *)
-let propagate_t (adj : int list array) (dy : Matrix.t) : Matrix.t =
-  let n = dy.Matrix.rows and d = dy.Matrix.cols in
-  let dx = Matrix.create n d in
+let propagate_t (adj : int list array) (dy : Fmat.t) : Fmat.t =
+  let n = dy.Fmat.n and d = dy.Fmat.d in
+  let dx = Fmat.create n d in
   for i = 0 to n - 1 do
     let neigh = i :: adj.(i) in
     let deg = float_of_int (List.length neigh) in
     List.iter
       (fun j ->
         for c = 0 to d - 1 do
-          Matrix.set dx j c (Matrix.get dx j c +. (Matrix.get dy i c /. deg))
+          Fmat.set dx j c (Fmat.get dx j c +. (Fmat.get dy i c /. deg))
         done)
       neigh
   done;
@@ -92,16 +92,16 @@ let propagate_t (adj : int list array) (dy : Matrix.t) : Matrix.t =
 
 type forward_state = {
   adj : int list array;
-  px_list : Matrix.t list;  (** P·Z_(l-1) per layer, pre-weights *)
-  z_list : Matrix.t list;  (** post-tanh activations per layer *)
-  concat : Matrix.t;  (** n x total_channels *)
+  px_list : Fmat.t list;  (** P·Z_(l-1) per layer, pre-weights *)
+  z_list : Fmat.t list;  (** post-tanh activations per layer *)
+  concat : Fmat.t;  (** n x total_channels *)
   order : int array;  (** node permutation chosen by sort pooling *)
   flat : float array;  (** pooled, flattened input to the head *)
 }
 
 let total_channels (p : params) = List.fold_left ( + ) 0 p.gc_channels
 
-let forward_graph (t_params : params) (gc_weights : Matrix.t list)
+let forward_graph (t_params : params) (gc_weights : Fmat.t list)
     (g : Graph.t) : forward_state =
   (* an empty graph is treated as a single zero-feature node *)
   let g =
@@ -124,43 +124,43 @@ let forward_graph (t_params : params) (gc_weights : Matrix.t list)
   (* squash count-valued node features (e.g. per-block histograms of the
      compact embeddings): raw counts saturate the tanh units *)
   let x0 =
-    Matrix.map (fun v -> Float.copy_sign (log1p (Float.abs v)) v)
-      (Matrix.of_rows g.node_feats)
+    Fmat.map (fun v -> Float.copy_sign (log1p (Float.abs v)) v)
+      (Fmat.of_rows g.node_feats)
   in
-  let n = Matrix.(x0.rows) in
+  let n = x0.Fmat.n in
   let rec go z ws px_acc z_acc =
     match ws with
     | [] -> (List.rev px_acc, List.rev z_acc)
     | w :: rest ->
         let px = propagate adj z in
-        let zl = Matrix.map tanh (Matrix.matmul px w) in
+        let zl = Fmat.map tanh (Fmat.matmul px w) in
         go zl rest (px :: px_acc) (zl :: z_acc)
   in
   let px_list, z_list = go x0 gc_weights [] [] in
   (* concatenate channels of every layer *)
   let tc = total_channels t_params in
-  let concat = Matrix.create n tc in
+  let concat = Fmat.create n tc in
   let off = ref 0 in
   List.iter
-    (fun (z : Matrix.t) ->
+    (fun (z : Fmat.t) ->
       for i = 0 to n - 1 do
-        for c = 0 to z.Matrix.cols - 1 do
-          Matrix.set concat i (!off + c) (Matrix.get z i c)
+        for c = 0 to z.Fmat.d - 1 do
+          Fmat.set concat i (!off + c) (Fmat.get z i c)
         done
       done;
-      off := !off + z.Matrix.cols)
+      off := !off + z.Fmat.d)
     z_list;
   (* sort pooling on the last channel *)
   let k = t_params.sortpool_k in
   let order = Array.init n Fun.id in
   Array.sort
-    (fun a b -> compare (Matrix.get concat b (tc - 1)) (Matrix.get concat a (tc - 1)))
+    (fun a b -> compare (Fmat.get concat b (tc - 1)) (Fmat.get concat a (tc - 1)))
     order;
   let flat = Array.make (k * tc) 0.0 in
   for r = 0 to min k n - 1 do
     let i = order.(r) in
     for c = 0 to tc - 1 do
-      flat.((r * tc) + c) <- Matrix.get concat i c
+      flat.((r * tc) + c) <- Fmat.get concat i c
     done
   done;
   { adj; px_list; z_list; concat; order; flat }
@@ -169,16 +169,16 @@ let forward_graph (t_params : params) (gc_weights : Matrix.t list)
    dL/d(flat) from the head — no weight update here; the minibatch loop
    accumulates grads across the batch and applies them once.  The same
    computation, on naive matmuls, is frozen in [Reference.Dgcnn]. *)
-let graph_backward (p : params) (gc_weights : Matrix.t list)
-    (st : forward_state) (dflat : float array) : Matrix.t list =
+let graph_backward (p : params) (gc_weights : Fmat.t list)
+    (st : forward_state) (dflat : float array) : Fmat.t list =
   let tc = total_channels p in
   (* scatter the gradient back through sort pooling *)
-  let nn = st.concat.Matrix.rows in
-  let dconcat = Matrix.create nn tc in
+  let nn = st.concat.Fmat.n in
+  let dconcat = Fmat.create nn tc in
   for r = 0 to min p.sortpool_k nn - 1 do
     let node = st.order.(r) in
     for c = 0 to tc - 1 do
-      Matrix.set dconcat node c (dflat.((r * tc) + c))
+      Fmat.set dconcat node c (dflat.((r * tc) + c))
     done
   done;
   (* un-concatenate into per-layer gradients, then backprop through the
@@ -186,14 +186,14 @@ let graph_backward (p : params) (gc_weights : Matrix.t list)
   let layer_grads =
     let off = ref 0 in
     List.map
-      (fun (z : Matrix.t) ->
-        let dz = Matrix.create nn z.Matrix.cols in
+      (fun (z : Fmat.t) ->
+        let dz = Fmat.create nn z.Fmat.d in
         for i' = 0 to nn - 1 do
-          for c = 0 to z.Matrix.cols - 1 do
-            Matrix.set dz i' c (Matrix.get dconcat i' (!off + c))
+          for c = 0 to z.Fmat.d - 1 do
+            Fmat.set dz i' c (Fmat.get dconcat i' (!off + c))
           done
         done;
-        off := !off + z.Matrix.cols;
+        off := !off + z.Fmat.d;
         dz)
       st.z_list
   in
@@ -203,30 +203,30 @@ let graph_backward (p : params) (gc_weights : Matrix.t list)
   let rev_z = List.rev st.z_list in
   let rev_px = List.rev st.px_list in
   let rev_dz = List.rev layer_grads in
-  let rec back ws zs pxs dzs (carry : Matrix.t option) (dws : Matrix.t list) =
+  let rec back ws zs pxs dzs (carry : Fmat.t option) (dws : Fmat.t list) =
     match (ws, zs, pxs, dzs) with
     | [], [], [], [] -> dws
     | w :: ws', z :: zs', px :: pxs', dz :: dzs' ->
         let dz_total =
-          match carry with Some c -> Matrix.add dz c | None -> dz
+          match carry with Some c -> Fmat.add dz c | None -> dz
         in
         (* through tanh *)
         let dpre =
-          Matrix.init nn z.Matrix.cols (fun i' c ->
-              let zv = Matrix.get z i' c in
-              Matrix.get dz_total i' c *. (1.0 -. (zv *. zv)))
+          Fmat.init nn z.Fmat.d (fun i' c ->
+              let zv = Fmat.get z i' c in
+              Fmat.get dz_total i' c *. (1.0 -. (zv *. zv)))
         in
         (* dW = (P Z_(l-1))^T dpre *)
-        let dw = Matrix.matmul (Matrix.transpose px) dpre in
+        let dw = Fmat.matmul (Fmat.transpose px) dpre in
         (* gradient to previous layer: P^T (dpre W^T) *)
-        let dprev = propagate_t st.adj (Matrix.matmul dpre (Matrix.transpose w)) in
+        let dprev = propagate_t st.adj (Fmat.matmul dpre (Fmat.transpose w)) in
         back ws' zs' pxs' dzs' (Some dprev) (dw :: dws)
     | _ -> assert false
   in
   back rev_w rev_z rev_px rev_dz None []
 
 let init_gc_weights (rng : Rng.t) (p : params) ~(feat_dim : int) :
-    Matrix.t list =
+    Fmat.t list =
   let dims =
     let rec widths d = function
       | [] -> []
@@ -236,7 +236,7 @@ let init_gc_weights (rng : Rng.t) (p : params) ~(feat_dim : int) :
   in
   List.map
     (fun (d_in, d_out) ->
-      Matrix.random rng d_in d_out ~scale:(sqrt (1.0 /. float_of_int d_in)))
+      Fmat.random rng d_in d_out ~scale:(sqrt (1.0 /. float_of_int d_in)))
     dims
 
 let build_head (rng : Rng.t) (p : params) ~(n_classes : int) : Nn.t =
@@ -265,14 +265,14 @@ let build_head (rng : Rng.t) (p : params) ~(n_classes : int) : Nn.t =
     n_classes;
   }
 
-let of_parts ~(params : params) ~(gc_weights : Matrix.t list) ~(head : Nn.t)
+let of_parts ~(params : params) ~(gc_weights : Fmat.t list) ~(head : Nn.t)
     ~(feat_dim : int) ~(n_classes : int) : t =
   { params; gc_weights; head; feat_dim; n_classes }
 
 let dump_weights (t : t) : float array array =
   Array.append
     (Array.of_list
-       (List.map (fun (w : Matrix.t) -> Array.copy w.Matrix.data) t.gc_weights))
+       (List.map (fun (w : Fmat.t) -> Array.copy w.Fmat.data) t.gc_weights))
     (Nn.dump_weights t.head)
 
 let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
@@ -284,12 +284,7 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
   let flat_w = params.sortpool_k * total_channels params in
   for epoch = 0 to params.epochs - 1 do
     let lr = params.lr /. (1.0 +. (0.05 *. float_of_int epoch)) in
-    for i = n - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = order.(i) in
-      order.(i) <- order.(j);
-      order.(j) <- tmp
-    done;
+    Rng.shuffle_in_place rng order;
     let nb = (n + params.batch - 1) / params.batch in
     for b = 0 to nb - 1 do
       let lo = b * params.batch in
@@ -322,7 +317,7 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
       let shard_acc =
         Array.init ns (fun _ ->
             List.map
-              (fun (w : Matrix.t) -> Matrix.create w.Matrix.rows w.Matrix.cols)
+              (fun (w : Fmat.t) -> Fmat.create w.Fmat.n w.Fmat.d)
               gc_weights)
       in
       Pool.run ~n:ns (fun s ->
@@ -333,14 +328,14 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
             let dws =
               graph_backward params gc_weights st (Fmat.row_copy dflat i)
             in
-            List.iter2 (fun acc dw -> Matrix.axpy ~a:1.0 dw acc) accs dws
+            List.iter2 (fun acc dw -> Fmat.axpy ~a:1.0 dw acc) accs dws
           done);
       (* phase 4: fixed pairwise tree reduction, then one SGD update *)
       Nn.tree_reduce
-        (fun a b -> List.iter2 (fun x y -> Matrix.axpy ~a:1.0 y x) a b)
+        (fun a b -> List.iter2 (fun x y -> Fmat.axpy ~a:1.0 y x) a b)
         shard_acc;
       List.iter2
-        (fun (w : Matrix.t) dw -> Matrix.axpy ~a:(-.lr) dw w)
+        (fun (w : Fmat.t) dw -> Fmat.axpy ~a:(-.lr) dw w)
         gc_weights shard_acc.(0)
     done
   done;
@@ -353,5 +348,5 @@ let predict (t : t) (g : Graph.t) : int =
 let size_bytes (t : t) : int =
   Nn.size_bytes t.head
   + List.fold_left
-      (fun acc (w : Matrix.t) -> acc + (8 * w.rows * w.cols))
+      (fun acc (w : Fmat.t) -> acc + (8 * w.n * w.d))
       0 t.gc_weights

@@ -40,13 +40,13 @@ val size_bytes : t -> int
     {!Nn.dump_weights}) compared for bit-identity. *)
 
 val init_gc_weights :
-  Yali_util.Rng.t -> params -> feat_dim:int -> Matrix.t list
+  Yali_util.Rng.t -> params -> feat_dim:int -> Fmat.t list
 
 val build_head : Yali_util.Rng.t -> params -> n_classes:int -> Nn.t
 
 val of_parts :
   params:params ->
-  gc_weights:Matrix.t list ->
+  gc_weights:Fmat.t list ->
   head:Nn.t ->
   feat_dim:int ->
   n_classes:int ->

@@ -33,15 +33,6 @@ let fit_transform (xs : float array array) : scaler * float array array =
   let s = fit xs in
   (s, Array.map (transform s) xs)
 
-(** [transform_into s src dst] writes the standardised [src] into [dst]
-    without allocating (the per-challenge hot path of the batched
-    predictors). *)
-let transform_into (s : scaler) (src : float array) (dst : float array) : unit
-    =
-  for j = 0 to Array.length src - 1 do
-    dst.(j) <- (src.(j) -. s.means.(j)) /. s.stds.(j)
-  done
-
 (** Fit over streamed blocks.  Blocks arrive in row order and each pass
     accumulates samples-outer / features-inner exactly as {!fit} does over
     rows, so the fitted parameters are bit-identical to it at any
@@ -85,6 +76,31 @@ let transform_fmat_inplace (s : scaler) (x : Fmat.t) : unit =
       data.(base + j) <- (data.(base + j) -. s.means.(j)) /. s.stds.(j)
     done
   done
+
+(** The block walk of the SGD trainers (DESIGN.md §12): fit the scaler,
+    then for every epoch visit each block in row order, standardised, with
+    its persistent sample order shuffled in place at the start of the
+    visit.  A source that is one block is read and standardised once. *)
+let sgd_epochs ?block_rows (src : Fblock.source) (rng : Yali_util.Rng.t)
+    ~(epochs : int) (f : int -> lo:int -> Fmat.t -> int array -> unit) :
+    scaler =
+  let scaler = fit_stream ?block_rows src in
+  let orders =
+    Array.map
+      (fun bn -> Array.init bn Fun.id)
+      (Fblock.block_sizes ?block_rows src)
+  in
+  let each_block =
+    Fblock.prepared ?block_rows src (fun block ->
+        transform_fmat_inplace scaler block;
+        block)
+  in
+  for epoch = 0 to epochs - 1 do
+    each_block (fun k lo block ->
+        Yali_util.Rng.shuffle_in_place rng orders.(k);
+        f epoch ~lo block orders.(k))
+  done;
+  scaler
 
 (** Fit on [x] and return a standardised copy ([x] itself is left intact:
     callers share one embedded matrix across several models). *)

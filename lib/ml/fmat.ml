@@ -5,6 +5,12 @@ type t = { n : int; d : int; data : float array }
 
 let create n d = { n; d; data = Array.make (n * d) 0.0 }
 
+(* Uninitialised storage for results that are fully overwritten before
+   being read (transposes, gathers, elementwise outputs): skips the
+   zero-fill pass of {!create}, which is measurable in the batched
+   training kernels.  Callers MUST write every cell. *)
+let create_uninit n d = { n; d; data = Array.create_float (n * d) }
+
 let init n d f =
   let m = create n d in
   for i = 0 to n - 1 do
@@ -104,8 +110,221 @@ let sq_norm_row (m : t) (i : int) : float =
   !acc
 
 let copy (m : t) : t = { m with data = Array.copy m.data }
-let to_matrix (m : t) : Matrix.t = { Matrix.rows = m.n; cols = m.d; data = m.data }
-let of_matrix (m : Matrix.t) : t = { n = m.Matrix.rows; d = m.Matrix.cols; data = m.Matrix.data }
+
+(* the straightforward i-k-j triple loop; kept as the reference point for
+   the cache-tiled kernel below (test/test_fmat.ml checks exact equality,
+   `bench kernels` reports the throughput gap) *)
+let matmul_naive (a : t) (b : t) : t =
+  if a.d <> b.n then invalid_arg "Fmat.matmul: dimension mismatch";
+  let c = create a.n b.d in
+  for i = 0 to a.n - 1 do
+    for k = 0 to a.d - 1 do
+      let aik = a.data.((i * a.d) + k) in
+      if aik <> 0.0 then
+        for j = 0 to b.d - 1 do
+          c.data.((i * c.d) + j) <-
+            c.data.((i * c.d) + j) +. (aik *. b.data.((k * b.d) + j))
+        done
+    done
+  done;
+  c
+
+(* Cache-tiled matmul.  Blocks of [b] (tile x tile, ~32 KB) stay resident
+   while every row of [a] sweeps over them, so [b] is streamed from memory
+   once per j-tile instead of once per row of [a].  Within a k-tile the
+   nonzero [a (i, k)] entries are gathered once per row, and the j loop
+   then accumulates each output cell in a register across the whole tile
+   instead of loading and storing [c] once per (k, j) pair.  For any output
+   cell (i, j) the products still accumulate in ascending [k] order — the
+   tile loops only reorder work across *different* cells, and gathering
+   drops exactly the products the [aik <> 0] skip would — so the result is
+   bit-identical to {!matmul_naive}. *)
+let tile = 64
+
+let matmul_into (c : t) (a : t) (b : t) : unit =
+  let n = a.n and kdim = a.d and p = b.d in
+  let av = Array.make tile 0.0 in
+  let bb = Array.make tile 0 in
+  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+  let acc4 = ref 0.0 and acc5 = ref 0.0 and acc6 = ref 0.0 and acc7 = ref 0.0 in
+  let jj = ref 0 in
+  while !jj < p do
+    let jhi = min p (!jj + tile) in
+    let kk = ref 0 in
+    while !kk < kdim do
+      let khi = min kdim (!kk + tile) in
+      for i = 0 to n - 1 do
+        let abase = i * kdim and cbase = i * p in
+        let cnt = ref 0 in
+        for k = !kk to khi - 1 do
+          let aik = Array.unsafe_get a.data (abase + k) in
+          if aik <> 0.0 then begin
+            Array.unsafe_set av !cnt aik;
+            Array.unsafe_set bb !cnt (k * p);
+            incr cnt
+          end
+        done;
+        let cnt = !cnt in
+        if cnt > 0 then begin
+          (* independent accumulator chains (one output cell each) keep the
+             FPU busy across the fadd latency; each cell's own chain is
+             still ascending-k *)
+          let j = ref !jj in
+          while !j + 7 < jhi do
+            let cj = cbase + !j in
+            acc0 := Array.unsafe_get c.data cj;
+            acc1 := Array.unsafe_get c.data (cj + 1);
+            acc2 := Array.unsafe_get c.data (cj + 2);
+            acc3 := Array.unsafe_get c.data (cj + 3);
+            acc4 := Array.unsafe_get c.data (cj + 4);
+            acc5 := Array.unsafe_get c.data (cj + 5);
+            acc6 := Array.unsafe_get c.data (cj + 6);
+            acc7 := Array.unsafe_get c.data (cj + 7);
+            for t = 0 to cnt - 1 do
+              let aik = Array.unsafe_get av t in
+              let bj = Array.unsafe_get bb t + !j in
+              acc0 := !acc0 +. (aik *. Array.unsafe_get b.data bj);
+              acc1 := !acc1 +. (aik *. Array.unsafe_get b.data (bj + 1));
+              acc2 := !acc2 +. (aik *. Array.unsafe_get b.data (bj + 2));
+              acc3 := !acc3 +. (aik *. Array.unsafe_get b.data (bj + 3));
+              acc4 := !acc4 +. (aik *. Array.unsafe_get b.data (bj + 4));
+              acc5 := !acc5 +. (aik *. Array.unsafe_get b.data (bj + 5));
+              acc6 := !acc6 +. (aik *. Array.unsafe_get b.data (bj + 6));
+              acc7 := !acc7 +. (aik *. Array.unsafe_get b.data (bj + 7))
+            done;
+            Array.unsafe_set c.data cj !acc0;
+            Array.unsafe_set c.data (cj + 1) !acc1;
+            Array.unsafe_set c.data (cj + 2) !acc2;
+            Array.unsafe_set c.data (cj + 3) !acc3;
+            Array.unsafe_set c.data (cj + 4) !acc4;
+            Array.unsafe_set c.data (cj + 5) !acc5;
+            Array.unsafe_set c.data (cj + 6) !acc6;
+            Array.unsafe_set c.data (cj + 7) !acc7;
+            j := !j + 8
+          done;
+          while !j + 3 < jhi do
+            let cj = cbase + !j in
+            acc0 := Array.unsafe_get c.data cj;
+            acc1 := Array.unsafe_get c.data (cj + 1);
+            acc2 := Array.unsafe_get c.data (cj + 2);
+            acc3 := Array.unsafe_get c.data (cj + 3);
+            for t = 0 to cnt - 1 do
+              let aik = Array.unsafe_get av t in
+              let bj = Array.unsafe_get bb t + !j in
+              acc0 := !acc0 +. (aik *. Array.unsafe_get b.data bj);
+              acc1 := !acc1 +. (aik *. Array.unsafe_get b.data (bj + 1));
+              acc2 := !acc2 +. (aik *. Array.unsafe_get b.data (bj + 2));
+              acc3 := !acc3 +. (aik *. Array.unsafe_get b.data (bj + 3))
+            done;
+            Array.unsafe_set c.data cj !acc0;
+            Array.unsafe_set c.data (cj + 1) !acc1;
+            Array.unsafe_set c.data (cj + 2) !acc2;
+            Array.unsafe_set c.data (cj + 3) !acc3;
+            j := !j + 4
+          done;
+          for j = !j to jhi - 1 do
+            acc0 := Array.unsafe_get c.data (cbase + j);
+            for t = 0 to cnt - 1 do
+              acc0 :=
+                !acc0
+                +. Array.unsafe_get av t
+                   *. Array.unsafe_get b.data (Array.unsafe_get bb t + j)
+            done;
+            Array.unsafe_set c.data (cbase + j) !acc0
+          done
+        end
+      done;
+      kk := khi
+    done;
+    jj := jhi
+  done
+
+let matmul (a : t) (b : t) : t =
+  if a.d <> b.n then invalid_arg "Fmat.matmul: dimension mismatch";
+  let c = create a.n b.d in
+  matmul_into c a b;
+  c
+
+(** [matmul_bias ~bias a b] is [a * b] with row [i] of the result seeded
+    from [bias] before accumulation — the summation order of a per-sample
+    [bias.(j) + Σ_k a_ik b_kj] loop, which batched logits need to stay
+    bit-identical to their per-sample counterparts. *)
+let matmul_bias ~(bias : float array) (a : t) (b : t) : t =
+  if a.d <> b.n then invalid_arg "Fmat.matmul_bias: dimension mismatch";
+  if Array.length bias <> b.d then
+    invalid_arg "Fmat.matmul_bias: bias width mismatch";
+  let c = create_uninit a.n b.d in
+  for i = 0 to a.n - 1 do
+    Array.blit bias 0 c.data (i * b.d) b.d
+  done;
+  matmul_into c a b;
+  c
+
+let transpose (m : t) : t =
+  let r = create_uninit m.d m.n in
+  for i = 0 to m.n - 1 do
+    let base = i * m.d in
+    for j = 0 to m.d - 1 do
+      Array.unsafe_set r.data ((j * m.n) + i)
+        (Array.unsafe_get m.data (base + j))
+    done
+  done;
+  r
+
+let map f (m : t) : t = { m with data = Array.map f m.data }
+
+let add (a : t) (b : t) : t =
+  if a.n <> b.n || a.d <> b.d then
+    invalid_arg "Fmat.add: dimension mismatch";
+  { a with data = Array.mapi (fun i x -> x +. b.data.(i)) a.data }
+
+let scale (k : float) (m : t) : t = map (fun x -> k *. x) m
+
+(** In-place y += a * x. *)
+let axpy ~(a : float) (x : t) (y : t) : unit =
+  if x.n <> y.n || x.d <> y.d then
+    invalid_arg "Fmat.axpy: dimension mismatch";
+  for i = 0 to Array.length x.data - 1 do
+    Array.unsafe_set y.data i
+      (Array.unsafe_get y.data i +. (a *. Array.unsafe_get x.data i))
+  done
+
+(** Matrix–vector product. *)
+let mv (m : t) (v : float array) : float array =
+  if m.d <> Array.length v then invalid_arg "Fmat.mv: dimension mismatch";
+  Array.init m.n (fun i ->
+      let acc = ref 0.0 in
+      for j = 0 to m.d - 1 do
+        acc := !acc +. (m.data.((i * m.d) + j) *. v.(j))
+      done;
+      !acc)
+
+(** v^T M (vector–matrix product). *)
+let vm (v : float array) (m : t) : float array =
+  if m.n <> Array.length v then invalid_arg "Fmat.vm: dimension mismatch";
+  Array.init m.d (fun j ->
+      let acc = ref 0.0 in
+      for i = 0 to m.n - 1 do
+        acc := !acc +. (v.(i) *. m.data.((i * m.d) + j))
+      done;
+      !acc)
+
+let random (rng : Yali_util.Rng.t) n d ~scale:s =
+  init n d (fun _ _ -> Yali_util.Rng.gaussian rng *. s)
+
+let argmax (v : float array) : int =
+  let best = ref 0 in
+  Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
+  !best
+
+let argmax_rows (m : t) : int array =
+  Array.init m.n (fun i ->
+      let base = i * m.d in
+      let best = ref 0 in
+      for j = 1 to m.d - 1 do
+        if m.data.(base + j) > m.data.(base + !best) then best := j
+      done;
+      !best)
 
 module Bin = Yali_util.Bin
 

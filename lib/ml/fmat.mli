@@ -1,20 +1,24 @@
-(** Flat feature matrices: the storage layer of the numeric kernels.
+(** Dense row-major matrices: the one matrix type of the numeric kernels,
+    for feature matrices and model weights alike.
 
-    An [n x d] dataset is one contiguous row-major [float array] (sample
-    [i]'s feature [j] lives at [i * d + j]) instead of an array of row
-    pointers.  Training kernels iterate it with unit stride, row views are
-    zero-copy, and the whole matrix is one heap block — the layout that
-    histogram tree learners and blocked distance kernels depend on
-    (DESIGN.md §8). *)
+    An [n x d] matrix is one contiguous row-major [float array] (row [i]'s
+    column [j] lives at [i * d + j]) instead of an array of row pointers.
+    Training kernels iterate it with unit stride and the whole matrix is
+    one heap block — the layout that histogram tree learners, blocked
+    distance kernels and the tiled matmul depend on (DESIGN.md §8). *)
 
 type t = {
-  n : int;  (** rows (samples) *)
-  d : int;  (** columns (features) *)
+  n : int;  (** rows (samples of a feature matrix) *)
+  d : int;  (** columns (features of a feature matrix) *)
   data : float array;  (** row-major, length [n * d] *)
 }
 
 (** [create n d] is an [n x d] matrix of zeros. *)
 val create : int -> int -> t
+
+(** Uninitialised storage (no zero-fill) for results that are fully
+    overwritten before being read.  Callers must write every cell. *)
+val create_uninit : int -> int -> t
 
 (** [init n d f] fills position [(i, j)] with [f i j]. *)
 val init : int -> int -> (int -> int -> float) -> t
@@ -70,12 +74,48 @@ val sq_norm_row : t -> int -> float
 
 val copy : t -> t
 
-(** Zero-copy view of the same storage as a {!Matrix.t} (shares [data];
-    writes through either view are visible in both). *)
-val to_matrix : t -> Matrix.t
+(** Cache-tiled product.  Bit-identical to {!matmul_naive}: tiling only
+    reorders work across output cells, never the per-cell accumulation
+    order.  @raise Invalid_argument on dimension mismatch *)
+val matmul : t -> t -> t
 
-(** Zero-copy view of a {!Matrix.t} as a feature matrix (shares [data]). *)
-val of_matrix : Matrix.t -> t
+(** The untiled i-k-j reference kernel (for differential tests and the
+    kernel benchmarks).  @raise Invalid_argument on dimension mismatch *)
+val matmul_naive : t -> t -> t
+
+(** [matmul_bias ~bias a b]: like {!matmul} but row [i] of the result is
+    seeded from [bias] before accumulating, matching the summation order of
+    a per-sample [bias.(j) + Σ_k a_ik b_kj] loop.
+    @raise Invalid_argument on dimension mismatch *)
+val matmul_bias : bias:float array -> t -> t -> t
+
+val transpose : t -> t
+val map : (float -> float) -> t -> t
+
+(** @raise Invalid_argument on dimension mismatch *)
+val add : t -> t -> t
+
+val scale : float -> t -> t
+
+(** In-place [y += a * x].  @raise Invalid_argument on dimension mismatch *)
+val axpy : a:float -> t -> t -> unit
+
+(** Matrix–vector product.  @raise Invalid_argument on dimension mismatch *)
+val mv : t -> float array -> float array
+
+(** Vector–matrix product [v^T M]. *)
+val vm : float array -> t -> float array
+
+(** Gaussian random matrix with the given standard deviation, drawn in
+    row-major order. *)
+val random : Yali_util.Rng.t -> int -> int -> scale:float -> t
+
+(** First-maximum index of a score vector: a later entry displaces the
+    best only when strictly greater, so ties break to the lowest index. *)
+val argmax : float array -> int
+
+(** {!argmax} of every row. *)
+val argmax_rows : t -> int array
 
 (** Serialise shape and element bits (model snapshots; bit-exact). *)
 val to_bin : Buffer.t -> t -> unit

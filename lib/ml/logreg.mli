@@ -20,7 +20,7 @@ val train :
   t
 
 (** The fitted class-by-feature weight matrix (equivalence tests). *)
-val weights : t -> Matrix.t
+val weights : t -> Fmat.t
 
 val predict : t -> float array -> int
 

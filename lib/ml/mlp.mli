@@ -1,7 +1,7 @@
 (** The SciKit-style multi-layer perceptron the paper evaluates as [mlp]:
-    exactly one hidden layer of 100 ReLU units (§3.2). *)
-
-type t
+    exactly one hidden layer of 100 ReLU units (§3.2).  A trained mlp is a
+    {!Cnn.t} — a scaler and a network — so {!Cnn}'s predict, margins and
+    serialisation serve both. *)
 
 type params = { hidden : int; epochs : int; lr : float }
 
@@ -16,21 +16,4 @@ val train :
   n_classes:int ->
   Fblock.source ->
   int array ->
-  t
-
-val predict : t -> float array -> int
-
-(** Per-class raw logits; the first-maximum index is exactly {!predict}'s
-    decision. *)
-val margins : t -> float array -> float array
-
-(** Classify every row of a flat matrix (batched dense inference). *)
-val predict_batch : t -> Fmat.t -> int array
-
-val size_bytes : t -> int
-
-(** Serialise the trained model bit-exactly ({!Model.save}'s weights). *)
-val to_bin : Buffer.t -> t -> unit
-
-(** @raise Yali_util.Bin.Corrupt on malformed input *)
-val of_bin : Yali_util.Bin.r -> t
+  Cnn.t

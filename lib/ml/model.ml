@@ -40,7 +40,7 @@ type snapshot =
   | S_lr of Logreg.t
   | S_svm of Svm.t
   | S_knn of Knn.t
-  | S_mlp of Mlp.t
+  | S_mlp of Cnn.t
   | S_rf of Random_forest.t
   | S_cnn of Cnn.t
 
@@ -88,19 +88,13 @@ let restore = function
         predict_batch = Knn.predict_batch m;
         size_bytes = Knn.size_bytes m;
       }
-  | S_mlp m ->
-      {
-        predict = Mlp.predict m;
-        predict_batch = Mlp.predict_batch m;
-        size_bytes = Mlp.size_bytes m;
-      }
   | S_rf m ->
       {
         predict = Random_forest.predict m;
         predict_batch = Random_forest.predict_batch m;
         size_bytes = Random_forest.size_bytes m;
       }
-  | S_cnn m ->
+  | S_mlp m | S_cnn m ->
       {
         predict = Cnn.predict m;
         predict_batch = Cnn.predict_batch m;
@@ -147,13 +141,7 @@ let all_flat : flat list = [ rf; svm; knn; lr; mlp; cnn ]
 
 let find_flat name = List.find_opt (fun m -> m.fname = name) all_flat
 
-(** First-maximum index — the arena-wide argmax convention (every model's
-    [predict] scans scores left to right and displaces only on a strictly
-    greater value, so ties break to the lowest class). *)
-let argmax (v : float array) : int =
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
-  !best
+let argmax = Fmat.argmax
 
 (** Per-class scores of a snapshot — raw logits for lr/mlp/cnn, one-vs-rest
     scores for svm, vote counts for knn/rf.  The contract shared by every
@@ -164,9 +152,8 @@ let margins = function
   | S_lr m -> Logreg.margins m
   | S_svm m -> Svm.margins m
   | S_knn m -> Knn.margins m
-  | S_mlp m -> Mlp.margins m
   | S_rf m -> Random_forest.margins m
-  | S_cnn m -> Cnn.margins m
+  | S_mlp m | S_cnn m -> Cnn.margins m
 
 (* Snapshot blob: magic + u16 version + u8 kind tag + weight payload.
    The magic keeps a model file from ever being confused with an IR blob
@@ -192,9 +179,8 @@ let save (s : snapshot) : string =
   | S_lr m -> Logreg.to_bin b m
   | S_svm m -> Svm.to_bin b m
   | S_knn m -> Knn.to_bin b m
-  | S_mlp m -> Mlp.to_bin b m
   | S_rf m -> Random_forest.to_bin b m
-  | S_cnn m -> Cnn.to_bin b m);
+  | S_mlp m | S_cnn m -> Cnn.to_bin b m);
   Buffer.contents b
 
 let load (blob : string) : snapshot =
@@ -209,7 +195,7 @@ let load (blob : string) : snapshot =
     | 0 -> S_lr (Logreg.of_bin r)
     | 1 -> S_svm (Svm.of_bin r)
     | 2 -> S_knn (Knn.of_bin r)
-    | 3 -> S_mlp (Mlp.of_bin r)
+    | 3 -> S_mlp (Cnn.of_bin r)
     | 4 -> S_rf (Random_forest.of_bin r)
     | 5 -> S_cnn (Cnn.of_bin r)
     | n -> Bin.fail r (Printf.sprintf "bad model kind tag %d" n)

@@ -68,7 +68,7 @@ type snapshot =
   | S_lr of Logreg.t
   | S_svm of Svm.t
   | S_knn of Knn.t
-  | S_mlp of Mlp.t
+  | S_mlp of Cnn.t  (** a trained {!Mlp} *)
   | S_rf of Random_forest.t
   | S_cnn of Cnn.t
 

@@ -19,10 +19,10 @@ module Pool = Yali_exec.Pool
 
 
 type dense = {
-  mutable w : Matrix.t;  (** out x in *)
+  mutable w : Fmat.t;  (** out x in *)
   mutable b : float array;
   mutable last_in : float array;
-  mutable wt : Matrix.t option;
+  mutable wt : Fmat.t option;
       (** cached transpose of [w] for the batched paths; invalidated on
           every weight update *)
 }
@@ -32,9 +32,9 @@ type conv1d = {
   c_out : int;
   kernel : int;
   stride : int;
-  mutable filters : Matrix.t;  (** c_out x (c_in * kernel) *)
+  mutable filters : Fmat.t;  (** c_out x (c_in * kernel) *)
   mutable cbias : float array;
-  mutable ft : Matrix.t option;
+  mutable ft : Fmat.t option;
       (** cached transpose of [filters]; invalidated on update *)
 }
 
@@ -48,7 +48,7 @@ type layer =
 let dense (rng : Rng.t) ~(d_in : int) ~(d_out : int) : layer =
   Dense
     {
-      w = Matrix.random rng d_out d_in ~scale:(sqrt (2.0 /. float_of_int d_in));
+      w = Fmat.random rng d_out d_in ~scale:(sqrt (2.0 /. float_of_int d_in));
       b = Array.make d_out 0.0;
       last_in = [||];
       wt = None;
@@ -66,7 +66,7 @@ let conv1d (rng : Rng.t) ~(c_in : int) ~(c_out : int) ~(kernel : int)
       kernel;
       stride;
       filters =
-        Matrix.random rng c_out (c_in * kernel)
+        Fmat.random rng c_out (c_in * kernel)
           ~scale:(sqrt (2.0 /. float_of_int (c_in * kernel)));
       cbias = Array.make c_out 0.0;
       ft = None;
@@ -80,19 +80,19 @@ let maxpool size = MaxPool { size }
 let conv_out_len (c : conv1d) (in_len : int) : int =
   ((in_len - c.kernel) / c.stride) + 1
 
-let dense_wt (d : dense) : Matrix.t =
+let dense_wt (d : dense) : Fmat.t =
   match d.wt with
   | Some t -> t
   | None ->
-      let t = Matrix.transpose d.w in
+      let t = Fmat.transpose d.w in
       d.wt <- Some t;
       t
 
-let conv_ft (c : conv1d) : Matrix.t =
+let conv_ft (c : conv1d) : Fmat.t =
   match c.ft with
   | Some t -> t
   | None ->
-      let t = Matrix.transpose c.filters in
+      let t = Fmat.transpose c.filters in
       c.ft <- Some t;
       t
 
@@ -102,7 +102,7 @@ let forward (layer : layer) (x : float array) : float array =
   match layer with
   | Dense d ->
       d.last_in <- x;
-      let out = Matrix.mv d.w x in
+      let out = Fmat.mv d.w x in
       Array.mapi (fun i v -> v +. d.b.(i)) out
   | Relu r ->
       r.mask <- Array.map (fun v -> v > 0.0) x;
@@ -114,7 +114,7 @@ let forward (layer : layer) (x : float array) : float array =
       if out_len <= 0 then Array.make c.c_out 0.0
       else begin
         let out = Array.make (c.c_out * out_len) 0.0 in
-        let fd = c.filters.data and fcols = c.filters.cols in
+        let fd = c.filters.data and fcols = c.filters.d in
         for o = 0 to c.c_out - 1 do
           let fbase = o * fcols in
           for p = 0 to out_len - 1 do
@@ -153,13 +153,13 @@ let backward ~(lr : float) (layer : layer) (dout : float array) : float array
     =
   match layer with
   | Dense d ->
-      let din = Matrix.vm dout d.w in
+      let din = Fmat.vm dout d.w in
       (* update: w -= lr * dout^T last_in ; b -= lr * dout.  Flat offsets
          into the weight data; the float expressions are unchanged
          ([lr *. dout.(o) *. x] associates left, so hoisting the scale is
          the same product). *)
-      let wd = d.w.data and cols = d.w.cols in
-      for o = 0 to d.w.rows - 1 do
+      let wd = d.w.data and cols = d.w.d in
+      for o = 0 to d.w.n - 1 do
         d.b.(o) <- d.b.(o) -. (lr *. dout.(o));
         let s = lr *. dout.(o) in
         let base = o * cols in
@@ -185,7 +185,7 @@ let invalidate_caches (net : t) : unit =
     net.layers
 
 type layer_view =
-  | V_dense of { w : Matrix.t; b : float array }
+  | V_dense of { w : Fmat.t; b : float array }
   | V_relu
   | V_dropout of float
   | V_conv1d of {
@@ -193,7 +193,7 @@ type layer_view =
       c_out : int;
       kernel : int;
       stride : int;
-      filters : Matrix.t;
+      filters : Fmat.t;
       cbias : float array;
     }
   | V_maxpool of int
@@ -221,8 +221,8 @@ let dump_weights (net : t) : float array array =
   Array.of_list
     (List.concat_map
        (function
-         | Dense d -> [ Array.copy d.w.Matrix.data; Array.copy d.b ]
-         | Conv1d c -> [ Array.copy c.filters.Matrix.data; Array.copy c.cbias ]
+         | Dense d -> [ Array.copy d.w.Fmat.data; Array.copy d.b ]
+         | Conv1d c -> [ Array.copy c.filters.Fmat.data; Array.copy c.cbias ]
          | Relu _ | Dropout _ | MaxPool _ -> [])
        net.layers)
 
@@ -257,7 +257,7 @@ let train_step ~(lr : float) (net : t) (x : float array) (y : int) :
    minibatch algorithm; every floating-point accumulation below is specified
    per output cell as an ascending-index chain so the naive per-sample loops
    of the reference produce the same bits as the tiled matmuls here
-   (Matrix.matmul is bit-identical to Matrix.matmul_naive, including the
+   (Fmat.matmul is bit-identical to Fmat.matmul_naive, including the
    zero-skip on elements of the left operand).  Do not reorder loops or
    change skip conditions without updating Reference.Nnb in lockstep —
    the ml/nn-kernel-vs-reference oracle pins the pairing. *)
@@ -277,9 +277,9 @@ let shape_widths (net : t) ~(d_in : int) : int array =
       widths.(li + 1) <-
         (match l with
         | Dense d ->
-            if d.w.Matrix.cols <> w then
+            if d.w.Fmat.d <> w then
               invalid_arg "Nn.train_batch: dense layer width mismatch";
-            d.w.Matrix.rows
+            d.w.Fmat.n
         | Relu _ | Dropout _ -> w
         | Conv1d c ->
             let in_len = w / c.c_in in
@@ -291,24 +291,24 @@ let shape_widths (net : t) ~(d_in : int) : int array =
 
 type grad =
   | G_none
-  | G_dense of Matrix.t * float array
-  | G_conv of Matrix.t * float array
+  | G_dense of Fmat.t * float array
+  | G_conv of Fmat.t * float array
 
 type bscratch =
   | S_nothing
-  | S_input of Matrix.t  (** dense / relu input *)
-  | S_conv of { im : Matrix.t; in_w : int; out_len : int }
+  | S_input of Fmat.t  (** dense / relu input *)
+  | S_conv of { im : Fmat.t; in_w : int; out_len : int }
   | S_pool of { argmax : int array; in_w : int; out_w : int }
 
 (* One gradient shard: forward its rows, softmax/cross-entropy, backward,
    returning the shard-local parameter gradients.  [losses] and [dx] rows
    are disjoint per shard (safe under the pool). *)
-let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
-    ~(row0 : int) ~(xm : Matrix.t) ~(yb : int array)
+let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
+    ~(row0 : int) ~(xm : Fmat.t) ~(yb : int array)
     ~(losses : float array) ~(dx : Fmat.t) : grad array =
   let nl = List.length net.layers in
   let scratch = Array.make nl S_nothing in
-  let rows = xm.Matrix.rows in
+  let rows = xm.Fmat.n in
   let a = ref xm in
   List.iteri
     (fun li l ->
@@ -316,47 +316,47 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
       match l with
       | Dense d ->
           scratch.(li) <- S_input x;
-          a := Matrix.matmul_bias ~bias:d.b x (dense_wt d)
+          a := Fmat.matmul_bias ~bias:d.b x (dense_wt d)
       | Relu _ ->
           (* rectify in place: only non-positive cells need a store, and the
              backward pass can read the sign off the post-activation values
              (relu v > 0 iff v > 0, NaN included).  The previous layer's
              output is dead once rectified; only the shard input [xm] must
              never be mutated. *)
-          let out = if x == xm then Matrix.copy x else x in
-          for t = 0 to (rows * out.Matrix.cols) - 1 do
-            if not (Array.unsafe_get out.Matrix.data t > 0.0) then
-              Array.unsafe_set out.Matrix.data t 0.0
+          let out = if x == xm then Fmat.copy x else x in
+          for t = 0 to (rows * out.Fmat.d) - 1 do
+            if not (Array.unsafe_get out.Fmat.data t > 0.0) then
+              Array.unsafe_set out.Fmat.data t 0.0
           done;
           scratch.(li) <- S_input out;
           a := out
       | Dropout _ ->
           let mask = Option.get masks.(li) in
-          let w = x.Matrix.cols in
-          let out = Matrix.create_uninit rows w in
+          let w = x.Fmat.d in
+          let out = Fmat.create_uninit rows w in
           for i = 0 to rows - 1 do
             let xb = i * w and mb = (row0 + i) * w in
             for j = 0 to w - 1 do
-              Array.unsafe_set out.Matrix.data (xb + j)
-                (Array.unsafe_get x.Matrix.data (xb + j)
-                *. Array.unsafe_get mask.Matrix.data (mb + j))
+              Array.unsafe_set out.Fmat.data (xb + j)
+                (Array.unsafe_get x.Fmat.data (xb + j)
+                *. Array.unsafe_get mask.Fmat.data (mb + j))
             done
           done;
           a := out
       | Conv1d c ->
-          let in_w = x.Matrix.cols in
+          let in_w = x.Fmat.d in
           let in_len = in_w / c.c_in in
           let out_len = conv_out_len c in_len in
           if out_len <= 0 then begin
-            scratch.(li) <- S_conv { im = Matrix.create 0 0; in_w; out_len };
-            a := Matrix.create rows c.c_out
+            scratch.(li) <- S_conv { im = Fmat.create 0 0; in_w; out_len };
+            a := Fmat.create rows c.c_out
           end
           else begin
             (* im2col: row (i, p) holds the window of sample i at output
                position p, columns (ci*kernel + k) — contiguous per-channel
                blits from the channel-major input layout *)
             let cols = c.c_in * c.kernel in
-            let im = Matrix.create_uninit (rows * out_len) cols in
+            let im = Fmat.create_uninit (rows * out_len) cols in
             (* windows are [kernel] elements (typically <= 5): an inline
                copy loop beats an Array.blit call per window *)
             for i = 0 to rows - 1 do
@@ -367,32 +367,32 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
                   let sb = xbase + (ci * in_len) + (p * c.stride) in
                   let db = rbase + (ci * c.kernel) in
                   for k = 0 to c.kernel - 1 do
-                    Array.unsafe_set im.Matrix.data (db + k)
-                      (Array.unsafe_get x.Matrix.data (sb + k))
+                    Array.unsafe_set im.Fmat.data (db + k)
+                      (Array.unsafe_get x.Fmat.data (sb + k))
                   done
                 done
               done
             done;
             scratch.(li) <- S_conv { im; in_w; out_len };
-            let col = Matrix.matmul_bias ~bias:c.cbias im (conv_ft c) in
-            let out = Matrix.create_uninit rows (c.c_out * out_len) in
+            let col = Fmat.matmul_bias ~bias:c.cbias im (conv_ft c) in
+            let out = Fmat.create_uninit rows (c.c_out * out_len) in
             for i = 0 to rows - 1 do
-              let ob = i * out.Matrix.cols in
+              let ob = i * out.Fmat.d in
               for p = 0 to out_len - 1 do
                 let cb = ((i * out_len) + p) * c.c_out in
                 for o = 0 to c.c_out - 1 do
-                  Array.unsafe_set out.Matrix.data (ob + (o * out_len) + p)
-                    (Array.unsafe_get col.Matrix.data (cb + o))
+                  Array.unsafe_set out.Fmat.data (ob + (o * out_len) + p)
+                    (Array.unsafe_get col.Fmat.data (cb + o))
                 done
               done
             done;
             a := out
           end
       | MaxPool mp ->
-          let in_w = x.Matrix.cols in
+          let in_w = x.Fmat.d in
           let out_w = in_w / mp.size in
           let amax = Array.make (rows * out_w) 0 in
-          let out = Matrix.create_uninit rows out_w in
+          let out = Fmat.create_uninit rows out_w in
           for i = 0 to rows - 1 do
             let xb = i * in_w in
             for wi = 0 to out_w - 1 do
@@ -401,13 +401,13 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
               for k = 1 to mp.size - 1 do
                 if
                   base + k < in_w
-                  && Array.unsafe_get x.Matrix.data (xb + base + k)
-                     > Array.unsafe_get x.Matrix.data (xb + !best)
+                  && Array.unsafe_get x.Fmat.data (xb + base + k)
+                     > Array.unsafe_get x.Fmat.data (xb + !best)
                 then best := base + k
               done;
               Array.unsafe_set amax ((i * out_w) + wi) !best;
-              Array.unsafe_set out.Matrix.data ((i * out_w) + wi)
-                (Array.unsafe_get x.Matrix.data (xb + !best))
+              Array.unsafe_set out.Fmat.data ((i * out_w) + wi)
+                (Array.unsafe_get x.Fmat.data (xb + !best))
             done
           done;
           scratch.(li) <- S_pool { argmax = amax; in_w; out_w };
@@ -417,16 +417,16 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
      (dlogits = p - onehot per row, no 1/m), so the per-epoch step
      magnitude matches the per-example trainer at the same learning rate. *)
   let logits = !a in
-  let nc = logits.Matrix.cols in
-  let dlog = Matrix.create_uninit rows nc in
+  let nc = logits.Fmat.d in
+  let dlog = Fmat.create_uninit rows nc in
   let buf = Array.make nc 0.0 in
   for r = 0 to rows - 1 do
-    Array.blit logits.Matrix.data (r * nc) buf 0 nc;
+    Array.blit logits.Fmat.data (r * nc) buf 0 nc;
     let p = softmax buf in
     let y = yb.(r) in
     losses.(row0 + r) <- -.log (max 1e-12 p.(y));
     for j = 0 to nc - 1 do
-      dlog.Matrix.data.((r * nc) + j) <- p.(j) -. (if j = y then 1.0 else 0.0)
+      dlog.Fmat.data.((r * nc) + j) <- p.(j) -. (if j = y then 1.0 else 0.0)
     done
   done;
   let grads = Array.make nl G_none in
@@ -436,39 +436,39 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
     let d_o = !dout in
     match (layers.(li), scratch.(li)) with
     | Dense d, S_input xin ->
-        let gw = Matrix.matmul (Matrix.transpose d_o) xin in
-        let nc = d_o.Matrix.cols in
+        let gw = Fmat.matmul (Fmat.transpose d_o) xin in
+        let nc = d_o.Fmat.d in
         let gb = Array.make nc 0.0 in
         for r = 0 to rows - 1 do
           let base = r * nc in
           for o = 0 to nc - 1 do
             Array.unsafe_set gb o
               (Array.unsafe_get gb o
-              +. Array.unsafe_get d_o.Matrix.data (base + o))
+              +. Array.unsafe_get d_o.Fmat.data (base + o))
           done
         done;
         grads.(li) <- G_dense (gw, gb);
         (* the first layer's input gradient only exists for [dx] *)
-        if li > 0 || need_dx then dout := Matrix.matmul d_o d.w
+        if li > 0 || need_dx then dout := Fmat.matmul d_o d.w
     | Relu _, S_input xin ->
         (* [xin] holds the post-activation values (forward rectified in
            place); mask the incoming gradient in place — every upstream
            producer hands over a matrix that is dead after this layer *)
-        for t = 0 to (rows * xin.Matrix.cols) - 1 do
-          if not (Array.unsafe_get xin.Matrix.data t > 0.0) then
-            Array.unsafe_set d_o.Matrix.data t 0.0
+        for t = 0 to (rows * xin.Fmat.d) - 1 do
+          if not (Array.unsafe_get xin.Fmat.data t > 0.0) then
+            Array.unsafe_set d_o.Fmat.data t 0.0
         done;
         dout := d_o
     | Dropout _, S_nothing ->
         let mask = Option.get masks.(li) in
-        let w = d_o.Matrix.cols in
-        let dn = Matrix.create_uninit rows w in
+        let w = d_o.Fmat.d in
+        let dn = Fmat.create_uninit rows w in
         for i = 0 to rows - 1 do
           let db = i * w and mb = (row0 + i) * w in
           for j = 0 to w - 1 do
-            Array.unsafe_set dn.Matrix.data (db + j)
-              (Array.unsafe_get d_o.Matrix.data (db + j)
-              *. Array.unsafe_get mask.Matrix.data (mb + j))
+            Array.unsafe_set dn.Fmat.data (db + j)
+              (Array.unsafe_get d_o.Fmat.data (db + j)
+              *. Array.unsafe_get mask.Fmat.data (mb + j))
           done
         done;
         dout := dn
@@ -476,37 +476,37 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
         if out_len <= 0 then begin
           grads.(li) <-
             G_conv
-              (Matrix.create c.c_out (c.c_in * c.kernel), Array.make c.c_out 0.0);
-          dout := Matrix.create rows in_w
+              (Fmat.create c.c_out (c.c_in * c.kernel), Array.make c.c_out 0.0);
+          dout := Fmat.create rows in_w
         end
         else begin
           let cols = c.c_in * c.kernel in
           (* gather dL/d(out) into im2col row order *)
-          let dcol = Matrix.create_uninit (rows * out_len) c.c_out in
+          let dcol = Fmat.create_uninit (rows * out_len) c.c_out in
           for i = 0 to rows - 1 do
-            let db = i * d_o.Matrix.cols in
+            let db = i * d_o.Fmat.d in
             for p = 0 to out_len - 1 do
               let rb = ((i * out_len) + p) * c.c_out in
               for o = 0 to c.c_out - 1 do
-                Array.unsafe_set dcol.Matrix.data (rb + o)
-                  (Array.unsafe_get d_o.Matrix.data (db + (o * out_len) + p))
+                Array.unsafe_set dcol.Fmat.data (rb + o)
+                  (Array.unsafe_get d_o.Fmat.data (db + (o * out_len) + p))
               done
             done
           done;
-          let gf = Matrix.matmul (Matrix.transpose dcol) im in
+          let gf = Fmat.matmul (Fmat.transpose dcol) im in
           let gcb = Array.make c.c_out 0.0 in
           for r = 0 to (rows * out_len) - 1 do
             let base = r * c.c_out in
             for o = 0 to c.c_out - 1 do
               Array.unsafe_set gcb o
                 (Array.unsafe_get gcb o
-                +. Array.unsafe_get dcol.Matrix.data (base + o))
+                +. Array.unsafe_get dcol.Fmat.data (base + o))
             done
           done;
           grads.(li) <- G_conv (gf, gcb);
           if li > 0 || need_dx then begin
-            let dim = Matrix.matmul dcol c.filters in
-            let din = Matrix.create rows in_w in
+            let dim = Fmat.matmul dcol c.filters in
+            let din = Fmat.create rows in_w in
             let in_len = in_w / c.c_in in
             for i = 0 to rows - 1 do
               let xbase = i * in_w in
@@ -516,9 +516,9 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
                   let db = xbase + (ci * in_len) + (p * c.stride) in
                   let sb = rb + (ci * c.kernel) in
                   for k = 0 to c.kernel - 1 do
-                    Array.unsafe_set din.Matrix.data (db + k)
-                      (Array.unsafe_get din.Matrix.data (db + k)
-                      +. Array.unsafe_get dim.Matrix.data (sb + k))
+                    Array.unsafe_set din.Fmat.data (db + k)
+                      (Array.unsafe_get din.Fmat.data (db + k)
+                      +. Array.unsafe_get dim.Fmat.data (sb + k))
                   done
                 done
               done
@@ -527,13 +527,13 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
           end
         end
     | MaxPool _, S_pool { argmax; in_w; out_w } ->
-        let din = Matrix.create rows in_w in
+        let din = Fmat.create rows in_w in
         for i = 0 to rows - 1 do
           for wi = 0 to out_w - 1 do
             let t = (i * in_w) + Array.unsafe_get argmax ((i * out_w) + wi) in
-            Array.unsafe_set din.Matrix.data t
-              (Array.unsafe_get din.Matrix.data t
-              +. Array.unsafe_get d_o.Matrix.data ((i * out_w) + wi))
+            Array.unsafe_set din.Fmat.data t
+              (Array.unsafe_get din.Fmat.data t
+              +. Array.unsafe_get d_o.Fmat.data ((i * out_w) + wi))
           done
         done;
         dout := din
@@ -542,8 +542,8 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Matrix.t option array)
   if need_dx then begin
     let dfin = !dout in
     for i = 0 to rows - 1 do
-      Array.blit dfin.Matrix.data
-        (i * dfin.Matrix.cols)
+      Array.blit dfin.Fmat.data
+        (i * dfin.Fmat.d)
         dx.Fmat.data
         ((row0 + i) * dx.Fmat.d)
         dx.Fmat.d
@@ -557,10 +557,10 @@ let merge_grads (a : grad array) (b : grad array) : unit =
       match (g, b.(i)) with
       | G_none, G_none -> ()
       | G_dense (gw, gb), G_dense (gw', gb') ->
-          Matrix.axpy ~a:1.0 gw' gw;
+          Fmat.axpy ~a:1.0 gw' gw;
           Array.iteri (fun j v -> gb.(j) <- gb.(j) +. v) gb'
       | G_conv (gf, gcb), G_conv (gf', gcb') ->
-          Matrix.axpy ~a:1.0 gf' gf;
+          Fmat.axpy ~a:1.0 gf' gf;
           Array.iteri (fun j v -> gcb.(j) <- gcb.(j) +. v) gcb'
       | _ -> assert false)
     a
@@ -585,14 +585,14 @@ let apply_grads ~(lr : float) (net : t) (g : grad array) : unit =
       match (l, g.(li)) with
       | Dense d, G_dense (gw, gb) ->
           Array.iteri (fun j v -> d.b.(j) <- d.b.(j) -. (lr *. v)) gb;
-          let wd = d.w.Matrix.data and gwd = gw.Matrix.data in
+          let wd = d.w.Fmat.data and gwd = gw.Fmat.data in
           for i = 0 to Array.length wd - 1 do
             wd.(i) <- wd.(i) -. (lr *. gwd.(i))
           done;
           d.wt <- None
       | Conv1d c, G_conv (gf, gcb) ->
           Array.iteri (fun j v -> c.cbias.(j) <- c.cbias.(j) -. (lr *. v)) gcb;
-          let fd = c.filters.Matrix.data and gfd = gf.Matrix.data in
+          let fd = c.filters.Fmat.data and gfd = gf.Fmat.data in
           for i = 0 to Array.length fd - 1 do
             fd.(i) <- fd.(i) -. (lr *. gfd.(i))
           done;
@@ -619,7 +619,7 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
              match l with
              | Dropout d ->
                  Some
-                   (Matrix.init m widths.(li) (fun _ _ ->
+                   (Fmat.init m widths.(li) (fun _ _ ->
                         if Rng.float rng < d.p then 0.0
                         else 1.0 /. (1.0 -. d.p)))
              | _ -> None)
@@ -634,8 +634,8 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
         let len = min grad_shard_rows (m - lo) in
         let xm =
           {
-            Matrix.rows = len;
-            cols = xb.Fmat.d;
+            Fmat.n = len;
+            d = xb.Fmat.d;
             data = Array.sub xb.Fmat.data (lo * xb.Fmat.d) (len * xb.Fmat.d);
           }
         in
@@ -655,11 +655,7 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
 let logits (net : t) (x : float array) : float array =
   forward_all net x
 
-let predict (net : t) (x : float array) : int =
-  let logits = logits net x in
-  let best = ref 0 in
-  Array.iteri (fun i v -> if v > logits.(!best) then best := i) logits;
-  !best
+let predict (net : t) (x : float array) : int = Fmat.argmax (logits net x)
 
 (* Batched inference.  A dense-only net (Dense/Relu/Dropout) runs the
    whole batch as one cache-tiled matmul per layer, with the bias added
@@ -680,34 +676,25 @@ let predict_batch (net : t) (x : Fmat.t) : int array =
         predict net buf)
   end
   else begin
-    let a = ref (Fmat.to_matrix x) in
+    let a = ref x in
     List.iter
       (fun l ->
         match l with
         | Dense d ->
-            let out = Matrix.matmul !a (dense_wt d) in
-            for i = 0 to out.Matrix.rows - 1 do
-              let base = i * out.Matrix.cols in
-              for j = 0 to out.Matrix.cols - 1 do
-                out.Matrix.data.(base + j) <-
-                  out.Matrix.data.(base + j) +. d.b.(j)
+            let out = Fmat.matmul !a (dense_wt d) in
+            for i = 0 to out.Fmat.n - 1 do
+              let base = i * out.Fmat.d in
+              for j = 0 to out.Fmat.d - 1 do
+                out.Fmat.data.(base + j) <-
+                  out.Fmat.data.(base + j) +. d.b.(j)
               done
             done;
             a := out
-        | Relu _ -> a := Matrix.map (fun v -> if v > 0.0 then v else 0.0) !a
+        | Relu _ -> a := Fmat.map (fun v -> if v > 0.0 then v else 0.0) !a
         | Dropout _ -> ()
         | Conv1d _ | MaxPool _ -> assert false)
       net.layers;
-    let logits = !a in
-    Array.init logits.Matrix.rows (fun i ->
-        let base = i * logits.Matrix.cols in
-        let best = ref 0 in
-        for j = 1 to logits.Matrix.cols - 1 do
-          if
-            logits.Matrix.data.(base + j) > logits.Matrix.data.(base + !best)
-          then best := j
-        done;
-        !best)
+    Fmat.argmax_rows !a
   end
 
 let size_bytes (net : t) : int =
@@ -716,8 +703,8 @@ let size_bytes (net : t) : int =
       acc
       +
       match l with
-      | Dense d -> 8 * ((d.w.rows * d.w.cols) + Array.length d.b)
-      | Conv1d c -> 8 * ((c.filters.rows * c.filters.cols) + Array.length c.cbias)
+      | Dense d -> 8 * ((d.w.n * d.w.d) + Array.length d.b)
+      | Conv1d c -> 8 * ((c.filters.n * c.filters.d) + Array.length c.cbias)
       | Relu _ | Dropout _ | MaxPool _ -> 0)
     0 net.layers
 
@@ -729,7 +716,7 @@ let layer_to_bin b (l : layer) =
   match l with
   | Dense d ->
       Bin.w_u8 b 0;
-      Matrix.to_bin b d.w;
+      Fmat.to_bin b d.w;
       Bin.w_floats b d.b
   | Relu _ -> Bin.w_u8 b 1
   | Dropout d ->
@@ -741,7 +728,7 @@ let layer_to_bin b (l : layer) =
       Bin.w_u32 b c.c_out;
       Bin.w_u32 b c.kernel;
       Bin.w_u32 b c.stride;
-      Matrix.to_bin b c.filters;
+      Fmat.to_bin b c.filters;
       Bin.w_floats b c.cbias
   | MaxPool m ->
       Bin.w_u8 b 5;
@@ -750,9 +737,9 @@ let layer_to_bin b (l : layer) =
 let layer_of_bin r : layer =
   match Bin.r_u8 r with
   | 0 ->
-      let w = Matrix.of_bin r in
+      let w = Fmat.of_bin r in
       let b = Bin.r_floats r in
-      if Array.length b <> w.Matrix.rows then
+      if Array.length b <> w.Fmat.n then
         Bin.fail r "dense layer bias/weight shape mismatch";
       Dense { w; b; last_in = [||]; wt = None }
   | 1 -> Relu { mask = [||] }
@@ -762,11 +749,11 @@ let layer_of_bin r : layer =
       let c_out = Bin.r_u32 r in
       let kernel = Bin.r_u32 r in
       let stride = Bin.r_u32 r in
-      let filters = Matrix.of_bin r in
+      let filters = Fmat.of_bin r in
       let cbias = Bin.r_floats r in
       if stride <= 0 || kernel <= 0 || c_in <= 0 || c_out <= 0 then
         Bin.fail r "conv layer with non-positive shape";
-      if filters.Matrix.rows <> c_out || filters.Matrix.cols <> c_in * kernel
+      if filters.Fmat.n <> c_out || filters.Fmat.d <> c_in * kernel
       then Bin.fail r "conv layer filter shape mismatch";
       if Array.length cbias <> c_out then
         Bin.fail r "conv layer bias shape mismatch";

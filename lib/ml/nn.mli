@@ -89,7 +89,7 @@ val size_bytes : t -> int
     compare against — trains through this view.  Any code that mutates
     weights through a view must call {!invalidate_caches} afterwards. *)
 type layer_view =
-  | V_dense of { w : Matrix.t; b : float array }
+  | V_dense of { w : Fmat.t; b : float array }
   | V_relu
   | V_dropout of float
   | V_conv1d of {
@@ -97,7 +97,7 @@ type layer_view =
       c_out : int;
       kernel : int;
       stride : int;
-      filters : Matrix.t;
+      filters : Fmat.t;
       cbias : float array;
     }
   | V_maxpool of int

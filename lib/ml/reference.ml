@@ -15,7 +15,7 @@
     sorts its candidate features ascending, adopting the total
     (gain, lowest-feature, lowest-threshold) tie-break that the rewritten
     {!Decision_tree} documents — the differential tests compare the split
-    kernels, not the (changed, documented) tie rule.  [Matrix.matmul_naive]
+    kernels, not the (changed, documented) tie rule.  [Fmat.matmul_naive]
     plays the same role for the tiled matmul. *)
 
 module Rng = Yali_util.Rng
@@ -252,7 +252,7 @@ end
 module Logreg = struct
   type t = {
     scaler : Features.scaler;
-    weights : Matrix.t;
+    weights : Fmat.t;
     bias : float array;
     n_classes : int;
   }
@@ -267,12 +267,12 @@ module Logreg = struct
     let s = Array.fold_left ( +. ) 0.0 e in
     Array.map (fun x -> x /. s) e
 
-  let logits (w : Matrix.t) (bias : float array) (x : float array) :
+  let logits (w : Fmat.t) (bias : float array) (x : float array) :
       float array =
     Array.init (Array.length bias) (fun c ->
         let acc = ref bias.(c) in
         for j = 0 to Array.length x - 1 do
-          acc := !acc +. (Matrix.get w c j *. x.(j))
+          acc := !acc +. (Fmat.get w c j *. x.(j))
         done;
         !acc)
 
@@ -286,7 +286,7 @@ module Logreg = struct
     let scaler, xs = Features.fit_transform xs in
     let n = Array.length xs in
     let d = if n = 0 then 0 else Array.length xs.(0) in
-    let w = Matrix.random rng n_classes d ~scale:0.01 in
+    let w = Fmat.random rng n_classes d ~scale:0.01 in
     let bias = Array.make n_classes 0.0 in
     let order = Array.init n Fun.id in
     for epoch = 0 to params.epochs - 1 do
@@ -300,7 +300,7 @@ module Logreg = struct
       let b = ref 0 in
       while !b < n do
         let hi = min n (!b + params.batch) in
-        let gw = Matrix.create n_classes d
+        let gw = Fmat.create n_classes d
         and gb = Array.make n_classes 0.0 in
         for k = !b to hi - 1 do
           let i = order.(k) in
@@ -309,7 +309,7 @@ module Logreg = struct
             let err = p.(c) -. (if c = ys.(i) then 1.0 else 0.0) in
             gb.(c) <- gb.(c) +. err;
             for j = 0 to d - 1 do
-              Matrix.set gw c j (Matrix.get gw c j +. (err *. xs.(i).(j)))
+              Fmat.set gw c j (Fmat.get gw c j +. (err *. xs.(i).(j)))
             done
           done
         done;
@@ -317,9 +317,9 @@ module Logreg = struct
         for c = 0 to n_classes - 1 do
           bias.(c) <- bias.(c) -. (lr *. gb.(c) /. bs);
           for j = 0 to d - 1 do
-            let wij = Matrix.get w c j in
-            Matrix.set w c j
-              (wij -. (lr *. ((Matrix.get gw c j /. bs) +. (params.l2 *. wij))))
+            let wij = Fmat.get w c j in
+            Fmat.set w c j
+              (wij -. (lr *. ((Fmat.get gw c j /. bs) +. (params.l2 *. wij))))
           done
         done;
         b := hi
@@ -368,7 +368,7 @@ let shuffle (rng : Rng.t) (order : int array) : unit =
   done
 
 module Nnb = struct
-  type grad = G_none | G_par of Matrix.t * float array
+  type grad = G_none | G_par of Fmat.t * float array
 
   type scr =
     | Nothing
@@ -384,9 +384,9 @@ module Nnb = struct
       widths.(li + 1) <-
         (match views.(li) with
         | Nn.V_dense { w = wm; _ } ->
-            if wm.Matrix.cols <> w then
+            if wm.Fmat.d <> w then
               invalid_arg "Reference.Nnb: dense layer width mismatch";
-            wm.Matrix.rows
+            wm.Fmat.n
         | Nn.V_relu | Nn.V_dropout _ -> w
         | Nn.V_conv1d c ->
             let in_len = w / c.c_in in
@@ -434,11 +434,11 @@ module Nnb = struct
               (function
                 | Nn.V_dense { w; _ } ->
                     G_par
-                      ( Matrix.create w.Matrix.rows w.Matrix.cols,
-                        Array.make w.Matrix.rows 0.0 )
+                      ( Fmat.create w.Fmat.n w.Fmat.d,
+                        Array.make w.Fmat.n 0.0 )
                 | Nn.V_conv1d c ->
                     G_par
-                      ( Matrix.create c.c_out (c.c_in * c.kernel),
+                      ( Fmat.create c.c_out (c.c_in * c.kernel),
                         Array.make c.c_out 0.0 )
                 | _ -> G_none)
               views)
@@ -456,12 +456,12 @@ module Nnb = struct
             match views.(li) with
             | Nn.V_dense { w; b } ->
                 scratch.(li) <- In x;
-                let out = Array.make w.Matrix.rows 0.0 in
-                for o = 0 to w.Matrix.rows - 1 do
+                let out = Array.make w.Fmat.n 0.0 in
+                for o = 0 to w.Fmat.n - 1 do
                   let acc = ref b.(o) in
-                  for j = 0 to w.Matrix.cols - 1 do
+                  for j = 0 to w.Fmat.d - 1 do
                     let xv = x.(j) in
-                    if xv <> 0.0 then acc := !acc +. (xv *. Matrix.get w o j)
+                    if xv <> 0.0 then acc := !acc +. (xv *. Fmat.get w o j)
                   done;
                   out.(o) <- !acc
                 done;
@@ -491,7 +491,7 @@ module Nnb = struct
                             acc :=
                               !acc
                               +. (xv
-                                 *. Matrix.get c.filters o ((ci * c.kernel) + k))
+                                 *. Fmat.get c.filters o ((ci * c.kernel) + k))
                         done
                       done;
                       out.((o * out_len) + p) <- !acc
@@ -535,16 +535,16 @@ module Nnb = struct
                   let gv = d_o.(o) in
                   if gv <> 0.0 then
                     for j = 0 to Array.length xin - 1 do
-                      Matrix.set gw o j (Matrix.get gw o j +. (gv *. xin.(j)))
+                      Fmat.set gw o j (Fmat.get gw o j +. (gv *. xin.(j)))
                     done
                 done;
                 g :=
-                  Array.init w.Matrix.cols (fun j ->
+                  Array.init w.Fmat.d (fun j ->
                       let acc = ref 0.0 in
-                      for o = 0 to w.Matrix.rows - 1 do
+                      for o = 0 to w.Fmat.n - 1 do
                         let gv = d_o.(o) in
                         if gv <> 0.0 then
-                          acc := !acc +. (gv *. Matrix.get w o j)
+                          acc := !acc +. (gv *. Fmat.get w o j)
                       done;
                       !acc)
             | Nn.V_relu, In xin, G_none ->
@@ -572,8 +572,8 @@ module Nnb = struct
                         for ci = 0 to c.c_in - 1 do
                           for k = 0 to c.kernel - 1 do
                             let col = (ci * c.kernel) + k in
-                            Matrix.set gf o col
-                              (Matrix.get gf o col
+                            Fmat.set gf o col
+                              (Fmat.get gf o col
                               +. (gv
                                  *. xin.((ci * in_len) + (p * c.stride) + k)))
                           done
@@ -589,7 +589,7 @@ module Nnb = struct
                       for o = 0 to c.c_out - 1 do
                         let gv = d_o.((o * out_len) + p) in
                         if gv <> 0.0 then
-                          acc := !acc +. (gv *. Matrix.get c.filters o col)
+                          acc := !acc +. (gv *. Fmat.get c.filters o col)
                       done;
                       dimrow.(col) <- !acc
                     done;
@@ -622,8 +622,8 @@ module Nnb = struct
               | G_par (gw, gb), G_par (gw', gb') ->
                   Array.iteri
                     (fun j v ->
-                      gw.Matrix.data.(j) <- gw.Matrix.data.(j) +. v)
-                    gw'.Matrix.data;
+                      gw.Fmat.data.(j) <- gw.Fmat.data.(j) +. v)
+                    gw'.Fmat.data;
                   Array.iteri (fun j v -> gb.(j) <- gb.(j) +. v) gb'
               | _ -> assert false)
             a)
@@ -633,7 +633,7 @@ module Nnb = struct
           match (v, shard_grads.(0).(li)) with
           | Nn.V_dense { w; b }, G_par (gw, gb) ->
               Array.iteri (fun j gv -> b.(j) <- b.(j) -. (lr *. gv)) gb;
-              let wd = w.Matrix.data and gwd = gw.Matrix.data in
+              let wd = w.Fmat.data and gwd = gw.Fmat.data in
               for i = 0 to Array.length wd - 1 do
                 wd.(i) <- wd.(i) -. (lr *. gwd.(i))
               done
@@ -641,7 +641,7 @@ module Nnb = struct
               Array.iteri
                 (fun j gv -> c.cbias.(j) <- c.cbias.(j) -. (lr *. gv))
                 gcb;
-              let fd = c.filters.Matrix.data and gfd = gf.Matrix.data in
+              let fd = c.filters.Fmat.data and gfd = gf.Fmat.data in
               for i = 0 to Array.length fd - 1 do
                 fd.(i) <- fd.(i) -. (lr *. gfd.(i))
               done
@@ -697,38 +697,38 @@ module Dgcnn = struct
 
   (* Naive counterpart of the DGCNN minibatch trainer: same initialisation
      draws ([Dgcnn.init_gc_weights] / [Dgcnn.build_head]), duplicated
-     forward/backward on [Matrix.matmul_naive], same shard-structured
+     forward/backward on [Fmat.matmul_naive], same shard-structured
      gradient accumulation merged by {!tree_reduce}, head steps through
      {!Nnb.train_batch}. *)
 
   let total_channels (p : Dgcnn.params) =
     List.fold_left ( + ) 0 p.Dgcnn.gc_channels
 
-  let propagate (adj : int list array) (x : Matrix.t) : Matrix.t =
-    let n = x.Matrix.rows and d = x.Matrix.cols in
-    let y = Matrix.create n d in
+  let propagate (adj : int list array) (x : Fmat.t) : Fmat.t =
+    let n = x.Fmat.n and d = x.Fmat.d in
+    let y = Fmat.create n d in
     for i = 0 to n - 1 do
       let neigh = i :: adj.(i) in
       let deg = float_of_int (List.length neigh) in
       List.iter
         (fun j ->
           for c = 0 to d - 1 do
-            Matrix.set y i c (Matrix.get y i c +. (Matrix.get x j c /. deg))
+            Fmat.set y i c (Fmat.get y i c +. (Fmat.get x j c /. deg))
           done)
         neigh
     done;
     y
 
-  let propagate_t (adj : int list array) (dy : Matrix.t) : Matrix.t =
-    let n = dy.Matrix.rows and d = dy.Matrix.cols in
-    let dx = Matrix.create n d in
+  let propagate_t (adj : int list array) (dy : Fmat.t) : Fmat.t =
+    let n = dy.Fmat.n and d = dy.Fmat.d in
+    let dx = Fmat.create n d in
     for i = 0 to n - 1 do
       let neigh = i :: adj.(i) in
       let deg = float_of_int (List.length neigh) in
       List.iter
         (fun j ->
           for c = 0 to d - 1 do
-            Matrix.set dx j c (Matrix.get dx j c +. (Matrix.get dy i c /. deg))
+            Fmat.set dx j c (Fmat.get dx j c +. (Fmat.get dy i c /. deg))
           done)
         neigh
     done;
@@ -736,14 +736,14 @@ module Dgcnn = struct
 
   type forward_state = {
     adj : int list array;
-    px_list : Matrix.t list;
-    z_list : Matrix.t list;
-    concat : Matrix.t;
+    px_list : Fmat.t list;
+    z_list : Fmat.t list;
+    concat : Fmat.t;
     order : int array;
     flat : float array;
   }
 
-  let forward_graph (p : Dgcnn.params) (gc_weights : Matrix.t list)
+  let forward_graph (p : Dgcnn.params) (gc_weights : Fmat.t list)
       (g : Graph.t) : forward_state =
     let g =
       if Graph.node_count g = 0 then
@@ -762,68 +762,68 @@ module Dgcnn = struct
     in
     let adj = Graph.undirected_adjacency g in
     let x0 =
-      Matrix.map (fun v -> Float.copy_sign (log1p (Float.abs v)) v)
-        (Matrix.of_rows g.node_feats)
+      Fmat.map (fun v -> Float.copy_sign (log1p (Float.abs v)) v)
+        (Fmat.of_rows g.node_feats)
     in
-    let n = Matrix.(x0.rows) in
+    let n = x0.Fmat.n in
     let rec go z ws px_acc z_acc =
       match ws with
       | [] -> (List.rev px_acc, List.rev z_acc)
       | w :: rest ->
           let px = propagate adj z in
-          let zl = Matrix.map tanh (Matrix.matmul_naive px w) in
+          let zl = Fmat.map tanh (Fmat.matmul_naive px w) in
           go zl rest (px :: px_acc) (zl :: z_acc)
     in
     let px_list, z_list = go x0 gc_weights [] [] in
     let tc = total_channels p in
-    let concat = Matrix.create n tc in
+    let concat = Fmat.create n tc in
     let off = ref 0 in
     List.iter
-      (fun (z : Matrix.t) ->
+      (fun (z : Fmat.t) ->
         for i = 0 to n - 1 do
-          for c = 0 to z.Matrix.cols - 1 do
-            Matrix.set concat i (!off + c) (Matrix.get z i c)
+          for c = 0 to z.Fmat.d - 1 do
+            Fmat.set concat i (!off + c) (Fmat.get z i c)
           done
         done;
-        off := !off + z.Matrix.cols)
+        off := !off + z.Fmat.d)
       z_list;
     let k = p.Dgcnn.sortpool_k in
     let order = Array.init n Fun.id in
     Array.sort
       (fun a b ->
-        compare (Matrix.get concat b (tc - 1)) (Matrix.get concat a (tc - 1)))
+        compare (Fmat.get concat b (tc - 1)) (Fmat.get concat a (tc - 1)))
       order;
     let flat = Array.make (k * tc) 0.0 in
     for r = 0 to min k n - 1 do
       let i = order.(r) in
       for c = 0 to tc - 1 do
-        flat.((r * tc) + c) <- Matrix.get concat i c
+        flat.((r * tc) + c) <- Fmat.get concat i c
       done
     done;
     { adj; px_list; z_list; concat; order; flat }
 
-  let graph_backward (p : Dgcnn.params) (gc_weights : Matrix.t list)
-      (st : forward_state) (dflat : float array) : Matrix.t list =
+  let graph_backward (p : Dgcnn.params) (gc_weights : Fmat.t list)
+      (st : forward_state) (dflat : float array) : Fmat.t list =
     let tc = total_channels p in
-    let nn = st.concat.Matrix.rows in
-    let dconcat = Matrix.create nn tc in
+    let nn = st.concat.Fmat.n in
+    let dconcat = Fmat.create nn tc in
     for r = 0 to min p.Dgcnn.sortpool_k nn - 1 do
       let node = st.order.(r) in
       for c = 0 to tc - 1 do
-        Matrix.set dconcat node c (dflat.((r * tc) + c))
+        Fmat.set dconcat node c (dflat.((r * tc) + c))
       done
     done;
     let layer_grads =
       let off = ref 0 in
       List.map
-        (fun (z : Matrix.t) ->
-          let dz = Matrix.create nn z.Matrix.cols in
+        (fun (z : Fmat.t) ->
+          let dz = Fmat.create nn z.Fmat.d in
           for i' = 0 to nn - 1 do
-            for c = 0 to z.Matrix.cols - 1 do
-              Matrix.set dz i' c (Matrix.get dconcat i' (!off + c))
+            for c = 0 to z.Fmat.d - 1 do
+              Fmat.set dz i' c (Fmat.get dconcat i' (!off + c))
             done
           done;
-          off := !off + z.Matrix.cols;
+          off := !off + z.Fmat.d;
           dz)
         st.z_list
     in
@@ -831,22 +831,22 @@ module Dgcnn = struct
     let rev_z = List.rev st.z_list in
     let rev_px = List.rev st.px_list in
     let rev_dz = List.rev layer_grads in
-    let rec back ws zs pxs dzs (carry : Matrix.t option) (dws : Matrix.t list)
+    let rec back ws zs pxs dzs (carry : Fmat.t option) (dws : Fmat.t list)
         =
       match (ws, zs, pxs, dzs) with
       | [], [], [], [] -> dws
       | w :: ws', z :: zs', px :: pxs', dz :: dzs' ->
           let dz_total =
-            match carry with Some c -> Matrix.add dz c | None -> dz
+            match carry with Some c -> Fmat.add dz c | None -> dz
           in
           let dpre =
-            Matrix.init nn z.Matrix.cols (fun i' c ->
-                let zv = Matrix.get z i' c in
-                Matrix.get dz_total i' c *. (1.0 -. (zv *. zv)))
+            Fmat.init nn z.Fmat.d (fun i' c ->
+                let zv = Fmat.get z i' c in
+                Fmat.get dz_total i' c *. (1.0 -. (zv *. zv)))
           in
-          let dw = Matrix.matmul_naive (Matrix.transpose px) dpre in
+          let dw = Fmat.matmul_naive (Fmat.transpose px) dpre in
           let dprev =
-            propagate_t st.adj (Matrix.matmul_naive dpre (Matrix.transpose w))
+            propagate_t st.adj (Fmat.matmul_naive dpre (Fmat.transpose w))
           in
           back ws' zs' pxs' dzs' (Some dprev) (dw :: dws)
       | _ -> assert false
@@ -887,8 +887,8 @@ module Dgcnn = struct
         let shard_acc =
           Array.init ns (fun _ ->
               List.map
-                (fun (w : Matrix.t) ->
-                  Matrix.create w.Matrix.rows w.Matrix.cols)
+                (fun (w : Fmat.t) ->
+                  Fmat.create w.Fmat.n w.Fmat.d)
                 gc_weights)
         in
         for s = 0 to ns - 1 do
@@ -901,10 +901,10 @@ module Dgcnn = struct
                 (Fmat.row_copy dflat i)
             in
             List.iter2
-              (fun (acc : Matrix.t) (dw : Matrix.t) ->
-                for j = 0 to Array.length acc.Matrix.data - 1 do
-                  acc.Matrix.data.(j) <-
-                    acc.Matrix.data.(j) +. (1.0 *. dw.Matrix.data.(j))
+              (fun (acc : Fmat.t) (dw : Fmat.t) ->
+                for j = 0 to Array.length acc.Fmat.data - 1 do
+                  acc.Fmat.data.(j) <-
+                    acc.Fmat.data.(j) +. (1.0 *. dw.Fmat.data.(j))
                 done)
               accs dws
           done
@@ -912,18 +912,18 @@ module Dgcnn = struct
         tree_reduce
           (fun a b ->
             List.iter2
-              (fun (x : Matrix.t) (y : Matrix.t) ->
-                for j = 0 to Array.length x.Matrix.data - 1 do
-                  x.Matrix.data.(j) <-
-                    x.Matrix.data.(j) +. (1.0 *. y.Matrix.data.(j))
+              (fun (x : Fmat.t) (y : Fmat.t) ->
+                for j = 0 to Array.length x.Fmat.data - 1 do
+                  x.Fmat.data.(j) <-
+                    x.Fmat.data.(j) +. (1.0 *. y.Fmat.data.(j))
                 done)
               a b)
           shard_acc;
         List.iter2
-          (fun (w : Matrix.t) (dw : Matrix.t) ->
-            for j = 0 to Array.length w.Matrix.data - 1 do
-              w.Matrix.data.(j) <-
-                w.Matrix.data.(j) +. (-.lr *. dw.Matrix.data.(j))
+          (fun (w : Fmat.t) (dw : Fmat.t) ->
+            for j = 0 to Array.length w.Fmat.data - 1 do
+              w.Fmat.data.(j) <-
+                w.Fmat.data.(j) +. (-.lr *. dw.Fmat.data.(j))
             done)
           gc_weights shard_acc.(0)
       done

@@ -11,7 +11,7 @@ module Rng = Yali_util.Rng
 
 type t = {
   scaler : Features.scaler;
-  weights : Matrix.t;  (** n_classes x (d+1); last column is the bias *)
+  weights : Fmat.t;  (** n_classes x (d+1); last column is the bias *)
   n_classes : int;
 }
 
@@ -33,22 +33,16 @@ let augment_fmat (x : Fmat.t) : Fmat.t =
   done;
   a
 
-let score_row (w : Matrix.t) (c : int) (x : float array) : float =
-  let acc = ref 0.0 in
-  for j = 0 to Array.length x - 1 do
-    acc := !acc +. (Matrix.get w c j *. x.(j))
-  done;
-  !acc
-
-(* score of row [i] of the augmented flat matrix; same accumulation order *)
-let score_flat (w : Matrix.t) (c : int) (xd : float array) (xbase : int)
+(* score of row [i] of the augmented flat matrix; the same accumulation
+   order as [Fmat.dot_row_vec], which scores one vector *)
+let score_flat (w : Fmat.t) (c : int) (xd : float array) (xbase : int)
     (d : int) : float =
   let acc = ref 0.0 in
-  let wbase = c * w.Matrix.cols in
+  let wbase = c * w.Fmat.d in
   for j = 0 to d - 1 do
     acc :=
       !acc
-      +. Array.unsafe_get w.Matrix.data (wbase + j)
+      +. Array.unsafe_get w.Fmat.data (wbase + j)
          *. Array.unsafe_get xd (xbase + j)
   done;
   !acc
@@ -63,9 +57,9 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   let scaler = Features.fit_stream ?block_rows src in
   let n = Fblock.rows src in
   let d = if n = 0 then 1 else Fblock.dim src + 1 in
-  let w = Matrix.create n_classes d in
-  let w_sum = Matrix.create n_classes d in
-  let wd = w.Matrix.data in
+  let w = Fmat.create n_classes d in
+  let w_sum = Fmat.create n_classes d in
+  let wd = w.Fmat.data in
   let t_step = ref 0 in
   let n_avg = ref 0 in
   let each_block =
@@ -107,12 +101,12 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
           (* tail averaging: accumulate the second half of the trajectory *)
           if 2 * !t_step > params.epochs * n then begin
             incr n_avg;
-            Matrix.axpy ~a:1.0 w w_sum
+            Fmat.axpy ~a:1.0 w w_sum
           end
         done)
   done;
   let weights =
-    if !n_avg > 0 then Matrix.scale (1.0 /. float_of_int !n_avg) w_sum else w
+    if !n_avg > 0 then Fmat.scale (1.0 /. float_of_int !n_avg) w_sum else w
   in
   { scaler; weights; n_classes }
 
@@ -120,7 +114,7 @@ let predict (t : t) (x : float array) : int =
   let x = augment (Features.transform t.scaler x) in
   let best = ref 0 and best_score = ref neg_infinity in
   for c = 0 to t.n_classes - 1 do
-    let s = score_row t.weights c x in
+    let s = Fmat.dot_row_vec t.weights c x in
     if s > !best_score then begin
       best_score := s;
       best := c
@@ -132,21 +126,19 @@ let predict (t : t) (x : float array) : int =
     {!predict}'s decision (same augmentation and accumulation order). *)
 let margins (t : t) (x : float array) : float array =
   let x = augment (Features.transform t.scaler x) in
-  Array.init t.n_classes (fun c -> score_row t.weights c x)
+  Array.init t.n_classes (fun c -> Fmat.dot_row_vec t.weights c x)
 
 (** Classify every row: one cache-tiled matmul scores the whole batch. *)
 let predict_batch (t : t) (x : Fmat.t) : int array =
   let x = Fmat.copy x in
   Features.transform_fmat_inplace t.scaler x;
   let xa = augment_fmat x in
-  let scores =
-    Matrix.matmul (Fmat.to_matrix xa) (Matrix.transpose t.weights)
-  in
-  Array.init scores.Matrix.rows (fun i ->
-      let base = i * scores.Matrix.cols in
+  let scores = Fmat.matmul xa (Fmat.transpose t.weights) in
+  Array.init scores.Fmat.n (fun i ->
+      let base = i * scores.Fmat.d in
       let best = ref 0 and best_score = ref neg_infinity in
-      for c = 0 to scores.Matrix.cols - 1 do
-        let s = scores.Matrix.data.(base + c) in
+      for c = 0 to scores.Fmat.d - 1 do
+        let s = scores.Fmat.data.(base + c) in
         if s > !best_score then begin
           best_score := s;
           best := c
@@ -154,18 +146,18 @@ let predict_batch (t : t) (x : Fmat.t) : int array =
       done;
       !best)
 
-let size_bytes (t : t) : int = 8 * t.weights.rows * t.weights.cols
+let size_bytes (t : t) : int = 8 * t.weights.n * t.weights.d
 
 module Bin = Yali_util.Bin
 
 let to_bin b (t : t) =
   Features.scaler_to_bin b t.scaler;
-  Matrix.to_bin b t.weights;
+  Fmat.to_bin b t.weights;
   Bin.w_u32 b t.n_classes
 
 let of_bin r : t =
   let scaler = Features.scaler_of_bin r in
-  let weights = Matrix.of_bin r in
+  let weights = Fmat.of_bin r in
   let n_classes = Bin.r_u32 r in
-  if weights.Matrix.rows <> n_classes then Bin.fail r "svm shape mismatch";
+  if weights.Fmat.n <> n_classes then Bin.fail r "svm shape mismatch";
   { scaler; weights; n_classes }

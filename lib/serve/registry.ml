@@ -108,14 +108,8 @@ let write_file path blob =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc blob)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let publish ~dir ?version ~meta snapshot =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Yali_util.Fs.mkdir_p dir;
   let assigned =
     match version with
     | Some v -> v
@@ -137,7 +131,7 @@ let load ~dir spec =
       | None -> Error (Printf.sprintf "no published versions of %s in %s" kind dir)
       | Some v -> (
           let path = Filename.concat dir (file_name ~kind ~version:v) in
-          match read_file path with
+          match Yali_util.Fs.read_file path with
           | exception Sys_error _ ->
               Error (Printf.sprintf "model %s@%d not found in %s" kind v dir)
           | blob -> (

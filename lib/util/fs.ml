@@ -1,3 +1,25 @@
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let rec mkdir_p dir =
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      raise (Sys_error (dir ^ ": Not a directory"))
+  end
+  else begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    (* a concurrent creator may win the race; that is success too *)
+    try Sys.mkdir dir 0o755
+    with Sys_error _ as e -> if not (Sys.file_exists dir) then raise e
+  end
+
+let touch path =
+  close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path)
+
 let rec remove_tree path =
   try
     if Sys.is_directory path then begin

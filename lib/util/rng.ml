@@ -86,15 +86,20 @@ let choice_arr (t : t) (xs : 'a array) : 'a =
   if Array.length xs = 0 then invalid_arg "Rng.choice_arr: empty array";
   xs.(int t (Array.length xs))
 
-(** Fisher–Yates shuffle (fresh list). *)
-let shuffle (t : t) (xs : 'a list) : 'a list =
-  let a = Array.of_list xs in
+(** Fisher–Yates shuffle in place: one [int t (i + 1)] draw for each [i]
+    from the last index down to 1. *)
+let shuffle_in_place (t : t) (a : 'a array) : unit =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
-  done;
+  done
+
+(** Fisher–Yates shuffle (fresh list). *)
+let shuffle (t : t) (xs : 'a list) : 'a list =
+  let a = Array.of_list xs in
+  shuffle_in_place t a;
   Array.to_list a
 
 (** [sample t k xs] draws [k] elements without replacement. *)

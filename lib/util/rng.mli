@@ -55,7 +55,11 @@ val choice : t -> 'a list -> 'a
 (** Uniform element of a non-empty array. *)
 val choice_arr : t -> 'a array -> 'a
 
-(** Fisher–Yates shuffle; returns a fresh list. *)
+(** Fisher–Yates shuffle in place: for [i] from the last index down to 1,
+    swap [a.(i)] with [a.(int t (i + 1))]. *)
+val shuffle_in_place : t -> 'a array -> unit
+
+(** {!shuffle_in_place} on a copy of the list. *)
 val shuffle : t -> 'a list -> 'a list
 
 (** [sample t k xs] draws [k] elements without replacement. *)

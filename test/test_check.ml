@@ -120,7 +120,7 @@ let gen_valid =
       | e :: _ ->
           QCheck.Test.fail_reportf "verify: %s"
             (Format.asprintf "%a" Ir.Verify.pp_error e));
-      let inputs = Tv.inputs_for (Rng.make (seed + 1)) ~vectors:2 ~len:16 in
+      let inputs = Yali.Adapt.Fitness.inputs_for (Rng.make (seed + 1)) ~vectors:2 ~len:16 in
       Array.for_all
         (fun input ->
           ignore (Ir.Interp.run ~fuel:Tv.default_fuel m input);

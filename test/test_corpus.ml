@@ -1,8 +1,9 @@
 (** Tests for the streaming corpus layer (lib/corpus): sharded store
     round-trips against the in-memory reference path, corruption rejection
-    (truncated shards, stale indexes), the on-disk feature-file format, and
-    one trainer's equivalence across on-disk and in-memory sources
-    (DESIGN.md §12). *)
+    (truncated shards, stale indexes), the on-disk feature-file format,
+    one trainer's equivalence across on-disk and in-memory sources, every
+    trainer's pinned output across blocks (DESIGN.md §12), and output
+    directories created with their parents. *)
 
 module Rng = Yali.Rng
 module Gen = Yali.Corpus.Gen
@@ -216,8 +217,8 @@ let test_stream_logreg_one_epoch () =
                 Logreg.train ~params ~block_rows:x.Fmat.n (Rng.make 7)
                   ~n_classes:spec.Gen.n_classes (Fblock.Disk fr) ys
               in
-              let wa = (Logreg.weights inmem).Yali.Ml.Matrix.data in
-              let wb = (Logreg.weights streamed).Yali.Ml.Matrix.data in
+              let wa = (Logreg.weights inmem).Fmat.data in
+              let wb = (Logreg.weights streamed).Fmat.data in
               Alcotest.(check int) "same weight count" (Array.length wa)
                 (Array.length wb);
               Array.iteri
@@ -243,7 +244,7 @@ let test_mem_source_is_one_block () =
       (Logreg.train ~params ?block_rows (Rng.make 2) ~n_classes:2 src ys)
   in
   Alcotest.(check bool) "no block_rows = ~block_rows:n" true
-    ((fit ()).Yali.Ml.Matrix.data = (fit ~block_rows:n ()).Yali.Ml.Matrix.data)
+    ((fit ()).Fmat.data = (fit ~block_rows:n ()).Fmat.data)
 
 (* Multi-block streaming is a different (still deterministic) SGD order; it
    must stay deterministic and classify the easy synthetic corpus well. *)
@@ -271,6 +272,62 @@ let test_stream_multiblock_deterministic () =
           Alcotest.(check bool) "two runs, same blob" true
             (Model.save (train ()) = Model.save (train ()))))
 
+(* What every trainer writes, pinned: a seeded 48 x 63 feature matrix,
+   trained from disk in three blocks of 16 rows and from memory in one,
+   must give these snapshot digests.  The streamed SGD trainers' per-block
+   orders, shuffles and standardisation are otherwise checked only against
+   themselves. *)
+let pinned_digests =
+  [
+    (* kind, from disk in 3 blocks, from memory in 1 *)
+    ("rf", "13a4717353845268f956600245191a65",
+     "13a4717353845268f956600245191a65");
+    ("svm", "5e7478d085116ad141887e5413c1cc75",
+     "c48e3605ce6bbdeb6e32589b03c72181");
+    ("knn", "525a715f653e5ba2d628edd7045a549d",
+     "525a715f653e5ba2d628edd7045a549d");
+    ("lr", "f8d313f09faf3e07e6e9753013a23b6f",
+     "7d6e51d9440f51bfece92ca0e941104c");
+    ("mlp", "0fdadccb78c8db09f7c16316b174c5c1",
+     "dd4d8b91fe4759500aa51ff513e15b55");
+    ("cnn", "0585ab5b4c7d9db27f3d7edd4a89c6dc",
+     "24b845b07ea42ba52013069943e9951b");
+  ]
+
+let test_trainers_pinned () =
+  with_temp_dir (fun dir ->
+      let n = 48 and d = 63 and n_classes = 4 in
+      let rng = Rng.make 19 in
+      let ys = Array.init n (fun i -> i mod n_classes) in
+      let x =
+        Fmat.init n d (fun i j ->
+            float_of_int (Rng.int rng 5)
+            +. if j mod n_classes = ys.(i) then 3.0 else 0.0)
+      in
+      let path = Filename.concat dir "features.yfmb" in
+      Fblock.to_file path x;
+      let digest ?block_rows kind src =
+        Digest.to_hex
+          (Digest.string
+             (Model.save
+                (Option.get
+                   (Model.train_snapshot ?block_rows kind (Rng.make 23)
+                      ~n_classes src ys))))
+      in
+      List.iter
+        (fun (kind, disk, mem) ->
+          let fr = Fblock.open_reader path in
+          let got_disk =
+            Fun.protect
+              ~finally:(fun () -> Fblock.close_reader fr)
+              (fun () -> digest ~block_rows:16 kind (Fblock.Disk fr))
+          in
+          Alcotest.(check string) (kind ^ " from disk, 3 blocks") disk got_disk;
+          Alcotest.(check string)
+            (kind ^ " from memory") mem
+            (digest kind (Fblock.Mem x)))
+        pinned_digests)
+
 (* Train-from-corpus end to end: the registry entry records the corpus spec
    as provenance and survives encode/decode. *)
 let test_train_records_provenance () =
@@ -290,6 +347,35 @@ let test_train_records_provenance () =
           let back = Registry.decode_entry (Registry.encode_entry entry) in
           Alcotest.(check string) "provenance survives the registry codec"
             entry.Registry.meta.source back.Registry.meta.source)
+
+(* Output directories are created with their missing parents: a corpus and
+   a registry two levels below an existing directory.  A parent that is a
+   regular file is a [Sys_error] naming the path. *)
+let test_output_dirs_created () =
+  with_temp_dir (fun dir ->
+      let corpus = Filename.concat dir "a/b/corpus" in
+      Gen.generate ~dir:corpus ~records_per_shard:5 (small_spec 8);
+      match
+        Ctrain.train ~dir:corpus ~embedding:Embedding.histogram ~kind:"knn"
+          ~seed:9 ()
+      with
+      | Error e -> Alcotest.failf "corpus train failed: %s" e
+      | Ok entry ->
+          let open Yali.Serve in
+          let reg = Filename.concat dir "c/d/models" in
+          let v, _ =
+            Registry.publish ~dir:reg ~meta:entry.Registry.meta
+              entry.Registry.snapshot
+          in
+          Alcotest.(check bool) "published model loads back" true
+            (Result.is_ok (Registry.load ~dir:reg (Printf.sprintf "knn@%d" v)));
+          let file = Filename.concat dir "file" in
+          Yali.Util.Fs.touch file;
+          match Yali.Util.Fs.mkdir_p (Filename.concat file "sub") with
+          | () -> Alcotest.fail "mkdir_p below a regular file succeeded"
+          | exception Sys_error msg ->
+              Alcotest.(check bool) ("names the path: " ^ msg) true
+                (Helpers.contains_substring msg file))
 
 (* A block size below one is a usage error, not a crash. *)
 let test_train_rejects_zero_block_rows () =
@@ -327,8 +413,12 @@ let suite =
       test_mem_source_is_one_block;
     Alcotest.test_case "multi-block streaming is deterministic" `Quick
       test_stream_multiblock_deterministic;
+    Alcotest.test_case "six trainers pinned, 3 blocks and 1" `Quick
+      test_trainers_pinned;
     Alcotest.test_case "corpus training records provenance" `Quick
       test_train_records_provenance;
     Alcotest.test_case "corpus training rejects block_rows 0" `Quick
       test_train_rejects_zero_block_rows;
+    Alcotest.test_case "output dirs created two levels deep" `Quick
+      test_output_dirs_created;
   ]

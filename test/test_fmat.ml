@@ -7,7 +7,6 @@
 open Helpers
 module Ml = Yali.Ml
 module Rng = Yali.Rng
-module M = Ml.Matrix
 module F = Ml.Fmat
 
 (* -- layout ---------------------------------------------------------------- *)
@@ -40,14 +39,6 @@ let test_parallel_of_fn_matches_sequential =
       let row i = Array.init d (fun j -> float_of_int ((i * d) + j + seed)) in
       F.parallel_of_fn ~n row = F.of_fn ~n row)
 
-let test_matrix_view_shares_data () =
-  let m = F.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let v = F.to_matrix m in
-  M.set v 0 0 9.0;
-  Alcotest.(check bool) "zero-copy view" true (F.get m 0 0 = 9.0);
-  Alcotest.(check bool) "inverse view shares too" true
-    ((F.of_matrix v).F.data == m.F.data)
-
 let test_dot_and_norm () =
   let m = F.of_rows [| [| 1.; 2.; 3. |] |] in
   Alcotest.(check bool) "dot" true (F.dot_row_vec m 0 [| 1.; 1.; 1. |] = 6.0);
@@ -62,9 +53,9 @@ let test_tiled_matmul_bit_identical =
       let n = 1 + Rng.int rng 90
       and k = 1 + Rng.int rng 90
       and p = 1 + Rng.int rng 90 in
-      let a = M.random rng n k ~scale:1.0 in
-      let b = M.random rng k p ~scale:1.0 in
-      (M.matmul a b).data = (M.matmul_naive a b).data)
+      let a = F.random rng n k ~scale:1.0 in
+      let b = F.random rng k p ~scale:1.0 in
+      (F.matmul a b).data = (F.matmul_naive a b).data)
 
 let test_matmul_bias_matches_loop =
   qtest ~count:20 "matmul_bias = per-sample loop (bitwise)" (fun seed ->
@@ -72,15 +63,15 @@ let test_matmul_bias_matches_loop =
       let n = 1 + Rng.int rng 20
       and k = 1 + Rng.int rng 20
       and p = 1 + Rng.int rng 20 in
-      let a = M.random rng n k ~scale:1.0 in
-      let b = M.random rng k p ~scale:1.0 in
+      let a = F.random rng n k ~scale:1.0 in
+      let b = F.random rng k p ~scale:1.0 in
       let bias = Array.init p (fun j -> float_of_int j /. 7.0) in
-      let c = M.matmul_bias ~bias a b in
+      let c = F.matmul_bias ~bias a b in
       let expected =
-        M.init n p (fun i j ->
+        F.init n p (fun i j ->
             let acc = ref bias.(j) in
             for l = 0 to k - 1 do
-              acc := !acc +. (M.get a i l *. M.get b l j)
+              acc := !acc +. (F.get a i l *. F.get b l j)
             done;
             !acc)
       in
@@ -278,8 +269,6 @@ let suite =
     Alcotest.test_case "of_rows ragged" `Quick test_of_rows_ragged;
     Alcotest.test_case "row_into" `Quick test_row_into;
     test_parallel_of_fn_matches_sequential;
-    Alcotest.test_case "matrix view shares data" `Quick
-      test_matrix_view_shares_data;
     Alcotest.test_case "dot and norm" `Quick test_dot_and_norm;
     test_tiled_matmul_bit_identical;
     test_matmul_bias_matches_loop;

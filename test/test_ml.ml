@@ -4,7 +4,7 @@
 open Helpers
 module Ml = Yali.Ml
 module Rng = Yali.Rng
-module M = Ml.Matrix
+module M = Ml.Fmat
 
 (* -- matrix --------------------------------------------------------------- *)
 
@@ -17,7 +17,7 @@ let test_matmul () =
 
 let test_matmul_dims () =
   Alcotest.check_raises "dimension mismatch"
-    (Invalid_argument "Matrix.matmul: dimension mismatch") (fun () ->
+    (Invalid_argument "Fmat.matmul: dimension mismatch") (fun () ->
       ignore (M.matmul (M.create 2 3) (M.create 2 3)))
 
 let test_transpose_involution =

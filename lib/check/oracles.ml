@@ -303,38 +303,96 @@ let gen_engine_case (rng : Rng.t) =
 let show_engine_case ((p : Yali_minic.Ast.program), _) =
   Yali_minic.Pp.program_to_string p
 
-let vm_matches_interp ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
-  let inputs =
-    Yali_adapt.Fitness.inputs_for (Rng.split_ix rng 0) ~vectors:2 ~len:32
-  in
+(* [law rng e m] for every registered entry [e] and its output [m] on the
+   generated program; a lowering or transform crash is skipped, as another
+   oracle's finding *)
+let through_entries law ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
   match Yali_minic.Lower.lower_program p with
-  | exception _ -> true (* a lowering crash is another oracle's finding *)
+  | exception _ -> true
   | m0 ->
       let entry_ok k (e : Passdb.entry) =
         match Passdb.apply e (Rng.split_ix rng (1 + k)) m0 with
         | exception _ -> true
-        | m ->
-            if Yali_ir.Verify.check_module m <> [] then true
-            else
-              let fuel = engine_fuel * e.efuel in
-              let cp = Yali_vm.Vm.compile m in
-              Array.for_all
-                (fun input ->
-                  Execution.agree
-                    (Execution.classify (fun () -> Interp.run ~fuel m input))
-                    (Execution.classify (fun () ->
-                         Yali_vm.Vm.run_compiled ~fuel cp input)))
-                inputs
+        | m -> law rng e m
       in
       List.for_all Fun.id (List.mapi entry_ok Passdb.all)
 
-let engines =
+(* a property over generated programs, shrunk by statements *)
+let program_prop name law =
+  Prop.make ~name ~show:show_engine_case
+    ~candidates:(fun (p, rng) -> List.map (fun q -> (q, rng)) (Shrink.candidates p))
+    ~measure:(fun (p, _) -> Shrink.stmt_count p)
+    gen_engine_case (through_entries law)
+
+let vm_matches_interp (rng : Rng.t) (e : Passdb.entry) m : bool =
+  let inputs =
+    Yali_adapt.Fitness.inputs_for (Rng.split_ix rng 0) ~vectors:2 ~len:32
+  in
+  if Yali_ir.Verify.check_module m <> [] then true
+  else
+    let fuel = engine_fuel * e.efuel in
+    let cp = Yali_vm.Vm.compile m in
+    Array.for_all
+      (fun input ->
+        Execution.agree
+          (Execution.classify (fun () -> Interp.run ~fuel m input))
+          (Execution.classify (fun () -> Yali_vm.Vm.run_compiled ~fuel cp input)))
+      inputs
+
+let engines = [ program_prop "engines/vm-vs-interp-differential" vm_matches_interp ]
+
+(* -- ir: the dominator tree against dominance by deletion ------------------- *)
+
+(* [a] dominates [b] iff [a = b] or deleting [a] cuts [b] off from the
+   entry: one search per deleted block, compared with {!Yali_ir.Dominance}
+   on every pair of reachable blocks; each reachable non-entry block's idom
+   must be a strict dominator that every other strict dominator
+   dominates. *)
+let dominator_tree_ok (f : Yali_ir.Func.t) : bool =
+  f.blocks = []
+  ||
+  let g = Yali_ir.Cfg.of_func f in
+  (* a repeated label is the verifier's finding *)
+  g.n_blocks <> List.length f.blocks
+  ||
+  let n = Yali_ir.Cfg.size g in
+  let reach_without cut =
+    let seen = Array.make n false in
+    let rec go i =
+      if i <> cut && not seen.(i) then (
+        seen.(i) <- true;
+        List.iter go g.succ.(i))
+    in
+    go g.entry;
+    seen
+  in
+  let reach = reach_without (-1) in
+  let cut = Array.init n reach_without in
+  let strictly a b = a <> b && reach.(a) && not cut.(a).(b) in
+  let d = Yali_ir.Dominance.compute g in
+  let ok = ref true in
+  for b = 0 to n - 1 do
+    if Yali_ir.Dominance.reachable d b <> reach.(b) then ok := false;
+    if reach.(b) then begin
+      for a = 0 to n - 1 do
+        if reach.(a) && Yali_ir.Dominance.dominates d a b <> (a = b || strictly a b)
+        then ok := false
+      done;
+      match Yali_ir.Dominance.idom d b with
+      | None -> if b <> g.entry then ok := false
+      | Some p ->
+          if not (strictly p b) then ok := false;
+          for a = 0 to n - 1 do
+            if strictly a b && a <> p && not (strictly a p) then ok := false
+          done
+    end
+  done;
+  !ok
+
+let ir =
   [
-    Prop.make ~name:"engines/vm-vs-interp-differential" ~show:show_engine_case
-      ~candidates:(fun (p, rng) ->
-        List.map (fun q -> (q, rng)) (Shrink.candidates p))
-      ~measure:(fun (p, _) -> Shrink.stmt_count p)
-      gen_engine_case vm_matches_interp;
+    program_prop "ir/dominators-vs-removal" (fun _ _ (m : Yali_ir.Irmod.t) ->
+        List.for_all dominator_tree_ok m.funcs);
   ]
 
 (* -- serve: the binary codec against the textual Pp path -------------------- *)
@@ -348,24 +406,14 @@ module Wire = Yali_serve.Wire
    count as themselves), print bit-identically under Pp, and re-encode to
    the identical blob.  Entries whose transforms crash are skipped — those
    are translation-validation findings. *)
-let codec_roundtrip ((p : Yali_minic.Ast.program), (rng : Rng.t)) : bool =
-  match Yali_minic.Lower.lower_program p with
-  | exception _ -> true
-  | m0 ->
-      let entry_ok k (e : Passdb.entry) =
-        match Passdb.apply e (Rng.split_ix rng (1 + k)) m0 with
-        | exception _ -> true
-        | m -> (
-            let blob = Codec.encode_module m in
-            match Codec.decode_module blob with
-            | exception Yali_util.Bin.Corrupt _ -> false
-            | m' ->
-                Stdlib.compare m' m = 0
-                && Yali_ir.Pp.module_to_string m'
-                   = Yali_ir.Pp.module_to_string m
-                && String.equal (Codec.encode_module m') blob)
-      in
-      List.for_all Fun.id (List.mapi entry_ok Passdb.all)
+let codec_roundtrip _ _ m : bool =
+  let blob = Codec.encode_module m in
+  match Codec.decode_module blob with
+  | exception Yali_util.Bin.Corrupt _ -> false
+  | m' ->
+      Stdlib.compare m' m = 0
+      && Yali_ir.Pp.module_to_string m' = Yali_ir.Pp.module_to_string m
+      && String.equal (Codec.encode_module m') blob
 
 let gen_wire_case (rng : Rng.t) =
   let blob n = String.init (Rng.int rng n) (fun _ -> Char.chr (Rng.int rng 256)) in
@@ -434,11 +482,7 @@ let wire_roundtrip (rq, rs) =
 
 let serve =
   [
-    Prop.make ~name:"serve/codec-roundtrip" ~show:show_engine_case
-      ~candidates:(fun (p, rng) ->
-        List.map (fun q -> (q, rng)) (Shrink.candidates p))
-      ~measure:(fun (p, _) -> Shrink.stmt_count p)
-      gen_engine_case codec_roundtrip;
+    program_prop "serve/codec-roundtrip" codec_roundtrip;
     Prop.make ~name:"serve/wire-roundtrip" ~show:show_wire_case gen_wire_case
       wire_roundtrip;
   ]
@@ -740,5 +784,5 @@ let nn =
       gen_nn_case nn_jobs_invariant;
   ]
 
-let all = kernels @ metrics @ exec @ engines @ serve @ corpus @ nn @ adapt
+let all = kernels @ metrics @ exec @ engines @ ir @ serve @ corpus @ nn @ adapt
 

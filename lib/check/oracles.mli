@@ -1,4 +1,4 @@
-(** Invariant oracles for the non-IR layers, packaged as {!Prop}
+(** Invariant oracles beside translation validation, packaged as {!Prop}
     properties so the smoke and deep tiers run them at different depths.
 
     The families:
@@ -16,6 +16,11 @@
       registered entry ({!Passdb.all}) and both must produce
       bit-identical outcomes (steps and cost included) with identical
       [Trap]/[Out_of_fuel] classification;
+    - {!ir}: the {!Yali_ir.Dominance} tree against dominance computed by
+      deletion ([a] dominates [b] iff deleting [a] cuts [b] off from the
+      entry), on every function of each generated program through every
+      registered entry, for every pair of reachable blocks; each idom must
+      be the strict dominator that every other one dominates;
     - {!serve}: the {!Yali_serve.Codec} binary format — each generated
       program, through every registered entry, must survive
       encode/decode with full structural identity and print bit-identically
@@ -33,6 +38,7 @@ val kernels : Prop.t list
 val metrics : Prop.t list
 val exec : Prop.t list
 val engines : Prop.t list
+val ir : Prop.t list
 val serve : Prop.t list
 val corpus : Prop.t list
 

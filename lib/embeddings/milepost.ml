@@ -17,7 +17,7 @@ let of_func (f : Func.t) : float array =
   List.iter
     (fun (b : Block.t) ->
       let n_succ = List.length (Block.successors b) in
-      let n_pred = List.length (Cfg.predecessors cfg b.label) in
+      let n_pred = List.length cfg.pred.(Cfg.index cfg b.label) in
       (* 1-8: block shape counters, after MILEPOST ft2..ft9 *)
       if n_succ = 1 then add 1 1.0;
       if n_succ = 2 then add 2 1.0;
@@ -86,26 +86,18 @@ let of_func (f : Func.t) : float array =
   add 48 (if Cfg.has_cycle cfg then 1.0 else 0.0);
   add 49 (float_of_int (List.length f.params));
   (* 50-55: dominance / structure statistics *)
-  (try
-     let dom = Dominance.compute cfg in
-     let depth l =
-       let rec go l acc =
-         match Dominance.idom dom l with
-         | Some p when p <> l -> go p (acc + 1)
-         | _ -> acc
-       in
-       go l 0
-     in
-     let depths = List.map (fun (b : Block.t) -> depth b.label) blocks in
-     add 50 (float_of_int (List.fold_left max 0 depths));
-     add 51
-       (float_of_int (List.fold_left ( + ) 0 depths)
-       /. float_of_int (max 1 n_blocks))
-   with _ -> ());
+  let dom = Dominance.compute cfg in
+  let rec depth i =
+    match Dominance.idom dom i with Some p -> 1 + depth p | None -> 0
+  in
+  let depths = List.map (fun (b : Block.t) -> depth (Cfg.index cfg b.label)) blocks in
+  add 50 (float_of_int (List.fold_left max 0 depths));
+  add 51
+    (float_of_int (List.fold_left ( + ) 0 depths) /. float_of_int (max 1 n_blocks));
   add 52 (float_of_int n_blocks /. float_of_int (max 1 (Func.instr_count f)));
   add 53
     (float_of_int (Cfg.edge_count cfg) /. float_of_int (max 1 n_blocks));
-  add 54 (float_of_int (List.length (Cfg.reverse_postorder cfg)));
+  add 54 (float_of_int (Array.length dom.rpo));
   add 55 (if f.ret = Types.Void then 1.0 else 0.0);
   v
 

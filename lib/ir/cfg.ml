@@ -1,79 +1,79 @@
-(** Control-flow-graph queries over a function: successor and predecessor
-    maps, reachability, traversal orders. *)
-
-module SMap = Map.Make (String)
-module SSet = Set.Make (String)
+(** Control-flow graph of a function over block numbers: each label is
+    numbered once, and successors, predecessors, reachability and traversal
+    orders are int-indexed. *)
 
 type t = {
-  succ : string list SMap.t;
-  pred : string list SMap.t;
-  entry : string;
-  order : string list;  (** block labels in function order *)
+  labels : string array;
+  index : (string, int) Hashtbl.t;
+  n_blocks : int;
+  succ : int list array;
+  pred : int list array;
+  entry : int;
 }
 
 let of_func (f : Func.t) : t =
-  let order = List.map (fun (b : Block.t) -> b.Block.label) f.Func.blocks in
-  let succ =
-    List.fold_left
-      (fun m (b : Block.t) -> SMap.add b.label (Block.successors b) m)
-      SMap.empty f.blocks
+  let index = Hashtbl.create 16 and rev_labels = ref [] in
+  let intern l =
+    if not (Hashtbl.mem index l) then (
+      Hashtbl.add index l (Hashtbl.length index);
+      rev_labels := l :: !rev_labels)
   in
-  let pred =
-    List.fold_left
-      (fun m (b : Block.t) ->
-        List.fold_left
-          (fun m s ->
-            SMap.update s
-              (function None -> Some [ b.label ] | Some ps -> Some (b.label :: ps))
-              m)
-          m (Block.successors b))
-      (List.fold_left (fun m l -> SMap.add l [] m) SMap.empty order)
-      f.blocks
-  in
-  { succ; pred; entry = (Func.entry f).label; order }
+  intern (Func.entry f).label;
+  List.iter (fun (b : Block.t) -> intern b.label) f.blocks;
+  let n_blocks = Hashtbl.length index in
+  (* unknown branch targets are numbered after every block, as met *)
+  List.iter (fun b -> List.iter intern (Block.successors b)) f.blocks;
+  let n = Hashtbl.length index in
+  let succ = Array.make n [] and pred = Array.make n [] in
+  List.iter
+    (fun (b : Block.t) ->
+      let i = Hashtbl.find index b.label in
+      let ss = List.map (Hashtbl.find index) (Block.successors b) in
+      succ.(i) <- ss;
+      List.iter (fun s -> pred.(s) <- i :: pred.(s)) ss)
+    f.blocks;
+  { labels = Array.of_list (List.rev !rev_labels); index; n_blocks; succ; pred; entry = 0 }
 
-let successors (g : t) l = try SMap.find l g.succ with Not_found -> []
-let predecessors (g : t) l = try SMap.find l g.pred with Not_found -> []
-
-(** Labels reachable from the entry block. *)
-let reachable (g : t) : SSet.t =
-  let rec go seen = function
-    | [] -> seen
-    | l :: rest ->
-        if SSet.mem l seen then go seen rest
-        else go (SSet.add l seen) (successors g l @ rest)
-  in
-  go SSet.empty [ g.entry ]
+let size (g : t) = Array.length g.labels
+let label (g : t) i = g.labels.(i)
+let index (g : t) l = Hashtbl.find g.index l
+let find (g : t) l = Hashtbl.find_opt g.index l
 
 (** Reverse post-order over reachable blocks, starting at the entry. *)
-let reverse_postorder (g : t) : string list =
-  let seen = Hashtbl.create 16 in
+let reverse_postorder (g : t) : int list =
+  let seen = Array.make (size g) false in
   let out = ref [] in
-  let rec dfs l =
-    if not (Hashtbl.mem seen l) then (
-      Hashtbl.add seen l ();
-      List.iter dfs (successors g l);
-      out := l :: !out)
+  let rec dfs i =
+    if not seen.(i) then (
+      seen.(i) <- true;
+      List.iter dfs g.succ.(i);
+      out := i :: !out)
   in
   dfs g.entry;
   !out
 
+(** Which blocks the entry reaches. *)
+let reachable (g : t) : bool array =
+  let seen = Array.make (size g) false in
+  List.iter (fun i -> seen.(i) <- true) (reverse_postorder g);
+  seen
+
 (** Number of edges in the CFG. *)
 let edge_count (g : t) =
-  SMap.fold (fun _ ss acc -> acc + List.length ss) g.succ 0
+  Array.fold_left (fun acc ss -> acc + List.length ss) 0 g.succ
 
 (** Does the CFG contain a cycle (i.e. a loop)? *)
 let has_cycle (g : t) : bool =
-  let color = Hashtbl.create 16 in
   (* 0 = white, 1 = grey, 2 = black *)
-  let rec dfs l =
-    match Hashtbl.find_opt color l with
-    | Some 1 -> true
-    | Some _ -> false
-    | None ->
-        Hashtbl.replace color l 1;
-        let cyc = List.exists dfs (successors g l) in
-        Hashtbl.replace color l 2;
+  let color = Array.make (size g) 0 in
+  let rec dfs i =
+    match color.(i) with
+    | 1 -> true
+    | 2 -> false
+    | _ ->
+        color.(i) <- 1;
+        let cyc = List.exists dfs g.succ.(i) in
+        color.(i) <- 2;
         cyc
   in
   dfs g.entry

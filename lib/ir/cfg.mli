@@ -1,28 +1,43 @@
-(** Control-flow-graph queries over a function: successor and predecessor
-    maps, reachability, traversal orders. *)
-
-module SMap :
-  Map.S with type key = string and type 'a t = 'a Map.Make(String).t
-module SSet :
-  Set.S with type elt = string and type t = Set.Make(String).t
+(** Control-flow graph of a function over block numbers: each label is
+    numbered once, and successors, predecessors, reachability and traversal
+    orders are int-indexed.  Labels are looked up at the boundary (a phi's
+    incoming label, a pass that edits blocks by label) and to print
+    errors. *)
 
 type t = {
-  succ : string list SMap.t;
-  pred : string list SMap.t;
-  entry : string;
-  order : string list;  (** block labels in function order *)
+  labels : string array;
+      (** number -> label: the block labels in function order (a repeated
+          label once), then the branch targets that name no block, in the
+          order they are met *)
+  index : (string, int) Hashtbl.t;  (** label -> number *)
+  n_blocks : int;  (** numbers below this name blocks *)
+  succ : int list array;
+      (** successors in terminator order; a repeated label takes those of
+          its last block *)
+  pred : int list array;
+      (** one entry per edge, latest block first; a repeated label
+          collects the edges of every block carrying it *)
+  entry : int;
 }
 
+(** @raise Invalid_argument when the function has no blocks *)
 val of_func : Func.t -> t
 
-val successors : t -> string -> string list
-val predecessors : t -> string -> string list
+(** Number of nodes: blocks, then unknown branch targets. *)
+val size : t -> int
 
-(** Labels reachable from the entry block. *)
-val reachable : t -> SSet.t
+val label : t -> int -> string
+
+(** @raise Not_found for a label the function never mentions *)
+val index : t -> string -> int
+
+val find : t -> string -> int option
 
 (** Reverse post-order over reachable blocks. *)
-val reverse_postorder : t -> string list
+val reverse_postorder : t -> int list
+
+(** Which blocks the entry reaches. *)
+val reachable : t -> bool array
 
 val edge_count : t -> int
 

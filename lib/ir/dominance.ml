@@ -1,103 +1,88 @@
-(** Dominator tree and dominance frontiers, via the Cooper–Harvey–Kennedy
-    iterative algorithm.  Needed by SSA construction (mem2reg). *)
-
-module SMap = Map.Make (String)
+(** Dominator tree via the Cooper–Harvey–Kennedy iterative algorithm, with
+    pre/post numbers on the tree so that [dominates] is two comparisons.
+    Dominance frontiers, which only SSA construction needs, are computed on
+    demand by {!frontiers}. *)
 
 type t = {
-  idom : string SMap.t;  (** immediate dominator of each non-entry block *)
-  frontier : string list SMap.t;
-  rpo : string list;
+  rpo : int array;
+  idom : int array;
+  children : int list array;
+  pre : int array;
+  post : int array;
 }
 
 let compute (g : Cfg.t) : t =
-  let rpo = Cfg.reverse_postorder g in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i l -> Hashtbl.replace index l i) rpo;
-  let idom = Hashtbl.create 16 in
-  Hashtbl.replace idom g.Cfg.entry g.Cfg.entry;
-  let intersect a b =
-    (* walk up the (partial) dominator tree by rpo index *)
-    let rec go a b =
-      if a = b then a
-      else
-        let ia = Hashtbl.find index a and ib = Hashtbl.find index b in
-        if ia > ib then go (Hashtbl.find idom a) b else go a (Hashtbl.find idom b)
-    in
-    go a b
+  let n = Cfg.size g in
+  let rpo = Array.of_list (Cfg.reverse_postorder g) in
+  let order = Array.make n (-1) in
+  Array.iteri (fun k i -> order.(i) <- k) rpo;
+  let idom = Array.make n (-1) in
+  idom.(g.entry) <- g.entry;
+  (* walk up the (partial) dominator tree by rpo index *)
+  let rec intersect a b =
+    if a = b then a
+    else if order.(a) > order.(b) then intersect idom.(a) b
+    else intersect a idom.(b)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
+    Array.iter
       (fun l ->
-        if l <> g.Cfg.entry then
-          let processed_preds =
-            List.filter
-              (fun p -> Hashtbl.mem idom p && Hashtbl.mem index p)
-              (Cfg.predecessors g l)
+        if l <> g.entry then
+          let d =
+            List.fold_left
+              (fun d p ->
+                if idom.(p) < 0 then d else if d < 0 then p else intersect d p)
+              (-1) g.pred.(l)
           in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if Hashtbl.find_opt idom l <> Some new_idom then (
-                Hashtbl.replace idom l new_idom;
-                changed := true))
+          if d >= 0 && idom.(l) <> d then (
+            idom.(l) <- d;
+            changed := true))
       rpo
   done;
-  let idom_map =
-    Hashtbl.fold
-      (fun l d acc -> if l = g.Cfg.entry then acc else SMap.add l d acc)
-      idom SMap.empty
+  let children = Array.make n [] in
+  for k = Array.length rpo - 1 downto 1 do
+    let i = rpo.(k) in
+    children.(idom.(i)) <- i :: children.(idom.(i))
+  done;
+  let pre = Array.make n (-1) and post = Array.make n (-1) in
+  let npre = ref 0 and npost = ref 0 in
+  let rec number i =
+    pre.(i) <- !npre;
+    incr npre;
+    List.iter number children.(i);
+    post.(i) <- !npost;
+    incr npost
   in
-  (* dominance frontiers *)
-  let frontier = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace frontier l []) rpo;
-  List.iter
+  number g.entry;
+  { rpo; idom; children; pre; post }
+
+let reachable (d : t) i = d.pre.(i) >= 0
+
+let idom (d : t) i =
+  let p = d.idom.(i) in
+  if p < 0 || p = i then None else Some p
+
+(** Does block [a] dominate block [b]?  (Reflexive.) *)
+let dominates (d : t) a b =
+  a = b || (d.pre.(b) >= 0 && d.pre.(a) <= d.pre.(b) && d.post.(b) <= d.post.(a))
+
+let frontiers (g : Cfg.t) (d : t) : int list array =
+  let df = Array.make (Cfg.size g) [] in
+  Array.iter
     (fun l ->
-      let preds =
-        List.filter (fun p -> Hashtbl.mem index p) (Cfg.predecessors g l)
-      in
+      let preds = List.filter (reachable d) g.pred.(l) in
       if List.length preds >= 2 then
         List.iter
           (fun p ->
+            (* the entry is its own idom, which ends the climb *)
             let rec runner r =
-              if
-                r <> (match SMap.find_opt l idom_map with Some d -> d | None -> g.Cfg.entry)
-              then (
-                let cur = try Hashtbl.find frontier r with Not_found -> [] in
-                if not (List.mem l cur) then Hashtbl.replace frontier r (l :: cur);
-                match SMap.find_opt r idom_map with
-                | Some d when d <> r -> runner d
-                | _ -> ())
+              if r <> d.idom.(l) then (
+                if not (List.mem l df.(r)) then df.(r) <- l :: df.(r);
+                if d.idom.(r) <> r then runner d.idom.(r))
             in
             runner p)
           preds)
-    rpo;
-  let frontier_map =
-    Hashtbl.fold (fun l fs acc -> SMap.add l fs acc) frontier SMap.empty
-  in
-  { idom = idom_map; frontier = frontier_map; rpo }
-
-let idom (d : t) (l : string) : string option = SMap.find_opt l d.idom
-
-let frontier_of (d : t) (l : string) : string list =
-  Option.value (SMap.find_opt l d.frontier) ~default:[]
-
-(** Does block [a] dominate block [b]?  (Reflexive.) *)
-let dominates (d : t) (a : string) (b : string) : bool =
-  let rec up b = if a = b then true else
-    match SMap.find_opt b d.idom with
-    | Some p when p <> b -> up p
-    | _ -> false
-  in
-  up b
-
-(** Children map of the dominator tree. *)
-let children (d : t) : string list SMap.t =
-  SMap.fold
-    (fun l p acc ->
-      SMap.update p
-        (function None -> Some [ l ] | Some ls -> Some (l :: ls))
-        acc)
-    d.idom SMap.empty
+    d.rpo;
+  df

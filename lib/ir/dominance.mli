@@ -1,26 +1,30 @@
-(** Dominator tree and dominance frontiers (Cooper–Harvey–Kennedy), the
-    foundation of SSA construction and loop detection. *)
-
-module SMap :
-  Map.S with type key = string and type 'a t = 'a Map.Make(String).t
+(** Dominator tree (Cooper–Harvey–Kennedy) over {!Cfg} block numbers,
+    the foundation of the verifier, SSA construction and loop detection.
+    Pre/post numbers on the tree make {!dominates} O(1). *)
 
 type t = {
-  idom : string SMap.t;  (** immediate dominator of each non-entry block *)
-  frontier : string list SMap.t;
-  rpo : string list;
+  rpo : int array;  (** reachable blocks in reverse post-order *)
+  idom : int array;
+      (** immediate dominator; the entry's is itself, [-1] when
+          unreachable *)
+  children : int list array;  (** dominator-tree children, in rpo order *)
+  pre : int array;  (** preorder number on the tree, [-1] when unreachable *)
+  post : int array;  (** postorder number on the tree *)
 }
 
 val compute : Cfg.t -> t
 
+(** Does the entry reach this block? *)
+val reachable : t -> int -> bool
+
 (** Immediate dominator, or [None] for the entry block / unreachable
     blocks. *)
-val idom : t -> string -> string option
+val idom : t -> int -> int option
 
-(** Dominance frontier of a block (possibly empty). *)
-val frontier_of : t -> string -> string list
+(** Does [a] dominate [b]?  Reflexive; an unreachable block dominates only
+    itself. *)
+val dominates : t -> int -> int -> bool
 
-(** Does [a] dominate [b]?  Reflexive. *)
-val dominates : t -> string -> string -> bool
-
-(** Children map of the dominator tree. *)
-val children : t -> string list SMap.t
+(** Dominance frontier of every block, each list in construction order
+    (SSA construction's phi placement depends on it). *)
+val frontiers : Cfg.t -> t -> int list array

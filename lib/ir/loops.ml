@@ -2,76 +2,62 @@
     backward reachability.  Used by loop-aware passes (LICM) and by
     structural metrics. *)
 
-module SSet = Set.Make (String)
-module SMap = Map.Make (String)
-
-type loop = {
-  header : string;
-  latches : string list;  (** sources of back edges into the header *)
-  body : SSet.t;  (** blocks of the loop, header included *)
-}
-
-type t = { loops : loop list }
+type loop = { header : int; latches : int list; body : bool array; size : int }
+type t = { cfg : Cfg.t; loops : loop list }
 
 let compute (g : Cfg.t) (dom : Dominance.t) : t =
-  (* back edge: u -> h where h dominates u *)
-  let back_edges =
-    List.concat_map
-      (fun u ->
-        List.filter_map
-          (fun h -> if Dominance.dominates dom h u then Some (u, h) else None)
-          (Cfg.successors g u))
-      g.Cfg.order
-  in
-  (* group by header *)
+  (* back edge: u -> h where h dominates u, grouped by the header's label
+     (LICM visits equal-sized loops in this table's fold order) *)
   let by_header = Hashtbl.create 8 in
-  List.iter
-    (fun (u, h) ->
-      Hashtbl.replace by_header h
-        (u :: Option.value (Hashtbl.find_opt by_header h) ~default:[]))
-    back_edges;
+  for u = 0 to g.n_blocks - 1 do
+    List.iter
+      (fun h ->
+        if Dominance.dominates dom h u then
+          let l = Cfg.label g h in
+          let latches = Option.fold ~none:[] ~some:snd (Hashtbl.find_opt by_header l) in
+          Hashtbl.replace by_header l (h, u :: latches))
+      g.succ.(u)
+  done;
   let loops =
     Hashtbl.fold
-      (fun header latches acc ->
+      (fun _ (header, latches) acc ->
         (* body: header + blocks that reach a latch without passing through
            the header (standard natural-loop algorithm) *)
-        let body = ref (SSet.singleton header) in
+        let body = Array.make (Cfg.size g) false in
+        body.(header) <- true;
+        let size = ref 1 in
         let work = Queue.create () in
-        List.iter
-          (fun l -> if not (SSet.mem l !body) then Queue.add l work)
-          latches;
+        List.iter (fun l -> Queue.add l work) latches;
         while not (Queue.is_empty work) do
           let b = Queue.pop work in
-          if not (SSet.mem b !body) then begin
-            body := SSet.add b !body;
-            List.iter
-              (fun p -> if not (SSet.mem p !body) then Queue.add p work)
-              (Cfg.predecessors g b)
+          if not body.(b) then begin
+            body.(b) <- true;
+            incr size;
+            List.iter (fun p -> if not body.(p) then Queue.add p work) g.pred.(b)
           end
         done;
-        { header; latches; body = !body } :: acc)
+        { header; latches; body; size = !size } :: acc)
       by_header []
   in
-  { loops }
+  { cfg = g; loops }
 
 let of_func (f : Func.t) : t =
   let g = Cfg.of_func f in
   compute g (Dominance.compute g)
 
+let mem (t : t) (l : loop) label =
+  match Cfg.find t.cfg label with Some i -> l.body.(i) | None -> false
+
 (** Innermost-first ordering (by body size, ascending). *)
 let innermost_first (t : t) : loop list =
-  List.sort (fun a b -> compare (SSet.cardinal a.body) (SSet.cardinal b.body)) t.loops
+  List.sort (fun a b -> compare a.size b.size) t.loops
 
 (** The loop nesting depth of each block. *)
-let depth_map (t : t) : int SMap.t =
-  List.fold_left
-    (fun acc l ->
-      SSet.fold
-        (fun b acc ->
-          SMap.update b
-            (function None -> Some 1 | Some d -> Some (d + 1))
-            acc)
-        l.body acc)
-    SMap.empty t.loops
+let depth_map (t : t) : int array =
+  let depth = Array.make (Cfg.size t.cfg) 0 in
+  List.iter
+    (fun l -> Array.iteri (fun i inside -> if inside then depth.(i) <- depth.(i) + 1) l.body)
+    t.loops;
+  depth
 
 let loop_count (t : t) = List.length t.loops

@@ -1,7 +1,9 @@
-(** Structural well-formedness checks for functions and modules.  The
-    verifier is run by tests after every transformation pass: any pass that
-    breaks block structure, SSA dominance of definitions over uses (at block
-    granularity), or phi-node/predecessor agreement is caught here. *)
+(** Structural well-formedness checks for functions and modules.  Any
+    transform that breaks block structure, SSA dominance of definitions
+    over uses (at block granularity), or phi-node/predecessor agreement is
+    caught here.  The adaptive search runs it after every pass it applies,
+    and translation validation after every stage, so it works on {!Cfg}
+    block numbers and keeps its SSA-id bookkeeping in arrays. *)
 
 module SSet = Set.Make (String)
 
@@ -9,47 +11,68 @@ type error = { where : string; what : string }
 
 let pp_error fmt e = Fmt.pf fmt "[%s] %s" e.where e.what
 
-let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
+(* Dense slots for the SSA ids a function defines (parameters included):
+   [id - lo] when the ids span a range not much wider than their count,
+   else a table (hand-written IR may use any ids).  -1 for any other id. *)
+let slots (f : Func.t) : int * (int -> int) =
+  let ids =
+    List.fold_left
+      (fun acc (b : Block.t) ->
+        List.fold_left
+          (fun acc (i : Instr.t) -> if Instr.defines i then i.id :: acc else acc)
+          acc b.instrs)
+      (List.map fst f.params) f.blocks
+  in
+  let lo = List.fold_left min max_int ids and hi = List.fold_left max min_int ids in
+  let n = List.length ids in
+  if n = 0 then (0, fun _ -> -1)
+  else if hi - lo < (4 * n) + 64 then
+    (hi - lo + 1, fun id -> if id >= lo && id <= hi then id - lo else -1)
+  else
+    let tbl = Hashtbl.create n in
+    List.iter (fun id -> if not (Hashtbl.mem tbl id) then Hashtbl.add tbl id (Hashtbl.length tbl)) ids;
+    (Hashtbl.length tbl, fun id -> Option.value (Hashtbl.find_opt tbl id) ~default:(-1))
+
+let check_blocks ~known_funcs (f : Func.t) : error list =
   let errs = ref [] in
   let err where fmt_str =
     Printf.ksprintf (fun what -> errs := { where; what } :: !errs) fmt_str
   in
-  let labels =
-    List.fold_left
-      (fun acc (b : Block.t) -> SSet.add b.label acc)
-      SSet.empty f.blocks
-  in
-  if List.length f.blocks <> SSet.cardinal labels then
-    err f.name "duplicate block labels";
-  if f.blocks = [] then err f.name "function has no blocks";
-  let cfg = Cfg.of_func f in
+  let g = Cfg.of_func f in
+  if List.length f.blocks <> g.n_blocks then err f.name "duplicate block labels";
   (* 1. all branch targets exist *)
+  if Cfg.size g > g.n_blocks then
+    List.iter
+      (fun (b : Block.t) ->
+        List.iter
+          (fun s ->
+            if Cfg.index g s >= g.n_blocks then
+              err b.label "branch to unknown block %s" s)
+          (Block.successors b))
+      f.blocks;
+  (* 2. definitions are unique; [def_block] keeps each id's first defining
+     block *)
+  let n, slot = slots f in
+  let is_param = Array.make n false and def_block = Array.make n (-1) in
+  List.iter (fun (id, _) -> is_param.(slot id) <- true) f.params;
+  let ix = List.map (fun (b : Block.t) -> (b, Cfg.index g b.label)) f.blocks in
   List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun s ->
-          if not (SSet.mem s labels) then
-            err b.label "branch to unknown block %s" s)
-        (Block.successors b))
-    f.blocks;
-  (* 2. definitions are unique *)
-  let defs = Hashtbl.create 64 in
-  List.iter (fun (id, _) -> Hashtbl.replace defs id ()) f.params;
-  List.iter
-    (fun (b : Block.t) ->
+    (fun ((b : Block.t), bi) ->
       List.iter
         (fun (i : Instr.t) ->
           if Instr.defines i then
-            if Hashtbl.mem defs i.id then
+            let s = slot i.id in
+            if is_param.(s) || def_block.(s) >= 0 then
               err b.label "SSA id %%%d defined twice" i.id
-            else Hashtbl.replace defs i.id ())
+            else def_block.(s) <- bi)
         b.instrs)
-    f.blocks;
+    ix;
   (* 3. every used variable is defined somewhere *)
   let check_val (b : Block.t) (v : Value.t) =
     match v with
     | Value.Var id ->
-        if not (Hashtbl.mem defs id) then
+        let s = slot id in
+        if s < 0 || not (is_param.(s) || def_block.(s) >= 0) then
           err b.label "use of undefined value %%%d" id
     | _ -> ()
   in
@@ -64,31 +87,26 @@ let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
      definitions; within a block the definition must come first; a phi use
      only needs to be dominated at the incoming edge.  Restricted to
      reachable blocks — dominance is meaningless off the entry tree. *)
-  let dom = Dominance.compute cfg in
-  let reachable = Cfg.reachable cfg in
-  let params = Hashtbl.create 8 in
-  List.iter (fun (id, _) -> Hashtbl.replace params id ()) f.params;
-  let def_label = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Block.t) ->
-      List.iter
-        (fun (i : Instr.t) ->
-          if Instr.defines i && not (Hashtbl.mem def_label i.id) then
-            Hashtbl.replace def_label i.id b.label)
-        b.instrs)
-    f.blocks;
-  List.iter
-    (fun (b : Block.t) ->
-      if Cfg.SSet.mem b.label reachable then begin
-        let seen = Hashtbl.create 16 in
+  let dom = Dominance.compute g in
+  (* [seen.(s) = k]: defined earlier in the [k]th block *)
+  let seen = Array.make n (-1) in
+  let def_dominates v at =
+    match v with
+    | Value.Var id ->
+        let s = slot id in
+        s < 0 || is_param.(s) || def_block.(s) < 0
+        || Dominance.dominates dom def_block.(s) at
+    | _ -> true
+  in
+  List.iteri
+    (fun k ((b : Block.t), bi) ->
+      if Dominance.reachable dom bi then begin
         let dominated v =
           match v with
-          | Value.Var id when not (Hashtbl.mem params id) -> (
-              match Hashtbl.find_opt def_label id with
-              | None -> true (* covered by check 3 *)
-              | Some dl ->
-                  if dl = b.label then Hashtbl.mem seen id
-                  else Dominance.dominates dom dl b.label)
+          | Value.Var id ->
+              let s = slot id in
+              if s >= 0 && def_block.(s) = bi && not is_param.(s) then seen.(s) = k
+              else def_dominates v bi
           | _ -> true
         in
         List.iter
@@ -97,20 +115,13 @@ let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
             | Instr.Phi incoming ->
                 List.iter
                   (fun (v, src) ->
-                    if
-                      Cfg.SSet.mem src reachable
-                      && not
-                           (match v with
-                           | Value.Var id when not (Hashtbl.mem params id) -> (
-                               match Hashtbl.find_opt def_label id with
-                               | None -> true
-                               | Some dl -> Dominance.dominates dom dl src)
-                           | _ -> true)
-                    then
-                      err b.label
-                        "phi %%%d: incoming %s from %s is not dominated by \
-                         its definition"
-                        i.id (Value.to_string v) src)
+                    match Cfg.find g src with
+                    | Some si when Dominance.reachable dom si && not (def_dominates v si) ->
+                        err b.label
+                          "phi %%%d: incoming %s from %s is not dominated by \
+                           its definition"
+                          i.id (Value.to_string v) src
+                    | _ -> ())
                   incoming
             | _ ->
                 List.iter
@@ -120,7 +131,7 @@ let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
                         "use of %s is not dominated by its definition"
                         (Value.to_string v))
                   (Instr.operands i));
-            if Instr.defines i then Hashtbl.replace seen i.id ())
+            if Instr.defines i then seen.(slot i.id) <- k)
           b.instrs;
         List.iter
           (fun v ->
@@ -130,11 +141,13 @@ let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
                 (Value.to_string v))
           (Instr.terminator_operands b.term)
       end)
-    f.blocks;
+    ix;
   (* 4. phis agree with predecessors, and appear only as a block prefix *)
   List.iter
-    (fun (b : Block.t) ->
-      let preds = SSet.of_list (Cfg.predecessors cfg b.label) in
+    (fun ((b : Block.t), bi) ->
+      let preds =
+        lazy (List.sort_uniq compare (List.map (Cfg.label g) g.pred.(bi)))
+      in
       let seen_non_phi = ref false in
       List.iter
         (fun (i : Instr.t) ->
@@ -143,19 +156,19 @@ let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
               if !seen_non_phi then
                 err b.label "phi %%%d after non-phi instruction" i.id;
               let sources = List.map snd incoming in
-              let ssources = SSet.of_list sources in
-              if List.length sources <> SSet.cardinal ssources then
+              let ssources = List.sort_uniq compare sources in
+              if List.compare_lengths sources ssources <> 0 then
                 err b.label "phi %%%d has duplicate incoming labels" i.id;
-              if not (SSet.is_empty preds) && not (SSet.equal ssources preds)
-              then
+              let preds = Lazy.force preds in
+              if preds <> [] && ssources <> preds then
                 err b.label
                   "phi %%%d incoming labels {%s} do not match predecessors {%s}"
                   i.id
                   (String.concat "," sources)
-                  (String.concat "," (SSet.elements preds))
+                  (String.concat "," preds)
           | _ -> seen_non_phi := true)
         b.instrs)
-    f.blocks;
+    ix;
   (* 5. known callees (when a module context is available) *)
   if not (SSet.is_empty known_funcs) then
     List.iter
@@ -170,6 +183,10 @@ let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
           b.instrs)
       f.blocks;
   List.rev !errs
+
+let check_func ?(known_funcs = SSet.empty) (f : Func.t) : error list =
+  if f.blocks = [] then [ { where = f.name; what = "function has no blocks" } ]
+  else check_blocks ~known_funcs f
 
 (** Names treated as runtime intrinsics by the interpreter. *)
 let intrinsics =

@@ -40,9 +40,8 @@ let key_of (i : Instr.t) : string option =
 let run_func (f : Func.t) : Func.t =
   let cfg = Cfg.of_func f in
   let dom = Dominance.compute cfg in
-  let children = Dominance.children dom in
-  let block_tbl = Hashtbl.create 16 in
-  List.iter (fun (b : Block.t) -> Hashtbl.replace block_tbl b.label b) f.blocks;
+  let block_of = Array.make (Cfg.size cfg) None in
+  List.iter (fun (b : Block.t) -> block_of.(Cfg.index cfg b.label) <- Some b) f.blocks;
   let repl : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
   let rec resolve v =
     match v with
@@ -50,9 +49,9 @@ let run_func (f : Func.t) : Func.t =
         match Hashtbl.find_opt repl id with Some v' -> resolve v' | None -> v)
     | _ -> v
   in
-  let new_blocks : (string, Block.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec walk label (available : Value.t SMap.t) =
-    let b = Hashtbl.find block_tbl label in
+  let new_blocks = Array.make (Cfg.size cfg) None in
+  let rec walk bi (available : Value.t SMap.t) =
+    let b = Option.get block_of.(bi) in
     let available = ref available in
     let instrs =
       List.filter_map
@@ -72,16 +71,14 @@ let run_func (f : Func.t) : Func.t =
           else Some i)
         b.instrs
     in
-    Hashtbl.replace new_blocks label
-      { b with instrs; term = Instr.map_terminator_operands resolve b.term };
-    List.iter
-      (fun c -> walk c !available)
-      (Option.value (SMap.find_opt label children) ~default:[])
+    new_blocks.(bi) <-
+      Some { b with instrs; term = Instr.map_terminator_operands resolve b.term };
+    List.iter (fun c -> walk c !available) dom.children.(bi)
   in
-  walk cfg.Cfg.entry SMap.empty;
+  walk cfg.entry SMap.empty;
   let blocks =
     List.filter_map
-      (fun (b : Block.t) -> Hashtbl.find_opt new_blocks b.label)
+      (fun (b : Block.t) -> new_blocks.(Cfg.index cfg b.label))
       f.blocks
   in
   (* a second resolve sweep: uses may appear in blocks processed before the

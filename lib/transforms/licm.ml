@@ -9,26 +9,28 @@
     inside loops. *)
 
 open Yali_ir
-module SSet = Loops.SSet
 module ISet = Set.Make (Int)
 
-(* insert a preheader for a loop whose header has exactly the predecessors
-   latches + outside preds; returns the new function, the preheader label,
-   or None if the shape is unsuitable *)
-let make_preheader (f : Func.t) (l : Loops.loop) :
+(* insert a preheader for loop [l] of [loops] (computed on [f]) whose
+   header has exactly the predecessors latches + outside preds; returns the
+   new function, the preheader label, or None if the shape is unsuitable *)
+let make_preheader (f : Func.t) (loops : Loops.t) (l : Loops.loop) :
     (Func.t * string) option =
-  let cfg = Cfg.of_func f in
-  let preds = Cfg.predecessors cfg l.header in
-  let outside = List.filter (fun p -> not (List.mem p l.latches)) preds in
+  let cfg = loops.cfg in
+  let outside =
+    List.map (Cfg.label cfg)
+      (List.filter (fun p -> not (List.mem p l.latches)) cfg.pred.(l.header))
+  in
+  let header_label = Cfg.label cfg l.header in
   match outside with
   | [] -> None
   | _ ->
-      if l.header = (Func.entry f).label then None
+      if l.header = cfg.entry then None
       else
-        let ph_label, f = Func.fresh_label f (l.header ^ ".preheader") in
+        let ph_label, f = Func.fresh_label f (header_label ^ ".preheader") in
         (* outside preds retarget to the preheader; phi entries in the
            header from outside preds move into the preheader's phis *)
-        let header = Func.find_block_exn f l.header in
+        let header = Func.find_block_exn f header_label in
         (* split header phis: outside-incoming part becomes a phi in the
            preheader, the header phi keeps latch entries + the preheader *)
         let next = ref f.next_id in
@@ -67,20 +69,20 @@ let make_preheader (f : Func.t) (l : Loops.loop) :
         let header' = { header with instrs = new_header_instrs } in
         let preheader =
           Block.make ~label:ph_label ~instrs:(List.rev !ph_phis)
-            ~term:(Instr.Br l.header)
+            ~term:(Instr.Br header_label)
         in
         (* retarget outside preds' terminators *)
         let blocks =
           List.concat_map
             (fun (b : Block.t) ->
-              if b.label = l.header then [ header'; preheader ]
+              if b.label = header_label then [ header'; preheader ]
               else if List.mem b.label outside then
                 [
                   {
                     b with
                     term =
                       Instr.map_successors
-                        (fun s -> if s = l.header then ph_label else s)
+                        (fun s -> if s = header_label then ph_label else s)
                         b.term;
                   };
                 ]
@@ -107,20 +109,23 @@ let run_func (f : Func.t) : Func.t =
       (* recompute against the current function: earlier hoists may have
          changed labels *)
       let loops_now = Loops.of_func f in
+      let header = Cfg.label loops.cfg l.header in
       match
-        List.find_opt (fun (l' : Loops.loop) -> l'.header = l.header)
+        List.find_opt
+          (fun (l' : Loops.loop) -> Cfg.label loops_now.cfg l'.header = header)
           loops_now.loops
       with
       | None -> f
       | Some l -> (
-          match make_preheader f l with
+          let in_body = Loops.mem loops_now l in
+          match make_preheader f loops_now l with
           | None -> f
           | Some (f, ph_label) ->
               (* defs inside the loop *)
               let loop_defs = ref ISet.empty in
               List.iter
                 (fun (b : Block.t) ->
-                  if SSet.mem b.label l.body then
+                  if in_body b.label then
                     List.iter
                       (fun (i : Instr.t) ->
                         if Instr.defines i then
@@ -137,7 +142,7 @@ let run_func (f : Func.t) : Func.t =
                 let blocks =
                   List.map
                     (fun (b : Block.t) ->
-                      if not (SSet.mem b.label l.body) then b
+                      if not (in_body b.label) then b
                       else
                         let keep =
                           List.filter

@@ -7,7 +7,6 @@
     effect of most source-level obfuscations. *)
 
 open Yali_ir
-module SMap = Map.Make (String)
 module ISet = Set.Make (Int)
 
 (** Drop blocks not reachable from the entry (required before the dominance
@@ -15,9 +14,8 @@ module ISet = Set.Make (Int)
 let remove_unreachable (f : Func.t) : Func.t =
   let cfg = Cfg.of_func f in
   let reach = Cfg.reachable cfg in
-  let blocks =
-    List.filter (fun (b : Block.t) -> Cfg.SSet.mem b.label reach) f.blocks
-  in
+  let live l = match Cfg.find cfg l with Some i -> reach.(i) | None -> false in
+  let blocks = List.filter (fun (b : Block.t) -> live b.label) f.blocks in
   let blocks =
     List.map
       (fun (b : Block.t) ->
@@ -27,9 +25,7 @@ let remove_unreachable (f : Func.t) : Func.t =
             (fun (i : Instr.t) ->
               match i.kind with
               | Instr.Phi incoming -> (
-                  match
-                    List.filter (fun (_, l) -> Cfg.SSet.mem l reach) incoming
-                  with
+                  match List.filter (fun (_, l) -> live l) incoming with
                   | [] -> None
                   | incoming -> Some { i with kind = Instr.Phi incoming })
               | _ -> Some i)
@@ -85,20 +81,18 @@ let run_func (f : Func.t) : Func.t =
     List.iter (fun (id, ty) -> Hashtbl.replace ty_of id ty) promo;
     let cfg = Cfg.of_func f in
     let dom = Dominance.compute cfg in
+    let frontier = Dominance.frontiers cfg dom in
+    let by_label a b = compare (Cfg.label cfg a) (Cfg.label cfg b) in
     (* blocks containing a store to each alloca *)
-    let def_blocks : (int, Cfg.SSet.t) Hashtbl.t = Hashtbl.create 16 in
+    let def_blocks : (int, int list) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (fun (b : Block.t) ->
         List.iter
           (fun (i : Instr.t) ->
             match i.kind with
             | Instr.Store (_, Value.Var a) when ISet.mem a promo_set ->
-                let cur =
-                  Option.value
-                    (Hashtbl.find_opt def_blocks a)
-                    ~default:Cfg.SSet.empty
-                in
-                Hashtbl.replace def_blocks a (Cfg.SSet.add b.label cur)
+                let cur = Option.value (Hashtbl.find_opt def_blocks a) ~default:[] in
+                Hashtbl.replace def_blocks a (Cfg.index cfg b.label :: cur)
             | _ -> ())
           b.instrs)
       f.blocks;
@@ -109,30 +103,30 @@ let run_func (f : Func.t) : Func.t =
       incr next_id;
       id
     in
-    (* (block label, phi id) -> alloca it stands for; plus per-block list *)
-    let phi_for : (string * int, int) Hashtbl.t = Hashtbl.create 32 in
-    let phis_of_block : (string, int list) Hashtbl.t = Hashtbl.create 32 in
+    (* (block, phi id) -> alloca it stands for; plus per-block list *)
+    let phi_for : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+    let phis_of_block = Array.make (Cfg.size cfg) [] in
     List.iter
       (fun (a, _ty) ->
-        let placed = Hashtbl.create 8 in
+        let placed = Array.make (Cfg.size cfg) false in
         let work = Queue.create () in
-        Cfg.SSet.iter
+        (* def blocks in label order *)
+        List.iter
           (fun l -> Queue.add l work)
-          (Option.value (Hashtbl.find_opt def_blocks a) ~default:Cfg.SSet.empty);
+          (List.sort_uniq by_label
+             (Option.value (Hashtbl.find_opt def_blocks a) ~default:[]));
         while not (Queue.is_empty work) do
           let l = Queue.pop work in
           List.iter
             (fun df ->
-              if not (Hashtbl.mem placed df) then (
-                Hashtbl.replace placed df ();
+              if not placed.(df) then (
+                placed.(df) <- true;
                 let id = fresh () in
                 Hashtbl.replace phi_for (df, id) a;
-                Hashtbl.replace phis_of_block df
-                  (id
-                  :: Option.value (Hashtbl.find_opt phis_of_block df) ~default:[]);
+                phis_of_block.(df) <- id :: phis_of_block.(df);
                 (* the phi is itself a def *)
                 Queue.add df work))
-            (Dominance.frontier_of dom l)
+            frontier.(l)
         done)
       promo;
     (* rename along the dominator tree *)
@@ -148,20 +142,18 @@ let run_func (f : Func.t) : Func.t =
           | None -> v)
       | _ -> v
     in
-    let block_tbl = Hashtbl.create 16 in
-    List.iter (fun (b : Block.t) -> Hashtbl.replace block_tbl b.label b) f.blocks;
-    let new_instrs : (string, Instr.t list) Hashtbl.t = Hashtbl.create 16 in
-    let new_terms : (string, Instr.terminator) Hashtbl.t = Hashtbl.create 16 in
+    let block_of = Array.make (Cfg.size cfg) None in
+    List.iter (fun (b : Block.t) -> block_of.(Cfg.index cfg b.label) <- Some b) f.blocks;
+    let renamed = Array.copy block_of in
     (* phi incoming accumulators: (block, phi id) -> (value, pred) list *)
-    let phi_incoming : (string * int, (Value.t * string) list ref) Hashtbl.t =
+    let phi_incoming : (int * int, (Value.t * string) list ref) Hashtbl.t =
       Hashtbl.create 32
     in
     Hashtbl.iter
-      (fun (l, id) _ -> Hashtbl.replace phi_incoming (l, id) (ref []))
+      (fun key _ -> Hashtbl.replace phi_incoming key (ref []))
       phi_for;
-    let dom_children = Dominance.children dom in
-    let rec walk (label : string) (env : (int * Value.t) list) =
-      let b = Hashtbl.find block_tbl label in
+    let rec walk (bi : int) (env : (int * Value.t) list) =
+      let b = Option.get block_of.(bi) in
       let env = ref env in
       let lookup a =
         match List.assoc_opt a !env with
@@ -172,10 +164,10 @@ let run_func (f : Func.t) : Func.t =
       let own_phis =
         List.rev_map
           (fun id ->
-            let a = Hashtbl.find phi_for (label, id) in
+            let a = Hashtbl.find phi_for (bi, id) in
             env := (a, Value.Var id) :: !env;
             (id, a))
-          (Option.value (Hashtbl.find_opt phis_of_block label) ~default:[])
+          phis_of_block.(bi)
       in
       let kept =
         List.filter_map
@@ -197,9 +189,13 @@ let run_func (f : Func.t) : Func.t =
             Instr.mk ~id ~ty:(Hashtbl.find ty_of a) (Instr.Phi []))
           (List.rev own_phis)
       in
-      Hashtbl.replace new_instrs label (phi_instrs @ kept);
-      Hashtbl.replace new_terms label
-        (Instr.map_terminator_operands resolve b.term);
+      renamed.(bi) <-
+        Some
+          {
+            b with
+            instrs = phi_instrs @ kept;
+            term = Instr.map_terminator_operands resolve b.term;
+          };
       (* feed successors' phis (dedupe: several edges may share a target) *)
       List.iter
         (fun s ->
@@ -207,29 +203,31 @@ let run_func (f : Func.t) : Func.t =
             (fun id ->
               let a = Hashtbl.find phi_for (s, id) in
               let acc = Hashtbl.find phi_incoming (s, id) in
-              if not (List.exists (fun (_, l) -> l = label) !acc) then
-                acc := (lookup a, label) :: !acc)
-            (Option.value (Hashtbl.find_opt phis_of_block s) ~default:[]))
-        (List.sort_uniq compare (Cfg.successors cfg label));
-      (* recurse into dominated blocks *)
+              if not (List.exists (fun (_, l) -> l = b.label) !acc) then
+                acc := (lookup a, b.label) :: !acc)
+            phis_of_block.(s))
+        (List.sort_uniq compare cfg.succ.(bi));
+      (* recurse into dominated blocks, in descending label order *)
       List.iter
         (fun c -> walk c !env)
-        (Option.value (SMap.find_opt label dom_children) ~default:[])
+        (List.sort (fun x y -> by_label y x) dom.children.(bi))
     in
-    walk cfg.Cfg.entry [];
+    walk cfg.entry [];
     (* assemble, filling phi incoming lists *)
     let blocks =
       List.map
         (fun (b : Block.t) ->
+          let bi = Cfg.index cfg b.label in
+          let b = Option.get renamed.(bi) in
           let instrs =
             List.map
               (fun (i : Instr.t) ->
                 match i.kind with
-                | Instr.Phi [] when Hashtbl.mem phi_for (b.label, i.id) ->
+                | Instr.Phi [] when Hashtbl.mem phi_for (bi, i.id) ->
                     let incoming =
                       List.map
                         (fun (v, l) -> (resolve v, l))
-                        !(Hashtbl.find phi_incoming (b.label, i.id))
+                        !(Hashtbl.find phi_incoming (bi, i.id))
                     in
                     { i with kind = Instr.Phi incoming }
                 | Instr.Phi incoming ->
@@ -241,9 +239,9 @@ let run_func (f : Func.t) : Func.t =
                           (List.map (fun (v, l) -> (resolve v, l)) incoming);
                     }
                 | _ -> i)
-              (Hashtbl.find new_instrs b.label)
+              b.instrs
           in
-          { b with instrs; term = Hashtbl.find new_terms b.label })
+          { b with instrs })
         f.blocks
     in
     { f with blocks; next_id = !next_id }

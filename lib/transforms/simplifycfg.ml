@@ -43,15 +43,16 @@ let prune_phis (f : Func.t) : Func.t =
   let cfg = Cfg.of_func f in
   Func.map_blocks
     (fun b ->
-      let preds = Cfg.predecessors cfg b.label in
+      let preds = cfg.pred.(Cfg.index cfg b.label) in
+      let is_pred l =
+        match Cfg.find cfg l with Some p -> List.mem p preds | None -> false
+      in
       let instrs =
         List.filter_map
           (fun (i : Instr.t) ->
             match i.kind with
             | Instr.Phi incoming -> (
-                match
-                  List.filter (fun (_, l) -> List.mem l preds) incoming
-                with
+                match List.filter (fun (_, l) -> is_pred l) incoming with
                 | [] -> None
                 | [ (v, _) ] when Instr.defines i ->
                     (* single predecessor: phi is just a copy; keep it as a
@@ -80,9 +81,9 @@ let merge_blocks (f : Func.t) : Func.t =
   List.iter
     (fun (b : Block.t) ->
       if b.label <> entry_label then
-        match Cfg.predecessors cfg b.label with
+        match cfg.pred.(Cfg.index cfg b.label) with
         | [ p ] -> (
-            let p = root p in
+            let p = root (Cfg.label cfg p) in
             let pb = !(Hashtbl.find block_tbl p) in
             (* b may itself have absorbed blocks already: use its current
                version, not the stale one from the iteration list *)

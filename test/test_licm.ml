@@ -14,8 +14,7 @@ let opcodes_in_loops (m : Ir.Irmod.t) : Op.t list =
   let f = Ir.Irmod.find_func_exn m "main" in
   let loops = Loops.of_func f in
   let in_loop label =
-    List.exists (fun (l : Loops.loop) -> Loops.SSet.mem label l.body)
-      loops.Loops.loops
+    List.exists (fun l -> Loops.mem loops l label) loops.Loops.loops
   in
   List.concat_map
     (fun (b : Ir.Block.t) ->

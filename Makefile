@@ -16,7 +16,7 @@ test:
 
 # The PR gate: full build (including examples and bench) + test suite, then
 # a 2-domain smoke run of the figure harness to exercise the
-# parallel/cached/telemetry paths end to end, and a short differential run
+# parallel/telemetry paths end to end, and a short differential run
 # over every registered pass, pipeline and composition.
 check: build-all test smoke check-smoke
 

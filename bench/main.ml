@@ -29,13 +29,13 @@
       --jobs N (or YALI_JOBS)  worker domains; default
                                Domain.recommended_domain_count
       --telemetry out.json     dump the runtime's JSON report: tasks,
-                               steals, cache hit rates, per-phase wall time
+                               steals, per-phase wall time
       --json BENCH_quick.json  the figure summary: per-target wall seconds
                                and Figure 5's results; CI uploads it as
                                the perf-trajectory artifact
     A bad flag or an unknown target exits 2 before anything runs.
     Results are bit-identical at any --jobs setting: per-task RNG streams
-    are pre-derived and the caches only memoise pure functions.
+    are pre-derived on the calling domain.
 
     Workloads are scaled down from the paper's (which take ~19 days); the
     shapes — who wins, by what factor, where the crossovers are — are the

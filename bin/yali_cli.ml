@@ -77,8 +77,8 @@ let telemetry_arg =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
-          "Write the execution runtime's JSON report (tasks, steals, cache \
-           hit rates, per-phase time) to \\$(docv).")
+          "Write the execution runtime's JSON report (tasks, steals, \
+           per-phase time) to \\$(docv).")
 
 let configure_jobs = function
   | Some n when n >= 1 -> Yali.Exec.Pool.set_jobs n

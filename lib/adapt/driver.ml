@@ -145,7 +145,7 @@ let publish_prepared ~dir (cfg : config) (prep : prepared) =
 
 let oracle_of_snapshot (s : Model.snapshot) : Yali_ir.Irmod.t -> float array =
   let margins = Model.margins s in
-  (* the uncached pure embedding: safe from any pool worker *)
+  (* the embedding is a pure function: safe from any pool worker *)
   fun m -> margins (Embedding.to_flat embedding m)
 
 type model_front = {

@@ -4,7 +4,6 @@ module Rng = Yali_util.Rng
 module Ml = Yali_ml
 module F = Yali_ml.Fmat
 module Pool = Yali_exec.Pool
-module Cache = Yali_exec.Cache
 
 let finite x = Float.is_finite x
 let in_unit x = finite x && 0.0 <= x && x <= 1.0
@@ -262,24 +261,12 @@ let pool_map_rng_deterministic (n, jobs, seed) =
   in
   Pool.with_jobs 1 map = Pool.with_jobs jobs map
 
-let cache_transparent (n, _, seed) =
-  let cache = Cache.create ~capacity:64 () in
-  let key i = Printf.sprintf "k%d" (i mod 16) in
-  let ok = ref true in
-  for i = 0 to min n 64 - 1 do
-    let v = Cache.find_or_compute cache ~key:(key i) (fun () -> task seed (i mod 16)) in
-    if v <> task seed (i mod 16) then ok := false
-  done;
-  !ok
-
 let exec =
   [
     Prop.make ~name:"exec/pool-run-jobs-invariant" ~show:show_pool_case
       gen_pool_case pool_run_deterministic;
     Prop.make ~name:"exec/pool-map-rng-jobs-invariant" ~show:show_pool_case
       gen_pool_case pool_map_rng_deterministic;
-    Prop.make ~name:"exec/cache-transparent" ~show:show_pool_case gen_pool_case
-      cache_transparent;
   ]
 
 (* -- execution engines: lib/vm vs the frozen reference interpreter --------- *)

@@ -9,8 +9,7 @@
     - {!metrics}: axioms of {!Yali_ml.Metrics} — bounds, confusion-matrix
       row sums, and division-by-zero guards (every statistic is a defined
       finite number, never [nan], on degenerate inputs);
-    - {!exec}: {!Yali_exec.Pool} determinism at arbitrary [--jobs] and
-      {!Yali_exec.Cache} transparency;
+    - {!exec}: {!Yali_exec.Pool} determinism at arbitrary [--jobs];
     - {!engines}: the {!Yali_vm.Vm} against the frozen reference
       interpreter — each generated program is pushed through every
       registered entry ({!Passdb.all}) and both must produce

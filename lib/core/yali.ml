@@ -13,8 +13,8 @@
     - {!Ml}: six stochastic classification models
     - {!Dataset}: the synthetic POJ-104-style corpus, MIRAI suite,
       benchmark-game kernels
-    - {!Exec}: the execution runtime — domain pool, content-addressed
-      cache, telemetry ([--jobs], [--telemetry])
+    - {!Exec}: the execution runtime — domain pool and telemetry
+      ([--jobs], [--telemetry])
     - {!Vm} / {!Execution}: the pre-compiling IR virtual machine and the
       engine switchboard ([--engine=vm|ref]; bit-identical outcomes, the
       interpreter stays the frozen oracle)

@@ -62,6 +62,7 @@ let generate ~(dir : string) ?(records_per_shard = 1024) (s : spec) : unit =
   let n = Poj.train_size p in
   let n_shards = max 1 ((n + records_per_shard - 1) / records_per_shard) in
   Yali_util.Fs.mkdir_p dir;
+  Store.remove_features dir;
   let results = Array.make n_shards ([||], 0) in
   Pool.run ~n:n_shards (fun sh ->
       let w = Store.Shard.create ~dir sh in

@@ -32,7 +32,8 @@ val plan : spec -> Yali_dataset.Poj.plan
     over {!Yali_exec.Pool}: shard [s] owns records
     [[s*records_per_shard, (s+1)*records_per_shard)), and every task
     lowers, encodes and appends only its own shard.  Deterministic at any
-    [jobs]. *)
+    [jobs].  First deletes the directory's feature files
+    ({!Store.remove_features}), which describe the records it replaces. *)
 val generate : dir:string -> ?records_per_shard:int -> spec -> unit
 
 (** The in-memory reference path: every record of the spec as a lowered

@@ -12,6 +12,17 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Bin.Corrupt m)) fmt
 
 let index_file dir = Filename.concat dir "corpus.ycix"
 let shard_file dir s = Filename.concat dir (Printf.sprintf "shard-%04d.yshd" s)
+let features_file dir embedding =
+  Filename.concat dir ("features-" ^ embedding ^ ".yfmb")
+
+let remove_features dir =
+  Array.iter
+    (fun f ->
+      if
+        String.starts_with ~prefix:"features-" f
+        && Filename.check_suffix f ".yfmb"
+      then Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir)
 
 type entry = { e_shard : int; e_off : int; e_len : int; e_label : int }
 

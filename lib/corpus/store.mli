@@ -11,6 +11,9 @@
     - [shard-NNNN.yshd] — magic ["YSHD"], u16 version, u16 shard id, then
       u32-length-framed records, each a u16 label followed by one
       {!Yali_serve.Codec} module blob.
+    - [features-<embedding>.yfmb] — the records embedded under one
+      embedding, a {!Yali_ml.Fblock} feature file derived from the shards
+      ({!Train.ensure_features}).
 
     Shards are written independently (one {!Shard} per generation task, a
     private descriptor each), so generation fans out over
@@ -32,6 +35,15 @@ val index_file : string -> string
 
 (** ["shard-0007.yshd"] within the corpus directory. *)
 val shard_file : string -> int -> string
+
+(** ["features-histogram.yfmb"] within the corpus directory, for an
+    embedding name. *)
+val features_file : string -> string -> string
+
+(** Delete every feature file in the corpus directory: they describe the
+    records of the corpus they were derived from, so a writer about to
+    replace those records removes them first. *)
+val remove_features : string -> unit
 
 (** The index entry of one record. *)
 type entry = { e_shard : int; e_off : int; e_len : int; e_label : int }

@@ -7,12 +7,9 @@ module Fblock = Yali_ml.Fblock
 module Model = Yali_ml.Model
 module Registry = Yali_serve.Registry
 
-let features_path ~dir ~embedding =
-  Filename.concat dir ("features-" ^ embedding ^ ".yfmb")
-
 let ensure_features ~(embedding : Embedding.t) (r : Store.reader)
     ~(dir : string) : string * int =
-  let path = features_path ~dir ~embedding:embedding.Embedding.name in
+  let path = Store.features_file dir embedding.Embedding.name in
   let cached =
     if not (Sys.file_exists path) then None
     else

@@ -4,12 +4,10 @@
     provenance ([meta.source]), so a published model names the exact recipe
     that produced it (DESIGN.md §12). *)
 
-(** The feature-file path for an embedding within a corpus directory
-    (["<dir>/features-<embedding>.yfmb"]). *)
-val features_path : dir:string -> embedding:string -> string
-
-(** Embed the corpus into its feature file unless a valid one with the
-    right shape is already there; the file path and feature dimension. *)
+(** Embed the corpus into its feature file ({!Store.features_file}) unless
+    a valid one with the right shape is already there; the file path and
+    feature dimension.  {!Gen.generate} deletes the feature files of the
+    corpus it replaces, so one found here describes the current records. *)
 val ensure_features :
   embedding:Yali_embeddings.Embedding.t -> Store.reader -> dir:string ->
   string * int

@@ -45,36 +45,8 @@ let to_graph (e : t) (m : Irmod.t) : Graph.t =
       let v = f m in
       { Graph.node_feats = [| v |]; edges = []; feat_dim = Array.length v }
 
-(* ------------------------------------------------------------------ *)
-(* content-addressed embedding caches                                  *)
-(* ------------------------------------------------------------------ *)
-
 (** Structural digest of a module (MD5 over a sharing-free marshalling):
-    two modules digest equally exactly when they are structurally equal,
-    so a digest plus an embedding name content-addresses the embedding
-    of any (source program, transform pipeline) pair. *)
+    two modules digest equally exactly when they are structurally equal.
+    perfbench's evader check compares rebuilt challenges through it. *)
 let digest (m : Irmod.t) : string =
   Digest.string (Marshal.to_string m [ Marshal.No_sharing ])
-
-(* game rounds re-embed structurally repeated modules constantly (growing
-   training suites, shared baselines, re-generated corpora); vectors are
-   never mutated downstream, so cached arrays can be shared *)
-let flat_cache : float array Yali_exec.Cache.t =
-  Yali_exec.Cache.create ~name:"embed.flat" ~capacity:16384 ()
-
-let graph_cache : Graph.t Yali_exec.Cache.t =
-  Yali_exec.Cache.create ~name:"embed.graph" ~capacity:4096 ()
-
-(** {!to_flat} through the content-addressed cache. *)
-let to_flat_cached (e : t) (m : Irmod.t) : float array =
-  Yali_exec.Cache.find_or_compute flat_cache
-    ~key:(e.name ^ "|" ^ digest m)
-    (fun () -> to_flat e m)
-
-(** {!to_graph} through the content-addressed cache. *)
-let to_graph_cached (e : t) (m : Irmod.t) : Graph.t =
-  Yali_exec.Cache.find_or_compute graph_cache
-    ~key:(e.name ^ "|" ^ digest m)
-    (fun () -> to_graph e m)
-
-let flat_cache_stats () = Yali_exec.Cache.stats flat_cache

@@ -31,16 +31,6 @@ val to_flat : t -> Yali_ir.Irmod.t -> float array
 val to_graph : t -> Yali_ir.Irmod.t -> Graph.t
 
 (** Structural digest of a module: equal exactly for structurally equal
-    modules, so it content-addresses anything computed purely from one. *)
+    modules.  perfbench's evader check ([check_rebuilt_evaders]) calls it
+    to compare the challenges it rebuilds against the library's. *)
 val digest : Yali_ir.Irmod.t -> string
-
-(** {!to_flat} through a process-wide content-addressed LRU cache keyed on
-    (embedding name, module digest) — structurally repeated modules across
-    game rounds embed once.  The returned vector is shared; treat it as
-    immutable (everything in the arena already does). *)
-val to_flat_cached : t -> Yali_ir.Irmod.t -> float array
-
-(** {!to_graph} through the graph-side cache; same contract. *)
-val to_graph_cached : t -> Yali_ir.Irmod.t -> Graph.t
-
-val flat_cache_stats : unit -> Yali_exec.Cache.stats

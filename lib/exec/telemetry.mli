@@ -4,7 +4,7 @@
     fixed-size {!Histogram}s for latency quantiles.
 
     Counters and spans are domain-safe; the expected call sites are coarse
-    (per game round, per training run, per cache probe), so a single lock
+    (per game round, per training run, per pool batch), so a single lock
     around the aggregate tables is not a bottleneck. *)
 
 (** Aggregate of all closed spans sharing a name. *)

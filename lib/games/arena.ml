@@ -6,9 +6,8 @@
     both dataset halves, sweeping the challenge set — fan out over
     {!Yali_exec.Pool} and report through {!Yali_exec.Telemetry}.  Runs are
     bit-identical at any [jobs] setting: every per-item RNG is pre-derived
-    on the calling domain ({!Rng.split_n}), embeddings flow through the
-    content-addressed cache of pure functions, and each task writes only
-    its own result slot. *)
+    on the calling domain ({!Rng.split_n}), lowering and embedding are pure
+    functions, and each task writes only its own result slot. *)
 
 module Rng = Yali_util.Rng
 module Exec = Yali_exec
@@ -56,7 +55,7 @@ let embed_fmat (embedding : E.Embedding.t) (mods : (Irmod.t * int) array) :
     Ml.Fmat.t =
   Exec.Telemetry.with_span "arena.embed" (fun () ->
       Ml.Fmat.parallel_of_fn ~n:(Array.length mods) (fun i ->
-          E.Embedding.to_flat_cached embedding (fst mods.(i))))
+          E.Embedding.to_flat embedding (fst mods.(i))))
 
 type modules = (Irmod.t * int) array * (Irmod.t * int) array
 
@@ -89,7 +88,7 @@ let flat_cell (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
     paper's note that the graph layers "find no service" on arrays. *)
 let graph_cell (rng : Rng.t) ~(n_classes : int) (embedding : E.Embedding.t)
     ((train_mods, test_mods) : modules) : result =
-  let embed m = E.Embedding.to_graph_cached embedding m in
+  let embed = E.Embedding.to_graph embedding in
   let graphs =
     Exec.Telemetry.with_span "arena.embed" (fun () ->
         Exec.Pool.parallel_array_map (fun (m, _) -> embed m) train_mods)

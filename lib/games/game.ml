@@ -34,21 +34,7 @@ type setup = {
   normalize : Irmod.t -> Irmod.t;
 }
 
-let lower = Lower.lower_program ?name:None
-
-(* lowered modules are content-addressed on the source AST: figures replay
-   the same split under several games and rounds, so plain [-O0] lowering
-   of a given solution recurs constantly (modules are immutable, sharing
-   the cached one is safe) *)
-let lower_cache : Irmod.t Yali_exec.Cache.t =
-  Yali_exec.Cache.create ~name:"game.lower" ~capacity:4096 ()
-
-let lower_cached (p : Ast.program) : Irmod.t =
-  Yali_exec.Cache.find_or_compute lower_cache
-    ~key:(Digest.string (Marshal.to_string p [ Marshal.No_sharing ]))
-    (fun () -> lower p)
-
-let passive : evader = fun _ p -> lower_cached p
+let passive : evader = Yali_obfuscation.Evader.none.apply
 
 (** Game0 (symmetric): no transformation on either side. *)
 let game0 : setup =

@@ -20,7 +20,8 @@ type setup = {
   normalize : Yali_ir.Irmod.t -> Yali_ir.Irmod.t;
 }
 
-(** Plain [-O0] lowering: the passive evader. *)
+(** Plain [-O0] lowering: the passive evader,
+    {!Yali_obfuscation.Evader.none}'s [apply]. *)
 val passive : evader
 
 (** Game0 (symmetric): no transformation on either side. *)

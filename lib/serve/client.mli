@@ -27,9 +27,8 @@ val margins : t -> Yali_ir.Irmod.t -> Wire.response
 val ping : t -> bool
 
 (** The daemon's stats reply, one line of JSON: request, batch, busy and
-    error counters, the batch-size histogram, queue-wait quantiles (within
-    {!Yali_exec.Telemetry.Histogram}'s error) and the embedding cache's
-    hit/miss/eviction statistics ({!Yali_exec.Cache.stats}). *)
+    error counters, uptime, the batch-size histogram and queue-wait
+    quantiles (within {!Yali_exec.Telemetry.Histogram}'s error). *)
 val stats : t -> (string, string) result
 
 (** Ask the daemon to exit; returns once it acknowledges with [Bye]. *)

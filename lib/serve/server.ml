@@ -1,5 +1,4 @@
 module Embedding = Yali_embeddings.Embedding
-module Cache = Yali_exec.Cache
 module Telemetry = Yali_exec.Telemetry
 
 type config = {
@@ -54,7 +53,6 @@ let stats_json () =
     |> List.sort compare
   in
   let wait q = J.Int (Telemetry.Histogram.quantile counters.waits_us q) in
-  let cache = Embedding.flat_cache_stats () in
   J.to_string
     (J.Obj
        [
@@ -69,16 +67,6 @@ let stats_json () =
          ( "batch_hist",
            J.Obj (List.map (fun (size, n) -> (string_of_int size, J.Int n)) hist)
          );
-         ( "embed_cache",
-           J.Obj
-             [
-               ("hits", J.Int cache.Cache.hits);
-               ("misses", J.Int cache.Cache.misses);
-               ("evictions", J.Int cache.Cache.evictions);
-               ("size", J.Int cache.Cache.size);
-               ("capacity", J.Int cache.Cache.capacity);
-               ("hit_rate", J.Fixed (4, Cache.hit_rate cache));
-             ] );
        ])
 
 let reset_counters () =
@@ -116,6 +104,7 @@ type state = {
   dim : int;
   trained : Yali_ml.Model.trained;
   margins : float array -> float array;
+  rbuf : Bytes.t;  (** every read lands here; {!Wire.Dechunk.feed} copies *)
   mutable conns : conn list;
   mutable queue : pending list;  (** newest first *)
   mutable queued : int;
@@ -184,10 +173,10 @@ let handle_frame st conn payload =
       send conn (Wire.Error ("malformed request: " ^ msg))
 
 (* One micro-batch: everything queued (oldest first), capped at
-   [max_batch].  Embeddings go through the content-addressed cache, the
-   class decisions through the model's bulk kernel — both documented
-   bit-identical to the one-at-a-time path, which is what makes replies
-   independent of batching. *)
+   [max_batch].  Embedding is a pure function of the module and the class
+   decisions go through the model's bulk kernel, documented bit-identical
+   to the one-at-a-time path, which is what makes replies independent of
+   batching. *)
 let dispatch st =
   while st.queue <> [] do
     let pendings = List.rev st.queue in
@@ -204,7 +193,7 @@ let dispatch st =
     let rows =
       List.map
         (fun p ->
-          match Embedding.to_flat_cached st.embedding p.m with
+          match Embedding.to_flat st.embedding p.m with
           | v when Array.length v = st.dim -> Ok (p, v)
           | v ->
               Error
@@ -244,7 +233,7 @@ let dispatch st =
               send p.origin
                 (Wire.Class { cls = classes.(i); queue_us; batch = n })
           | Want_margins ->
-              (* per-row margins over the same cached embedding the batch
+              (* per-row margins over the same embedding row the batch
                  used — scores independent of batching by construction *)
               send p.origin
                 (Wire.Margins_r
@@ -254,11 +243,10 @@ let dispatch st =
   done
 
 let read_chunk st conn =
-  let buf = Bytes.create 65536 in
-  match Unix.read conn.fd buf 0 (Bytes.length buf) with
+  match Unix.read conn.fd st.rbuf 0 (Bytes.length st.rbuf) with
   | 0 -> close_conn st conn
   | n -> (
-      match Wire.Dechunk.feed conn.chunks buf n with
+      match Wire.Dechunk.feed conn.chunks st.rbuf n with
       | frames -> List.iter (handle_frame st conn) frames
       | exception Yali_util.Bin.Corrupt msg ->
           counters.errors <- counters.errors + 1;
@@ -354,6 +342,7 @@ let run cfg =
                       dim = entry.meta.dim;
                       trained;
                       margins = Yali_ml.Model.margins entry.snapshot;
+                      rbuf = Bytes.create 65536;
                       conns = [];
                       queue = [];
                       queued = 0;

@@ -4,9 +4,9 @@
     {!Yali_exec.Pool} runtime (DESIGN.md §11).
 
     Batching never changes an answer: [predict_batch] is documented
-    bit-identical to mapping [predict] over the rows, and embeddings go
-    through the content-addressed cache — so the reply for a program is
-    the same at any [--jobs] setting, any batch size, and any request
+    bit-identical to mapping [predict] over the rows, and embedding is a
+    pure function of the module — so the reply for a program is the same
+    at any [--jobs] setting, any batch size, and any request
     interleaving.
 
     The pending queue is bounded: once [queue_cap] requests await

@@ -163,36 +163,44 @@ let read_frame fd =
   end
 
 module Dechunk = struct
-  type t = { mutable pending : string }
+  (* the pending bytes are [buf.[lo .. hi - 1]] *)
+  type t = { mutable buf : Bytes.t; mutable lo : int; mutable hi : int }
 
-  let create () = { pending = "" }
+  let create () = { buf = Bytes.create 4096; lo = 0; hi = 0 }
+
+  (* room for [n] more bytes after [hi]; the pending bytes move to the
+     front only here, into a doubled buffer when they do not fit as they
+     are, so each byte is copied a constant number of times *)
+  let reserve t n =
+    if t.hi + n > Bytes.length t.buf then begin
+      let live = t.hi - t.lo in
+      let cap = ref (Bytes.length t.buf) in
+      while live + n > !cap do
+        cap := 2 * !cap
+      done;
+      let buf =
+        if !cap > Bytes.length t.buf then Bytes.create !cap else t.buf
+      in
+      Bytes.blit t.buf t.lo buf 0 live;
+      t.buf <- buf;
+      t.lo <- 0;
+      t.hi <- live
+    end
 
   let feed t chunk n =
-    let buf = Buffer.create (String.length t.pending + n) in
-    Buffer.add_string buf t.pending;
-    Buffer.add_subbytes buf chunk 0 n;
-    let data = Buffer.contents buf in
-    let total = String.length data in
-    let frames = ref [] in
-    let pos = ref 0 in
-    let more = ref true in
-    while !more do
-      if total - !pos < 4 then more := false
-      else begin
-        let len =
-          let n32 = String.get_int32_le data !pos in
-          let n = Int32.to_int n32 land 0xffffffff in
-          if n > max_frame then
-            corrupt "frame of %d bytes exceeds max %d" n max_frame;
-          n
-        in
-        if total - !pos - 4 < len then more := false
+    reserve t n;
+    Bytes.blit chunk 0 t.buf t.hi n;
+    t.hi <- t.hi + n;
+    let rec cut frames =
+      if t.hi - t.lo < 4 then frames
+      else
+        let len = parse_header t.buf t.lo in
+        if t.hi - t.lo - 4 < len then frames
         else begin
-          frames := String.sub data (!pos + 4) len :: !frames;
-          pos := !pos + 4 + len
+          let frame = Bytes.sub_string t.buf (t.lo + 4) len in
+          t.lo <- t.lo + 4 + len;
+          cut (frame :: frames)
         end
-      end
-    done;
-    t.pending <- String.sub data !pos (total - !pos);
-    List.rev !frames
+    in
+    List.rev (cut [])
 end

@@ -65,7 +65,10 @@ val write_frame : Unix.file_descr -> string -> unit
 val read_frame : Unix.file_descr -> string option
 
 (** Incremental frame extraction for the server's [select] loop: feed
-    whatever [read] returned, get back every frame completed so far. *)
+    whatever [read] returned, get back every frame completed so far.
+    Pending bytes live in one growable buffer, so reassembling a frame
+    takes time linear in its length whatever the read size.  [feed]
+    copies what it keeps: the caller may reuse its chunk buffer. *)
 module Dechunk : sig
   type t
 

@@ -329,24 +329,38 @@ let test_trainers_pinned () =
         pinned_digests)
 
 (* Train-from-corpus end to end: the registry entry records the corpus spec
-   as provenance and survives encode/decode. *)
+   as provenance and survives encode/decode.  A corpus regenerated in place
+   at another seed, with the same shape, trains exactly as the same spec in
+   a fresh directory: the old feature file must not be reused. *)
 let test_train_records_provenance () =
+  let train dir =
+    match
+      Ctrain.train ~dir ~embedding:Embedding.histogram ~kind:"lr" ~seed:9 ()
+    with
+    | Error e -> Alcotest.failf "corpus train failed: %s" e
+    | Ok entry -> entry
+  in
   with_temp_dir (fun dir ->
       let spec = small_spec 8 in
       Gen.generate ~dir ~records_per_shard:5 spec;
-      match
-        Ctrain.train ~dir ~embedding:Embedding.histogram ~kind:"lr" ~seed:9 ()
-      with
-      | Error e -> Alcotest.failf "corpus train failed: %s" e
-      | Ok entry ->
-          let open Yali.Serve in
-          Alcotest.(check string) "provenance is the corpus spec"
-            (Gen.spec_to_string spec) entry.Registry.meta.source;
-          Alcotest.(check int) "rows recorded" (Gen.size spec)
-            entry.Registry.meta.n_train;
-          let back = Registry.decode_entry (Registry.encode_entry entry) in
-          Alcotest.(check string) "provenance survives the registry codec"
-            entry.Registry.meta.source back.Registry.meta.source)
+      let entry = train dir in
+      let open Yali.Serve in
+      Alcotest.(check string) "provenance is the corpus spec"
+        (Gen.spec_to_string spec) entry.Registry.meta.source;
+      Alcotest.(check int) "rows recorded" (Gen.size spec)
+        entry.Registry.meta.n_train;
+      let back = Registry.decode_entry (Registry.encode_entry entry) in
+      Alcotest.(check string) "provenance survives the registry codec"
+        entry.Registry.meta.source back.Registry.meta.source;
+      let spec' = small_spec 9 in
+      Gen.generate ~dir ~records_per_shard:5 spec';
+      let bytes dir =
+        Digest.to_hex (Digest.string (Model.save (train dir).Registry.snapshot))
+      in
+      with_temp_dir (fun fresh ->
+          Gen.generate ~dir:fresh ~records_per_shard:5 spec';
+          Alcotest.(check string) "regenerated corpus trains as a fresh one"
+            (bytes fresh) (bytes dir)))
 
 (* Output directories are created with their missing parents: a corpus and
    a registry two levels below an existing directory.  A parent that is a

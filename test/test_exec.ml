@@ -1,11 +1,10 @@
 (** Tests for the execution runtime (lib/exec): pool determinism at any
-    jobs setting — including through the full arena — the content-addressed
-    LRU cache, and telemetry accounting. *)
+    jobs setting — including through the full arena — and telemetry
+    accounting. *)
 
 open Helpers
 module Exec = Yali.Exec
 module Pool = Exec.Pool
-module Cache = Exec.Cache
 module Telemetry = Exec.Telemetry
 module Rng = Yali.Rng
 module G = Yali.Games
@@ -90,101 +89,6 @@ let test_arena_bit_identical_across_jobs () =
   Alcotest.(check int) "model size identical" a.model_bytes b.model_bytes;
   Alcotest.(check int) "n_train identical" a.n_train b.n_train;
   Alcotest.(check int) "n_test identical" a.n_test b.n_test
-
-(* -- cache ----------------------------------------------------------------- *)
-
-let test_cache_hits_and_lru_bound () =
-  let cache : int Cache.t = Cache.create ~capacity:2 () in
-  let computed = ref 0 in
-  let get key =
-    Cache.find_or_compute cache ~key (fun () ->
-        incr computed;
-        String.length key)
-  in
-  Alcotest.(check int) "first probe computes" 1 (get "a");
-  Alcotest.(check int) "second probe is a hit" 1 (get "a");
-  Alcotest.(check int) "computed once" 1 !computed;
-  ignore (get "bb");
-  ignore (get "ccc");
-  (* capacity 2: "a" was the least recently used entry and must be gone *)
-  Alcotest.(check int) "bounded size" 2 (Cache.length cache);
-  Alcotest.(check bool) "LRU victim evicted" true (Cache.find cache ~key:"a" = None);
-  Alcotest.(check bool) "recent keys survive" true
-    (Cache.find cache ~key:"bb" <> None && Cache.find cache ~key:"ccc" <> None);
-  ignore (get "a");
-  Alcotest.(check int) "evicted key recomputes" 4 !computed;
-  let s = Cache.stats cache in
-  Alcotest.(check int) "hit count" 1 s.hits;
-  Alcotest.(check int) "miss count" 4 s.misses;
-  Alcotest.(check int) "eviction count" 2 s.evictions;
-  Alcotest.(check bool) "hit rate in (0, 1)" true
-    (Cache.hit_rate s > 0.0 && Cache.hit_rate s < 1.0)
-
-(* Accounting under Pool concurrency.  The deterministic cases (cache.mli):
-   hits on pre-existing keys are exact at any jobs (the value is present, so
-   no probe can race a computation), and misses/evictions over pairwise
-   distinct fresh keys are exact (no two domains ever share a key, so each
-   key is computed and inserted exactly once).  Racing the SAME fresh key is
-   the one documented nondeterminism, so no case here does that. *)
-let test_cache_stats_under_pool_concurrency () =
-  let cache : int Cache.t = Cache.create ~capacity:64 () in
-  let n = 32 in
-  for i = 0 to n - 1 do
-    ignore (Cache.find_or_compute cache ~key:(string_of_int i) (fun () -> i))
-  done;
-  let s0 = Cache.stats cache in
-  Alcotest.(check int) "sequential fills are all misses" n s0.misses;
-  Alcotest.(check int) "no hits yet" 0 s0.hits;
-  Alcotest.(check int) "no evictions below capacity" 0 s0.evictions;
-  Alcotest.(check int) "live entries" n s0.size;
-  (* concurrent probes of existing keys: every one must count as a hit,
-     and the compute function must never run *)
-  let probes = 4 * n in
-  Pool.with_jobs 4 (fun () ->
-      Pool.run ~n:probes (fun i ->
-          let v =
-            Cache.find_or_compute cache
-              ~key:(string_of_int (i mod n))
-              (fun () -> Alcotest.fail "computed a cached key")
-          in
-          assert (v = i mod n)));
-  let s1 = Cache.stats cache in
-  Alcotest.(check int) "every concurrent probe is a hit" probes s1.hits;
-  Alcotest.(check int) "miss count unchanged" n s1.misses;
-  Alcotest.(check int) "eviction count unchanged" 0 s1.evictions;
-  (* concurrent misses on pairwise distinct fresh keys: miss count is
-     exact, and evictions = inserts - capacity however the LRU order
-     interleaved *)
-  let fresh = 96 in
-  Pool.with_jobs 4 (fun () ->
-      Pool.run ~n:fresh (fun i ->
-          ignore
-            (Cache.find_or_compute cache ~key:(Printf.sprintf "f%d" i)
-               (fun () -> i))));
-  let s2 = Cache.stats cache in
-  Alcotest.(check int) "distinct fresh keys all miss" (n + fresh) s2.misses;
-  Alcotest.(check int) "hits unchanged" probes s2.hits;
-  Alcotest.(check int) "cache filled to capacity" s2.capacity s2.size;
-  Alcotest.(check int) "evictions account for every displaced entry"
-    (n + fresh - s2.capacity) s2.evictions;
-  let expected_rate =
-    float_of_int s2.hits /. float_of_int (s2.hits + s2.misses)
-  in
-  Alcotest.(check (float 1e-12)) "hit rate is hits/probes" expected_rate
-    (Cache.hit_rate s2)
-
-let test_cache_repeated_embeddings_hit () =
-  let e = Yali.Embeddings.Embedding.histogram in
-  let m = lower (dataset_program 3) in
-  let m' = lower (dataset_program 3) in
-  (* structurally equal but physically distinct modules share one entry *)
-  let before = Yali.Embeddings.Embedding.flat_cache_stats () in
-  let v = Yali.Embeddings.Embedding.to_flat_cached e m in
-  let v' = Yali.Embeddings.Embedding.to_flat_cached e m' in
-  let after = Yali.Embeddings.Embedding.flat_cache_stats () in
-  Alcotest.(check (array (float 1e-12))) "same vector" v v';
-  Alcotest.(check bool) "re-embedding hits the cache" true
-    (after.hits > before.hits)
 
 (* -- telemetry ------------------------------------------------------------- *)
 
@@ -296,12 +200,6 @@ let suite =
       test_pool_propagates_exceptions;
     Alcotest.test_case "arena bit-identical at jobs=1 and jobs=4" `Slow
       test_arena_bit_identical_across_jobs;
-    Alcotest.test_case "cache hits and LRU bound" `Quick
-      test_cache_hits_and_lru_bound;
-    Alcotest.test_case "cache stats exact under pool concurrency" `Quick
-      test_cache_stats_under_pool_concurrency;
-    Alcotest.test_case "repeated embeddings hit the cache" `Quick
-      test_cache_repeated_embeddings_hit;
     Alcotest.test_case "telemetry counts scheduled tasks" `Quick
       test_telemetry_counts_tasks;
     Alcotest.test_case "telemetry spans and JSON report" `Quick

@@ -87,8 +87,13 @@ let test_arena_graph_model_runs () =
     G.Arena.run_graph (Rng.make 5) ~n_classes:3
       Yali.Embeddings.Embedding.cfg_compact G.Game.game0 split
   in
-  Alcotest.(check bool) "dgcnn produced a valid accuracy" true
-    (r.accuracy >= 0.0 && r.accuracy <= 1.0)
+  (* a pure function of its seeds: 9 challenges, so the accuracy is a
+     ninth *)
+  Alcotest.(check int) "challenge count" 9 r.n_test;
+  Alcotest.(check bool)
+    (Printf.sprintf "cfg_compact/dgcnn pinned at 2/9 (got %.6f)" r.accuracy)
+    true
+    (approx r.accuracy (2.0 /. 9.0))
 
 let test_game1_grid_regression () =
   (* a pinned evader×model corner of the Game 1 arena grid (fig. 7's
@@ -155,6 +160,21 @@ let test_discover_dataset3_confounded () =
 let test_malware_curve_shape () =
   let points = G.Malware.run ~seed_n:8 ~challenge_n:3 (Rng.make 7) Yali.Ml.Model.rf in
   Alcotest.(check int) "seven growth points" 7 (List.length points);
+  (* pinned: each point adds one 16-sample suite copy, and every
+     transformer's 6 challenges are classified correctly at every point *)
+  List.iteri
+    (fun k (p : G.Malware.curve_point) ->
+      Alcotest.(check int) (Printf.sprintf "point %d n_train" (k + 1))
+        (16 * (k + 1)) p.n_train;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "point %d hits per transformer" (k + 1))
+        (List.map
+           (fun t -> (t, 6))
+           [ "O0"; "O1"; "O2"; "O3"; "fla"; "bcf"; "sub" ])
+        (List.map
+           (fun (c : G.Malware.challenge_result) -> (c.tname, c.hits))
+           p.per_challenge))
+    points;
   let first = List.hd points and last = List.nth points 6 in
   Alcotest.(check bool) "training set grows" true (last.n_train > first.n_train);
   Alcotest.(check bool)

@@ -129,20 +129,17 @@ let test_wire_roundtrip () =
 
 let test_wire_dechunk () =
   let payloads = [ "alpha"; ""; String.make 300 'z' ] in
-  let stream =
-    String.concat ""
-      (List.map
-         (fun p ->
-           let b = Buffer.create 16 in
-           let len = String.length p in
-           Buffer.add_char b (Char.chr (len land 0xff));
-           Buffer.add_char b (Char.chr ((len lsr 8) land 0xff));
-           Buffer.add_char b (Char.chr ((len lsr 16) land 0xff));
-           Buffer.add_char b (Char.chr ((len lsr 24) land 0xff));
-           Buffer.add_string b p;
-           Buffer.contents b)
-         payloads)
+  let frame p =
+    let b = Buffer.create (String.length p + 4) in
+    let len = String.length p in
+    Buffer.add_char b (Char.chr (len land 0xff));
+    Buffer.add_char b (Char.chr ((len lsr 8) land 0xff));
+    Buffer.add_char b (Char.chr ((len lsr 16) land 0xff));
+    Buffer.add_char b (Char.chr ((len lsr 24) land 0xff));
+    Buffer.add_string b p;
+    Buffer.contents b
   in
+  let stream = String.concat "" (List.map frame payloads) in
   (* feed the byte stream one byte at a time: framing must not depend on
      read boundaries *)
   let got = ref [] in
@@ -153,6 +150,28 @@ let test_wire_dechunk () =
       got := !got @ frames)
     stream;
   Alcotest.(check (list string)) "byte-at-a-time framing" payloads !got;
+  (* one 16 MB frame in the daemon's 64 KB reads, through one reused read
+     buffer: reassembly must take time linear in the frame's length *)
+  let big =
+    frame (String.init (16 * 1024 * 1024) (fun i -> Char.chr (i * 7919 land 0xff)))
+  in
+  let d = Wire.Dechunk.create () and piece = Bytes.create 65536 in
+  let t0 = Unix.gettimeofday () in
+  let rec go pos acc =
+    if pos >= String.length big then acc
+    else begin
+      let k = min (Bytes.length piece) (String.length big - pos) in
+      Bytes.blit_string big pos piece 0 k;
+      go (pos + k) (acc @ Wire.Dechunk.feed d piece k)
+    end
+  in
+  let got = go 0 [] in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "16 MB frame byte-identical" true
+    (got = [ String.sub big 4 (String.length big - 4) ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "16 MB frame reassembled in %.2f s (< 1 s)" dt)
+    true (dt < 1.0);
   (* oversized header refused before allocating *)
   let huge = Bytes.of_string "\xff\xff\xff\xff" in
   Alcotest.(check bool) "oversized frame header rejected" true
@@ -407,8 +426,6 @@ let test_daemon_end_to_end () =
             | _ -> Alcotest.fail "corrupt blob must get an Error reply");
             (match Client.stats c with
             | Ok json ->
-                Alcotest.(check bool) "stats carry embed-cache accounting" true
-                  (contains_substring json "embed_cache");
                 Alcotest.(check bool) "stats carry batch histogram" true
                   (contains_substring json "batch_hist")
             | Error e -> Alcotest.failf "stats: %s" e);

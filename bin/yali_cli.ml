@@ -264,6 +264,10 @@ let dataset_cmd =
     Arg.(value & opt int 10 & info [ "per-class" ] ~doc:"Samples per class.")
   in
   let run seed out classes per_class =
+    let n_problems = List.length Yali.Dataset.Genprog.all in
+    if classes < 1 || classes > n_problems then
+      die ~code:2 "--classes must be in 1..%d, got %d" n_problems classes;
+    if per_class < 1 then die ~code:2 "--per-class must be positive";
     make_out_dir "--out" out;
     let rng = Rng.make seed in
     List.iteri
@@ -363,6 +367,8 @@ let play_cmd =
     Arg.(value & opt float 0.5 & info [ "threshold"; "k" ] ~doc:"Win threshold K.")
   in
   let run seed jobs telemetry game evader model classes train test threshold =
+    if train < 1 then die ~code:2 "--train must be positive";
+    if test < 1 then die ~code:2 "--test must be positive";
     configure_jobs jobs;
     configure_telemetry telemetry;
     let e =
@@ -457,6 +463,9 @@ let check_cmd =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-chunk progress.")
   in
   let run seed jobs telemetry engine deep per_pass out save corpus quiet =
+    (match per_pass with
+    | Some n when n < 0 -> die ~code:2 "--per-pass must be non-negative"
+    | _ -> ());
     configure_jobs jobs;
     configure_telemetry telemetry;
     configure_engine engine;

@@ -66,6 +66,14 @@ let prepare ?(log = ignore) (cfg : config) : prepared =
   Option.iter
     (fun kind -> invalid_arg ("adapt: model kind " ^ kind ^ " named twice"))
     (List.find_opt named_twice cfg.a_models);
+  (* no training rows leaves the scalers without means, and no challenges
+     leaves nothing to judge *)
+  let positive flag n =
+    if n < 1 then
+      invalid_arg (Printf.sprintf "adapt: %s must be positive, got %d" flag n)
+  in
+  positive "--train-per-class" cfg.a_train_per_class;
+  positive "--challenges-per-class" cfg.a_challenges_per_class;
   let rng = Rng.make cfg.a_seed in
   let data_rng = Rng.split_ix rng 0 in
   let train_rng = Rng.split_ix rng 1 in

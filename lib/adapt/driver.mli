@@ -31,7 +31,8 @@ type prepared = {
   p_n_train : int;
 }
 
-(** @raise Invalid_argument when [a_models] names a kind twice *)
+(** @raise Invalid_argument when [a_models] names a kind twice, or a
+    per-class count is below 1 *)
 val prepare : ?log:(string -> unit) -> config -> prepared
 
 (** The in-process margins oracle of a snapshot (embed, then

@@ -105,8 +105,10 @@ let evaluate ~(oracle : Yali_ir.Irmod.t -> float array) ~(lambda : float)
           Array.mapi
             (fun j input ->
               let o = runm ~fuel:(fuel * fuel_headroom) input in
-              if Interp.observe o <> ch.ch_base.(j) then
-                failwith "behaviour diverged";
+              if
+                not
+                  (Interp.equal_observation (Interp.observe o) ch.ch_base.(j))
+              then failwith "behaviour diverged";
               o.Interp.cost)
             ch.ch_inputs
         with

@@ -419,5 +419,7 @@ let observe (o : outcome) : int64 list * float list * string =
   in
   (o.output, o.foutput, ev)
 
+let equal_observation a b = Stdlib.compare a b = 0
+
 let equal_behaviour (a : outcome) (b : outcome) : bool =
-  observe a = observe b
+  equal_observation (observe a) (observe b)

@@ -66,5 +66,11 @@ val run : ?fuel:int -> Irmod.t -> int64 list -> outcome
     value. *)
 val observe : outcome -> int64 list * float list * string
 
+(** Observations agree when [Stdlib.compare] finds them equal, so a
+    printed NaN equals itself (under polymorphic [=] a run that prints NaN
+    would differ from itself). *)
+val equal_observation :
+  int64 list * float list * string -> int64 list * float list * string -> bool
+
 (** Two runs are behaviourally equal when their observations agree. *)
 val equal_behaviour : outcome -> outcome -> bool

@@ -12,6 +12,30 @@ exception Parse_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* Number conversions and lookups that fail with [Parse_error], never with
+   [Failure] or [Not_found]. *)
+let int_of (tok : string) : int =
+  match int_of_string_opt tok with
+  | Some n -> n
+  | None -> err "bad integer %S" tok
+
+let int64_of (tok : string) : int64 =
+  match Int64.of_string_opt tok with
+  | Some n -> n
+  | None -> err "bad integer %S" tok
+
+let float_of (tok : string) : float =
+  match float_of_string_opt tok with
+  | Some x -> x
+  | None -> err "bad float %S" tok
+
+(* positions of the first '(' at or after [from] and of the last ')' after
+   it, as in "@f(args)" *)
+let parens (line : string) (from : int) : int * int =
+  match (String.index_from_opt line from '(', String.rindex_opt line ')') with
+  | Some o, Some c when c > o -> (o, c)
+  | _ -> err "unbalanced parentheses in %S" line
+
 (* -- lexing helpers (line oriented) --------------------------------------- *)
 
 let strip s = String.trim s
@@ -41,7 +65,7 @@ let parse_type (s : string) : Types.t =
           let inner = String.sub s 1 (String.length s - 2) in
           (match String.index_opt inner 'x' with
           | Some k ->
-              let n = int_of_string (strip (String.sub inner 0 k)) in
+              let n = int_of (strip (String.sub inner 0 k)) in
               let elt = strip (String.sub inner (k + 1) (String.length inner - k - 1)) in
               Types.Arr (go elt, n)
           | None -> err "bad array type %S" s)
@@ -54,7 +78,7 @@ let parse_operand ?(ty = Types.I32) (tok : string) : Value.t =
   if tok = "" then err "empty operand"
   else if tok = "undef" then Value.Undef ty
   else if tok.[0] = '%' then
-    Value.Var (int_of_string (String.sub tok 1 (String.length tok - 1)))
+    Value.Var (int_of (String.sub tok 1 (String.length tok - 1)))
   else if tok.[0] = '@' then
     Value.Global (String.sub tok 1 (String.length tok - 1))
   else if
@@ -63,8 +87,8 @@ let parse_operand ?(ty = Types.I32) (tok : string) : Value.t =
     || (String.contains tok 'x' && String.length tok > 1 && tok.[0] = '0')
     || String.contains tok 'n' (* nan *)
     || String.contains tok 'i' (* infinity *)
-  then Value.FConst (float_of_string tok)
-  else Value.IConst (ty, Int64.of_string tok)
+  then Value.FConst (float_of tok)
+  else Value.IConst (ty, int64_of tok)
 
 let ibin_of_string = function
   | "add" -> Some Instr.Add | "sub" -> Some Instr.Sub | "mul" -> Some Instr.Mul
@@ -104,16 +128,14 @@ let cast_of_string = function
 
 (* "%5 = rest" -> (5, "rest"); no '=' -> (-1, line) *)
 let split_dest (line : string) : int * string =
+  let dest k =
+    if line.[0] = '%' && not (String.contains (String.sub line 0 k) '(') then
+      int_of_string_opt (strip (String.sub line 1 (k - 1)))
+    else None
+  in
   match String.index_opt line '=' with
-  | Some k
-    when String.length line > 1
-         && line.[0] = '%'
-         && (not (String.contains (String.sub line 0 k) '('))
-         && String.trim (String.sub line 1 (k - 1)) <> ""
-         && (match int_of_string_opt (strip (String.sub line 1 (k - 1))) with
-            | Some _ -> true
-            | None -> false) ->
-      ( int_of_string (strip (String.sub line 1 (k - 1))),
+  | Some k when dest k <> None ->
+      ( Option.get (dest k),
         strip (String.sub line (k + 1) (String.length line - k - 1)) )
   | _ -> (Instr.no_result, strip line)
 
@@ -218,8 +240,7 @@ let parse_instr_line (line : string) : Instr.t =
           | None -> err "bad call %S" line
           | Some at ->
               let ty = parse_type (String.sub after 0 at) in
-              let opn = String.index_from after at '(' in
-              let close = String.rindex after ')' in
+              let opn, close = parens after at in
               let callee = String.sub after (at + 1) (opn - at - 1) in
               let args = String.sub after (opn + 1) (close - opn - 1) in
               let args = List.map (fun a -> parse_operand a) (split_commas args) in
@@ -303,7 +324,11 @@ let parse_terminator (line : string) : Instr.terminator =
       | None -> err "bad switch %S" line
       | Some o ->
           let head = String.sub line 0 o in
-          let close = String.rindex line ']' in
+          let close =
+            match String.rindex_opt line ']' with
+            | Some c when c > o -> c
+            | _ -> err "bad switch %S" line
+          in
           let body = String.sub line (o + 1) (close - o - 1) in
           let head_toks = split_ws head in
           (match head_toks with
@@ -315,7 +340,7 @@ let parse_terminator (line : string) : Instr.terminator =
                   | [] -> []
                   | k :: l :: rest ->
                       let k = String.sub k 0 (String.length k - 1) in
-                      (Int64.of_string k, parse_label_ref l) :: go rest
+                      (int64_of k, parse_label_ref l) :: go rest
                   | _ -> err "bad switch cases %S" body
                 in
                 go toks
@@ -392,9 +417,12 @@ let parse_module (src : string) : Irmod.t =
       else if String.length line >= 7 && String.sub line 0 7 = "define " then begin
         close_func ();
         (* define <ty> @name(<ty> %N, ...) { *)
-        let at = String.index line '@' in
-        let opn = String.index_from line at '(' in
-        let close = String.rindex line ')' in
+        let at =
+          match String.index_opt line '@' with
+          | Some at -> at
+          | None -> err "bad define %S" line
+        in
+        let opn, close = parens line at in
         cur_ret := parse_type (String.sub line 7 (at - 7));
         cur_name := String.sub line (at + 1) (opn - at - 1);
         let params_s = String.sub line (opn + 1) (close - opn - 1) in
@@ -404,7 +432,7 @@ let parse_module (src : string) : Irmod.t =
                (fun p ->
                  match split_ws p with
                  | [ ty; v ] when String.length v > 1 && v.[0] = '%' ->
-                     ( int_of_string (String.sub v 1 (String.length v - 1)),
+                     ( int_of (String.sub v 1 (String.length v - 1)),
                        parse_type ty )
                  | _ -> err "bad parameter %S" p)
                (split_commas params_s))

@@ -25,9 +25,18 @@
     every operand at the call boundary (no flambda), so all of [Ibin]
     (every width), [Icmp]/[Fbin]/[Fneg]/[Fcmp], casts and [normalize] are
     mirrored inline here, each a line-for-line transcription of the
-    corresponding [Interp] case.  The differential property is the proof that the
-    mirror has not drifted: it compares both engines on random programs
-    across every pipeline variant, steps and cost included.
+    corresponding [Interp] case, except that [Ibin] and [Cast] take the
+    width once in [compile] and mask and wrap by shifts ([mask], [wrap]).
+    The differential property is the proof that the mirror has not
+    drifted: it compares both engines on random programs across every
+    pipeline variant, steps and cost included; the test "integer operators
+    at every width" pins every integer operator at each width.
+
+    {b One arm per instruction kind.}  Each IR instruction kind compiles
+    to one constructor with one dispatch arm, which matches the operator,
+    predicate or cast inside.  Per-operator and per-width constructors and
+    fused superinstructions paid only on loop-heavy microbenchmarks, so
+    both were deleted (DESIGN.md §13).
 
     {b Charging}: the interpreter charges (step + cost, then fuel check)
     {e before} evaluating each instruction and terminator; the dispatch
@@ -95,50 +104,15 @@ type intrinsic =
   | Min
   | Max
 
-(* One flattened instruction.  First field of value-producing forms is the
-   destination slot (-1: discard).  The [*64] constructors are the
-   specialised forms for 64-bit-wide types, where [Interp.normalize] is
-   the identity and the width masks are no-ops; narrow widths keep the
-   generic [Ibin].  Integer compares are width-independent
-   ([Interp.eval_icmp] ignores the type), so they specialise always.
-   Splitting each operator into its own constructor matters: the
-   operator sub-match would be a second data-dependent indirect branch
-   per instruction, as mispredictable as the main dispatch.  Calls are
-   pre-bound: [Call_intr] to an intrinsic tag, [Call_fn] to a function
-   index, [Call_bad] to the exact trap the interpreter raises after
-   evaluating the arguments. *)
+(* One flattened instruction: one constructor, and one dispatch arm, per
+   IR instruction kind; the operator, predicate or cast is matched inside
+   the arm.  First field of value-producing forms is the destination slot
+   (-1: discard).  Calls are pre-bound: [Call_intr] to an intrinsic tag,
+   [Call_fn] to a function index, [Call_bad] to the exact trap the
+   interpreter raises after evaluating the arguments. *)
 type inst =
-  | Add64 of int * operand * operand
-  | Sub64 of int * operand * operand
-  | Mul64 of int * operand * operand
-  | Sdiv64 of int * operand * operand
-  | Srem64 of int * operand * operand
-  | Udiv64 of int * operand * operand
-  | Urem64 of int * operand * operand
-  | Shl64 of int * operand * operand
-  | Lshr64 of int * operand * operand
-  | Ashr64 of int * operand * operand
-  | And64 of int * operand * operand
-  | Or64 of int * operand * operand
-  | Xor64 of int * operand * operand
-  (* 32-bit add/sub/mul (mini-C [int] — the single hottest arithmetic
-     width): [Interp.eval_ibin]'s masks are no-ops for these ops, so the
-     arm is op + inline [normalize I32].  Other narrow ops stay on the
-     generic [Ibin], whose arm transcribes [eval_ibin] inline. *)
-  | Add32 of int * operand * operand
-  | Sub32 of int * operand * operand
-  | Mul32 of int * operand * operand
-  | Ieq of int * operand * operand
-  | Ine of int * operand * operand
-  | Islt of int * operand * operand
-  | Isle of int * operand * operand
-  | Isgt of int * operand * operand
-  | Isge of int * operand * operand
-  | Iult of int * operand * operand
-  | Iule of int * operand * operand
-  | Iugt of int * operand * operand
-  | Iuge of int * operand * operand
-  | Ibin of int * Types.t * Instr.ibin * operand * operand
+  | Ibin of int * int * Instr.ibin * operand * operand  (* dst, width *)
+  | Icmp of int * Instr.icmp * operand * operand
   | Fbin of int * Instr.fbin * operand * operand
   | Fneg of int * operand
   | Fcmp of int * Instr.fcmp * operand * operand
@@ -150,7 +124,7 @@ type inst =
   | Call_intr of int * intrinsic * operand array
   | Call_fn of int * int * operand array
   | Call_bad of operand array * string
-  | Cast of int * Instr.cast * Types.t * operand
+  | Cast of int * Instr.cast * int * operand  (* dst, cast, width *)
   | Freeze of int * operand
   | Ret of operand
   | Ret_void
@@ -214,6 +188,11 @@ let strides_of (base_ty : Types.t) (n : int) : int array =
         ty := t)
   done;
   out
+
+(* The width [Interp.eval_ibin] takes for a type ([Types.width], or 64
+   for a non-integer type, where [Interp.normalize] is the identity too). *)
+let width (ty : Types.t) : int =
+  match ty with Types.I1 -> 1 | Types.I8 -> 8 | Types.I32 -> 32 | _ -> 64
 
 let compile (m : Irmod.t) : program =
   let funcs = Array.of_list m.funcs in
@@ -378,47 +357,12 @@ let compile (m : Irmod.t) : program =
                   match k with
                   | Instr.Phi _ -> assert false
                   | Instr.Ibin (op, a, b') ->
-                      (* [eval_ibin] reduces to raw 64-bit ops whenever the
-                         type's width is 64 (or non-integral, same fallback) *)
-                      let w = try Types.width i.ty with _ -> 64 in
-                      let a = resolve a and b' = resolve b' in
-                      if w <> 64 then (
-                        match (w, op) with
-                        | 32, Instr.Add -> Add32 (dst, a, b')
-                        | 32, Instr.Sub -> Sub32 (dst, a, b')
-                        | 32, Instr.Mul -> Mul32 (dst, a, b')
-                        | _ -> Ibin (dst, i.ty, op, a, b'))
-                      else (
-                        match op with
-                        | Instr.Add -> Add64 (dst, a, b')
-                        | Instr.Sub -> Sub64 (dst, a, b')
-                        | Instr.Mul -> Mul64 (dst, a, b')
-                        | Instr.SDiv -> Sdiv64 (dst, a, b')
-                        | Instr.SRem -> Srem64 (dst, a, b')
-                        | Instr.UDiv -> Udiv64 (dst, a, b')
-                        | Instr.URem -> Urem64 (dst, a, b')
-                        | Instr.Shl -> Shl64 (dst, a, b')
-                        | Instr.LShr -> Lshr64 (dst, a, b')
-                        | Instr.AShr -> Ashr64 (dst, a, b')
-                        | Instr.And -> And64 (dst, a, b')
-                        | Instr.Or -> Or64 (dst, a, b')
-                        | Instr.Xor -> Xor64 (dst, a, b'))
+                      Ibin (dst, width i.ty, op, resolve a, resolve b')
                   | Instr.Fbin (op, a, b') ->
                       Fbin (dst, op, resolve a, resolve b')
                   | Instr.Fneg a -> Fneg (dst, resolve a)
-                  | Instr.Icmp (p, a, b') -> (
-                      let a = resolve a and b' = resolve b' in
-                      match p with
-                      | Instr.Eq -> Ieq (dst, a, b')
-                      | Instr.Ne -> Ine (dst, a, b')
-                      | Instr.Slt -> Islt (dst, a, b')
-                      | Instr.Sle -> Isle (dst, a, b')
-                      | Instr.Sgt -> Isgt (dst, a, b')
-                      | Instr.Sge -> Isge (dst, a, b')
-                      | Instr.Ult -> Iult (dst, a, b')
-                      | Instr.Ule -> Iule (dst, a, b')
-                      | Instr.Ugt -> Iugt (dst, a, b')
-                      | Instr.Uge -> Iuge (dst, a, b'))
+                  | Instr.Icmp (p, a, b') ->
+                      Icmp (dst, p, resolve a, resolve b')
                   | Instr.Fcmp (p, a, b') ->
                       Fcmp (dst, p, resolve a, resolve b')
                   | Instr.Alloca ty -> Alloca (dst, Types.size_in_cells ty)
@@ -467,7 +411,7 @@ let compile (m : Irmod.t) : program =
                                        for %d params"
                                       callee (Array.length rargs) nparams )
                               else Call_fn (dst, fix, rargs)))
-                  | Instr.Cast (c, a) -> Cast (dst, c, i.ty, resolve a)
+                  | Instr.Cast (c, a) -> Cast (dst, c, width i.ty, resolve a)
                   | Instr.Freeze a -> Freeze (dst, resolve a)
                 in
                 emit inst (Opcode.cost (Instr.opcode i)))
@@ -632,19 +576,17 @@ let[@inline] setf (fr : bank) (dst : int) (x : float) =
 let[@inline] ult (x : int64) (y : int64) =
   Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
 
-(* Interp.normalize, transcribed (cross-module calls would re-box). *)
-let[@inline] norm32 (n : int64) : int64 =
-  let v = Int64.logand n 0xFFFFFFFFL in
-  if v > 0x7FFFFFFFL then Int64.sub v 0x1_0000_0000L else v
+(* Interp.eval_ibin's [mask_to_width] and [Interp.normalize] at width [w]
+   (1, 8, 32 or 64), by shifts: the low [w] bits, and those bits
+   sign-extended (i1 stays 0 or 1).  Both are the identity at 64.  A match
+   on the type here would be a second data-dependent branch in every
+   [Ibin]. *)
+let[@inline] mask (w : int) (n : int64) : int64 =
+  Int64.shift_right_logical (Int64.shift_left n (64 - w)) (64 - w)
 
-let[@inline] norm (ty : Types.t) (n : int64) : int64 =
-  match ty with
-  | Types.I1 -> Int64.logand n 1L
-  | Types.I8 ->
-      let v = Int64.logand n 0xFFL in
-      if v > 0x7FL then Int64.sub v 0x100L else v
-  | Types.I32 -> norm32 n
-  | _ -> n
+let[@inline] wrap (w : int) (n : int64) : int64 =
+  if w = 1 then Int64.logand n 1L
+  else Int64.shift_right (Int64.shift_left n (64 - w)) (64 - w)
 
 let take_edge_slow (st : state) (frame : bank) (e : edge) : int =
   if e.e_charge > 0 then (
@@ -751,102 +693,12 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
     let cost = cost0 + Array.unsafe_get costs k in
     if steps > fuel then raise Interp.Out_of_fuel;
     match Array.unsafe_get code k with
-    (* Interp.eval_ibin at width 64: masks and normalize are no-ops.
-       Operand order everywhere: [y] (right) fetched before [x] (left). *)
-    | Add64 (dst, a, b) ->
+    | Ibin (dst, w, op, a, b) ->
+        (* Interp.eval_ibin, transcribed (the cross-module call would box
+           both operands).  Operand order everywhere: [y] (right) fetched
+           before [x] (left). *)
         let y = geti frame b in
         let x = geti frame a in
-        seti frame dst (Int64.add x y);
-        loop (k + 1) steps cost brk
-    | Sub64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (Int64.sub x y);
-        loop (k + 1) steps cost brk
-    | Mul64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (Int64.mul x y);
-        loop (k + 1) steps cost brk
-    | Sdiv64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        if y = 0L then raise (Interp.Trap "division by zero");
-        seti frame dst (Int64.div x y);
-        loop (k + 1) steps cost brk
-    | Srem64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        if y = 0L then raise (Interp.Trap "division by zero");
-        seti frame dst (Int64.rem x y);
-        loop (k + 1) steps cost brk
-    | Udiv64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        if y = 0L then raise (Interp.Trap "division by zero");
-        seti frame dst (Int64.unsigned_div x y);
-        loop (k + 1) steps cost brk
-    | Urem64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        if y = 0L then raise (Interp.Trap "division by zero");
-        seti frame dst (Int64.unsigned_rem x y);
-        loop (k + 1) steps cost brk
-    | Shl64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst
-          (Int64.shift_left x (Int64.to_int (Int64.logand y 63L)));
-        loop (k + 1) steps cost brk
-    | Lshr64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst
-          (Int64.shift_right_logical x (Int64.to_int (Int64.logand y 63L)));
-        loop (k + 1) steps cost brk
-    | Ashr64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst
-          (Int64.shift_right x (Int64.to_int (Int64.logand y 63L)));
-        loop (k + 1) steps cost brk
-    | And64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (Int64.logand x y);
-        loop (k + 1) steps cost brk
-    | Or64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (Int64.logor x y);
-        loop (k + 1) steps cost brk
-    | Xor64 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (Int64.logxor x y);
-        loop (k + 1) steps cost brk
-    | Add32 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (norm32 (Int64.add x y));
-        loop (k + 1) steps cost brk
-    | Sub32 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (norm32 (Int64.sub x y));
-        loop (k + 1) steps cost brk
-    | Mul32 (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (norm32 (Int64.mul x y));
-        loop (k + 1) steps cost brk
-    | Ibin (dst, ty, op, a, b) ->
-        (* Interp.eval_ibin at widths < 64, transcribed (the cross-module
-           call would box both operands). *)
-        let y = geti frame b in
-        let x = geti frame a in
-        let w = match ty with Types.I1 -> 1 | Types.I8 -> 8 | _ -> 32 in
-        let mask = Int64.sub (Int64.shift_left 1L w) 1L in
         let r =
           match op with
           | Instr.Add -> Int64.add x y
@@ -860,14 +712,14 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
               Int64.rem x y
           | Instr.UDiv ->
               if y = 0L then raise (Interp.Trap "division by zero");
-              Int64.unsigned_div (Int64.logand x mask) (Int64.logand y mask)
+              Int64.unsigned_div (mask w x) (mask w y)
           | Instr.URem ->
               if y = 0L then raise (Interp.Trap "division by zero");
-              Int64.unsigned_rem (Int64.logand x mask) (Int64.logand y mask)
+              Int64.unsigned_rem (mask w x) (mask w y)
           | Instr.Shl ->
               Int64.shift_left x (Int64.to_int (Int64.logand y 63L))
           | Instr.LShr ->
-              Int64.shift_right_logical (Int64.logand x mask)
+              Int64.shift_right_logical (mask w x)
                 (Int64.to_int (Int64.logand y 63L))
           | Instr.AShr ->
               Int64.shift_right x (Int64.to_int (Int64.logand y 63L))
@@ -875,7 +727,7 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
           | Instr.Or -> Int64.logor x y
           | Instr.Xor -> Int64.logxor x y
         in
-        seti frame dst (norm ty r);
+        seti frame dst (wrap w r);
         loop (k + 1) steps cost brk
     | Fbin (dst, op, a, b) ->
         let y = getf frame b in
@@ -891,55 +743,24 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
     | Fneg (dst, a) ->
         setf frame dst (-.getf frame a);
         loop (k + 1) steps cost brk
-    | Ieq (dst, a, b) ->
+    | Icmp (dst, p, a, b) ->
+        (* Interp.eval_icmp, transcribed; it ignores the width *)
         let y = geti frame b in
         let x = geti frame a in
-        seti frame dst (if x = y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Ine (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if x <> y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Islt (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if x < y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Isle (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if x <= y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Isgt (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if x > y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Isge (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if x >= y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Iult (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if ult x y then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Iule (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if ult y x then 0L else 1L);
-        loop (k + 1) steps cost brk
-    | Iugt (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if ult y x then 1L else 0L);
-        loop (k + 1) steps cost brk
-    | Iuge (dst, a, b) ->
-        let y = geti frame b in
-        let x = geti frame a in
-        seti frame dst (if ult x y then 0L else 1L);
+        let r =
+          match p with
+          | Instr.Eq -> x = y
+          | Instr.Ne -> x <> y
+          | Instr.Slt -> x < y
+          | Instr.Sle -> x <= y
+          | Instr.Sgt -> x > y
+          | Instr.Sge -> x >= y
+          | Instr.Ult -> ult x y
+          | Instr.Ule -> not (ult y x)
+          | Instr.Ugt -> ult y x
+          | Instr.Uge -> not (ult x y)
+        in
+        seti frame dst (if r then 1L else 0L);
         loop (k + 1) steps cost brk
     | Fcmp (dst, p, a, b) ->
         let y = getf frame b in
@@ -1032,16 +853,16 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
     | Call_bad (args, msg) ->
         Array.iter (fun o -> ignore (gtag frame o)) args;
         raise (Interp.Trap msg)
-    | Cast (dst, c, ty, a) ->
+    | Cast (dst, c, w, a) ->
         (* Interp.eval_cast, transcribed case by case *)
         (match c with
         | Instr.Trunc | Instr.ZExt | Instr.SExt ->
-            seti frame dst (norm ty (geti frame a))
+            seti frame dst (wrap w (geti frame a))
         | Instr.FPTrunc | Instr.FPExt -> setf frame dst (getf frame a)
         | Instr.FPToUI | Instr.FPToSI ->
             let x = getf frame a in
             if x <> x (* nan *) then seti frame dst 0L
-            else seti frame dst (norm ty (Int64.of_float x))
+            else seti frame dst (wrap w (Int64.of_float x))
         | Instr.UIToFP | Instr.SIToFP ->
             setf frame dst (Int64.to_float (geti frame a))
         | Instr.PtrToInt ->

@@ -41,8 +41,8 @@
     [run m i] and [Interp.run m i] return equal {!Interp.outcome}s (output,
     foutput, exit value, steps, {e and} abstract cost) or raise the same
     exception, including the [Trap] message and [Trap]-vs-[Out_of_fuel]
-    classification.  The hot evaluators ([normalize], 64-bit [eval_ibin],
-    compares, casts) are mirrored inline for unboxed execution — a
+    classification.  The hot evaluators ([normalize], [eval_ibin] at every
+    width, compares, casts) are mirrored inline for unboxed execution — a
     cross-module call would re-box every operand — and the [Check.Oracles]
     differential property is the standing proof that the mirror has not
     drifted from the oracle.

@@ -28,6 +28,7 @@ DIRECTIONS = [
     ("per_sec", +1),
     ("throughput", +1),
     ("speedup", +1),
+    ("mips", +1),
     ("accuracy", +1),
     # fig5 per-model entries (bench fig5 --json) and the nn gate's
     # throughput/speedup fields otherwise fall through to the generic
@@ -47,6 +48,11 @@ DIRECTIONS = [
     ("_mib", -1),
     ("bytes", -1),
 ]
+
+# A trailing engine tag names which engine a metric measured, not what the
+# metric is: "mips_vm" and "execs_per_s_ref" are judged by "mips" and
+# "execs_per_s".
+ENGINE_TAGS = ("_vm", "_ref", "_fmat")
 
 # Relative change below this is reported as "~" (noise floor for shared CI
 # runners; quick-mode runs jitter well past a few percent).
@@ -101,6 +107,10 @@ def load_dir(path):
 
 def direction(path):
     leaf = path.rsplit(".", 1)[-1].rsplit(":", 1)[-1].lower()
+    for tag in ENGINE_TAGS:
+        if leaf.endswith(tag):
+            leaf = leaf[: -len(tag)]
+            break
     for suffix, sign in DIRECTIONS:
         if leaf.endswith(suffix):
             return sign

@@ -65,6 +65,11 @@ let source_preserves_behaviour ?(fuel = 4_000_000)
   let o = Ir.Interp.run ~fuel:(fuel * 8) (lower p') input in
   Ir.Interp.equal_behaviour base o
 
+(** A program that prints NaN: its run must equal itself, though
+    [nan <> nan]. *)
+let prints_nan =
+  "int main() { double z = 0.0; double q = z / z; print_float(q); return 0; }"
+
 let qtest ?(count = 60) name prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name QCheck.small_int prop)

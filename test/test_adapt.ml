@@ -99,7 +99,18 @@ let test_front_exactly_non_dominated =
 
 let test_front_drops_rejected () =
   let f = Pareto.front [ Fitness.rejected []; Fitness.rejected [ Seqspace.Fla ] ] in
-  Alcotest.(check int) "only rejected candidates: empty front" 0 (List.length f)
+  Alcotest.(check int) "only rejected candidates: empty front" 0 (List.length f);
+  (* the passive evader keeps behaviour, even when the program prints NaN *)
+  match Fitness.challenge (Rng.make 1) ~label:0 (lower (parse prints_nan)) with
+  | Error e -> Alcotest.failf "NaN challenge: %s" e
+  | Ok ch ->
+      let e =
+        Fitness.evaluate ~oracle:(fun _ -> [| 1.0; 0.0 |]) ~lambda:0.0
+          ~fuel:100_000 [| ch |] (Rng.make 2) []
+      in
+      Alcotest.(check bool) "empty sequence on a NaN challenge not rejected"
+        true
+        (Float.is_finite e.Fitness.e_fitness)
 
 (* -- search strategies ----------------------------------------------------- *)
 
@@ -210,13 +221,21 @@ let test_driver_report_json_shape () =
       "cost_multiplier"; "evasion_rate"; "front_points";
     ]
 
-(* a kind named twice would have two searches share one daemon socket *)
+(* a kind named twice would have two searches share one daemon socket;
+   zero training rows or zero challenges leave nothing to search *)
 let test_prepare_rejects_repeated_kind () =
-  match Driver.prepare { tiny_cfg with a_models = [ "rf"; "lr"; "rf" ] } with
-  | _ -> Alcotest.fail "a config naming rf twice was prepared"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) ("names the kind: " ^ msg) true
-        (contains_substring msg "rf")
+  let rejects what cfg needle =
+    match Driver.prepare cfg with
+    | _ -> Alcotest.failf "a config with %s was prepared" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) (what ^ ": " ^ msg) true
+          (contains_substring msg needle)
+  in
+  rejects "rf named twice" { tiny_cfg with a_models = [ "rf"; "lr"; "rf" ] } "rf";
+  rejects "no training rows" { tiny_cfg with a_train_per_class = 0 }
+    "--train-per-class";
+  rejects "no challenges" { tiny_cfg with a_challenges_per_class = 0 }
+    "--challenges-per-class"
 
 (* margins answered by daemons (this binary in its hidden daemon mode)
    give the in-process report, bit for bit *)

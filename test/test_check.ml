@@ -157,7 +157,16 @@ let test_validate_real_pass () =
       | Tv.Miscompiled k ->
           Alcotest.failf "constfold miscompiled (seed %d): %s" seed
             (Tv.failure_kind_to_string k))
-    [ 21; 22; 23 ]
+    [ 21; 22; 23 ];
+  (* O0 applies no stage, so a program printing NaN must validate *)
+  match
+    Tv.validate (Option.get (Passdb.find "O0")) (Rng.make 1)
+      (Yali.parse Helpers.prints_nan)
+  with
+  | Tv.Valid -> ()
+  | Tv.Bad_baseline e -> Alcotest.failf "NaN program: bad baseline: %s" e
+  | Tv.Miscompiled k ->
+      Alcotest.failf "NaN program fails O0: %s" (Tv.failure_kind_to_string k)
 
 (* A deliberately planted miscompile, as a test-only entry: an off-by-one
    "strength reduction" that rewrites [x + c] into [x + (c+1)].

@@ -179,7 +179,9 @@ let test_behaviour_equality () =
   let b = run_src "int main() { print_int(1); return 2; }" in
   let c = run_src "int main() { print_int(1); return 3; }" in
   Alcotest.(check bool) "equal" true (Ir.Interp.equal_behaviour a b);
-  Alcotest.(check bool) "different exit" false (Ir.Interp.equal_behaviour a c)
+  Alcotest.(check bool) "different exit" false (Ir.Interp.equal_behaviour a c);
+  Alcotest.(check bool) "a run printing NaN equals itself" true
+    (Ir.Interp.equal_behaviour (run_src prints_nan) (run_src prints_nan))
 
 let suite =
   [

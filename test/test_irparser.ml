@@ -93,6 +93,34 @@ let test_parse_rejects_garbage () =
     | exception Ir.Parser.Parse_error _ -> true
     | _ -> false)
 
+(* Every one-character substitution of a printed module either parses or
+   raises [Parse_error]: no [Failure], [Not_found] or [Invalid_argument]
+   escapes, so [yali opt] reports a bad file instead of crashing. *)
+let test_substitutions_typed_errors () =
+  let txt =
+    Ir.Pp.module_to_string
+      (lower
+         (parse
+            "int sq(int x) { return x * x; }\n\
+             int main() { int s = sq(read_int()); double d = 1.5;\n\
+             if (s < 3) { print_float(d * s); } return s; }"))
+  in
+  let alphabet = "x%@nia.:0123456789 ,[]()={}\n" in
+  let b = Bytes.of_string txt in
+  String.iteri
+    (fun pos orig ->
+      String.iter
+        (fun c ->
+          Bytes.set b pos c;
+          (match Ir.Parser.parse_module (Bytes.to_string b) with
+          | _ | (exception Ir.Parser.Parse_error _) -> ()
+          | exception e ->
+              Alcotest.failf "byte %d set to %C: %s leaked from\n%s" pos c
+                (Printexc.to_string e) (Bytes.to_string b));
+          Bytes.set b pos orig)
+        alphabet)
+    txt
+
 let test_parse_types () =
   Alcotest.(check bool) "ptr" true (Ir.Parser.parse_type "i32*" = Ir.Types.Ptr Ir.Types.I32);
   Alcotest.(check bool) "arr" true
@@ -110,4 +138,6 @@ let suite =
     Alcotest.test_case "parse switch + global" `Quick test_parse_switch_and_global;
     Alcotest.test_case "rejects garbage" `Quick test_parse_rejects_garbage;
     Alcotest.test_case "parse types" `Quick test_parse_types;
+    Alcotest.test_case "substitutions raise only Parse_error" `Quick
+      test_substitutions_typed_errors;
   ]

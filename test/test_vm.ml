@@ -155,6 +155,93 @@ e:
     (exit_of "i8 udiv" r = Interp.RInt 15L)
 
 (* ------------------------------------------------------------------ *)
+(* Every integer operator at every width                               *)
+(* ------------------------------------------------------------------ *)
+
+(* the edges of every width: around 0, the shift amounts and the signed
+   and unsigned limits of i8, i32 and i64 *)
+let operands =
+  [ 0L; 1L; -1L; 2L; 7L; 63L; 64L; 65L; 127L; 128L; -128L; 255L; 256L;
+    0x7FFF_FFFFL; -0x8000_0000L; 0xFFFF_FFFFL; 0x1_0000_0000L;
+    Int64.max_int; Int64.min_int ]
+
+(* All 13 [ibin] operators and 10 [icmp] predicates at i1, i8, i32 and
+   i64, on every pair of edge operands.  Each case loads its operands
+   through [add T c, 0], so the operator reads frame slots, and prints the
+   result: the masks, sign wraps, shift amounts and division traps of
+   [Interp.eval_ibin] and [Interp.eval_icmp] are pinned at each width. *)
+let test_int_ops_every_width () =
+  let open Ir in
+  let ibin op ty a b = Instr.mk ~id:2 ~ty (Instr.Ibin (op, a, b)) in
+  let icmp p _ a b = Instr.mk ~id:2 ~ty:Types.I1 (Instr.Icmp (p, a, b)) in
+  let ops =
+    List.map ibin
+      Instr.[ Add; Sub; Mul; SDiv; UDiv; SRem; URem; Shl; LShr; AShr; And; Or; Xor ]
+    @ List.map icmp Instr.[ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge ]
+  in
+  let program ty op x y =
+    let load id c =
+      Instr.mk ~id ~ty
+        (Instr.Ibin (Instr.Add, Value.IConst (ty, c), Value.IConst (ty, 0L)))
+    in
+    let instrs =
+      [ load 0 x; load 1 y; op ty (Value.Var 0) (Value.Var 1);
+        Instr.mk_void (Instr.Call ("print_int", [ Value.Var 2 ])) ]
+    in
+    let ret = Instr.Ret (Some (Value.IConst (Types.I64, 0L))) in
+    Irmod.make ~name:"ops"
+      [ Func.make ~name:"main" ~params:[] ~ret:Types.I64
+          ~blocks:[ Block.make ~label:"e" ~instrs ~term:ret ] ]
+  in
+  let runs = ref 0 in
+  List.iter
+    (fun ty ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun x ->
+              List.iter
+                (fun y ->
+                  ignore (both (program ty op x y));
+                  incr runs)
+                operands)
+            operands)
+        ops)
+    Types.[ I1; I8; I32; I64 ];
+  Alcotest.(check int) "every case ran" 33_212 !runs
+
+(* The casts that wrap to their result width ([Interp.normalize]), from an
+   i64 slot or a double slot, on the same edge operands. *)
+let test_casts_every_width () =
+  let open Ir in
+  let program ty c x =
+    let src =
+      match c with
+      | Instr.FPToSI | Instr.FPToUI ->
+          Instr.mk ~id:0 ~ty:Types.F64
+            (Instr.Cast (Instr.SIToFP, Value.IConst (Types.I64, x)))
+      | _ ->
+          Instr.mk ~id:0 ~ty:Types.I64
+            (Instr.Ibin
+               (Instr.Add, Value.IConst (Types.I64, x), Value.IConst (Types.I64, 0L)))
+    in
+    let instrs =
+      [ src; Instr.mk ~id:1 ~ty (Instr.Cast (c, Value.Var 0));
+        Instr.mk_void (Instr.Call ("print_int", [ Value.Var 1 ])) ]
+    in
+    let ret = Instr.Ret (Some (Value.IConst (Types.I64, 0L))) in
+    Irmod.make ~name:"casts"
+      [ Func.make ~name:"main" ~params:[] ~ret:Types.I64
+          ~blocks:[ Block.make ~label:"e" ~instrs ~term:ret ] ]
+  in
+  List.iter
+    (fun ty ->
+      List.iter
+        (fun c -> List.iter (fun x -> ignore (both (program ty c x))) operands)
+        Instr.[ Trunc; ZExt; SExt; FPToSI; FPToUI ])
+    Types.[ I1; I8; I32; I64 ]
+
+(* ------------------------------------------------------------------ *)
 (* Fuel accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,6 +505,9 @@ let suite =
     Alcotest.test_case "min_int overflow division" `Quick
       test_min_int_overflow_division;
     Alcotest.test_case "narrow-width wraparound" `Quick test_narrow_wraparound;
+    Alcotest.test_case "integer operators at every width" `Quick
+      test_int_ops_every_width;
+    Alcotest.test_case "casts at every width" `Quick test_casts_every_width;
     Alcotest.test_case "fuel boundary" `Quick test_fuel_boundary;
     Alcotest.test_case "allocator exhaustion" `Quick test_allocator_exhaustion;
     Alcotest.test_case "pointer coercions" `Quick test_pointer_coercions;

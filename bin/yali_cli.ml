@@ -315,10 +315,8 @@ let opt_cmd =
     (* accept either textual IR or mini-C *)
     let m =
       load file (fun src ->
-          if
-            String.starts_with ~prefix:";" src
-            || String.starts_with ~prefix:"define" src
-          then Yali.Ir.Parser.parse_module src
+          if Yali.Ir.Parser.is_module_text src then
+            Yali.Ir.Parser.parse_module src
           else Yali.lower (Yali.parse src))
     in
     let verify what m =

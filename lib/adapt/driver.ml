@@ -74,6 +74,12 @@ let prepare ?(log = ignore) (cfg : config) : prepared =
   in
   positive "--train-per-class" cfg.a_train_per_class;
   positive "--challenges-per-class" cfg.a_challenges_per_class;
+  (* a NaN price makes every fitness NaN, so no candidate can beat the
+     identity; a negative one pays for slowdown *)
+  if not (Float.is_finite cfg.a_lambda && cfg.a_lambda >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "adapt: --lambda must be finite and non-negative, got %g"
+         cfg.a_lambda);
   let rng = Rng.make cfg.a_seed in
   let data_rng = Rng.split_ix rng 0 in
   let train_rng = Rng.split_ix rng 1 in
@@ -166,9 +172,14 @@ type model_front = {
 
 type report = { r_fronts : model_front list; r_challenges : int }
 
+let search_rng (cfg : config) (ix : int) : Rng.t =
+  Rng.split_ix (Rng.split_ix (Rng.make cfg.a_seed) 3) ix
+
+let eval_rng (cfg : config) (ix : int) : Rng.t =
+  Search.eval_rng (search_rng cfg ix)
+
 let search_fronts ?(log = ignore) ?oracle_for (cfg : config)
     (prep : prepared) : report =
-  let search_rng = Rng.split_ix (Rng.make cfg.a_seed) 3 in
   let fronts =
     List.mapi
       (fun ix (kind, snap) ->
@@ -183,9 +194,7 @@ let search_fronts ?(log = ignore) ?oracle_for (cfg : config)
         in
         let out =
           Search.run cfg.a_algo ~budget:cfg.a_budget ~batch:cfg.a_batch
-            ~max_len:cfg.a_max_len
-            (Rng.split_ix search_rng ix)
-            eval_fn
+            ~max_len:cfg.a_max_len (search_rng cfg ix) eval_fn
         in
         let front = Pareto.front out.o_evals in
         log

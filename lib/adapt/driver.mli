@@ -31,8 +31,9 @@ type prepared = {
   p_n_train : int;
 }
 
-(** @raise Invalid_argument when [a_models] names a kind twice, or a
-    per-class count is below 1 *)
+(** @raise Invalid_argument when [a_models] names a kind twice, a
+    per-class count is below 1, or [a_lambda] is NaN, infinite or
+    negative *)
 val prepare : ?log:(string -> unit) -> config -> prepared
 
 (** The in-process margins oracle of a snapshot (embed, then
@@ -49,6 +50,11 @@ type model_front = {
 }
 
 type report = { r_fronts : model_front list; r_challenges : int }
+
+(** The evaluation rng ({!Search.eval_rng}) of the search against the
+    [ix]-th kind of [a_models]: {!Fitness.evaluate} under it replays any
+    of that model's front points from its printed sequence. *)
+val eval_rng : config -> int -> Yali_util.Rng.t
 
 (** Search every prepared model.  [oracle_for] may substitute a remote
     ({!Remote}) oracle per kind — [None] falls back to the in-process

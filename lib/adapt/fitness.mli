@@ -46,8 +46,10 @@ val rejected : Seqspace.seq -> eval
     [split_ix rng i], re-run against its baseline observations (any
     divergence rejects the whole candidate), cost-priced against the
     baseline cost, and pushed through [oracle] for per-class scores.
-    Pure in (rng state, seq) — safe to fan out over
-    {!Yali_exec.Pool} with pre-derived streams. *)
+    Pure in (rng state, seq), and [rng] is not advanced: under one
+    search's evaluation rng ({!Search.eval_rng}) an eval is a pure
+    function of its sequence, safe to fan out over {!Yali_exec.Pool} and
+    to replay from a front point's printed sequence. *)
 val evaluate :
   oracle:(Yali_ir.Irmod.t -> float array) ->
   lambda:float ->

@@ -5,10 +5,15 @@
     histogram-distance proxy.
 
     Every strategy proposes candidates {e sequentially} on the calling
-    domain and evaluates each round's batch through
-    {!Yali_exec.Pool.parallel_array_map_rng}, which pre-derives one rng
-    per candidate by index — so the whole search (and therefore the
-    Pareto front) is bit-identical at any [--jobs]. *)
+    domain.  Every evaluation gets a fresh copy of the one evaluation rng
+    the search draws before its first proposal ({!eval_rng}), so a
+    candidate's eval is a pure function of its sequence, and a sequence
+    the search has already scored is not evaluated again: a memo local to
+    one {!run} call (at most [budget] records, dropped on return) answers
+    repeats, and each round's unseen sequences go through
+    {!Yali_exec.Pool.parallel_array_map}, entering the memo in batch order
+    on the calling domain — so the whole search (and therefore the Pareto
+    front) is bit-identical at any [--jobs]. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
@@ -42,12 +47,32 @@ let better (a : Fitness.eval) (b : Fitness.eval) : Fitness.eval =
 (* mcmc acceptance temperature, on the fitness scale (evasion in [0,1]) *)
 let temperature = 0.25
 
+let eval_rng (rng : Rng.t) : Rng.t = Rng.split (Rng.copy rng)
+
 let run (algo : algo) ~(budget : int) ~(batch : int) ~(max_len : int)
     (rng : Rng.t) (eval_fn : Rng.t -> Seqspace.seq -> Fitness.eval) : outcome
     =
   let batch = max 1 batch in
+  (* [eval_rng rng], drawn before any proposal *)
+  let erng = Rng.split rng in
+  (* every sequence scored so far: at most [budget] records, since each
+     counts against the budget, and dropped when [run] returns *)
+  let memo : (Seqspace.seq, Fitness.eval) Hashtbl.t = Hashtbl.create 64 in
   let eval_batch (seqs : Seqspace.seq array) : Fitness.eval array =
-    Pool.parallel_array_map_rng rng (fun r s -> eval_fn r s) seqs
+    (* the batch's distinct unseen sequences, in batch order; a repeat is
+       filled from the memo and still counts against the budget *)
+    let fresh =
+      Array.fold_left
+        (fun acc s ->
+          if Hashtbl.mem memo s || List.mem s acc then acc else s :: acc)
+        [] seqs
+      |> List.rev |> Array.of_list
+    in
+    let es =
+      Pool.parallel_array_map (fun s -> eval_fn (Rng.copy erng) s) fresh
+    in
+    Array.iteri (fun i s -> Hashtbl.replace memo s es.(i)) fresh;
+    Array.map (Hashtbl.find memo) seqs
   in
   let base = (eval_batch [| [] |]).(0) in
   let best = ref base in
@@ -90,20 +115,22 @@ let run (algo : algo) ~(budget : int) ~(batch : int) ~(max_len : int)
          parallel batch, and Metropolis acceptance runs sequentially with
          one uniform per chain *)
       let k0 = min batch (max 1 (budget - !used)) in
+      (* a copy: [round]'s array is also that batch's record in [o_evals],
+         which acceptance must not rewrite *)
       let states =
-        ref (round (Array.init k0 (fun _ -> Seqspace.random_seq rng ~max_len)))
+        Array.copy
+          (round (Array.init k0 (fun _ -> Seqspace.random_seq rng ~max_len)))
       in
       while !used < budget do
-        let states' = !states in
-        let k = min (Array.length states') (budget - !used) in
+        let k = min (Array.length states) (budget - !used) in
         let proposals =
           Array.init k (fun i ->
-              Seqspace.mutate rng ~max_len states'.(i).Fitness.e_seq)
+              Seqspace.mutate rng ~max_len states.(i).Fitness.e_seq)
         in
         let es = round proposals in
         Array.iteri
           (fun i (e : Fitness.eval) ->
-            let cur = states'.(i) in
+            let cur = states.(i) in
             let u = Rng.float rng in
             let accept =
               e.e_fitness >= cur.Fitness.e_fitness
@@ -111,7 +138,7 @@ let run (algo : algo) ~(budget : int) ~(batch : int) ~(max_len : int)
                  && u
                     < exp ((e.e_fitness -. cur.Fitness.e_fitness) /. temperature)
             in
-            if accept then states'.(i) <- e)
+            if accept then states.(i) <- e)
           es
       done
   | Ga ->

@@ -124,3 +124,27 @@ let step_to_string = function
 let to_string = function
   | [] -> "id"
   | s -> String.concat ";" (List.map step_to_string s)
+
+let of_string (t : string) : seq =
+  let fail () = invalid_arg ("Seqspace.of_string: " ^ String.escaped t) in
+  let step w =
+    let scan fmt k = Scanf.sscanf w fmt k in
+    if w = "fla" then Fla
+    else if String.starts_with ~prefix:"sub(" w then
+      scan "sub(p=%f,r=%d)%!" (fun probability rounds ->
+          Sub { probability; rounds })
+    else if String.starts_with ~prefix:"bcf(" w then
+      scan "bcf(p=%f)%!" (fun probability -> Bcf { probability })
+    else if String.starts_with ~prefix:"ollvm(" w then
+      scan "ollvm(sp=%f,sr=%d,bp=%f)%!"
+        (fun sub_probability sub_rounds bcf_probability ->
+          Ollvm { sub_probability; sub_rounds; bcf_probability })
+    else fail ()
+  in
+  (* the scanners accept more spellings than [to_string] prints (["p=1"],
+     ["r=02"]); reprinting keeps only the printed one *)
+  match
+    if t = "id" then [] else List.map step (String.split_on_char ';' t)
+  with
+  | s when to_string s = t -> s
+  | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) -> fail ()

@@ -37,3 +37,10 @@ val step_to_string : step -> string
 
 (** ["sub(p=0.50,r=1);fla;bcf(p=0.25)"]; [ "id" ] for the empty sequence. *)
 val to_string : seq -> string
+
+(** The inverse of {!to_string}: [of_string (to_string s) = s] for every
+    sequence whose knobs are on the grids (all that {!random_seq} and
+    {!mutate} produce), so a front point replays from its printed
+    sequence.
+    @raise Invalid_argument on any text {!to_string} does not print *)
+val of_string : string -> seq

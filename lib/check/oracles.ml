@@ -602,6 +602,8 @@ let corpus =
 module Adapt_driver = Yali_adapt.Driver
 module Adapt_search = Yali_adapt.Search
 module Adapt_pareto = Yali_adapt.Pareto
+module Adapt_fitness = Yali_adapt.Fitness
+module Adapt_seqspace = Yali_adapt.Seqspace
 
 let gen_adapt_case (rng : Rng.t) =
   let algo =
@@ -613,28 +615,29 @@ let show_adapt_case (seed, algo) =
   Printf.sprintf "adapt seed=%d algo=%s" seed
     (Adapt_search.algo_to_string algo)
 
+(* deliberately tiny: the properties are scheduling-independence and
+   replayability, not search quality *)
+let adapt_cfg seed algo =
+  {
+    Adapt_driver.default with
+    a_seed = seed;
+    a_algo = algo;
+    a_classes = 2;
+    a_train_per_class = 3;
+    a_challenges_per_class = 1;
+    a_models = [ "lr" ];
+    a_budget = 10;
+    a_batch = 4;
+    a_max_len = 3;
+    a_vectors = 1;
+  }
+
 (* Same seed at any --jobs: identical pass sequences, identical Pareto
    front (structural identity of the whole report), and the front is
-   well-formed — cost strictly ascending, no dominated points.  The config
-   is deliberately tiny; the property is scheduling-independence, not
-   search quality. *)
+   well-formed — cost strictly ascending, no dominated points. *)
 let adapt_search_deterministic ((seed, algo) : int * Adapt_search.algo) : bool
     =
-  let cfg =
-    {
-      Adapt_driver.default with
-      a_seed = seed;
-      a_algo = algo;
-      a_classes = 2;
-      a_train_per_class = 3;
-      a_challenges_per_class = 1;
-      a_models = [ "lr" ];
-      a_budget = 10;
-      a_batch = 4;
-      a_max_len = 3;
-      a_vectors = 1;
-    }
-  in
+  let cfg = adapt_cfg seed algo in
   let run_at jobs =
     Yali_exec.Pool.with_jobs jobs (fun () -> Adapt_driver.run cfg)
   in
@@ -652,10 +655,43 @@ let adapt_search_deterministic ((seed, algo) : int * Adapt_search.algo) : bool
          )
        r1.Adapt_driver.r_fronts
 
+(* Every front point replays from its printed sequence alone: a bare
+   [Fitness.evaluate] (no search, no memo) of [Seqspace.of_string p_seq]
+   under that model's evaluation rng gives the point's evasion and cost
+   bit for bit.  Two kinds, so each must use its own rng. *)
+let adapt_front_replays ((seed, algo) : int * Adapt_search.algo) : bool =
+  let cfg =
+    { (adapt_cfg seed algo) with a_models = [ "lr"; "knn" ]; a_budget = 16 }
+  in
+  let prep = Adapt_driver.prepare cfg in
+  let report = Adapt_driver.search_fronts cfg prep in
+  let bits = Int64.bits_of_float in
+  List.for_all Fun.id
+    (List.mapi
+       (fun ix (f : Adapt_driver.model_front) ->
+         let oracle =
+           Adapt_driver.oracle_of_snapshot
+             (List.assoc f.mf_kind prep.p_snapshots)
+         in
+         List.for_all
+           (fun (p : Adapt_pareto.point) ->
+             let e =
+               Adapt_fitness.evaluate ~oracle ~lambda:cfg.a_lambda
+                 ~fuel:cfg.a_fuel prep.p_challenges
+                 (Adapt_driver.eval_rng cfg ix)
+                 (Adapt_seqspace.of_string p.p_seq)
+             in
+             bits e.e_evasion = bits p.p_evasion
+             && bits e.e_cost = bits p.p_cost)
+           f.mf_front)
+       report.r_fronts)
+
 let adapt =
   [
     Prop.make ~name:"adapt/search-determinism" ~show:show_adapt_case
       ~max_count:6 gen_adapt_case adapt_search_deterministic;
+    Prop.make ~name:"adapt/front-replays" ~show:show_adapt_case ~max_count:6
+      gen_adapt_case adapt_front_replays;
   ]
 
 (* -- neural minibatch kernels vs lib/ml/reference.ml (DESIGN.md §15) ------- *)

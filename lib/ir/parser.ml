@@ -357,6 +357,14 @@ let is_terminator_line (line : string) : bool =
 
 (* -- function / module structure ------------------------------------------ *)
 
+(* the lines [parse_module] reads at top level: a comment (the [; module]
+   header among them), a global, a function *)
+let is_module_text (src : string) : bool =
+  let t = strip src in
+  List.exists
+    (fun prefix -> String.starts_with ~prefix t)
+    [ ";"; "@"; "define" ]
+
 let parse_module (src : string) : Irmod.t =
   let lines = String.split_on_char '\n' src in
   let name = ref "m" in

@@ -12,3 +12,9 @@ val parse_type : string -> Types.t
 
 (** @raise Parse_error on malformed input *)
 val parse_module : string -> Irmod.t
+
+(** Whether [src] reads as textual IR rather than mini-C: its first
+    non-blank text starts with [;], [@] or [define] — a comment or the
+    [; module] header, a global or a function, which covers whatever
+    {!Pp} prints first.  No mini-C program starts with any of them. *)
+val is_module_text : string -> bool

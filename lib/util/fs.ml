@@ -1,8 +1,5 @@
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* to end of file: a pipe or a FIFO has no length to read up to *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let rec mkdir_p dir =
   if Sys.file_exists dir then begin

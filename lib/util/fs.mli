@@ -1,6 +1,7 @@
 (** Files and scratch directories. *)
 
-(** The whole contents of a file.  @raise Sys_error as [open_in_bin] *)
+(** The whole contents of a file, read until end of file, so a pipe or a
+    FIFO ([/dev/stdin]) reads too.  @raise Sys_error as [open_in_bin] *)
 val read_file : string -> string
 
 (** [mkdir_p dir] creates [dir] and every missing parent; an existing

@@ -45,6 +45,33 @@ let test_seq_printing () =
   Alcotest.(check string) "steps join with ;" "fla;bcf(p=0.25)"
     (Seqspace.to_string [ Seqspace.Fla; Seqspace.Bcf { probability = 0.25 } ])
 
+let test_seq_of_string_roundtrip =
+  qtest ~count:60 "of_string inverts to_string" (fun seed ->
+      let rng = Rng.make seed in
+      let max_len = 1 + (abs seed mod 5) in
+      let s = ref (Seqspace.random_seq rng ~max_len) in
+      let ok = ref (Seqspace.of_string "id" = []) in
+      for _ = 1 to 8 do
+        ok := !ok && Seqspace.of_string (Seqspace.to_string !s) = !s;
+        s := Seqspace.mutate rng ~max_len !s
+      done;
+      !ok)
+
+(* only what [to_string] prints parses: other spellings of the same
+   knobs, stray separators and unknown steps are rejected *)
+let test_seq_of_string_rejects () =
+  List.iter
+    (fun text ->
+      match Seqspace.of_string text with
+      | s ->
+          Alcotest.failf "%S parsed (as %S)" text (Seqspace.to_string s)
+      | exception Invalid_argument _ -> ())
+    [
+      ""; "id;fla"; "fla;"; ";fla"; "FLA"; "fla "; "sub(p=1,r=2)";
+      "sub(p=1.00,r=02)"; "sub(p=1.00)"; "bcf(p=0.25)x"; "bcf(p=0.25";
+      "ollvm(sp=0.50,sr=1)"; "ollvm(sp=0.50,sr=1,bp=0.25,x=1)"; "inline";
+    ]
+
 (* -- pareto front ---------------------------------------------------------- *)
 
 let gen_evals (seed : int) : Fitness.eval list =
@@ -150,6 +177,68 @@ let test_search_spends_budget () =
            out.o_evals))
     Search.all
 
+(* a thread-safe evaluator that counts its calls per sequence and draws
+   from the rng it is given, so it shows both a repeated evaluation and an
+   evaluation rng that drifts between calls *)
+let counting_eval () =
+  let calls = Hashtbl.create 64 and lock = Mutex.create () in
+  let eval (r : Rng.t) (s : Seqspace.seq) : Fitness.eval =
+    Mutex.protect lock (fun () ->
+        Hashtbl.replace calls s
+          (1 + Option.value (Hashtbl.find_opt calls s) ~default:0));
+    let drift = Rng.float r in
+    let u =
+      Rng.float (Rng.split_ix r (Hashtbl.hash (Seqspace.to_string s)))
+    in
+    let n = float_of_int (List.length s) in
+    {
+      Fitness.e_seq = s;
+      e_evasion = u;
+      e_cost = 1.0 +. (0.1 *. n) +. drift;
+      e_gap = 0.0;
+      e_fitness = u -. (0.1 *. n);
+    }
+  in
+  (calls, eval)
+
+let test_search_memo () =
+  List.iter
+    (fun algo ->
+      let name = Search.algo_to_string algo in
+      let budget = 40 in
+      let search jobs =
+        let calls, eval = counting_eval () in
+        let out =
+          Yali.Exec.Pool.with_jobs jobs (fun () ->
+              Search.run algo ~budget ~batch:5 ~max_len:2 (Rng.make 11) eval)
+        in
+        (calls, out)
+      in
+      let calls, out = search 3 in
+      let seqs = List.map (fun (e : Fitness.eval) -> e.e_seq) out.o_evals in
+      let distinct = List.sort_uniq compare seqs in
+      Alcotest.(check int) (name ^ ": o_evals has budget entries") budget
+        (List.length out.o_evals);
+      Alcotest.(check bool) (name ^ ": the search repeats a sequence") true
+        (List.length distinct < budget);
+      Alcotest.(check int)
+        (name ^ ": one evaluation per distinct sequence")
+        (List.length distinct) (Hashtbl.length calls);
+      Alcotest.(check bool) (name ^ ": no sequence evaluated twice") true
+        (Hashtbl.fold (fun _ n ok -> ok && n = 1) calls true);
+      let _, fresh = counting_eval () in
+      let erng = Search.eval_rng (Rng.make 11) in
+      Alcotest.(check bool)
+        (name ^ ": every entry is a fresh eval under the evaluation rng")
+        true
+        (List.for_all
+           (fun (e : Fitness.eval) ->
+             compare e (fresh (Rng.copy erng) e.e_seq) = 0)
+           out.o_evals);
+      Alcotest.(check bool) (name ^ ": same outcome at jobs 1 and 3") true
+        (compare (snd (search 1)) out = 0))
+    Search.all
+
 let test_search_deterministic () =
   List.iter
     (fun algo ->
@@ -235,7 +324,14 @@ let test_prepare_rejects_repeated_kind () =
   rejects "no training rows" { tiny_cfg with a_train_per_class = 0 }
     "--train-per-class";
   rejects "no challenges" { tiny_cfg with a_challenges_per_class = 0 }
-    "--challenges-per-class"
+    "--challenges-per-class";
+  List.iter
+    (fun lambda ->
+      rejects
+        (Printf.sprintf "lambda %g" lambda)
+        { tiny_cfg with a_lambda = lambda }
+        "--lambda")
+    [ Float.nan; Float.infinity; Float.neg_infinity; -0.5 ]
 
 (* margins answered by daemons (this binary in its hidden daemon mode)
    give the in-process report, bit for bit *)
@@ -293,10 +389,15 @@ let suite =
     test_mutate_bounds;
     test_apply_preserves;
     Alcotest.test_case "sequence printing" `Quick test_seq_printing;
+    test_seq_of_string_roundtrip;
+    Alcotest.test_case "of_string rejects other text" `Quick
+      test_seq_of_string_rejects;
     test_front_exactly_non_dominated;
     Alcotest.test_case "front drops rejected" `Quick test_front_drops_rejected;
     Alcotest.test_case "searches spend their budget" `Quick
       test_search_spends_budget;
+    Alcotest.test_case "searches evaluate each sequence once" `Quick
+      test_search_memo;
     Alcotest.test_case "searches deterministic" `Quick test_search_deterministic;
     Alcotest.test_case "algo names round-trip" `Quick test_algo_names_roundtrip;
     Alcotest.test_case "driver invariant under --jobs" `Slow

@@ -2,8 +2,9 @@
     round-trips against the in-memory reference path, corruption rejection
     (truncated shards, stale indexes), the on-disk feature-file format,
     one trainer's equivalence across on-disk and in-memory sources, every
-    trainer's pinned output across blocks (DESIGN.md §12), and output
-    directories created with their parents. *)
+    trainer's pinned output across blocks (DESIGN.md §12), output
+    directories created with their parents, and files read to their end
+    when they have no length. *)
 
 module Rng = Yali.Rng
 module Gen = Yali.Corpus.Gen
@@ -404,6 +405,35 @@ let test_train_rejects_zero_block_rows () =
           Alcotest.(check bool) ("names block rows: " ^ msg) true
             (Helpers.contains_substring msg "block rows"))
 
+(* A FIFO has no length: [read_file] reads it to end of file, as it does
+   [/dev/stdin] under [cat prog.c | yali run /dev/stdin].  SIGPIPE is
+   ignored so that a reader that gives up early fails the test instead of
+   killing the binary. *)
+let test_read_file_fifo () =
+  with_temp_dir (fun dir ->
+      let fifo = Filename.concat dir "fifo" in
+      Unix.mkfifo fifo 0o600;
+      let text = String.init 100_000 (fun i -> Char.chr (32 + (i mod 95))) in
+      let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect
+        ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+        (fun () ->
+          let writer =
+            Domain.spawn (fun () ->
+                try
+                  Out_channel.with_open_bin fifo (fun oc ->
+                      Out_channel.output_string oc text)
+                with Sys_error _ -> ())
+          in
+          let got =
+            Fun.protect
+              ~finally:(fun () -> Domain.join writer)
+              (fun () -> Yali.Util.Fs.read_file fifo)
+          in
+          Alcotest.(check int) "every byte read" (String.length text)
+            (String.length got);
+          Alcotest.(check bool) "contents" true (String.equal text got)))
+
 let suite =
   [
     Alcotest.test_case "spec strings round-trip" `Quick
@@ -435,4 +465,6 @@ let suite =
       test_train_rejects_zero_block_rows;
     Alcotest.test_case "output dirs created two levels deep" `Quick
       test_output_dirs_created;
+    Alcotest.test_case "read_file reads a FIFO to its end" `Quick
+      test_read_file_fifo;
   ]

@@ -128,6 +128,34 @@ let test_parse_types () =
   Alcotest.(check bool) "ptr to arr" true
     (Ir.Parser.parse_type "[2 x i8]*" = Ir.Types.Ptr (Ir.Types.Arr (Ir.Types.I8, 2)))
 
+(* [yali opt] reads its input as IR exactly when [is_module_text] says so:
+   whatever the printer emits first (the header, a global, a function),
+   also after blank lines, but never a mini-C program *)
+let test_module_text_detection () =
+  let is_ir = Ir.Parser.is_module_text in
+  for seed = 0 to 19 do
+    let p = dataset_program seed in
+    let m = Yali.Obfuscation.Ollvm.run (Yali.Rng.make seed) (lower p) in
+    Alcotest.(check bool) "mini-C source is not IR" false
+      (is_ir (Yali.Minic.Pp.program_to_string p));
+    Alcotest.(check bool) "a printed module is IR" true
+      (is_ir (Ir.Pp.module_to_string m));
+    List.iter
+      (fun f ->
+        Alcotest.(check bool) "a printed function is IR" true
+          (is_ir ("\n" ^ Ir.Pp.func_to_string f)))
+      m.Ir.Irmod.funcs
+  done;
+  let global_first =
+    "\n  \n@g = global i32\n\ndefine i32 @main() {\nentry:\n  ret 7\n}\n"
+  in
+  Alcotest.(check bool) "a module that starts with a global is IR" true
+    (is_ir global_first);
+  let m = Ir.Parser.parse_module global_first in
+  Alcotest.(check int) "and parses with its global" 1
+    (List.length m.Ir.Irmod.globals);
+  Alcotest.(check bool) "blank text is not IR" false (is_ir " \n\t")
+
 let suite =
   [
     Alcotest.test_case "round-trip simple" `Quick test_roundtrip_simple;
@@ -140,4 +168,6 @@ let suite =
     Alcotest.test_case "parse types" `Quick test_parse_types;
     Alcotest.test_case "substitutions raise only Parse_error" `Quick
       test_substitutions_typed_errors;
+    Alcotest.test_case "IR text told from mini-C" `Quick
+      test_module_text_detection;
   ]

@@ -28,6 +28,22 @@ let die ~code fmt =
       exit code)
     fmt
 
+(* The exit codes every command's help lists.  The entry point maps
+   cmdliner's own parse errors ([Cmd.Exit.cli_error]) to 2, so a bad
+   command line exits 2 whether cmdliner or a flag check rejects it. *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info 1
+        ~doc:"on a runtime failure: a bad program, a trap or a failed check.";
+      info 2
+        ~doc:
+          "on a command line error: an unknown command or option, a missing \
+           file or a bad flag value.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
 (* The one program loader: [front] turns the text of [file] into a program
    (parse, lower).  A lex, parse or lowering error is reported as
    FILE: message with exit 1. *)
@@ -140,7 +156,7 @@ let compile_cmd =
     print_string (Yali.Ir.Pp.module_to_string (compile_file level file))
   in
   Cmd.v
-    (Cmd.info "compile" ~doc:"Compile mini-C to IR and print it.")
+    (Cmd.info ~exits "compile" ~doc:"Compile mini-C to IR and print it.")
     Term.(const run $ level_arg $ src_arg)
 
 (* -- run ------------------------------------------------------------------- *)
@@ -169,7 +185,7 @@ let run_cmd =
     Printf.printf "; steps=%d cost=%d\n" o.steps o.cost
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info ~exits "run"
        ~doc:"Execute a mini-C program (VM by default, --engine=ref for the \
              reference interpreter).")
     Term.(const run $ engine_arg $ level_arg $ src_arg $ input_arg)
@@ -192,7 +208,8 @@ let obfuscate_cmd =
         print_string (Yali.Ir.Pp.module_to_string m)
   in
   Cmd.v
-    (Cmd.info "obfuscate" ~doc:"Apply an evader and print the resulting IR.")
+    (Cmd.info ~exits "obfuscate"
+       ~doc:"Apply an evader and print the resulting IR.")
     Term.(const run $ seed_arg $ evader_arg $ src_arg)
 
 (* -- embed ----------------------------------------------------------------- *)
@@ -216,7 +233,7 @@ let embed_cmd =
         print_newline ()
   in
   Cmd.v
-    (Cmd.info "embed" ~doc:"Print the embedding vector of a program.")
+    (Cmd.info ~exits "embed" ~doc:"Print the embedding vector of a program.")
     Term.(const run $ level_arg $ embedding_arg $ src_arg)
 
 (* -- generate --------------------------------------------------------------- *)
@@ -246,7 +263,8 @@ let generate_cmd =
             (Yali.Minic.Pp.program_to_string (p.generate (Rng.make seed)))
   in
   Cmd.v
-    (Cmd.info "generate" ~doc:"Sample a program from the synthetic corpus.")
+    (Cmd.info ~exits "generate"
+       ~doc:"Sample a program from the synthetic corpus.")
     Term.(const run $ seed_arg $ problem_arg $ list_arg)
 
 (* -- dataset: export a corpus to disk --------------------------------------- *)
@@ -287,7 +305,7 @@ let dataset_cmd =
     Printf.printf "wrote %d classes x %d samples under %s/\n" classes per_class out
   in
   Cmd.v
-    (Cmd.info "dataset"
+    (Cmd.info ~exits "dataset"
        ~doc:"Export the synthetic POJ-104-style corpus as .c files.")
     Term.(const run $ seed_arg $ out_arg $ classes_arg $ per_class_arg)
 
@@ -336,7 +354,7 @@ let opt_cmd =
     print_string (Yali.Ir.Pp.module_to_string m)
   in
   Cmd.v
-    (Cmd.info "opt"
+    (Cmd.info ~exits "opt"
        ~doc:"Run a pass pipeline over textual IR (or mini-C) and print the result.")
     Term.(const run $ passes_arg $ src_arg)
 
@@ -408,7 +426,8 @@ let play_cmd =
     dump_telemetry telemetry
   in
   Cmd.v
-    (Cmd.info "play" ~doc:"Play one adversarial game and report the verdict.")
+    (Cmd.info ~exits "play"
+       ~doc:"Play one adversarial game and report the verdict.")
     Term.(
       const run $ seed_arg $ jobs_arg $ telemetry_arg $ game_arg $ evader_arg
       $ model_arg $ classes_arg $ train_arg $ test_arg $ threshold_arg)
@@ -491,7 +510,7 @@ let check_cmd =
     if not r.Yali.Check.Engine.e_ok then exit 1
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info ~exits "check"
        ~doc:
          "Translation-validate every pass and pipeline on generated \
           programs and run the invariant oracles; exits nonzero on any \
@@ -581,7 +600,7 @@ let train_cmd =
           entry.meta.n_train path
   in
   Cmd.v
-    (Cmd.info "train"
+    (Cmd.info ~exits "train"
        ~doc:"Train a classifier on the synthetic corpus (in memory, or \
              streamed from an on-disk corpus with --corpus) and publish its \
              snapshot into the model registry.")
@@ -633,7 +652,7 @@ let serve_cmd =
     | Error msg -> die ~code:1 "serve: %s" msg
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:"Serve classifications over a Unix socket, micro-batching \
              concurrent requests (replies are independent of batching and \
              --jobs).")
@@ -708,7 +727,8 @@ let query_cmd =
           | _ -> die ~code:1 "unexpected reply")
   in
   Cmd.v
-    (Cmd.info "query" ~doc:"Classify a program against a running daemon.")
+    (Cmd.info ~exits "query"
+       ~doc:"Classify a program against a running daemon.")
     Term.(
       const run $ socket_arg $ file_arg $ fmt_arg $ ping_arg $ stats_arg
       $ shutdown_arg)
@@ -766,7 +786,7 @@ let corpus_cmd =
       Yali.Corpus.Store.close r
     in
     Cmd.v
-      (Cmd.info "gen"
+      (Cmd.info ~exits "gen"
          ~doc:"Generate a sharded on-disk corpus, streaming each program \
                straight to its shard (shard-parallel, deterministic at any \
                --jobs).")
@@ -795,11 +815,12 @@ let corpus_cmd =
           Yali.Corpus.Store.close r
     in
     Cmd.v
-      (Cmd.info "stat" ~doc:"Validate a corpus directory and print its shape.")
+      (Cmd.info ~exits "stat"
+         ~doc:"Validate a corpus directory and print its shape.")
       Term.(const run $ dir_pos)
   in
   Cmd.group
-    (Cmd.info "corpus"
+    (Cmd.info ~exits "corpus"
        ~doc:"Paper-scale on-disk corpora: streaming generation and \
              inspection.")
     [ gen_cmd; stat_cmd ]
@@ -867,7 +888,10 @@ let adapt_cmd =
       value
       & opt float D.default.a_lambda
       & info [ "lambda" ] ~docv:"F"
-          ~doc:"Fitness price per unit of cost multiplier above 1.")
+          ~doc:
+            "Fitness price per unit of cost multiplier above 1; finite and \
+             non-negative.  A value that starts with $(b,-) must be written \
+             $(b,--lambda=)$(i,F), or it is read as an option.")
   in
   let vectors_arg =
     Arg.(
@@ -985,7 +1009,7 @@ let adapt_cmd =
         Printf.printf "report written to %s\n" path
   in
   Cmd.v
-    (Cmd.info "adapt"
+    (Cmd.info ~exits "adapt"
        ~doc:
          "Search obfuscation-pass sequences with the trained classifier in \
           the loop and report the cost-priced Pareto front (evasion rate \
@@ -999,7 +1023,13 @@ let adapt_cmd =
 
 let () =
   let doc = "a game-based framework to compare program classifiers and evaders" in
-  exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "yali" ~doc)
-          [ compile_cmd; run_cmd; obfuscate_cmd; embed_cmd; generate_cmd; dataset_cmd; opt_cmd; play_cmd; check_cmd; corpus_cmd; train_cmd; serve_cmd; query_cmd; adapt_cmd ]))
+  let code =
+    Cmd.eval
+      (Cmd.group (Cmd.info ~exits "yali" ~doc)
+         [
+           compile_cmd; run_cmd; obfuscate_cmd; embed_cmd; generate_cmd;
+           dataset_cmd; opt_cmd; play_cmd; check_cmd; corpus_cmd; train_cmd;
+           serve_cmd; query_cmd; adapt_cmd;
+         ])
+  in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -6,7 +6,6 @@
 val dim : int
 
 val of_opcodes : Yali_ir.Opcode.t list -> float array
-val of_func : Yali_ir.Func.t -> float array
 val of_module : Yali_ir.Irmod.t -> float array
 
 (** L1-normalised variant: opcode proportions rather than counts. *)

@@ -160,13 +160,72 @@ let to_string = function
   | CatchRet -> "catchret"
   | CleanupRet -> "cleanupret"
 
-let index_tbl : (t, int) Hashtbl.t =
-  let tbl = Hashtbl.create 97 in
-  List.iteri (fun i op -> Hashtbl.add tbl op i) all;
-  tbl
-
-(** Dense index of an opcode in [all]; used to address histogram buckets. *)
-let index (op : t) : int = Hashtbl.find index_tbl op
+(** Dense index of an opcode in [all]; used to address histogram buckets.
+    The ir test [opcode index bijection] holds it to [all]. *)
+let index : t -> int = function
+  | Ret -> 0
+  | Br -> 1
+  | CondBr -> 2
+  | Switch -> 3
+  | Unreachable -> 4
+  | Add -> 5
+  | Sub -> 6
+  | Mul -> 7
+  | SDiv -> 8
+  | UDiv -> 9
+  | SRem -> 10
+  | URem -> 11
+  | Shl -> 12
+  | LShr -> 13
+  | AShr -> 14
+  | And -> 15
+  | Or -> 16
+  | Xor -> 17
+  | FAdd -> 18
+  | FSub -> 19
+  | FMul -> 20
+  | FDiv -> 21
+  | FRem -> 22
+  | FNeg -> 23
+  | Alloca -> 24
+  | Load -> 25
+  | Store -> 26
+  | Gep -> 27
+  | Trunc -> 28
+  | ZExt -> 29
+  | SExt -> 30
+  | FPTrunc -> 31
+  | FPExt -> 32
+  | FPToUI -> 33
+  | FPToSI -> 34
+  | UIToFP -> 35
+  | SIToFP -> 36
+  | PtrToInt -> 37
+  | IntToPtr -> 38
+  | Bitcast -> 39
+  | AddrSpaceCast -> 40
+  | ICmp -> 41
+  | FCmp -> 42
+  | Phi -> 43
+  | Select -> 44
+  | Call -> 45
+  | Freeze -> 46
+  | ExtractValue -> 47
+  | InsertValue -> 48
+  | ExtractElement -> 49
+  | InsertElement -> 50
+  | ShuffleVector -> 51
+  | AtomicRMW -> 52
+  | CmpXchg -> 53
+  | Fence -> 54
+  | VAArg -> 55
+  | LandingPad -> 56
+  | Resume -> 57
+  | Invoke -> 58
+  | CallBr -> 59
+  | CatchSwitch -> 60
+  | CatchRet -> 61
+  | CleanupRet -> 62
 
 let of_string_tbl : (string, t) Hashtbl.t =
   let tbl = Hashtbl.create 97 in

@@ -10,48 +10,51 @@
                 lowered program furthest from the original);
     - [ga]    — a genetic algorithm over transformation sequences.
 
-    All strategies score candidates by the Euclidean distance between opcode
-    histograms of the lowered ([-O0]) original and transformed programs —
-    the metric the paper itself uses to quantify evasion capacity
-    (Figure 10). *)
+    [mcmc], [drlsg] and [ga] score candidates by the Euclidean distance
+    between opcode histograms of the lowered ([-O0]) original and
+    transformed programs — the metric the paper itself uses to quantify
+    evasion capacity (Figure 10).  [score] lowers each candidate once,
+    and not at all when the candidate is structurally equal to the program
+    it was applied to: lowering is a function of the syntax tree, so such
+    a candidate has that program's distance.  [rs] scores nothing; it
+    lowers its one candidate only to check that it lowers. *)
 
 open Yali_minic
 module Rng = Yali_util.Rng
 module E = Yali_embeddings
 
-let distance (original : float array) (p : Ast.program) : float =
-  let m = Lower.lower_program p in
-  E.Histogram.euclidean original (E.Histogram.of_module m)
-
 let base_histogram (p : Ast.program) : float array =
   E.Histogram.of_module (Lower.lower_program p)
 
-(* Apply a sequence; catch lowering failures (a transformation should never
-   produce an un-lowerable program, but search must be robust). *)
-let try_apply (txs : Source_tx.t list) (rng : Rng.t) (p : Ast.program) :
-    Ast.program option =
+(* [score h0 ~dist txs rng p]: apply [txs] to [p] under [rng] and return
+   the result's distance from the original program's histogram [h0], with
+   the result.  [dist] is [p]'s own distance: a result structurally equal
+   to [p] gets it without being lowered.  A result that fails to lower (a
+   transformation should never produce one, but search must be robust)
+   scores [neg_infinity] and gives back [p]. *)
+let score (h0 : float array) ~(dist : float) (txs : Source_tx.t list)
+    (rng : Rng.t) (p : Ast.program) : float * Ast.program =
   let p' = Source_tx.apply_sequence txs rng p in
-  match Lower.lower_program p' with
-  | _ -> Some p'
-  | exception _ -> None
+  if p' = p then (dist, p')
+  else
+    match Lower.lower_program p' with
+    | m -> (E.Histogram.euclidean h0 (E.Histogram.of_module m), p')
+    | exception _ -> (neg_infinity, p)
 
 (** Random search: a random subset of the 15 transformations, each used at
     most once, in random order. *)
 let rs ?(max_len = 8) (rng : Rng.t) (p : Ast.program) : Ast.program =
   let len = Rng.int_range rng 1 max_len in
   let seq = Rng.sample rng len Source_tx.all in
-  match try_apply seq rng p with Some p' -> p' | None -> p
+  let p' = Source_tx.apply_sequence seq rng p in
+  match Lower.lower_program p' with _ -> p' | exception _ -> p
 
 (** MCMC: propose single-step mutations of the sequence; accept with
     Metropolis probability on the distance objective. *)
 let mcmc ?(iterations = 20) ?(max_len = 8) (rng : Rng.t) (p : Ast.program) :
     Ast.program =
   let h0 = base_histogram p in
-  let score seq =
-    match try_apply seq (Rng.copy rng) p with
-    | Some p' -> (distance h0 p', p')
-    | None -> (neg_infinity, p)
-  in
+  let score seq = score h0 ~dist:0.0 seq (Rng.copy rng) p in
   let mutate seq =
     let tx () = Rng.choice rng Source_tx.all in
     match Rng.int rng 3 with
@@ -83,25 +86,27 @@ let mcmc ?(iterations = 20) ?(max_len = 8) (rng : Rng.t) (p : Ast.program) :
 
 (** Greedy distance-maximising sequence generation (the role DRLSG plays in
     Zhang et al.): at each step, apply the transformation whose result is
-    furthest from the original program; stop when no step improves. *)
+    furthest from the original program; stop when no step improves.  The
+    first step takes its best candidate whatever it scores, so its bar sits
+    below every distance; a no-op candidate keeps its place in the list
+    with the current program's distance (0.0 at the first step), so ties
+    break as they would had it been lowered. *)
 let drlsg ?(max_len = 8) (rng : Rng.t) (p : Ast.program) : Ast.program =
   let h0 = base_histogram p in
-  let rec go p cur_score steps =
+  let rec go p dist steps =
     if steps >= max_len then p
     else
+      let bar = if steps = 0 then -1.0 else dist in
       let candidates =
-        List.filter_map
-          (fun tx ->
-            match try_apply [ tx ] (Rng.split rng) p with
-            | Some p' -> Some (distance h0 p', p')
-            | None -> None)
+        List.map
+          (fun tx -> score h0 ~dist [ tx ] (Rng.split rng) p)
           Source_tx.all
       in
-      match List.sort (fun (a, _) (b, _) -> compare b a) candidates with
-      | (s, p') :: _ when s > cur_score -> go p' s (steps + 1)
+      match List.stable_sort (fun (a, _) (b, _) -> compare b a) candidates with
+      | (s, p') :: _ when s > bar -> go p' s (steps + 1)
       | _ -> p
   in
-  go p (-1.0) 0
+  go p 0.0 0
 
 (** Genetic algorithm over sequences: tournament selection, one-point
     crossover, point mutation. *)
@@ -112,11 +117,7 @@ let ga ?(population = 12) ?(generations = 6) ?(max_len = 8) (rng : Rng.t)
     let len = Rng.int_range rng 1 max_len in
     List.init len (fun _ -> Rng.choice rng Source_tx.all)
   in
-  let fitness seq =
-    match try_apply seq (Rng.copy rng) p with
-    | Some p' -> (distance h0 p', p')
-    | None -> (neg_infinity, p)
-  in
+  let fitness seq = score h0 ~dist:0.0 seq (Rng.copy rng) p in
   let crossover a b =
     if a = [] || b = [] then a
     else
@@ -137,7 +138,9 @@ let ga ?(population = 12) ?(generations = 6) ?(max_len = 8) (rng : Rng.t)
         seq
   in
   let pop = ref (List.init population (fun _ -> random_seq ())) in
-  let best = ref (fitness (List.hd !pop)) in
+  (* [(neg_infinity, p)] is what a sequence that fails to lower scores, so
+     generation 1's first individual replaces it unless it failed *)
+  let best = ref (neg_infinity, p) in
   for _ = 1 to generations do
     let scored = List.map (fun s -> (s, fitness s)) !pop in
     List.iter
@@ -152,7 +155,7 @@ let ga ?(population = 12) ?(generations = 6) ?(max_len = 8) (rng : Rng.t)
           let parent_a = tournament () and parent_b = tournament () in
           mutate (crossover parent_a parent_b))
   done;
-  snd !best
+  if generations = 0 then snd (fitness (List.hd !pop)) else snd !best
 
 type strategy = {
   sname : string;

@@ -1,8 +1,11 @@
 (** The four search strategies from Zhang et al. (2021) for combining the
-    base source transformations into an evading sequence.  All score
-    candidates by the Euclidean distance between opcode histograms of the
-    lowered original and transformed programs — the paper's own evasion
-    metric (Figure 10). *)
+    base source transformations into an evading sequence.  [mcmc], [drlsg]
+    and [ga] score candidates by the Euclidean distance between opcode
+    histograms of the lowered original and transformed programs — the
+    paper's own evasion metric (Figure 10).  Each candidate is lowered
+    once; one structurally equal to the program it was applied to is not
+    lowered and gets that program's distance.  [rs] lowers its one
+    candidate only to check that it lowers. *)
 
 (** Random search: a random subset, each transformation at most once. *)
 val rs :

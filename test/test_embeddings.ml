@@ -48,6 +48,34 @@ let test_histogram_invariant_under_renaming =
       let p' = Yali.Obfuscation.Source_tx.apply_program tx (Yali.Rng.make seed) p in
       E.Histogram.of_module (lower p) = E.Histogram.of_module (lower p'))
 
+(* [of_module] counts exactly the opcode list [Irmod.opcodes] gives: on
+   every [Passdb] entry's output for generated programs, and on every
+   evader's output for dataset programs. *)
+let test_histogram_fold () =
+  let same what m =
+    if E.Histogram.of_module m <> E.Histogram.of_opcodes (Ir.Irmod.opcodes m)
+    then Alcotest.failf "%s: histogram differs from the opcode list" what
+  in
+  for seed = 0 to 9 do
+    let m = lower (Yali.Check.Gen.program (Rng.make seed)) in
+    List.iteri
+      (fun k (e : Yali.Check.Passdb.entry) ->
+        same
+          (Printf.sprintf "%s on generated program %d" e.ename seed)
+          (Yali.Check.Passdb.apply e (Rng.split_ix (Rng.make seed) k) m))
+      Yali.Check.Passdb.all
+  done;
+  let module Ev = Yali.Obfuscation.Evader in
+  for seed = 0 to 3 do
+    let p = dataset_program seed in
+    List.iter
+      (fun (e : Ev.t) ->
+        same
+          (Printf.sprintf "%s on dataset program %d" e.ename seed)
+          (e.apply (Rng.make seed) p))
+      Ev.(all @ [ ga; mem2reg ])
+  done
+
 (* -- milepost ------------------------------------------------------------- *)
 
 let test_milepost_dim () =
@@ -207,6 +235,8 @@ let suite =
     Alcotest.test_case "histogram normalized" `Quick test_histogram_normalized;
     Alcotest.test_case "euclidean metric" `Quick test_euclidean_metric;
     test_histogram_invariant_under_renaming;
+    Alcotest.test_case "histogram fold equals opcode list" `Quick
+      test_histogram_fold;
     Alcotest.test_case "milepost dim" `Quick test_milepost_dim;
     Alcotest.test_case "milepost block count" `Quick test_milepost_counts_blocks;
     Alcotest.test_case "ir2vec deterministic" `Quick test_ir2vec_deterministic;

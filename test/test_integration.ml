@@ -117,6 +117,39 @@ let test_full_cli_style_pipeline () =
   Alcotest.(check bool) "0+1+4+9+16 = 30" true
     (out.output = [ 30L ])
 
+(* The built [yali] binary: a bad command line exits 2 whether cmdliner
+   (an unknown option or command, an ill-typed value, a missing file) or
+   a flag check rejects it, and [--help] exits 0. *)
+let test_cli_exit_codes () =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/yali_cli.exe")
+  in
+  let exit_code args =
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process exe (Array.of_list (exe :: args)) null null null
+    in
+    Unix.close null;
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | _ -> Alcotest.failf "%s killed by a signal" (String.concat " " args)
+  in
+  let missing = Filename.concat (Sys.getcwd ()) "no-such-program.c" in
+  List.iter
+    (fun (args, want) ->
+      Alcotest.(check int) (String.concat " " args) want (exit_code args))
+    [
+      ([ "adapt"; "--budget"; "x" ], 2);
+      ([ "adapt"; "--bogus" ], 2);
+      ([ "run"; missing ], 2);
+      ([ "no-such-command" ], 2);
+      ([ "adapt"; "--lambda"; "-1" ], 2);
+      ([ "adapt"; "--lambda=-1" ], 2);
+      ([ "--help=plain" ], 0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "game1: ollvm hurts" `Slow test_game1_ollvm_hurts;
@@ -130,4 +163,5 @@ let suite =
     Alcotest.test_case "optimizer vs obfuscator speed" `Slow
       test_optimizer_vs_obfuscator_speed;
     Alcotest.test_case "umbrella API pipeline" `Quick test_full_cli_style_pipeline;
+    Alcotest.test_case "cli exit codes" `Quick test_cli_exit_codes;
   ]

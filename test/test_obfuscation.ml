@@ -199,13 +199,77 @@ let test_strategies_respect_max_len () =
       ("ga", Ob.Strategies.ga ~population:4 ~generations:2 ~max_len:1 (Rng.make 5) p);
     ]
 
-let test_drlsg_increases_distance () =
-  (* the greedy distance maximiser must not decrease embedding distance *)
-  let p = dataset_program 23 in
-  let h0 = Yali.Embeddings.Histogram.of_module (lower p) in
-  let p' = Ob.Strategies.drlsg (Rng.make 5) p in
-  let d = Yali.Embeddings.Histogram.euclidean h0 (Yali.Embeddings.Histogram.of_module (lower p')) in
-  Alcotest.(check bool) "moved away from original" true (d >= 0.0)
+(* drlsg's first step against a brute-force oracle: with a one-step
+   budget it must reach exactly the largest distance among the fifteen
+   single-transformation candidates, which the test applies and lowers
+   itself under the same [Rng.split] order. *)
+let test_drlsg_distance () =
+  let module H = Yali.Embeddings.Histogram in
+  List.iter
+    (fun seed ->
+      let p = dataset_program seed in
+      let h0 = H.of_module (lower p) in
+      let dist q = H.euclidean h0 (H.of_module (lower q)) in
+      let rng = Rng.make 5 in
+      let best =
+        List.fold_left
+          (fun acc tx ->
+            let q = Ob.Source_tx.apply_program tx (Rng.split rng) p in
+            Float.max acc (dist q))
+          neg_infinity Ob.Source_tx.all
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "program %d: one step reaches the best candidate" seed)
+        best
+        (dist (Ob.Strategies.drlsg ~max_len:1 (Rng.make 5) p));
+      if seed = 23 then
+        Alcotest.(check bool) "program 23 moves away from the original" true
+          (dist (Ob.Strategies.drlsg (Rng.make 5) p) > 0.0))
+    [ 0; 7; 23; 41; 58; 96; 103; 150 ]
+
+(* Every source strategy at its default parameters on the 24 test programs
+   of a seeded Poj split: one MD5 of the printed outputs and one of the
+   matching evader's module digests per strategy.  A change to how
+   candidates are scored or chosen shows here first. *)
+let test_strategies_pin () =
+  let split =
+    Yali.Dataset.Poj.make (Rng.make 11) ~n_classes:24 ~train_per_class:0
+      ~test_per_class:1
+  in
+  let digests =
+    List.map
+      (fun (s : Ob.Strategies.strategy) ->
+        let e = Option.get (Ob.Evader.find s.sname) in
+        let printed = Buffer.create (1 lsl 16) in
+        let modules = Buffer.create 1024 in
+        Array.iteri
+          (fun i (l : Yali.Dataset.Poj.labelled) ->
+            let rng () = Rng.split_ix (Rng.make 11) i in
+            Buffer.add_string printed (print_program (s.run (rng ()) l.src));
+            Buffer.add_string modules
+              (Yali.Embeddings.Embedding.digest (e.apply (rng ()) l.src)))
+          split.test;
+        let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+        (s.sname, (md5 printed, md5 modules)))
+      Ob.Strategies.all
+  in
+  Alcotest.(check (list (pair string (pair string string))))
+    "printed programs, evader modules"
+    [
+      ( "rs",
+        ("af5daed812f9853a60a8de11075ebaf9", "db87f4ae9a56b14350e569b7dde241ed")
+      );
+      ( "mcmc",
+        ("7859d2b8c89d59d79f9b3914e81d3835", "f13d8a4c468d44e735b931a3ed813909")
+      );
+      ( "drlsg",
+        ("cc51bf85743bd9ee903cef6bfb4694c8", "50c4f4a3a3caf972508c0fb6c222ca2b")
+      );
+      ( "ga",
+        ("7bb28f4c458f8ef02c6dc3e3c25de2c1", "8e1fbf5c77b874d646bb2d93419f29e8")
+      );
+    ]
+    digests
 
 (* -- evader registry ------------------------------------------------------ *)
 
@@ -256,7 +320,8 @@ let suite =
   @ [
       Alcotest.test_case "strategies respect max_len" `Slow
         test_strategies_respect_max_len;
-      Alcotest.test_case "drlsg distance" `Slow test_drlsg_increases_distance;
+      Alcotest.test_case "drlsg distance" `Slow test_drlsg_distance;
+      Alcotest.test_case "source strategies pin" `Slow test_strategies_pin;
       Alcotest.test_case "evader registry" `Quick test_evader_registry;
     ]
   @ evader_semantic_tests

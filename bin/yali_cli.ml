@@ -380,11 +380,16 @@ let play_cmd =
     Arg.(value & opt int 5 & info [ "test" ] ~doc:"Test samples per class.")
   in
   let threshold_arg =
-    Arg.(value & opt float 0.5 & info [ "threshold"; "k" ] ~doc:"Win threshold K.")
+    Arg.(
+      value & opt float 0.5
+      & info [ "threshold"; "k" ]
+          ~doc:"Win threshold K, an accuracy in [0, 1].")
   in
   let run seed jobs telemetry game evader model classes train test threshold =
     if train < 1 then die ~code:2 "--train must be positive";
     if test < 1 then die ~code:2 "--test must be positive";
+    if not (threshold >= 0.0 && threshold <= 1.0) then
+      die ~code:2 "--threshold must be in [0, 1], got %g" threshold;
     configure_jobs jobs;
     configure_telemetry telemetry;
     let e =
@@ -770,12 +775,17 @@ let corpus_cmd =
     in
     let run seed jobs out dataset classes per_class records_per_shard =
       configure_jobs jobs;
-      make_out_dir "--out" out;
       let spec =
         { Yali.Corpus.Gen.dataset; seed; n_classes = classes; per_class }
       in
-      (try Yali.Corpus.Gen.generate ~dir:out ~records_per_shard spec
+      (* generate's checks, made before --out is created *)
+      if records_per_shard < 1 then
+        die ~code:2 "--records-per-shard must be at least 1, got %d"
+          records_per_shard;
+      (try ignore (Yali.Corpus.Gen.plan spec)
        with Invalid_argument msg -> die ~code:2 "%s" msg);
+      make_out_dir "--out" out;
+      Yali.Corpus.Gen.generate ~dir:out ~records_per_shard spec;
       let r = Yali.Corpus.Store.open_ out in
       Printf.printf "wrote %s: %d records in %d shards (%d bytes) under %s/\n"
         (Yali.Corpus.Store.meta r)

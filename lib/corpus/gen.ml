@@ -38,6 +38,10 @@ let spec_of_string (s : string) : (spec, string) result =
 let size (s : spec) : int = s.n_classes * s.per_class
 
 let plan (s : spec) : Poj.plan =
+  if s.per_class < 1 then
+    invalid_arg
+      (Printf.sprintf "Corpus.Gen: --per-class must be at least 1, got %d"
+         s.per_class);
   match s.dataset with
   | "poj" ->
       Poj.plan (Rng.make s.seed) ~n_classes:s.n_classes

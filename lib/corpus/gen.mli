@@ -24,8 +24,8 @@ val size : spec -> int
 
 (** The sampling plan behind a spec (train side only; test sets come from
     a separate spec at a different seed).
-    @raise Invalid_argument on an unknown dataset or a class count the
-    dataset cannot provide *)
+    @raise Invalid_argument on an unknown dataset, a class count the
+    dataset cannot provide or a per-class count below 1 *)
 val plan : spec -> Yali_dataset.Poj.plan
 
 (** Generate the corpus into [dir] (created when missing), shard-parallel
@@ -33,7 +33,9 @@ val plan : spec -> Yali_dataset.Poj.plan
     [[s*records_per_shard, (s+1)*records_per_shard)), and every task
     lowers, encodes and appends only its own shard.  Deterministic at any
     [jobs].  First deletes the directory's feature files
-    ({!Store.remove_features}), which describe the records it replaces. *)
+    ({!Store.remove_features}), which describe the records it replaces.
+    @raise Invalid_argument as {!plan} does, or on [records_per_shard < 1],
+    before [dir] is created *)
 val generate : dir:string -> ?records_per_shard:int -> spec -> unit
 
 (** The in-memory reference path: every record of the spec as a lowered

@@ -37,6 +37,9 @@ let train ~(dir : string) ~(embedding : Embedding.t) ~(kind : string)
           Error (Printf.sprintf "corrupt corpus in %s: %s" dir m)
       | exception Sys_error m ->
           Error (Printf.sprintf "no corpus in %s: %s" dir m)
+      | r when Store.length r = 0 ->
+          Store.close r;
+          Error (Printf.sprintf "corpus in %s has no records" dir)
       | r ->
           Fun.protect
             ~finally:(fun () -> Store.close r)

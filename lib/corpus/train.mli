@@ -14,8 +14,8 @@ val ensure_features :
 
 (** [train ~dir ~embedding ~kind ~seed ()] opens the corpus at [dir] and
     trains [kind] out of core ([version 0] until published).  [block_rows]
-    caps the feature rows resident at once.  [Error] covers a missing or
-    corrupt corpus, unknown model kinds and [block_rows < 1]. *)
+    caps the feature rows resident at once.  [Error] covers a missing,
+    corrupt or empty corpus, unknown model kinds and [block_rows < 1]. *)
 val train :
   dir:string ->
   embedding:Yali_embeddings.Embedding.t ->

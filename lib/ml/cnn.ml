@@ -30,7 +30,7 @@ let build_net (rng : Rng.t) ~(d_in : int) ~(n_classes : int) : Nn.t =
       Nn.layers =
         [
           Nn.dense rng ~d_in ~d_out:64;
-          Nn.relu ();
+          Nn.relu;
           Nn.dropout 0.2;
           Nn.dense rng ~d_in:64 ~d_out:n_classes;
         ];
@@ -49,12 +49,12 @@ let build_net (rng : Rng.t) ~(d_in : int) ~(n_classes : int) : Nn.t =
       Nn.layers =
         [
           Nn.conv1d rng ~c_in:1 ~c_out:c1 ~kernel:k1 ~stride:1;
-          Nn.relu ();
+          Nn.relu;
           Nn.maxpool 2;
           Nn.conv1d rng ~c_in:c1 ~c_out:c2 ~kernel:k2 ~stride:1;
-          Nn.relu ();
+          Nn.relu;
           Nn.dense rng ~d_in:flat ~d_out:64;
-          Nn.relu ();
+          Nn.relu;
           Nn.dropout 0.2;
           Nn.dense rng ~d_in:64 ~d_out:n_classes;
         ];

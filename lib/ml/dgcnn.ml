@@ -253,12 +253,12 @@ let build_head (rng : Rng.t) (p : params) ~(n_classes : int) : Nn.t =
     Nn.layers =
       [
         Nn.conv1d rng ~c_in:1 ~c_out:c1 ~kernel:tc ~stride:tc;
-        Nn.relu ();
+        Nn.relu;
         Nn.maxpool 2;
         Nn.conv1d rng ~c_in:c1 ~c_out:c2 ~kernel:k2 ~stride:1;
-        Nn.relu ();
+        Nn.relu;
         Nn.dense rng ~d_in:(c2 * l2) ~d_out:48;
-        Nn.relu ();
+        Nn.relu;
         Nn.dropout 0.2;
         Nn.dense rng ~d_in:48 ~d_out:n_classes;
       ];

@@ -3,16 +3,16 @@
     layers, plus a softmax/cross-entropy head.  Shared by the MLP, CNN and
     DGCNN models.
 
-    Two training paths coexist:
-    - the per-example {!train_step} (used by the MLP, whose net is dense
-      and ReLU layers only), and
-    - the batched {!train_batch} minibatch kernel: whole-batch forward and
-      backward as cache-tiled matmuls (im2col lowering for the 1-D
-      convolutions), gradients accumulated in fixed row shards over
-      {!Yali_exec.Pool} and merged in a fixed pairwise tree order, so the
-      result is bit-identical at any [--jobs].  The frozen naive
-      counterpart lives in [Reference.Nnb]; `bench nn` proves the speedup
-      and the bit-identity. *)
+    One training path: the batched {!train_batch} minibatch kernel, with
+    whole-batch forward and backward as cache-tiled matmuls (im2col
+    lowering for the 1-D convolutions), gradients accumulated in fixed row
+    shards over {!Yali_exec.Pool} and merged in a fixed pairwise tree
+    order, so the result is bit-identical at any [--jobs].  The frozen
+    naive counterpart lives in [Reference.Nnb]; `bench nn` proves the
+    speedup and the bit-identity.  Layers hold parameters and cached
+    weight transposes only: {!logits} and {!predict} read a network
+    without writing to it.  The MLP's per-sample step is its own, in
+    [Mlp], over {!view}. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
@@ -21,7 +21,6 @@ module Pool = Yali_exec.Pool
 type dense = {
   mutable w : Fmat.t;  (** out x in *)
   mutable b : float array;
-  mutable last_in : float array;
   mutable wt : Fmat.t option;
       (** cached transpose of [w] for the batched paths; invalidated on
           every weight update *)
@@ -40,7 +39,7 @@ type conv1d = {
 
 type layer =
   | Dense of dense
-  | Relu of { mutable mask : bool array }
+  | Relu
   | Dropout of { p : float }
   | Conv1d of conv1d
   | MaxPool of { size : int }
@@ -50,11 +49,10 @@ let dense (rng : Rng.t) ~(d_in : int) ~(d_out : int) : layer =
     {
       w = Fmat.random rng d_out d_in ~scale:(sqrt (2.0 /. float_of_int d_in));
       b = Array.make d_out 0.0;
-      last_in = [||];
       wt = None;
     }
 
-let relu () = Relu { mask = [||] }
+let relu = Relu
 let dropout p = Dropout { p }
 
 let conv1d (rng : Rng.t) ~(c_in : int) ~(c_out : int) ~(kernel : int)
@@ -96,17 +94,13 @@ let conv_ft (c : conv1d) : Fmat.t =
       c.ft <- Some t;
       t
 
-(* Inference through one layer (dropout is the identity); dense and relu
-   layers also keep what [backward] reads. *)
+(* Inference through one layer (dropout is the identity). *)
 let forward (layer : layer) (x : float array) : float array =
   match layer with
   | Dense d ->
-      d.last_in <- x;
       let out = Fmat.mv d.w x in
       Array.mapi (fun i v -> v +. d.b.(i)) out
-  | Relu r ->
-      r.mask <- Array.map (fun v -> v > 0.0) x;
-      Array.map (fun v -> if v > 0.0 then v else 0.0) x
+  | Relu -> Array.map (fun v -> if v > 0.0 then v else 0.0) x
   | Dropout _ -> x
   | Conv1d c ->
       let in_len = Array.length x / c.c_in in
@@ -146,34 +140,6 @@ let forward (layer : layer) (x : float array) : float array =
           done;
           x.(!best))
 
-(* Backward pass: given dL/d(out), update parameter grads in-place (SGD with
-   the supplied learning rate) and return dL/d(in).  Only the per-example
-   trainer calls it, on dense and relu layers. *)
-let backward ~(lr : float) (layer : layer) (dout : float array) : float array
-    =
-  match layer with
-  | Dense d ->
-      let din = Fmat.vm dout d.w in
-      (* update: w -= lr * dout^T last_in ; b -= lr * dout.  Flat offsets
-         into the weight data; the float expressions are unchanged
-         ([lr *. dout.(o) *. x] associates left, so hoisting the scale is
-         the same product). *)
-      let wd = d.w.data and cols = d.w.d in
-      for o = 0 to d.w.n - 1 do
-        d.b.(o) <- d.b.(o) -. (lr *. dout.(o));
-        let s = lr *. dout.(o) in
-        let base = o * cols in
-        for i = 0 to cols - 1 do
-          Array.unsafe_set wd (base + i)
-            (Array.unsafe_get wd (base + i) -. (s *. d.last_in.(i)))
-        done
-      done;
-      d.wt <- None;
-      din
-  | Relu r -> Array.mapi (fun i v -> if r.mask.(i) then v else 0.0) dout
-  | Dropout _ | Conv1d _ | MaxPool _ ->
-      invalid_arg "Nn.backward: per-example training is dense and relu only"
-
 type t = { layers : layer list; n_classes : int }
 
 let invalidate_caches (net : t) : unit =
@@ -181,7 +147,7 @@ let invalidate_caches (net : t) : unit =
     (function
       | Dense d -> d.wt <- None
       | Conv1d c -> c.ft <- None
-      | Relu _ | Dropout _ | MaxPool _ -> ())
+      | Relu | Dropout _ | MaxPool _ -> ())
     net.layers
 
 type layer_view =
@@ -202,7 +168,7 @@ let view (net : t) : layer_view list =
   List.map
     (function
       | Dense d -> V_dense { w = d.w; b = d.b }
-      | Relu _ -> V_relu
+      | Relu -> V_relu
       | Dropout d -> V_dropout d.p
       | Conv1d c ->
           V_conv1d
@@ -223,33 +189,14 @@ let dump_weights (net : t) : float array array =
        (function
          | Dense d -> [ Array.copy d.w.Fmat.data; Array.copy d.b ]
          | Conv1d c -> [ Array.copy c.filters.Fmat.data; Array.copy c.cbias ]
-         | Relu _ | Dropout _ | MaxPool _ -> [])
+         | Relu | Dropout _ | MaxPool _ -> [])
        net.layers)
-
-let forward_all (net : t) (x : float array) : float array =
-  List.fold_left (fun x l -> forward l x) x net.layers
-
-let backward_all ~(lr : float) (net : t) (dout : float array) : float array =
-  List.fold_left (fun d l -> backward ~lr l d) dout (List.rev net.layers)
 
 let softmax (z : float array) : float array =
   let m = Array.fold_left max neg_infinity z in
   let e = Array.map (fun v -> exp (v -. m)) z in
   let s = Array.fold_left ( +. ) 0.0 e in
   Array.map (fun v -> v /. s) e
-
-(** One SGD step on a (sample, label) pair with cross-entropy loss; returns
-    the loss and the gradient at the input (useful for models that have
-    differentiable layers below the network, like the DGCNN's graph
-    convolutions). *)
-let train_step ~(lr : float) (net : t) (x : float array) (y : int) :
-    float * float array =
-  let logits = forward_all net x in
-  let p = softmax logits in
-  let loss = -.log (max 1e-12 p.(y)) in
-  let dlogits = Array.mapi (fun i v -> v -. if i = y then 1.0 else 0.0) p in
-  let dx = backward_all ~lr net dlogits in
-  (loss, dx)
 
 (* -- batched minibatch training (DESIGN.md §15) ----------------------------- *)
 
@@ -280,7 +227,7 @@ let shape_widths (net : t) ~(d_in : int) : int array =
             if d.w.Fmat.d <> w then
               invalid_arg "Nn.train_batch: dense layer width mismatch";
             d.w.Fmat.n
-        | Relu _ | Dropout _ -> w
+        | Relu | Dropout _ -> w
         | Conv1d c ->
             let in_len = w / c.c_in in
             let ol = conv_out_len c in_len in
@@ -317,7 +264,7 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
       | Dense d ->
           scratch.(li) <- S_input x;
           a := Fmat.matmul_bias ~bias:d.b x (dense_wt d)
-      | Relu _ ->
+      | Relu ->
           (* rectify in place: only non-positive cells need a store, and the
              backward pass can read the sign off the post-activation values
              (relu v > 0 iff v > 0, NaN included).  The previous layer's
@@ -415,7 +362,7 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
     net.layers;
   (* softmax / cross-entropy head.  Gradients are SUMMED over the batch
      (dlogits = p - onehot per row, no 1/m), so the per-epoch step
-     magnitude matches the per-example trainer at the same learning rate. *)
+     magnitude matches per-example SGD at the same learning rate. *)
   let logits = !a in
   let nc = logits.Fmat.d in
   let dlog = Fmat.create_uninit rows nc in
@@ -450,7 +397,7 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
         grads.(li) <- G_dense (gw, gb);
         (* the first layer's input gradient only exists for [dx] *)
         if li > 0 || need_dx then dout := Fmat.matmul d_o d.w
-    | Relu _, S_input xin ->
+    | Relu, S_input xin ->
         (* [xin] holds the post-activation values (forward rectified in
            place); mask the incoming gradient in place — every upstream
            producer hands over a matrix that is dead after this layer *)
@@ -653,7 +600,7 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
 
 (** Raw output-layer activations of one inference pass (no softmax). *)
 let logits (net : t) (x : float array) : float array =
-  forward_all net x
+  List.fold_left (fun x l -> forward l x) x net.layers
 
 let predict (net : t) (x : float array) : int = Fmat.argmax (logits net x)
 
@@ -665,7 +612,7 @@ let predict_batch (net : t) (x : Fmat.t) : int array =
   let dense_only =
     List.for_all
       (function
-        | Dense _ | Relu _ | Dropout _ -> true
+        | Dense _ | Relu | Dropout _ -> true
         | Conv1d _ | MaxPool _ -> false)
       net.layers
   in
@@ -690,7 +637,7 @@ let predict_batch (net : t) (x : Fmat.t) : int array =
               done
             done;
             a := out
-        | Relu _ -> a := Fmat.map (fun v -> if v > 0.0 then v else 0.0) !a
+        | Relu -> a := Fmat.map (fun v -> if v > 0.0 then v else 0.0) !a
         | Dropout _ -> ()
         | Conv1d _ | MaxPool _ -> assert false)
       net.layers;
@@ -705,7 +652,7 @@ let size_bytes (net : t) : int =
       match l with
       | Dense d -> 8 * ((d.w.n * d.w.d) + Array.length d.b)
       | Conv1d c -> 8 * ((c.filters.n * c.filters.d) + Array.length c.cbias)
-      | Relu _ | Dropout _ | MaxPool _ -> 0)
+      | Relu | Dropout _ | MaxPool _ -> 0)
     0 net.layers
 
 (* -- snapshots -------------------------------------------------------------- *)
@@ -718,7 +665,7 @@ let layer_to_bin b (l : layer) =
       Bin.w_u8 b 0;
       Fmat.to_bin b d.w;
       Bin.w_floats b d.b
-  | Relu _ -> Bin.w_u8 b 1
+  | Relu -> Bin.w_u8 b 1
   | Dropout d ->
       Bin.w_u8 b 3;
       Bin.w_f64 b d.p
@@ -741,8 +688,8 @@ let layer_of_bin r : layer =
       let b = Bin.r_floats r in
       if Array.length b <> w.Fmat.n then
         Bin.fail r "dense layer bias/weight shape mismatch";
-      Dense { w; b; last_in = [||]; wt = None }
-  | 1 -> Relu { mask = [||] }
+      Dense { w; b; wt = None }
+  | 1 -> Relu
   | 3 -> Dropout { p = Bin.r_f64 r }
   | 4 ->
       let c_in = Bin.r_u32 r in

@@ -6,17 +6,19 @@
     Convolution layout: a [c]-channel signal of length [l] is a flat array
     of size [c*l], channel-major.
 
-    Training paths: the per-example {!train_step} (used by the MLP) and the
-    batched minibatch kernel {!train_batch} (used by the CNN and the DGCNN
-    head), which runs whole-batch forward/backward as cache-tiled matmuls
-    with data-parallel gradient shards — bit-identical at any [--jobs], and
-    bit-identical to the frozen naive implementation in [Reference.Nnb]
-    (the ml/nn-kernel-vs-reference oracle). *)
+    One training path: the batched minibatch kernel {!train_batch} (used by
+    the CNN and the DGCNN head), which runs whole-batch forward/backward as
+    cache-tiled matmuls with data-parallel gradient shards — bit-identical
+    at any [--jobs], and bit-identical to the frozen naive implementation
+    in [Reference.Nnb] (the ml/nn-kernel-vs-reference oracle).  The MLP
+    trains with its own per-sample step, writing through {!view}.  Layers
+    carry no per-sample state, so {!logits} and {!predict} only read the
+    network. *)
 
 type layer
 
 val dense : Yali_util.Rng.t -> d_in:int -> d_out:int -> layer
-val relu : unit -> layer
+val relu : layer
 val dropout : float -> layer
 
 val conv1d :
@@ -27,12 +29,6 @@ val maxpool : int -> layer
 type t = { layers : layer list; n_classes : int }
 
 val softmax : float array -> float array
-
-(** One SGD step on a (sample, label) pair; returns the loss and the
-    gradient at the network input.  Dense and ReLU layers only (the MLP's
-    net).
-    @raise Invalid_argument on a dropout, convolution or pooling layer *)
-val train_step : lr:float -> t -> float array -> int -> float * float array
 
 (** Rows per gradient shard of {!train_batch}.  Shard boundaries are a
     function of the batch size only (never of [--jobs]); exposed so the
@@ -49,8 +45,8 @@ val tree_reduce : ('a -> 'a -> unit) -> 'a array -> unit
 (** [train_batch ~lr ~rng net xb yb] performs ONE minibatch SGD step on the
     whole batch: forward and backward as cache-tiled matmuls (im2col
     lowering for 1-D convolutions), cross-entropy gradients {e summed} over
-    the batch (so the per-epoch step magnitude matches the per-example
-    trainer at the same learning rate), accumulated in fixed row shards of
+    the batch (so the per-epoch step magnitude matches per-example SGD at
+    the same learning rate), accumulated in fixed row shards of
     {!grad_shard_rows} over {!Yali_exec.Pool} and merged in a fixed
     pairwise tree order — bit-identical at any [--jobs].  Dropout masks are
     drawn from [rng] on the calling domain, layer-major then row-major.
@@ -83,11 +79,12 @@ val predict_batch : t -> Fmat.t -> int array
 
 val size_bytes : t -> int
 
-(** A read-only structural view of the layers.  The matrices and bias
-    arrays are the network's own storage (not copies): [Reference.Nnb] — the
-    frozen naive trainer that `bench nn` and the differential oracles
-    compare against — trains through this view.  Any code that mutates
-    weights through a view must call {!invalidate_caches} afterwards. *)
+(** A structural view of the layers.  The matrices and bias arrays are
+    the network's own storage (not copies): [Reference.Nnb] — the frozen
+    naive trainer that `bench nn` and the differential oracles compare
+    against — and the MLP's per-sample step train through this view.  Any
+    code that mutates weights through a view must call
+    {!invalidate_caches} afterwards. *)
 type layer_view =
   | V_dense of { w : Fmat.t; b : float array }
   | V_relu
@@ -114,8 +111,8 @@ val invalidate_caches : t -> unit
 val dump_weights : t -> float array array
 
 (** Serialise a network bit-exactly (all layer kinds, including Conv1d and
-    MaxPool); training scratch (masks, cached activations, cached
-    transposes) is not part of the model and is not persisted. *)
+    MaxPool); the cached weight transposes are not part of the model and
+    are not persisted. *)
 val to_bin : Buffer.t -> t -> unit
 
 (** @raise Yali_util.Bin.Corrupt on malformed input *)

@@ -405,6 +405,40 @@ let test_train_rejects_zero_block_rows () =
           Alcotest.(check bool) ("names block rows: " ^ msg) true
             (Helpers.contains_substring msg "block rows"))
 
+(* A per-class count below one names the flag and fails before the
+   corpus directory is created. *)
+let test_generate_rejects_empty_classes () =
+  with_temp_dir (fun dir ->
+      let out = Filename.concat dir "corpus" in
+      List.iter
+        (fun per_class ->
+          match Gen.generate ~dir:out { (small_spec 1) with per_class } with
+          | () -> Alcotest.failf "per_class %d accepted" per_class
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool) ("names --per-class: " ^ msg) true
+                (Helpers.contains_substring msg "--per-class");
+              Alcotest.(check bool) "no directory" false (Sys.file_exists out))
+        [ 0; -1 ])
+
+(* A corpus with no records (what generation at zero per class wrote)
+   trains no model, rather than one of dimension 0 that rejects every
+   query. *)
+let test_train_rejects_empty_corpus () =
+  with_temp_dir (fun dir ->
+      let w = Store.Shard.create ~dir 0 in
+      Store.write_index ~dir ~meta:"empty" ~n_classes:4
+        [| Store.Shard.finish w |];
+      List.iter
+        (fun kind ->
+          match
+            Ctrain.train ~dir ~embedding:Embedding.histogram ~kind ~seed:9 ()
+          with
+          | Ok _ -> Alcotest.failf "%s trained on an empty corpus" kind
+          | Error msg ->
+              Alcotest.(check bool) ("names the empty corpus: " ^ msg) true
+                (Helpers.contains_substring msg "no records"))
+        [ "rf"; "svm"; "knn"; "lr"; "mlp"; "cnn" ])
+
 (* A FIFO has no length: [read_file] reads it to end of file, as it does
    [/dev/stdin] under [cat prog.c | yali run /dev/stdin].  SIGPIPE is
    ignored so that a reader that gives up early fails the test instead of
@@ -463,6 +497,10 @@ let suite =
       test_train_records_provenance;
     Alcotest.test_case "corpus training rejects block_rows 0" `Quick
       test_train_rejects_zero_block_rows;
+    Alcotest.test_case "generation rejects per_class below 1" `Quick
+      test_generate_rejects_empty_classes;
+    Alcotest.test_case "corpus training rejects an empty corpus" `Quick
+      test_train_rejects_empty_corpus;
     Alcotest.test_case "output dirs created two levels deep" `Quick
       test_output_dirs_created;
     Alcotest.test_case "read_file reads a FIFO to its end" `Quick

@@ -119,7 +119,8 @@ let test_full_cli_style_pipeline () =
 
 (* The built [yali] binary: a bad command line exits 2 whether cmdliner
    (an unknown option or command, an ill-typed value, a missing file) or
-   a flag check rejects it, and [--help] exits 0. *)
+   a flag check rejects it, and [--help] exits 0.  A rejected
+   [corpus gen] leaves no [--out] directory behind. *)
 let test_cli_exit_codes () =
   let exe =
     Filename.concat
@@ -147,8 +148,19 @@ let test_cli_exit_codes () =
       ([ "no-such-command" ], 2);
       ([ "adapt"; "--lambda"; "-1" ], 2);
       ([ "adapt"; "--lambda=-1" ], 2);
+      ([ "play"; "--threshold"; "nan" ], 2);
+      ([ "play"; "--threshold=-1" ], 2);
       ([ "--help=plain" ], 0);
-    ]
+    ];
+  Yali.Util.Fs.with_temp_dir "cli-test" (fun dir ->
+      let out = Filename.concat dir "corpus" in
+      List.iter
+        (fun flag ->
+          let args = [ "corpus"; "gen"; flag; "--out"; out ] in
+          Alcotest.(check int) (String.concat " " args) 2 (exit_code args);
+          Alcotest.(check bool) "no --out directory" false
+            (Sys.file_exists out))
+        [ "--per-class=0"; "--per-class=-1"; "--records-per-shard=0" ])
 
 let suite =
   [

@@ -148,7 +148,7 @@ let test_transpose_cache_invalidation () =
       Ml.Nn.layers =
         [
           Ml.Nn.dense rng ~d_in:6 ~d_out:16;
-          Ml.Nn.relu ();
+          Ml.Nn.relu;
           Ml.Nn.dense rng ~d_in:16 ~d_out:3;
         ];
       n_classes = 3;
@@ -161,9 +161,16 @@ let test_transpose_cache_invalidation () =
     Alcotest.(check (array int)) msg rows batch
   in
   check_batch_matches_rows "fresh net";
-  (* per-example path (mutates weights in place) *)
-  ignore (Ml.Nn.train_step ~lr:0.05 net (F.row_copy x 0) ys.(0));
-  check_batch_matches_rows "after train_step";
+  (* the write path of Mlp's per-sample step: weights changed in place
+     through a view, then the caches dropped *)
+  List.iter
+    (function
+      | Ml.Nn.V_dense { w; _ } ->
+          Array.iteri (fun i v -> w.F.data.(i) <- -.v) w.F.data
+      | _ -> ())
+    (Ml.Nn.view net);
+  Ml.Nn.invalidate_caches net;
+  check_batch_matches_rows "after a write through view";
   (* batched path *)
   ignore (Ml.Nn.train_batch ~lr:0.05 ~rng net x ys);
   check_batch_matches_rows "after train_batch"

@@ -147,14 +147,14 @@ let open_ (dir : string) : reader =
     corrupt "corpus index version skew: got %d, expected %d" v version;
   let meta = Bin.r_str r in
   let n_classes = Bin.r_u32 r in
-  let n_shards = Bin.r_u32 r in
+  let n_shards = Bin.r_count r "shard" in
   let shard_counts = Array.make n_shards 0 in
   let shard_bytes = Array.make n_shards 0 in
   for s = 0 to n_shards - 1 do
     shard_counts.(s) <- Bin.r_u32 r;
     shard_bytes.(s) <- Bin.r_int r
   done;
-  let n = Bin.r_u32 r in
+  let n = Bin.r_count r "record" in
   if n <> Array.fold_left ( + ) 0 shard_counts then
     corrupt "corpus index: %d records but shard table sums to %d" n
       (Array.fold_left ( + ) 0 shard_counts);

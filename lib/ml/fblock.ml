@@ -82,6 +82,9 @@ let open_reader (path : string) : reader =
     let len = in_channel_length ic in
     if len < header_bytes then corrupt "feature file truncated at %d bytes" len;
     let n, d = decode_header (really_input_string ic header_bytes) in
+    (* divide before multiplying: two u32 fields can overflow [8 * d * n] *)
+    if d > 0 && n > (len - header_bytes) / (8 * d) then
+      corrupt "feature file %dx%d overruns its %d bytes" n d len;
     let expected = row_offset ~d n in
     if len <> expected then
       corrupt "feature file %dx%d: %d bytes on disk, expected %d" n d len

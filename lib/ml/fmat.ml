@@ -337,7 +337,8 @@ let of_bin r : t =
   let n = Bin.r_u32 r in
   let d = Bin.r_u32 r in
   let data = Bin.r_floats r in
-  if Array.length data <> n * d then
+  (* divide before multiplying: two u32 fields can overflow [n * d] *)
+  if (d > 0 && n > Array.length data / d) || n * d <> Array.length data then
     Bin.fail r
       (Printf.sprintf "fmat %dx%d with %d elements" n d (Array.length data));
   { n; d; data }

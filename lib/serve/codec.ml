@@ -404,7 +404,7 @@ let decode_module (blob : string) : Ir.Irmod.t =
         Bin.fail r (Printf.sprintf "unknown section tag %d" tag))
     sections;
   let st = section 1 "string-table" in
-  let strings = Array.init (Bin.r_u32 st) (fun _ -> Bin.r_str st) in
+  let strings = Array.init (Bin.r_count st "string") (fun _ -> Bin.r_str st) in
   Bin.expect_end st;
   let body = section 2 "module" in
   let mname = r_name strings body in

@@ -70,6 +70,11 @@ val r_str : r -> string
 (** [r_raw r n] reads exactly [n] raw bytes. *)
 val r_raw : r -> int -> string
 
+(** [r_count r what] reads a u32 element count and rejects one beyond the
+    bytes left (each element takes at least one), so a hostile count never
+    sizes an allocation. *)
+val r_count : r -> string -> int
+
 val r_seq : r -> (r -> 'a) -> 'a list
 val r_arr : r -> (r -> 'a) -> 'a array
 val r_floats : r -> float array

@@ -38,6 +38,15 @@
     fused superinstructions paid only on loop-heavy microbenchmarks, so
     both were deleted (DESIGN.md §13).
 
+    {b Two walks per function.}  [compile] walks a function's blocks
+    twice.  The layout walk assigns slots, records definition types, each
+    block's first pc and label, and each block's phi list (the widest list
+    in the module sizes the phi scratch bank); the emission walk fills
+    code and cost arrays of the size the layout counted.  An edge reads
+    only its target's phi list.  Globals compile to (base, cells,
+    initialiser) triples that [run_compiled] lays into the memory image,
+    so a compile builds no per-global image.
+
     {b Charging}: the interpreter charges (step + cost, then fuel check)
     {e before} evaluating each instruction and terminator; the dispatch
     loop does the same from the precomputed [c_costs] array, so the
@@ -143,7 +152,6 @@ type cfunc = {
   c_costs : int array;  (* per-offset Opcode.cost, charged before dispatch *)
   c_entry : edge;
   c_empty : bool;  (* no blocks: entering raises Func.entry's exception *)
-  c_max_copy : int;
 }
 
 type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -151,11 +159,10 @@ type i64s = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type program = {
   p_funcs : cfunc array;
   p_main : int;  (* -1 when the module has no [main] *)
-  p_globals : (int * Bytes.t * i64s) array;
-    (* base address, tag image, bits image *)
+  p_globals : (int * int * int64 array) array;  (* base, cells, initialiser *)
   p_brk0 : int;  (* allocation frontier after globals *)
   p_globals_oom : bool;  (* global layout overflows the memory image *)
-  p_max_copy : int;
+  p_max_copy : int;  (* most phis in any block: the scratch bank's size *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -204,7 +211,7 @@ let compile (m : Irmod.t) : program =
     funcs;
   (* global layout is deterministic: a running total of cell counts in
      declaration order.  Last duplicate name wins (interpreter uses
-     Hashtbl.replace).  Initialiser images are materialised once. *)
+     Hashtbl.replace).  [run_compiled] lays the initialisers in. *)
   let gtbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let brk = ref 0 in
   let oom = ref false in
@@ -216,56 +223,58 @@ let compile (m : Irmod.t) : program =
         if base + cells >= Interp.mem_size then oom := true;
         brk := base + cells;
         Hashtbl.replace gtbl g.gname base;
-        if !oom then
-          (* never written: the oom trap fires before globals are laid in *)
-          (base, Bytes.empty, Bigarray.Array1.create Int64 C_layout 0)
-        else begin
-          let img = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout cells in
-          for i = 0 to cells - 1 do
-            img.{i} <- (if i < Array.length g.ginit then g.ginit.(i) else 0L)
-          done;
-          (base, Bytes.make cells '\000', img)
-        end)
+        (base, cells, g.ginit))
       m.globals
-    |> Array.of_list
   in
+  let max_copy = ref 0 in
   let compile_func (f : Func.t) : cfunc =
     let blocks = Array.of_list f.blocks in
-    (* Slot assignment: params first, then every definition in block order.
-       Phis are assigned even when [no_result]: the interpreter binds
-       [i.id] for phis unconditionally. *)
+    let nblocks = Array.length blocks in
+    (* Layout walk.  Slots: params first, then every definition in block
+       order; phis are assigned even when [no_result], as the interpreter
+       binds [i.id] for phis unconditionally.  [def_types] mirrors the
+       interpreter's table (last definition wins), and so does [labels]
+       (last duplicate block wins).  Per block: its first pc (the non-phi
+       instructions then the terminator) and its phis, wherever they
+       stand, in order. *)
     let slots : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let nslots = ref 0 in
+    let def_types : (int, Types.t) Hashtbl.t = Hashtbl.create 64 in
+    let labels : (string, int) Hashtbl.t = Hashtbl.create 16 in
     let assign id =
-      if not (Hashtbl.mem slots id) then (
-        Hashtbl.add slots id !nslots;
-        incr nslots)
+      if not (Hashtbl.mem slots id) then
+        Hashtbl.add slots id (Hashtbl.length slots)
     in
-    List.iter (fun (id, _) -> assign id) f.params;
-    Array.iter
-      (fun (b : Block.t) ->
-        List.iter
-          (fun (i : Instr.t) ->
-            match i.kind with
-            | Instr.Phi _ -> assign i.id
-            | _ -> if Instr.defines i then assign i.id)
-          b.instrs)
+    List.iter
+      (fun (id, t) ->
+        assign id;
+        Hashtbl.replace def_types id t)
+      f.params;
+    let block_pc = Array.make nblocks 0 in
+    let block_phis = Array.make nblocks [] in
+    let pc = ref 0 in
+    Array.iteri
+      (fun bi (b : Block.t) ->
+        block_pc.(bi) <- !pc;
+        Hashtbl.replace labels b.label bi;
+        let phis =
+          List.fold_left
+            (fun phis (i : Instr.t) ->
+              if Instr.defines i then Hashtbl.replace def_types i.id i.ty;
+              match i.kind with
+              | Instr.Phi incoming ->
+                  assign i.id;
+                  (i.id, incoming) :: phis
+              | _ ->
+                  if Instr.defines i then assign i.id;
+                  incr pc;
+                  phis)
+            [] b.instrs
+        in
+        incr pc;
+        block_phis.(bi) <- List.rev phis;
+        max_copy := max !max_copy (List.length phis))
       blocks;
     let slot id = Hashtbl.find slots id in
-    let param_slots =
-      Array.of_list (List.map (fun (id, _) -> slot id) f.params)
-    in
-    let param_tys = Array.of_list (List.map snd f.params) in
-    (* def_types mirrors the interpreter's table (last definition wins). *)
-    let def_types : (int, Types.t) Hashtbl.t = Hashtbl.create 64 in
-    List.iter (fun (id, t) -> Hashtbl.replace def_types id t) f.params;
-    Array.iter
-      (fun (b : Block.t) ->
-        List.iter
-          (fun (i : Instr.t) ->
-            if Instr.defines i then Hashtbl.replace def_types i.id i.ty)
-          b.instrs)
-      blocks;
     let resolve (v : Value.t) : operand =
       match v with
       | Value.Var id -> (
@@ -281,27 +290,9 @@ let compile (m : Irmod.t) : program =
           | None -> Bad ("unknown global " ^ g))
       | Value.Undef _ -> Cst (0, 0L)
     in
-    (* Code layout: per block, the non-phi instructions then the
-       terminator.  Jumps resolve labels through a table where the last
-       duplicate wins, like the interpreter's block table. *)
-    let nblocks = Array.length blocks in
-    let block_pc = Array.make (max 1 nblocks) 0 in
-    let label_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let pc = ref 0 in
-    Array.iteri
-      (fun bi (b : Block.t) ->
-        block_pc.(bi) <- !pc;
-        Hashtbl.replace label_tbl b.label bi;
-        let non_phis =
-          List.fold_left
-            (fun acc (i : Instr.t) ->
-              match i.kind with Instr.Phi _ -> acc | _ -> acc + 1)
-            0 b.instrs
-        in
-        pc := !pc + non_phis + 1)
-      blocks;
+    (* An edge reads only its target's phi list.  The interpreter charges
+       each phi, then resolves it against the first incoming from [pred]. *)
     let edge_into (pred : string option) (bi : int) : edge =
-      let b = blocks.(bi) in
       let tpc = block_pc.(bi) in
       let rec go j dsts srcs = function
         | [] ->
@@ -309,41 +300,86 @@ let compile (m : Irmod.t) : program =
               (Array.of_list (List.rev dsts))
               (Array.of_list (List.rev srcs))
               None
-        | (i : Instr.t) :: rest -> (
-            match i.kind with
-            | Instr.Phi incoming -> (
-                (* the interpreter charges each phi, then resolves it *)
-                match pred with
+        | (id, incoming) :: rest -> (
+            let fail msg = mk_edge tpc (j + 1) [||] [||] (Some msg) in
+            match pred with
+            | None -> fail "phi in entry block"
+            | Some p -> (
+                match List.find_opt (fun (_, l) -> l = p) incoming with
+                | Some (v, _) ->
+                    go (j + 1) (slot id :: dsts) (resolve v :: srcs) rest
                 | None ->
-                    mk_edge tpc (j + 1) [||] [||] (Some "phi in entry block")
-                | Some p -> (
-                    match
-                      List.assoc_opt p
-                        (List.map (fun (v, l) -> (l, v)) incoming)
-                    with
-                    | Some v ->
-                        go (j + 1) (slot i.id :: dsts) (resolve v :: srcs)
-                          rest
-                    | None ->
-                        mk_edge tpc (j + 1) [||] [||]
-                          (Some
-                             (Printf.sprintf "phi %%%d misses edge from %s"
-                                i.id p))))
-            | _ -> go j dsts srcs rest)
+                    fail (Printf.sprintf "phi %%%d misses edge from %s" id p)))
       in
-      go 0 [] [] b.instrs
+      go 0 [] [] block_phis.(bi)
     in
     let make_edge (pred : string) (target : string) : edge =
-      match Hashtbl.find_opt label_tbl target with
+      match Hashtbl.find_opt labels target with
       | None ->
           mk_edge 0 0 [||] [||] (Some ("jump to unknown block " ^ target))
       | Some bi -> edge_into (Some pred) bi
     in
-    let code : inst list ref = ref [] in
-    let costs : int list ref = ref [] in
+    (* Emission walk: fill the code and cost arrays the layout sized. *)
+    let code = Array.make !pc Unreachable in
+    let costs = Array.make !pc 0 in
+    let k = ref 0 in
     let emit inst cost =
-      code := inst :: !code;
-      costs := cost :: !costs
+      code.(!k) <- inst;
+      costs.(!k) <- cost;
+      incr k
+    in
+    let compile_inst (i : Instr.t) : inst =
+      let dst = if Instr.defines i then slot i.id else -1 in
+      match i.kind with
+      | Instr.Phi _ -> assert false (* lowered onto the edges *)
+      | Instr.Ibin (op, a, b) ->
+          Ibin (dst, width i.ty, op, resolve a, resolve b)
+      | Instr.Fbin (op, a, b) -> Fbin (dst, op, resolve a, resolve b)
+      | Instr.Fneg a -> Fneg (dst, resolve a)
+      | Instr.Icmp (p, a, b) -> Icmp (dst, p, resolve a, resolve b)
+      | Instr.Fcmp (p, a, b) -> Fcmp (dst, p, resolve a, resolve b)
+      | Instr.Alloca ty -> Alloca (dst, Types.size_in_cells ty)
+      | Instr.Load p -> Load (dst, resolve p)
+      | Instr.Store (v, p) -> Store (resolve v, resolve p)
+      | Instr.Gep (base, idxs) ->
+          let base_ty =
+            match base with
+            | Value.Var id -> (
+                match Hashtbl.find_opt def_types id with
+                | Some t -> t
+                | None -> Types.Ptr Types.I64)
+            | Value.Global g -> (
+                match Irmod.find_global m g with
+                | Some gl -> Types.Ptr gl.gty
+                | None -> Types.Ptr Types.I64)
+            | _ -> Types.Ptr Types.I64
+          in
+          Gep
+            ( dst,
+              resolve base,
+              Array.of_list (List.map resolve idxs),
+              strides_of base_ty (List.length idxs) )
+      | Instr.Select (c, a, b) -> Select (dst, resolve c, resolve a, resolve b)
+      | Instr.Call (callee, args) -> (
+          let rargs = Array.of_list (List.map resolve args) in
+          (* intrinsics shadow module functions, like the interpreter's
+             eval_call *)
+          match intrinsic_of_name callee with
+          | Some it -> Call_intr (dst, it, rargs)
+          | None -> (
+              match Hashtbl.find_opt ftbl callee with
+              | None -> Call_bad (rargs, "call to unknown function " ^ callee)
+              | Some fix ->
+                  let nparams = List.length funcs.(fix).Func.params in
+                  if Array.length rargs <> nparams then
+                    Call_bad
+                      ( rargs,
+                        Printf.sprintf
+                          "arity mismatch calling %s: %d args for %d params"
+                          callee (Array.length rargs) nparams )
+                  else Call_fn (dst, fix, rargs)))
+      | Instr.Cast (c, a) -> Cast (dst, c, width i.ty, resolve a)
+      | Instr.Freeze a -> Freeze (dst, resolve a)
     in
     Array.iter
       (fun (b : Block.t) ->
@@ -351,105 +387,37 @@ let compile (m : Irmod.t) : program =
           (fun (i : Instr.t) ->
             match i.kind with
             | Instr.Phi _ -> ()
-            | k ->
-                let dst = if Instr.defines i then slot i.id else -1 in
-                let inst =
-                  match k with
-                  | Instr.Phi _ -> assert false
-                  | Instr.Ibin (op, a, b') ->
-                      Ibin (dst, width i.ty, op, resolve a, resolve b')
-                  | Instr.Fbin (op, a, b') ->
-                      Fbin (dst, op, resolve a, resolve b')
-                  | Instr.Fneg a -> Fneg (dst, resolve a)
-                  | Instr.Icmp (p, a, b') ->
-                      Icmp (dst, p, resolve a, resolve b')
-                  | Instr.Fcmp (p, a, b') ->
-                      Fcmp (dst, p, resolve a, resolve b')
-                  | Instr.Alloca ty -> Alloca (dst, Types.size_in_cells ty)
-                  | Instr.Load p -> Load (dst, resolve p)
-                  | Instr.Store (v, p) -> Store (resolve v, resolve p)
-                  | Instr.Gep (base, idxs) ->
-                      let base_ty =
-                        match base with
-                        | Value.Var id -> (
-                            match Hashtbl.find_opt def_types id with
-                            | Some t -> t
-                            | None -> Types.Ptr Types.I64)
-                        | Value.Global g -> (
-                            match Irmod.find_global m g with
-                            | Some gl -> Types.Ptr gl.gty
-                            | None -> Types.Ptr Types.I64)
-                        | _ -> Types.Ptr Types.I64
-                      in
-                      Gep
-                        ( dst,
-                          resolve base,
-                          Array.of_list (List.map resolve idxs),
-                          strides_of base_ty (List.length idxs) )
-                  | Instr.Select (c, a, b') ->
-                      Select (dst, resolve c, resolve a, resolve b')
-                  | Instr.Call (callee, args) -> (
-                      let rargs = Array.of_list (List.map resolve args) in
-                      (* intrinsics shadow module functions, like the
-                         interpreter's eval_call *)
-                      match intrinsic_of_name callee with
-                      | Some it -> Call_intr (dst, it, rargs)
-                      | None -> (
-                          match Hashtbl.find_opt ftbl callee with
-                          | None ->
-                              Call_bad
-                                (rargs, "call to unknown function " ^ callee)
-                          | Some fix ->
-                              let nparams =
-                                List.length funcs.(fix).Func.params
-                              in
-                              if Array.length rargs <> nparams then
-                                Call_bad
-                                  ( rargs,
-                                    Printf.sprintf
-                                      "arity mismatch calling %s: %d args \
-                                       for %d params"
-                                      callee (Array.length rargs) nparams )
-                              else Call_fn (dst, fix, rargs)))
-                  | Instr.Cast (c, a) -> Cast (dst, c, width i.ty, resolve a)
-                  | Instr.Freeze a -> Freeze (dst, resolve a)
-                in
-                emit inst (Opcode.cost (Instr.opcode i)))
+            | _ -> emit (compile_inst i) (Opcode.cost (Instr.opcode i)))
           b.instrs;
+        let edge = make_edge b.label in
         let term =
           match b.term with
           | Instr.Ret None -> Ret_void
           | Instr.Ret (Some v) -> Ret (resolve v)
-          | Instr.Br l -> Jmp (make_edge b.label l)
-          | Instr.CondBr (c, t, e) ->
-              Cond_br (resolve c, make_edge b.label t, make_edge b.label e)
+          | Instr.Br l -> Jmp (edge l)
+          | Instr.CondBr (c, t, e) -> Cond_br (resolve c, edge t, edge e)
           | Instr.Switch (v, d, cases) ->
               Switch
                 ( resolve v,
                   List.length cases / 2,
                   Array.of_list
-                    (List.map (fun (key, l) -> (key, make_edge b.label l)) cases),
-                  make_edge b.label d )
+                    (List.map (fun (key, l) -> (key, edge l)) cases),
+                  edge d )
           | Instr.Unreachable -> Unreachable
         in
         emit term (Opcode.cost (Instr.opcode_of_terminator b.term)))
       blocks;
-    let max_copy =
-      Array.fold_left
-        (fun acc (b : Block.t) -> max acc (List.length (Block.phis b)))
-        0 blocks
-    in
     {
       c_name = f.name;
-      c_nslots = !nslots;
-      c_param_slots = param_slots;
-      c_param_tys = param_tys;
-      c_code = Array.of_list (List.rev !code);
-      c_costs = Array.of_list (List.rev !costs);
+      c_nslots = Hashtbl.length slots;
+      c_param_slots =
+        Array.of_list (List.map (fun (id, _) -> slot id) f.params);
+      c_param_tys = Array.of_list (List.map snd f.params);
+      c_code = code;
+      c_costs = costs;
       c_entry =
         (if nblocks = 0 then mk_edge 0 0 [||] [||] None else edge_into None 0);
       c_empty = nblocks = 0;
-      c_max_copy = max_copy;
     }
   in
   let cfuncs = Array.map compile_func funcs in
@@ -457,11 +425,10 @@ let compile (m : Irmod.t) : program =
     p_funcs = cfuncs;
     p_main =
       (match Hashtbl.find_opt ftbl "main" with Some i -> i | None -> -1);
-    p_globals = globals;
+    p_globals = Array.of_list globals;
     p_brk0 = !brk;
     p_globals_oom = !oom;
-    p_max_copy =
-      Array.fold_left (fun acc c -> max acc c.c_max_copy) 0 cfuncs;
+    p_max_copy = !max_copy;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -842,7 +809,8 @@ let rec exec (st : state) (f : cfunc) (frame : bank) : unit =
           Bigarray.Array1.unsafe_set cframe.bits s payload
         done;
         if callee.c_empty then
-          invalid_arg ("Func.entry: function " ^ callee.c_name ^ " has no blocks");
+          invalid_arg
+            ("Func.entry: function " ^ callee.c_name ^ " has no blocks");
         st.steps <- steps;
         st.cost <- cost;
         st.brk <- brk;
@@ -946,10 +914,12 @@ let run_compiled ?(fuel = 10_000_000) (p : program) (input : int64 list) :
   in
   if p.p_globals_oom then raise (Interp.Trap "out of memory");
   Array.iter
-    (fun (base, gtags, gbits) ->
-      let len = Bigarray.Array1.dim gbits in
-      Bytes.blit gtags 0 mem.tags base len;
-      Bigarray.Array1.blit gbits (Bigarray.Array1.sub mem.bits base len))
+    (fun (base, cells, ginit) ->
+      Bytes.fill mem.tags base cells '\000';
+      for i = 0 to cells - 1 do
+        mem.bits.{base + i} <-
+          (if i < Array.length ginit then ginit.(i) else 0L)
+      done)
     p.p_globals;
   st.brk <- p.p_brk0;
   if p.p_main < 0 then invalid_arg "Irmod.find_func: no function main";

@@ -161,6 +161,39 @@ let test_rejects_bad_index_magic () =
       close_out oc;
       expect_corrupt "bad index magic" dir)
 
+(* Counts are bounded by the bytes left before anything is allocated: a
+   hostile index asking for 2^32 shards or records must be rejected, not
+   sized. *)
+let test_rejects_hostile_index_counts () =
+  let module Bin = Yali.Util.Bin in
+  let index ~n_shards ~shards ~n =
+    let b = Buffer.create 64 in
+    Buffer.add_string b Store.index_magic;
+    Bin.w_u16 b Store.version;
+    Bin.w_str b "";
+    Bin.w_u32 b 4;
+    Bin.w_u32 b n_shards;
+    List.iter
+      (fun count ->
+        Bin.w_u32 b count;
+        Bin.w_int b 0)
+      shards;
+    Bin.w_u32 b n;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, blob) ->
+      with_temp_dir (fun dir ->
+          let oc = open_out_bin (Store.index_file dir) in
+          output_string oc blob;
+          close_out oc;
+          expect_corrupt name dir))
+    [
+      ("2^32-1 shards", index ~n_shards:0xFFFF_FFFF ~shards:[] ~n:0);
+      ( "one shard of 2^32-1 records",
+        index ~n_shards:1 ~shards:[ 0xFFFF_FFFF ] ~n:0xFFFF_FFFF );
+    ]
+
 (* -- feature files ----------------------------------------------------------- *)
 
 let test_fblock_roundtrip_bitexact () =
@@ -186,6 +219,26 @@ let test_fblock_roundtrip_bitexact () =
       | fr ->
           Fblock.close_reader fr;
           Alcotest.fail "truncated feature file accepted")
+
+(* A header whose rows x cols x 8 wraps to 0 in a 63-bit int must not pass
+   the exact-length check of a 14-byte file. *)
+let test_fblock_rejects_overflowing_header () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "big.yfmb" in
+      let b = Buffer.create 14 in
+      Buffer.add_string b Fblock.magic;
+      Yali.Util.Bin.w_u16 b Fblock.version;
+      Yali.Util.Bin.w_u32 b (1 lsl 31);
+      Yali.Util.Bin.w_u32 b (1 lsl 31);
+      let oc = open_out_bin path in
+      Buffer.output_buffer oc b;
+      close_out oc;
+      match Fblock.open_reader path with
+      | exception Yali.Util.Bin.Corrupt _ -> ()
+      | fr ->
+          let rows = Fblock.rows (Fblock.Disk fr) in
+          Fblock.close_reader fr;
+          Alcotest.failf "2^31 x 2^31 feature file accepted with %d rows" rows)
 
 (* -- out-of-core training ----------------------------------------------------- *)
 
@@ -505,4 +558,8 @@ let suite =
       test_output_dirs_created;
     Alcotest.test_case "read_file reads a FIFO to its end" `Quick
       test_read_file_fifo;
+    Alcotest.test_case "hostile index counts rejected" `Quick
+      test_rejects_hostile_index_counts;
+    Alcotest.test_case "overflowing feature-file header rejected" `Quick
+      test_fblock_rejects_overflowing_header;
   ]

@@ -32,6 +32,26 @@ let test_row_into () =
     (Invalid_argument "Fmat.row_into: width mismatch") (fun () ->
       F.row_into m 0 (Array.make 3 0.0))
 
+(* An svm snapshot whose weights claim 2761311370 x 3340214413 = 2^63 + 2
+   cells, which wraps to the 2 it carries: the shape must be checked by
+   division, or the daemon's first predict would transpose a 2-cell
+   matrix as if it were that large. *)
+let test_snapshot_rejects_overflowing_shape () =
+  let module Bin = Yali.Util.Bin in
+  let n = 2_761_311_370 and d = 3_340_214_413 in
+  let b = Buffer.create 64 in
+  Buffer.add_string b "YMDL";
+  Bin.w_u16 b 1;
+  Bin.w_u8 b 1 (* svm *);
+  Ml.Features.scaler_to_bin b (Ml.Features.fit [| [| 0. |] |]);
+  Bin.w_u32 b n;
+  Bin.w_u32 b d;
+  Bin.w_floats b [| 0.; 0. |];
+  Bin.w_u32 b n (* n_classes, equal to the row count *);
+  match Ml.Model.load (Buffer.contents b) with
+  | exception Bin.Corrupt _ -> ()
+  | _ -> Alcotest.fail "snapshot with an overflowing weight shape loaded"
+
 let test_parallel_of_fn_matches_sequential =
   qtest ~count:20 "parallel_of_fn = of_fn" (fun seed ->
       let rng = Rng.make seed in
@@ -268,6 +288,8 @@ let suite =
     Alcotest.test_case "of_rows roundtrip" `Quick test_of_rows_roundtrip;
     Alcotest.test_case "of_rows ragged" `Quick test_of_rows_ragged;
     Alcotest.test_case "row_into" `Quick test_row_into;
+    Alcotest.test_case "snapshot with an overflowing shape rejected" `Quick
+      test_snapshot_rejects_overflowing_shape;
     test_parallel_of_fn_matches_sequential;
     Alcotest.test_case "dot and norm" `Quick test_dot_and_norm;
     test_tiled_matmul_bit_identical;

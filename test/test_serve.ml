@@ -69,7 +69,25 @@ let test_codec_rejects_corruption () =
   (let badsec = Bytes.of_string blob in
    (* first section tag byte follows the 7-byte header *)
    Bytes.set badsec 7 '\xee';
-   expect_corrupt "unknown section tag" (Bytes.to_string badsec))
+   expect_corrupt "unknown section tag" (Bytes.to_string badsec));
+  (* a string table claiming 2^20 entries in a 26-byte blob is rejected
+     before the table is allocated (8 MB of pointers) *)
+  let module Bin = Yali.Util.Bin in
+  let st = Buffer.create 16 in
+  Bin.w_u32 st (1 lsl 20);
+  Bin.w_str st "a";
+  let b = Buffer.create 32 in
+  Buffer.add_string b Codec.magic;
+  Bin.w_u16 b Codec.version;
+  Bin.w_u8 b 2;
+  Bin.w_u8 b 1;
+  Bin.w_str b (Buffer.contents st);
+  Bin.w_u8 b 2;
+  Bin.w_str b "";
+  let a0 = Gc.allocated_bytes () in
+  expect_corrupt "overlong string-table count" (Buffer.contents b);
+  Alcotest.(check bool) "string-table count bounded before allocating" true
+    (Gc.allocated_bytes () -. a0 < 1e6)
 
 let test_codec_file_io () =
   let m = Pipeline.optimize Pipeline.O2 (lower (dataset_program 4)) in

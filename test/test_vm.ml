@@ -2,8 +2,8 @@
     bit-identical-outcome contract against the reference interpreter on the
     nasty edges — division traps, [Int64.min_int / -1], narrow-width
     wraparound, exact fuel boundaries, allocator exhaustion, pointer/int
-    coercions, float infinities and NaN — plus engine selection and
-    memory-arena reuse. *)
+    coercions, float infinities and NaN, modules that fail verification —
+    plus engine selection and memory-arena reuse. *)
 
 open Helpers
 module Ir = Yali.Ir
@@ -450,6 +450,181 @@ d:
   Alcotest.(check bool) "switch picks the stored-global arm" true
     (exit_of "switch" r = Interp.RInt 9L)
 
+(* ------------------------------------------------------------------ *)
+(* Ill-formed modules                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Faults that [Vm.compile] detects are compiled to the interpreter's
+   exact exception, raised when execution reaches them; duplicates
+   resolve the way the interpreter's tables do.  None of these modules
+   verifies, so the differential oracle never feeds them. *)
+let ill_formed =
+  [
+    ( "unknown callee",
+      "trap: call to unknown function g",
+      {|
+define i64 @main() {
+e:
+  %0 = call i64 @g()
+  ret %0
+}
+|} );
+    ( "arity mismatch",
+      "trap: arity mismatch calling f: 0 args for 1 params",
+      {|
+define i64 @f(i64 %0) {
+e:
+  ret %0
+}
+define i64 @main() {
+e:
+  %0 = call i64 @f()
+  ret %0
+}
+|} );
+    ( "unknown global",
+      "trap: unknown global h",
+      {|
+@g = global i64
+define i64 @main() {
+e:
+  store 1, @g
+  %0 = load i64, @h
+  ret %0
+}
+|} );
+    ( "jump to an unknown block",
+      "trap: jump to unknown block nowhere",
+      {|
+define i64 @main() {
+e:
+  br label %nowhere
+}
+|} );
+    ( "phi in the entry block",
+      "trap: phi in entry block",
+      {|
+define i64 @main() {
+e:
+  %0 = phi i64 [ 0, %e ]
+  ret %0
+}
+|} );
+    ( "phi missing its edge",
+      "trap: phi %1 misses edge from e",
+      {|
+define i64 @main() {
+e:
+  br label %b
+b:
+  %0 = phi i64 [ 1, %e ]
+  %1 = phi i64 [ 2, %x ]
+  ret %1
+}
+|} );
+    ( "duplicate block labels",
+      "exit i:2 steps=2",
+      {|
+define i64 @main() {
+e:
+  br label %b
+b:
+  ret 1
+b:
+  ret 2
+}
+|} );
+    ( "no main",
+      "exn: Invalid_argument(\"Irmod.find_func: no function main\")",
+      {|
+define i64 @f() {
+e:
+  ret 0
+}
+|} );
+    ( "read of an unset id",
+      "trap: read of unset %7 in main",
+      {|
+define i64 @main() {
+e:
+  %0 = add i64 1, 2
+  %1 = add i64 %0, %7
+  ret %1
+}
+|} );
+    ( "phi after a non-phi",
+      "exit i:5 steps=4",
+      {|
+define i64 @main() {
+e:
+  br label %b
+b:
+  %0 = add i64 1, 2
+  %1 = phi i64 [ 5, %e ]
+  ret %1
+}
+|} );
+    ( "duplicate switch keys",
+      "exit i:10 steps=2",
+      {|
+define i64 @main() {
+e:
+  switch 1, label %d [1: %a 1: %b]
+a:
+  ret 10
+b:
+  ret 20
+d:
+  ret 30
+}
+|} );
+    ( "two incomings from one predecessor",
+      "exit i:1 steps=3",
+      {|
+define i64 @main() {
+e:
+  br label %b
+b:
+  %0 = phi i64 [ 1, %e ], [ 2, %e ]
+  ret %0
+}
+|} );
+    ( "call into a function with no blocks",
+      "exn: Invalid_argument(\"Func.entry: function f has no blocks\")",
+      {|
+define void @f() {
+}
+define i64 @main() {
+e:
+  call void @f()
+  ret 0
+}
+|} );
+  ]
+
+let test_ill_formed_agree () =
+  List.iter
+    (fun (name, expected, txt) ->
+      let m = Ir.Parser.parse_module txt in
+      let run engine =
+        Execution.classify (fun () -> Execution.run ~engine ~fuel:1_000 m [])
+      in
+      let r_ref = run Execution.Ref and r_vm = run Execution.Vm in
+      Alcotest.(check bool) (name ^ ": engines agree") true
+        (Execution.agree r_ref r_vm);
+      let got =
+        match r_vm with
+        | Error e -> e
+        | Ok o ->
+            Printf.sprintf "exit %s steps=%d"
+              (match o.exit_value with
+              | Interp.RInt n -> Printf.sprintf "i:%Ld" n
+              | _ -> "other")
+              o.steps
+      in
+      Alcotest.(check string) (name ^ ": outcome") expected got)
+    ill_formed
+
 let test_dataset_parity =
   qtest ~count:40 "vm matches interpreter on dataset programs"
     (fun seed ->
@@ -516,6 +691,8 @@ let suite =
     Alcotest.test_case "float parity" `Quick test_float_parity;
     Alcotest.test_case "switch and globals parity" `Quick
       test_switch_and_globals_parity;
+    Alcotest.test_case "engines agree on ill-formed modules" `Quick
+      test_ill_formed_agree;
     test_dataset_parity;
     Alcotest.test_case "engine selection" `Quick test_engine_selection;
     Alcotest.test_case "arena reuse" `Quick test_arena_reuse;

@@ -328,20 +328,12 @@ let vm_matches_interp (rng : Rng.t) (e : Passdb.entry) m : bool =
 
 let engines = [ program_prop "engines/vm-vs-interp-differential" vm_matches_interp ]
 
-(* -- ir: the dominator tree against dominance by deletion ------------------- *)
+(* -- ir: the dominator tree and frontiers against dominance by deletion ---- *)
 
-(* [a] dominates [b] iff [a = b] or deleting [a] cuts [b] off from the
-   entry: one search per deleted block, compared with {!Yali_ir.Dominance}
-   on every pair of reachable blocks; each reachable non-entry block's idom
-   must be a strict dominator that every other strict dominator
-   dominates. *)
-let dominator_tree_ok (f : Yali_ir.Func.t) : bool =
-  f.blocks = []
-  ||
-  let g = Yali_ir.Cfg.of_func f in
-  (* a repeated label is the verifier's finding *)
-  g.n_blocks <> List.length f.blocks
-  ||
+(* [a] strictly dominates [b] iff [a <> b], [a] is reachable and deleting
+   [a] cuts [b] off from the entry: one search per deleted block.  Gives
+   reachability and that strict relation. *)
+let by_deletion (g : Yali_ir.Cfg.t) : bool array * (int -> int -> bool) =
   let n = Yali_ir.Cfg.size g in
   let reach_without cut =
     let seen = Array.make n false in
@@ -355,7 +347,14 @@ let dominator_tree_ok (f : Yali_ir.Func.t) : bool =
   in
   let reach = reach_without (-1) in
   let cut = Array.init n reach_without in
-  let strictly a b = a <> b && reach.(a) && not cut.(a).(b) in
+  (reach, fun a b -> a <> b && reach.(a) && not cut.(a).(b))
+
+(* {!Yali_ir.Dominance} against dominance by deletion on every pair of
+   reachable blocks; each reachable non-entry block's idom must be a
+   strict dominator that every other strict dominator dominates. *)
+let dominator_tree_ok (g : Yali_ir.Cfg.t) : bool =
+  let n = Yali_ir.Cfg.size g in
+  let reach, strictly = by_deletion g in
   let d = Yali_ir.Dominance.compute g in
   let ok = ref true in
   for b = 0 to n - 1 do
@@ -376,10 +375,42 @@ let dominator_tree_ok (f : Yali_ir.Func.t) : bool =
   done;
   !ok
 
+(* The dominance frontier by its definition: for every reachable [a],
+   {!Yali_ir.Dominance.frontiers} holds, as a set, exactly the reachable
+   [b] such that [a] dominates some reachable predecessor of [b] and does
+   not strictly dominate [b].  mem2reg places its phis from these. *)
+let frontiers_ok (g : Yali_ir.Cfg.t) : bool =
+  let n = Yali_ir.Cfg.size g in
+  let reach, strictly = by_deletion g in
+  let df = Yali_ir.Dominance.frontiers g (Yali_ir.Dominance.compute g) in
+  let blocks = List.init n Fun.id in
+  List.for_all
+    (fun a ->
+      (not reach.(a))
+      ||
+      let dominates p = reach.(p) && (p = a || strictly a p) in
+      List.sort_uniq compare df.(a)
+      = List.filter
+          (fun b ->
+            reach.(b) && List.exists dominates g.pred.(b) && not (strictly a b))
+          blocks)
+    blocks
+
+(* [check] on the CFG of every function of the module; a function with no
+   blocks or a repeated label is the verifier's finding *)
+let every_cfg check _ _ (m : Yali_ir.Irmod.t) : bool =
+  List.for_all
+    (fun (f : Yali_ir.Func.t) ->
+      f.blocks = []
+      ||
+      let g = Yali_ir.Cfg.of_func f in
+      g.n_blocks <> List.length f.blocks || check g)
+    m.funcs
+
 let ir =
   [
-    program_prop "ir/dominators-vs-removal" (fun _ _ (m : Yali_ir.Irmod.t) ->
-        List.for_all dominator_tree_ok m.funcs);
+    program_prop "ir/dominators-vs-removal" (every_cfg dominator_tree_ok);
+    program_prop "ir/frontiers-vs-definition" (every_cfg frontiers_ok);
   ]
 
 (* -- serve: the binary codec against the textual Pp path -------------------- *)

@@ -19,7 +19,9 @@
       deletion ([a] dominates [b] iff deleting [a] cuts [b] off from the
       entry), on every function of each generated program through every
       registered entry, for every pair of reachable blocks; each idom must
-      be the strict dominator that every other one dominates;
+      be the strict dominator that every other one dominates; and, on the
+      same functions, each reachable block's dominance frontier against
+      its definition over that deletion relation;
     - {!serve}: the {!Yali_serve.Codec} binary format — each generated
       program, through every registered entry, must survive
       encode/decode with full structural identity and print bit-identically

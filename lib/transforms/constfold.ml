@@ -35,62 +35,25 @@ let fold_instr (i : Instr.t) : Value.t option =
       | _ -> None)
   | Instr.Freeze ((Value.IConst _ | Value.FConst _) as v) -> Some v
   | Instr.Phi ((v, _) :: rest)
-    when List.for_all (fun (v', _) -> Value.equal v v') rest
-         && not (Value.equal v (Value.Var i.id)) ->
-      (* all-same phi (self-references would make the rewrite cyclic) *)
+    when List.for_all (fun (v', _) -> Value.equal v v') rest ->
+      (* all-same phi ({!Subst.add} refuses the self-reference of a phi
+         that only feeds itself) *)
       Some v
   | _ -> None
 
-let run_func (f : Func.t) : Func.t =
-  let changed = ref true in
-  let f = ref f in
-  while !changed do
-    changed := false;
-    let repl : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Block.t) ->
-        List.iter
-          (fun (i : Instr.t) ->
-            if Instr.defines i then
-              match fold_instr i with
-              | Some v ->
-                  Hashtbl.replace repl i.id v;
-                  changed := true
-              | None -> ())
-          b.instrs)
-      !f.blocks;
-    if !changed then begin
-      (* a replacement can itself be a replaced variable (an all-same phi
-         of an instruction folded in the same round, a select whose chosen
-         arm folded, ...): chase the chain to a live value, or every use
-         of the intermediate would dangle once its definition is dropped *)
-      let resolve v =
-        let rec go seen v =
-          match v with
-          | Value.Var id when not (List.mem id seen) -> (
-              match Hashtbl.find_opt repl id with
-              | Some v' -> go (id :: seen) v'
-              | None -> v)
-          | _ -> v
-        in
-        go [] v
-      in
-      f :=
-        Func.map_blocks
-          (fun b ->
-            {
-              b with
-              instrs =
-                List.filter_map
-                  (fun (i : Instr.t) ->
-                    if Hashtbl.mem repl i.id then None
-                    else Some (Instr.map_operands resolve i))
-                  b.instrs;
-              term = Instr.map_terminator_operands resolve b.term;
-            })
-          !f
-    end
-  done;
-  !f
+let rec run_func (f : Func.t) : Func.t =
+  let s = Subst.create () in
+  let changed = ref false in
+  List.iter
+    (fun (b : Block.t) ->
+      List.iter
+        (fun (i : Instr.t) ->
+          if Instr.defines i then
+            match fold_instr i with
+            | Some v -> if Subst.add s i.id v then changed := true
+            | None -> ())
+        b.instrs)
+    f.blocks;
+  if !changed then run_func (Subst.apply s f) else f
 
 let run : Irmod.t -> Irmod.t = Irmod.map_funcs run_func

@@ -42,48 +42,29 @@ let run_func (f : Func.t) : Func.t =
   let dom = Dominance.compute cfg in
   let block_of = Array.make (Cfg.size cfg) None in
   List.iter (fun (b : Block.t) -> block_of.(Cfg.index cfg b.label) <- Some b) f.blocks;
-  let repl : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec resolve v =
-    match v with
-    | Value.Var id -> (
-        match Hashtbl.find_opt repl id with Some v' -> resolve v' | None -> v)
-    | _ -> v
-  in
-  let new_blocks = Array.make (Cfg.size cfg) None in
+  let s = Subst.create () in
   let rec walk bi (available : Value.t SMap.t) =
     let b = Option.get block_of.(bi) in
-    let available = ref available in
-    let instrs =
-      List.filter_map
-        (fun (i : Instr.t) ->
-          let i = Instr.map_operands resolve i in
-          if Instr.defines i && Instr.is_pure i then
-            match key_of i with
+    let available =
+      List.fold_left
+        (fun available (i : Instr.t) ->
+          if not (Instr.defines i && Instr.is_pure i) then available
+          else
+            match key_of (Instr.map_operands (Subst.resolve s) i) with
+            | None -> available
             | Some k -> (
-                match SMap.find_opt k !available with
+                match SMap.find_opt k available with
                 | Some v ->
-                    Hashtbl.replace repl i.id v;
-                    None
-                | None ->
-                    available := SMap.add k (Value.Var i.id) !available;
-                    Some i)
-            | None -> Some i
-          else Some i)
-        b.instrs
+                    ignore (Subst.add s i.id v);
+                    available
+                | None -> SMap.add k (Value.Var i.id) available))
+        available b.instrs
     in
-    new_blocks.(bi) <-
-      Some { b with instrs; term = Instr.map_terminator_operands resolve b.term };
-    List.iter (fun c -> walk c !available) dom.children.(bi)
+    List.iter (fun c -> walk c available) dom.children.(bi)
   in
   walk cfg.entry SMap.empty;
-  let blocks =
-    List.filter_map
-      (fun (b : Block.t) -> new_blocks.(Cfg.index cfg b.label))
-      f.blocks
-  in
-  (* a second resolve sweep: uses may appear in blocks processed before the
-     def's replacement was recorded (not possible under dominance, but phi
-     operands flow across edges) *)
-  Func.map_values resolve { f with blocks }
+  (* the walk never enters a block the entry does not reach: drop those,
+     and the phi incomings they feed *)
+  Subst.apply s (Subst.drop_dead cfg ~live:(Dominance.reachable dom) f)
 
 let run : Irmod.t -> Irmod.t = Irmod.map_funcs run_func

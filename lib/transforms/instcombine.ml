@@ -192,53 +192,30 @@ let run_func (f : Func.t) : Func.t =
     incr rounds;
     progress := false;
     let ctx = { defs = Func.definitions !f } in
-    let repl : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-    let rewritten : (int, Instr.kind) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Block.t) ->
-        List.iter
-          (fun (i : Instr.t) ->
-            if Instr.defines i && not (Hashtbl.mem repl i.id) then
-              match simplify ctx i with
-              | Value v ->
-                  Hashtbl.replace repl i.id v;
-                  progress := true
-              | Instr k ->
-                  Hashtbl.replace rewritten i.id k;
-                  progress := true
-              | Keep -> ())
-          b.instrs)
-      !f.blocks;
-    if !progress then begin
-      let rec resolve v =
-        match v with
-        | Value.Var id -> (
-            match Hashtbl.find_opt repl id with
-            | Some v' when v' <> v -> resolve v'
-            | _ -> v)
-        | _ -> v
-      in
-      f :=
-        Func.map_blocks
-          (fun b ->
-            {
-              b with
-              instrs =
-                List.filter_map
-                  (fun (i : Instr.t) ->
-                    if Hashtbl.mem repl i.id then None
-                    else
-                      let i =
-                        match Hashtbl.find_opt rewritten i.id with
-                        | Some k -> { i with kind = k }
-                        | None -> i
-                      in
-                      Some (Instr.map_operands resolve i))
-                  b.instrs;
-              term = Instr.map_terminator_operands resolve b.term;
-            })
-          !f
-    end
+    let s = Subst.create () in
+    let rewritten =
+      Func.map_blocks
+        (fun b ->
+          {
+            b with
+            instrs =
+              List.map
+                (fun (i : Instr.t) ->
+                  if not (Instr.defines i) then i
+                  else
+                    match simplify ctx i with
+                    | Value v ->
+                        if Subst.add s i.id v then progress := true;
+                        i
+                    | Instr k ->
+                        progress := true;
+                        { i with kind = k }
+                    | Keep -> i)
+                b.instrs;
+          })
+        !f
+    in
+    if !progress then f := Subst.apply s rewritten
   done;
   Constfold.run_func !f
 

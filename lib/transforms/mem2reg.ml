@@ -9,33 +9,6 @@
 open Yali_ir
 module ISet = Set.Make (Int)
 
-(** Drop blocks not reachable from the entry (required before the dominance
-    computation; also a useful cleanup in its own right). *)
-let remove_unreachable (f : Func.t) : Func.t =
-  let cfg = Cfg.of_func f in
-  let reach = Cfg.reachable cfg in
-  let live l = match Cfg.find cfg l with Some i -> reach.(i) | None -> false in
-  let blocks = List.filter (fun (b : Block.t) -> live b.label) f.blocks in
-  let blocks =
-    List.map
-      (fun (b : Block.t) ->
-        (* phis may still reference removed predecessors *)
-        let instrs =
-          List.filter_map
-            (fun (i : Instr.t) ->
-              match i.kind with
-              | Instr.Phi incoming -> (
-                  match List.filter (fun (_, l) -> live l) incoming with
-                  | [] -> None
-                  | incoming -> Some { i with kind = Instr.Phi incoming })
-              | _ -> Some i)
-            b.instrs
-        in
-        { b with instrs })
-      blocks
-  in
-  { f with blocks }
-
 (* An alloca is promotable when every use is a Load's pointer or a Store's
    pointer (not its value operand, not a gep base, not a call argument). *)
 let promotable_allocas (f : Func.t) : (int * Types.t) list =
@@ -72,15 +45,17 @@ let promotable_allocas (f : Func.t) : (int * Types.t) list =
   Hashtbl.fold (fun id ty acc -> (id, ty) :: acc) allocas []
 
 let run_func (f : Func.t) : Func.t =
-  let f = remove_unreachable f in
+  (* dead blocks go first; the live ones keep their numbers and their
+     dominance, so the CFG and tree built before serve the whole pass *)
+  let cfg = Cfg.of_func f in
+  let dom = Dominance.compute cfg in
+  let f = Subst.drop_dead cfg ~live:(Dominance.reachable dom) f in
   let promo = promotable_allocas f in
   if promo = [] then f
   else
     let promo_set = ISet.of_list (List.map fst promo) in
     let ty_of = Hashtbl.create 16 in
     List.iter (fun (id, ty) -> Hashtbl.replace ty_of id ty) promo;
-    let cfg = Cfg.of_func f in
-    let dom = Dominance.compute cfg in
     let frontier = Dominance.frontiers cfg dom in
     let by_label a b = compare (Cfg.label cfg a) (Cfg.label cfg b) in
     (* blocks containing a store to each alloca *)
@@ -130,18 +105,7 @@ let run_func (f : Func.t) : Func.t =
         done)
       promo;
     (* rename along the dominator tree *)
-    let repl : (int, Value.t) Hashtbl.t = Hashtbl.create 64 in
-    let rec resolve (v : Value.t) : Value.t =
-      match v with
-      | Value.Var id -> (
-          match Hashtbl.find_opt repl id with
-          | Some v' ->
-              let r = resolve v' in
-              Hashtbl.replace repl id r;
-              r
-          | None -> v)
-      | _ -> v
-    in
+    let sub = Subst.create () in
     let block_of = Array.make (Cfg.size cfg) None in
     List.iter (fun (b : Block.t) -> block_of.(Cfg.index cfg b.label) <- Some b) f.blocks;
     let renamed = Array.copy block_of in
@@ -157,7 +121,7 @@ let run_func (f : Func.t) : Func.t =
       let env = ref env in
       let lookup a =
         match List.assoc_opt a !env with
-        | Some v -> resolve v
+        | Some v -> v
         | None -> Value.Undef (Hashtbl.find ty_of a)
       in
       (* new phis of this block first *)
@@ -175,12 +139,12 @@ let run_func (f : Func.t) : Func.t =
             match i.kind with
             | Instr.Alloca _ when ISet.mem i.id promo_set -> None
             | Instr.Store (v, Value.Var a) when ISet.mem a promo_set ->
-                env := (a, resolve v) :: !env;
+                env := (a, v) :: !env;
                 None
             | Instr.Load (Value.Var a) when ISet.mem a promo_set ->
-                Hashtbl.replace repl i.id (lookup a);
+                ignore (Subst.add sub i.id (lookup a));
                 None
-            | _ -> Some (Instr.map_operands resolve i))
+            | _ -> Some i)
           b.instrs
       in
       let phi_instrs =
@@ -189,13 +153,7 @@ let run_func (f : Func.t) : Func.t =
             Instr.mk ~id ~ty:(Hashtbl.find ty_of a) (Instr.Phi []))
           (List.rev own_phis)
       in
-      renamed.(bi) <-
-        Some
-          {
-            b with
-            instrs = phi_instrs @ kept;
-            term = Instr.map_terminator_operands resolve b.term;
-          };
+      renamed.(bi) <- Some { b with instrs = phi_instrs @ kept };
       (* feed successors' phis (dedupe: several edges may share a target) *)
       List.iter
         (fun s ->
@@ -213,37 +171,22 @@ let run_func (f : Func.t) : Func.t =
         (List.sort (fun x y -> by_label y x) dom.children.(bi))
     in
     walk cfg.entry [];
-    (* assemble, filling phi incoming lists *)
+    (* assemble, filling phi incoming lists, then resolve every use *)
     let blocks =
       List.map
         (fun (b : Block.t) ->
           let bi = Cfg.index cfg b.label in
           let b = Option.get renamed.(bi) in
-          let instrs =
-            List.map
-              (fun (i : Instr.t) ->
-                match i.kind with
-                | Instr.Phi [] when Hashtbl.mem phi_for (bi, i.id) ->
-                    let incoming =
-                      List.map
-                        (fun (v, l) -> (resolve v, l))
-                        !(Hashtbl.find phi_incoming (bi, i.id))
-                    in
-                    { i with kind = Instr.Phi incoming }
-                | Instr.Phi incoming ->
-                    (* pre-existing phi: resolve operands *)
-                    {
-                      i with
-                      kind =
-                        Instr.Phi
-                          (List.map (fun (v, l) -> (resolve v, l)) incoming);
-                    }
-                | _ -> i)
-              b.instrs
+          let fill (i : Instr.t) =
+            match i.kind with
+            | Instr.Phi [] when Hashtbl.mem phi_for (bi, i.id) ->
+                let incoming = !(Hashtbl.find phi_incoming (bi, i.id)) in
+                { i with kind = Instr.Phi incoming }
+            | _ -> i
           in
-          { b with instrs })
+          { b with instrs = List.map fill b.instrs })
         f.blocks
     in
-    { f with blocks; next_id = !next_id }
+    Subst.apply sub { f with blocks; next_id = !next_id }
 
 let run : Irmod.t -> Irmod.t = Irmod.map_funcs run_func

@@ -3,10 +3,6 @@
     removal.  This is the pass the paper singles out: SSA conversion alone
     reverts the effect of most source-level obfuscations (§4.3). *)
 
-(** Drop blocks unreachable from the entry (also exposed as a standalone
-    cleanup). *)
-val remove_unreachable : Yali_ir.Func.t -> Yali_ir.Func.t
-
 (** Scalar allocas whose every use is a direct load or store. *)
 val promotable_allocas : Yali_ir.Func.t -> (int * Yali_ir.Types.t) list
 

@@ -37,8 +37,8 @@ let fold_terminators (f : Func.t) : Func.t =
     f
 
 (* After terminator folding some blocks lose predecessors; their phi entries
-   must be pruned.  [remove_unreachable] in Mem2reg handles the fully dead
-   ones; here we prune phi entries for edges that disappeared. *)
+   must be pruned.  {!Subst.drop_dead} handles the fully dead ones; here we
+   prune phi entries for edges that disappeared. *)
 let prune_phis (f : Func.t) : Func.t =
   let cfg = Cfg.of_func f in
   Func.map_blocks
@@ -131,7 +131,8 @@ let run_func (f : Func.t) : Func.t =
     incr rounds;
     let before = List.length !f.blocks + Func.instr_count !f in
     f := fold_terminators !f;
-    f := Mem2reg.remove_unreachable !f;
+    let cfg = Cfg.of_func !f in
+    f := Subst.drop_dead cfg ~live:(Array.get (Cfg.reachable cfg)) !f;
     f := prune_phis !f;
     f := merge_blocks !f;
     let after = List.length !f.blocks + Func.instr_count !f in

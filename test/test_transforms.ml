@@ -277,6 +277,153 @@ let test_inline_gvn_preserves =
   qtest ~count:40 "inline + gvn preserves behaviour"
     (preserves_behaviour inline_gvn)
 
+(* -- unreachable code ----------------------------------------------------- *)
+
+(* Verifier-accepted modules whose unreachable blocks hold shapes that
+   mini-C lowering and the obfuscators never emit: a dead value cycle, a
+   dead phi cycle, and phis fed by a dead block. *)
+let dead_code_modules =
+  [
+    ( "dead value cycle",
+      {|define i32 @main() {
+entry0:
+  call void @print_int(7)
+  ret 0
+dead:
+  %1 = add i32 %2, 0
+  %2 = add i32 %1, 0
+  %3 = mul i32 %1, 3
+  call void @print_int(%3)
+  br label %dead
+}|} );
+    ( "dead phi cycle",
+      {|define i32 @main() {
+entry0:
+  call void @print_int(7)
+  ret 0
+d1:
+  %1 = phi i32 [ %2, %d2 ]
+  call void @print_int(%1)
+  br label %d2
+d2:
+  %2 = phi i32 [ %1, %d1 ]
+  br label %d1
+}|} );
+    ( "phi fed by a dead block",
+      {|define i32 @main() {
+entry0:
+  br label %join
+dead:
+  br label %join
+join:
+  %1 = phi i32 [ 0, %entry0 ], [ 1, %dead ]
+  call void @print_int(%1)
+  ret 0
+}|} );
+    ( "loop header fed by a dead block",
+      {|define i32 @main() {
+entry0:
+  br label %head
+head:
+  %1 = phi i32 [ 0, %entry0 ], [ %3, %body ], [ 7, %dead ]
+  %2 = icmp slt %1, 3
+  br %2, label %body, label %exit
+body:
+  call void @print_int(%1)
+  %3 = add i32 %1, 1
+  br label %head
+dead:
+  br label %head
+exit:
+  ret 0
+}|} );
+  ]
+
+(* Every pass and O1-O3 returns on each, with a module the verifier
+   accepts and that runs as its input does. *)
+let test_dead_code_stays_valid () =
+  let errors m =
+    List.map (Fmt.str "%a" Ir.Verify.pp_error) (Ir.Verify.check_module m)
+  in
+  let runs =
+    List.map
+      (fun (p : Tx.Pipeline.pass) -> (p.pname, p.prun))
+      Tx.Pipeline.all_passes
+    @ List.map
+        (fun l -> (Tx.Pipeline.level_to_string l, Tx.Pipeline.optimize l))
+        Tx.Pipeline.[ O1; O2; O3 ]
+  in
+  List.iter
+    (fun (name, txt) ->
+      let m = Ir.Parser.parse_module txt in
+      Alcotest.(check (list string)) (name ^ ": input verifies") [] (errors m);
+      let base = Ir.Interp.run m [] in
+      List.iter
+        (fun (pass, run) ->
+          let m' = run m in
+          let what = Printf.sprintf "%s through %s" name pass in
+          Alcotest.(check (list string)) what [] (errors m');
+          Alcotest.(check bool) (what ^ ": same behaviour") true
+            (Ir.Interp.equal_behaviour base (Ir.Interp.run m' [])))
+        runs)
+    dead_code_modules
+
+(* -- the substitution rule ------------------------------------------------ *)
+
+let test_subst_refuses_cycles () =
+  let s = Tx.Subst.create () and var = Ir.Value.var in
+  let add id v = Tx.Subst.add s id v in
+  Alcotest.(check bool) "self map refused" false (add 1 (var 1));
+  Alcotest.(check bool) "1 -> 2" true (add 1 (var 2));
+  Alcotest.(check bool) "2 -> 1 closes a cycle" false (add 2 (var 1));
+  Alcotest.(check bool) "3 -> 1" true (add 3 (var 1));
+  Alcotest.(check bool) "2 -> 3 closes a longer cycle" false (add 2 (var 3));
+  Alcotest.(check bool) "1 is already replaced" false (add 1 (Ir.Value.i32 0));
+  Alcotest.(check bool) "2 -> 5" true (add 2 (Ir.Value.i32 5));
+  Alcotest.(check string) "3 ends at the constant" "i32 5"
+    (Ir.Value.to_string (Tx.Subst.resolve s (var 3)))
+
+(* Random adds over a few ids against a model that records every accepted
+   one: [add] accepts exactly when the id is unreplaced and the model's
+   chain from the value does not end at it, and [resolve] ends where the
+   model's chain does, at a value that is not replaced. *)
+let test_subst_resolve_ends =
+  qtest ~count:200 "subst resolve ends at an unreplaced value" (fun seed ->
+      let rng = Yali.Rng.make seed in
+      let n = 2 + Yali.Rng.int rng 12 in
+      let s = Tx.Subst.create () and model = Hashtbl.create n in
+      (* the model never holds a cycle, so [n] steps reach a chain's end *)
+      let rec ends steps (v : Ir.Value.t) =
+        match v with
+        | Ir.Value.Var j when steps > 0 -> (
+            match Hashtbl.find_opt model j with
+            | Some w -> ends (steps - 1) w
+            | None -> v)
+        | _ -> v
+      in
+      List.for_all
+        (fun _ ->
+          let id = Yali.Rng.int rng n in
+          let v =
+            if Yali.Rng.int rng 4 = 0 then Ir.Value.i32 id
+            else Ir.Value.var (Yali.Rng.int rng n)
+          in
+          let expect =
+            (not (Hashtbl.mem model id)) && ends n v <> Ir.Value.var id
+          in
+          if expect then Hashtbl.replace model id v;
+          Tx.Subst.add s id v = expect
+          && List.for_all
+               (fun j ->
+                 let r = Tx.Subst.resolve s (Ir.Value.var j) in
+                 r = ends n (Ir.Value.var j)
+                 &&
+                 match r with
+                 | Ir.Value.Var k -> not (Hashtbl.mem model k)
+                 | _ -> true)
+               (List.init n Fun.id))
+        (List.init (3 * n) Fun.id))
+
 (* -- pipelines ------------------------------------------------------------ *)
 
 let test_pipelines_preserve =
@@ -347,6 +494,13 @@ let suite =
       test_inline_gvn_multiple_calls;
     test_inline_gvn_preserves;
   ]
+  @ [
+      Alcotest.test_case "dead code stays valid" `Quick
+        test_dead_code_stays_valid;
+      Alcotest.test_case "subst refuses cycles" `Quick
+        test_subst_refuses_cycles;
+      test_subst_resolve_ends;
+    ]
   @ test_pipelines_preserve
   @ [
       test_pipeline_reduces_cost;

@@ -41,10 +41,12 @@ check-deep:
 bench:
 	dune exec bench/main.exe
 
-# Numeric-kernel gate (DESIGN.md §8): rewritten kernels vs the frozen
-# lib/ml/reference.ml implementations, with speedups in BENCH_kernels.json.
-# Exits non-zero unless rf and k-NN predictions match, the distance sweep
-# agrees within 1e-9 and the matmul is bit-identical.
+# Numeric-kernel gate (DESIGN.md §8): rewritten kernels and flat trainers
+# vs the frozen lib/ml/reference.ml implementations, with speedups in
+# BENCH_kernels.json.  Exits non-zero unless the rf trees match node for
+# node, rf and k-NN predictions match, lr and mlp weights are bitwise
+# identical, the distance sweep agrees within 1e-9 and the matmul is
+# bit-identical.
 bench-kernels:
 	dune exec bench/main.exe -- --quick kernels
 

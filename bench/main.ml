@@ -534,12 +534,27 @@ let versus ~(field : string) name ref_s new_s (extras : (string * J.t) list) =
 (* Kernel micro-benchmarks: the Fmat layer vs the pre-rewrite code     *)
 (* ------------------------------------------------------------------ *)
 
+(* bit-level weight-dump equality: the contract is bit-identity, so
+   compare IEEE bits rather than trusting polymorphic [=] on floats *)
+let dump_eq (a : float array array) (b : float array array) : bool =
+  let same_len x y = Array.length x = Array.length y in
+  same_len a b
+  && Array.for_all2
+       (fun ra rb ->
+         same_len ra rb
+         && Array.for_all2
+              (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+              ra rb)
+       a b
+
 (** Before/after numbers for the numeric-kernel layer (DESIGN.md §8):
     forest/tree training (histogram vs per-node sort splits), k-NN
-    prediction (blocked norms+dot vs per-row subtract-square), the raw
-    distance sweep, and the tiled vs naive matmul.  "Reference" is the
-    frozen pre-rewrite code in [Yali.Ml.Reference].  Fails unless the
-    rewrites agree with the reference: same rf and k-NN predictions,
+    prediction (blocked norms+dot vs per-row subtract-square), lr and mlp
+    training (in place vs allocating per-sample steps), the raw distance
+    sweep, and the tiled vs naive matmul.  "Reference" is the frozen
+    pre-rewrite code in [Yali.Ml.Reference].  Fails unless the rewrites
+    agree with the reference: the same rf trees node for node and the same
+    rf and k-NN predictions, bitwise the same lr and mlp weights,
     distances within 1e-9, a bit-identical matmul. *)
 let kernels () =
   header "Kernel benchmarks: frozen pre-rewrite reference vs Fmat kernels";
@@ -602,7 +617,20 @@ let kernels () =
   in
   let new_pred = Ml.Random_forest.predict_batch (Option.get !new_forest) fm_te in
   let rf_match = ref_pred = new_pred in
-  let rf_row = row "rf-train" t.(0) t.(1) [ ("predictions_match", J.Bool rf_match) ] in
+  let rf_trees =
+    Array.for_all2
+      (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
+        Ml.Reference.Decision_tree.same_tree a.root b.root)
+      (Ml.Random_forest.trees (Option.get !new_forest))
+      (Option.get !ref_forest).trees
+  in
+  let rf_row =
+    row "rf-train" t.(0) t.(1)
+      [
+        ("predictions_match", J.Bool rf_match);
+        ("trees_identical", J.Bool rf_trees);
+      ]
+  in
 
   (* single-tree split finding, all features considered *)
   let t =
@@ -633,6 +661,58 @@ let kernels () =
   let knn_match = !rpred = !npred in
   let knn_row =
     row "knn-predict" t.(0) t.(1) [ ("predictions_match", J.Bool knn_match) ]
+  in
+
+  (* lr's minibatch SGD and mlp's per-sample step (10 epochs) against the
+     allocating trainers they replaced: bitwise the same weights *)
+  let ref_lr = ref None and new_lr = ref None in
+  let t =
+    best_times ~reps
+      [|
+        (fun () ->
+          ref_lr :=
+            Some
+              (Ml.Reference.Logreg.train (Rng.make 7) ~n_classes kxs_tr
+                 kys_tr));
+        (fun () ->
+          new_lr :=
+            Some
+              (Ml.Logreg.train (Rng.make 7) ~n_classes (Ml.Fblock.Mem kfm_tr)
+                 kys_tr));
+      |]
+  in
+  let lr_identical =
+    let r = Option.get !ref_lr and m = Option.get !new_lr in
+    dump_eq [| r.weights.data; r.bias |]
+      [| (Ml.Logreg.weights m).data; Ml.Logreg.bias m |]
+  in
+  let lr_row =
+    row "lr-train" t.(0) t.(1) [ ("bit_identical", J.Bool lr_identical) ]
+  in
+  let params = { Ml.Mlp.default_params with epochs = 10 } in
+  let ref_mlp = ref None and new_mlp = ref None in
+  let t =
+    best_times ~reps
+      [|
+        (fun () ->
+          ref_mlp :=
+            Some
+              (Ml.Reference.Mlp.train ~params (Rng.make 8) ~n_classes kxs_tr
+                 kys_tr));
+        (fun () ->
+          new_mlp :=
+            Some
+              (Ml.Mlp.train ~params (Rng.make 8) ~n_classes
+                 (Ml.Fblock.Mem kfm_tr) kys_tr));
+      |]
+  in
+  let mlp_identical =
+    dump_eq
+      (Ml.Cnn.dump_weights (Option.get !ref_mlp))
+      (Ml.Cnn.dump_weights (Option.get !new_mlp))
+  in
+  let mlp_row =
+    row "mlp-train" t.(0) t.(1) [ ("bit_identical", J.Bool mlp_identical) ]
   in
 
   (* the raw distance sweep: subtract-square rows vs norms + dot over the
@@ -705,10 +785,18 @@ let kernels () =
         ("bit_identical", J.Bool matmul_identical);
       ]
   in
-  ( [ ("kernels", J.List [ rf_row; tree_row; knn_row; sweep_row; matmul_row ]) ],
+  ( [
+      ( "kernels",
+        J.List
+          [ rf_row; tree_row; knn_row; lr_row; mlp_row; sweep_row; matmul_row ]
+      );
+    ],
     [
       ("rf_predictions_match", rf_match);
+      ("rf_trees_identical", rf_trees);
       ("knn_predictions_match", knn_match);
+      ("lr_weights_bit_identical", lr_identical);
+      ("mlp_weights_bit_identical", mlp_identical);
       ("distance_max_abs_diff_le_1e-9", !max_diff <= 1e-9);
       ("matmul_bit_identical", matmul_identical);
     ] )
@@ -1045,19 +1133,6 @@ let adapt_bench () =
 (* ------------------------------------------------------------------ *)
 (* Neural-tier benchmark: kernelized minibatch trainers vs reference   *)
 (* ------------------------------------------------------------------ *)
-
-(* bit-level weight-dump equality: the contract is bit-identity, so
-   compare IEEE bits rather than trusting polymorphic [=] on floats *)
-let dump_eq (a : float array array) (b : float array array) : bool =
-  let same_len x y = Array.length x = Array.length y in
-  same_len a b
-  && Array.for_all2
-       (fun ra rb ->
-         same_len ra rb
-         && Array.for_all2
-              (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-              ra rb)
-       a b
 
 (* the same weights at --jobs 1 and --jobs 4 *)
 let jobs_invariant dump =

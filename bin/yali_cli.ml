@@ -556,7 +556,7 @@ let train_cmd =
       value
       & opt (some int) None
       & info [ "version" ] ~docv:"N"
-          ~doc:"Registry version tag (default: latest+1).")
+          ~doc:"Registry version tag, 1..4294967295 (default: latest+1).")
   in
   let corpus_dir_arg =
     Arg.(
@@ -577,6 +577,12 @@ let train_cmd =
   in
   let run seed jobs registry model embedding classes per_class version corpus
       block_rows =
+    Option.iter
+      (fun v ->
+        if v < 1 || v > Yali.Serve.Registry.max_version then
+          die ~code:2 "--version must be in 1..%d, got %d"
+            Yali.Serve.Registry.max_version v)
+      version;
     configure_jobs jobs;
     make_out_dir "--registry" registry;
     let e =

@@ -396,6 +396,61 @@ let frontiers_ok (g : Yali_ir.Cfg.t) : bool =
           blocks)
     blocks
 
+(* The natural loops by their definition, on reachable blocks: the
+   headers of {!Yali_ir.Loops.compute} are exactly the blocks with a
+   reachable predecessor that they dominate, those predecessors are the
+   loop's latches, its body is the header plus every block that reaches a
+   latch on a path that never enters the header (a forward search from
+   each block), [size] counts the body, and [depth_map] counts the loops
+   that hold each block.  LICM hoists out of these bodies. *)
+let loops_ok (g : Yali_ir.Cfg.t) : bool =
+  let n = Yali_ir.Cfg.size g in
+  let reach, strictly = by_deletion g in
+  let t = Yali_ir.Loops.compute g (Yali_ir.Dominance.compute g) in
+  let blocks = List.init n Fun.id in
+  let latches h =
+    List.filter
+      (fun u -> reach.(u) && (u = h || strictly h u))
+      (List.sort_uniq compare g.pred.(h))
+  in
+  let body h ls =
+    Array.init n (fun b ->
+        b = h
+        ||
+        let seen = Array.make n false in
+        let rec go i =
+          i <> h && (not seen.(i))
+          && (seen.(i) <- true;
+              List.mem i ls || List.exists go g.succ.(i))
+        in
+        go b)
+  in
+  let headers = List.filter (fun h -> reach.(h) && latches h <> []) blocks in
+  let bodies = List.map (fun h -> body h (latches h)) headers in
+  let found =
+    List.sort
+      (fun (a : Yali_ir.Loops.loop) b -> compare a.header b.header)
+      (List.filter (fun (l : Yali_ir.Loops.loop) -> reach.(l.header)) t.loops)
+  in
+  let on_reachable (a : bool array) (b : bool array) =
+    List.for_all (fun i -> (not reach.(i)) || a.(i) = b.(i)) blocks
+  in
+  let depth = Yali_ir.Loops.depth_map t in
+  List.map (fun (l : Yali_ir.Loops.loop) -> l.header) found = headers
+  && List.for_all2
+       (fun (l : Yali_ir.Loops.loop) want ->
+         List.sort_uniq compare (List.filter (fun u -> reach.(u)) l.latches)
+         = latches l.header
+         && l.size
+            = Array.fold_left (fun k b -> if b then k + 1 else k) 0 l.body
+         && on_reachable l.body want)
+       found bodies
+  && List.for_all
+       (fun b ->
+         (not reach.(b))
+         || depth.(b) = List.length (List.filter (fun w -> w.(b)) bodies))
+       blocks
+
 (* [check] on the CFG of every function of the module; a function with no
    blocks or a repeated label is the verifier's finding *)
 let every_cfg check _ _ (m : Yali_ir.Irmod.t) : bool =
@@ -411,6 +466,7 @@ let ir =
   [
     program_prop "ir/dominators-vs-removal" (every_cfg dominator_tree_ok);
     program_prop "ir/frontiers-vs-definition" (every_cfg frontiers_ok);
+    program_prop "ir/loops-vs-definition" (every_cfg loops_ok);
   ]
 
 (* -- serve: the binary codec against the textual Pp path -------------------- *)

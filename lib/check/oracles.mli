@@ -21,7 +21,9 @@
       registered entry, for every pair of reachable blocks; each idom must
       be the strict dominator that every other one dominates; and, on the
       same functions, each reachable block's dominance frontier against
-      its definition over that deletion relation;
+      its definition over that deletion relation, and {!Yali_ir.Loops}'
+      natural loops (headers, latches, bodies, sizes and nesting depths)
+      against theirs;
     - {!serve}: the {!Yali_serve.Codec} binary format — each generated
       program, through every registered entry, must survive
       encode/decode with full structural identity and print bit-identically

@@ -101,10 +101,7 @@ let prebin (x : Fmat.t) : prebinned =
   done;
   { pb_n = n; pb_d = d; codes; bin_values; wide }
 
-(* ------------------------------------------------------------------ *)
-(* impurity                                                            *)
-(* ------------------------------------------------------------------ *)
-
+(* the majority class of a leaf, ties to the lowest class *)
 let majority ~(n_classes : int) (ys : int array) (idx : int array) : int =
   let counts = Array.make n_classes 0 in
   Array.iter (fun i -> counts.(ys.(i)) <- counts.(ys.(i)) + 1) idx;
@@ -112,41 +109,74 @@ let majority ~(n_classes : int) (ys : int array) (idx : int array) : int =
   Array.iteri (fun c k -> if k > counts.(!best) then best := c) counts;
   !best
 
-let gini_of_counts (counts : int array) (total : int) : float =
-  if total = 0 then 0.0
-  else begin
-    let acc = ref 1.0 in
-    Array.iter
-      (fun k ->
-        let p = float_of_int k /. float_of_int total in
-        acc := !acc -. (p *. p))
-      counts;
-    !acc
-  end
-
 (* ------------------------------------------------------------------ *)
 (* split finding                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* per-train scratch, so one tree never reallocates nor races another *)
-type scratch = {
-  hist : int array;  (** max_bins x n_classes class counts *)
-  bin_tot : int array;  (** max_bins per-bucket totals *)
-  occ : int array;  (** occupied-bucket ids (prefix of length n_occ) *)
-  left_counts : int array;
-  right_counts : int array;
-  parent_counts : int array;
+(* The incumbent split's gain and threshold, and the node's Gini
+   impurity.  An all-float record is stored flat, so writing a field
+   allocates nothing. *)
+type incumbent = {
+  mutable gain : float;  (** NaN until the node's first boundary *)
+  mutable threshold : float;
+  mutable node_gini : float;
 }
 
-let make_scratch ~(n_classes : int) : scratch =
+(* Per-tree scratch, so one tree never reallocates nor races another.
+   Each node lists its classes once, in ascending order, and numbers them
+   0 .. [n_cls - 1]; the class counts below are indexed by that number, so
+   the bucket sweep, both Gini sums and the clearing visit only the node's
+   classes. *)
+type scratch = {
+  hist : int array;  (** max_bins x n_cls class counts, zero between nodes *)
+  bin_tot : int array;  (** max_bins per-bucket totals, zero between nodes *)
+  occ : int array;  (** occupied-bucket ids (prefix of length n_occ) *)
+  counts : int array;  (** per-class counts by class id, zero between nodes *)
+  local : int array;  (** class id -> its number in the node *)
+  labels : int array;  (** the node's samples' class numbers, by position *)
+  mutable n_cls : int;  (** classes present in the node *)
+  parent : int array;  (** class counts of the node, by number *)
+  left : int array;
+  right : int array;
+  best : incumbent;
+  mutable best_feature : int;  (** the incumbent's feature, -1 for none *)
+  marks : bool array;  (** the node's candidate features *)
+  perm : int array;  (** the feature sample's Fisher–Yates shuffle *)
+}
+
+let make_scratch ~(n_classes : int) ~(d : int) ~(rows : int) : scratch =
   {
     hist = Array.make (max_bins * n_classes) 0;
     bin_tot = Array.make max_bins 0;
     occ = Array.make max_bins 0;
-    left_counts = Array.make n_classes 0;
-    right_counts = Array.make n_classes 0;
-    parent_counts = Array.make n_classes 0;
+    counts = Array.make n_classes 0;
+    local = Array.make n_classes 0;
+    labels = Array.make rows 0;
+    n_cls = 0;
+    parent = Array.make n_classes 0;
+    left = Array.make n_classes 0;
+    right = Array.make n_classes 0;
+    best = { gain = Float.nan; threshold = 0.0; node_gini = 0.0 };
+    best_feature = -1;
+    marks = Array.make d true;
+    perm = Array.make d 0;
   }
+
+(* Mark [Rng.sample rng k] over the features [0 .. d-1]: the same
+   Fisher–Yates draws over the identity, whose first [k] entries are the
+   sample.  {!best_split} scans the marks in ascending feature order:
+   sorting the sample does not change the tree (the tie-break is
+   order-invariant), and ascending order makes "first strictly better
+   wins" implement it. *)
+let sample_features (s : scratch) (rng : Rng.t) ~(k : int) ~(d : int) : unit =
+  for i = 0 to d - 1 do
+    s.perm.(i) <- i
+  done;
+  Rng.shuffle_in_place rng s.perm;
+  Array.fill s.marks 0 d false;
+  for i = 0 to min k d - 1 do
+    s.marks.(s.perm.(i)) <- true
+  done
 
 (* ascending insertion sort of the occupied-bucket prefix (<= 256 ids) *)
 let sort_occ (occ : int array) (n_occ : int) : unit =
@@ -160,97 +190,143 @@ let sort_occ (occ : int array) (n_occ : int) : unit =
     occ.(!j + 1) <- v
   done
 
-(* Best (feature, threshold, gain) for the sample subset [idx].  The
-   candidate [features] are scanned in ascending index order and a
-   strictly-greater gain is required to displace the incumbent, which
-   realises the total (gain, -feature, -threshold) tie-break. *)
-let best_split ~(n_classes : int) ~(pb : prebinned) ~(s : scratch)
-    (x : Fmat.t) (ys : int array) (idx : int array) (features : int list) :
-    (int * float * float) option =
+(* List the node's classes, number its samples' labels and return its
+   Gini impurity.  Summed over the node's classes in ascending order: an
+   absent class would subtract [0.0 *. 0.0], which leaves the bits of the
+   sum over every class unchanged. *)
+let node_classes ~(n_classes : int) (s : scratch) (ys : int array)
+    (idx : int array) : float =
   let n = Array.length idx in
+  for t = 0 to n - 1 do
+    let y = ys.(idx.(t)) in
+    s.counts.(y) <- s.counts.(y) + 1
+  done;
+  s.n_cls <- 0;
+  for c = 0 to n_classes - 1 do
+    if s.counts.(c) > 0 then begin
+      s.local.(c) <- s.n_cls;
+      s.parent.(s.n_cls) <- s.counts.(c);
+      s.counts.(c) <- 0;
+      s.n_cls <- s.n_cls + 1
+    end
+  done;
+  for t = 0 to n - 1 do
+    s.labels.(t) <- s.local.(ys.(idx.(t)))
+  done;
+  if n = 0 then 0.0
+  else begin
+    let total = float_of_int n in
+    let acc = ref 1.0 in
+    for k = 0 to s.n_cls - 1 do
+      let p = float_of_int s.parent.(k) /. total in
+      acc := !acc -. (p *. p)
+    done;
+    !acc
+  end
+
+(* Score the boundary between [vals.(a)] and [vals.(b)] with [nl] of the
+   node's [n] samples to its left ([left]/[right] hold their counts), and
+   take it when its gain beats the incumbent's: a strictly greater gain is
+   required, which realises the (gain, -feature, -threshold) tie-break.
+   Both sides have samples, so neither Gini sum divides by zero; the two
+   sums run side by side, each in ascending class order. *)
+let consider (s : scratch) ~(n : int) (f : int) (vals : float array) (a : int)
+    (b : int) (nl : int) : unit =
+  let tl = float_of_int nl and tr = float_of_int (n - nl) in
+  let gl = ref 1.0 and gr = ref 1.0 in
+  for k = 0 to s.n_cls - 1 do
+    let pl = float_of_int (Array.unsafe_get s.left k) /. tl in
+    let pr = float_of_int (Array.unsafe_get s.right k) /. tr in
+    gl := !gl -. (pl *. pl);
+    gr := !gr -. (pr *. pr)
+  done;
+  let gain =
+    s.best.node_gini -. (((tl *. !gl) +. (tr *. !gr)) /. float_of_int n)
+  in
+  if not (s.best.gain >= gain) then begin
+    s.best.gain <- gain;
+    s.best.threshold <- (vals.(a) +. vals.(b)) /. 2.0;
+    s.best_feature <- f
+  end
+
+(* the histogram sweep of one feature with at most {!max_bins} values *)
+let scan_binned (s : scratch) (pb : prebinned) (idx : int array) (f : int) :
+    unit =
+  let n = Array.length idx and nc = s.n_cls in
+  let base = f * pb.pb_n in
+  let vals = pb.bin_values.(f) in
+  let n_occ = ref 0 in
+  for t = 0 to n - 1 do
+    let i = Array.unsafe_get idx t in
+    let b = Char.code (Bytes.unsafe_get pb.codes (base + i)) in
+    if s.bin_tot.(b) = 0 then begin
+      s.occ.(!n_occ) <- b;
+      incr n_occ
+    end;
+    s.bin_tot.(b) <- s.bin_tot.(b) + 1;
+    let h = (b * nc) + Array.unsafe_get s.labels t in
+    s.hist.(h) <- s.hist.(h) + 1
+  done;
+  sort_occ s.occ !n_occ;
+  Array.fill s.left 0 nc 0;
+  Array.blit s.parent 0 s.right 0 nc;
+  let nl = ref 0 in
+  for q = 0 to !n_occ - 2 do
+    let b = s.occ.(q) in
+    let hbase = b * nc in
+    for k = 0 to nc - 1 do
+      let h = Array.unsafe_get s.hist (hbase + k) in
+      Array.unsafe_set s.left k (Array.unsafe_get s.left k + h);
+      Array.unsafe_set s.right k (Array.unsafe_get s.right k - h)
+    done;
+    nl := !nl + s.bin_tot.(b);
+    consider s ~n f vals b s.occ.(q + 1) !nl
+  done;
+  (* clear only the buckets this node touched *)
+  for q = 0 to !n_occ - 1 do
+    let b = s.occ.(q) in
+    s.bin_tot.(b) <- 0;
+    Array.fill s.hist (b * nc) nc 0
+  done
+
+(* exact fallback for features with > max_bins distinct values: the
+   classic per-node sort-and-sweep, on gathered contiguous buffers *)
+let scan_wide (s : scratch) (x : Fmat.t) (idx : int array) (f : int) : unit =
+  let n = Array.length idx and nc = s.n_cls in
   let d = x.Fmat.d and data = x.Fmat.data in
-  Array.fill s.parent_counts 0 n_classes 0;
-  Array.iter
-    (fun i -> s.parent_counts.(ys.(i)) <- s.parent_counts.(ys.(i)) + 1)
-    idx;
-  let parent_gini = gini_of_counts s.parent_counts n in
-  let best = ref None in
-  let consider f thr gain =
-    match !best with
-    | Some (_, _, best_gain) when best_gain >= gain -> ()
-    | _ -> best := Some (f, thr, gain)
-  in
-  (* evaluate one boundary: [nl] samples to the left, counts filled in *)
-  let eval f v v' nl =
-    let nr = n - nl in
-    let g =
-      (float_of_int nl *. gini_of_counts s.left_counts nl
-      +. float_of_int nr *. gini_of_counts s.right_counts nr)
-      /. float_of_int n
-    in
-    consider f ((v +. v') /. 2.0) (parent_gini -. g)
-  in
-  let scan_binned f =
-    let base = f * pb.pb_n in
-    let vals = pb.bin_values.(f) in
-    let n_occ = ref 0 in
-    for t = 0 to n - 1 do
-      let i = Array.unsafe_get idx t in
-      let b = Char.code (Bytes.unsafe_get pb.codes (base + i)) in
-      if s.bin_tot.(b) = 0 then begin
-        s.occ.(!n_occ) <- b;
-        incr n_occ
-      end;
-      s.bin_tot.(b) <- s.bin_tot.(b) + 1;
-      let h = (b * n_classes) + ys.(i) in
-      s.hist.(h) <- s.hist.(h) + 1
-    done;
-    sort_occ s.occ !n_occ;
-    Array.fill s.left_counts 0 n_classes 0;
-    Array.blit s.parent_counts 0 s.right_counts 0 n_classes;
-    let nl = ref 0 in
-    for q = 0 to !n_occ - 2 do
-      let b = s.occ.(q) in
-      let hbase = b * n_classes in
-      for c = 0 to n_classes - 1 do
-        s.left_counts.(c) <- s.left_counts.(c) + s.hist.(hbase + c);
-        s.right_counts.(c) <- s.right_counts.(c) - s.hist.(hbase + c)
-      done;
-      nl := !nl + s.bin_tot.(b);
-      eval f vals.(b) vals.(s.occ.(q + 1)) !nl
-    done;
-    (* clear only the buckets this node touched *)
-    for q = 0 to !n_occ - 1 do
-      let b = s.occ.(q) in
-      s.bin_tot.(b) <- 0;
-      Array.fill s.hist (b * n_classes) n_classes 0
-    done
-  in
-  (* exact fallback for features with > max_bins distinct values: the
-     classic per-node sort-and-sweep, on gathered contiguous buffers *)
-  let scan_wide f =
-    let vals = Array.make n 0.0 and labs = Array.make n 0 in
-    for t = 0 to n - 1 do
-      let i = idx.(t) in
-      vals.(t) <- data.((i * d) + f);
-      labs.(t) <- ys.(i)
-    done;
-    let perm = Array.init n Fun.id in
-    Array.sort (fun a b -> Float.compare vals.(a) vals.(b)) perm;
-    Array.fill s.left_counts 0 n_classes 0;
-    Array.blit s.parent_counts 0 s.right_counts 0 n_classes;
-    for k = 0 to n - 2 do
-      let p = perm.(k) in
-      s.left_counts.(labs.(p)) <- s.left_counts.(labs.(p)) + 1;
-      s.right_counts.(labs.(p)) <- s.right_counts.(labs.(p)) - 1;
-      let v = vals.(p) and v' = vals.(perm.(k + 1)) in
-      if v < v' then eval f v v' (k + 1)
-    done
-  in
-  List.iter (fun f -> if pb.wide.(f) then scan_wide f else scan_binned f) features;
-  match !best with
-  | Some (f, thr, gain) when gain > 1e-12 -> Some (f, thr, gain)
-  | _ -> None
+  let vals = Array.make n 0.0 in
+  for t = 0 to n - 1 do
+    vals.(t) <- data.((idx.(t) * d) + f)
+  done;
+  let perm = Array.init n Fun.id in
+  Array.sort (fun a b -> Float.compare vals.(a) vals.(b)) perm;
+  Array.fill s.left 0 nc 0;
+  Array.blit s.parent 0 s.right 0 nc;
+  for k = 0 to n - 2 do
+    let p = perm.(k) in
+    let c = s.labels.(p) in
+    s.left.(c) <- s.left.(c) + 1;
+    s.right.(c) <- s.right.(c) - 1;
+    if vals.(p) < vals.(perm.(k + 1)) then
+      consider s ~n f vals p perm.(k + 1) (k + 1)
+  done
+
+(* Best (feature, threshold) for the sample subset [idx] over the marked
+   candidate features, scanned in ascending index order; [None] unless
+   some split gains more than 1e-12. *)
+let best_split ~(n_classes : int) ~(pb : prebinned) ~(s : scratch)
+    (x : Fmat.t) (ys : int array) (idx : int array) : (int * float) option =
+  s.best.node_gini <- node_classes ~n_classes s ys idx;
+  (* NaN: the first candidate always displaces it *)
+  s.best.gain <- Float.nan;
+  s.best_feature <- -1;
+  for f = 0 to x.Fmat.d - 1 do
+    if s.marks.(f) then
+      if pb.wide.(f) then scan_wide s x idx f else scan_binned s pb idx f
+  done;
+  if s.best_feature >= 0 && s.best.gain > 1e-12 then
+    Some (s.best_feature, s.best.threshold)
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* training                                                            *)
@@ -267,16 +343,12 @@ let train ?(params = default_params) ?prebinned ?sample (rng : Rng.t)
         pb
     | None -> prebin x
   in
-  let s = make_scratch ~n_classes in
-  let all_features = List.init d Fun.id in
-  let pick_features () =
-    match params.features_per_split with
-    | None -> all_features
-    | Some k ->
-        (* sort the sample: the tie-break is order-invariant, and ascending
-           scan order makes "first strictly better wins" implement it *)
-        List.sort compare (Rng.sample rng (min k d) all_features)
+  let idx =
+    match sample with
+    | Some s -> s
+    | None -> Array.init x.Fmat.n Fun.id
   in
+  let s = make_scratch ~n_classes ~d ~rows:(Array.length idx) in
   let data = x.Fmat.data in
   let rec grow (idx : int array) (depth : int) : node =
     let pure =
@@ -287,10 +359,13 @@ let train ?(params = default_params) ?prebinned ?sample (rng : Rng.t)
       pure || depth >= params.max_depth
       || Array.length idx < params.min_samples_split
     then Leaf (majority ~n_classes ys idx)
-    else
-      match best_split ~n_classes ~pb ~s x ys idx (pick_features ()) with
+    else begin
+      Option.iter
+        (fun k -> sample_features s rng ~k ~d)
+        params.features_per_split;
+      match best_split ~n_classes ~pb ~s x ys idx with
       | None -> Leaf (majority ~n_classes ys idx)
-      | Some (feature, threshold, _) ->
+      | Some (feature, threshold) ->
           let m = Array.length idx in
           let nl = ref 0 in
           for t = 0 to m - 1 do
@@ -320,11 +395,7 @@ let train ?(params = default_params) ?prebinned ?sample (rng : Rng.t)
                 right = grow right_idx (depth + 1);
               }
           end
-  in
-  let idx =
-    match sample with
-    | Some s -> s
-    | None -> Array.init x.Fmat.n Fun.id
+    end
   in
   { root = grow idx 0; n_classes }
 

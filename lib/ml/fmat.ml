@@ -289,25 +289,53 @@ let axpy ~(a : float) (x : t) (y : t) : unit =
       (Array.unsafe_get y.data i +. (a *. Array.unsafe_get x.data i))
   done
 
-(** Matrix–vector product. *)
+(* y.(i) <- y.(i) + sum_j m(i, j) x(off + j): each row one chain from its
+   own start value in ascending column order, four rows side by side so
+   that four independent chains keep the FPU busy across the fadd
+   latency *)
+let mv_into (m : t) (x : float array) ~(off : int) (y : float array) : unit =
+  let d = m.d and a = m.data in
+  if off < 0 || off + d > Array.length x || Array.length y < m.n then
+    invalid_arg "Fmat.mv_into: dimension mismatch";
+  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+  let i = ref 0 in
+  while !i + 3 < m.n do
+    let r0 = !i * d in
+    let r1 = r0 + d in
+    let r2 = r1 + d in
+    let r3 = r2 + d in
+    acc0 := Array.unsafe_get y !i;
+    acc1 := Array.unsafe_get y (!i + 1);
+    acc2 := Array.unsafe_get y (!i + 2);
+    acc3 := Array.unsafe_get y (!i + 3);
+    for j = 0 to d - 1 do
+      let xj = Array.unsafe_get x (off + j) in
+      acc0 := !acc0 +. (Array.unsafe_get a (r0 + j) *. xj);
+      acc1 := !acc1 +. (Array.unsafe_get a (r1 + j) *. xj);
+      acc2 := !acc2 +. (Array.unsafe_get a (r2 + j) *. xj);
+      acc3 := !acc3 +. (Array.unsafe_get a (r3 + j) *. xj)
+    done;
+    Array.unsafe_set y !i !acc0;
+    Array.unsafe_set y (!i + 1) !acc1;
+    Array.unsafe_set y (!i + 2) !acc2;
+    Array.unsafe_set y (!i + 3) !acc3;
+    i := !i + 4
+  done;
+  for i = !i to m.n - 1 do
+    let r = i * d in
+    acc0 := Array.unsafe_get y i;
+    for j = 0 to d - 1 do
+      acc0 :=
+        !acc0 +. (Array.unsafe_get a (r + j) *. Array.unsafe_get x (off + j))
+    done;
+    Array.unsafe_set y i !acc0
+  done
+
 let mv (m : t) (v : float array) : float array =
   if m.d <> Array.length v then invalid_arg "Fmat.mv: dimension mismatch";
-  Array.init m.n (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.d - 1 do
-        acc := !acc +. (m.data.((i * m.d) + j) *. v.(j))
-      done;
-      !acc)
-
-(** v^T M (vector–matrix product). *)
-let vm (v : float array) (m : t) : float array =
-  if m.n <> Array.length v then invalid_arg "Fmat.vm: dimension mismatch";
-  Array.init m.d (fun j ->
-      let acc = ref 0.0 in
-      for i = 0 to m.n - 1 do
-        acc := !acc +. (v.(i) *. m.data.((i * m.d) + j))
-      done;
-      !acc)
+  let y = Array.make m.n 0.0 in
+  mv_into m v ~off:0 y;
+  y
 
 let random (rng : Yali_util.Rng.t) n d ~scale:s =
   init n d (fun _ _ -> Yali_util.Rng.gaussian rng *. s)

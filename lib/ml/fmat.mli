@@ -100,11 +100,17 @@ val scale : float -> t -> t
 (** In-place [y += a * x].  @raise Invalid_argument on dimension mismatch *)
 val axpy : a:float -> t -> t -> unit
 
-(** Matrix–vector product.  @raise Invalid_argument on dimension mismatch *)
-val mv : t -> float array -> float array
+(** [mv_into m x ~off y] adds the product of [m] and the [m.d] entries of
+    [x] from [off] into [y]: [y.(i)] becomes its start value plus
+    [m(i, j) *. x.(off + j)] summed in ascending column order, one chain
+    per row.  Four rows run side by side; no allocation.
+    @raise Invalid_argument when [x] is too short or [y] has fewer than
+    [m.n] entries. *)
+val mv_into : t -> float array -> off:int -> float array -> unit
 
-(** Vector–matrix product [v^T M]. *)
-val vm : float array -> t -> float array
+(** Matrix–vector product into a fresh array: {!mv_into} from zeros.
+    @raise Invalid_argument on dimension mismatch *)
+val mv : t -> float array -> float array
 
 (** Gaussian random matrix with the given standard deviation, drawn in
     row-major order. *)

@@ -19,20 +19,13 @@ type params = { epochs : int; lr : float; l2 : float; batch : int }
 
 let default_params = { epochs = 60; lr = 0.1; l2 = 1e-4; batch = 32 }
 
-(* logits of the [d] features of [xd] from offset [xbase]: a row of a flat
-   matrix, or a whole vector at offset 0 *)
-let logits_row (w : Fmat.t) (bias : float array) (xd : float array)
-    (xbase : int) (d : int) : float array =
-  Array.init (Array.length bias) (fun c ->
-      let acc = ref bias.(c) in
-      let wbase = c * w.Fmat.d in
-      for j = 0 to d - 1 do
-        acc :=
-          !acc
-          +. Array.unsafe_get w.Fmat.data (wbase + j)
-             *. Array.unsafe_get xd (xbase + j)
-      done;
-      !acc)
+(* logits of the features of [xd] from offset [xbase] (a row of a flat
+   matrix, or a whole vector at offset 0) into [z]: each class sums from
+   its bias in ascending feature order *)
+let logits_into (w : Fmat.t) (bias : float array) (xd : float array)
+    (xbase : int) (z : float array) : unit =
+  Array.blit bias 0 z 0 (Array.length bias);
+  Fmat.mv_into w xd ~off:xbase z
 
 (** Minibatch SGD over blocks (DESIGN.md §12).  Each epoch walks the blocks
     in order, shuffling {e within} each block with a persistent-order
@@ -47,6 +40,10 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   let d = Fblock.dim src in
   let w = Fmat.random rng n_classes d ~scale:0.01 in
   let bias = Array.make n_classes 0.0 in
+  (* the step's buffers, reused by every minibatch *)
+  let p = Array.make n_classes 0.0 in
+  let gw = Fmat.create n_classes d and gb = Array.make n_classes 0.0 in
+  let gd = gw.Fmat.data in
   let scaler =
     Features.sgd_epochs ?block_rows src rng ~epochs:params.epochs
       (fun epoch ~lo block order ->
@@ -56,14 +53,18 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
         let b = ref 0 in
         while !b < bn do
           let hi = min bn (!b + params.batch) in
-          let gw = Fmat.create n_classes d and gb = Array.make n_classes 0.0 in
-          let gd = gw.Fmat.data in
+          Array.fill gd 0 (Array.length gd) 0.0;
+          Array.fill gb 0 n_classes 0.0;
           for k = !b to hi - 1 do
             let i = order.(k) in
             let xbase = i * d in
-            let p = Nn.softmax (logits_row w bias xd xbase d) in
+            logits_into w bias xd xbase p;
+            Nn.softmax_inplace p;
+            (* the error; [p -. 0.0] is [p] *)
+            let y = ys.(lo + i) in
+            p.(y) <- p.(y) -. 1.0;
             for c = 0 to n_classes - 1 do
-              let err = p.(c) -. (if c = ys.(lo + i) then 1.0 else 0.0) in
+              let err = p.(c) in
               gb.(c) <- gb.(c) +. err;
               let gbase = c * d in
               for j = 0 to d - 1 do
@@ -93,12 +94,15 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   { scaler; weights = w; bias; n_classes }
 
 let weights (t : t) : Fmat.t = t.weights
+let bias (t : t) : float array = t.bias
 
 (** Per-class scores (raw logits).  {!predict} is their first maximum, so
     the two never disagree. *)
 let margins (t : t) (x : float array) : float array =
   let x = Features.transform t.scaler x in
-  logits_row t.weights t.bias x 0 (Array.length x)
+  let z = Array.make t.n_classes 0.0 in
+  logits_into t.weights t.bias x 0 z;
+  z
 
 let predict (t : t) (x : float array) : int = Fmat.argmax (margins t x)
 

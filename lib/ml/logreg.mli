@@ -19,8 +19,11 @@ val train :
   int array ->
   t
 
-(** The fitted class-by-feature weight matrix (equivalence tests). *)
+(** The fitted class-by-feature weight matrix and per-class bias
+    (equivalence tests). *)
 val weights : t -> Fmat.t
+
+val bias : t -> float array
 
 val predict : t -> float array -> int
 

@@ -192,11 +192,29 @@ let dump_weights (net : t) : float array array =
          | Relu | Dropout _ | MaxPool _ -> [])
        net.layers)
 
+(* [m] is [Array.fold_left max neg_infinity z] and [s] sums the
+   exponentials left to right from 0.0: the naive three-pass softmax's
+   expressions ([Reference.Logreg]), so the bits are the same *)
+let softmax_inplace (z : float array) : unit =
+  let n = Array.length z in
+  let m = ref neg_infinity in
+  for i = 0 to n - 1 do
+    if not (!m >= z.(i)) then m := z.(i)
+  done;
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    let e = exp (z.(i) -. !m) in
+    z.(i) <- e;
+    s := !s +. e
+  done;
+  for i = 0 to n - 1 do
+    z.(i) <- z.(i) /. !s
+  done
+
 let softmax (z : float array) : float array =
-  let m = Array.fold_left max neg_infinity z in
-  let e = Array.map (fun v -> exp (v -. m)) z in
-  let s = Array.fold_left ( +. ) 0.0 e in
-  Array.map (fun v -> v /. s) e
+  let p = Array.copy z in
+  softmax_inplace p;
+  p
 
 (* -- batched minibatch training (DESIGN.md §15) ----------------------------- *)
 

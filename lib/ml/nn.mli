@@ -28,6 +28,10 @@ val maxpool : int -> layer
 
 type t = { layers : layer list; n_classes : int }
 
+(** Overwrite a score vector with its softmax, allocating nothing. *)
+val softmax_inplace : float array -> unit
+
+(** {!softmax_inplace} on a copy. *)
 val softmax : float array -> float array
 
 (** Rows per gradient shard of {!train_batch}.  Shard boundaries are a

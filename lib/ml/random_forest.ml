@@ -132,6 +132,8 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
     { trees; n_classes }
   end
 
+let trees (f : t) : Decision_tree.t array = f.trees
+
 (* per-class tree vote counts — the shared kernel behind [predict] and
    [margins] *)
 let votes (f : t) (x : float array) : int array =

@@ -26,6 +26,9 @@ val train :
 
 val predict : t -> float array -> int
 
+(** The grown trees, in training order (equivalence tests). *)
+val trees : t -> Decision_tree.t array
+
 (** Per-class tree vote counts as floats; the first-maximum index is
     exactly {!predict}'s decision. *)
 val margins : t -> float array -> float array

@@ -1,12 +1,14 @@
 (** Frozen pre-kernel-layer implementations of the models the {!Fmat}
     rewrite touched: decision trees / random forests with per-node
     sort-and-sweep split finding over [float array array] rows, k-NN with
-    the subtract-square-accumulate distance and a full sort, and logistic
-    regression over row arrays.
+    the subtract-square-accumulate distance and a full sort, logistic
+    regression over row arrays, and the allocating per-sample mlp step.
 
     These exist for two reasons only:
     - differential property tests (test/test_fmat.ml) check that the
-      rewritten kernels predict identically on randomised datasets;
+      rewritten kernels grow the same trees node for node, predict
+      identically and train bitwise the same weights on randomised
+      datasets;
     - the [bench kernels] section measures the before/after speedup against
       the very code the optimised kernels replaced.
 
@@ -155,6 +157,15 @@ module Decision_tree = struct
           if x.(feature) <= threshold then go left else go right
     in
     go t.root
+
+  let rec same_tree (a : Decision_tree.node) (b : node) : bool =
+    match (a, b) with
+    | Leaf c, Leaf c' -> c = c'
+    | Split s, Split s' ->
+        s.feature = s'.feature
+        && Int64.bits_of_float s.threshold = Int64.bits_of_float s'.threshold
+        && same_tree s.left s'.left && same_tree s.right s'.right
+    | _ -> false
 end
 
 module Random_forest = struct
@@ -366,6 +377,88 @@ let shuffle (rng : Rng.t) (order : int array) : unit =
     order.(i) <- order.(j);
     order.(j) <- tmp
   done
+
+(* The allocating per-sample mlp step as it stood before [Mlp] stepped in
+   place: fresh arrays for every product, softmax and gradient, and its
+   own naive loops for them, so it shares no kernel with [Mlp].  The fmat
+   test pins [Mlp.train]'s weights to it bit for bit. *)
+module Mlp = struct
+  let mv (m : Fmat.t) (v : float array) : float array =
+    Array.init m.Fmat.n (fun i ->
+        let acc = ref 0.0 in
+        for j = 0 to m.Fmat.d - 1 do
+          acc := !acc +. (m.Fmat.data.((i * m.Fmat.d) + j) *. v.(j))
+        done;
+        !acc)
+
+  let vm (v : float array) (m : Fmat.t) : float array =
+    Array.init m.Fmat.d (fun j ->
+        let acc = ref 0.0 in
+        for i = 0 to m.Fmat.n - 1 do
+          acc := !acc +. (v.(i) *. m.Fmat.data.((i * m.Fmat.d) + j))
+        done;
+        !acc)
+
+  (* b -= lr * g, w -= lr * g x^T *)
+  let sgd_update ~(lr : float) (w : Fmat.t) (b : float array)
+      (g : float array) (x : float array) : unit =
+    for o = 0 to w.Fmat.n - 1 do
+      b.(o) <- b.(o) -. (lr *. g.(o));
+      let s = lr *. g.(o) in
+      for i = 0 to w.Fmat.d - 1 do
+        let k = (o * w.Fmat.d) + i in
+        w.Fmat.data.(k) <- w.Fmat.data.(k) -. (s *. x.(i))
+      done
+    done
+
+  let step ~(lr : float) (w1, b1, w2, b2) (x : float array) (y : int) : unit
+      =
+    let h =
+      Array.mapi
+        (fun i v ->
+          let v = v +. b1.(i) in
+          if v > 0.0 then v else 0.0)
+        (mv w1 x)
+    in
+    let p = Logreg.softmax (Array.mapi (fun i v -> v +. b2.(i)) (mv w2 h)) in
+    let dz = Array.mapi (fun i v -> v -. if i = y then 1.0 else 0.0) p in
+    let dh = vm dz w2 in
+    let dh = Array.mapi (fun i v -> if h.(i) > 0.0 then v else 0.0) dh in
+    sgd_update ~lr w2 b2 dz h;
+    sgd_update ~lr w1 b1 dh x
+
+  (* [Mlp.train] on one block: the same initialisation draws, scaler and
+     per-epoch shuffles *)
+  let train ?(params = Mlp.default_params) (rng : Rng.t) ~(n_classes : int)
+      (xs : float array array) (ys : int array) : Cnn.t =
+    let n = Array.length xs in
+    let d = if n = 0 then 0 else Array.length xs.(0) in
+    let net =
+      {
+        Nn.layers =
+          [
+            Nn.dense rng ~d_in:d ~d_out:params.Mlp.hidden;
+            Nn.relu;
+            Nn.dense rng ~d_in:params.Mlp.hidden ~d_out:n_classes;
+          ];
+        n_classes;
+      }
+    in
+    let layers =
+      match Nn.view net with
+      | [ V_dense l1; V_relu; V_dense l2 ] -> (l1.w, l1.b, l2.w, l2.b)
+      | _ -> assert false
+    in
+    let scaler, xs = Features.fit_transform xs in
+    let order = Array.init n Fun.id in
+    for epoch = 0 to params.Mlp.epochs - 1 do
+      let lr = params.Mlp.lr /. (1.0 +. (0.03 *. float_of_int epoch)) in
+      shuffle rng order;
+      Array.iter (fun i -> step ~lr layers xs.(i) ys.(i)) order
+    done;
+    Nn.invalidate_caches net;
+    Cnn.of_parts ~scaler ~net
+end
 
 module Nnb = struct
   type grad = G_none | G_par of Fmat.t * float array

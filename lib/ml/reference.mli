@@ -6,7 +6,11 @@
     tie-break). *)
 
 module Decision_tree : sig
-  type t
+  type node =
+    | Leaf of int
+    | Split of { feature : int; threshold : float; left : node; right : node }
+
+  type t = { root : node; n_classes : int }
 
   type params = {
     max_depth : int;
@@ -25,10 +29,15 @@ module Decision_tree : sig
     t
 
   val predict : t -> float array -> int
+
+  (** Whether a grown tree equals a reference tree node for node: the same
+      feature, threshold bits ([Int64.bits_of_float]) and leaf class
+      everywhere. *)
+  val same_tree : Decision_tree.node -> node -> bool
 end
 
 module Random_forest : sig
-  type t
+  type t = { trees : Decision_tree.t array; n_classes : int }
 
   type params = { n_trees : int; max_depth : int }
 
@@ -55,7 +64,12 @@ module Knn : sig
 end
 
 module Logreg : sig
-  type t
+  type t = {
+    scaler : Features.scaler;
+    weights : Fmat.t;
+    bias : float array;
+    n_classes : int;
+  }
 
   type params = { epochs : int; lr : float; l2 : float; batch : int }
 
@@ -70,6 +84,20 @@ module Logreg : sig
     t
 
   val predict : t -> float array -> int
+end
+
+(** The allocating per-sample mlp trainer that {!Mlp.train} replaced, with
+    its own naive matrix-vector, vector-matrix and softmax loops: the same
+    initialisation draws, scaler and shuffles on one block, and
+    bit-identical weights. *)
+module Mlp : sig
+  val train :
+    ?params:Mlp.params ->
+    Yali_util.Rng.t ->
+    n_classes:int ->
+    float array array ->
+    int array ->
+    Cnn.t
 end
 
 (** Frozen naive minibatch trainers for the neural tier (DESIGN.md §15): the

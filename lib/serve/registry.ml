@@ -108,13 +108,20 @@ let write_file path blob =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc blob)
 
+(* the metadata stores the version as a u32, and 0 names no file *)
+let max_version = 0xFFFF_FFFF
+
 let publish ~dir ?version ~meta snapshot =
-  Yali_util.Fs.mkdir_p dir;
   let assigned =
     match version with
     | Some v -> v
     | None -> ( match latest ~dir meta.kind with Some v -> v + 1 | None -> 1)
   in
+  if assigned < 1 || assigned > max_version then
+    invalid_arg
+      (Printf.sprintf "Registry.publish: version %d outside 1..%d" assigned
+         max_version);
+  Yali_util.Fs.mkdir_p dir;
   let meta = { meta with version = assigned } in
   let path = Filename.concat dir (file_name ~kind:meta.kind ~version:assigned) in
   write_file path (encode_entry { meta; snapshot });

@@ -38,9 +38,14 @@ val versions : dir:string -> string -> int list
 
 val latest : dir:string -> string -> int option
 
+(** The largest version tag, [2^32 - 1]: the metadata stores it as a u32. *)
+val max_version : int
+
 (** Write a snapshot into the registry.  [version] defaults to
     latest+1 (or 1); the stored metadata carries the assigned version.
-    Returns (assigned version, path).  Creates [dir] when missing. *)
+    Returns (assigned version, path).  Creates [dir] when missing.
+    @raise Invalid_argument, before writing anything, when the version
+    lies outside [1..max_version]. *)
 val publish :
   dir:string -> ?version:int -> meta:meta -> Yali_ml.Model.snapshot ->
   int * string

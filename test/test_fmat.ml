@@ -1,8 +1,9 @@
 (** Tests for the flat numeric-kernel layer (DESIGN.md §8): Fmat layout
     invariants, tiled-vs-naive matmul bit-identity, the blocked distance
     identity, and differential properties pinning the rewritten
-    tree/forest/knn/logreg kernels to the frozen pre-rewrite reference
-    implementations ({!Yali.Ml.Reference}). *)
+    tree/forest/knn/logreg/mlp trainers to the frozen pre-rewrite reference
+    implementations ({!Yali.Ml.Reference}): trees node for node, weights
+    bit for bit. *)
 
 open Helpers
 module Ml = Yali.Ml
@@ -167,10 +168,20 @@ let gen_gauss (rng : Rng.t) ~(n : int) ~(d : int) ~(n_classes : int) =
   done;
   (xs, ys)
 
+let same_bits (a : float array) (b : float array) : bool =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
+(* Up to 31 classes: deep nodes then hold only some of them, and the
+   trainers' per-class loops run both four-row blocks and a tail. *)
+let draw_classes (rng : Rng.t) = 2 + Rng.int rng 30
+
 let test_tree_matches_reference_binned =
   qtest ~count:12 "tree = reference tree (histogram path)" (fun seed ->
       let rng = Rng.make (seed + 1) in
-      let n_classes = 2 + Rng.int rng 3 in
+      let n_classes = draw_classes rng in
       let n = 20 + Rng.int rng 100 and d = 1 + Rng.int rng 10 in
       let xs, ys = gen_counts rng ~n ~d ~n_classes in
       let txs, _ = gen_counts rng ~n:40 ~d ~n_classes in
@@ -180,16 +191,17 @@ let test_tree_matches_reference_binned =
       let t_ref =
         Ml.Reference.Decision_tree.train (Rng.make seed) ~n_classes xs ys
       in
-      Array.for_all
-        (fun x ->
-          Ml.Decision_tree.predict t_new x
-          = Ml.Reference.Decision_tree.predict t_ref x)
-        (Array.append xs txs))
+      Ml.Reference.Decision_tree.same_tree t_new.root t_ref.root
+      && Array.for_all
+           (fun x ->
+             Ml.Decision_tree.predict t_new x
+             = Ml.Reference.Decision_tree.predict t_ref x)
+           (Array.append xs txs))
 
 let test_tree_matches_reference_wide =
   qtest ~count:4 "tree = reference tree (wide/exact path)" (fun seed ->
       let rng = Rng.make (seed + 2) in
-      let n_classes = 2 + Rng.int rng 2 in
+      let n_classes = draw_classes rng in
       (* > 256 distinct values per continuous feature forces the per-node
          exact sweep *)
       let n = 280 and d = 4 in
@@ -201,16 +213,17 @@ let test_tree_matches_reference_wide =
       let t_ref =
         Ml.Reference.Decision_tree.train (Rng.make seed) ~n_classes xs ys
       in
-      Array.for_all
-        (fun x ->
-          Ml.Decision_tree.predict t_new x
-          = Ml.Reference.Decision_tree.predict t_ref x)
-        (Array.append xs txs))
+      Ml.Reference.Decision_tree.same_tree t_new.root t_ref.root
+      && Array.for_all
+           (fun x ->
+             Ml.Decision_tree.predict t_new x
+             = Ml.Reference.Decision_tree.predict t_ref x)
+           (Array.append xs txs))
 
 let test_forest_matches_reference =
   qtest ~count:6 "forest = reference forest" (fun seed ->
       let rng = Rng.make (seed + 3) in
-      let n_classes = 2 + Rng.int rng 3 in
+      let n_classes = draw_classes rng in
       let n = 30 + Rng.int rng 80 and d = 4 + Rng.int rng 8 in
       let xs, ys = gen_counts rng ~n ~d ~n_classes in
       let txs, _ = gen_counts rng ~n:40 ~d ~n_classes in
@@ -227,11 +240,15 @@ let test_forest_matches_reference =
           ~n_classes xs ys
       in
       let batch = Ml.Random_forest.predict_batch f_new (F.of_rows txs) in
-      Array.for_all
-        (fun x ->
-          Ml.Random_forest.predict f_new x
-          = Ml.Reference.Random_forest.predict f_ref x)
-        (Array.append xs txs)
+      Array.for_all2
+        (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
+          Ml.Reference.Decision_tree.same_tree a.root b.root)
+        (Ml.Random_forest.trees f_new) f_ref.trees
+      && Array.for_all
+           (fun x ->
+             Ml.Random_forest.predict f_new x
+             = Ml.Reference.Random_forest.predict f_ref x)
+           (Array.append xs txs)
       && batch = Array.map (Ml.Reference.Random_forest.predict f_ref) txs)
 
 let test_knn_matches_reference =
@@ -260,7 +277,7 @@ let test_knn_index_tie_break () =
 let test_logreg_matches_reference =
   qtest ~count:8 "logreg = reference logreg (bitwise training)" (fun seed ->
       let rng = Rng.make (seed + 5) in
-      let n_classes = 2 + Rng.int rng 3 in
+      let n_classes = draw_classes rng in
       let n = 20 + Rng.int rng 60 and d = 2 + Rng.int rng 8 in
       let xs, ys = gen_gauss rng ~n ~d ~n_classes in
       let txs, _ = gen_gauss rng ~n:30 ~d ~n_classes in
@@ -277,11 +294,34 @@ let test_logreg_matches_reference =
           ~n_classes xs ys
       in
       let batch = Ml.Logreg.predict_batch m_new (F.of_rows txs) in
-      Array.for_all
-        (fun x ->
-          Ml.Logreg.predict m_new x = Ml.Reference.Logreg.predict m_ref x)
-        txs
+      same_bits (Ml.Logreg.weights m_new).data m_ref.weights.data
+      && same_bits (Ml.Logreg.bias m_new) m_ref.bias
+      && Array.for_all
+           (fun x ->
+             Ml.Logreg.predict m_new x = Ml.Reference.Logreg.predict m_ref x)
+           txs
       && batch = Array.map (Ml.Reference.Logreg.predict m_ref) txs)
+
+let test_mlp_matches_reference =
+  qtest ~count:8 "mlp = reference mlp (bitwise training)" (fun seed ->
+      let rng = Rng.make (seed + 6) in
+      let n_classes = draw_classes rng in
+      let n = 20 + Rng.int rng 60 and d = 2 + Rng.int rng 8 in
+      let xs, ys = gen_gauss rng ~n ~d ~n_classes in
+      let params =
+        { Ml.Mlp.hidden = 1 + Rng.int rng 20; epochs = 4; lr = 0.02 }
+      in
+      let m_new =
+        Ml.Mlp.train ~params (Rng.make seed) ~n_classes
+          (Ml.Fblock.Mem (F.of_rows xs)) ys
+      in
+      let m_ref =
+        Ml.Reference.Mlp.train ~params (Rng.make seed) ~n_classes xs ys
+      in
+      let w_new = Ml.Cnn.dump_weights m_new
+      and w_ref = Ml.Cnn.dump_weights m_ref in
+      Array.length w_new = Array.length w_ref
+      && Array.for_all2 same_bits w_new w_ref)
 
 let suite =
   [
@@ -302,4 +342,5 @@ let suite =
     test_knn_matches_reference;
     Alcotest.test_case "knn index tie-break" `Quick test_knn_index_tie_break;
     test_logreg_matches_reference;
+    test_mlp_matches_reference;
   ]

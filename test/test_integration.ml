@@ -160,7 +160,24 @@ let test_cli_exit_codes () =
           Alcotest.(check int) (String.concat " " args) 2 (exit_code args);
           Alcotest.(check bool) "no --out directory" false
             (Sys.file_exists out))
-        [ "--per-class=0"; "--per-class=-1"; "--records-per-shard=0" ])
+        [ "--per-class=0"; "--per-class=-1"; "--records-per-shard=0" ];
+      (* version 0 names no loadable file, and the metadata stores a u32:
+         both are refused before training *)
+      let reg = Filename.concat dir "reg" in
+      List.iter
+        (fun flag ->
+          let args = [ "train"; flag; "--registry"; reg ] in
+          Alcotest.(check int) (String.concat " " args) 2 (exit_code args);
+          let written =
+            match Sys.readdir reg with
+            | exception Sys_error _ -> []
+            | files ->
+                List.filter
+                  (fun f -> Filename.check_suffix f ".ymdl")
+                  (Array.to_list files)
+          in
+          Alcotest.(check (list string)) "no .ymdl written" [] written)
+        [ "--version=0"; "--version=-3"; "--version=4294967296" ])
 
 let suite =
   [

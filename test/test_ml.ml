@@ -26,10 +26,18 @@ let test_transpose_involution =
       let m = M.random rng 3 5 ~scale:1.0 in
       M.transpose (M.transpose m) = m)
 
-let test_mv_vm () =
+let test_mv () =
   let m = M.of_rows [| [| 1.; 0.; 2. |]; [| 0.; 3.; 0. |] |] in
   Alcotest.(check bool) "mv" true (M.mv m [| 1.; 1.; 1. |] = [| 3.; 3. |]);
-  Alcotest.(check bool) "vm" true (M.vm [| 1.; 1. |] m = [| 1.; 3.; 2. |])
+  (* five rows: one four-row block and a tail, each from its start value,
+     reading the vector from an offset *)
+  let m = M.init 5 2 (fun i j -> float_of_int ((10 * i) + j)) in
+  let y = [| 1.; 2.; 3.; 4.; 5. |] in
+  M.mv_into m [| 9.; 1.; 2.; 9. |] ~off:1 y;
+  Alcotest.(check bool) "mv_into" true (y = [| 3.; 34.; 65.; 96.; 127. |]);
+  Alcotest.check_raises "short vector"
+    (Invalid_argument "Fmat.mv_into: dimension mismatch") (fun () ->
+      M.mv_into m [| 1.; 2. |] ~off:1 y)
 
 let test_matmul_assoc =
   qtest ~count:20 "matmul associative" (fun seed ->
@@ -321,7 +329,7 @@ let suite =
     Alcotest.test_case "matmul" `Quick test_matmul;
     Alcotest.test_case "matmul dims" `Quick test_matmul_dims;
     test_transpose_involution;
-    Alcotest.test_case "mv/vm" `Quick test_mv_vm;
+    Alcotest.test_case "mv and mv_into" `Quick test_mv;
     test_matmul_assoc;
     Alcotest.test_case "axpy" `Quick test_axpy;
     Alcotest.test_case "accuracy" `Quick test_accuracy;

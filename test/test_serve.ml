@@ -298,6 +298,14 @@ let test_registry_publish_and_load () =
       Alcotest.(check int) "second publish auto-increments" 2 v2;
       Alcotest.(check (list int)) "versions ascend" [ 1; 2 ]
         (Registry.versions ~dir "rf");
+      List.iter
+        (fun version ->
+          match Registry.publish ~dir ~version ~meta snap with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "published version %d" version)
+        [ 0; -3; Registry.max_version + 1 ];
+      Alcotest.(check (list int)) "nothing published out of range" [ 1; 2 ]
+        (Registry.versions ~dir "rf");
       Alcotest.(check (option int)) "latest" (Some 2) (Registry.latest ~dir "rf");
       (match Registry.load ~dir "rf" with
       | Ok e -> Alcotest.(check int) "bare spec loads latest" 2 e.Registry.meta.version

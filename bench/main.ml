@@ -615,7 +615,10 @@ let kernels () =
   let ref_pred =
     Array.map (Ml.Reference.Random_forest.predict (Option.get !ref_forest)) xs_te
   in
-  let new_pred = Ml.Random_forest.predict_batch (Option.get !new_forest) fm_te in
+  let new_pred =
+    (Ml.Model.restore (Ml.Model.S_rf (Option.get !new_forest))).predict_batch
+      fm_te
+  in
   let rf_match = ref_pred = new_pred in
   let rf_trees =
     Array.for_all2
@@ -649,13 +652,15 @@ let kernels () =
   let kxs_te, _ = gen_gauss 22 n_test in
   let kfm_tr = Ml.Fmat.of_rows kxs_tr and kfm_te = Ml.Fmat.of_rows kxs_te in
   let ref_knn = Ml.Reference.Knn.train ~n_classes kxs_tr kys_tr in
-  let new_knn = Ml.Knn.train ~n_classes kfm_tr kys_tr in
+  let new_knn =
+    Ml.Model.restore (Ml.Model.S_knn (Ml.Knn.train ~n_classes kfm_tr kys_tr))
+  in
   let rpred = ref [||] and npred = ref [||] in
   let t =
     best_times ~reps
       [|
         (fun () -> rpred := Array.map (Ml.Reference.Knn.predict ref_knn) kxs_te);
-        (fun () -> npred := Ml.Knn.predict_batch new_knn kfm_te);
+        (fun () -> npred := new_knn.predict_batch kfm_te);
       |]
   in
   let knn_match = !rpred = !npred in
@@ -1465,7 +1470,9 @@ let abl_rf_trees () =
         Ml.Random_forest.train ~params (Rng.make 3) ~n_classes
           (Ml.Fblock.Mem xs) (Array.map snd train_mods)
       in
-      let pred = Ml.Random_forest.predict_batch trained xs_test in
+      let pred =
+        (Ml.Model.restore (Ml.Model.S_rf trained)).predict_batch xs_test
+      in
       Printf.printf "%-8d %10.4f %10.2f\n%!" n_trees
         (Ml.Metrics.accuracy (Array.map snd test_mods) pred)
         (Yali.Exec.Telemetry.clock () -. t0))

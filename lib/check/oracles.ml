@@ -53,8 +53,9 @@ let forest_vs_reference (n_classes, xs, ys, txs, seed) =
   let f_ref =
     Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed) ~n_classes xs ys
   in
+  let predict = (Ml.Model.restore (Ml.Model.S_rf f_new)).predict in
   Array.for_all
-    (fun x -> Ml.Random_forest.predict f_new x = Ml.Reference.Random_forest.predict f_ref x)
+    (fun x -> predict x = Ml.Reference.Random_forest.predict f_ref x)
     (Array.append xs txs)
 
 (* continuous features for the knn oracle: with quantized counts, two
@@ -83,9 +84,8 @@ let gen_gauss_dataset (rng : Rng.t) =
 let knn_vs_reference (n_classes, xs, ys, txs, _seed) =
   let m_new = Ml.Knn.train ~n_classes (F.of_rows xs) ys in
   let m_ref = Ml.Reference.Knn.train ~n_classes xs ys in
-  Array.for_all
-    (fun x -> Ml.Knn.predict m_new x = Ml.Reference.Knn.predict m_ref x)
-    txs
+  let predict = (Ml.Model.restore (Ml.Model.S_knn m_new)).predict in
+  Array.for_all (fun x -> predict x = Ml.Reference.Knn.predict m_ref x) txs
 
 let gen_matmul (rng : Rng.t) =
   let n = 1 + Rng.int rng 40

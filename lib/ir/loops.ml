@@ -6,13 +6,15 @@ type loop = { header : int; latches : int list; body : bool array; size : int }
 type t = { cfg : Cfg.t; loops : loop list }
 
 let compute (g : Cfg.t) (dom : Dominance.t) : t =
-  (* back edge: u -> h where h dominates u, grouped by the header's label
-     (LICM visits equal-sized loops in this table's fold order) *)
+  (* back edge: u -> h where u is reachable and h dominates u, grouped by
+     the header's label (LICM visits equal-sized loops in this table's fold
+     order); dominance is reflexive even on unreachable blocks, so an
+     unreachable self-loop would otherwise head a loop *)
   let by_header = Hashtbl.create 8 in
   for u = 0 to g.n_blocks - 1 do
     List.iter
       (fun h ->
-        if Dominance.dominates dom h u then
+        if Dominance.reachable dom u && Dominance.dominates dom h u then
           let l = Cfg.label g h in
           let latches = Option.fold ~none:[] ~some:snd (Hashtbl.find_opt by_header l) in
           Hashtbl.replace by_header l (h, u :: latches))
@@ -21,8 +23,8 @@ let compute (g : Cfg.t) (dom : Dominance.t) : t =
   let loops =
     Hashtbl.fold
       (fun _ (header, latches) acc ->
-        (* body: header + blocks that reach a latch without passing through
-           the header (standard natural-loop algorithm) *)
+        (* body: header + reachable blocks that reach a latch without
+           passing through the header (standard natural-loop algorithm) *)
         let body = Array.make (Cfg.size g) false in
         body.(header) <- true;
         let size = ref 1 in
@@ -33,7 +35,11 @@ let compute (g : Cfg.t) (dom : Dominance.t) : t =
           if not body.(b) then begin
             body.(b) <- true;
             incr size;
-            List.iter (fun p -> if not body.(p) then Queue.add p work) g.pred.(b)
+            List.iter
+              (fun p ->
+                if (not body.(p)) && Dominance.reachable dom p then
+                  Queue.add p work)
+              g.pred.(b)
           end
         done;
         { header; latches; body; size = !size } :: acc)

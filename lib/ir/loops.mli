@@ -1,5 +1,6 @@
 (** Natural-loop detection: back edges via dominance, loop bodies by
-    backward reachability, over {!Cfg} block numbers. *)
+    backward reachability, over {!Cfg} block numbers.  Unreachable blocks
+    belong to no loop: they are neither latches nor body blocks. *)
 
 type loop = {
   header : int;

@@ -11,7 +11,7 @@
     on disk.
 
     [t] — a scaler and a network — is also the trained {!Mlp}: the
-    functions from {!predict} on serve both models. *)
+    functions from {!margins} on serve both models. *)
 
 module Rng = Yali_util.Rng
 
@@ -94,20 +94,9 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   in
   { scaler; net }
 
-let predict (t : t) (x : float array) : int =
-  Nn.predict t.net (Features.transform t.scaler x)
-
-(** Per-class raw logits; the first-maximum index is exactly {!predict}'s
-    decision (same standardisation, same forward pass). *)
+(** Per-class raw logits: standardise, then one {!Nn.logits} pass. *)
 let margins (t : t) (x : float array) : float array =
   Nn.logits t.net (Features.transform t.scaler x)
-
-(** Classify every row: standardise a copy in place, then defer to
-    {!Nn.predict_batch} (per-row fallback when the net has conv layers). *)
-let predict_batch (t : t) (x : Fmat.t) : int array =
-  let x = Fmat.copy x in
-  Features.transform_fmat_inplace t.scaler x;
-  Nn.predict_batch t.net x
 
 let size_bytes (t : t) : int = Nn.size_bytes t.net
 

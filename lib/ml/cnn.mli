@@ -8,7 +8,7 @@
     [Reference.Cnn] (the ml/nn-kernel-vs-reference oracle).
 
     A trained {!Mlp} is a [t] too: standardise, then run the network.  The
-    functions from {!predict} to {!of_bin} serve both models. *)
+    functions from {!margins} to {!of_bin} serve both models. *)
 
 type t
 
@@ -28,14 +28,9 @@ val train :
   int array ->
   t
 
-val predict : t -> float array -> int
-
-(** Per-class raw logits; [argmax (margins t x)] is exactly
-    [predict t x]. *)
+(** Per-class raw logits, the model's one scorer ({!Model.restore} derives
+    its predictions from them). *)
 val margins : t -> float array -> float array
-
-(** Classify every row of a flat matrix. *)
-val predict_batch : t -> Fmat.t -> int array
 
 val size_bytes : t -> int
 

@@ -407,16 +407,6 @@ let predict (t : t) (x : float array) : int =
   in
   go t.root
 
-(** Predict straight from row [i] of a flat matrix (no row copy). *)
-let predict_row (t : t) (x : Fmat.t) (i : int) : int =
-  let base = i * x.Fmat.d and data = x.Fmat.data in
-  let rec go = function
-    | Leaf c -> c
-    | Split { feature; threshold; left; right } ->
-        if data.(base + feature) <= threshold then go left else go right
-  in
-  go t.root
-
 let rec node_count = function
   | Leaf _ -> 1
   | Split { left; right; _ } -> 1 + node_count left + node_count right
@@ -441,16 +431,22 @@ let rec node_to_bin b = function
       node_to_bin b right
 
 (* the depth guard keeps a corrupt input from overflowing the stack: no
-   genuine tree is remotely this deep (train caps depth at [max_depth]) *)
-let rec node_of_bin ?(depth = 0) r =
+   genuine tree is remotely this deep (train caps depth at [max_depth]);
+   a leaf class outside [0, n_classes) would index past a forest's vote
+   array *)
+let rec node_of_bin ~n_classes ?(depth = 0) r =
   if depth > 512 then Bin.fail r "tree deeper than 512";
   match Bin.r_u8 r with
-  | 0 -> Leaf (Bin.r_u32 r)
+  | 0 ->
+      let c = Bin.r_u32 r in
+      if c >= n_classes then
+        Bin.fail r (Printf.sprintf "leaf class %d of %d" c n_classes);
+      Leaf c
   | 1 ->
       let feature = Bin.r_u32 r in
       let threshold = Bin.r_f64 r in
-      let left = node_of_bin ~depth:(depth + 1) r in
-      let right = node_of_bin ~depth:(depth + 1) r in
+      let left = node_of_bin ~n_classes ~depth:(depth + 1) r in
+      let right = node_of_bin ~n_classes ~depth:(depth + 1) r in
       Split { feature; threshold; left; right }
   | n -> Bin.fail r (Printf.sprintf "bad tree-node tag %d" n)
 
@@ -460,5 +456,5 @@ let to_bin b (t : t) =
 
 let of_bin r : t =
   let n_classes = Bin.r_u32 r in
-  let root = node_of_bin r in
+  let root = node_of_bin ~n_classes r in
   { root; n_classes }

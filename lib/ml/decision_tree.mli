@@ -54,10 +54,8 @@ val train :
   int array ->
   t
 
+(** The class of the leaf a feature vector reaches. *)
 val predict : t -> float array -> int
-
-(** Predict from row [i] of a flat matrix without copying the row. *)
-val predict_row : t -> Fmat.t -> int -> int
 
 val node_count : node -> int
 val size_bytes : t -> int
@@ -65,5 +63,6 @@ val size_bytes : t -> int
 (** Serialise a grown tree bit-exactly (thresholds as IEEE-754 bits). *)
 val to_bin : Buffer.t -> t -> unit
 
-(** @raise Yali_util.Bin.Corrupt on malformed input *)
+(** @raise Yali_util.Bin.Corrupt on malformed input, including a leaf
+    class outside [[0, n_classes)] *)
 val of_bin : Yali_util.Bin.r -> t

@@ -343,7 +343,7 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
 
 let predict (t : t) (g : Graph.t) : int =
   let st = forward_graph t.params t.gc_weights g in
-  Nn.predict t.head st.flat
+  Fmat.argmax (Nn.logits t.head st.flat)
 
 let size_bytes (t : t) : int =
   Nn.size_bytes t.head

@@ -26,6 +26,8 @@ let fit (xs : float array array) : scaler =
       done;
       { means; stds }
 
+let scaler_dim (s : scaler) : int = Array.length s.means
+
 let transform (s : scaler) (x : float array) : float array =
   Array.mapi (fun j v -> (v -. s.means.(j)) /. s.stds.(j)) x
 

@@ -6,6 +6,10 @@ type scaler
 (** Fit means and standard deviations (constant features get unit scale). *)
 val fit : float array array -> scaler
 
+(** The number of features a scaler was fitted on (0 when fitted on no
+    rows). *)
+val scaler_dim : scaler -> int
+
 val transform : scaler -> float array -> float array
 val fit_transform : float array array -> scaler * float array array
 

@@ -345,15 +345,6 @@ let argmax (v : float array) : int =
   Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
   !best
 
-let argmax_rows (m : t) : int array =
-  Array.init m.n (fun i ->
-      let base = i * m.d in
-      let best = ref 0 in
-      for j = 1 to m.d - 1 do
-        if m.data.(base + j) > m.data.(base + !best) then best := j
-      done;
-      !best)
-
 module Bin = Yali_util.Bin
 
 let to_bin b (m : t) =

@@ -120,9 +120,6 @@ val random : Yali_util.Rng.t -> int -> int -> scale:float -> t
     best only when strictly greater, so ties break to the lowest index. *)
 val argmax : float array -> int
 
-(** {!argmax} of every row. *)
-val argmax_rows : t -> int array
-
 (** Serialise shape and element bits (model snapshots; bit-exact). *)
 val to_bin : Buffer.t -> t -> unit
 

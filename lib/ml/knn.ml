@@ -23,9 +23,9 @@ let train ?(k = 5) ~(n_classes : int) (x : Fmat.t) (ys : int array) : t =
   let norms = Array.init x.Fmat.n (Fmat.sq_norm_row x) in
   { k; scaler; x; norms; ys; n_classes }
 
-(* neighbour vote counts of a (raw, unstandardised) query — the shared
-   kernel behind [predict] and [margins] *)
-let votes (t : t) (q : float array) : int array =
+(** Per-class neighbour vote counts of a (raw, unstandardised) query, as
+    floats. *)
+let margins (t : t) (q : float array) : float array =
   let q = Features.transform t.scaler q in
   let qn =
     let acc = ref 0.0 in
@@ -73,31 +73,12 @@ let votes (t : t) (q : float array) : int array =
       bi.(!p) <- i
     end
   done;
-  let votes = Array.make t.n_classes 0 in
+  let votes = Array.make t.n_classes 0.0 in
   for q = 0 to !filled - 1 do
     let y = t.ys.(bi.(q)) in
-    votes.(y) <- votes.(y) + 1
+    votes.(y) <- votes.(y) +. 1.0
   done;
   votes
-
-let predict (t : t) (q : float array) : int =
-  let votes = votes t q in
-  let best = ref 0 in
-  Array.iteri (fun c v -> if v > votes.(!best) then best := c) votes;
-  !best
-
-(** Per-class neighbour vote counts as floats; the first-maximum index is
-    exactly {!predict}'s decision (ties break to the lowest class in both). *)
-let margins (t : t) (q : float array) : float array =
-  Array.map float_of_int (votes t q)
-
-(** Classify every row of a flat matrix (each query's sweep parallelises
-    internally). *)
-let predict_batch (t : t) (qs : Fmat.t) : int array =
-  let buf = Array.make qs.Fmat.d 0.0 in
-  Array.init qs.Fmat.n (fun i ->
-      Fmat.row_into qs i buf;
-      predict t buf)
 
 let size_bytes (t : t) : int =
   Features.bytes_of_fmat t.x + (8 * Array.length t.ys)
@@ -124,4 +105,8 @@ let of_bin r : t =
   let n_classes = Bin.r_u32 r in
   if Array.length norms <> x.Fmat.n || Array.length ys <> x.Fmat.n then
     Bin.fail r "knn shape mismatch";
+  if Features.scaler_dim scaler <> x.Fmat.d then
+    Bin.fail r "knn scaler/training-set width mismatch";
+  if Array.exists (fun y -> y < 0 || y >= n_classes) ys then
+    Bin.fail r "knn label outside its classes";
   { k; scaler; x; norms; ys; n_classes }

@@ -12,7 +12,7 @@
     [(distance, training_row_index)] lexicographically — when two training
     points are exactly equidistant from the query, the one with the lower
     training-row index wins the slot.  A voting tie between classes resolves
-    to the lowest class id. *)
+    to the lowest class id ({!Model.argmax}'s first maximum). *)
 
 type t
 
@@ -20,14 +20,9 @@ type t
     squared norms). *)
 val train : ?k:int -> n_classes:int -> Fmat.t -> int array -> t
 
-val predict : t -> float array -> int
-
-(** Per-class neighbour vote counts as floats; the first-maximum index is
-    exactly {!predict}'s decision. *)
+(** Per-class neighbour vote counts as floats, the model's one scorer
+    ({!Model.restore} derives its predictions from them). *)
 val margins : t -> float array -> float array
-
-(** Classify every row of a flat matrix. *)
-val predict_batch : t -> Fmat.t -> int array
 
 (** Approximate heap footprint of the stored training set. *)
 val size_bytes : t -> int

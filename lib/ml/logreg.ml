@@ -96,23 +96,12 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
 let weights (t : t) : Fmat.t = t.weights
 let bias (t : t) : float array = t.bias
 
-(** Per-class scores (raw logits).  {!predict} is their first maximum, so
-    the two never disagree. *)
+(** Per-class scores (raw logits). *)
 let margins (t : t) (x : float array) : float array =
   let x = Features.transform t.scaler x in
   let z = Array.make t.n_classes 0.0 in
   logits_into t.weights t.bias x 0 z;
   z
-
-let predict (t : t) (x : float array) : int = Fmat.argmax (margins t x)
-
-(** Classify every row: one cache-tiled [matmul_bias] computes the whole
-    batch's logits with the same per-sample summation order as {!predict}. *)
-let predict_batch (t : t) (x : Fmat.t) : int array =
-  let x = Fmat.copy x in
-  Features.transform_fmat_inplace t.scaler x;
-  Fmat.argmax_rows
-    (Fmat.matmul_bias ~bias:t.bias x (Fmat.transpose t.weights))
 
 let size_bytes (t : t) : int =
   (8 * t.weights.n * t.weights.d) + (8 * Array.length t.bias)
@@ -132,4 +121,6 @@ let of_bin r : t =
   let n_classes = Bin.r_u32 r in
   if Array.length bias <> n_classes || weights.Fmat.n <> n_classes then
     Bin.fail r "logreg shape mismatch";
+  if Features.scaler_dim scaler <> weights.Fmat.d then
+    Bin.fail r "logreg scaler/weight width mismatch";
   { scaler; weights; bias; n_classes }

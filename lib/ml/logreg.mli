@@ -25,15 +25,9 @@ val weights : t -> Fmat.t
 
 val bias : t -> float array
 
-val predict : t -> float array -> int
-
-(** Per-class raw logits; the first-maximum index is exactly {!predict}'s
-    decision (same standardisation and accumulation order). *)
+(** Per-class raw logits, the model's one scorer ({!Model.restore} derives
+    its predictions from them). *)
 val margins : t -> float array -> float array
-
-(** Classify every row of a flat matrix via one cache-tiled matmul; class
-    decisions are identical to mapping {!predict} over the rows. *)
-val predict_batch : t -> Fmat.t -> int array
 
 val size_bytes : t -> int
 

@@ -4,8 +4,7 @@
     that fixed dense → ReLU → dense net: it reads each sample straight from
     its block, works in buffers the trainer allocates once, and updates the
     weights in place through {!Nn.view}.  The trained model is a {!Cnn.t}:
-    a scaler and a network, predicted, scored and serialised by {!Cnn}'s
-    functions. *)
+    a scaler and a network, scored and serialised by {!Cnn}'s functions. *)
 
 module Rng = Yali_util.Rng
 
@@ -98,5 +97,4 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
           (fun i -> step ~lr layers bufs block.Fmat.data (i * d) ys.(lo + i))
           order)
   in
-  Nn.invalidate_caches net;
   Cnn.of_parts ~scaler ~net

@@ -1,6 +1,6 @@
 (** The SciKit-style multi-layer perceptron the paper evaluates as [mlp]:
     exactly one hidden layer of 100 ReLU units (§3.2).  A trained mlp is a
-    {!Cnn.t} — a scaler and a network — so {!Cnn}'s predict, margins and
+    {!Cnn.t} — a scaler and a network — so {!Cnn}'s margins and
     serialisation serve both. *)
 
 type params = { hidden : int; epochs : int; lr : float }

@@ -3,11 +3,11 @@
     ([cnn] on flat embeddings, [dgcnn] on graph embeddings), behind a single
     training interface.
 
-    Flat models train on the contiguous {!Fmat} feature matrix and expose
-    both a per-vector [predict] (the evader's interactive interface) and a
-    batched [predict_batch] over a whole challenge matrix (the arena's bulk
-    path: one cache-tiled matmul for the linear models, a pool fan-out for
-    the forest). *)
+    Flat models train on the contiguous {!Fmat} feature matrix.  Each has
+    one scorer, {!margins}; {!restore} derives both the per-vector
+    [predict] (the evader's interactive interface) and the batched
+    [predict_batch] over a whole challenge matrix (the arena's bulk path)
+    from it. *)
 
 module Rng = Yali_util.Rng
 module Graph = Yali_embeddings.Graph
@@ -69,37 +69,43 @@ let train_snapshot ?block_rows name rng ~n_classes (src : Fblock.source) ys =
   | "cnn" -> Some (S_cnn (Cnn.train ?block_rows rng ~n_classes src ys))
   | _ -> None
 
-let restore = function
-  | S_lr m ->
-      {
-        predict = Logreg.predict m;
-        predict_batch = Logreg.predict_batch m;
-        size_bytes = Logreg.size_bytes m;
-      }
-  | S_svm m ->
-      {
-        predict = Svm.predict m;
-        predict_batch = Svm.predict_batch m;
-        size_bytes = Svm.size_bytes m;
-      }
-  | S_knn m ->
-      {
-        predict = Knn.predict m;
-        predict_batch = Knn.predict_batch m;
-        size_bytes = Knn.size_bytes m;
-      }
-  | S_rf m ->
-      {
-        predict = Random_forest.predict m;
-        predict_batch = Random_forest.predict_batch m;
-        size_bytes = Random_forest.size_bytes m;
-      }
-  | S_mlp m | S_cnn m ->
-      {
-        predict = Cnn.predict m;
-        predict_batch = Cnn.predict_batch m;
-        size_bytes = Cnn.size_bytes m;
-      }
+let argmax = Fmat.argmax
+
+(** Per-class scores of a snapshot — raw logits for lr/mlp/cnn, one-vs-rest
+    scores for svm, vote counts for knn/rf — and each kind's only scorer:
+    {!restore} derives [predict] and [predict_batch] from it, and a
+    {!save}/{!load} round trip preserves the scores exactly.  The adaptive
+    evaders ({!Yali_adapt}) optimise against these scores. *)
+let margins = function
+  | S_lr m -> Logreg.margins m
+  | S_svm m -> Svm.margins m
+  | S_knn m -> Knn.margins m
+  | S_rf m -> Random_forest.margins m
+  | S_mlp m | S_cnn m -> Cnn.margins m
+
+let size_bytes = function
+  | S_lr m -> Logreg.size_bytes m
+  | S_svm m -> Svm.size_bytes m
+  | S_knn m -> Knn.size_bytes m
+  | S_rf m -> Random_forest.size_bytes m
+  | S_mlp m | S_cnn m -> Cnn.size_bytes m
+
+(* Both predictors are the first maximum of [margins], so a class and the
+   scores it came from never disagree.  [predict_batch] fans the rows out
+   over the pool in chunks; each task writes only its own slots, so the
+   output is the same at any [jobs]. *)
+let restore s =
+  let margins = margins s in
+  let predict v = argmax (margins v) in
+  let predict_batch (x : Fmat.t) =
+    let pred = Array.make x.Fmat.n 0 in
+    Yali_exec.Pool.parallel_for_chunks ~min_chunk:16 x.Fmat.n (fun lo hi ->
+        for i = lo to hi - 1 do
+          pred.(i) <- predict (Fmat.row_copy x i)
+        done);
+    pred
+  in
+  { predict; predict_batch; size_bytes = size_bytes s }
 
 (* -- the flat models ------------------------------------------------------ *)
 
@@ -140,20 +146,6 @@ let dgcnn =
 let all_flat : flat list = [ rf; svm; knn; lr; mlp; cnn ]
 
 let find_flat name = List.find_opt (fun m -> m.fname = name) all_flat
-
-let argmax = Fmat.argmax
-
-(** Per-class scores of a snapshot — raw logits for lr/mlp/cnn, one-vs-rest
-    scores for svm, vote counts for knn/rf.  The contract shared by every
-    kind: [argmax (margins s v) = (restore s).predict v], bit for bit, and
-    a {!save}/{!load} round trip preserves the scores exactly.  The adaptive
-    evaders ({!Yali_adapt}) optimise against these scores. *)
-let margins = function
-  | S_lr m -> Logreg.margins m
-  | S_svm m -> Svm.margins m
-  | S_knn m -> Knn.margins m
-  | S_rf m -> Random_forest.margins m
-  | S_mlp m | S_cnn m -> Cnn.margins m
 
 (* Snapshot blob: magic + u16 version + u8 kind tag + weight payload.
    The magic keeps a model file from ever being confused with an IR blob

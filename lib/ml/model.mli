@@ -5,8 +5,7 @@
 
 (** A trained flat-vector classifier.  [predict] classifies one vector;
     [predict_batch] classifies every row of a flat matrix at once (the
-    arena's bulk path — batched kernels, class decisions identical to
-    mapping [predict] over the rows). *)
+    arena's bulk path: [predict] of each row, rows fanned over the pool). *)
 type trained = {
   predict : float array -> int;
   predict_batch : Fmat.t -> int array;
@@ -94,25 +93,33 @@ val train_snapshot :
   int array ->
   snapshot option
 
-(** The predictor of a snapshot.  Its [size_bytes] is the model's alone:
-    [ftrain] adds the training matrix rf and cnn keep hot (Figure 7). *)
+(** The predictor of a snapshot, built the same way for every kind:
+    [predict v] is [argmax (margins s v)], and [predict_batch] is [predict]
+    of each row, so the two agree on every input, non-finite ones
+    included.  Its [size_bytes] is the model's alone: [ftrain] adds the
+    training matrix rf and cnn keep hot (Figure 7). *)
 val restore : snapshot -> trained
 
-(** First-maximum index of a score vector — the argmax convention shared by
-    every model's [predict] (ties break to the lowest class). *)
+(** First-maximum index of a score vector — the argmax convention of
+    {!restore}'s [predict]: a later score displaces the best only when
+    strictly greater, so ties break to the lowest class and a NaN neither
+    displaces nor is displaced. *)
 val argmax : float array -> int
 
 (** Per-class scores of a snapshot on one feature vector — raw logits for
-    lr/mlp/cnn, one-vs-rest scores for svm, vote counts for knn/rf.  For every
-    kind, [argmax (margins s v) = (restore s).predict v] bit for bit, and
-    the scores survive a {!save}/{!load} round trip exactly.  This is the
-    interface the adaptive evaders ({!Yali_adapt}) optimise against. *)
+    lr/mlp/cnn, one-vs-rest scores for svm, vote counts for knn/rf.  This
+    is each kind's only scorer: {!restore} derives every prediction from
+    it, the scores survive a {!save}/{!load} round trip exactly, and the
+    adaptive evaders ({!Yali_adapt}) optimise against them. *)
 val margins : snapshot -> float array -> float array
 
 (** Serialise to the versioned binary form (magic ["YMDL"], version 1,
     kind tag, weight payload — DESIGN.md §11). *)
 val save : snapshot -> string
 
-(** @raise Yali_util.Bin.Corrupt on bad magic, version skew or a
-    malformed payload *)
+(** @raise Yali_util.Bin.Corrupt on bad magic, version skew, a malformed
+    payload, or a payload whose scorer would index out of range: a tree
+    leaf or knn label outside [[0, n_classes)], a forest whose trees
+    disagree with its class count, or an lr, svm or knn scaler whose width
+    differs from the weights' input width *)
 val load : string -> snapshot

@@ -9,21 +9,17 @@
     shards over {!Yali_exec.Pool} and merged in a fixed pairwise tree
     order, so the result is bit-identical at any [--jobs].  The frozen
     naive counterpart lives in [Reference.Nnb]; `bench nn` proves the
-    speedup and the bit-identity.  Layers hold parameters and cached
-    weight transposes only: {!logits} and {!predict} read a network
-    without writing to it.  The MLP's per-sample step is its own, in
-    [Mlp], over {!view}. *)
+    speedup and the bit-identity.  Layers hold parameters only, and
+    {!logits} — the one inference path — reads a network without writing
+    to it.  The MLP's per-sample step is its own, in [Mlp], over
+    {!view}. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
 
-
 type dense = {
-  mutable w : Fmat.t;  (** out x in *)
-  mutable b : float array;
-  mutable wt : Fmat.t option;
-      (** cached transpose of [w] for the batched paths; invalidated on
-          every weight update *)
+  w : Fmat.t;  (** out x in *)
+  b : float array;
 }
 
 type conv1d = {
@@ -31,10 +27,8 @@ type conv1d = {
   c_out : int;
   kernel : int;
   stride : int;
-  mutable filters : Fmat.t;  (** c_out x (c_in * kernel) *)
-  mutable cbias : float array;
-  mutable ft : Fmat.t option;
-      (** cached transpose of [filters]; invalidated on update *)
+  filters : Fmat.t;  (** c_out x (c_in * kernel) *)
+  cbias : float array;
 }
 
 type layer =
@@ -49,7 +43,6 @@ let dense (rng : Rng.t) ~(d_in : int) ~(d_out : int) : layer =
     {
       w = Fmat.random rng d_out d_in ~scale:(sqrt (2.0 /. float_of_int d_in));
       b = Array.make d_out 0.0;
-      wt = None;
     }
 
 let relu = Relu
@@ -67,7 +60,6 @@ let conv1d (rng : Rng.t) ~(c_in : int) ~(c_out : int) ~(kernel : int)
         Fmat.random rng c_out (c_in * kernel)
           ~scale:(sqrt (2.0 /. float_of_int (c_in * kernel)));
       cbias = Array.make c_out 0.0;
-      ft = None;
     }
 
 let maxpool size = MaxPool { size }
@@ -77,22 +69,6 @@ let maxpool size = MaxPool { size }
 
 let conv_out_len (c : conv1d) (in_len : int) : int =
   ((in_len - c.kernel) / c.stride) + 1
-
-let dense_wt (d : dense) : Fmat.t =
-  match d.wt with
-  | Some t -> t
-  | None ->
-      let t = Fmat.transpose d.w in
-      d.wt <- Some t;
-      t
-
-let conv_ft (c : conv1d) : Fmat.t =
-  match c.ft with
-  | Some t -> t
-  | None ->
-      let t = Fmat.transpose c.filters in
-      c.ft <- Some t;
-      t
 
 (* Inference through one layer (dropout is the identity). *)
 let forward (layer : layer) (x : float array) : float array =
@@ -141,14 +117,6 @@ let forward (layer : layer) (x : float array) : float array =
           x.(!best))
 
 type t = { layers : layer list; n_classes : int }
-
-let invalidate_caches (net : t) : unit =
-  List.iter
-    (function
-      | Dense d -> d.wt <- None
-      | Conv1d c -> c.ft <- None
-      | Relu | Dropout _ | MaxPool _ -> ())
-    net.layers
 
 type layer_view =
   | V_dense of { w : Fmat.t; b : float array }
@@ -266,11 +234,12 @@ type bscratch =
   | S_pool of { argmax : int array; in_w : int; out_w : int }
 
 (* One gradient shard: forward its rows, softmax/cross-entropy, backward,
-   returning the shard-local parameter gradients.  [losses] and [dx] rows
-   are disjoint per shard (safe under the pool). *)
-let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
-    ~(row0 : int) ~(xm : Fmat.t) ~(yb : int array)
-    ~(losses : float array) ~(dx : Fmat.t) : grad array =
+   returning the shard-local parameter gradients.  [wts.(li)] is the
+   transpose of layer [li]'s weights or filters, read-only here.  [losses]
+   and [dx] rows are disjoint per shard (safe under the pool). *)
+let run_shard (net : t) ~(need_dx : bool) ~(wts : Fmat.t option array)
+    ~(masks : Fmat.t option array) ~(row0 : int) ~(xm : Fmat.t)
+    ~(yb : int array) ~(losses : float array) ~(dx : Fmat.t) : grad array =
   let nl = List.length net.layers in
   let scratch = Array.make nl S_nothing in
   let rows = xm.Fmat.n in
@@ -281,7 +250,7 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
       match l with
       | Dense d ->
           scratch.(li) <- S_input x;
-          a := Fmat.matmul_bias ~bias:d.b x (dense_wt d)
+          a := Fmat.matmul_bias ~bias:d.b x (Option.get wts.(li))
       | Relu ->
           (* rectify in place: only non-positive cells need a store, and the
              backward pass can read the sign off the post-activation values
@@ -339,7 +308,9 @@ let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
               done
             done;
             scratch.(li) <- S_conv { im; in_w; out_len };
-            let col = Fmat.matmul_bias ~bias:c.cbias im (conv_ft c) in
+            let col =
+              Fmat.matmul_bias ~bias:c.cbias im (Option.get wts.(li))
+            in
             let out = Fmat.create_uninit rows (c.c_out * out_len) in
             for i = 0 to rows - 1 do
               let ob = i * out.Fmat.d in
@@ -553,15 +524,13 @@ let apply_grads ~(lr : float) (net : t) (g : grad array) : unit =
           let wd = d.w.Fmat.data and gwd = gw.Fmat.data in
           for i = 0 to Array.length wd - 1 do
             wd.(i) <- wd.(i) -. (lr *. gwd.(i))
-          done;
-          d.wt <- None
+          done
       | Conv1d c, G_conv (gf, gcb) ->
           Array.iteri (fun j v -> c.cbias.(j) <- c.cbias.(j) -. (lr *. v)) gcb;
           let fd = c.filters.Fmat.data and gfd = gf.Fmat.data in
           for i = 0 to Array.length fd - 1 do
             fd.(i) <- fd.(i) -. (lr *. gfd.(i))
-          done;
-          c.ft <- None
+          done
       | _, G_none -> ()
       | _ -> assert false)
     net.layers
@@ -590,6 +559,17 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
              | _ -> None)
            net.layers)
     in
+    (* each weight transposed once per step, before the fan-out: the
+       shards only read them *)
+    let wts =
+      Array.of_list
+        (List.map
+           (function
+             | Dense d -> Some (Fmat.transpose d.w)
+             | Conv1d c -> Some (Fmat.transpose c.filters)
+             | Relu | Dropout _ | MaxPool _ -> None)
+           net.layers)
+    in
     let ns = (m + grad_shard_rows - 1) / grad_shard_rows in
     let losses = Array.make m 0.0 in
     let dx = Fmat.create m xb.Fmat.d in
@@ -606,7 +586,7 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
         in
         let ys = Array.sub yb lo len in
         shard_grads.(s) <-
-          run_shard net ~need_dx ~masks ~row0:lo ~xm ~yb:ys ~losses ~dx);
+          run_shard net ~need_dx ~wts ~masks ~row0:lo ~xm ~yb:ys ~losses ~dx);
     tree_reduce merge_grads shard_grads;
     apply_grads ~lr net shard_grads.(0);
     let total = ref 0.0 in
@@ -616,51 +596,10 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
     (!total /. float_of_int m, dx)
   end
 
-(** Raw output-layer activations of one inference pass (no softmax). *)
+(** Raw output-layer activations of one inference pass (no softmax): the
+    network's one inference path. *)
 let logits (net : t) (x : float array) : float array =
   List.fold_left (fun x l -> forward l x) x net.layers
-
-let predict (net : t) (x : float array) : int = Fmat.argmax (logits net x)
-
-(* Batched inference.  A dense-only net (Dense/Relu/Dropout) runs the
-   whole batch as one cache-tiled matmul per layer, with the bias added
-   after accumulation — the same summation order as the per-row [mv] path.
-   Anything with a Conv1d/MaxPool falls back to per-row prediction. *)
-let predict_batch (net : t) (x : Fmat.t) : int array =
-  let dense_only =
-    List.for_all
-      (function
-        | Dense _ | Relu | Dropout _ -> true
-        | Conv1d _ | MaxPool _ -> false)
-      net.layers
-  in
-  if not dense_only then begin
-    let buf = Array.make x.Fmat.d 0.0 in
-    Array.init x.Fmat.n (fun i ->
-        Fmat.row_into x i buf;
-        predict net buf)
-  end
-  else begin
-    let a = ref x in
-    List.iter
-      (fun l ->
-        match l with
-        | Dense d ->
-            let out = Fmat.matmul !a (dense_wt d) in
-            for i = 0 to out.Fmat.n - 1 do
-              let base = i * out.Fmat.d in
-              for j = 0 to out.Fmat.d - 1 do
-                out.Fmat.data.(base + j) <-
-                  out.Fmat.data.(base + j) +. d.b.(j)
-              done
-            done;
-            a := out
-        | Relu -> a := Fmat.map (fun v -> if v > 0.0 then v else 0.0) !a
-        | Dropout _ -> ()
-        | Conv1d _ | MaxPool _ -> assert false)
-      net.layers;
-    Fmat.argmax_rows !a
-  end
 
 let size_bytes (net : t) : int =
   List.fold_left
@@ -706,7 +645,7 @@ let layer_of_bin r : layer =
       let b = Bin.r_floats r in
       if Array.length b <> w.Fmat.n then
         Bin.fail r "dense layer bias/weight shape mismatch";
-      Dense { w; b; wt = None }
+      Dense { w; b }
   | 1 -> Relu
   | 3 -> Dropout { p = Bin.r_f64 r }
   | 4 ->
@@ -722,7 +661,7 @@ let layer_of_bin r : layer =
       then Bin.fail r "conv layer filter shape mismatch";
       if Array.length cbias <> c_out then
         Bin.fail r "conv layer bias shape mismatch";
-      Conv1d { c_in; c_out; kernel; stride; filters; cbias; ft = None }
+      Conv1d { c_in; c_out; kernel; stride; filters; cbias }
   | 5 ->
       let size = Bin.r_u32 r in
       if size <= 0 then Bin.fail r "maxpool layer with non-positive size";

@@ -12,8 +12,8 @@
     at any [--jobs], and bit-identical to the frozen naive implementation
     in [Reference.Nnb] (the ml/nn-kernel-vs-reference oracle).  The MLP
     trains with its own per-sample step, writing through {!view}.  Layers
-    carry no per-sample state, so {!logits} and {!predict} only read the
-    network. *)
+    hold parameters only, so {!logits}, the one inference path, only reads
+    the network. *)
 
 type layer
 
@@ -52,8 +52,9 @@ val tree_reduce : ('a -> 'a -> unit) -> 'a array -> unit
     the batch (so the per-epoch step magnitude matches per-example SGD at
     the same learning rate), accumulated in fixed row shards of
     {!grad_shard_rows} over {!Yali_exec.Pool} and merged in a fixed
-    pairwise tree order — bit-identical at any [--jobs].  Dropout masks are
-    drawn from [rng] on the calling domain, layer-major then row-major.
+    pairwise tree order — bit-identical at any [--jobs].  Each weight
+    matrix is transposed once per step, before the fan-out.  Dropout masks
+    are drawn from [rng] on the calling domain, layer-major then row-major.
     Returns the mean loss over the batch and dL/d(input) per row (for
     models with differentiable layers below the network).  Callers that
     discard the input gradient pass [~need_dx:false] to skip the first
@@ -68,27 +69,17 @@ val train_batch :
   int array ->
   float * Fmat.t
 
-(** Raw output-layer activations of one inference pass (no softmax); the
-    first-maximum index is exactly {!predict}'s decision. *)
+(** Raw output-layer activations of one inference pass (no softmax; dropout
+    is the identity) — the network's one inference path.  A class is their
+    first maximum. *)
 val logits : t -> float array -> float array
-
-val predict : t -> float array -> int
-
-(** Classify every row of a flat matrix.  Dense-only networks run the batch
-    as one cache-tiled matmul per layer (same summation order as the
-    per-row path), against a per-layer cached weight transpose that is
-    invalidated on every weight update; convolutional networks fall back to
-    per-row inference. *)
-val predict_batch : t -> Fmat.t -> int array
 
 val size_bytes : t -> int
 
 (** A structural view of the layers.  The matrices and bias arrays are
     the network's own storage (not copies): [Reference.Nnb] — the frozen
     naive trainer that `bench nn` and the differential oracles compare
-    against — and the MLP's per-sample step train through this view.  Any
-    code that mutates weights through a view must call
-    {!invalidate_caches} afterwards. *)
+    against — and the MLP's per-sample step train through this view. *)
 type layer_view =
   | V_dense of { w : Fmat.t; b : float array }
   | V_relu
@@ -105,18 +96,13 @@ type layer_view =
 
 val view : t -> layer_view list
 
-(** Drop the cached per-layer weight transposes (see {!predict_batch});
-    required after mutating weights through a {!view}. *)
-val invalidate_caches : t -> unit
-
 (** Every parameter array in layer order (weights then bias per
     parameterised layer), copied — the bit-identity currency of the
     differential tests. *)
 val dump_weights : t -> float array array
 
 (** Serialise a network bit-exactly (all layer kinds, including Conv1d and
-    MaxPool); the cached weight transposes are not part of the model and
-    are not persisted. *)
+    MaxPool). *)
 val to_bin : Buffer.t -> t -> unit
 
 (** @raise Yali_util.Bin.Corrupt on malformed input *)

@@ -134,46 +134,15 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
 
 let trees (f : t) : Decision_tree.t array = f.trees
 
-(* per-class tree vote counts — the shared kernel behind [predict] and
-   [margins] *)
-let votes (f : t) (x : float array) : int array =
-  let votes = Array.make f.n_classes 0 in
+(** Per-class tree vote counts as floats. *)
+let margins (f : t) (x : float array) : float array =
+  let votes = Array.make f.n_classes 0.0 in
   Array.iter
     (fun t ->
       let c = Decision_tree.predict t x in
-      votes.(c) <- votes.(c) + 1)
+      votes.(c) <- votes.(c) +. 1.0)
     f.trees;
   votes
-
-let predict (f : t) (x : float array) : int =
-  let votes = votes f x in
-  let best = ref 0 in
-  Array.iteri (fun c k -> if k > votes.(!best) then best := c) votes;
-  !best
-
-(** Per-class tree vote counts as floats; the first-maximum index is
-    exactly {!predict}'s decision (ties break to the lowest class in both). *)
-let margins (f : t) (x : float array) : float array =
-  Array.map float_of_int (votes f x)
-
-(** Vote every row of a flat matrix; rows fan out over the pool (each task
-    writes only its own slot, so the output is the same at any [jobs]). *)
-let predict_batch (f : t) (x : Fmat.t) : int array =
-  let pred = Array.make x.Fmat.n 0 in
-  Yali_exec.Pool.parallel_for_chunks ~min_chunk:16 x.Fmat.n (fun lo hi ->
-      let votes = Array.make f.n_classes 0 in
-      for i = lo to hi - 1 do
-        Array.fill votes 0 f.n_classes 0;
-        Array.iter
-          (fun t ->
-            let c = Decision_tree.predict_row t x i in
-            votes.(c) <- votes.(c) + 1)
-          f.trees;
-        let best = ref 0 in
-        Array.iteri (fun c k -> if k > votes.(!best) then best := c) votes;
-        pred.(i) <- !best
-      done);
-  pred
 
 let size_bytes (f : t) : int =
   Array.fold_left (fun acc t -> acc + Decision_tree.size_bytes t) 0 f.trees
@@ -187,4 +156,7 @@ let to_bin b (f : t) =
 let of_bin r : t =
   let n_classes = Bin.r_u32 r in
   let trees = Bin.r_arr r Decision_tree.of_bin in
+  (* each tree's leaves are checked against its own class count *)
+  if Array.exists (fun (t : Decision_tree.t) -> t.n_classes <> n_classes) trees
+  then Bin.fail r "forest and tree class counts differ";
   { trees; n_classes }

@@ -24,18 +24,13 @@ val train :
   int array ->
   t
 
-val predict : t -> float array -> int
-
 (** The grown trees, in training order (equivalence tests). *)
 val trees : t -> Decision_tree.t array
 
-(** Per-class tree vote counts as floats; the first-maximum index is
-    exactly {!predict}'s decision. *)
+(** Per-class tree vote counts as floats, the model's one scorer
+    ({!Model.restore} derives its predictions from them: a voting tie
+    resolves to the lowest class). *)
 val margins : t -> float array -> float array
-
-(** Classify every row of a flat matrix; rows fan out over the pool, each
-    task writes only its own slot (deterministic at any [jobs]). *)
-val predict_batch : t -> Fmat.t -> int array
 
 (** Approximate heap footprint. *)
 val size_bytes : t -> int

@@ -456,7 +456,6 @@ module Mlp = struct
       shuffle rng order;
       Array.iter (fun i -> step ~lr layers xs.(i) ys.(i)) order
     done;
-    Nn.invalidate_caches net;
     Cnn.of_parts ~scaler ~net
 end
 
@@ -741,7 +740,6 @@ module Nnb = struct
           | _, G_none -> ()
           | _ -> assert false)
         views;
-      Nn.invalidate_caches net;
       let total = ref 0.0 in
       for i = 0 to m - 1 do
         total := !total +. losses.(i)

@@ -109,7 +109,7 @@ end
 
 module Nnb : sig
   (** Naive counterpart of [Nn.train_batch], training through [Nn.view]
-      (shared storage; invalidates the net's transpose caches itself). *)
+      (shared storage). *)
   val train_batch :
     lr:float ->
     rng:Yali_util.Rng.t ->

@@ -110,41 +110,10 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   in
   { scaler; weights; n_classes }
 
-let predict (t : t) (x : float array) : int =
-  let x = augment (Features.transform t.scaler x) in
-  let best = ref 0 and best_score = ref neg_infinity in
-  for c = 0 to t.n_classes - 1 do
-    let s = Fmat.dot_row_vec t.weights c x in
-    if s > !best_score then begin
-      best_score := s;
-      best := c
-    end
-  done;
-  !best
-
-(** Per-class one-vs-rest scores; the first-maximum index is exactly
-    {!predict}'s decision (same augmentation and accumulation order). *)
+(** Per-class one-vs-rest scores. *)
 let margins (t : t) (x : float array) : float array =
   let x = augment (Features.transform t.scaler x) in
   Array.init t.n_classes (fun c -> Fmat.dot_row_vec t.weights c x)
-
-(** Classify every row: one cache-tiled matmul scores the whole batch. *)
-let predict_batch (t : t) (x : Fmat.t) : int array =
-  let x = Fmat.copy x in
-  Features.transform_fmat_inplace t.scaler x;
-  let xa = augment_fmat x in
-  let scores = Fmat.matmul xa (Fmat.transpose t.weights) in
-  Array.init scores.Fmat.n (fun i ->
-      let base = i * scores.Fmat.d in
-      let best = ref 0 and best_score = ref neg_infinity in
-      for c = 0 to scores.Fmat.d - 1 do
-        let s = scores.Fmat.data.(base + c) in
-        if s > !best_score then begin
-          best_score := s;
-          best := c
-        end
-      done;
-      !best)
 
 let size_bytes (t : t) : int = 8 * t.weights.n * t.weights.d
 
@@ -160,4 +129,7 @@ let of_bin r : t =
   let weights = Fmat.of_bin r in
   let n_classes = Bin.r_u32 r in
   if weights.Fmat.n <> n_classes then Bin.fail r "svm shape mismatch";
+  (* the weights carry one more column than the scaler: the folded bias *)
+  if Features.scaler_dim scaler + 1 <> weights.Fmat.d then
+    Bin.fail r "svm scaler/weight width mismatch";
   { scaler; weights; n_classes }

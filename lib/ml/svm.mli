@@ -18,14 +18,9 @@ val train :
   int array ->
   t
 
-val predict : t -> float array -> int
-
-(** Per-class one-vs-rest scores; the first-maximum index is exactly
-    {!predict}'s decision. *)
+(** Per-class one-vs-rest scores, the model's one scorer
+    ({!Model.restore} derives its predictions from them). *)
 val margins : t -> float array -> float array
-
-(** Classify every row of a flat matrix via one cache-tiled matmul. *)
-val predict_batch : t -> Fmat.t -> int array
 
 val size_bytes : t -> int
 

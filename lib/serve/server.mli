@@ -3,8 +3,8 @@
     and routes each batch through the model's [predict_batch] on the
     {!Yali_exec.Pool} runtime (DESIGN.md §11).
 
-    Batching never changes an answer: [predict_batch] is documented
-    bit-identical to mapping [predict] over the rows, and embedding is a
+    Batching never changes an answer: each [predict_batch] row is
+    [predict] of that row ({!Yali_ml.Model.restore}), and embedding is a
     pure function of the module — so the reply for a program is the same
     at any [--jobs] setting, any batch size, and any request
     interleaving.

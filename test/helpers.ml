@@ -93,3 +93,13 @@ let contains_substring (haystack : string) (needle : string) : bool =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
+
+(* A model snapshot written by hand: [Model.save]'s header (magic, version
+   1, kind tag), then [payload] — for payloads [save] never writes. *)
+let model_blob tag payload =
+  let b = Buffer.create 128 in
+  Buffer.add_string b "YMDL";
+  Yali.Util.Bin.w_u16 b 1;
+  Yali.Util.Bin.w_u8 b tag;
+  payload b;
+  Buffer.contents b

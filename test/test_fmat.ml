@@ -40,16 +40,15 @@ let test_row_into () =
 let test_snapshot_rejects_overflowing_shape () =
   let module Bin = Yali.Util.Bin in
   let n = 2_761_311_370 and d = 3_340_214_413 in
-  let b = Buffer.create 64 in
-  Buffer.add_string b "YMDL";
-  Bin.w_u16 b 1;
-  Bin.w_u8 b 1 (* svm *);
-  Ml.Features.scaler_to_bin b (Ml.Features.fit [| [| 0. |] |]);
-  Bin.w_u32 b n;
-  Bin.w_u32 b d;
-  Bin.w_floats b [| 0.; 0. |];
-  Bin.w_u32 b n (* n_classes, equal to the row count *);
-  match Ml.Model.load (Buffer.contents b) with
+  let blob =
+    model_blob 1 (* svm *) (fun b ->
+        Ml.Features.scaler_to_bin b (Ml.Features.fit [| [| 0. |] |]);
+        Bin.w_u32 b n;
+        Bin.w_u32 b d;
+        Bin.w_floats b [| 0.; 0. |];
+        Bin.w_u32 b n (* n_classes, equal to the row count *))
+  in
+  match Ml.Model.load blob with
   | exception Bin.Corrupt _ -> ()
   | _ -> Alcotest.fail "snapshot with an overflowing weight shape loaded"
 
@@ -239,15 +238,14 @@ let test_forest_matches_reference =
         Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed)
           ~n_classes xs ys
       in
-      let batch = Ml.Random_forest.predict_batch f_new (F.of_rows txs) in
+      let t = Ml.Model.restore (Ml.Model.S_rf f_new) in
+      let batch = t.predict_batch (F.of_rows txs) in
       Array.for_all2
         (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
           Ml.Reference.Decision_tree.same_tree a.root b.root)
         (Ml.Random_forest.trees f_new) f_ref.trees
       && Array.for_all
-           (fun x ->
-             Ml.Random_forest.predict f_new x
-             = Ml.Reference.Random_forest.predict f_ref x)
+           (fun x -> t.predict x = Ml.Reference.Random_forest.predict f_ref x)
            (Array.append xs txs)
       && batch = Array.map (Ml.Reference.Random_forest.predict f_ref) txs)
 
@@ -262,8 +260,9 @@ let test_knn_matches_reference =
       let txs, _ = gen_gauss rng ~n:30 ~d ~n_classes in
       let m_new = Ml.Knn.train ~n_classes (F.of_rows xs) ys in
       let m_ref = Ml.Reference.Knn.train ~n_classes xs ys in
+      let t = Ml.Model.restore (Ml.Model.S_knn m_new) in
       Array.for_all
-        (fun x -> Ml.Knn.predict m_new x = Ml.Reference.Knn.predict m_ref x)
+        (fun x -> t.predict x = Ml.Reference.Knn.predict m_ref x)
         txs)
 
 let test_knn_index_tie_break () =
@@ -271,8 +270,10 @@ let test_knn_index_tie_break () =
      lower training-row index must win *)
   let xs = F.of_rows [| [| 1.0 |]; [| -1.0 |]; [| 5.0 |]; [| -5.0 |] |] in
   let ys = [| 1; 0; 1; 0 |] in
-  let t = Ml.Knn.train ~k:1 ~n_classes:2 xs ys in
-  Alcotest.(check int) "row 0 wins the tie" 1 (Ml.Knn.predict t [| 0.0 |])
+  let t =
+    Ml.Model.restore (Ml.Model.S_knn (Ml.Knn.train ~k:1 ~n_classes:2 xs ys))
+  in
+  Alcotest.(check int) "row 0 wins the tie" 1 (t.predict [| 0.0 |])
 
 let test_logreg_matches_reference =
   qtest ~count:8 "logreg = reference logreg (bitwise training)" (fun seed ->
@@ -293,12 +294,12 @@ let test_logreg_matches_reference =
         Ml.Reference.Logreg.train ~params:ref_params (Rng.make seed)
           ~n_classes xs ys
       in
-      let batch = Ml.Logreg.predict_batch m_new (F.of_rows txs) in
+      let t = Ml.Model.restore (Ml.Model.S_lr m_new) in
+      let batch = t.predict_batch (F.of_rows txs) in
       same_bits (Ml.Logreg.weights m_new).data m_ref.weights.data
       && same_bits (Ml.Logreg.bias m_new) m_ref.bias
       && Array.for_all
-           (fun x ->
-             Ml.Logreg.predict m_new x = Ml.Reference.Logreg.predict m_ref x)
+           (fun x -> t.predict x = Ml.Reference.Logreg.predict m_ref x)
            txs
       && batch = Array.map (Ml.Reference.Logreg.predict m_ref) txs)
 

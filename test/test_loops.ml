@@ -55,6 +55,50 @@ let test_depth_map () =
   let max_depth = Array.fold_left max 0 depths in
   Alcotest.(check int) "max nesting 2" 2 max_depth
 
+(* unreachable blocks belong to no loop, though dominance is reflexive on
+   them and they may branch into a reachable loop's body *)
+let test_unreachable_blocks_outside_loops () =
+  let loops_of text =
+    Ir.Loops.of_func
+      (Ir.Irmod.find_func_exn (Ir.Parser.parse_module text) "main")
+  in
+  Alcotest.(check int) "a dead self-loop is no loop" 0
+    (Ir.Loops.loop_count
+       (loops_of
+          {|define i32 @main() {
+entry0:
+  ret 0
+dead:
+  br label %dead
+}|}));
+  let t =
+    loops_of
+      {|define i32 @main() {
+entry0:
+  br label %head
+head:
+  %1 = phi i32 [ 0, %entry0 ], [ %3, %body ]
+  %2 = icmp slt %1, 3
+  br %2, label %body, label %exit
+body:
+  %3 = add i32 %1, 1
+  br label %head
+dead:
+  br label %body
+exit:
+  ret 0
+}|}
+  in
+  match t.loops with
+  | [ l ] ->
+      let mem = Ir.Loops.mem t l in
+      Alcotest.(check int) "body size" 2 l.size;
+      Alcotest.(check (list bool))
+        "body is {head, body}"
+        [ false; true; true; false; false ]
+        (List.map mem [ "entry0"; "head"; "body"; "dead"; "exit" ])
+  | ls -> Alcotest.failf "expected one loop, got %d" (List.length ls)
+
 (* -- licm ------------------------------------------------------------------ *)
 
 let test_licm_hoists_invariant () =
@@ -110,6 +154,8 @@ let suite =
       test_no_loops_in_straightline;
     Alcotest.test_case "nested loops" `Quick test_nested_loops;
     Alcotest.test_case "depth map" `Quick test_depth_map;
+    Alcotest.test_case "unreachable blocks outside loops" `Quick
+      test_unreachable_blocks_outside_loops;
     Alcotest.test_case "licm hoists invariants" `Quick test_licm_hoists_invariant;
     Alcotest.test_case "licm keeps division guarded" `Quick
       test_licm_does_not_hoist_division;

@@ -211,9 +211,11 @@ let test_models_deterministic () =
 let test_knn_exact_on_training_points () =
   let xs = Ml.Fmat.of_rows [| [| 0.; 0. |]; [| 10.; 10. |] |] in
   let ys = [| 0; 1 |] in
-  let t = Ml.Knn.train ~k:1 ~n_classes:2 xs ys in
-  Alcotest.(check int) "near 0" 0 (Ml.Knn.predict t [| 0.5; 0.1 |]);
-  Alcotest.(check int) "near 1" 1 (Ml.Knn.predict t [| 9.5; 9.9 |])
+  let t =
+    Ml.Model.restore (Ml.Model.S_knn (Ml.Knn.train ~k:1 ~n_classes:2 xs ys))
+  in
+  Alcotest.(check int) "near 0" 0 (t.predict [| 0.5; 0.1 |]);
+  Alcotest.(check int) "near 1" 1 (t.predict [| 9.5; 9.9 |])
 
 let test_decision_tree_pure_leaf () =
   let xs = Ml.Fmat.of_rows [| [| 0. |]; [| 1. |]; [| 10. |]; [| 11. |] |] in
@@ -225,18 +227,47 @@ let test_decision_tree_pure_leaf () =
 
 (* -- snapshot margins ------------------------------------------------------- *)
 
+(* predict v = argmax (margins v) = predict_batch [v], whatever v holds *)
+let check_scorer_agrees name s v =
+  let t = Ml.Model.restore s in
+  let p = t.Ml.Model.predict v in
+  Alcotest.(check int)
+    (name ^ ": argmax margins = predict")
+    p
+    (Ml.Model.argmax (Ml.Model.margins s v));
+  Alcotest.(check int)
+    (name ^ ": predict_batch = predict")
+    p
+    (t.predict_batch (Ml.Fmat.of_rows [| v |])).(0)
+
 let test_margins_agree_with_predict () =
-  (* argmax over Model.margins must reproduce predict bit for bit, on both
-     training rows and novel points, for every snapshot kind *)
+  (* argmax over Model.margins must reproduce predict and predict_batch bit
+     for bit, on training rows, novel points and vectors holding NaN and
+     infinities, for every snapshot kind *)
   let xs, ys = blobs (Rng.make 31) ~n_classes:3 ~n_per_class:25 ~d:6 in
   let fx = Ml.Fblock.Mem (Ml.Fmat.of_rows xs) in
   let novel, _ = blobs (Rng.make 207) ~n_classes:3 ~n_per_class:10 ~d:6 in
+  let with_at v j x =
+    let v = Array.copy v in
+    v.(j) <- x;
+    v
+  in
+  let non_finite =
+    [|
+      Array.make 6 Float.nan;
+      Array.make 6 Float.infinity;
+      Array.make 6 Float.neg_infinity;
+      with_at novel.(0) 2 Float.nan;
+      with_at novel.(1) 0 Float.infinity;
+      with_at novel.(2) 5 Float.neg_infinity;
+      with_at (with_at novel.(3) 1 Float.infinity) 4 Float.neg_infinity;
+    |]
+  in
   List.iter
     (fun kind ->
       let s =
         Option.get (Ml.Model.train_snapshot kind (Rng.make 13) ~n_classes:3 fx ys)
       in
-      let t = Ml.Model.restore s in
       Array.iter
         (fun v ->
           let m = Ml.Model.margins s v in
@@ -244,11 +275,25 @@ let test_margins_agree_with_predict () =
             (Array.length m);
           Alcotest.(check bool) (kind ^ ": scores finite") true
             (Array.for_all Float.is_finite m);
-          Alcotest.(check int)
-            (kind ^ ": argmax margins = predict")
-            (t.Ml.Model.predict v) (Ml.Model.argmax m))
-        (Array.append xs novel))
-    Ml.Model.snapshot_kinds
+          check_scorer_agrees kind s v)
+        (Array.append xs novel);
+      Array.iter (check_scorer_agrees (kind ^ " (non-finite)") s) non_finite)
+    Ml.Model.snapshot_kinds;
+  (* a 2-class svm with identity scaling whose scores on [inf; inf] are
+     [inf - inf; inf + inf] = [nan; inf] *)
+  let s =
+    Ml.Model.load
+      (model_blob 1 (* svm *) (fun b ->
+           Ml.Features.scaler_to_bin b (Ml.Features.fit [| [| 0.; 0. |] |]);
+           Ml.Fmat.to_bin b
+             (Ml.Fmat.of_rows [| [| 1.; -1.; 0. |]; [| 1.; 1.; 0. |] |]);
+           Yali.Util.Bin.w_u32 b 2))
+  in
+  let v = [| Float.infinity; Float.infinity |] in
+  let m = Ml.Model.margins s v in
+  Alcotest.(check bool) "svm blob: margins [nan; inf]" true
+    (Float.is_nan m.(0) && m.(1) = Float.infinity);
+  check_scorer_agrees "svm blob" s v
 
 let test_margins_survive_save_load () =
   let xs, ys = blobs (Rng.make 41) ~n_classes:2 ~n_per_class:20 ~d:4 in

@@ -137,44 +137,6 @@ let test_dgcnn_jobs_invariant () =
   in
   Alcotest.check weights "dgcnn --jobs 1 = --jobs 4" (train 1) (train 4)
 
-(* -- transpose cache --------------------------------------------------------- *)
-
-(* predict_batch caches a transposed weight matrix per dense layer; a weight
-   update must invalidate it, or batch predictions go stale *)
-let test_transpose_cache_invalidation () =
-  let rng = Rng.make 5 in
-  let net =
-    {
-      Ml.Nn.layers =
-        [
-          Ml.Nn.dense rng ~d_in:6 ~d_out:16;
-          Ml.Nn.relu;
-          Ml.Nn.dense rng ~d_in:16 ~d_out:3;
-        ];
-      n_classes = 3;
-    }
-  in
-  let x, ys = blobs (Rng.make 9) ~n_classes:3 ~n:30 ~d:6 in
-  let check_batch_matches_rows msg =
-    let batch = Ml.Nn.predict_batch net x in
-    let rows = Array.init x.F.n (fun i -> Ml.Nn.predict net (F.row_copy x i)) in
-    Alcotest.(check (array int)) msg rows batch
-  in
-  check_batch_matches_rows "fresh net";
-  (* the write path of Mlp's per-sample step: weights changed in place
-     through a view, then the caches dropped *)
-  List.iter
-    (function
-      | Ml.Nn.V_dense { w; _ } ->
-          Array.iteri (fun i v -> w.F.data.(i) <- -.v) w.F.data
-      | _ -> ())
-    (Ml.Nn.view net);
-  Ml.Nn.invalidate_caches net;
-  check_batch_matches_rows "after a write through view";
-  (* batched path *)
-  ignore (Ml.Nn.train_batch ~lr:0.05 ~rng net x ys);
-  check_batch_matches_rows "after train_batch"
-
 (* -- cnn snapshots ------------------------------------------------------------ *)
 
 let test_cnn_snapshot_roundtrip () =
@@ -214,8 +176,6 @@ let suite =
     Alcotest.test_case "dgcnn = reference" `Slow dgcnn_differential;
     Alcotest.test_case "cnn jobs-invariant" `Slow test_cnn_jobs_invariant;
     Alcotest.test_case "dgcnn jobs-invariant" `Slow test_dgcnn_jobs_invariant;
-    Alcotest.test_case "transpose cache invalidation" `Quick
-      test_transpose_cache_invalidation;
     Alcotest.test_case "cnn snapshot round-trip" `Quick
       test_cnn_snapshot_roundtrip;
   ]

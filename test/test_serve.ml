@@ -252,7 +252,77 @@ let test_snapshot_rejects_corruption () =
   bad "empty" "";
   bad "bad magic" ("XMDL" ^ String.sub blob 4 (String.length blob - 4));
   bad "truncated" (String.sub blob 0 (String.length blob - 3));
-  bad "trailing bytes" (blob ^ "\x00")
+  bad "trailing bytes" (blob ^ "\x00");
+  (* well-formed payloads whose scorer would index out of range: each
+     builder also makes a valid blob, so a rejection is the range check's *)
+  let module Bin = Yali.Util.Bin in
+  let module Tree = Yali.Ml.Decision_tree in
+  let good name s =
+    match Model.load s with
+    | (_ : Model.snapshot) -> ()
+    | exception Bin.Corrupt msg ->
+        Alcotest.failf "%s: valid blob rejected (%s)" name msg
+  in
+  let scaler d b =
+    Yali.Ml.Features.(scaler_to_bin b (fit [| Array.make d 0. |]))
+  in
+  let rf ~forest_classes ~tree_classes ~leaf =
+    model_blob 4 (fun b ->
+        Bin.w_u32 b forest_classes;
+        Bin.w_arr b Tree.to_bin
+          [|
+            {
+              Tree.n_classes = tree_classes;
+              root =
+                Split
+                  {
+                    feature = 0;
+                    threshold = 0.5;
+                    left = Leaf 0;
+                    right = Leaf leaf;
+                  };
+            };
+          |])
+  in
+  good "rf" (rf ~forest_classes:2 ~tree_classes:2 ~leaf:1);
+  bad "rf leaf class = n_classes"
+    (rf ~forest_classes:2 ~tree_classes:2 ~leaf:2);
+  bad "rf tree with more classes than its forest"
+    (rf ~forest_classes:2 ~tree_classes:3 ~leaf:2);
+  let knn ~scaler_d ~d ~label =
+    model_blob 2 (fun b ->
+        Bin.w_u32 b 1;
+        scaler scaler_d b;
+        Fmat.to_bin b (Fmat.create 1 d);
+        Bin.w_floats b [| 0. |];
+        Bin.w_ints b [| label |];
+        Bin.w_u32 b 2)
+  in
+  good "knn" (knn ~scaler_d:2 ~d:2 ~label:1);
+  bad "knn label = n_classes" (knn ~scaler_d:2 ~d:2 ~label:2);
+  bad "knn negative label" (knn ~scaler_d:2 ~d:2 ~label:(-1));
+  bad "knn scaler narrower than its rows" (knn ~scaler_d:1 ~d:2 ~label:1);
+  bad "knn scaler wider than its rows" (knn ~scaler_d:3 ~d:2 ~label:1);
+  let lr ~scaler_d ~d =
+    model_blob 0 (fun b ->
+        scaler scaler_d b;
+        Fmat.to_bin b (Fmat.create 2 d);
+        Bin.w_floats b [| 0.; 0. |];
+        Bin.w_u32 b 2)
+  in
+  good "lr" (lr ~scaler_d:2 ~d:2);
+  bad "lr weights narrower than its scaler" (lr ~scaler_d:3 ~d:2);
+  bad "lr weights wider than its scaler" (lr ~scaler_d:1 ~d:2);
+  (* svm weights carry the folded bias as one extra column *)
+  let svm ~scaler_d ~d =
+    model_blob 1 (fun b ->
+        scaler scaler_d b;
+        Fmat.to_bin b (Fmat.create 2 d);
+        Bin.w_u32 b 2)
+  in
+  good "svm" (svm ~scaler_d:2 ~d:3);
+  bad "svm weights narrower than its scaler" (svm ~scaler_d:2 ~d:2);
+  bad "svm weights wider than its scaler" (svm ~scaler_d:2 ~d:4)
 
 (* -- registry --------------------------------------------------------------- *)
 

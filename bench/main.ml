@@ -29,7 +29,7 @@
       --jobs N (or YALI_JOBS)  worker domains; default
                                Domain.recommended_domain_count
       --telemetry out.json     dump the runtime's JSON report: tasks,
-                               steals, per-phase wall time
+                               batches, per-phase wall time
       --json BENCH_quick.json  the figure summary: per-target wall seconds
                                and Figure 5's results; CI uploads it as
                                the perf-trajectory artifact
@@ -337,12 +337,12 @@ let fig13 () =
   let speedups = ref [] and slowdowns = ref [] in
   List.iter
     (fun (name, m0) ->
-      let base = Yali.Execution.run ~fuel:100_000_000 m0 [] in
+      let base = Yali.run ~fuel:100_000_000 m0 [] in
       let o3 =
-        Yali.Execution.run ~fuel:100_000_000 (Yali.Transforms.Pipeline.o3 m0) []
+        Yali.run ~fuel:100_000_000 (Yali.Transforms.Pipeline.o3 m0) []
       in
       let obf =
-        Yali.Execution.run ~fuel:1_000_000_000 (Ob.Ollvm.run (Rng.make 13) m0) []
+        Yali.run ~fuel:1_000_000_000 (Ob.Ollvm.run (Rng.make 13) m0) []
       in
       let rel c = float_of_int c /. float_of_int base.cost in
       speedups := 1.0 /. rel o3.cost :: !speedups;
@@ -886,11 +886,14 @@ let interp () =
             Int64.of_int ((((i * 53) + (j * 17)) mod 2001) - 1000)))
   in
   let execs = n_progs * n_inputs in
+  (* the reference side runs the interpreter directly, with [prepare]'s
+     shape so both sides are timed the same way *)
+  let interp_prepare m ~fuel input = Ir.Interp.run ~fuel m input in
   let corpus_agree =
     List.for_all
       (fun m ->
-        let rf = Ex.prepare ~engine:Ex.Ref m in
-        let vm = Ex.prepare ~engine:Ex.Vm m in
+        let rf = interp_prepare m in
+        let vm = Ex.prepare m in
         List.for_all
           (fun input ->
             Ex.agree
@@ -909,8 +912,8 @@ let interp () =
   let t =
     best_times ~reps
       [|
-        run_all (Yali.Execution.prepare ~engine:Yali.Execution.Ref);
-        run_all (Yali.Execution.prepare ~engine:Yali.Execution.Vm);
+        run_all interp_prepare;
+        run_all Ex.prepare;
       |]
   in
   let per_s n t digits = J.Fixed (digits, float_of_int n /. t) in
@@ -1426,8 +1429,8 @@ let abl_bcf_probability () =
                let m0 = Yali.lower p in
                let m1 = Ob.Bcf.run ~probability:prob (Rng.make (k + 5)) m0 in
                let input = List.init 32 (fun j -> Int64.of_int ((j * 37) mod 200)) in
-               let c0 = (Yali.Execution.run ~fuel:8_000_000 m0 input).cost in
-               let c1 = (Yali.Execution.run ~fuel:80_000_000 m1 input).cost in
+               let c0 = (Yali.run ~fuel:8_000_000 m0 input).cost in
+               let c1 = (Yali.run ~fuel:80_000_000 m1 input).cost in
                ( E.Histogram.euclidean (E.Histogram.of_module m0)
                    (E.Histogram.of_module m1),
                  float_of_int c1 /. float_of_int c0 )))

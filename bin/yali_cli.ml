@@ -93,30 +93,13 @@ let telemetry_arg =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
-          "Write the execution runtime's JSON report (tasks, steals, \
+          "Write the execution runtime's JSON report (tasks, batches, \
            per-phase time) to \\$(docv).")
 
 let configure_jobs = function
   | Some n when n >= 1 -> Yali.Exec.Pool.set_jobs n
   | Some _ -> die ~code:2 "--jobs must be positive"
   | None -> ()
-
-(* engine switchboard (lib/vm): both engines produce bit-identical
-   outcomes, so this only trades speed *)
-let engine_arg =
-  Arg.(
-    value
-    & opt string "vm"
-    & info [ "engine" ] ~docv:"vm|ref"
-        ~doc:
-          "Execution engine: the pre-compiling virtual machine ($(b,vm), \
-           default) or the frozen reference interpreter ($(b,ref)); \
-           outcomes are bit-identical.")
-
-let configure_engine s =
-  match Yali.Execution.engine_of_string s with
-  | Some e -> Yali.Execution.set_engine e
-  | None -> die ~code:2 "unknown engine %s (have: vm ref)" s
 
 (* fail on an unwritable output before the work that fills it, not after *)
 let check_writable flag path =
@@ -168,8 +151,7 @@ let input_arg =
     & info [ "input"; "i" ] ~docv:"INTS" ~doc:"Comma-separated input stream.")
 
 let run_cmd =
-  let run engine level file input =
-    configure_engine engine;
+  let run level file input =
     let m = compile_file level file in
     if Yali.Ir.Irmod.find_func m "main" = None then
       die ~code:1 "%s: no function main" file;
@@ -186,9 +168,8 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info ~exits "run"
-       ~doc:"Execute a mini-C program (VM by default, --engine=ref for the \
-             reference interpreter).")
-    Term.(const run $ engine_arg $ level_arg $ src_arg $ input_arg)
+       ~doc:"Execute a mini-C program on the virtual machine.")
+    Term.(const run $ level_arg $ src_arg $ input_arg)
 
 (* -- obfuscate ------------------------------------------------------------- *)
 
@@ -484,13 +465,12 @@ let check_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-chunk progress.")
   in
-  let run seed jobs telemetry engine deep per_pass out save corpus quiet =
+  let run seed jobs telemetry deep per_pass out save corpus quiet =
     (match per_pass with
     | Some n when n < 0 -> die ~code:2 "--per-pass must be non-negative"
     | _ -> ());
     configure_jobs jobs;
     configure_telemetry telemetry;
-    configure_engine engine;
     let tier = if deep then Yali.Check.Engine.Deep else Yali.Check.Engine.Smoke in
     let cfg =
       {
@@ -521,8 +501,8 @@ let check_cmd =
           programs and run the invariant oracles; exits nonzero on any \
           failure.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ telemetry_arg $ engine_arg $ deep_arg
-      $ per_pass_arg $ out_arg $ save_arg $ corpus_arg $ quiet_arg)
+      const run $ seed_arg $ jobs_arg $ telemetry_arg $ deep_arg $ per_pass_arg
+      $ out_arg $ save_arg $ corpus_arg $ quiet_arg)
 
 (* -- train / serve / query: classification-as-a-service -------------------- *)
 

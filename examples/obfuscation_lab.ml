@@ -52,7 +52,7 @@ let () =
   List.iter
     (fun (e : Yali.Obfuscation.Evader.t) ->
       let m = e.apply (Rng.make 2023) prog in
-      let o = Yali.Ir.Interp.run ~fuel:100_000_000 m input in
+      let o = Yali.run ~fuel:100_000_000 m input in
       let same = Yali.Ir.Interp.equal_behaviour base o in
       let d = E.Histogram.euclidean h0 (E.Histogram.of_module m) in
       (* what the classifier's normalizer sees *)

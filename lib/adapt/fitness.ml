@@ -3,8 +3,8 @@
     A candidate sequence is scored against a fixed set of {e challenges}
     (held-out programs the classifier was not trained on).  For each
     challenge the transformed module is (1) re-run on the challenge's
-    seeded input vectors under the engine switchboard — its observable
-    behaviour must match the baseline, and the abstract cost
+    seeded input vectors on the VM ({!Yali_vm.Execution.prepare}) — its
+    observable behaviour must match the baseline, and the abstract cost
     ({!Yali_ir.Interp.outcome}[.cost], the paper's stand-in for running
     time) prices the obfuscation — and (2) pushed through the classifier's
     per-class score oracle ({!Yali_ml.Model.margins}, in-process or via the

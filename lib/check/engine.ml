@@ -58,8 +58,8 @@ let dump_artifacts dir (r : report) =
   List.iteri
     (fun k (f : Tv.failure) ->
       let body =
-        Printf.sprintf "// pass: %s\n// origin: %s\n// engine: %s\n// %s\n%s"
-          f.Tv.f_pass f.Tv.f_origin f.Tv.f_engine
+        Printf.sprintf "// pass: %s\n// origin: %s\n// %s\n%s"
+          f.Tv.f_pass f.Tv.f_origin
           (Tv.failure_kind_to_string f.Tv.f_kind)
           (Option.fold ~none:"" ~some:Yali_minic.Pp.program_to_string
              (reproducer f))

@@ -131,15 +131,12 @@ type failure = {
   f_pass : string;
   f_origin : string;
   f_kind : failure_kind;
-  f_engine : string;
   f_program : Yali_minic.Ast.program option;
   f_minimized : Yali_minic.Ast.program option;
 }
 
-let current_engine () = Execution.engine_to_string (Execution.get_engine ())
-
 let pp_failure fmt (f : failure) =
-  Format.fprintf fmt "[%s] %s (engine %s) %s" f.f_pass f.f_origin f.f_engine
+  Format.fprintf fmt "[%s] %s %s" f.f_pass f.f_origin
     (failure_kind_to_string f.f_kind)
 
 type config = {
@@ -199,7 +196,6 @@ let make_failure (cfg : config) ~origin ~rng (e : Passdb.entry)
     f_pass = e.ename;
     f_origin = origin;
     f_kind = kind;
-    f_engine = current_engine ();
     f_program = Some p;
     f_minimized = minimized;
   }
@@ -233,7 +229,6 @@ let run (cfg : config) : report =
         f_pass = pass;
         f_origin = origin;
         f_kind = Transform_crash { stage; error };
-        f_engine = current_engine ();
         f_program = program;
         f_minimized = None;
       }

@@ -2,10 +2,10 @@
     {!Passdb} entry on generated and corpus programs.
 
     One {!validate} call checks one entry on one program: lower at [-O0],
-    verify, execute on seeded input vectors (under the engine selected in
-    {!Yali_vm.Execution} — the VM by default, [--engine=ref] for the frozen
-    interpreter; both produce bit-identical outcomes); apply the entry's
-    stages one at a time, re-verifying the SSA/dominance invariants
+    verify, execute on seeded input vectors on the VM
+    ({!Yali_vm.Execution.prepare}; its own differential oracle checks it
+    against the frozen interpreter); apply the entry's stages one at a
+    time, re-verifying the SSA/dominance invariants
     ({!Yali_ir.Verify.check_module}) after {e every} stage; re-run and
     compare observable behaviour.  A miscompile is localized to its entry,
     and a broken invariant to the stage that introduced it.
@@ -52,8 +52,6 @@ type failure = {
   f_pass : string;  (** entry name, ["baseline"] or ["corpus-parse"] *)
   f_origin : string;  (** ["gen:<ix>"] or ["corpus:<file>"] *)
   f_kind : failure_kind;
-  f_engine : string;
-      (** execution engine ({!Yali_vm.Execution}) that observed it *)
   f_program : Yali_minic.Ast.program option;
       (** [None] for a corpus file that did not parse *)
   f_minimized : Yali_minic.Ast.program option;

@@ -15,9 +15,9 @@
       benchmark-game kernels
     - {!Exec}: the execution runtime — domain pool and telemetry
       ([--jobs], [--telemetry])
-    - {!Vm} / {!Execution}: the pre-compiling IR virtual machine and the
-      engine switchboard ([--engine=vm|ref]; bit-identical outcomes, the
-      interpreter stays the frozen oracle)
+    - {!Vm} / {!Execution}: the pre-compiling IR virtual machine, which
+      runs every program, and its compile-once runner; the interpreter
+      stays the frozen oracle the VM is checked against
     - {!Check}: the correctness-tooling layer — property-testing engine,
       the differential-testing engine (every pass, pipeline and
       optimize/obfuscate composition against the [-O0] baseline, verified
@@ -63,6 +63,5 @@ let compile ?(optimize = Yali_transforms.Pipeline.O0) (src : string) :
     Yali_ir.Irmod.t =
   Yali_transforms.Pipeline.optimize optimize (lower (parse src))
 
-(** Run a module's [main] on a list of integer inputs, under the engine
-    selected in {!Execution} (the VM by default). *)
-let run ?fuel m input = Yali_vm.Execution.run ?fuel m input
+(** Run a module's [main] on a list of integer inputs, on the VM. *)
+let run = Yali_vm.Vm.run

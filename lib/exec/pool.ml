@@ -45,49 +45,12 @@ let inside : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let inside_worker () = Domain.DLS.get inside
 
 (* ------------------------------------------------------------------ *)
-(* per-worker deques                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* A worker's share of the batch: a contiguous slice of task indices.
-   The owner pops from the back, thieves take from the front; nothing is
-   ever pushed after construction, so a mutex per deque is plenty — the
-   lock is touched once per task, and tasks are coarse. *)
-type deque = {
-  base : int;  (** first task index of the slice *)
-  lock : Mutex.t;
-  mutable lo : int;  (** next index offset a thief would take *)
-  mutable hi : int;  (** one past the offset the owner pops next *)
-}
-
-let pop_own d =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      d.hi <- d.hi - 1;
-      Some (d.base + d.hi)
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-let steal d =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      let i = d.base + d.lo in
-      d.lo <- d.lo + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-(* ------------------------------------------------------------------ *)
 (* batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Every worker takes the next unstarted index from one shared counter
+   until it passes [n]: tasks are coarse, so one atomic increment per task
+   balances irregular sizes without per-worker queues. *)
 let run ~n task =
   if n > 0 then begin
     Telemetry.incr ~by:n "pool.tasks";
@@ -100,55 +63,29 @@ let run ~n task =
     end
     else begin
       Telemetry.incr "pool.parallel_batches";
-      let deques =
-        Array.init j (fun w ->
-            let lo = w * n / j and hi = (w + 1) * n / j in
-            { base = lo; lock = Mutex.create (); lo = 0; hi = hi - lo })
-      in
+      let next = Atomic.make 0 in
       let failure = Atomic.make None in
-      let steals = Atomic.make 0 in
-      let run_task i =
-        try task i
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          (* remember the first failure; remaining tasks still run, which
-             is harmless for the pure tasks this pool schedules *)
-          ignore (Atomic.compare_and_set failure None (Some (e, bt)))
+      let rec work () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          (try task i
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             (* remember the first failure; remaining tasks still run, which
+                is harmless for the pure tasks this pool schedules *)
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+          work ()
+        end
       in
-      (* a worker drains its own deque back to front, then scans the other
-         deques for work; when a full scan comes back empty the batch holds
-         no unstarted task and the worker retires *)
-      let work w =
-        let rec own () =
-          match pop_own deques.(w) with
-          | Some i ->
-              run_task i;
-              own ()
-          | None -> hunt 1
-        and hunt k =
-          if k < j then
-            match steal deques.((w + k) mod j) with
-            | Some i ->
-                Atomic.incr steals;
-                run_task i;
-                own ()
-            | None -> hunt (k + 1)
-        in
-        own ()
-      in
-      let worker w () =
+      let worker () =
         Domain.DLS.set inside true;
-        work w
+        work ()
       in
-      let domains = Array.init (j - 1) (fun k -> Domain.spawn (worker (k + 1))) in
+      let domains = Array.init (j - 1) (fun _ -> Domain.spawn worker) in
       (* the calling domain is worker 0 *)
       Domain.DLS.set inside true;
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set inside false)
-        (fun () -> work 0);
+      Fun.protect ~finally:(fun () -> Domain.DLS.set inside false) work;
       Array.iter Domain.join domains;
-      if Atomic.get steals > 0 then
-        Telemetry.incr ~by:(Atomic.get steals) "pool.steals";
       match Atomic.get failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()
@@ -181,7 +118,7 @@ let parallel_for_chunks ?(min_chunk = 1) n f =
   if n > 0 then begin
     let min_chunk = max 1 min_chunk in
     let max_chunks = max 1 (n / min_chunk) in
-    (* a few chunks per worker so stealing can still rebalance *)
+    (* a few chunks per worker so the shared counter can still rebalance *)
     let chunks = min max_chunks (get_jobs () * 4) in
     run ~n:chunks (fun c ->
         let lo = c * n / chunks and hi = (c + 1) * n / chunks in

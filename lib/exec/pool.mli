@@ -1,8 +1,8 @@
 (** Domain-based parallel execution for the arena and figure harness.
 
     A batch of independent tasks is distributed over [jobs] workers
-    (spawned domains plus the calling domain), each owning a deque of task
-    indices; a worker that drains its own deque steals from the others, so
+    (spawned domains plus the calling domain), which take task indices
+    from one shared atomic counter until it passes the batch size, so
     irregular task sizes still load-balance.  Results are deterministic by
     construction: every task writes only its own slot of the result array,
     and any randomness must be pre-derived on the calling domain (see
@@ -12,8 +12,8 @@
     Nested calls from inside a worker run sequentially inline (no domain
     explosion, no deadlock); parallelise at the outermost loop.
 
-    Counters [pool.tasks], [pool.parallel_batches], [pool.sequential_batches]
-    and [pool.steals] are reported through {!Telemetry}. *)
+    Counters [pool.tasks], [pool.parallel_batches] and
+    [pool.sequential_batches] are reported through {!Telemetry}. *)
 
 (** The configured parallelism: [YALI_JOBS] when set and positive,
     otherwise [Domain.recommended_domain_count ()]. *)
@@ -33,9 +33,10 @@ val with_jobs : int -> (unit -> 'a) -> 'a
     degrade to sequential execution). *)
 val inside_worker : unit -> bool
 
-(** [run ~n task] executes [task i] for every [i] in [[0, n)], in parallel
-    when the configured parallelism allows.  Exceptions raised by tasks
-    are re-raised in the caller (the first one observed). *)
+(** [run ~n task] executes [task i] exactly once for every [i] in
+    [[0, n)], in parallel when the configured parallelism allows.
+    Exceptions raised by tasks are re-raised in the caller (the first one
+    observed) after every worker has finished. *)
 val run : n:int -> (int -> unit) -> unit
 
 (** [parallel_array_map f xs] = [Array.map f xs], fanned out. *)

@@ -94,6 +94,8 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   in
   { scaler; net }
 
+let input_dim (t : t) = Features.scaler_dim t.scaler
+
 (** Per-class raw logits: standardise, then one {!Nn.logits} pass. *)
 let margins (t : t) (x : float array) : float array =
   Nn.logits t.net (Features.transform t.scaler x)
@@ -106,7 +108,19 @@ let to_bin b (t : t) =
   Features.scaler_to_bin b t.scaler;
   Nn.to_bin b t.net
 
+(* Every layer's shape faults depend only on its input width (a dense
+   layer reads all its weights, a convolution's window stays inside the
+   width it is given), so one pass over a zero row of the scaler's width
+   shows whether the layers chain from the scaler to [n_classes] scores. *)
 let of_bin r : t =
   let scaler = Features.scaler_of_bin r in
   let net = Nn.of_bin r in
+  (match Nn.logits net (Array.make (Features.scaler_dim scaler) 0.0) with
+  | out when Array.length out = net.Nn.n_classes -> ()
+  | out ->
+      Bin.fail r
+        (Printf.sprintf "network gives %d scores for %d classes"
+           (Array.length out) net.Nn.n_classes)
+  | exception Invalid_argument msg ->
+      Bin.fail r ("network does not fit its scaler width: " ^ msg));
   { scaler; net }

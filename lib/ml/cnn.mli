@@ -32,6 +32,9 @@ val train :
     its predictions from them). *)
 val margins : t -> float array -> float array
 
+(** The width of the feature vectors it scores: its scaler's. *)
+val input_dim : t -> int
+
 val size_bytes : t -> int
 
 (** Training internals, exposed for the frozen reference trainer

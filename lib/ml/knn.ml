@@ -23,6 +23,8 @@ let train ?(k = 5) ~(n_classes : int) (x : Fmat.t) (ys : int array) : t =
   let norms = Array.init x.Fmat.n (Fmat.sq_norm_row x) in
   { k; scaler; x; norms; ys; n_classes }
 
+let input_dim (t : t) = Features.scaler_dim t.scaler
+
 (** Per-class neighbour vote counts of a (raw, unstandardised) query, as
     floats. *)
 let margins (t : t) (q : float array) : float array =

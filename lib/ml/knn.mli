@@ -24,6 +24,9 @@ val train : ?k:int -> n_classes:int -> Fmat.t -> int array -> t
     ({!Model.restore} derives its predictions from them). *)
 val margins : t -> float array -> float array
 
+(** The width of the feature vectors it scores: its scaler's. *)
+val input_dim : t -> int
+
 (** Approximate heap footprint of the stored training set. *)
 val size_bytes : t -> int
 

@@ -96,6 +96,8 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
 let weights (t : t) : Fmat.t = t.weights
 let bias (t : t) : float array = t.bias
 
+let input_dim (t : t) = Features.scaler_dim t.scaler
+
 (** Per-class scores (raw logits). *)
 let margins (t : t) (x : float array) : float array =
   let x = Features.transform t.scaler x in

@@ -83,6 +83,22 @@ let margins = function
   | S_rf m -> Random_forest.margins m
   | S_mlp m | S_cnn m -> Cnn.margins m
 
+let fits_dim s dim =
+  let rec splits_below = function
+    | Decision_tree.Leaf _ -> true
+    | Split { feature; left; right; _ } ->
+        feature < dim && splits_below left && splits_below right
+  in
+  match s with
+  | S_lr m -> Logreg.input_dim m = dim
+  | S_svm m -> Svm.input_dim m = dim
+  | S_knn m -> Knn.input_dim m = dim
+  | S_mlp m | S_cnn m -> Cnn.input_dim m = dim
+  | S_rf m ->
+      Array.for_all
+        (fun (t : Decision_tree.t) -> splits_below t.root)
+        (Random_forest.trees m)
+
 let size_bytes = function
   | S_lr m -> Logreg.size_bytes m
   | S_svm m -> Svm.size_bytes m

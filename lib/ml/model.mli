@@ -113,6 +113,11 @@ val argmax : float array -> int
     adaptive evaders ({!Yali_adapt}) optimise against them. *)
 val margins : snapshot -> float array -> float array
 
+(** Whether the snapshot scores feature vectors of width [dim]: lr, svm,
+    knn, mlp and cnn need exactly their scaler's width, rf needs every
+    split feature below [dim]. *)
+val fits_dim : snapshot -> int -> bool
+
 (** Serialise to the versioned binary form (magic ["YMDL"], version 1,
     kind tag, weight payload — DESIGN.md §11). *)
 val save : snapshot -> string
@@ -120,6 +125,7 @@ val save : snapshot -> string
 (** @raise Yali_util.Bin.Corrupt on bad magic, version skew, a malformed
     payload, or a payload whose scorer would index out of range: a tree
     leaf or knn label outside [[0, n_classes)], a forest whose trees
-    disagree with its class count, or an lr, svm or knn scaler whose width
-    differs from the weights' input width *)
+    disagree with its class count, an lr, svm or knn scaler whose width
+    differs from the weights' input width, or an mlp or cnn network whose
+    layers do not take its scaler's width to its class count *)
 val load : string -> snapshot

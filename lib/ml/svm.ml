@@ -110,6 +110,8 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   in
   { scaler; weights; n_classes }
 
+let input_dim (t : t) = Features.scaler_dim t.scaler
+
 (** Per-class one-vs-rest scores. *)
 let margins (t : t) (x : float array) : float array =
   let x = augment (Features.transform t.scaler x) in

@@ -22,6 +22,9 @@ val train :
     ({!Model.restore} derives its predictions from them). *)
 val margins : t -> float array -> float array
 
+(** The width of the feature vectors it scores: its scaler's. *)
+val input_dim : t -> int
+
 val size_bytes : t -> int
 
 (** Serialise the trained model bit-exactly ({!Model.save}'s weights). *)

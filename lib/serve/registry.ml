@@ -58,6 +58,10 @@ let decode_entry blob =
     Bin.fail r
       (Printf.sprintf "metadata kind %s but payload is a %s model" kind
          (Model.snapshot_kind snapshot));
+  if not (Model.fits_dim snapshot dim) then
+    Bin.fail r
+      (Printf.sprintf "metadata dim %d does not fit the %s model's input" dim
+         kind);
   { meta = { kind; version; embedding; n_classes; dim; n_train; seed; source };
     snapshot }
 

@@ -24,7 +24,8 @@ type entry = { meta : meta; snapshot : Yali_ml.Model.snapshot }
 val encode_entry : entry -> string
 
 (** @raise Yali_util.Bin.Corrupt on bad magic, version skew, malformed
-    payload, or a metadata kind that contradicts the snapshot *)
+    payload, or a metadata kind or [dim] that contradicts the snapshot
+    ({!Yali_ml.Model.fits_dim}) *)
 val decode_entry : string -> entry
 
 (** ["rf@3.ymdl"] *)

@@ -102,8 +102,8 @@ type state = {
   cfg : config;
   embedding : Embedding.t;
   dim : int;
-  trained : Yali_ml.Model.trained;
   margins : float array -> float array;
+      (** the model's one scorer; a class is its {!Yali_ml.Model.argmax} *)
   rbuf : Bytes.t;  (** every read lands here; {!Wire.Dechunk.feed} copies *)
   mutable conns : conn list;
   mutable queue : pending list;  (** newest first *)
@@ -173,9 +173,9 @@ let handle_frame st conn payload =
       send conn (Wire.Error ("malformed request: " ^ msg))
 
 (* One micro-batch: everything queued (oldest first), capped at
-   [max_batch].  Embedding is a pure function of the module and the class
-   decisions go through the model's bulk kernel, documented bit-identical
-   to the one-at-a-time path, which is what makes replies independent of
+   [max_batch].  Embedding is a pure function of the module and each row
+   is scored once by [margins], whose first maximum is the class
+   ({!Yali_ml.Model.restore}'s [predict]), so replies are independent of
    batching. *)
 let dispatch st =
   while st.queue <> [] do
@@ -215,14 +215,13 @@ let dispatch st =
       rows;
     if good <> [] then begin
       let n = List.length good in
-      let x = Yali_ml.Fmat.of_rows (Array.of_list (List.map snd good)) in
-      let classes = st.trained.predict_batch x in
+      let scored = List.map (fun (p, row) -> (p, st.margins row)) good in
       let now = Telemetry.clock () in
       counters.batches <- counters.batches + 1;
       Hashtbl.replace counters.batch_hist n
         (1 + Option.value ~default:0 (Hashtbl.find_opt counters.batch_hist n));
-      List.iteri
-        (fun i ((p : pending), row) ->
+      List.iter
+        (fun ((p : pending), scores) ->
           let queue_us =
             int_of_float ((now -. p.arrival) *. 1_000_000.0)
           in
@@ -231,14 +230,11 @@ let dispatch st =
           match p.want with
           | Want_class ->
               send p.origin
-                (Wire.Class { cls = classes.(i); queue_us; batch = n })
+                (Wire.Class
+                   { cls = Yali_ml.Model.argmax scores; queue_us; batch = n })
           | Want_margins ->
-              (* per-row margins over the same embedding row the batch
-                 used — scores independent of batching by construction *)
-              send p.origin
-                (Wire.Margins_r
-                   { scores = st.margins row; queue_us; batch = n }))
-        good
+              send p.origin (Wire.Margins_r { scores; queue_us; batch = n }))
+        scored
     end
   done
 
@@ -310,11 +306,10 @@ let run cfg =
             (Printf.sprintf "model trained over unknown embedding %s"
                entry.meta.embedding)
       | Some embedding ->
-          (* warm preload: restore the weights and push one probe row
-             through embed + predict before accepting connections *)
-          let trained = Yali_ml.Model.restore entry.snapshot in
-          let probe = Array.make entry.meta.dim 0.0 in
-          ignore (trained.predict probe);
+          (* warm preload: score one probe row before accepting
+             connections *)
+          let margins = Yali_ml.Model.margins entry.snapshot in
+          ignore (margins (Array.make entry.meta.dim 0.0));
           cfg.log
             (Printf.sprintf "serving %s@%d (%s, %d classes, dim %d) on %s"
                entry.meta.kind entry.meta.version entry.meta.embedding
@@ -340,8 +335,7 @@ let run cfg =
                       cfg;
                       embedding;
                       dim = entry.meta.dim;
-                      trained;
-                      margins = Yali_ml.Model.margins entry.snapshot;
+                      margins;
                       rbuf = Bytes.create 65536;
                       conns = [];
                       queue = [];

@@ -1,13 +1,14 @@
 (** The classification daemon: a single-threaded [select] loop over a Unix
     socket that accumulates in-flight classify requests into micro-batches
-    and routes each batch through the model's [predict_batch] on the
-    {!Yali_exec.Pool} runtime (DESIGN.md §11).
+    and scores each row of a batch once with the model's
+    {!Yali_ml.Model.margins} (DESIGN.md §11).
 
-    Batching never changes an answer: each [predict_batch] row is
-    [predict] of that row ({!Yali_ml.Model.restore}), and embedding is a
-    pure function of the module — so the reply for a program is the same
-    at any [--jobs] setting, any batch size, and any request
-    interleaving.
+    Batching never changes an answer: a class reply is the first maximum
+    of the row's scores ({!Yali_ml.Model.argmax}, which is
+    {!Yali_ml.Model.restore}'s [predict]), a margins reply is the scores
+    themselves, and embedding is a pure function of the module — so the
+    reply for a program is the same at any [--jobs] setting, any batch
+    size, and any request interleaving.
 
     The pending queue is bounded: once [queue_cap] requests await
     dispatch, further classify requests get an explicit {!Wire.Busy}
@@ -26,8 +27,8 @@ type config = {
 
 val default : config
 
-(** Load the model, warm it (restore weights, embed-and-classify one probe
-    row), bind the socket and serve until shutdown.  Returns after a clean
-    shutdown; [Error] on setup failures (unresolvable model spec, unknown
-    embedding, unbindable socket). *)
+(** Load the model, warm it (score one all-zero probe row), bind the
+    socket and serve until shutdown.  Returns after a clean shutdown;
+    [Error] on setup failures (unresolvable model spec, unknown embedding,
+    unbindable socket). *)
 val run : config -> (unit, string) result

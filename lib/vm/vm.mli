@@ -8,7 +8,9 @@
     [yali check], the adaptive evaders' behaviour witness and the Figure 13
     cost model.
 
-    The VM does the name resolution {e once}, in {!compile}:
+    The VM is the one engine every program runs on ({!Execution.prepare}
+    compiles once and runs per input); the interpreter is only its oracle.
+    It does the name resolution {e once}, in {!compile}:
     - SSA values become dense frame-slot indices; a call takes a frame
       from a per-function free list (recycled within a run) instead of
       building a hashtable;

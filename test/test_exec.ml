@@ -48,6 +48,42 @@ let test_parallel_mapi_and_chunks () =
           done));
   Alcotest.(check (array int)) "chunks cover [0, n) exactly once" expected out
 
+(* Every index runs exactly once at any jobs setting, and a [run] nested
+   inside a task runs inline: in order, on the worker that called it, over
+   its own range exactly once. *)
+let test_run_each_index_once () =
+  let once label runs =
+    Alcotest.(check (array int)) label
+      (Array.make (Array.length runs) 1)
+      (Array.map Atomic.get runs)
+  in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          let runs = Array.init n (fun _ -> Atomic.make 0) in
+          Pool.with_jobs jobs (fun () ->
+              Pool.run ~n (fun i -> Atomic.incr runs.(i)));
+          once (Printf.sprintf "jobs=%d, n=%d: every index once" jobs n) runs)
+        [ 1; 3; 97 ];
+      let outer = 5 and inner = 7 in
+      let runs = Array.init (outer * inner) (fun _ -> Atomic.make 0) in
+      let inline = Atomic.make true in
+      Pool.with_jobs jobs (fun () ->
+          Pool.run ~n:outer (fun i ->
+              let self = Domain.self () and seen = ref [] in
+              Pool.run ~n:inner (fun k ->
+                  if Domain.self () <> self then Atomic.set inline false;
+                  seen := k :: !seen;
+                  Atomic.incr runs.((i * inner) + k));
+              if List.rev !seen <> List.init inner Fun.id then
+                Atomic.set inline false));
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: nested runs are inline" jobs)
+        true (Atomic.get inline);
+      once (Printf.sprintf "jobs=%d: nested, every index once" jobs) runs)
+    [ 1; 2; 4 ]
+
 let test_parallel_map_rng_deterministic () =
   let xs = Array.make 40 () in
   let draw rng () = Rng.int rng 1_000_000 in
@@ -194,6 +230,8 @@ let suite =
       test_parallel_map_matches_sequential;
     Alcotest.test_case "mapi and chunked for" `Quick
       test_parallel_mapi_and_chunks;
+    Alcotest.test_case "run covers each index once" `Quick
+      test_run_each_index_once;
     Alcotest.test_case "rng map deterministic across jobs" `Quick
       test_parallel_map_rng_deterministic;
     Alcotest.test_case "exceptions propagate" `Quick

@@ -153,6 +153,19 @@ let test_cli_exit_codes () =
       ([ "--help=plain" ], 0);
     ];
   Yali.Util.Fs.with_temp_dir "cli-test" (fun dir ->
+      (* every program runs on the VM: no command takes --engine *)
+      let prog = Filename.concat dir "p.c" in
+      Out_channel.with_open_text prog (fun oc ->
+          output_string oc "int main() { return 0; }");
+      List.iter
+        (fun (args, want) ->
+          Alcotest.(check int) (String.concat " " args) want (exit_code args))
+        [
+          ([ "run"; prog ], 0);
+          ([ "run"; "--engine"; "native"; prog ], 2);
+          ([ "run"; "--engine=ref"; prog ], 2);
+          ([ "check"; "--engine=vm"; "--per-pass=0" ], 2);
+        ];
       let out = Filename.concat dir "corpus" in
       List.iter
         (fun flag ->

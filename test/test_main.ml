@@ -21,7 +21,6 @@ let () =
       ("gen_dsl", Test_gen_dsl.suite);
       ("exec", Test_exec.suite);
       ("vm", Test_vm.suite);
-      ("native", Test_vm.native_suite);
       ("check", Test_check.suite);
       ("games", Test_games.suite);
       ("antivirus", Test_antivirus.suite);

@@ -322,7 +322,29 @@ let test_snapshot_rejects_corruption () =
   in
   good "svm" (svm ~scaler_d:2 ~d:3);
   bad "svm weights narrower than its scaler" (svm ~scaler_d:2 ~d:2);
-  bad "svm weights wider than its scaler" (svm ~scaler_d:2 ~d:4)
+  bad "svm weights wider than its scaler" (svm ~scaler_d:2 ~d:4);
+  (* mlp (tag 3) and cnn (tag 5): a scaler, then dense d_in -> 4 -> d_out,
+     which must take the scaler's width to [n_classes] scores *)
+  let neural tag ~scaler_d ~d_in ~d_out ~n_classes =
+    let module Nn = Yali.Ml.Nn in
+    let rng = Rng.make 1 in
+    model_blob tag (fun b ->
+        scaler scaler_d b;
+        Nn.to_bin b
+          {
+            Nn.n_classes;
+            layers =
+              [ Nn.dense rng ~d_in ~d_out:4; Nn.relu; Nn.dense rng ~d_in:4 ~d_out ];
+          })
+  in
+  good "mlp" (neural 3 ~scaler_d:2 ~d_in:2 ~d_out:2 ~n_classes:2);
+  bad "mlp dense layer wider than its scaler"
+    (neural 3 ~scaler_d:2 ~d_in:3 ~d_out:2 ~n_classes:2);
+  bad "mlp dense layer narrower than its scaler"
+    (neural 3 ~scaler_d:3 ~d_in:2 ~d_out:2 ~n_classes:2);
+  good "cnn" (neural 5 ~scaler_d:2 ~d_in:2 ~d_out:3 ~n_classes:3);
+  bad "cnn last layer wider than its class count"
+    (neural 5 ~scaler_d:2 ~d_in:2 ~d_out:3 ~n_classes:2)
 
 (* -- registry --------------------------------------------------------------- *)
 
@@ -453,6 +475,61 @@ let test_registry_roundtrip_margins () =
                 rows)
         Model.snapshot_kinds)
 
+(* An entry's [dim] must fit its snapshot: the daemon embeds each request
+   at [dim] and scores it with no handler around the scorer.  Hand-built
+   lr and rf snapshots, each published under a misfit [dim] and a fitting
+   one. *)
+let test_registry_rejects_misfit_dim () =
+  let module Bin = Yali.Util.Bin in
+  let module Tree = Yali.Ml.Decision_tree in
+  let lr =
+    Model.load
+      (model_blob 0 (fun b ->
+           Yali.Ml.Features.(scaler_to_bin b (fit [| Array.make 2 0. |]));
+           Fmat.to_bin b (Fmat.create 2 2);
+           Bin.w_floats b [| 0.; 0. |];
+           Bin.w_u32 b 2))
+  in
+  let rf feature =
+    Model.load
+      (model_blob 4 (fun b ->
+           Bin.w_u32 b 2;
+           Bin.w_arr b Tree.to_bin
+             [|
+               {
+                 Tree.n_classes = 2;
+                 root =
+                   Split { feature; threshold = 0.5; left = Leaf 0; right = Leaf 1 };
+               };
+             |]))
+  in
+  with_temp_dir (fun dir ->
+      let loads name snap ~dim expected =
+        let kind = Model.snapshot_kind snap in
+        let meta =
+          {
+            Registry.kind;
+            version = 0;
+            embedding = "histogram";
+            n_classes = 2;
+            dim;
+            n_train = 1;
+            seed = 0;
+            source = "test:hand-built";
+          }
+        in
+        let v, _ = Registry.publish ~dir ~meta snap in
+        Alcotest.(check bool) name expected
+          (Result.is_ok (Registry.load ~dir (Printf.sprintf "%s@%d" kind v)))
+      in
+      loads "lr with a 2-wide scaler under dim 3" lr ~dim:3 false;
+      loads "lr with a 2-wide scaler under dim 1" lr ~dim:1 false;
+      loads "lr with a 2-wide scaler under dim 2" lr ~dim:2 true;
+      loads "rf split on feature 1000 under dim 2" (rf 1000) ~dim:2 false;
+      loads "rf split on feature 1000 under dim 1000" (rf 1000) ~dim:1000 false;
+      loads "rf split on feature 1000 under dim 1001" (rf 1000) ~dim:1001 true;
+      loads "rf split on feature 1 under dim 2" (rf 1) ~dim:2 true)
+
 (* -- daemon end-to-end ------------------------------------------------------ *)
 
 (* The daemons are this test binary re-run in {!Client.daemon_mode}, whose
@@ -520,6 +597,31 @@ let test_daemon_end_to_end () =
              with
             | Wire.Error _ -> ()
             | _ -> Alcotest.fail "corrupt blob must get an Error reply");
+            (* a class is the in-process prediction of the program's
+               embedding, and the first maximum of its margins *)
+            let predict =
+              match Registry.load ~dir "knn" with
+              | Ok entry -> (Model.restore entry.Registry.snapshot).predict
+              | Error e -> Alcotest.failf "registry load: %s" e
+            in
+            List.iter
+              (fun seed ->
+                let m = lower (dataset_program seed) in
+                let k = cls (Client.classify c m) in
+                let embedded =
+                  Yali.Embeddings.Embedding.(to_flat histogram m)
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "program %d: class = in-process predict" seed)
+                  (predict embedded) k;
+                match Client.margins c m with
+                | Wire.Margins_r { scores; _ } ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "program %d: class = argmax of margins"
+                         seed)
+                      (Model.argmax scores) k
+                | _ -> Alcotest.fail "unexpected reply to margins")
+              [ 1; 3; 5; 7 ];
             (match Client.stats c with
             | Ok json ->
                 Alcotest.(check bool) "stats carry batch histogram" true
@@ -601,6 +703,8 @@ let suite =
       test_registry_roundtrip_margins;
     Alcotest.test_case "registry train rejects bad shapes" `Quick
       test_registry_train_rejects_bad_shapes;
+    Alcotest.test_case "registry rejects a dim that misfits its model" `Quick
+      test_registry_rejects_misfit_dim;
     Alcotest.test_case "bound socket is not a ready daemon" `Quick
       test_bound_socket_not_ready;
     Alcotest.test_case "daemon end-to-end over a unix socket" `Slow

@@ -1,9 +1,9 @@
-(** Tests for the pre-compiling VM and the engine switchboard: the
-    bit-identical-outcome contract against the reference interpreter on the
-    nasty edges — division traps, [Int64.min_int / -1], narrow-width
-    wraparound, exact fuel boundaries, allocator exhaustion, pointer/int
-    coercions, float infinities and NaN, modules that fail verification —
-    plus engine selection and memory-arena reuse. *)
+(** Tests for the pre-compiling VM: the bit-identical-outcome contract
+    against the reference interpreter on the nasty edges — division traps,
+    [Int64.min_int / -1], narrow-width wraparound, exact fuel boundaries,
+    allocator exhaustion, pointer/int coercions, float infinities and NaN,
+    modules that fail verification — plus {!Yali.Execution.prepare} and
+    memory-arena reuse. *)
 
 open Helpers
 module Ir = Yali.Ir
@@ -16,8 +16,9 @@ module Execution = Yali.Execution
    equal observations. *)
 type result = Finished of Interp.outcome | Trapped of string | Exhausted
 
-let run_result (engine : Execution.engine) ?(fuel = 200_000) m input : result =
-  try Finished (Execution.run ~engine ~fuel m input) with
+let run_result (run : ?fuel:int -> Ir.Irmod.t -> int64 list -> Interp.outcome)
+    ?(fuel = 200_000) m input : result =
+  try Finished (run ~fuel m input) with
   | Interp.Trap msg -> Trapped msg
   | Interp.Out_of_fuel -> Exhausted
 
@@ -38,11 +39,11 @@ let show (r : result) : string =
         (String.concat ";" (List.map (Printf.sprintf "%.17g") o.foutput))
         o.steps o.cost
 
-(* Run under both engines, insist the results (traps, outputs, steps and
-   cost alike) agree, and hand back the shared result. *)
+(* Run on the VM and the interpreter, insist the results (traps, outputs,
+   steps and cost alike) agree, and hand back the shared result. *)
 let both ?fuel ?(input = []) (m : Ir.Irmod.t) : result =
-  let r_vm = run_result Execution.Vm ?fuel m input in
-  let r_ref = run_result Execution.Ref ?fuel m input in
+  let r_vm = run_result Vm.run ?fuel m input in
+  let r_ref = run_result Interp.run ?fuel m input in
   Alcotest.(check string) "vm agrees with reference" (show r_ref) (show r_vm);
   r_vm
 
@@ -252,7 +253,7 @@ let test_fuel_boundary () =
          "int main() { int i = 0; int s = 0; while (i < 25) { s = s + i; i = i + 1; } return s; }")
   in
   let steps =
-    match run_result Execution.Ref ~fuel:1_000_000 m [] with
+    match run_result Interp.run ~fuel:1_000_000 m [] with
     | Finished o -> o.steps
     | r -> Alcotest.failf "baseline run failed: %s" (show r)
   in
@@ -606,10 +607,8 @@ let test_ill_formed_agree () =
   List.iter
     (fun (name, expected, txt) ->
       let m = Ir.Parser.parse_module txt in
-      let run engine =
-        Execution.classify (fun () -> Execution.run ~engine ~fuel:1_000 m [])
-      in
-      let r_ref = run Execution.Ref and r_vm = run Execution.Vm in
+      let r_ref = Execution.classify (fun () -> Interp.run ~fuel:1_000 m [])
+      and r_vm = Execution.classify (fun () -> Vm.run ~fuel:1_000 m []) in
       Alcotest.(check bool) (name ^ ": engines agree") true
         (Execution.agree r_ref r_vm);
       let got =
@@ -630,36 +629,28 @@ let test_dataset_parity =
     (fun seed ->
       let m = lower (dataset_program seed) in
       let input = fuzz_input seed in
-      show (run_result Execution.Vm ~fuel:200_000 m input)
-      = show (run_result Execution.Ref ~fuel:200_000 m input))
+      show (run_result Vm.run ~fuel:200_000 m input)
+      = show (run_result Interp.run ~fuel:200_000 m input))
 
 (* ------------------------------------------------------------------ *)
-(* Engine switchboard                                                  *)
+(* Compile once, run many                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* [prepare] compiles once and runs on several inputs, each run equal to
+   the interpreter's *)
 let test_engine_selection () =
-  Alcotest.(check bool) "vm parses" true
-    (Execution.engine_of_string "vm" = Some Execution.Vm);
-  Alcotest.(check bool) "ref parses" true
-    (Execution.engine_of_string "ref" = Some Execution.Ref);
-  Alcotest.(check bool) "junk rejected" true
-    (Execution.engine_of_string "jit" = None);
-  Alcotest.(check string) "names round-trip" "ref"
-    (Execution.engine_to_string Execution.Ref);
-  (* both engines behind [prepare]: compile once, run on several inputs *)
   let m =
     lower
       (parse
          "int main() { int n = read_int(); int s = 0; while (n > 0) { s = s + n * n; n = n - 1; } print_int(s); return s % 7; }")
   in
-  let vm = Execution.prepare ~engine:Execution.Vm m in
-  let rf = Execution.prepare ~engine:Execution.Ref m in
+  let vm = Execution.prepare m in
   List.iter
     (fun n ->
-      let run p = show (Finished (p ~fuel:100_000 [ n ])) in
       Alcotest.(check string)
-        (Printf.sprintf "prepare vm = prepare ref on %Ld" n)
-        (run rf) (run vm))
+        (Printf.sprintf "prepare = interpreter on %Ld" n)
+        (show (Finished (Interp.run ~fuel:100_000 m [ n ])))
+        (show (Finished (vm ~fuel:100_000 [ n ]))))
     [ 0L; 1L; 9L; 40L ]
 
 let test_arena_reuse () =
@@ -696,16 +687,4 @@ let suite =
     test_dataset_parity;
     Alcotest.test_case "engine selection" `Quick test_engine_selection;
     Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
-  ]
-
-(* The native execution tier was deleted.  Its engine name must now be
-   refused (the CLI reports "unknown engine" and exits 2), not mapped onto
-   another engine. *)
-let test_native_engine_selection () =
-  Alcotest.(check bool) "native rejected" true
-    (Execution.engine_of_string "native" = None)
-
-let native_suite =
-  [
-    Alcotest.test_case "engine selection" `Quick test_native_engine_selection;
   ]

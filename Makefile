@@ -43,10 +43,11 @@ bench:
 
 # Numeric-kernel gate (DESIGN.md §8): rewritten kernels and flat trainers
 # vs the frozen lib/ml/reference.ml implementations, with speedups in
-# BENCH_kernels.json.  Exits non-zero unless the rf trees match node for
-# node, rf and k-NN predictions match, lr and mlp weights are bitwise
-# identical, the distance sweep agrees within 1e-9 and the matmul is
-# bit-identical.
+# BENCH_kernels.json (rows rf-train ... lr-train, svm-train, mlp-train ...).
+# Exits non-zero unless the rf trees match node for node, rf and k-NN
+# predictions match, lr, svm and mlp weights are bitwise identical
+# (lr_/svm_/mlp_weights_bit_identical), the distance sweep agrees within
+# 1e-9 and the matmul is bit-identical.
 bench-kernels:
 	dune exec bench/main.exe -- --quick kernels
 

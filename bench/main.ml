@@ -549,13 +549,14 @@ let dump_eq (a : float array array) (b : float array array) : bool =
 
 (** Before/after numbers for the numeric-kernel layer (DESIGN.md §8):
     forest/tree training (histogram vs per-node sort splits), k-NN
-    prediction (blocked norms+dot vs per-row subtract-square), lr and mlp
-    training (in place vs allocating per-sample steps), the raw distance
-    sweep, and the tiled vs naive matmul.  "Reference" is the frozen
-    pre-rewrite code in [Yali.Ml.Reference].  Fails unless the rewrites
-    agree with the reference: the same rf trees node for node and the same
-    rf and k-NN predictions, bitwise the same lr and mlp weights,
-    distances within 1e-9, a bit-identical matmul. *)
+    prediction (blocked norms+dot vs per-row subtract-square), lr, svm and
+    mlp training (blocked gradients, one scoring pass per sample and in
+    place steps vs the loops they replaced), the raw distance sweep, and
+    the tiled vs naive matmul.  "Reference" is the frozen pre-rewrite code
+    in [Yali.Ml.Reference].  Fails unless the rewrites agree with the
+    reference: the same rf trees node for node and the same rf and k-NN
+    predictions, bitwise the same lr, svm and mlp weights, distances
+    within 1e-9, a bit-identical matmul. *)
 let kernels () =
   header "Kernel benchmarks: frozen pre-rewrite reference vs Fmat kernels";
   let reps = 3 in
@@ -694,6 +695,31 @@ let kernels () =
   let lr_row =
     row "lr-train" t.(0) t.(1) [ ("bit_identical", J.Bool lr_identical) ]
   in
+  (* svm's Pegasos loop, every class scored in one pass against the
+     per-class score chains it replaced: byte-identical snapshots *)
+  let ref_svm = ref None and new_svm = ref None in
+  let t =
+    best_times ~reps
+      [|
+        (fun () ->
+          ref_svm :=
+            Some
+              (Ml.Reference.Svm.train (Rng.make 9) ~n_classes
+                 (Ml.Fblock.Mem kfm_tr) kys_tr));
+        (fun () ->
+          new_svm :=
+            Some
+              (Ml.Svm.train (Rng.make 9) ~n_classes (Ml.Fblock.Mem kfm_tr)
+                 kys_tr));
+      |]
+  in
+  let svm_identical =
+    let save m = Ml.Model.save (Ml.Model.S_svm (Option.get m)) in
+    save !ref_svm = save !new_svm
+  in
+  let svm_row =
+    row "svm-train" t.(0) t.(1) [ ("bit_identical", J.Bool svm_identical) ]
+  in
   let params = { Ml.Mlp.default_params with epochs = 10 } in
   let ref_mlp = ref None and new_mlp = ref None in
   let t =
@@ -793,7 +819,16 @@ let kernels () =
   ( [
       ( "kernels",
         J.List
-          [ rf_row; tree_row; knn_row; lr_row; mlp_row; sweep_row; matmul_row ]
+          [
+            rf_row;
+            tree_row;
+            knn_row;
+            lr_row;
+            svm_row;
+            mlp_row;
+            sweep_row;
+            matmul_row;
+          ]
       );
     ],
     [
@@ -801,6 +836,7 @@ let kernels () =
       ("rf_trees_identical", rf_trees);
       ("knn_predictions_match", knn_match);
       ("lr_weights_bit_identical", lr_identical);
+      ("svm_weights_bit_identical", svm_identical);
       ("mlp_weights_bit_identical", mlp_identical);
       ("distance_max_abs_diff_le_1e-9", !max_diff <= 1e-9);
       ("matmul_bit_identical", matmul_identical);

@@ -87,30 +87,165 @@ let knn_vs_reference (n_classes, xs, ys, txs, _seed) =
   let predict = (Ml.Model.restore (Ml.Model.S_knn m_new)).predict in
   Array.for_all (fun x -> predict x = Ml.Reference.Knn.predict m_ref x) txs
 
+(* bit equality: [=] on float arrays is false on NaN *)
+let same_bits (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
+(* An operand for the zero-skipping kernels: gaussians with about a
+   quarter of the cells an exact 0.0 or -0.0, and in half the matrices
+   one nan, infinity or neg_infinity.  On the left, the zeros are the
+   skipped terms and the rest must be kept; on the right, an infinity
+   turns a zero's product into nan, so a kernel that did not skip it
+   shows. *)
+let planted (rng : Rng.t) n d =
+  let m = F.random rng n d ~scale:1.0 in
+  let data = m.F.data in
+  Array.iteri
+    (fun i _ -> if Rng.int rng 4 = 0 then data.(i) <- (if Rng.bool rng then 0.0 else -0.0))
+    data;
+  if Array.length data > 0 && Rng.bool rng then
+    data.(Rng.int rng (Array.length data)) <-
+      [| Float.nan; Float.infinity; Float.neg_infinity |].(Rng.int rng 3);
+  m
+
 let gen_matmul (rng : Rng.t) =
   let n = 1 + Rng.int rng 40
   and k = 1 + Rng.int rng 40
   and p = 1 + Rng.int rng 40 in
-  (F.random rng n k ~scale:1.0, F.random rng k p ~scale:1.0)
+  (planted rng n k, planted rng k p)
 
 let show_matmul ((a : F.t), (b : F.t)) =
   Printf.sprintf "matmul %dx%d * %dx%d" a.F.n a.F.d b.F.n b.F.d
 
-let matmul_bit_identical (a, b) = (F.matmul a b).F.data = (F.matmul_naive a b).F.data
+let matmul_bit_identical (a, b) =
+  same_bits (F.matmul a b).F.data (F.matmul_naive a b).F.data
 
-let matmul_bias_matches (a, b) =
-  let p = b.F.d and k = a.F.d and n = a.F.n in
-  let bias = Array.init p (fun j -> float_of_int j /. 7.0) in
-  let c = F.matmul_bias ~bias a b in
+(* One dense or convolutional layer with planted weights and gaussian or
+   -0.0 biases (a skipped zero term would turn a -0.0 start into 0.0),
+   its windows over inputs of width [in_w], and a planted input [x] and
+   output gradient [d].  Conv shapes include widths that [c_in] does not
+   divide and inputs shorter than the kernel (no windows). *)
+let gen_win (rng : Rng.t) =
+  let rows = 1 + Rng.int rng 5 and c_out = 1 + Rng.int rng 9 in
+  let layer, in_w =
+    if Rng.int rng 3 = 0 then
+      let in_w = 1 + Rng.int rng 40 in
+      (Ml.Nn.dense rng ~d_in:in_w ~d_out:c_out, in_w)
+    else
+      let c_in = 1 + Rng.int rng 3
+      and kernel = 1 + Rng.int rng 4
+      and stride = 1 + Rng.int rng 3 in
+      (* the output length truncates toward zero, so a channel shorter
+         than the kernel by less than the stride would still get a window
+         that runs past it: no layer is built that way *)
+      let len = Rng.int rng 12 in
+      let len =
+        if len < kernel && ((len - kernel) / stride) + 1 > 0 then kernel
+        else len
+      in
+      ( Ml.Nn.conv1d rng ~c_in ~c_out ~kernel ~stride,
+        (c_in * len) + Rng.int rng c_in )
+  in
+  let g = Option.get (Ml.Nn.win_of layer ~in_w) in
+  let w = planted rng g.w.F.n g.w.F.d in
+  Array.blit w.F.data 0 g.w.F.data 0 (Array.length w.F.data);
+  Array.iteri
+    (fun o _ -> g.b.(o) <- (if Rng.bool rng then -0.0 else Rng.gaussian rng))
+    g.b;
+  let out_w = c_out * max 1 g.out_len in
+  (g, planted rng rows in_w, planted rng rows out_w)
+
+let show_win ((g : Ml.Nn.win), (x : F.t), _) =
+  Printf.sprintf "win c_in=%d len=%d kernel=%d stride=%d out_len=%d c_out=%d, %dx%d input"
+    g.c_in g.len g.kernel g.stride g.out_len g.c_out x.F.n x.F.d
+
+(* the explicit lowering the kernels avoid: row (i, p) of [im2col] holds
+   window p of input row i, and row (i, p) of [by_window] holds the output
+   channels of that window *)
+let im2col (g : Ml.Nn.win) (x : F.t) =
+  let pl = max 0 g.out_len in
+  F.init (x.F.n * pl) (g.c_in * g.kernel) (fun r col ->
+      F.get x (r / pl)
+        (((col / g.kernel) * g.len) + (r mod pl * g.stride) + (col mod g.kernel)))
+
+let by_window (g : Ml.Nn.win) (d : F.t) =
+  let pl = max 0 g.out_len in
+  F.init (d.F.n * pl) g.c_out (fun r o -> F.get d (r / pl) ((o * pl) + (r mod pl)))
+
+(* The forward kernel against a per-sample loop: each output cell starts
+   from its bias and adds its window's nonzero inputs in ascending
+   order. *)
+let win_forward_matches_loop ((g : Ml.Nn.win), x, _) =
+  let pl = max 0 g.out_len in
   let expected =
-    F.init n p (fun i j ->
-        let acc = ref bias.(j) in
-        for l = 0 to k - 1 do
-          acc := !acc +. (F.get a i l *. F.get b l j)
+    F.init x.F.n (g.c_out * max 1 g.out_len) (fun i c ->
+        if pl = 0 then 0.0
+        else
+          let o = c / pl and p = c mod pl in
+          let acc = ref g.b.(o) in
+          for ci = 0 to g.c_in - 1 do
+            for k = 0 to g.kernel - 1 do
+              let v = F.get x i ((ci * g.len) + (p * g.stride) + k) in
+              if v <> 0.0 then
+                acc := !acc +. (v *. F.get g.w o ((ci * g.kernel) + k))
+            done
+          done;
+          !acc)
+  in
+  same_bits (Ml.Nn.win_forward g x).F.data expected.F.data
+
+(* Each window kernel against [Fmat.matmul_naive] of the explicit im2col
+   and transposes: the forward (zero bias) is im2col(x) * wᵀ, the weight
+   gradient dᵀ * im2col(x) (the bias gradient dᵀ's row sums), and the
+   input gradient d * w scattered back window by window. *)
+let win_kernels_match_naive ((g : Ml.Nn.win), x, d) =
+  let pl = max 0 g.out_len in
+  let im = im2col g x and dw = by_window g d in
+  let fwd = Ml.Nn.win_forward { g with b = Array.make g.c_out 0.0 } x in
+  let fwd_ok =
+    if pl = 0 then same_bits fwd.F.data (Array.make (x.F.n * g.c_out) 0.0)
+    else
+      same_bits (by_window g fwd).F.data
+        (F.matmul_naive im (F.transpose g.w)).F.data
+  in
+  let gw, gb = Ml.Nn.win_grads g x d in
+  let gb_naive =
+    Array.init g.c_out (fun o ->
+        let acc = ref 0.0 in
+        for r = 0 to dw.F.n - 1 do
+          acc := !acc +. F.get dw r o
         done;
         !acc)
   in
-  c.F.data = expected.F.data
+  let din = Ml.Nn.win_backward g d ~in_w:x.F.d in
+  let dim = F.matmul_naive dw g.w in
+  let din_naive = F.create x.F.n x.F.d in
+  for r = 0 to dim.F.n - 1 do
+    for c = 0 to dim.F.d - 1 do
+      let j = ((c / g.kernel) * g.len) + (r mod pl * g.stride) + (c mod g.kernel) in
+      F.set din_naive (r / pl) j (F.get din_naive (r / pl) j +. F.get dim r c)
+    done
+  done;
+  fwd_ok
+  && same_bits gw.F.data (F.matmul_naive (F.transpose dw) im).F.data
+  && same_bits gb gb_naive
+  && same_bits din.F.data din_naive.F.data
+
+(* Svm.train against the frozen Pegasos loop: byte-identical snapshots in
+   memory (one block) and in blocks of a few rows *)
+let svm_vs_reference (n_classes, xs, ys, _, seed) =
+  let src = Ml.Fblock.Mem (F.of_rows xs) in
+  let snap m = Ml.Model.save (Ml.Model.S_svm m) in
+  List.for_all
+    (fun block_rows ->
+      snap (Ml.Svm.train ?block_rows (Rng.make seed) ~n_classes src ys)
+      = snap
+          (Ml.Reference.Svm.train ?block_rows (Rng.make seed) ~n_classes src
+             ys))
+    [ None; Some (1 + (seed mod 7)) ]
 
 let gen_fmat (rng : Rng.t) =
   let n = 1 + Rng.int rng 30 and d = 1 + Rng.int rng 8 in
@@ -144,8 +279,12 @@ let kernels =
       gen_gauss_dataset knn_vs_reference;
     Prop.make ~name:"kernels/matmul-tiled-vs-naive" ~show:show_matmul
       gen_matmul matmul_bit_identical;
-    Prop.make ~name:"kernels/matmul-bias-vs-loop" ~show:show_matmul gen_matmul
-      matmul_bias_matches;
+    Prop.make ~name:"kernels/win-forward-vs-loop" ~show:show_win gen_win
+      win_forward_matches_loop;
+    Prop.make ~name:"kernels/win-kernels-vs-naive" ~show:show_win gen_win
+      win_kernels_match_naive;
+    Prop.make ~name:"kernels/svm-vs-reference" ~show:show_dataset gen_dataset
+      svm_vs_reference;
     Prop.make ~name:"kernels/fmat-layout-laws"
       ~show:(fun rows -> Printf.sprintf "fmat %d rows" (Array.length rows))
       gen_fmat fmat_layout_laws;

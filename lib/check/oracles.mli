@@ -4,8 +4,11 @@
     The families:
     - {!kernels}: the rewritten numeric kernels against the frozen
       pre-rewrite implementations in {!Yali_ml.Reference} (decision tree,
-      forest, k-NN), tiled vs naive matmul bit-identity, and Fmat layout
-      laws;
+      forest, k-NN, svm snapshots byte for byte), tiled vs naive matmul
+      bit-identity and the neural window kernels against a per-sample
+      loop and against [Fmat.matmul_naive] of an explicit im2col (zeros,
+      [-0.0] and non-finite cells planted in the operands, bits compared),
+      and Fmat layout laws;
     - {!metrics}: axioms of {!Yali_ml.Metrics} — bounds, confusion-matrix
       row sums, and division-by-zero guards (every statistic is a defined
       finite number, never [nan], on degenerate inputs);

@@ -50,6 +50,12 @@ let check_blocks ~known_funcs (f : Func.t) : error list =
               err b.label "branch to unknown block %s" s)
           (Block.successors b))
       f.blocks;
+  (* 1b. nothing branches to the entry block (LLVM's rule): dominance
+     frontiers take the entry to have no predecessors *)
+  List.iter
+    (fun p ->
+      err (Cfg.label g p) "branch to the entry block %s" (Cfg.label g g.entry))
+    (List.sort_uniq compare g.pred.(g.entry));
   (* 2. definitions are unique; [def_block] keeps each id's first defining
      block *)
   let n, slot = slots f in

@@ -4,8 +4,9 @@
     convolution, max pooling, a second 1-D convolution, dense + dropout,
     dense classifier — consumes the flat vector directly.
 
-    Training is minibatch SGD through the batched {!Nn.train_batch} kernel
-    (im2col convolutions, cache-tiled matmuls, sharded gradient workers) —
+    Training is minibatch SGD through the batched {!Nn.train_batch} step
+    (window kernels over the activations in place, sharded gradient
+    workers) —
     bit-identical at any [--jobs] and to the frozen naive trainer in
     [Reference.Cnn].  {!train} consumes an {!Fblock} source, in memory or
     on disk.

@@ -3,7 +3,9 @@
     + dropout, dense classifier.  On inputs too narrow for the convolutional
     front end, only the dense tail is used.
 
-    Trained by minibatch SGD through the batched {!Nn.train_batch} kernel —
+    Trained by minibatch SGD through the batched {!Nn.train_batch} step,
+    whose window kernels read each convolution's windows and each dense
+    layer's rows in place (no im2col, no transposed weights) —
     bit-identical at any [--jobs] and to the frozen naive trainer in
     [Reference.Cnn] (the ml/nn-kernel-vs-reference oracle).
 

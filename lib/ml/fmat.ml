@@ -132,7 +132,9 @@ let matmul_naive (a : t) (b : t) : t =
 (* Cache-tiled matmul.  Blocks of [b] (tile x tile, ~32 KB) stay resident
    while every row of [a] sweeps over them, so [b] is streamed from memory
    once per j-tile instead of once per row of [a].  Within a k-tile the
-   nonzero [a (i, k)] entries are gathered once per row, and the j loop
+   nonzero [a (i, k)] entries are gathered once per row (without a branch:
+   each entry is written to the next free slot, which only a nonzero one
+   claims — ReLU activations would make a branch a coin flip), and the j loop
    then accumulates each output cell in a register across the whole tile
    instead of loading and storing [c] once per (k, j) pair.  For any output
    cell (i, j) the products still accumulate in ascending [k] order — the
@@ -158,11 +160,9 @@ let matmul_into (c : t) (a : t) (b : t) : unit =
         let cnt = ref 0 in
         for k = !kk to khi - 1 do
           let aik = Array.unsafe_get a.data (abase + k) in
-          if aik <> 0.0 then begin
-            Array.unsafe_set av !cnt aik;
-            Array.unsafe_set bb !cnt (k * p);
-            incr cnt
-          end
+          Array.unsafe_set av !cnt aik;
+          Array.unsafe_set bb !cnt (k * p);
+          cnt := !cnt + Bool.to_int (aik <> 0.0)
         done;
         let cnt = !cnt in
         if cnt > 0 then begin
@@ -242,21 +242,6 @@ let matmul_into (c : t) (a : t) (b : t) : unit =
 let matmul (a : t) (b : t) : t =
   if a.d <> b.n then invalid_arg "Fmat.matmul: dimension mismatch";
   let c = create a.n b.d in
-  matmul_into c a b;
-  c
-
-(** [matmul_bias ~bias a b] is [a * b] with row [i] of the result seeded
-    from [bias] before accumulation — the summation order of a per-sample
-    [bias.(j) + Σ_k a_ik b_kj] loop, which batched logits need to stay
-    bit-identical to their per-sample counterparts. *)
-let matmul_bias ~(bias : float array) (a : t) (b : t) : t =
-  if a.d <> b.n then invalid_arg "Fmat.matmul_bias: dimension mismatch";
-  if Array.length bias <> b.d then
-    invalid_arg "Fmat.matmul_bias: bias width mismatch";
-  let c = create_uninit a.n b.d in
-  for i = 0 to a.n - 1 do
-    Array.blit bias 0 c.data (i * b.d) b.d
-  done;
   matmul_into c a b;
   c
 

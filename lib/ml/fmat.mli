@@ -83,12 +83,6 @@ val matmul : t -> t -> t
     kernel benchmarks).  @raise Invalid_argument on dimension mismatch *)
 val matmul_naive : t -> t -> t
 
-(** [matmul_bias ~bias a b]: like {!matmul} but row [i] of the result is
-    seeded from [bias] before accumulating, matching the summation order of
-    a per-sample [bias.(j) + Σ_k a_ik b_kj] loop.
-    @raise Invalid_argument on dimension mismatch *)
-val matmul_bias : bias:float array -> t -> t -> t
-
 val transpose : t -> t
 val map : (float -> float) -> t -> t
 

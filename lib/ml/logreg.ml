@@ -1,10 +1,11 @@
 (** Multinomial logistic regression (softmax), trained with mini-batch
     gradient descent and L2 regularisation — SciKit's [lr] counterpart.
 
-    Training walks flat offsets into the {!Fmat} training matrix; the float
-    expressions and their evaluation order are those of the classic
+    Training walks flat offsets into the {!Fmat} training matrix; each
+    weight's float expressions and their order are those of the classic
     row-array implementation, so the fitted model is bit-identical to it
-    (test/test_fmat.ml checks this against {!Reference.Logreg}). *)
+    (test/test_fmat.ml and `bench kernels` check this against
+    {!Reference.Logreg}). *)
 
 module Rng = Yali_util.Rng
 
@@ -27,6 +28,56 @@ let logits_into (w : Fmat.t) (bias : float array) (xd : float array)
   Array.blit bias 0 z 0 (Array.length bias);
   Fmat.mv_into w xd ~off:xbase z
 
+(* The minibatch gradient Eᵀ·X from the errors [et] (class-major: the
+   error of class c on the batch's k-th sample at c*bs + k) and the
+   samples' row offsets [xo] into [xd]: gw(c, j) starts from 0.0 and adds
+   e(c, k) * x(k, j) for every sample k in ascending order, with no skip;
+   gb(c) adds every e(c, k) in the same order.  Four features side by side
+   are four independent chains. *)
+let gradient ~(bs : int) (et : float array) (xo : int array)
+    (xd : float array) (gw : Fmat.t) (gb : float array) : unit =
+  let d = gw.Fmat.d and gd = gw.Fmat.data in
+  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+  for c = 0 to gw.Fmat.n - 1 do
+    let eb = c * bs and gbase = c * d in
+    acc0 := 0.0;
+    for k = 0 to bs - 1 do
+      acc0 := !acc0 +. Array.unsafe_get et (eb + k)
+    done;
+    gb.(c) <- !acc0;
+    let j = ref 0 in
+    while !j + 3 < d do
+      let j0 = !j in
+      acc0 := 0.0;
+      acc1 := 0.0;
+      acc2 := 0.0;
+      acc3 := 0.0;
+      for k = 0 to bs - 1 do
+        let e = Array.unsafe_get et (eb + k)
+        and xb = Array.unsafe_get xo k + j0 in
+        acc0 := !acc0 +. (e *. Array.unsafe_get xd xb);
+        acc1 := !acc1 +. (e *. Array.unsafe_get xd (xb + 1));
+        acc2 := !acc2 +. (e *. Array.unsafe_get xd (xb + 2));
+        acc3 := !acc3 +. (e *. Array.unsafe_get xd (xb + 3))
+      done;
+      Array.unsafe_set gd (gbase + j0) !acc0;
+      Array.unsafe_set gd (gbase + j0 + 1) !acc1;
+      Array.unsafe_set gd (gbase + j0 + 2) !acc2;
+      Array.unsafe_set gd (gbase + j0 + 3) !acc3;
+      j := j0 + 4
+    done;
+    for j = !j to d - 1 do
+      acc0 := 0.0;
+      for k = 0 to bs - 1 do
+        acc0 :=
+          !acc0
+          +. Array.unsafe_get et (eb + k)
+             *. Array.unsafe_get xd (Array.unsafe_get xo k + j)
+      done;
+      Array.unsafe_set gd (gbase + j) !acc0
+    done
+  done
+
 (** Minibatch SGD over blocks (DESIGN.md §12).  Each epoch walks the blocks
     in order, shuffling {e within} each block with a persistent-order
     Fisher–Yates; minibatches never cross a block boundary.  A source that
@@ -34,7 +85,8 @@ let logits_into (w : Fmat.t) (bias : float array) (xd : float array)
     once and shuffled as one global order, so training in memory and from
     a one-block feature file fit bit-identical models (the
     [corpus/stream-train-bit-identical] oracle holds {!Model.save} blobs
-    equal). *)
+    equal).  A minibatch first computes every sample's errors against the
+    weights it starts from, then its gradient in one {!gradient} pass. *)
 let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let d = Fblock.dim src in
@@ -42,6 +94,8 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   let bias = Array.make n_classes 0.0 in
   (* the step's buffers, reused by every minibatch *)
   let p = Array.make n_classes 0.0 in
+  let et = Array.make (n_classes * params.batch) 0.0 in
+  let xo = Array.make params.batch 0 in
   let gw = Fmat.create n_classes d and gb = Array.make n_classes 0.0 in
   let gd = gw.Fmat.data in
   let scaler =
@@ -53,28 +107,22 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
         let b = ref 0 in
         while !b < bn do
           let hi = min bn (!b + params.batch) in
-          Array.fill gd 0 (Array.length gd) 0.0;
-          Array.fill gb 0 n_classes 0.0;
-          for k = !b to hi - 1 do
-            let i = order.(k) in
+          let bs = hi - !b in
+          for k = 0 to bs - 1 do
+            let i = order.(!b + k) in
             let xbase = i * d in
+            xo.(k) <- xbase;
             logits_into w bias xd xbase p;
             Nn.softmax_inplace p;
             (* the error; [p -. 0.0] is [p] *)
             let y = ys.(lo + i) in
             p.(y) <- p.(y) -. 1.0;
             for c = 0 to n_classes - 1 do
-              let err = p.(c) in
-              gb.(c) <- gb.(c) +. err;
-              let gbase = c * d in
-              for j = 0 to d - 1 do
-                Array.unsafe_set gd (gbase + j)
-                  (Array.unsafe_get gd (gbase + j)
-                  +. (err *. Array.unsafe_get xd (xbase + j)))
-              done
+              et.((c * bs) + k) <- p.(c)
             done
           done;
-          let bs = float_of_int (hi - !b) in
+          gradient ~bs et xo xd gw gb;
+          let bs = float_of_int bs in
           let wd = w.Fmat.data in
           for c = 0 to n_classes - 1 do
             bias.(c) <- bias.(c) -. (lr *. gb.(c) /. bs);

@@ -3,16 +3,19 @@
     layers, plus a softmax/cross-entropy head.  Shared by the MLP, CNN and
     DGCNN models.
 
-    One training path: the batched {!train_batch} minibatch kernel, with
-    whole-batch forward and backward as cache-tiled matmuls (im2col
-    lowering for the 1-D convolutions), gradients accumulated in fixed row
-    shards over {!Yali_exec.Pool} and merged in a fixed pairwise tree
-    order, so the result is bit-identical at any [--jobs].  The frozen
-    naive counterpart lives in [Reference.Nnb]; `bench nn` proves the
-    speedup and the bit-identity.  Layers hold parameters only, and
-    {!logits} — the one inference path — reads a network without writing
-    to it.  The MLP's per-sample step is its own, in [Mlp], over
-    {!view}. *)
+    One training path: the batched {!train_batch} minibatch kernel.  Its
+    forward and backward passes are three window kernels — forward with
+    bias, weight gradient, input gradient — that read the activations in
+    place: a convolution walks each output position's window of the
+    channel-major input, and a dense layer is the same kernel with one
+    window of width d_in (no im2col, no transposed weights).  Gradients
+    are accumulated in fixed row shards over {!Yali_exec.Pool} and merged
+    in a fixed pairwise tree order, so the result is bit-identical at any
+    [--jobs].  The frozen naive counterpart lives in [Reference.Nnb];
+    `bench nn` proves the speedup and the bit-identity.  Layers hold
+    parameters only, and {!logits} — the one inference path — reads a
+    network without writing to it.  The MLP's per-sample step is its own,
+    in [Mlp], over {!view}. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
@@ -188,12 +191,12 @@ let softmax (z : float array) : float array =
 
 (* Bit-identity contract with [Reference.Nnb]: both sides implement the SAME
    minibatch algorithm; every floating-point accumulation below is specified
-   per output cell as an ascending-index chain so the naive per-sample loops
-   of the reference produce the same bits as the tiled matmuls here
-   (Fmat.matmul is bit-identical to Fmat.matmul_naive, including the
-   zero-skip on elements of the left operand).  Do not reorder loops or
-   change skip conditions without updating Reference.Nnb in lockstep —
-   the ml/nn-kernel-vs-reference oracle pins the pairing. *)
+   per output cell as a chain from a fixed start value over ascending
+   indices, skipping exactly the terms whose left factor is 0.0 (or -0.0),
+   so the naive per-sample loops of the reference produce the same bits as
+   the register-blocked kernels here.  Do not reorder loops or change skip
+   conditions without updating Reference.Nnb in lockstep — the
+   ml/nn-kernel-vs-reference oracle pins the pairing. *)
 
 (** Rows per gradient shard.  Shard boundaries depend only on the batch
     size — never on [--jobs] — and shards are merged in a fixed pairwise
@@ -222,133 +225,331 @@ let shape_widths (net : t) ~(d_in : int) : int array =
     net.layers;
   widths
 
-type grad =
-  | G_none
-  | G_dense of Fmat.t * float array
-  | G_conv of Fmat.t * float array
+(* A parameterised layer as windows over its channel-major input rows
+   (see the interface): window [p] reads x.(ci*len + p*stride + k) as
+   weight column ci*kernel + k and feeds output cell o*out_len + p. *)
+type win = {
+  c_in : int;
+  len : int;
+  kernel : int;
+  stride : int;
+  out_len : int;
+  c_out : int;
+  w : Fmat.t;
+  b : float array;
+}
+
+let win_of (l : layer) ~(in_w : int) : win option =
+  match l with
+  | Dense d ->
+      Some
+        {
+          c_in = 1;
+          len = in_w;
+          kernel = in_w;
+          stride = 1;
+          out_len = 1;
+          c_out = d.w.Fmat.n;
+          w = d.w;
+          b = d.b;
+        }
+  | Conv1d c ->
+      let len = in_w / c.c_in in
+      Some
+        {
+          c_in = c.c_in;
+          len;
+          kernel = c.kernel;
+          stride = c.stride;
+          out_len = conv_out_len c len;
+          c_out = c.c_out;
+          w = c.filters;
+          b = c.cbias;
+        }
+  | Relu | Dropout _ | MaxPool _ -> None
+
+(* the input offset of each weight column within a window *)
+let col_offsets (g : win) : int array =
+  Array.init (g.c_in * g.kernel) (fun col ->
+      ((col / g.kernel) * g.len) + (col mod g.kernel))
+
+(* The gathers below keep the nonzero left operands of a chain without a
+   branch: every candidate is written to slot [cnt], and [cnt] moves on
+   only when it is nonzero (a compare, not a jump — ReLU outputs make the
+   branch a coin flip).  The predicate is [v <> 0.0], as in
+   {!Fmat.matmul_naive}: 0.0 and -0.0 are skipped, NaN and the infinities
+   kept. *)
+
+(* Forward with bias: out(i, o*out_len + p) starts from b(o) and adds
+   x * w(o, col) over window p's nonzero inputs in ascending column order;
+   four output channels side by side are four independent chains. *)
+let win_forward (g : win) (x : Fmat.t) : Fmat.t =
+  let rows = x.Fmat.n and in_w = x.Fmat.d in
+  let cols = g.c_in * g.kernel and pl = g.out_len and c_out = g.c_out in
+  let out_w = c_out * max 1 pl in
+  let out =
+    if pl > 0 then Fmat.create_uninit rows out_w else Fmat.create rows out_w
+  in
+  let xd = x.Fmat.data and od = out.Fmat.data and wd = g.w.Fmat.data in
+  let av = Array.make cols 0.0 and ac = Array.make cols 0 in
+  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+  for i = 0 to rows - 1 do
+    for p = 0 to pl - 1 do
+      let cnt = ref 0 in
+      for ci = 0 to g.c_in - 1 do
+        let xb = (i * in_w) + (ci * g.len) + (p * g.stride) in
+        for k = 0 to g.kernel - 1 do
+          let v = Array.unsafe_get xd (xb + k) in
+          Array.unsafe_set av !cnt v;
+          Array.unsafe_set ac !cnt ((ci * g.kernel) + k);
+          cnt := !cnt + Bool.to_int (v <> 0.0)
+        done
+      done;
+      let cnt = !cnt and ob = (i * out_w) + p in
+      let o = ref 0 in
+      while !o + 3 < c_out do
+        let w0 = !o * cols in
+        let w1 = w0 + cols in
+        let w2 = w1 + cols in
+        let w3 = w2 + cols in
+        acc0 := Array.unsafe_get g.b !o;
+        acc1 := Array.unsafe_get g.b (!o + 1);
+        acc2 := Array.unsafe_get g.b (!o + 2);
+        acc3 := Array.unsafe_get g.b (!o + 3);
+        for t = 0 to cnt - 1 do
+          let a = Array.unsafe_get av t and c = Array.unsafe_get ac t in
+          acc0 := !acc0 +. (a *. Array.unsafe_get wd (w0 + c));
+          acc1 := !acc1 +. (a *. Array.unsafe_get wd (w1 + c));
+          acc2 := !acc2 +. (a *. Array.unsafe_get wd (w2 + c));
+          acc3 := !acc3 +. (a *. Array.unsafe_get wd (w3 + c))
+        done;
+        let oc = ob + (!o * pl) in
+        Array.unsafe_set od oc !acc0;
+        Array.unsafe_set od (oc + pl) !acc1;
+        Array.unsafe_set od (oc + (2 * pl)) !acc2;
+        Array.unsafe_set od (oc + (3 * pl)) !acc3;
+        o := !o + 4
+      done;
+      for o = !o to c_out - 1 do
+        let w0 = o * cols in
+        acc0 := Array.unsafe_get g.b o;
+        for t = 0 to cnt - 1 do
+          acc0 :=
+            !acc0
+            +. Array.unsafe_get av t
+               *. Array.unsafe_get wd (w0 + Array.unsafe_get ac t)
+        done;
+        Array.unsafe_set od (ob + (o * pl)) !acc0
+      done
+    done
+  done;
+  out
+
+(* Weight and bias gradients from the layer input [x] and dL/d(out) [d]:
+   gw(o, col) starts from 0.0 and adds d * x over the windows (i, p) in
+   ascending order whose d(i, o*out_len + p) is nonzero; gb(o) adds every
+   d of channel o in the same order. *)
+let win_grads (g : win) (x : Fmat.t) (d : Fmat.t) : Fmat.t * float array =
+  let rows = x.Fmat.n and in_w = x.Fmat.d and out_w = d.Fmat.d in
+  let cols = g.c_in * g.kernel and pl = max 0 g.out_len in
+  let gw = Fmat.create_uninit g.c_out cols and gb = Array.make g.c_out 0.0 in
+  let xd = x.Fmat.data and dd = d.Fmat.data and gd = gw.Fmat.data in
+  let coff = col_offsets g in
+  let dv = Array.make (rows * pl) 0.0 and xo = Array.make (rows * pl) 0 in
+  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+  for o = 0 to g.c_out - 1 do
+    let cnt = ref 0 and sum = ref 0.0 in
+    for i = 0 to rows - 1 do
+      let db = (i * out_w) + (o * pl) in
+      for p = 0 to pl - 1 do
+        let v = Array.unsafe_get dd (db + p) in
+        sum := !sum +. v;
+        Array.unsafe_set dv !cnt v;
+        Array.unsafe_set xo !cnt ((i * in_w) + (p * g.stride));
+        cnt := !cnt + Bool.to_int (v <> 0.0)
+      done
+    done;
+    gb.(o) <- !sum;
+    let cnt = !cnt and gbase = o * cols in
+    let col = ref 0 in
+    while !col + 3 < cols do
+      let c0 = Array.unsafe_get coff !col
+      and c1 = Array.unsafe_get coff (!col + 1)
+      and c2 = Array.unsafe_get coff (!col + 2)
+      and c3 = Array.unsafe_get coff (!col + 3) in
+      acc0 := 0.0;
+      acc1 := 0.0;
+      acc2 := 0.0;
+      acc3 := 0.0;
+      for t = 0 to cnt - 1 do
+        let a = Array.unsafe_get dv t and xb = Array.unsafe_get xo t in
+        acc0 := !acc0 +. (a *. Array.unsafe_get xd (xb + c0));
+        acc1 := !acc1 +. (a *. Array.unsafe_get xd (xb + c1));
+        acc2 := !acc2 +. (a *. Array.unsafe_get xd (xb + c2));
+        acc3 := !acc3 +. (a *. Array.unsafe_get xd (xb + c3))
+      done;
+      let gc = gbase + !col in
+      Array.unsafe_set gd gc !acc0;
+      Array.unsafe_set gd (gc + 1) !acc1;
+      Array.unsafe_set gd (gc + 2) !acc2;
+      Array.unsafe_set gd (gc + 3) !acc3;
+      col := !col + 4
+    done;
+    for col = !col to cols - 1 do
+      let c0 = Array.unsafe_get coff col in
+      acc0 := 0.0;
+      for t = 0 to cnt - 1 do
+        acc0 :=
+          !acc0
+          +. Array.unsafe_get dv t
+             *. Array.unsafe_get xd (Array.unsafe_get xo t + c0)
+      done;
+      Array.unsafe_set gd (gbase + col) !acc0
+    done
+  done;
+  (gw, gb)
+
+(* [a.(i) <- a.(i) +. v] with the cell as the first operand: x86 keeps the
+   first operand's NaN when both are NaN, and ocamlopt would make [v] the
+   first one if the cell were read inside the addition (a load there
+   becomes the memory operand) *)
+let add_into (a : float array) (i : int) (v : float) : unit =
+  let cur = Array.unsafe_get a i in
+  Array.unsafe_set a i (cur +. v)
+
+(* Input gradient: for each window p in ascending order, column col's sum
+   over the nonzero d(i, o*out_len + p) of d * w(o, col), from 0.0 in
+   ascending o, is added to dx(i, ci*len + p*stride + k) (which starts at
+   0.0).  Four columns side by side are four independent chains. *)
+let win_backward (g : win) (d : Fmat.t) ~(in_w : int) : Fmat.t =
+  let rows = d.Fmat.n and out_w = d.Fmat.d in
+  let cols = g.c_in * g.kernel and pl = g.out_len and c_out = g.c_out in
+  let din = Fmat.create rows in_w in
+  let dd = d.Fmat.data and wd = g.w.Fmat.data and xd = din.Fmat.data in
+  let coff = col_offsets g in
+  let dv = Array.make c_out 0.0 and wo = Array.make c_out 0 in
+  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
+  for i = 0 to rows - 1 do
+    for p = 0 to pl - 1 do
+      let cnt = ref 0 and db = (i * out_w) + p in
+      for o = 0 to c_out - 1 do
+        let v = Array.unsafe_get dd (db + (o * pl)) in
+        Array.unsafe_set dv !cnt v;
+        Array.unsafe_set wo !cnt (o * cols);
+        cnt := !cnt + Bool.to_int (v <> 0.0)
+      done;
+      let cnt = !cnt and xb = (i * in_w) + (p * g.stride) in
+      let col = ref 0 in
+      while !col + 3 < cols do
+        let c = !col in
+        acc0 := 0.0;
+        acc1 := 0.0;
+        acc2 := 0.0;
+        acc3 := 0.0;
+        for t = 0 to cnt - 1 do
+          let a = Array.unsafe_get dv t and wb = Array.unsafe_get wo t + c in
+          acc0 := !acc0 +. (a *. Array.unsafe_get wd wb);
+          acc1 := !acc1 +. (a *. Array.unsafe_get wd (wb + 1));
+          acc2 := !acc2 +. (a *. Array.unsafe_get wd (wb + 2));
+          acc3 := !acc3 +. (a *. Array.unsafe_get wd (wb + 3))
+        done;
+        add_into xd (xb + Array.unsafe_get coff c) !acc0;
+        add_into xd (xb + Array.unsafe_get coff (c + 1)) !acc1;
+        add_into xd (xb + Array.unsafe_get coff (c + 2)) !acc2;
+        add_into xd (xb + Array.unsafe_get coff (c + 3)) !acc3;
+        col := c + 4
+      done;
+      for c = !col to cols - 1 do
+        acc0 := 0.0;
+        for t = 0 to cnt - 1 do
+          acc0 :=
+            !acc0
+            +. Array.unsafe_get dv t
+               *. Array.unsafe_get wd (Array.unsafe_get wo t + c)
+        done;
+        add_into xd (xb + Array.unsafe_get coff c) !acc0
+      done
+    done
+  done;
+  din
+
+type grad = G_none | G_par of Fmat.t * float array
 
 type bscratch =
   | S_nothing
-  | S_input of Fmat.t  (** dense / relu input *)
-  | S_conv of { im : Fmat.t; in_w : int; out_len : int }
+  | S_input of Fmat.t  (** relu output *)
+  | S_win of win * Fmat.t  (** dense / conv: its windows and its input *)
   | S_pool of { argmax : int array; in_w : int; out_w : int }
 
 (* One gradient shard: forward its rows, softmax/cross-entropy, backward,
-   returning the shard-local parameter gradients.  [wts.(li)] is the
-   transpose of layer [li]'s weights or filters, read-only here.  [losses]
-   and [dx] rows are disjoint per shard (safe under the pool). *)
-let run_shard (net : t) ~(need_dx : bool) ~(wts : Fmat.t option array)
-    ~(masks : Fmat.t option array) ~(row0 : int) ~(xm : Fmat.t)
-    ~(yb : int array) ~(losses : float array) ~(dx : Fmat.t) : grad array =
-  let nl = List.length net.layers in
+   returning the shard-local parameter gradients.  [losses] and [dx] rows
+   are disjoint per shard (safe under the pool). *)
+let run_shard (net : t) ~(need_dx : bool) ~(masks : Fmat.t option array)
+    ~(row0 : int) ~(xm : Fmat.t) ~(yb : int array) ~(losses : float array)
+    ~(dx : Fmat.t) : grad array =
+  let layers = Array.of_list net.layers in
+  let nl = Array.length layers in
   let scratch = Array.make nl S_nothing in
   let rows = xm.Fmat.n in
   let a = ref xm in
-  List.iteri
-    (fun li l ->
-      let x = !a in
-      match l with
-      | Dense d ->
-          scratch.(li) <- S_input x;
-          a := Fmat.matmul_bias ~bias:d.b x (Option.get wts.(li))
-      | Relu ->
-          (* rectify in place: only non-positive cells need a store, and the
-             backward pass can read the sign off the post-activation values
-             (relu v > 0 iff v > 0, NaN included).  The previous layer's
-             output is dead once rectified; only the shard input [xm] must
-             never be mutated. *)
-          let out = if x == xm then Fmat.copy x else x in
-          for t = 0 to (rows * out.Fmat.d) - 1 do
-            if not (Array.unsafe_get out.Fmat.data t > 0.0) then
-              Array.unsafe_set out.Fmat.data t 0.0
-          done;
-          scratch.(li) <- S_input out;
-          a := out
-      | Dropout _ ->
-          let mask = Option.get masks.(li) in
-          let w = x.Fmat.d in
-          let out = Fmat.create_uninit rows w in
-          for i = 0 to rows - 1 do
-            let xb = i * w and mb = (row0 + i) * w in
-            for j = 0 to w - 1 do
-              Array.unsafe_set out.Fmat.data (xb + j)
-                (Array.unsafe_get x.Fmat.data (xb + j)
-                *. Array.unsafe_get mask.Fmat.data (mb + j))
-            done
-          done;
-          a := out
-      | Conv1d c ->
-          let in_w = x.Fmat.d in
-          let in_len = in_w / c.c_in in
-          let out_len = conv_out_len c in_len in
-          if out_len <= 0 then begin
-            scratch.(li) <- S_conv { im = Fmat.create 0 0; in_w; out_len };
-            a := Fmat.create rows c.c_out
-          end
-          else begin
-            (* im2col: row (i, p) holds the window of sample i at output
-               position p, columns (ci*kernel + k) — contiguous per-channel
-               blits from the channel-major input layout *)
-            let cols = c.c_in * c.kernel in
-            let im = Fmat.create_uninit (rows * out_len) cols in
-            (* windows are [kernel] elements (typically <= 5): an inline
-               copy loop beats an Array.blit call per window *)
-            for i = 0 to rows - 1 do
-              let xbase = i * in_w in
-              for p = 0 to out_len - 1 do
-                let rbase = ((i * out_len) + p) * cols in
-                for ci = 0 to c.c_in - 1 do
-                  let sb = xbase + (ci * in_len) + (p * c.stride) in
-                  let db = rbase + (ci * c.kernel) in
-                  for k = 0 to c.kernel - 1 do
-                    Array.unsafe_set im.Fmat.data (db + k)
-                      (Array.unsafe_get x.Fmat.data (sb + k))
-                  done
-                done
-              done
+  for li = 0 to nl - 1 do
+    let x = !a in
+    match layers.(li) with
+    | (Dense _ | Conv1d _) as l ->
+        let g = Option.get (win_of l ~in_w:x.Fmat.d) in
+        scratch.(li) <- S_win (g, x);
+        a := win_forward g x
+    | Relu ->
+        (* rectify in place: only non-positive cells need a store, and the
+           backward pass can read the sign off the post-activation values
+           (relu v > 0 iff v > 0, NaN included).  The previous layer's
+           output is dead once rectified; only the shard input [xm] must
+           never be mutated. *)
+        let out = if x == xm then Fmat.copy x else x in
+        for t = 0 to (rows * out.Fmat.d) - 1 do
+          if not (Array.unsafe_get out.Fmat.data t > 0.0) then
+            Array.unsafe_set out.Fmat.data t 0.0
+        done;
+        scratch.(li) <- S_input out;
+        a := out
+    | Dropout _ ->
+        let mask = Option.get masks.(li) in
+        let w = x.Fmat.d in
+        let out = Fmat.create_uninit rows w in
+        for i = 0 to rows - 1 do
+          let xb = i * w and mb = (row0 + i) * w in
+          for j = 0 to w - 1 do
+            Array.unsafe_set out.Fmat.data (xb + j)
+              (Array.unsafe_get x.Fmat.data (xb + j)
+              *. Array.unsafe_get mask.Fmat.data (mb + j))
+          done
+        done;
+        a := out
+    | MaxPool mp ->
+        let in_w = x.Fmat.d in
+        let out_w = in_w / mp.size in
+        let amax = Array.make (rows * out_w) 0 in
+        let out = Fmat.create_uninit rows out_w in
+        for i = 0 to rows - 1 do
+          let xb = i * in_w in
+          for wi = 0 to out_w - 1 do
+            let base = wi * mp.size in
+            let best = ref base in
+            for k = 1 to mp.size - 1 do
+              if
+                base + k < in_w
+                && Array.unsafe_get x.Fmat.data (xb + base + k)
+                   > Array.unsafe_get x.Fmat.data (xb + !best)
+              then best := base + k
             done;
-            scratch.(li) <- S_conv { im; in_w; out_len };
-            let col =
-              Fmat.matmul_bias ~bias:c.cbias im (Option.get wts.(li))
-            in
-            let out = Fmat.create_uninit rows (c.c_out * out_len) in
-            for i = 0 to rows - 1 do
-              let ob = i * out.Fmat.d in
-              for p = 0 to out_len - 1 do
-                let cb = ((i * out_len) + p) * c.c_out in
-                for o = 0 to c.c_out - 1 do
-                  Array.unsafe_set out.Fmat.data (ob + (o * out_len) + p)
-                    (Array.unsafe_get col.Fmat.data (cb + o))
-                done
-              done
-            done;
-            a := out
-          end
-      | MaxPool mp ->
-          let in_w = x.Fmat.d in
-          let out_w = in_w / mp.size in
-          let amax = Array.make (rows * out_w) 0 in
-          let out = Fmat.create_uninit rows out_w in
-          for i = 0 to rows - 1 do
-            let xb = i * in_w in
-            for wi = 0 to out_w - 1 do
-              let base = wi * mp.size in
-              let best = ref base in
-              for k = 1 to mp.size - 1 do
-                if
-                  base + k < in_w
-                  && Array.unsafe_get x.Fmat.data (xb + base + k)
-                     > Array.unsafe_get x.Fmat.data (xb + !best)
-                then best := base + k
-              done;
-              Array.unsafe_set amax ((i * out_w) + wi) !best;
-              Array.unsafe_set out.Fmat.data ((i * out_w) + wi)
-                (Array.unsafe_get x.Fmat.data (xb + !best))
-            done
-          done;
-          scratch.(li) <- S_pool { argmax = amax; in_w; out_w };
-          a := out)
-    net.layers;
+            Array.unsafe_set amax ((i * out_w) + wi) !best;
+            Array.unsafe_set out.Fmat.data ((i * out_w) + wi)
+              (Array.unsafe_get x.Fmat.data (xb + !best))
+          done
+        done;
+        scratch.(li) <- S_pool { argmax = amax; in_w; out_w };
+        a := out
+  done;
   (* softmax / cross-entropy head.  Gradients are SUMMED over the batch
      (dlogits = p - onehot per row, no 1/m), so the per-epoch step
      magnitude matches per-example SGD at the same learning rate. *)
@@ -367,25 +568,14 @@ let run_shard (net : t) ~(need_dx : bool) ~(wts : Fmat.t option array)
   done;
   let grads = Array.make nl G_none in
   let dout = ref dlog in
-  let layers = Array.of_list net.layers in
   for li = nl - 1 downto 0 do
     let d_o = !dout in
     match (layers.(li), scratch.(li)) with
-    | Dense d, S_input xin ->
-        let gw = Fmat.matmul (Fmat.transpose d_o) xin in
-        let nc = d_o.Fmat.d in
-        let gb = Array.make nc 0.0 in
-        for r = 0 to rows - 1 do
-          let base = r * nc in
-          for o = 0 to nc - 1 do
-            Array.unsafe_set gb o
-              (Array.unsafe_get gb o
-              +. Array.unsafe_get d_o.Fmat.data (base + o))
-          done
-        done;
-        grads.(li) <- G_dense (gw, gb);
+    | _, S_win (g, xin) ->
+        let gw, gb = win_grads g xin d_o in
+        grads.(li) <- G_par (gw, gb);
         (* the first layer's input gradient only exists for [dx] *)
-        if li > 0 || need_dx then dout := Fmat.matmul d_o d.w
+        if li > 0 || need_dx then dout := win_backward g d_o ~in_w:xin.Fmat.d
     | Relu, S_input xin ->
         (* [xin] holds the post-activation values (forward rectified in
            place); mask the incoming gradient in place — every upstream
@@ -393,8 +583,7 @@ let run_shard (net : t) ~(need_dx : bool) ~(wts : Fmat.t option array)
         for t = 0 to (rows * xin.Fmat.d) - 1 do
           if not (Array.unsafe_get xin.Fmat.data t > 0.0) then
             Array.unsafe_set d_o.Fmat.data t 0.0
-        done;
-        dout := d_o
+        done
     | Dropout _, S_nothing ->
         let mask = Option.get masks.(li) in
         let w = d_o.Fmat.d in
@@ -408,60 +597,6 @@ let run_shard (net : t) ~(need_dx : bool) ~(wts : Fmat.t option array)
           done
         done;
         dout := dn
-    | Conv1d c, S_conv { im; in_w; out_len } ->
-        if out_len <= 0 then begin
-          grads.(li) <-
-            G_conv
-              (Fmat.create c.c_out (c.c_in * c.kernel), Array.make c.c_out 0.0);
-          dout := Fmat.create rows in_w
-        end
-        else begin
-          let cols = c.c_in * c.kernel in
-          (* gather dL/d(out) into im2col row order *)
-          let dcol = Fmat.create_uninit (rows * out_len) c.c_out in
-          for i = 0 to rows - 1 do
-            let db = i * d_o.Fmat.d in
-            for p = 0 to out_len - 1 do
-              let rb = ((i * out_len) + p) * c.c_out in
-              for o = 0 to c.c_out - 1 do
-                Array.unsafe_set dcol.Fmat.data (rb + o)
-                  (Array.unsafe_get d_o.Fmat.data (db + (o * out_len) + p))
-              done
-            done
-          done;
-          let gf = Fmat.matmul (Fmat.transpose dcol) im in
-          let gcb = Array.make c.c_out 0.0 in
-          for r = 0 to (rows * out_len) - 1 do
-            let base = r * c.c_out in
-            for o = 0 to c.c_out - 1 do
-              Array.unsafe_set gcb o
-                (Array.unsafe_get gcb o
-                +. Array.unsafe_get dcol.Fmat.data (base + o))
-            done
-          done;
-          grads.(li) <- G_conv (gf, gcb);
-          if li > 0 || need_dx then begin
-            let dim = Fmat.matmul dcol c.filters in
-            let din = Fmat.create rows in_w in
-            let in_len = in_w / c.c_in in
-            for i = 0 to rows - 1 do
-              let xbase = i * in_w in
-              for p = 0 to out_len - 1 do
-                let rb = ((i * out_len) + p) * cols in
-                for ci = 0 to c.c_in - 1 do
-                  let db = xbase + (ci * in_len) + (p * c.stride) in
-                  let sb = rb + (ci * c.kernel) in
-                  for k = 0 to c.kernel - 1 do
-                    Array.unsafe_set din.Fmat.data (db + k)
-                      (Array.unsafe_get din.Fmat.data (db + k)
-                      +. Array.unsafe_get dim.Fmat.data (sb + k))
-                  done
-                done
-              done
-            done;
-            dout := din
-          end
-        end
     | MaxPool _, S_pool { argmax; in_w; out_w } ->
         let din = Fmat.create rows in_w in
         for i = 0 to rows - 1 do
@@ -492,12 +627,9 @@ let merge_grads (a : grad array) (b : grad array) : unit =
     (fun i g ->
       match (g, b.(i)) with
       | G_none, G_none -> ()
-      | G_dense (gw, gb), G_dense (gw', gb') ->
+      | G_par (gw, gb), G_par (gw', gb') ->
           Fmat.axpy ~a:1.0 gw' gw;
           Array.iteri (fun j v -> gb.(j) <- gb.(j) +. v) gb'
-      | G_conv (gf, gcb), G_conv (gf', gcb') ->
-          Fmat.axpy ~a:1.0 gf' gf;
-          Array.iteri (fun j v -> gcb.(j) <- gcb.(j) +. v) gcb'
       | _ -> assert false)
     a
 
@@ -519,17 +651,12 @@ let apply_grads ~(lr : float) (net : t) (g : grad array) : unit =
   List.iteri
     (fun li l ->
       match (l, g.(li)) with
-      | Dense d, G_dense (gw, gb) ->
-          Array.iteri (fun j v -> d.b.(j) <- d.b.(j) -. (lr *. v)) gb;
-          let wd = d.w.Fmat.data and gwd = gw.Fmat.data in
+      | (Dense { w; b } | Conv1d { filters = w; cbias = b; _ }), G_par (gw, gb)
+        ->
+          Array.iteri (fun j v -> b.(j) <- b.(j) -. (lr *. v)) gb;
+          let wd = w.Fmat.data and gwd = gw.Fmat.data in
           for i = 0 to Array.length wd - 1 do
             wd.(i) <- wd.(i) -. (lr *. gwd.(i))
-          done
-      | Conv1d c, G_conv (gf, gcb) ->
-          Array.iteri (fun j v -> c.cbias.(j) <- c.cbias.(j) -. (lr *. v)) gcb;
-          let fd = c.filters.Fmat.data and gfd = gf.Fmat.data in
-          for i = 0 to Array.length fd - 1 do
-            fd.(i) <- fd.(i) -. (lr *. gfd.(i))
           done
       | _, G_none -> ()
       | _ -> assert false)
@@ -559,17 +686,6 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
              | _ -> None)
            net.layers)
     in
-    (* each weight transposed once per step, before the fan-out: the
-       shards only read them *)
-    let wts =
-      Array.of_list
-        (List.map
-           (function
-             | Dense d -> Some (Fmat.transpose d.w)
-             | Conv1d c -> Some (Fmat.transpose c.filters)
-             | Relu | Dropout _ | MaxPool _ -> None)
-           net.layers)
-    in
     let ns = (m + grad_shard_rows - 1) / grad_shard_rows in
     let losses = Array.make m 0.0 in
     let dx = Fmat.create m xb.Fmat.d in
@@ -586,7 +702,7 @@ let train_batch ?(need_dx = true) ~(lr : float) ~(rng : Rng.t) (net : t)
         in
         let ys = Array.sub yb lo len in
         shard_grads.(s) <-
-          run_shard net ~need_dx ~wts ~masks ~row0:lo ~xm ~yb:ys ~losses ~dx);
+          run_shard net ~need_dx ~masks ~row0:lo ~xm ~yb:ys ~losses ~dx);
     tree_reduce merge_grads shard_grads;
     apply_grads ~lr net shard_grads.(0);
     let total = ref 0.0 in

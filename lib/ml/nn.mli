@@ -7,10 +7,13 @@
     of size [c*l], channel-major.
 
     One training path: the batched minibatch kernel {!train_batch} (used by
-    the CNN and the DGCNN head), which runs whole-batch forward/backward as
-    cache-tiled matmuls with data-parallel gradient shards — bit-identical
-    at any [--jobs], and bit-identical to the frozen naive implementation
-    in [Reference.Nnb] (the ml/nn-kernel-vs-reference oracle).  The MLP
+    the CNN and the DGCNN head), which runs whole-batch forward/backward
+    through three window kernels (forward with bias, weight gradient,
+    input gradient) that read activations in place — a dense layer is a
+    convolution with one window — with data-parallel gradient shards:
+    bit-identical at any [--jobs], and bit-identical to the frozen naive
+    implementation in [Reference.Nnb] (the ml/nn-kernel-vs-reference
+    oracle).  The MLP
     trains with its own per-sample step, writing through {!view}.  Layers
     hold parameters only, so {!logits}, the one inference path, only reads
     the network. *)
@@ -47,19 +50,19 @@ val grad_shard_rows : int
 val tree_reduce : ('a -> 'a -> unit) -> 'a array -> unit
 
 (** [train_batch ~lr ~rng net xb yb] performs ONE minibatch SGD step on the
-    whole batch: forward and backward as cache-tiled matmuls (im2col
-    lowering for 1-D convolutions), cross-entropy gradients {e summed} over
-    the batch (so the per-epoch step magnitude matches per-example SGD at
-    the same learning rate), accumulated in fixed row shards of
-    {!grad_shard_rows} over {!Yali_exec.Pool} and merged in a fixed
-    pairwise tree order — bit-identical at any [--jobs].  Each weight
-    matrix is transposed once per step, before the fan-out.  Dropout masks
-    are drawn from [rng] on the calling domain, layer-major then row-major.
-    Returns the mean loss over the batch and dL/d(input) per row (for
-    models with differentiable layers below the network).  Callers that
-    discard the input gradient pass [~need_dx:false] to skip the first
-    layer's (otherwise unused) backward-to-input work; the returned [dx]
-    is then all zeros.  Weights are bit-identical either way. *)
+    whole batch: forward and backward through the window kernels below
+    (no im2col copy, no transposed weights), cross-entropy gradients
+    {e summed} over the batch (so the per-epoch step magnitude matches
+    per-example SGD at the same learning rate), accumulated in fixed row
+    shards of {!grad_shard_rows} over {!Yali_exec.Pool} and merged in a
+    fixed pairwise tree order — bit-identical at any [--jobs].  Dropout
+    masks are drawn from [rng] on the calling domain, layer-major then
+    row-major.  Returns the mean loss over the batch and dL/d(input) per
+    row (for models with differentiable layers below the network).
+    Callers that discard the input gradient pass [~need_dx:false] to skip
+    the first layer's (otherwise unused) backward-to-input work; the
+    returned [dx] is then all zeros.  Weights are bit-identical either
+    way. *)
 val train_batch :
   ?need_dx:bool ->
   lr:float ->
@@ -68,6 +71,51 @@ val train_batch :
   Fmat.t ->
   int array ->
   float * Fmat.t
+
+(** {2 The window kernels}
+
+    A dense or convolutional layer seen as windows over its channel-major
+    input rows: window [p] reads [x.(ci*len + p*stride + k)] as weight
+    column [ci*kernel + k] (ascending in [ci], then [k]) and feeds output
+    cell [o*out_len + p].  A convolution has one window per output
+    position; a dense layer is one window of width [d_in].  The three
+    kernels of {!train_batch} read their activations in place.  Each skips
+    exactly the terms whose left factor is [0.0] or [-0.0] (the
+    [aik <> 0.0] of {!Fmat.matmul_naive}, so NaN and infinities are
+    kept), gathering the kept ones without a branch. *)
+
+type win = {
+  c_in : int;
+  len : int;  (** input length per channel *)
+  kernel : int;
+  stride : int;
+  out_len : int;  (** windows per row; [<= 0] gives [c_out] zero outputs *)
+  c_out : int;
+  w : Fmat.t;  (** [c_out x (c_in * kernel)], the layer's own storage *)
+  b : float array;
+}
+
+(** The windows of a dense or convolutional layer over inputs of width
+    [in_w]; [None] for the other layers. *)
+val win_of : layer -> in_w:int -> win option
+
+(** Forward with bias: [out(i, o*out_len + p)] starts from [b.(o)] and adds
+    [x * w(o, col)] over window [p]'s nonzero inputs in ascending column
+    order — a per-sample loop's chain, bit for bit. *)
+val win_forward : win -> Fmat.t -> Fmat.t
+
+(** [win_grads g x d]: weight and bias gradients from the layer input [x]
+    and dL/d(output) [d].  [gw(o, col)] starts from [0.0] and adds
+    [d * x(window p)(col)] over the windows [(i, p)] in ascending order
+    whose [d(i, o*out_len + p)] is nonzero; [gb(o)] adds every [d] of
+    channel [o] in the same order. *)
+val win_grads : win -> Fmat.t -> Fmat.t -> Fmat.t * float array
+
+(** [win_backward g d ~in_w]: dL/d(input), [rows x in_w].  Window by
+    window in ascending [p], column [col]'s chain over the nonzero
+    [d(i, o*out_len + p)] of [d * w(o, col)], from [0.0] in ascending [o],
+    is added to the input cell it read (which starts at [0.0]). *)
+val win_backward : win -> Fmat.t -> in_w:int -> Fmat.t
 
 (** Raw output-layer activations of one inference pass (no softmax; dropout
     is the identity) — the network's one inference path.  A class is their

@@ -2,7 +2,8 @@
     rewrite touched: decision trees / random forests with per-node
     sort-and-sweep split finding over [float array array] rows, k-NN with
     the subtract-square-accumulate distance and a full sort, logistic
-    regression over row arrays, and the allocating per-sample mlp step.
+    regression over row arrays, the Pegasos svm loop with its per-class
+    score chain, and the allocating per-sample mlp step.
 
     These exist for two reasons only:
     - differential property tests (test/test_fmat.ml) check that the
@@ -341,6 +342,92 @@ module Logreg = struct
   let predict (t : t) (x : float array) : int =
     let x = Features.transform t.scaler x in
     argmax (logits t.weights t.bias x)
+end
+
+(* The Pegasos loop as it stood before [Svm.train] scored every class of
+   a sample with one [Fmat.mv_into]: each class's margin is its own
+   ascending-feature chain ([score_flat]), read just before that class's
+   update.  The kernels/svm-vs-reference oracle and `bench kernels` hold
+   [Svm.train]'s snapshots to it byte for byte, in memory and in blocks. *)
+module Svm = struct
+  let augment_fmat (x : Fmat.t) : Fmat.t =
+    let n = x.Fmat.n and d = x.Fmat.d in
+    let a = Fmat.create n (d + 1) in
+    for i = 0 to n - 1 do
+      Array.blit x.Fmat.data (i * d) a.Fmat.data (i * (d + 1)) d;
+      a.Fmat.data.((i * (d + 1)) + d) <- 1.0
+    done;
+    a
+
+  let score_flat (w : Fmat.t) (c : int) (xd : float array) (xbase : int)
+      (d : int) : float =
+    let acc = ref 0.0 in
+    let wbase = c * w.Fmat.d in
+    for j = 0 to d - 1 do
+      acc :=
+        !acc
+        +. Array.unsafe_get w.Fmat.data (wbase + j)
+           *. Array.unsafe_get xd (xbase + j)
+    done;
+    !acc
+
+  let train ?(params = Svm.default_params) ?block_rows (rng : Rng.t)
+      ~(n_classes : int) (src : Fblock.source) (ys : int array) : Svm.t =
+    let scaler = Features.fit_stream ?block_rows src in
+    let n = Fblock.rows src in
+    let d = if n = 0 then 1 else Fblock.dim src + 1 in
+    let w = Fmat.create n_classes d in
+    let w_sum = Fmat.create n_classes d in
+    let wd = w.Fmat.data in
+    let t_step = ref 0 in
+    let n_avg = ref 0 in
+    let each_block =
+      Fblock.prepared ?block_rows src (fun block ->
+          Features.transform_fmat_inplace scaler block;
+          augment_fmat block)
+    in
+    for _epoch = 0 to params.Svm.epochs - 1 do
+      each_block (fun _ lo xs ->
+          let bn = xs.Fmat.n in
+          let xd = xs.Fmat.data in
+          for _ = 0 to bn - 1 do
+            let i = Rng.int rng bn in
+            incr t_step;
+            let eta =
+              1.0
+              /. (params.Svm.lambda
+                 *. (float_of_int !t_step +. params.Svm.step_offset))
+            in
+            let xbase = i * d in
+            for c = 0 to n_classes - 1 do
+              let y = if ys.(lo + i) = c then 1.0 else -1.0 in
+              let margin = y *. score_flat w c xd xbase d in
+              let shrink = 1.0 -. (eta *. params.Svm.lambda) in
+              let wbase = c * d in
+              if margin < 1.0 then begin
+                let s = eta *. y in
+                for j = 0 to d - 1 do
+                  Array.unsafe_set wd (wbase + j)
+                    ((Array.unsafe_get wd (wbase + j) *. shrink)
+                    +. (s *. Array.unsafe_get xd (xbase + j)))
+                done
+              end
+              else
+                for j = 0 to d - 1 do
+                  Array.unsafe_set wd (wbase + j)
+                    (Array.unsafe_get wd (wbase + j) *. shrink)
+                done
+            done;
+            if 2 * !t_step > params.Svm.epochs * n then begin
+              incr n_avg;
+              Fmat.axpy ~a:1.0 w w_sum
+            end
+          done)
+    done;
+    let weights =
+      if !n_avg > 0 then Fmat.scale (1.0 /. float_of_int !n_avg) w_sum else w
+    in
+    Svm.of_parts ~scaler ~weights ~n_classes
 end
 
 (* -- frozen naive minibatch trainers (DESIGN.md §15) ------------------------ *)

@@ -86,6 +86,21 @@ module Logreg : sig
   val predict : t -> float array -> int
 end
 
+(** The Pegasos trainer as it stood before {!Svm.train} scored every class
+    of a sample in one matrix-vector pass: each class's margin is its own
+    chain, read just before that class's update.  Same signature, blocks
+    included, and byte-identical {!Model.save} snapshots. *)
+module Svm : sig
+  val train :
+    ?params:Svm.params ->
+    ?block_rows:int ->
+    Yali_util.Rng.t ->
+    n_classes:int ->
+    Fblock.source ->
+    int array ->
+    Svm.t
+end
+
 (** The allocating per-sample mlp trainer that {!Mlp.train} replaced, with
     its own naive matrix-vector, vector-matrix and softmax loops: the same
     initialisation draws, scaler and shuffles on one block, and

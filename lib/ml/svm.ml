@@ -5,7 +5,12 @@
     The bias is folded in as a constant feature; the returned predictor uses
     the *average* of the weight iterates, which stabilises the one-vs-rest
     scores when the number of classes is large (the 104-class grids of the
-    paper's Figures 7–12). *)
+    paper's Figures 7–12).
+
+    Each step scores every class of its sample in one {!Fmat.mv_into}
+    (four independent chains, each class in ascending feature order)
+    before the per-class updates, bit-identical to the frozen loop that
+    read each class's score just before its update ([Reference.Svm]). *)
 
 module Rng = Yali_util.Rng
 
@@ -33,20 +38,6 @@ let augment_fmat (x : Fmat.t) : Fmat.t =
   done;
   a
 
-(* score of row [i] of the augmented flat matrix; the same accumulation
-   order as [Fmat.dot_row_vec], which scores one vector *)
-let score_flat (w : Fmat.t) (c : int) (xd : float array) (xbase : int)
-    (d : int) : float =
-  let acc = ref 0.0 in
-  let wbase = c * w.Fmat.d in
-  for j = 0 to d - 1 do
-    acc :=
-      !acc
-      +. Array.unsafe_get w.Fmat.data (wbase + j)
-         *. Array.unsafe_get xd (xbase + j)
-  done;
-  !acc
-
 (** Pegasos over blocks: per-block uniform draws, with the step counter and
     tail-averaging window global.  A source that is one block — any [Mem]
     source given no [block_rows] — is standardised and augmented once, and
@@ -62,6 +53,7 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   let wd = w.Fmat.data in
   let t_step = ref 0 in
   let n_avg = ref 0 in
+  let scores = Array.make n_classes 0.0 in
   let each_block =
     Fblock.prepared ?block_rows src (fun block ->
         Features.transform_fmat_inplace scaler block;
@@ -79,9 +71,13 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
             /. (params.lambda *. (float_of_int !t_step +. params.step_offset))
           in
           let xbase = i * d in
+          (* every class's score before any update: class c's update
+             touches only row c, which only class c's score reads *)
+          Array.fill scores 0 n_classes 0.0;
+          Fmat.mv_into w xd ~off:xbase scores;
           for c = 0 to n_classes - 1 do
             let y = if ys.(lo + i) = c then 1.0 else -1.0 in
-            let margin = y *. score_flat w c xd xbase d in
+            let margin = y *. scores.(c) in
             let shrink = 1.0 -. (eta *. params.lambda) in
             let wbase = c * d in
             if margin < 1.0 then begin
@@ -108,6 +104,10 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
   let weights =
     if !n_avg > 0 then Fmat.scale (1.0 /. float_of_int !n_avg) w_sum else w
   in
+  { scaler; weights; n_classes }
+
+let of_parts ~(scaler : Features.scaler) ~(weights : Fmat.t) ~(n_classes : int)
+    : t =
   { scaler; weights; n_classes }
 
 let input_dim (t : t) = Features.scaler_dim t.scaler

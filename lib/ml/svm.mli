@@ -18,6 +18,11 @@ val train :
   int array ->
   t
 
+(** Reassembly from parts, for the frozen reference trainer
+    ([Reference.Svm]): a scaler, the [n_classes x (d+1)] weights whose last
+    column is the folded bias, and the class count. *)
+val of_parts : scaler:Features.scaler -> weights:Fmat.t -> n_classes:int -> t
+
 (** Per-class one-vs-rest scores, the model's one scorer
     ({!Model.restore} derives its predictions from them). *)
 val margins : t -> float array -> float array

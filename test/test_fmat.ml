@@ -1,9 +1,10 @@
 (** Tests for the flat numeric-kernel layer (DESIGN.md §8): Fmat layout
-    invariants, tiled-vs-naive matmul bit-identity, the blocked distance
-    identity, and differential properties pinning the rewritten
-    tree/forest/knn/logreg/mlp trainers to the frozen pre-rewrite reference
-    implementations ({!Yali.Ml.Reference}): trees node for node, weights
-    bit for bit. *)
+    invariants, tiled-vs-naive matmul bit-identity, the dense forward
+    kernel against a per-sample loop, the blocked distance identity, and
+    differential properties pinning the rewritten
+    tree/forest/knn/logreg/svm/mlp trainers to the frozen pre-rewrite
+    reference implementations ({!Yali.Ml.Reference}): trees node for node,
+    weights bit for bit. *)
 
 open Helpers
 module Ml = Yali.Ml
@@ -66,6 +67,13 @@ let test_dot_and_norm () =
 
 (* -- matmul ---------------------------------------------------------------- *)
 
+(* bit equality: [=] on float arrays is false on NaN *)
+let same_bits (a : float array) (b : float array) : bool =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
 let test_tiled_matmul_bit_identical =
   qtest ~count:25 "tiled matmul = naive (bitwise)" (fun seed ->
       let rng = Rng.make seed in
@@ -77,25 +85,41 @@ let test_tiled_matmul_bit_identical =
       let b = F.random rng k p ~scale:1.0 in
       (F.matmul a b).data = (F.matmul_naive a b).data)
 
-let test_matmul_bias_matches_loop =
-  qtest ~count:20 "matmul_bias = per-sample loop (bitwise)" (fun seed ->
+(* The forward kernel's law: each output cell of a dense layer starts from
+   its bias and adds its nonzero inputs in ascending order, as a
+   per-sample loop does.  Inputs hold exact 0.0 and -0.0 cells (skipped)
+   and non-finite ones (kept), biases are sometimes -0.0 (which an
+   unskipped zero term would turn into 0.0), and bits are compared. *)
+let test_win_forward_matches_loop =
+  qtest ~count:20 "dense forward = per-sample loop (bitwise)" (fun seed ->
       let rng = Rng.make seed in
       let n = 1 + Rng.int rng 20
       and k = 1 + Rng.int rng 20
       and p = 1 + Rng.int rng 20 in
-      let a = F.random rng n k ~scale:1.0 in
-      let b = F.random rng k p ~scale:1.0 in
-      let bias = Array.init p (fun j -> float_of_int j /. 7.0) in
-      let c = F.matmul_bias ~bias a b in
+      let x =
+        F.init n k (fun _ _ ->
+            match Rng.int rng 12 with
+            | 0 | 1 -> 0.0
+            | 2 | 3 -> -0.0
+            | 4 -> [| Float.nan; Float.infinity; Float.neg_infinity |].(Rng.int rng 3)
+            | _ -> Rng.gaussian rng)
+      in
+      let g =
+        Option.get (Ml.Nn.win_of (Ml.Nn.dense rng ~d_in:k ~d_out:p) ~in_w:k)
+      in
+      Array.iteri
+        (fun j _ -> g.b.(j) <- (if j mod 3 = 0 then -0.0 else float_of_int j /. 7.0))
+        g.b;
       let expected =
         F.init n p (fun i j ->
-            let acc = ref bias.(j) in
+            let acc = ref g.b.(j) in
             for l = 0 to k - 1 do
-              acc := !acc +. (F.get a i l *. F.get b l j)
+              let v = F.get x i l in
+              if v <> 0.0 then acc := !acc +. (v *. F.get g.w j l)
             done;
             !acc)
       in
-      c.data = expected.data)
+      same_bits (Ml.Nn.win_forward g x).data expected.data)
 
 (* -- distance identity ----------------------------------------------------- *)
 
@@ -166,12 +190,6 @@ let gen_gauss (rng : Rng.t) ~(n : int) ~(d : int) ~(n_classes : int) =
     done
   done;
   (xs, ys)
-
-let same_bits (a : float array) (b : float array) : bool =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a b
 
 (* Up to 31 classes: deep nodes then hold only some of them, and the
    trainers' per-class loops run both four-row blocks and a tail. *)
@@ -303,6 +321,26 @@ let test_logreg_matches_reference =
            txs
       && batch = Array.map (Ml.Reference.Logreg.predict m_ref) txs)
 
+(* Svm.train scores every class of a sample in one matrix-vector pass;
+   the frozen loop reads each class's score just before its update.  Same
+   snapshot bytes, in memory and in blocks. *)
+let test_svm_matches_reference =
+  qtest ~count:8 "svm = reference svm (bitwise training)" (fun seed ->
+      let rng = Rng.make (seed + 9) in
+      let n_classes = draw_classes rng in
+      let n = 20 + Rng.int rng 60 and d = 2 + Rng.int rng 8 in
+      let xs, ys = gen_gauss rng ~n ~d ~n_classes in
+      let params = { Ml.Svm.default_params with epochs = 6 } in
+      let src = Ml.Fblock.Mem (F.of_rows xs) in
+      List.for_all
+        (fun block_rows ->
+          let save m = Ml.Model.save (Ml.Model.S_svm m) in
+          save (Ml.Svm.train ~params ?block_rows (Rng.make seed) ~n_classes src ys)
+          = save
+              (Ml.Reference.Svm.train ~params ?block_rows (Rng.make seed)
+                 ~n_classes src ys))
+        [ None; Some (1 + (seed mod 9)) ])
+
 let test_mlp_matches_reference =
   qtest ~count:8 "mlp = reference mlp (bitwise training)" (fun seed ->
       let rng = Rng.make (seed + 6) in
@@ -334,7 +372,7 @@ let suite =
     test_parallel_of_fn_matches_sequential;
     Alcotest.test_case "dot and norm" `Quick test_dot_and_norm;
     test_tiled_matmul_bit_identical;
-    test_matmul_bias_matches_loop;
+    test_win_forward_matches_loop;
     test_blocked_distance_close;
     test_fit_stream_bit_identical;
     test_tree_matches_reference_binned;
@@ -343,5 +381,6 @@ let suite =
     test_knn_matches_reference;
     Alcotest.test_case "knn index tie-break" `Quick test_knn_index_tie_break;
     test_logreg_matches_reference;
+    test_svm_matches_reference;
     test_mlp_matches_reference;
   ]

@@ -109,6 +109,30 @@ let test_verifier_catches_bad_branch () =
   let errs = Ir.Verify.check_func f in
   Alcotest.(check bool) "error reported" true (errs <> [])
 
+(* A reachable block branching back to the entry verified once, and the
+   dominance frontiers, which take the entry to have no predecessors, then
+   left the entry out of every frontier.  The verifier rejects the branch,
+   as LLVM's does. *)
+let test_verifier_rejects_branch_to_entry () =
+  let m =
+    Ir.Parser.parse_module
+      {|define i32 @main() {
+entry0:
+  %1 = call i32 @read_int()
+  %2 = icmp sgt %1, 0
+  br %2, label %a, label %b
+a:
+  call void @print_int(%1)
+  br label %entry0
+b:
+  ret 0
+}|}
+  in
+  Alcotest.(check (list string))
+    "errors"
+    [ "[a] branch to the entry block entry0" ]
+    (List.map (Fmt.to_to_string Ir.Verify.pp_error) (Ir.Verify.check_module m))
+
 let test_verifier_catches_undefined_use () =
   let blk =
     Ir.Block.make ~label:"entry"
@@ -354,7 +378,7 @@ let test_verifier_pin () =
       ms
   done;
   Alcotest.(check int) "invalid modules" 579 !invalid;
-  Alcotest.(check string) "error lists" "96fcfe8cc4905164a91164271aadaaf3"
+  Alcotest.(check string) "error lists" "fedc3af2232abbae1ef377e65f971edd"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* Every registry entry's printed output on generated programs. *)
@@ -427,6 +451,8 @@ let suite =
     Alcotest.test_case "terminator successors" `Quick test_terminator_successors;
     Alcotest.test_case "verifier accepts good" `Quick test_verifier_accepts_good;
     Alcotest.test_case "verifier: bad branch" `Quick test_verifier_catches_bad_branch;
+    Alcotest.test_case "verifier: branch to the entry" `Quick
+      test_verifier_rejects_branch_to_entry;
     Alcotest.test_case "verifier: undefined use" `Quick
       test_verifier_catches_undefined_use;
     Alcotest.test_case "verifier: double def" `Quick test_verifier_catches_double_def;

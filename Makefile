@@ -46,8 +46,8 @@ bench:
 # BENCH_kernels.json (rows rf-train ... lr-train, svm-train, mlp-train ...).
 # Exits non-zero unless the rf trees match node for node, rf and k-NN
 # predictions match, lr, svm and mlp weights are bitwise identical
-# (lr_/svm_/mlp_weights_bit_identical), the distance sweep agrees within
-# 1e-9 and the matmul is bit-identical.
+# (lr_/svm_/mlp_weights_bit_identical) and the distance sweep agrees
+# within 1e-9.
 bench-kernels:
 	dune exec bench/main.exe -- --quick kernels
 

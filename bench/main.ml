@@ -551,12 +551,11 @@ let dump_eq (a : float array array) (b : float array array) : bool =
     forest/tree training (histogram vs per-node sort splits), k-NN
     prediction (blocked norms+dot vs per-row subtract-square), lr, svm and
     mlp training (blocked gradients, one scoring pass per sample and in
-    place steps vs the loops they replaced), the raw distance sweep, and
-    the tiled vs naive matmul.  "Reference" is the frozen pre-rewrite code
-    in [Yali.Ml.Reference].  Fails unless the rewrites agree with the
-    reference: the same rf trees node for node and the same rf and k-NN
-    predictions, bitwise the same lr, svm and mlp weights, distances
-    within 1e-9, a bit-identical matmul. *)
+    place steps vs the loops they replaced) and the raw distance sweep.
+    "Reference" is the frozen pre-rewrite code in [Yali.Ml.Reference].
+    Fails unless the rewrites agree with the reference: the same rf trees
+    node for node and the same rf and k-NN predictions, bitwise the same
+    lr, svm and mlp weights, and distances within 1e-9. *)
 let kernels () =
   header "Kernel benchmarks: frozen pre-rewrite reference vs Fmat kernels";
   let reps = 3 in
@@ -793,29 +792,6 @@ let kernels () =
         ("max_abs_diff", J.Raw (Printf.sprintf "%.2e" !max_diff));
       ]
   in
-
-  (* matmul: naive i-k-j vs cache-tiled *)
-  let msize = scale 256 in
-  let a = Ml.Fmat.random (Rng.make 1) msize msize ~scale:1.0 in
-  let b = Ml.Fmat.random (Rng.make 2) msize msize ~scale:1.0 in
-  let c_ref = ref (Ml.Fmat.create 0 0) and c_new = ref (Ml.Fmat.create 0 0) in
-  let t =
-    best_times ~reps
-      [|
-        (fun () -> c_ref := Ml.Fmat.matmul_naive a b);
-        (fun () -> c_new := Ml.Fmat.matmul a b);
-      |]
-  in
-  let flops = 2.0 *. float_of_int (msize * msize * msize) in
-  let matmul_identical = (!c_ref).data = (!c_new).data in
-  let matmul_row =
-    row "matmul" t.(0) t.(1)
-      [
-        ("gflops_ref", J.Fixed (2, flops /. t.(0) /. 1e9));
-        ("gflops_fmat", J.Fixed (2, flops /. t.(1) /. 1e9));
-        ("bit_identical", J.Bool matmul_identical);
-      ]
-  in
   ( [
       ( "kernels",
         J.List
@@ -827,7 +803,6 @@ let kernels () =
             svm_row;
             mlp_row;
             sweep_row;
-            matmul_row;
           ]
       );
     ],
@@ -839,7 +814,6 @@ let kernels () =
       ("svm_weights_bit_identical", svm_identical);
       ("mlp_weights_bit_identical", mlp_identical);
       ("distance_max_abs_diff_le_1e-9", !max_diff <= 1e-9);
-      ("matmul_bit_identical", matmul_identical);
     ] )
 
 (* ------------------------------------------------------------------ *)

@@ -100,9 +100,8 @@ let apply (rng : Rng.t) (s : seq) (m : Yali_ir.Irmod.t) : Yali_ir.Irmod.t =
        (fun (m, ix) st ->
          let r = Rng.split_ix rng ix in
          (* search must be robust: a step that crashes is a no-op, not a
-            dead candidate — and so is one whose output fails verification
-            (e.g. re-flattening a function duplicates its dispatcher
-            label), since only well-formed modules may reach the
+            dead candidate — and so is one whose output fails
+            verification, since only well-formed modules may reach the
             interpreter and the classifier *)
          let m' =
            match apply_step r st m with

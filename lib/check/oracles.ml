@@ -87,12 +87,17 @@ let knn_vs_reference (n_classes, xs, ys, txs, _seed) =
   let predict = (Ml.Model.restore (Ml.Model.S_knn m_new)).predict in
   Array.for_all (fun x -> predict x = Ml.Reference.Knn.predict m_ref x) txs
 
-(* bit equality: [=] on float arrays is false on NaN *)
+(* bit equality: [=] on float arrays takes -0.0 for 0.0 and fails on
+   NaN *)
 let same_bits (a : float array) (b : float array) =
   Array.length a = Array.length b
   && Array.for_all2
        (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
        a b
+
+(* parameter dumps ([Nn.dump_weights] and its kin), array by array *)
+let same_dump (a : float array array) (b : float array array) =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
 
 (* An operand for the zero-skipping kernels: gaussians with about a
    quarter of the cells an exact 0.0 or -0.0, and in half the matrices
@@ -111,17 +116,30 @@ let planted (rng : Rng.t) n d =
       [| Float.nan; Float.infinity; Float.neg_infinity |].(Rng.int rng 3);
   m
 
-let gen_matmul (rng : Rng.t) =
+(* A graph-convolution layer's operands: the propagated input [px]
+   (n x d_in), the weight [w] (d_in x d_out) and the pre-activation
+   gradient [dpre] (n x d_out), all planted. *)
+let gen_gc (rng : Rng.t) =
   let n = 1 + Rng.int rng 40
-  and k = 1 + Rng.int rng 40
-  and p = 1 + Rng.int rng 40 in
-  (planted rng n k, planted rng k p)
+  and d_in = 1 + Rng.int rng 40
+  and d_out = 1 + Rng.int rng 40 in
+  (planted rng n d_in, planted rng d_in d_out, planted rng n d_out)
 
-let show_matmul ((a : F.t), (b : F.t)) =
-  Printf.sprintf "matmul %dx%d * %dx%d" a.F.n a.F.d b.F.n b.F.d
+let show_gc ((px : F.t), (w : F.t), _) =
+  Printf.sprintf "graph conv %dx%d input, %dx%d weight" px.F.n px.F.d w.F.n
+    w.F.d
 
-let matmul_bit_identical (a, b) =
-  same_bits (F.matmul a b).F.data (F.matmul_naive a b).F.data
+(* Dgcnn's three products on its window kernels against the naive
+   products that Reference.Dgcnn runs: forward (P Z) W, weight gradient
+   (P Z)ᵀ dpre and input gradient dpre Wᵀ. *)
+let gc_products_match_naive (px, (w : F.t), dpre) =
+  let g = Ml.Dgcnn.gc_win w in
+  same_bits (Ml.Nn.win_backward g px ~in_w:w.F.d).F.data
+    (F.matmul_naive px w).F.data
+  && same_bits (fst (Ml.Nn.win_grads g dpre px)).F.data
+       (F.matmul_naive (F.transpose px) dpre).F.data
+  && same_bits (Ml.Nn.win_forward g dpre).F.data
+       (F.matmul_naive dpre (F.transpose w)).F.data
 
 (* One dense or convolutional layer with planted weights and gaussian or
    -0.0 biases (a skipped zero term would turn a -0.0 start into 0.0),
@@ -277,8 +295,8 @@ let kernels =
       gen_dataset forest_vs_reference;
     Prop.make ~name:"kernels/knn-vs-reference" ~show:show_dataset
       gen_gauss_dataset knn_vs_reference;
-    Prop.make ~name:"kernels/matmul-tiled-vs-naive" ~show:show_matmul
-      gen_matmul matmul_bit_identical;
+    Prop.make ~name:"kernels/gc-products-vs-naive" ~show:show_gc gen_gc
+      gc_products_match_naive;
     Prop.make ~name:"kernels/win-forward-vs-loop" ~show:show_win gen_win
       win_forward_matches_loop;
     Prop.make ~name:"kernels/win-kernels-vs-naive" ~show:show_win gen_win
@@ -414,7 +432,7 @@ module Interp = Yali_ir.Interp
 module Execution = Yali_vm.Execution
 
 (* One case = one generated program pushed through every registered entry
-   (the 22 of {!Passdb.all}) and executed under both engines on seeded
+   (the 26 of {!Passdb.all}) and executed under both engines on seeded
    inputs.  The engines must agree on the FULL outcome — output, foutput,
    exit value, steps and abstract cost, not just the observation — and on
    the exception classification (the exact [Trap] message vs
@@ -948,9 +966,9 @@ let gen_nn_case (rng : Rng.t) =
 let show_nn_case (d, n_classes, batch, seed) =
   Printf.sprintf "nn d=%d classes=%d batch=%d seed=%d" d n_classes batch seed
 
-(* Nn.train_batch (tiled, sharded over the pool) against the naive
-   Reference.Nnb on the same net: losses, input gradients and every weight
-   bit must agree after several steps.  Cnn.build_net covers both the
+(* Nn.train_batch (window kernels, sharded over the pool) against the
+   naive Reference.Nnb on the same net: losses, input gradients and every
+   weight bit must agree after several steps.  Cnn.build_net covers both the
    dense-tail (d < 16) and conv-stack architectures. *)
 let nn_kernel_vs_reference (d, n_classes, batch, seed) =
   let build () = Ml.Cnn.build_net (Rng.make seed) ~d_in:d ~n_classes in
@@ -962,9 +980,13 @@ let nn_kernel_vs_reference (d, n_classes, batch, seed) =
     let lr = 0.01 /. (1.0 +. (0.1 *. float_of_int step)) in
     let kl, kdx = Ml.Nn.train_batch ~lr ~rng:krng kernel x ys in
     let nl, ndx = Ml.Reference.Nnb.train_batch ~lr ~rng:nrng naive x ys in
-    steps_ok := !steps_ok && kl = nl && kdx.F.data = ndx.F.data
+    steps_ok :=
+      !steps_ok
+      && same_bits [| kl |] [| nl |]
+      && same_bits kdx.F.data ndx.F.data
   done;
-  !steps_ok && Ml.Nn.dump_weights kernel = Ml.Nn.dump_weights naive
+  !steps_ok
+  && same_dump (Ml.Nn.dump_weights kernel) (Ml.Nn.dump_weights naive)
 
 let gen_graph_case (rng : Rng.t) =
   let n = 6 + Rng.int rng 14 in
@@ -980,9 +1002,13 @@ let nn_random_graphs (seed : int) ~(n : int) ~(feat_dim : int) :
   let graphs =
     Array.init n (fun i ->
         let nodes = 3 + Rng.int rng 8 + if i mod 2 = 0 then 0 else 4 in
+        (* counts 0..4, a zero count planted as 0.0 or -0.0 *)
         let feats =
           Array.init nodes (fun _ ->
-              Array.init feat_dim (fun _ -> float_of_int (Rng.int rng 5)))
+              Array.init feat_dim (fun _ ->
+                  match Rng.int rng 5 with
+                  | 0 -> if Rng.bool rng then 0.0 else -0.0
+                  | k -> float_of_int k))
         in
         let edges =
           List.init (nodes - 1) (fun k -> (k, k + 1, Graph.Control))
@@ -1006,7 +1032,7 @@ let dgcnn_kernel_vs_reference (n, feat_dim, seed) =
     Ml.Reference.Dgcnn.train ~params:nn_params_small (Rng.make seed)
       ~n_classes:2 ~feat_dim graphs ys
   in
-  Ml.Dgcnn.dump_weights kernel = Ml.Dgcnn.dump_weights naive
+  same_dump (Ml.Dgcnn.dump_weights kernel) (Ml.Dgcnn.dump_weights naive)
 
 (* Sharded gradient accumulation reduces in a fixed tree order, so weights
    are a function of the data alone, never of the worker count. *)
@@ -1021,7 +1047,7 @@ let nn_jobs_invariant (d, n_classes, batch, seed) =
           (Ml.Cnn.train ~params (Rng.make seed) ~n_classes (Ml.Fblock.Mem x)
              ys))
   in
-  train 1 = train 4
+  same_dump (train 1) (train 4)
 
 let nn =
   [

@@ -4,11 +4,12 @@
     The families:
     - {!kernels}: the rewritten numeric kernels against the frozen
       pre-rewrite implementations in {!Yali_ml.Reference} (decision tree,
-      forest, k-NN, svm snapshots byte for byte), tiled vs naive matmul
-      bit-identity and the neural window kernels against a per-sample
-      loop and against [Fmat.matmul_naive] of an explicit im2col (zeros,
-      [-0.0] and non-finite cells planted in the operands, bits compared),
-      and Fmat layout laws;
+      forest, k-NN, svm snapshots byte for byte), the neural window
+      kernels against a per-sample loop and against [Fmat.matmul_naive] of
+      an explicit im2col, Dgcnn's three graph-convolution products on the
+      window kernels against [Fmat.matmul_naive] and explicit transposes
+      (zeros, [-0.0] and non-finite cells planted in the operands, bits
+      compared), and Fmat layout laws;
     - {!metrics}: axioms of {!Yali_ml.Metrics} — bounds, confusion-matrix
       row sums, and division-by-zero guards (every statistic is a defined
       finite number, never [nan], on degenerate inputs);
@@ -51,7 +52,9 @@ val corpus : Prop.t list
 (** The kernelized neural tier (DESIGN.md §15): [Nn.train_batch] and the
     cnn/dgcnn minibatch trainers against the frozen naive implementations
     in {!Yali_ml.Reference} (losses, input gradients and weights bit for
-    bit), and weight invariance under [--jobs]. *)
+    bit, compared as [Int64.bits_of_float]; the dgcnn's graphs carry exact
+    [0.0] and [-0.0] node features), and weight invariance under
+    [--jobs]. *)
 val nn : Prop.t list
 
 (** {!Yali_adapt}: the [adapt/search-determinism] oracle — the same seed

@@ -64,5 +64,13 @@ let all : entry list =
       entry ~fuel:16 [ fla; o2 ];
       entry ~fuel:16 [ ollvm; o3 ];
     ]
+  (* flattening flattened code: on generated programs these run up to
+     225x the -O0 steps *)
+  @ [
+      entry ~fuel:256 [ fla; fla ];
+      entry ~fuel:256 [ fla; ollvm ];
+      entry ~fuel:256 [ ollvm; fla ];
+      entry ~fuel:256 [ ollvm; ollvm ];
+    ]
 
 let find name = List.find_opt (fun e -> e.ename = name) all

@@ -4,8 +4,9 @@
     An {!entry} is a named sequence of IR-to-IR stages applied to the
     [-O0] lowering of a program.  {!all} covers everything the paper's
     games can hand a classifier: the clang-style [-O0]…[-O3] pipelines,
-    every optimization pass on its own, each O-LLVM obfuscator, and
-    compositions of the two families ([fla+O2] and friends).  A pass
+    every optimization pass on its own, each O-LLVM obfuscator,
+    compositions of the two families ([fla+O2] and friends) and the
+    flattening obfuscators applied twice ([fla+fla] and friends).  A pass
     registered here gets translation validation, the engine and codec
     oracles, and the deep CI tier for free. *)
 
@@ -42,8 +43,10 @@ val apply :
   Yali_ir.Irmod.t ->
   Yali_ir.Irmod.t
 
-(** The 22 built-in entries: [O0]–[O3], the transform passes in registry
-    order, [sub]/[bcf]/[fla]/[ollvm], then the six compositions.  The
+(** The 26 built-in entries: [O0]–[O3], the transform passes in registry
+    order, [sub]/[bcf]/[fla]/[ollvm], the six compositions of the two
+    families, then the four flattening obfuscators composed with each
+    other ([fla+fla], [fla+ollvm], [ollvm+fla], [ollvm+ollvm]).  The
     order is fixed: the oracles key each entry's rng on its position. *)
 val all : entry list
 

@@ -109,19 +109,20 @@ let to_bin b (t : t) =
   Features.scaler_to_bin b t.scaler;
   Nn.to_bin b t.net
 
-(* Every layer's shape faults depend only on its input width (a dense
-   layer reads all its weights, a convolution's window stays inside the
-   width it is given), so one pass over a zero row of the scaler's width
-   shows whether the layers chain from the scaler to [n_classes] scores. *)
+(* Every layer's shape faults depend only on its input width, so walking
+   the widths from the scaler's shows whether the layers chain to
+   [n_classes] scores without reading out of range — or, for a
+   convolution, into the next channel, which stays inside the row. *)
 let of_bin r : t =
   let scaler = Features.scaler_of_bin r in
   let net = Nn.of_bin r in
-  (match Nn.logits net (Array.make (Features.scaler_dim scaler) 0.0) with
-  | out when Array.length out = net.Nn.n_classes -> ()
-  | out ->
-      Bin.fail r
-        (Printf.sprintf "network gives %d scores for %d classes"
-           (Array.length out) net.Nn.n_classes)
+  (match Nn.shape_widths net ~d_in:(Features.scaler_dim scaler) with
+  | widths ->
+      let out = widths.(Array.length widths - 1) in
+      if out <> net.Nn.n_classes then
+        Bin.fail r
+          (Printf.sprintf "network gives %d scores for %d classes" out
+             net.Nn.n_classes)
   | exception Invalid_argument msg ->
       Bin.fail r ("network does not fit its scaler width: " ^ msg));
   { scaler; net }

@@ -16,12 +16,16 @@
     in seconds on synthetic corpora; the architecture is otherwise as
     published.
 
-    Training is minibatch SGD (DESIGN.md §15): per batch, every graph's
-    forward pass runs in parallel shards over {!Yali_exec.Pool}, the pooled
-    flat vectors feed one batched {!Nn.train_batch} step of the head, and
-    the graph-convolution gradients are accumulated per shard and merged in
-    a fixed tree order — bit-identical at any [--jobs] and to the frozen
-    naive trainer in [Reference.Dgcnn]. *)
+    Training is minibatch SGD (DESIGN.md §15): every graph is prepared once
+    (see {!prepare}); per batch, every graph's forward pass runs in
+    parallel shards over {!Yali_exec.Pool}, the pooled flat vectors feed
+    one batched {!Nn.train_batch} step of the head, and the
+    graph-convolution gradients are accumulated per shard and merged in a
+    fixed tree order — bit-identical at any [--jobs] and to the frozen
+    naive trainer in [Reference.Dgcnn].  The graph convolutions' products
+    run on {!Nn}'s window kernels through {!gc_win}, and the backward pass
+    stops at the first layer's weight gradient: its input gradient is
+    never read. *)
 
 module Rng = Yali_util.Rng
 module Pool = Yali_exec.Pool
@@ -90,19 +94,29 @@ let propagate_t (adj : int list array) (dy : Fmat.t) : Fmat.t =
   done;
   dx
 
-type forward_state = {
-  adj : int list array;
-  px_list : Fmat.t list;  (** P·Z_(l-1) per layer, pre-weights *)
-  z_list : Fmat.t list;  (** post-tanh activations per layer *)
-  concat : Fmat.t;  (** n x total_channels *)
-  order : int array;  (** node permutation chosen by sort pooling *)
-  flat : float array;  (** pooled, flattened input to the head *)
-}
+(* [w] (d_in x d_out) as the dense layer from d_out inputs to d_in
+   outputs: its input gradient, weight gradient and forward are the graph
+   convolution's (P Z) W, (P Z)ᵀ dpre and dpre Wᵀ, each with the chain
+   and the zero skips of [Fmat.matmul_naive] (see the interface).  Storing
+   [w] transposed would make the weight gradient skip on dpre's zeros
+   instead of P Z's. *)
+let gc_win (w : Fmat.t) : Nn.win =
+  {
+    Nn.c_in = 1;
+    len = w.Fmat.d;
+    kernel = w.Fmat.d;
+    stride = 1;
+    out_len = 1;
+    c_out = w.Fmat.n;
+    w;
+    b = Array.make w.Fmat.n 0.0;
+  }
 
-let total_channels (p : params) = List.fold_left ( + ) 0 p.gc_channels
+(* What the forward pass needs of a graph and no weight touches: its
+   adjacency and the first layer's propagated input P·X₀. *)
+type prepared = { adj : int list array; px0 : Fmat.t }
 
-let forward_graph (t_params : params) (gc_weights : Fmat.t list)
-    (g : Graph.t) : forward_state =
+let prepare (p : params) (g : Graph.t) : prepared =
   (* an empty graph is treated as a single zero-feature node *)
   let g =
     if Graph.node_count g = 0 then
@@ -111,7 +125,7 @@ let forward_graph (t_params : params) (gc_weights : Fmat.t list)
   in
   (* cap the graph size: keep a prefix subgraph *)
   let g =
-    let cap = t_params.max_nodes in
+    let cap = p.max_nodes in
     if Graph.node_count g <= cap then g
     else
       {
@@ -127,16 +141,29 @@ let forward_graph (t_params : params) (gc_weights : Fmat.t list)
     Fmat.map (fun v -> Float.copy_sign (log1p (Float.abs v)) v)
       (Fmat.of_rows g.node_feats)
   in
-  let n = x0.Fmat.n in
-  let rec go z ws px_acc z_acc =
-    match ws with
-    | [] -> (List.rev px_acc, List.rev z_acc)
+  { adj; px0 = propagate adj x0 }
+
+type forward_state = {
+  adj : int list array;
+  px_list : Fmat.t list;  (** P·Z_(l-1) per layer, pre-weights *)
+  z_list : Fmat.t list;  (** post-tanh activations per layer *)
+  concat : Fmat.t;  (** n x total_channels *)
+  order : int array;  (** node permutation chosen by sort pooling *)
+  flat : float array;  (** pooled, flattened input to the head *)
+}
+
+let total_channels (p : params) = List.fold_left ( + ) 0 p.gc_channels
+
+let forward_graph (t_params : params) (gc_weights : Fmat.t list)
+    ({ adj; px0 } : prepared) : forward_state =
+  let n = px0.Fmat.n in
+  let rec go px = function
+    | [] -> []
     | w :: rest ->
-        let px = propagate adj z in
-        let zl = Fmat.map tanh (Fmat.matmul px w) in
-        go zl rest (px :: px_acc) (zl :: z_acc)
+        let z = Fmat.map tanh (Nn.win_backward (gc_win w) px ~in_w:w.Fmat.d) in
+        (px, z) :: (match rest with [] -> [] | _ -> go (propagate adj z) rest)
   in
-  let px_list, z_list = go x0 gc_weights [] [] in
+  let px_list, z_list = List.split (go px0 gc_weights) in
   (* concatenate channels of every layer *)
   let tc = total_channels t_params in
   let concat = Fmat.create n tc in
@@ -216,11 +243,16 @@ let graph_backward (p : params) (gc_weights : Fmat.t list)
               let zv = Fmat.get z i' c in
               Fmat.get dz_total i' c *. (1.0 -. (zv *. zv)))
         in
+        let g = gc_win w in
         (* dW = (P Z_(l-1))^T dpre *)
-        let dw = Fmat.matmul (Fmat.transpose px) dpre in
-        (* gradient to previous layer: P^T (dpre W^T) *)
-        let dprev = propagate_t st.adj (Fmat.matmul dpre (Fmat.transpose w)) in
-        back ws' zs' pxs' dzs' (Some dprev) (dw :: dws)
+        let dw = fst (Nn.win_grads g dpre px) in
+        (* gradient to previous layer: P^T (dpre W^T); nothing reads the
+           first layer's *)
+        (match ws' with
+        | [] -> dw :: dws
+        | _ ->
+            let dprev = propagate_t st.adj (Nn.win_forward g dpre) in
+            back ws' zs' pxs' dzs' (Some dprev) (dw :: dws))
     | _ -> assert false
   in
   back rev_w rev_z rev_px rev_dz None []
@@ -279,6 +311,7 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
     ~(feat_dim : int) (graphs : Graph.t array) (ys : int array) : t =
   let gc_weights = init_gc_weights rng params ~feat_dim in
   let head = build_head rng params ~n_classes in
+  let graphs = Pool.parallel_array_map (prepare params) graphs in
   let n = Array.length graphs in
   let order = Array.init n Fun.id in
   let flat_w = params.sortpool_k * total_channels params in
@@ -342,7 +375,7 @@ let train ?(params = default_params) (rng : Rng.t) ~(n_classes : int)
   { params; gc_weights; head; feat_dim; n_classes }
 
 let predict (t : t) (g : Graph.t) : int =
-  let st = forward_graph t.params t.gc_weights g in
+  let st = forward_graph t.params t.gc_weights (prepare t.params g) in
   Fmat.argmax (Nn.logits t.head st.flat)
 
 let size_bytes (t : t) : int =

@@ -111,11 +111,12 @@ let sq_norm_row (m : t) (i : int) : float =
 
 let copy (m : t) : t = { m with data = Array.copy m.data }
 
-(* the straightforward i-k-j triple loop; kept as the reference point for
-   the cache-tiled kernel below (test/test_fmat.ml checks exact equality,
-   `bench kernels` reports the throughput gap) *)
+(* the straightforward i-k-j triple loop: each output cell one chain from
+   0.0 in ascending k, skipping the terms whose left factor is 0.0 or -0.0.
+   The frozen reference trainers run it, and the oracles hold Nn's window
+   kernels (and so Dgcnn's graph convolutions) to it bit for bit. *)
 let matmul_naive (a : t) (b : t) : t =
-  if a.d <> b.n then invalid_arg "Fmat.matmul: dimension mismatch";
+  if a.d <> b.n then invalid_arg "Fmat.matmul_naive: dimension mismatch";
   let c = create a.n b.d in
   for i = 0 to a.n - 1 do
     for k = 0 to a.d - 1 do
@@ -127,122 +128,6 @@ let matmul_naive (a : t) (b : t) : t =
         done
     done
   done;
-  c
-
-(* Cache-tiled matmul.  Blocks of [b] (tile x tile, ~32 KB) stay resident
-   while every row of [a] sweeps over them, so [b] is streamed from memory
-   once per j-tile instead of once per row of [a].  Within a k-tile the
-   nonzero [a (i, k)] entries are gathered once per row (without a branch:
-   each entry is written to the next free slot, which only a nonzero one
-   claims — ReLU activations would make a branch a coin flip), and the j loop
-   then accumulates each output cell in a register across the whole tile
-   instead of loading and storing [c] once per (k, j) pair.  For any output
-   cell (i, j) the products still accumulate in ascending [k] order — the
-   tile loops only reorder work across *different* cells, and gathering
-   drops exactly the products the [aik <> 0] skip would — so the result is
-   bit-identical to {!matmul_naive}. *)
-let tile = 64
-
-let matmul_into (c : t) (a : t) (b : t) : unit =
-  let n = a.n and kdim = a.d and p = b.d in
-  let av = Array.make tile 0.0 in
-  let bb = Array.make tile 0 in
-  let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
-  let acc4 = ref 0.0 and acc5 = ref 0.0 and acc6 = ref 0.0 and acc7 = ref 0.0 in
-  let jj = ref 0 in
-  while !jj < p do
-    let jhi = min p (!jj + tile) in
-    let kk = ref 0 in
-    while !kk < kdim do
-      let khi = min kdim (!kk + tile) in
-      for i = 0 to n - 1 do
-        let abase = i * kdim and cbase = i * p in
-        let cnt = ref 0 in
-        for k = !kk to khi - 1 do
-          let aik = Array.unsafe_get a.data (abase + k) in
-          Array.unsafe_set av !cnt aik;
-          Array.unsafe_set bb !cnt (k * p);
-          cnt := !cnt + Bool.to_int (aik <> 0.0)
-        done;
-        let cnt = !cnt in
-        if cnt > 0 then begin
-          (* independent accumulator chains (one output cell each) keep the
-             FPU busy across the fadd latency; each cell's own chain is
-             still ascending-k *)
-          let j = ref !jj in
-          while !j + 7 < jhi do
-            let cj = cbase + !j in
-            acc0 := Array.unsafe_get c.data cj;
-            acc1 := Array.unsafe_get c.data (cj + 1);
-            acc2 := Array.unsafe_get c.data (cj + 2);
-            acc3 := Array.unsafe_get c.data (cj + 3);
-            acc4 := Array.unsafe_get c.data (cj + 4);
-            acc5 := Array.unsafe_get c.data (cj + 5);
-            acc6 := Array.unsafe_get c.data (cj + 6);
-            acc7 := Array.unsafe_get c.data (cj + 7);
-            for t = 0 to cnt - 1 do
-              let aik = Array.unsafe_get av t in
-              let bj = Array.unsafe_get bb t + !j in
-              acc0 := !acc0 +. (aik *. Array.unsafe_get b.data bj);
-              acc1 := !acc1 +. (aik *. Array.unsafe_get b.data (bj + 1));
-              acc2 := !acc2 +. (aik *. Array.unsafe_get b.data (bj + 2));
-              acc3 := !acc3 +. (aik *. Array.unsafe_get b.data (bj + 3));
-              acc4 := !acc4 +. (aik *. Array.unsafe_get b.data (bj + 4));
-              acc5 := !acc5 +. (aik *. Array.unsafe_get b.data (bj + 5));
-              acc6 := !acc6 +. (aik *. Array.unsafe_get b.data (bj + 6));
-              acc7 := !acc7 +. (aik *. Array.unsafe_get b.data (bj + 7))
-            done;
-            Array.unsafe_set c.data cj !acc0;
-            Array.unsafe_set c.data (cj + 1) !acc1;
-            Array.unsafe_set c.data (cj + 2) !acc2;
-            Array.unsafe_set c.data (cj + 3) !acc3;
-            Array.unsafe_set c.data (cj + 4) !acc4;
-            Array.unsafe_set c.data (cj + 5) !acc5;
-            Array.unsafe_set c.data (cj + 6) !acc6;
-            Array.unsafe_set c.data (cj + 7) !acc7;
-            j := !j + 8
-          done;
-          while !j + 3 < jhi do
-            let cj = cbase + !j in
-            acc0 := Array.unsafe_get c.data cj;
-            acc1 := Array.unsafe_get c.data (cj + 1);
-            acc2 := Array.unsafe_get c.data (cj + 2);
-            acc3 := Array.unsafe_get c.data (cj + 3);
-            for t = 0 to cnt - 1 do
-              let aik = Array.unsafe_get av t in
-              let bj = Array.unsafe_get bb t + !j in
-              acc0 := !acc0 +. (aik *. Array.unsafe_get b.data bj);
-              acc1 := !acc1 +. (aik *. Array.unsafe_get b.data (bj + 1));
-              acc2 := !acc2 +. (aik *. Array.unsafe_get b.data (bj + 2));
-              acc3 := !acc3 +. (aik *. Array.unsafe_get b.data (bj + 3))
-            done;
-            Array.unsafe_set c.data cj !acc0;
-            Array.unsafe_set c.data (cj + 1) !acc1;
-            Array.unsafe_set c.data (cj + 2) !acc2;
-            Array.unsafe_set c.data (cj + 3) !acc3;
-            j := !j + 4
-          done;
-          for j = !j to jhi - 1 do
-            acc0 := Array.unsafe_get c.data (cbase + j);
-            for t = 0 to cnt - 1 do
-              acc0 :=
-                !acc0
-                +. Array.unsafe_get av t
-                   *. Array.unsafe_get b.data (Array.unsafe_get bb t + j)
-            done;
-            Array.unsafe_set c.data (cbase + j) !acc0
-          done
-        end
-      done;
-      kk := khi
-    done;
-    jj := jhi
-  done
-
-let matmul (a : t) (b : t) : t =
-  if a.d <> b.n then invalid_arg "Fmat.matmul: dimension mismatch";
-  let c = create a.n b.d in
-  matmul_into c a b;
   c
 
 let transpose (m : t) : t =

@@ -1,7 +1,8 @@
 (** A small feed-forward neural-network kernel with hand-written
     backpropagation: dense, ReLU, dropout, 1-D convolution and max pooling
     layers, plus a softmax/cross-entropy head.  Shared by the MLP, CNN and
-    DGCNN models.
+    DGCNN models; the DGCNN's graph-convolution products run on the window
+    kernels too.
 
     One training path: the batched {!train_batch} minibatch kernel.  Its
     forward and backward passes are three window kernels — forward with
@@ -214,13 +215,13 @@ let shape_widths (net : t) ~(d_in : int) : int array =
         (match l with
         | Dense d ->
             if d.w.Fmat.d <> w then
-              invalid_arg "Nn.train_batch: dense layer width mismatch";
+              invalid_arg "Nn: dense layer width mismatch";
             d.w.Fmat.n
         | Relu | Dropout _ -> w
         | Conv1d c ->
-            let in_len = w / c.c_in in
-            let ol = conv_out_len c in_len in
-            if ol <= 0 then c.c_out else c.c_out * ol
+            if w mod c.c_in <> 0 || w / c.c_in < c.kernel then
+              invalid_arg "Nn: conv windows cross channels";
+            c.c_out * conv_out_len c (w / c.c_in)
         | MaxPool m -> w / m.size))
     net.layers;
   widths

@@ -1,7 +1,8 @@
 (** A small feed-forward neural-network kernel with hand-written
     backpropagation: dense, ReLU, dropout, 1-D convolution and max pooling,
     plus a softmax/cross-entropy head.  Shared by the MLP, CNN and DGCNN
-    models.
+    models; the DGCNN's graph convolutions also run on its window kernels
+    ([Dgcnn.gc_win]).
 
     Convolution layout: a [c]-channel signal of length [l] is a flat array
     of size [c*l], channel-major.
@@ -41,6 +42,15 @@ val softmax : float array -> float array
     function of the batch size only (never of [--jobs]); exposed so the
     frozen reference and the differential tests partition identically. *)
 val grad_shard_rows : int
+
+(** [shape_widths net ~d_in]: each layer's input width for rows of width
+    [d_in], then the output width.  A dense layer must read exactly its
+    input, and a convolution [c_in] whole channels at least [kernel] long,
+    so that no window runs into the next channel; a network that passes
+    reads no cell out of range.  {!train_batch} checks its batch with it,
+    and [Cnn]'s snapshot loader the scaler's width.
+    @raise Invalid_argument on a layer that misfits its input *)
+val shape_widths : t -> d_in:int -> int array
 
 (** In-place pairwise tree reduction into slot 0: merges [shards.(s+step)]
     into [shards.(s)] for stride-doubling steps 1, 2, 4, … — the fixed

@@ -19,7 +19,8 @@
     (gain, lowest-feature, lowest-threshold) tie-break that the rewritten
     {!Decision_tree} documents — the differential tests compare the split
     kernels, not the (changed, documented) tie rule.  [Fmat.matmul_naive]
-    plays the same role for the tiled matmul. *)
+    plays the same role for the neural window kernels: the frozen trainers
+    below run it, and the kernel oracles hold the window kernels to it. *)
 
 module Rng = Yali_util.Rng
 
@@ -436,8 +437,9 @@ end
    cnn/dgcnn trainers built on it) is pinned against the naive
    implementations below: the SAME minibatch algorithm — same shard
    boundaries, same per-cell floating-point accumulation chains, same rng
-   draw order — expressed as per-sample boxed loops instead of tiled
-   matmuls, and run sequentially instead of over the worker pool.  The
+   draw order — expressed as per-sample boxed loops and naive matmuls
+   instead of window kernels, and run sequentially instead of over the
+   worker pool.  The
    ml/nn-kernel-vs-reference oracle and `bench nn` require the two sides to
    produce bit-identical weights; the benchmark also measures the speedup
    against this very code.  Do not "optimise" anything below. *)
@@ -875,9 +877,11 @@ module Dgcnn = struct
 
   (* Naive counterpart of the DGCNN minibatch trainer: same initialisation
      draws ([Dgcnn.init_gc_weights] / [Dgcnn.build_head]), duplicated
-     forward/backward on [Fmat.matmul_naive], same shard-structured
-     gradient accumulation merged by {!tree_reduce}, head steps through
-     {!Nnb.train_batch}. *)
+     forward/backward on [Fmat.matmul_naive] and explicit transposes (where
+     [Dgcnn] runs [Nn]'s window kernels through [Dgcnn.gc_win]), every
+     graph prepared again in every epoch, the first layer's unread input
+     gradient still computed, same shard-structured gradient accumulation
+     merged by {!tree_reduce}, head steps through {!Nnb.train_batch}. *)
 
   let total_channels (p : Dgcnn.params) =
     List.fold_left ( + ) 0 p.Dgcnn.gc_channels

@@ -8,7 +8,9 @@
     histogram-based classifiers see through flattening (§4.3).
 
     Precondition: phi-free functions (the pass runs on [-O0]-style code).
-    Switch terminators are first lowered into compare-and-branch chains. *)
+    Switch terminators are first lowered into compare-and-branch chains, so
+    flattening flattened code lowers the old dispatcher and adds a new one
+    under a fresh label. *)
 
 open Yali_ir
 module Rng = Yali_util.Rng
@@ -227,7 +229,13 @@ let run_func (rng : Rng.t) (f : Func.t) : Func.t =
       let case_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
       List.iteri (fun i l -> Hashtbl.replace case_of l i) shuffled;
       let sw_slot = fresh () in
-      let dispatch_label = "fla.dispatch" in
+      (* a first flattening names its dispatcher [fla.dispatch]; flattening
+         flattened code takes a fresh label *)
+      let dispatch_label, f =
+        if Option.is_none (Func.find_block f "fla.dispatch") then
+          ("fla.dispatch", f)
+        else Func.fresh_label f "fla.dispatch"
+      in
       let case_const l = Value.i32 (Hashtbl.find case_of l) in
       (* rewrite a terminator into "store next-case; br dispatcher" *)
       let reroute (instrs : Instr.t list) (term : Instr.terminator) :

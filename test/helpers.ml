@@ -76,6 +76,14 @@ let qtest ?(count = 60) name prop =
 
 let approx ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
+(** Bit equality of float arrays: [=] takes [-0.0] for [0.0] and fails on
+    NaN. *)
+let same_bits (a : float array) (b : float array) : bool =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
 (** Whether a daemon's [socket] file is gone within 10 s: [Server.run]
     closes every connection and then removes it on its way out. *)
 let socket_gone (socket : string) : bool =

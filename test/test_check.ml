@@ -140,7 +140,8 @@ let test_passdb_covers_registry () =
         (fun (p : Yali.Transforms.Pipeline.pass) -> p.pname)
         Yali.Transforms.Pipeline.all_passes
     @ [ "sub"; "bcf"; "fla"; "ollvm" ]
-    @ [ "O2+sub"; "O2+bcf"; "O2+fla"; "O3+ollvm"; "fla+O2"; "ollvm+O3" ])
+    @ [ "O2+sub"; "O2+bcf"; "O2+fla"; "O3+ollvm"; "fla+O2"; "ollvm+O3" ]
+    @ [ "fla+fla"; "fla+ollvm"; "ollvm+fla"; "ollvm+ollvm" ])
     (List.map (fun (e : Passdb.entry) -> e.ename) Passdb.all)
 
 (* -- per-pass translation validation ---------------------------------------- *)

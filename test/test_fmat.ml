@@ -1,10 +1,9 @@
 (** Tests for the flat numeric-kernel layer (DESIGN.md §8): Fmat layout
-    invariants, tiled-vs-naive matmul bit-identity, the dense forward
-    kernel against a per-sample loop, the blocked distance identity, and
-    differential properties pinning the rewritten
-    tree/forest/knn/logreg/svm/mlp trainers to the frozen pre-rewrite
-    reference implementations ({!Yali.Ml.Reference}): trees node for node,
-    weights bit for bit. *)
+    invariants, the dense forward kernel against a per-sample loop, the
+    blocked distance identity, and differential properties pinning the
+    rewritten tree/forest/knn/logreg/svm/mlp trainers to the frozen
+    pre-rewrite reference implementations ({!Yali.Ml.Reference}): trees
+    node for node, weights bit for bit. *)
 
 open Helpers
 module Ml = Yali.Ml
@@ -65,25 +64,7 @@ let test_dot_and_norm () =
   Alcotest.(check bool) "dot" true (F.dot_row_vec m 0 [| 1.; 1.; 1. |] = 6.0);
   Alcotest.(check bool) "norm" true (F.sq_norm_row m 0 = 14.0)
 
-(* -- matmul ---------------------------------------------------------------- *)
-
-(* bit equality: [=] on float arrays is false on NaN *)
-let same_bits (a : float array) (b : float array) : bool =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a b
-
-let test_tiled_matmul_bit_identical =
-  qtest ~count:25 "tiled matmul = naive (bitwise)" (fun seed ->
-      let rng = Rng.make seed in
-      (* spans several tile boundaries incl. ragged edges *)
-      let n = 1 + Rng.int rng 90
-      and k = 1 + Rng.int rng 90
-      and p = 1 + Rng.int rng 90 in
-      let a = F.random rng n k ~scale:1.0 in
-      let b = F.random rng k p ~scale:1.0 in
-      (F.matmul a b).data = (F.matmul_naive a b).data)
+(* -- dense forward kernel -------------------------------------------------- *)
 
 (* The forward kernel's law: each output cell of a dense layer starts from
    its bias and adds its nonzero inputs in ascending order, as a
@@ -371,7 +352,6 @@ let suite =
       test_snapshot_rejects_overflowing_shape;
     test_parallel_of_fn_matches_sequential;
     Alcotest.test_case "dot and norm" `Quick test_dot_and_norm;
-    test_tiled_matmul_bit_identical;
     test_win_forward_matches_loop;
     test_blocked_distance_close;
     test_fit_stream_bit_identical;

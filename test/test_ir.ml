@@ -420,6 +420,10 @@ let test_pass_pin () =
       ("O3+ollvm", "703dbcf5d27f4994715dbb8b040c7b48");
       ("fla+O2", "8b85d1a2476964e0de4bc38e26deb9d6");
       ("ollvm+O3", "d189c18285a2e9e0abee41b61b0b73af");
+      ("fla+fla", "0bc60ef11ddab4b9ff353cc3cd94a6d9");
+      ("fla+ollvm", "8158ec2fcfff7e6b0af14ebec5f3afc8");
+      ("ollvm+fla", "de84f72d8287978711004a5849e5ecd5");
+      ("ollvm+ollvm", "421faf1d9b5856cff07f8a7f0eb74f0f");
     ]
     digests
 

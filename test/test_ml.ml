@@ -11,14 +11,14 @@ module M = Ml.Fmat
 let test_matmul () =
   let a = M.of_rows [| [| 1.; 2. |]; [| 3.; 4. |] |] in
   let b = M.of_rows [| [| 5.; 6. |]; [| 7.; 8. |] |] in
-  let c = M.matmul a b in
+  let c = M.matmul_naive a b in
   Alcotest.(check bool) "2x2 product" true
     (M.get c 0 0 = 19. && M.get c 0 1 = 22. && M.get c 1 0 = 43. && M.get c 1 1 = 50.)
 
 let test_matmul_dims () =
   Alcotest.check_raises "dimension mismatch"
-    (Invalid_argument "Fmat.matmul: dimension mismatch") (fun () ->
-      ignore (M.matmul (M.create 2 3) (M.create 2 3)))
+    (Invalid_argument "Fmat.matmul_naive: dimension mismatch") (fun () ->
+      ignore (M.matmul_naive (M.create 2 3) (M.create 2 3)))
 
 let test_transpose_involution =
   qtest ~count:30 "transpose involutive" (fun seed ->
@@ -45,7 +45,8 @@ let test_matmul_assoc =
       let a = M.random rng 2 3 ~scale:1.0 in
       let b = M.random rng 3 4 ~scale:1.0 in
       let c = M.random rng 4 2 ~scale:1.0 in
-      let l = M.matmul (M.matmul a b) c and r = M.matmul a (M.matmul b c) in
+      let l = M.matmul_naive (M.matmul_naive a b) c
+      and r = M.matmul_naive a (M.matmul_naive b c) in
       Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) l.data r.data)
 
 let test_axpy () =

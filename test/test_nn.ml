@@ -9,7 +9,12 @@ module Pool = Yali.Exec.Pool
 module Graph = Yali.Embeddings.Graph
 module F = Ml.Fmat
 
-let weights = Alcotest.testable (Fmt.Dump.array (Fmt.Dump.array Fmt.float)) ( = )
+(* parameter dumps compared by their bits (DESIGN.md §15) *)
+let weights =
+  Alcotest.testable
+    (Fmt.Dump.array (Fmt.Dump.array Fmt.float))
+    (fun a b ->
+      Array.length a = Array.length b && Array.for_all2 Helpers.same_bits a b)
 
 (* well-separated gaussian blobs as an Fmat (same shape as test_ml's) *)
 let blobs (rng : Rng.t) ~(n_classes : int) ~(n : int) ~(d : int) :
@@ -78,8 +83,10 @@ let nnb_differential ~(d : int) ~(n_classes : int) ~(batch : int)
     let lr = 0.01 /. (1.0 +. (0.1 *. float_of_int step)) in
     let kl, kdx = Ml.Nn.train_batch ~lr ~rng:krng kernel x ys in
     let nl, ndx = Ml.Reference.Nnb.train_batch ~lr ~rng:nrng naive x ys in
-    Alcotest.(check (float 0.0)) "loss identical" nl kl;
-    Alcotest.(check bool) "input grads identical" true (kdx = ndx)
+    Alcotest.(check int64) "loss identical" (Int64.bits_of_float nl)
+      (Int64.bits_of_float kl);
+    Alcotest.(check bool) "input grads identical" true
+      (kdx.F.n = ndx.F.n && Helpers.same_bits kdx.F.data ndx.F.data)
   done;
   Alcotest.check weights "weights identical"
     (Ml.Nn.dump_weights naive) (Ml.Nn.dump_weights kernel)

@@ -88,6 +88,19 @@ let test_fla_preserves =
   qtest ~count:50 "fla preserves behaviour" (fun seed ->
       preserves_behaviour (Ob.Fla.run (Rng.make seed)) seed)
 
+(* Flattening flattened code lowers the first dispatcher's switch and adds
+   a second dispatcher, which must not reuse the first one's label. *)
+let test_fla_twice_preserves =
+  qtest ~count:30 "fla on flattened code verifies and preserves behaviour"
+    (fun seed ->
+      let m = lower (Yali.Check.Gen.program (Rng.make seed)) in
+      let m' = Ob.Fla.run (Rng.make (seed + 1)) (Ob.Fla.run (Rng.make seed) m) in
+      let input = fuzz_input seed in
+      Ir.Verify.check_module m' = []
+      && Ir.Interp.equal_behaviour
+           (Ir.Interp.run ~fuel:2_000_000 m input)
+           (Ir.Interp.run ~fuel:(256 * 2_000_000) m' input))
+
 let test_fla_lower_switches_preserves =
   qtest ~count:30 "switch lowering preserves behaviour" (fun seed ->
       preserves_behaviour
@@ -306,6 +319,7 @@ let suite =
     Alcotest.test_case "fla dispatcher" `Quick test_fla_builds_dispatcher;
     Alcotest.test_case "fla keeps arithmetic mix" `Quick test_fla_histogram_stability;
     test_fla_preserves;
+    test_fla_twice_preserves;
     test_fla_lower_switches_preserves;
     test_ollvm_preserves;
     test_ollvm_slows_down;

@@ -344,7 +344,28 @@ let test_snapshot_rejects_corruption () =
     (neural 3 ~scaler_d:3 ~d_in:2 ~d_out:2 ~n_classes:2);
   good "cnn" (neural 5 ~scaler_d:2 ~d_in:2 ~d_out:3 ~n_classes:3);
   bad "cnn last layer wider than its class count"
-    (neural 5 ~scaler_d:2 ~d_in:2 ~d_out:3 ~n_classes:2)
+    (neural 5 ~scaler_d:2 ~d_in:2 ~d_out:3 ~n_classes:2);
+  (* dense 2 -> [width], conv of 2 channels with kernel 3, dense 3 -> 2:
+     on width 5 the window of channel 0 runs into channel 1 without
+     leaving the row *)
+  let conv ~width ~stride =
+    let module Nn = Yali.Ml.Nn in
+    let rng = Rng.make 1 in
+    model_blob 5 (fun b ->
+        scaler 2 b;
+        Nn.to_bin b
+          {
+            Nn.n_classes = 2;
+            layers =
+              [
+                Nn.dense rng ~d_in:2 ~d_out:width;
+                Nn.conv1d rng ~c_in:2 ~c_out:3 ~kernel:3 ~stride;
+                Nn.dense rng ~d_in:3 ~d_out:2;
+              ];
+          })
+  in
+  good "cnn conv" (conv ~width:6 ~stride:1);
+  bad "cnn conv windows cross channels" (conv ~width:5 ~stride:2)
 
 (* -- registry --------------------------------------------------------------- *)
 

@@ -72,5 +72,12 @@ let all : entry list =
       entry ~fuel:256 [ ollvm; fla ];
       entry ~fuel:256 [ ollvm; ollvm ];
     ]
+  (* Game3's normaliser after each IR obfuscator (appended, so every older
+     entry keeps its rng) *)
+  @ [
+      entry ~fuel:16 [ sub; o3 ];
+      entry ~fuel:16 [ bcf; o3 ];
+      entry ~fuel:16 [ fla; o3 ];
+    ]
 
 let find name = List.find_opt (fun e -> e.ename = name) all

@@ -43,11 +43,13 @@ val apply :
   Yali_ir.Irmod.t ->
   Yali_ir.Irmod.t
 
-(** The 26 built-in entries: [O0]–[O3], the transform passes in registry
+(** The 29 built-in entries: [O0]–[O3], the transform passes in registry
     order, [sub]/[bcf]/[fla]/[ollvm], the six compositions of the two
-    families, then the four flattening obfuscators composed with each
-    other ([fla+fla], [fla+ollvm], [ollvm+fla], [ollvm+ollvm]).  The
-    order is fixed: the oracles key each entry's rng on its position. *)
+    families, the four flattening obfuscators composed with each other
+    ([fla+fla], [fla+ollvm], [ollvm+fla], [ollvm+ollvm]), then Game3's
+    normaliser after each other IR obfuscator ([sub+O3], [bcf+O3],
+    [fla+O3]).  The order is fixed: the oracles key each entry's rng on
+    its position. *)
 val all : entry list
 
 val find : string -> entry option

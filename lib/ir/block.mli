@@ -9,10 +9,15 @@ val make : label:string -> instrs:Instr.t list -> term:Instr.terminator -> t
 val phis : t -> Instr.t list
 
 val non_phis : t -> Instr.t list
+
+(** [true] when any instruction is a phi, wherever it stands. *)
+val has_phi : t -> bool
+
 val successors : t -> string list
 
 (** All opcodes executed by the block, terminator included. *)
 val opcodes : t -> Opcode.t list
 
-(** Relabel phi entries from [old_pred] to [new_pred] (CFG surgery). *)
-val retarget_phis : old_pred:string -> new_pred:string -> t -> t
+(** Relabel every phi entry from [l] to [f l] (CFG surgery); a block with
+    no phi is returned as it is. *)
+val retarget_phis : f:(string -> string) -> t -> t

@@ -2,14 +2,18 @@
     obfuscators create a builder, emit instructions into named blocks, and
     [finish] into an immutable {!Func.t}. *)
 
+type block = string * Instr.t list ref * Instr.terminator option ref
+
 type t = {
   name : string;
   params : (int * Types.t) list;
   ret : Types.t;
   mutable next_id : int;
   mutable next_label : int;
-  mutable blocks_rev : (string * Instr.t list ref * Instr.terminator option ref) list;
-  mutable current : (string * Instr.t list ref * Instr.terminator option ref) option;
+  mutable blocks_rev : block list;
+  (* label -> block; a repeated label names its newest block *)
+  by_label : (string, block) Hashtbl.t;
+  mutable current : block option;
 }
 
 let create ~name ~param_tys ~ret =
@@ -21,6 +25,7 @@ let create ~name ~param_tys ~ret =
     next_id = List.length param_tys;
     next_label = 0;
     blocks_rev = [];
+    by_label = Hashtbl.create 16;
     current = None;
   }
 
@@ -36,16 +41,16 @@ let fresh_id (b : t) : int =
 
 (** Create a new block label (without switching to it). *)
 let new_block ?(hint = "bb") (b : t) : string =
-  let l = Printf.sprintf "%s%d" hint b.next_label in
+  let l = hint ^ string_of_int b.next_label in
   b.next_label <- b.next_label + 1;
-  b.blocks_rev <- (l, ref [], ref None) :: b.blocks_rev;
+  let blk = (l, ref [], ref None) in
+  b.blocks_rev <- blk :: b.blocks_rev;
+  Hashtbl.replace b.by_label l blk;
   l
 
 (** Position the builder at the end of block [label]. *)
 let switch_to (b : t) (label : string) : unit =
-  match
-    List.find_opt (fun (l, _, _) -> l = label) b.blocks_rev
-  with
+  match Hashtbl.find_opt b.by_label label with
   | Some blk -> b.current <- Some blk
   | None -> invalid_arg ("Builder.switch_to: unknown block " ^ label)
 
@@ -58,9 +63,10 @@ let emit (b : t) ~(ty : Types.t) (kind : Instr.kind) : Value.t =
   match b.current with
   | None -> invalid_arg "Builder.emit: no current block"
   | Some (_, instrs, term) ->
-      if !term <> None then
-        invalid_arg "Builder.emit: block already terminated";
-      let id = if ty = Types.Void then Instr.no_result else fresh_id b in
+      (match !term with
+      | Some _ -> invalid_arg "Builder.emit: block already terminated"
+      | None -> ());
+      let id = match ty with Types.Void -> Instr.no_result | _ -> fresh_id b in
       instrs := Instr.mk ~id ~ty kind :: !instrs;
       if id = Instr.no_result then Value.Undef Types.Void else Value.Var id
 
@@ -71,13 +77,14 @@ let terminate (b : t) (term : Instr.terminator) : unit =
   match b.current with
   | None -> invalid_arg "Builder.terminate: no current block"
   | Some (_, _, t) ->
-      if !t <> None then invalid_arg "Builder.terminate: already terminated";
-      t := Some term
+      (match !t with
+      | Some _ -> invalid_arg "Builder.terminate: already terminated"
+      | None -> t := Some term)
 
 let is_terminated (b : t) : bool =
   match b.current with
   | None -> false
-  | Some (_, _, t) -> !t <> None
+  | Some (_, _, t) -> Option.is_some !t
 
 (* Typed emission helpers. *)
 
@@ -92,10 +99,11 @@ let gep b ~ty base idxs = emit b ~ty (Instr.Gep (base, idxs))
 let phi b ~ty incoming = emit b ~ty (Instr.Phi incoming)
 let select b c x y ~ty = emit b ~ty (Instr.Select (c, x, y))
 let call b ~ty callee args =
-  if ty = Types.Void then (
-    emit_void b (Instr.Call (callee, args));
-    Value.Undef Types.Void)
-  else emit b ~ty (Instr.Call (callee, args))
+  match ty with
+  | Types.Void ->
+      emit_void b (Instr.Call (callee, args));
+      Value.Undef Types.Void
+  | _ -> emit b ~ty (Instr.Call (callee, args))
 let cast b op v ~ty = emit b ~ty (Instr.Cast (op, v))
 
 let ret b v = terminate b (Instr.Ret v)

@@ -22,12 +22,25 @@ let make ~name ~params ~ret ~blocks =
       (List.fold_left (fun acc (id, _) -> max acc id) (-1) params)
       blocks
   in
+  (* a label names a number when it parses as one with every [L] removed;
+     one whose first non-[L] character is no digit or sign cannot *)
+  let may_parse l =
+    let n = String.length l in
+    let rec first k = if k < n && l.[k] = 'L' then first (k + 1) else k in
+    let k = first 0 in
+    k < n && match l.[k] with '0' .. '9' | '-' | '+' -> true | _ -> false
+  in
   let max_label =
     List.fold_left
       (fun acc (b : Block.t) ->
-        match int_of_string_opt (String.concat "" (String.split_on_char 'L' b.label)) with
-        | Some n -> max acc n
-        | None -> acc)
+        if not (may_parse b.label) then acc
+        else
+          match
+            int_of_string_opt
+              (String.concat "" (String.split_on_char 'L' b.label))
+          with
+          | Some n -> max acc n
+          | None -> acc)
       (-1) blocks
   in
   { name; params; ret; blocks; next_id = max_id + 1; next_label = max_label + 1 }

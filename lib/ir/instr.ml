@@ -52,6 +52,7 @@ let mk ~id ~ty kind = { id; ty; kind }
 let mk_void kind = { id = no_result; ty = Types.Void; kind }
 
 let defines (i : t) = i.id <> no_result
+let is_phi (i : t) = match i.kind with Phi _ -> true | _ -> false
 
 let opcode (i : t) : Opcode.t =
   match i.kind with

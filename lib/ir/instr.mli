@@ -53,6 +53,7 @@ val mk : id:int -> ty:Types.t -> kind -> t
 val mk_void : kind -> t
 
 val defines : t -> bool
+val is_phi : t -> bool
 
 (** The opcode an instruction contributes to histograms. *)
 val opcode : t -> Opcode.t

@@ -448,11 +448,14 @@ and lower_stmt (env : env) (s : stmt) : unit =
         | (_, lx) :: _ -> B.br b lx
         | [] -> err "break outside loop/switch")
     | Continue -> (
-        match env.loop_stack with
-        | (lc, _) :: _ ->
-            if lc = "<invalid-continue>" then err "continue inside switch only"
-            else B.br b lc
-        | [] -> err "continue outside loop")
+        (* a continue in a switch continues the innermost enclosing loop *)
+        match
+          List.find_opt
+            (fun (lc, _) -> lc <> "<invalid-continue>")
+            env.loop_stack
+        with
+        | Some (lc, _) -> B.br b lc
+        | None -> err "continue outside loop")
     | Return None ->
         if env.fret = T.Void then B.ret b None
         else B.ret b (Some (V.i32 0))

@@ -18,11 +18,6 @@ module Rng = Yali_util.Rng
 let x_global = "__bcf_x"
 let y_global = "__bcf_y"
 
-let has_phis (f : Func.t) =
-  List.exists
-    (fun (i : Instr.t) -> match i.kind with Instr.Phi _ -> true | _ -> false)
-    (Func.instrs f)
-
 (* A bogus clone of a block: pure instructions are duplicated with fresh ids
    (and binary opcodes perturbed), effectful ones dropped.  The clone is
    never executed, so its semantics are irrelevant; it exists to confuse
@@ -111,7 +106,7 @@ let make_predicate ~(fresh : unit -> int) ~(label : string)
   Block.make ~label ~instrs ~term:(Instr.CondBr (Value.Var c, real, bogus))
 
 let run_func ?(probability = 0.5) (rng : Rng.t) (f : Func.t) : Func.t =
-  if has_phis f then f
+  if List.exists Block.has_phi f.blocks then f
   else
     let entry_label = (Func.entry f).label in
     let next = ref f.next_id in

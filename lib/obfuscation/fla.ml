@@ -15,11 +15,6 @@
 open Yali_ir
 module Rng = Yali_util.Rng
 
-let has_phis (f : Func.t) =
-  List.exists
-    (fun (i : Instr.t) -> match i.kind with Instr.Phi _ -> true | _ -> false)
-    (Func.instrs f)
-
 (** Replace switch terminators with chains of [icmp eq]/[condbr] blocks. *)
 let lower_switches (f : Func.t) : Func.t =
   let next = ref f.next_id in
@@ -202,7 +197,7 @@ let demote_cross_block (f : Func.t) : Func.t =
     { f with blocks; next_id = !next }
 
 let run_func (rng : Rng.t) (f : Func.t) : Func.t =
-  if has_phis f || List.length f.blocks < 2 then f
+  if List.exists Block.has_phi f.blocks || List.length f.blocks < 2 then f
   else
     let f = lower_switches f in
     let f = hoist_allocas f in

@@ -30,8 +30,25 @@ let rec stmts_have_jump (ss : stmt list) : bool =
       | Break | Continue -> true
       | If (_, t, e) -> stmts_have_jump t || stmts_have_jump e
       | Block b -> stmts_have_jump b
-      (* jumps inside nested loops/switches bind to those, not to us *)
-      | While _ | DoWhile _ | For _ | Switch _ -> false
+      (* a break in a switch binds to it, a continue to the loop around *)
+      | Switch (_, cases, d) ->
+          List.exists (fun (_, b) -> stmts_have_continue b) cases
+          || stmts_have_continue d
+      (* jumps inside nested loops bind to those, not to us *)
+      | While _ | DoWhile _ | For _ -> false
+      | _ -> false)
+    ss
+
+and stmts_have_continue (ss : stmt list) : bool =
+  List.exists
+    (fun s ->
+      match s with
+      | Continue -> true
+      | If (_, t, e) -> stmts_have_continue t || stmts_have_continue e
+      | Block b -> stmts_have_continue b
+      | Switch (_, cases, d) ->
+          List.exists (fun (_, b) -> stmts_have_continue b) cases
+          || stmts_have_continue d
       | _ -> false)
     ss
 
@@ -87,7 +104,12 @@ let switch_to_ifchain =
   let apply _rng fn =
     on_body
       (map_stmts (function
-        | Switch (e, cases, default) when not (expr_has_call e) ->
+        | Switch (e, cases, default)
+          when (not (expr_has_call e))
+               && (not (stmts_have_jump default))
+               && not (List.exists (fun (_, b) -> stmts_have_jump b) cases) ->
+            (* a [break] in a case leaves the switch, but in the if-chain it
+               would leave the enclosing loop: skip switches with jumps *)
             let rec chain = function
               | [] -> default
               | (k, body) :: rest ->

@@ -2,22 +2,26 @@
     are never used. *)
 
 open Yali_ir
-module ISet = Set.Make (Int)
+module IH = Hashtbl.Make (struct
+  type t = int
 
-let used_ids (f : Func.t) : ISet.t =
-  let add acc (v : Value.t) =
-    match v with Value.Var id -> ISet.add id acc | _ -> acc
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let used_ids (f : Func.t) : unit IH.t =
+  let used = IH.create 64 in
+  let add (v : Value.t) =
+    match v with Value.Var id -> IH.replace used id () | _ -> ()
   in
-  List.fold_left
-    (fun acc (b : Block.t) ->
-      let acc =
-        List.fold_left
-          (fun acc (i : Instr.t) ->
-            List.fold_left add acc (Instr.operands i))
-          acc b.instrs
-      in
-      List.fold_left add acc (Instr.terminator_operands b.term))
-    ISet.empty f.blocks
+  List.iter
+    (fun (b : Block.t) ->
+      List.iter
+        (fun (i : Instr.t) -> List.iter add (Instr.operands i))
+        b.instrs;
+      List.iter add (Instr.terminator_operands b.term))
+    f.blocks;
+  used
 
 let run_func (f : Func.t) : Func.t =
   let f = ref f in
@@ -36,7 +40,7 @@ let run_func (f : Func.t) : Func.t =
                   let keep =
                     (not (Instr.defines i))
                     || (not (Instr.is_pure i))
-                    || ISet.mem i.id used
+                    || IH.mem used i.id
                   in
                   if not keep then progress := true;
                   keep)

@@ -135,7 +135,9 @@ let inline_call (caller : Func.t) (callee : Func.t) ~(site_label : string)
     List.map
       (fun (b : Block.t) ->
         if List.mem b.label old_succs then
-          Block.retarget_phis ~old_pred:site_label ~new_pred:cont_label b
+          Block.retarget_phis
+            ~f:(fun l -> if l = site_label then cont_label else l)
+            b
         else b)
       blocks
   in

@@ -41,29 +41,30 @@ let fold_terminators (f : Func.t) : Func.t =
    prune phi entries for edges that disappeared. *)
 let prune_phis (f : Func.t) : Func.t =
   let cfg = Cfg.of_func f in
-  Func.map_blocks
-    (fun b ->
-      let preds = cfg.pred.(Cfg.index cfg b.label) in
-      let is_pred l =
-        match Cfg.find cfg l with Some p -> List.mem p preds | None -> false
-      in
-      let instrs =
-        List.filter_map
-          (fun (i : Instr.t) ->
-            match i.kind with
-            | Instr.Phi incoming -> (
-                match List.filter (fun (_, l) -> is_pred l) incoming with
-                | [] -> None
-                | [ (v, _) ] when Instr.defines i ->
-                    (* single predecessor: phi is just a copy; keep it as a
-                       freeze so uses stay valid, Instcombine removes it *)
-                    Some { i with kind = Instr.Freeze v }
-                | incoming -> Some { i with kind = Instr.Phi incoming })
-            | _ -> Some i)
-          b.instrs
-      in
-      { b with instrs })
-    f
+  let prune (b : Block.t) =
+    let preds = cfg.pred.(Cfg.index cfg b.label) in
+    let is_pred l =
+      match Cfg.find cfg l with Some p -> List.mem p preds | None -> false
+    in
+    let instrs =
+      List.filter_map
+        (fun (i : Instr.t) ->
+          match i.kind with
+          | Instr.Phi incoming -> (
+              match List.filter (fun (_, l) -> is_pred l) incoming with
+              | [] -> None
+              | [ (v, _) ] when Instr.defines i ->
+                  (* single predecessor: phi is just a copy; keep it as a
+                     freeze so uses stay valid, Instcombine removes it *)
+                  Some { i with kind = Instr.Freeze v }
+              | incoming -> Some { i with kind = Instr.Phi incoming })
+          | _ -> Some i)
+        b.instrs
+    in
+    { b with instrs }
+  in
+  (* a phi may follow other instructions, so look at the whole block *)
+  Func.map_blocks (fun b -> if Block.has_phi b then prune b else b) f
 
 (** Merge blocks with a unique predecessor whose terminator is an
     unconditional branch to them. *)
@@ -89,7 +90,7 @@ let merge_blocks (f : Func.t) : Func.t =
                version, not the stale one from the iteration list *)
             let bcur = !(Hashtbl.find block_tbl b.label) in
             match pb.term with
-            | Instr.Br l when l = b.label && Block.phis bcur = [] ->
+            | Instr.Br l when l = b.label && not (Block.has_phi bcur) ->
                 let nb =
                   {
                     pb with
@@ -111,17 +112,9 @@ let merge_blocks (f : Func.t) : Func.t =
           else Some !(Hashtbl.find block_tbl b.label))
         f.blocks
     in
-    (* successors' phis must now name the merged predecessor *)
-    let blocks =
-      List.map
-        (fun (b : Block.t) ->
-          Hashtbl.fold
-            (fun old_pred _ acc ->
-              Block.retarget_phis ~old_pred ~new_pred:(root old_pred) acc)
-            merged_into b)
-        blocks
-    in
-    { f with blocks }
+    (* successors' phis must now name the merged predecessor: one pass
+       maps each merged label to its root, which is never itself merged *)
+    { f with blocks = List.map (Block.retarget_phis ~f:root) blocks }
 
 let run_func (f : Func.t) : Func.t =
   let f = ref f in

@@ -141,7 +141,8 @@ let test_passdb_covers_registry () =
         Yali.Transforms.Pipeline.all_passes
     @ [ "sub"; "bcf"; "fla"; "ollvm" ]
     @ [ "O2+sub"; "O2+bcf"; "O2+fla"; "O3+ollvm"; "fla+O2"; "ollvm+O3" ]
-    @ [ "fla+fla"; "fla+ollvm"; "ollvm+fla"; "ollvm+ollvm" ])
+    @ [ "fla+fla"; "fla+ollvm"; "ollvm+fla"; "ollvm+ollvm" ]
+    @ [ "sub+O3"; "bcf+O3"; "fla+O3" ])
     (List.map (fun (e : Passdb.entry) -> e.ename) Passdb.all)
 
 (* -- per-pass translation validation ---------------------------------------- *)

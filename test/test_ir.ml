@@ -424,6 +424,9 @@ let test_pass_pin () =
       ("fla+ollvm", "8158ec2fcfff7e6b0af14ebec5f3afc8");
       ("ollvm+fla", "de84f72d8287978711004a5849e5ecd5");
       ("ollvm+ollvm", "421faf1d9b5856cff07f8a7f0eb74f0f");
+      ("sub+O3", "242d567857b644584b2553ca19ece446");
+      ("bcf+O3", "1a9d0dd2063b77718fae1c223ba698a5");
+      ("fla+O3", "ccc4dd6b1c0d1cb7bc6d0a9d7b25fa53");
     ]
     digests
 

@@ -131,6 +131,27 @@ let test_declared_vars () =
   Alcotest.(check (list string)) "params + locals" [ "a"; "b"; "c" ]
     (Ast.declared_vars (List.hd p.pfuncs))
 
+(* C's [continue] inside a [switch] continues the enclosing loop; with no
+   loop around the switch it is still an error *)
+let test_continue_in_switch () =
+  let src =
+    "int main() { int s = 0; int i; for (i = 0; i < 6; i = i + 1) { \
+     switch (i % 2) { case 0: { s = s + 1; continue; } \
+     default: { s = s + 10; } } s = s + 100; } print_int(s); return 0; }"
+  in
+  let m = lower (parse src) in
+  Alcotest.(check (list int)) "interpreter" [ 333 ]
+    (outputs (Ir.Interp.run m []));
+  Alcotest.(check (list int)) "vm" [ 333 ] (outputs (Yali.run m []));
+  Alcotest.(check bool) "still rejected outside a loop" true
+    (match
+       lower
+         (parse
+            "int main() { switch (1) { case 1: { continue; } } return 0; }")
+     with
+    | _ -> false
+    | exception Minic.Lower.Lower_error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
@@ -152,4 +173,6 @@ let suite =
     Alcotest.test_case "unbound variable rejected" `Quick test_lower_error_on_unbound;
     Alcotest.test_case "stmt_count" `Quick test_stmt_count;
     Alcotest.test_case "declared_vars" `Quick test_declared_vars;
+    Alcotest.test_case "continue inside a switch" `Quick
+      test_continue_in_switch;
   ]

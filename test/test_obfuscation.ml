@@ -308,6 +308,78 @@ let evader_semantic_tests =
           Ir.Interp.equal_behaviour base o))
     Ob.Evader.all
 
+(* A [break] in a case leaves the switch; rewritten to an if-chain it would
+   leave the enclosing loop (641 became 321), so such a switch is skipped *)
+let test_ifchain_keeps_case_break () =
+  let src =
+    "int main() { int s = 0; int i; for (i = 0; i < 6; i = i + 1) { \
+     switch (i % 3) { case 0: { if (i > 2) { break; } s = s + 1; } \
+     default: { s = s + 10; } } s = s + 100; } print_int(s); return 0; }"
+  in
+  let p = parse src in
+  let tx = Option.get (Ob.Source_tx.find "switch_to_ifchain") in
+  let run p = outputs (Ir.Interp.run (lower p) []) in
+  Alcotest.(check (list int)) "original" [ 641 ] (run p);
+  Alcotest.(check (list int)) "transformed" [ 641 ]
+    (run (Ob.Source_tx.apply_program tx (Rng.make 1) p))
+
+(* A continue in a switch continues the loop around it, so the loop
+   rewrites that move a for-loop's step must see it as a jump *)
+let test_loop_rewrites_see_switch_continue () =
+  let src =
+    "int main() { int s = 0; int i; for (i = 0; i < 6; i = i + 1) { \
+     switch (i % 2) { case 0: { s = s + 1; continue; } \
+     default: { s = s + 10; } } s = s + 100; } print_int(s); return 0; }"
+  in
+  let p = parse src in
+  let run p = outputs (Ir.Interp.run ~fuel:100_000 (lower p) []) in
+  List.iter
+    (fun tx ->
+      let tx = Option.get (Ob.Source_tx.find tx) in
+      Alcotest.(check (list int)) tx.Ob.Source_tx.txname [ 333 ]
+        (run (Ob.Source_tx.apply_program tx (Rng.make 1) p)))
+    [ "for_to_while"; "while_to_dowhile"; "loop_peel"; "wrap_dowhile0" ]
+
+(* Game3's normaliser: -O3 of every active evader's challenges and of the
+   plain training programs, on the 24 test programs of a seeded Poj split.
+   Held to the printed modules, so a change to lowering or an O3 pass shows
+   here. *)
+let test_game3_normaliser_pin () =
+  let split =
+    Yali.Dataset.Poj.make (Rng.make 5) ~n_classes:24 ~train_per_class:0
+      ~test_per_class:1
+  in
+  let o3 = Yali.Transforms.Pipeline.o3 in
+  let digest apply =
+    let buf = Buffer.create (1 lsl 16) in
+    Array.iteri
+      (fun i (l : Yali.Dataset.Poj.labelled) ->
+        Buffer.add_string buf
+          (Ir.Pp.module_to_string
+             (o3 (apply (Rng.split_ix (Rng.make 5) i) l.src))))
+      split.test;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let rows =
+    ("train", digest (fun _ p -> lower p))
+    :: List.map
+         (fun (e : Ob.Evader.t) -> (e.ename, digest e.apply))
+         Ob.Evader.active
+  in
+  Alcotest.(check (list (pair string string))) "o3 of each side"
+    [
+      ("train", "32d3a19bfcb126d52e74046431d5b919");
+      ("O3", "32d3a19bfcb126d52e74046431d5b919");
+      ("ollvm", "7d1411e902d56802a24802a25e580355");
+      ("bcf", "b8df3c17c36a174e62ae084bd55179fc");
+      ("fla", "41fe20d4db93c0dd225813c17afafcfe");
+      ("sub", "0ff886a76b04e29a8122543759dcadd3");
+      ("rs", "e260bd3f0ec40c7999400b5eeda82e78");
+      ("mcmc", "344bb8a22afab737a3852f8f45201385");
+      ("drlsg", "1a39b1256e7c97039abfb899a7b49a44");
+    ]
+    rows
+
 let suite =
   [
     test_sub_grows_code;
@@ -336,6 +408,11 @@ let suite =
         test_strategies_respect_max_len;
       Alcotest.test_case "drlsg distance" `Slow test_drlsg_distance;
       Alcotest.test_case "source strategies pin" `Slow test_strategies_pin;
+      Alcotest.test_case "switch to if-chain keeps a case's break" `Quick
+        test_ifchain_keeps_case_break;
+      Alcotest.test_case "loop rewrites see a continue in a switch" `Quick
+        test_loop_rewrites_see_switch_continue;
+      Alcotest.test_case "game3 normaliser pin" `Slow test_game3_normaliser_pin;
       Alcotest.test_case "evader registry" `Quick test_evader_registry;
     ]
   @ evader_semantic_tests

@@ -460,8 +460,52 @@ let test_level_parsing () =
   Alcotest.(check bool) "o3" true (Tx.Pipeline.level_of_string "o3" = Some Tx.Pipeline.O3);
   Alcotest.(check bool) "junk" true (Tx.Pipeline.level_of_string "Ofast" = None)
 
+(* gvn's key classes: each pair is unified or kept apart exactly as the
+   printed form of the instruction would be.  A one-block function computes
+   both instructions and returns the second; gvn unified them when the
+   return names the first. *)
+let test_gvn_key_classes () =
+  let module I = Ir.Instr in
+  let module V = Ir.Value in
+  let module T = Ir.Types in
+  let check name want ?(param = T.I32) ?(ty1 = T.I32) k1 ?(ty2 = ty1) k2 =
+    let b = Ir.Builder.create ~name:"f" ~param_tys:[ param; param ] ~ret:ty2 in
+    Ir.Builder.switch_to b (Ir.Builder.new_block b);
+    let x = Ir.Builder.emit b ~ty:ty1 k1 in
+    let y = Ir.Builder.emit b ~ty:ty2 k2 in
+    Ir.Builder.ret b (Some y);
+    match (Tx.Gvn.run_func (Ir.Builder.finish b)).blocks with
+    | [ { term = I.Ret (Some r); _ } ] ->
+        Alcotest.(check bool) name want (r = x)
+    | _ -> Alcotest.fail (name ^ ": gvn changed the block structure")
+  in
+  let fadd x = I.Fbin (I.FAdd, V.Var 0, V.FConst x) in
+  let fcheck name want x1 x2 =
+    check name want ~param:T.F64 ~ty1:T.F64 (fadd x1) (fadd x2)
+  in
+  let sext = I.Cast (I.SExt, V.Var 0) in
+  let swapped op =
+    (I.Ibin (op, V.Var 0, V.Var 1), I.Ibin (op, V.Var 1, V.Var 0))
+  in
+  let add01, add10 = swapped I.Add and sub01, sub10 = swapped I.Sub in
+  check "commuted add" true add01 add10;
+  check "commuted sub" false sub01 sub10;
+  fcheck "nan and -nan" false Float.nan (-.Float.nan);
+  fcheck "two nan payloads" true Float.nan
+    (Int64.float_of_bits 0x7FF0000000000001L);
+  fcheck "nan and the smallest subnormal" false Float.nan
+    (Int64.float_of_bits 1L);
+  fcheck "0.0 and -0.0" false 0.0 (-0.0);
+  fcheck "same float" true 0.5 0.5;
+  (* icmp's key has no type, so only the constants' types differ *)
+  check "i32 1 and i64 1" false ~ty1:T.I1
+    (I.Icmp (I.Eq, V.Var 0, V.i32 1)) (I.Icmp (I.Eq, V.Var 0, V.i64 1));
+  check "casts to two types" false ~param:T.I8 ~ty1:T.I32 sext ~ty2:T.I64 sext;
+  check "same cast" true ~param:T.I8 ~ty1:T.I64 sext sext
+
 let suite =
   [
+    Alcotest.test_case "gvn key classes" `Quick test_gvn_key_classes;
     Alcotest.test_case "mem2reg promotes scalars" `Quick test_mem2reg_promotes_scalars;
     Alcotest.test_case "mem2reg inserts phis" `Quick test_mem2reg_inserts_phis;
     Alcotest.test_case "mem2reg keeps arrays" `Quick test_mem2reg_keeps_arrays;

@@ -43,8 +43,10 @@ bench:
 
 # Numeric-kernel gate (DESIGN.md §8): rewritten kernels and flat trainers
 # vs the frozen lib/ml/reference.ml implementations, with speedups in
-# BENCH_kernels.json (rows rf-train ... lr-train, svm-train, mlp-train ...).
-# Exits non-zero unless the rf trees match node for node, rf and k-NN
+# BENCH_kernels.json (rows rf-train, rf-train-histogram ... lr-train,
+# svm-train, mlp-train ...).  Exits non-zero unless the rf trees match node
+# for node on dense counts and on generated programs' histogram rows
+# (rf_trees_identical, rf_histogram_trees_identical), rf and k-NN
 # predictions match, lr, svm and mlp weights are bitwise identical
 # (lr_/svm_/mlp_weights_bit_identical) and the distance sweep agrees
 # within 1e-9.

@@ -518,7 +518,7 @@ let run_gate (g : gate) =
 (* One reference-vs-rewrite row: printed, and returned for the gate's
    section under [field] for the rewrite's seconds. *)
 let versus ~(field : string) name ref_s new_s (extras : (string * J.t) list) =
-  Printf.printf "%-16s %12.4f %12.4f %9.2fx" name ref_s new_s (ref_s /. new_s);
+  Printf.printf "%-18s %12.4f %12.4f %9.2fx" name ref_s new_s (ref_s /. new_s);
   List.iter (fun (k, v) -> Printf.printf "  %s=%s" k (J.to_string v)) extras;
   Printf.printf "\n%!";
   J.Obj
@@ -548,13 +548,16 @@ let dump_eq (a : float array array) (b : float array array) : bool =
        a b
 
 (** Before/after numbers for the numeric-kernel layer (DESIGN.md §8):
-    forest/tree training (histogram vs per-node sort splits), k-NN
+    forest/tree training (histogram vs per-node sort splits; forests both
+    on dense synthetic counts and on the histogram rows of generated
+    programs, rf's real traffic), k-NN
     prediction (blocked norms+dot vs per-row subtract-square), lr, svm and
     mlp training (blocked gradients, one scoring pass per sample and in
     place steps vs the loops they replaced) and the raw distance sweep.
     "Reference" is the frozen pre-rewrite code in [Yali.Ml.Reference].
     Fails unless the rewrites agree with the reference: the same rf trees
-    node for node and the same rf and k-NN predictions, bitwise the same
+    node for node on both datasets and the same rf and k-NN predictions,
+    bitwise the same
     lr, svm and mlp weights, and distances within 1e-9. *)
 let kernels () =
   header "Kernel benchmarks: frozen pre-rewrite reference vs Fmat kernels";
@@ -563,7 +566,7 @@ let kernels () =
   let d = 64 and n_classes = 16 in
   Printf.printf "train=%d test=%d d=%d classes=%d (best of %d, interleaved)\n\n"
     n_train n_test d n_classes reps;
-  Printf.printf "%-16s %12s %12s %9s\n" "kernel" "ref(s)" "fmat(s)" "speedup";
+  Printf.printf "%-18s %12s %12s %9s\n" "kernel" "ref(s)" "fmat(s)" "speedup";
   let row = versus ~field:"fmat_seconds" in
   (* [n] rows with a class-dependent [feature rng ~hot] per column *)
   let gen feature seed n =
@@ -632,6 +635,58 @@ let kernels () =
       [
         ("predictions_match", J.Bool rf_match);
         ("trees_identical", J.Bool rf_trees);
+      ]
+  in
+
+  (* random-forest training on rf's own traffic: the histogram rows of a
+     seeded Poj split in evade-grid's shape (24 classes x 4 programs, 63
+     opcode columns, most zero or constant in a node's samples), one
+     default forest per seed *)
+  let hxs, hys =
+    let rng = Rng.make 24 in
+    let split =
+      Yali.Dataset.Poj.make rng ~n_classes:24 ~train_per_class:4
+        ~test_per_class:1
+    in
+    let train, _ = G.Arena.build_modules (Rng.split rng) G.Game.game0 split in
+    (G.Arena.embed_fmat E.Embedding.histogram train, Array.map snd train)
+  in
+  let hrows = Ml.Fmat.to_rows hxs and seeds = List.init (scale 8) succ in
+  let ref_hist = ref [] and new_hist = ref [] in
+  let t =
+    best_times ~reps
+      [|
+        (fun () ->
+          ref_hist :=
+            List.map
+              (fun seed ->
+                Ml.Reference.Random_forest.train (Rng.make seed) ~n_classes:24
+                  hrows hys)
+              seeds);
+        (fun () ->
+          new_hist :=
+            List.map
+              (fun seed ->
+                Ml.Random_forest.train (Rng.make seed) ~n_classes:24
+                  (Ml.Fblock.Mem hxs) hys)
+              seeds);
+      |]
+  in
+  let rf_hist_trees =
+    List.for_all2
+      (fun f (r : Ml.Reference.Random_forest.t) ->
+        Array.for_all2
+          (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
+            Ml.Reference.Decision_tree.same_tree a.root b.root)
+          (Ml.Random_forest.trees f) r.trees)
+      !new_hist !ref_hist
+  in
+  let rf_hist_row =
+    row "rf-train-histogram" t.(0) t.(1)
+      [
+        ("forests", J.Int (List.length seeds));
+        ("rows", J.Int hxs.Ml.Fmat.n);
+        ("trees_identical", J.Bool rf_hist_trees);
       ]
   in
 
@@ -797,6 +852,7 @@ let kernels () =
         J.List
           [
             rf_row;
+            rf_hist_row;
             tree_row;
             knn_row;
             lr_row;
@@ -809,6 +865,7 @@ let kernels () =
     [
       ("rf_predictions_match", rf_match);
       ("rf_trees_identical", rf_trees);
+      ("rf_histogram_trees_identical", rf_hist_trees);
       ("knn_predictions_match", knn_match);
       ("lr_weights_bit_identical", lr_identical);
       ("svm_weights_bit_identical", svm_identical);
@@ -837,7 +894,7 @@ let interp () =
   header "Engine benchmarks: frozen reference interpreter vs pre-compiling VM";
   let reps = 5 in
   Printf.printf "(best of %d, interleaved)\n\n" reps;
-  Printf.printf "%-16s %12s %12s %9s\n" "workload" "ref(s)" "vm(s)" "speedup";
+  Printf.printf "%-18s %12s %12s %9s\n" "workload" "ref(s)" "vm(s)" "speedup";
   let row = versus ~field:"vm_seconds" in
 
   (* raw throughput on the benchmark-game kernels *)

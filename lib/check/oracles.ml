@@ -36,12 +36,53 @@ let show_dataset (n_classes, xs, _, txs, seed) =
     (if Array.length xs = 0 then 0 else Array.length xs.(0))
     n_classes (Array.length txs) seed
 
+(* Rows shaped like [Histogram.of_module]'s opcode counts: most columns
+   zero in every row, a few constant, the rest sparse small counts, each
+   leaning towards the classes [c] with [j mod n_classes = c].  Unlike
+   dense counts, they leave features constant in a node's samples at every
+   depth, and two-bucket features common. *)
+let histogram_rows (rng : Rng.t) ~(n : int) ~(d : int) ~(n_classes : int) =
+  let kinds =
+    Array.init d (fun _ ->
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 | 5 -> `Zero
+        | 6 -> `Const (float_of_int (1 + Rng.int rng 5))
+        | _ -> `Sparse)
+  in
+  let ys = Array.init n (fun _ -> Rng.int rng n_classes) in
+  let xs =
+    Array.init n (fun i ->
+        Array.init d (fun j ->
+            match kinds.(j) with
+            | `Zero -> 0.0
+            | `Const c -> c
+            | `Sparse ->
+                let hot = j mod n_classes = ys.(i) in
+                if Rng.int rng (if hot then 2 else 5) = 0 then
+                  float_of_int (1 + Rng.int rng (if hot then 6 else 3))
+                else 0.0))
+  in
+  (xs, ys)
+
+(* the tree oracles' datasets: [gen_dataset]'s dense counts or, half the
+   time, histogram-shaped rows with up to 30 classes *)
+let gen_tree_dataset (rng : Rng.t) =
+  if Rng.bool rng then gen_dataset rng
+  else begin
+    let n_classes = 2 + Rng.int rng 29 in
+    let n = 20 + Rng.int rng 100 and d = 8 + Rng.int rng 56 in
+    let xs, ys = histogram_rows rng ~n ~d ~n_classes in
+    let txs, _ = histogram_rows rng ~n:16 ~d ~n_classes in
+    (n_classes, xs, ys, txs, Rng.int rng 1_000_000)
+  end
+
 let tree_vs_reference (n_classes, xs, ys, txs, seed) =
   let t_new = Ml.Decision_tree.train (Rng.make seed) ~n_classes (F.of_rows xs) ys in
   let t_ref = Ml.Reference.Decision_tree.train (Rng.make seed) ~n_classes xs ys in
-  Array.for_all
-    (fun x -> Ml.Decision_tree.predict t_new x = Ml.Reference.Decision_tree.predict t_ref x)
-    (Array.append xs txs)
+  Ml.Reference.Decision_tree.same_tree t_new.root t_ref.root
+  && Array.for_all
+       (fun x -> Ml.Decision_tree.predict t_new x = Ml.Reference.Decision_tree.predict t_ref x)
+       (Array.append xs txs)
 
 let forest_vs_reference (n_classes, xs, ys, txs, seed) =
   let params = { Ml.Random_forest.n_trees = 5; max_depth = 6 } in
@@ -54,9 +95,13 @@ let forest_vs_reference (n_classes, xs, ys, txs, seed) =
     Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed) ~n_classes xs ys
   in
   let predict = (Ml.Model.restore (Ml.Model.S_rf f_new)).predict in
-  Array.for_all
-    (fun x -> predict x = Ml.Reference.Random_forest.predict f_ref x)
-    (Array.append xs txs)
+  Array.for_all2
+    (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
+      Ml.Reference.Decision_tree.same_tree a.root b.root)
+    (Ml.Random_forest.trees f_new) f_ref.trees
+  && Array.for_all
+       (fun x -> predict x = Ml.Reference.Random_forest.predict f_ref x)
+       (Array.append xs txs)
 
 (* continuous features for the knn oracle: with quantized counts, two
    distinct training points can be exactly equidistant from a query, and
@@ -289,10 +334,10 @@ let fmat_layout_laws rows =
 
 let kernels =
   [
-    Prop.make ~name:"kernels/tree-vs-reference" ~show:show_dataset gen_dataset
-      tree_vs_reference;
+    Prop.make ~name:"kernels/tree-vs-reference" ~show:show_dataset
+      gen_tree_dataset tree_vs_reference;
     Prop.make ~name:"kernels/forest-vs-reference" ~show:show_dataset
-      gen_dataset forest_vs_reference;
+      gen_tree_dataset forest_vs_reference;
     Prop.make ~name:"kernels/knn-vs-reference" ~show:show_dataset
       gen_gauss_dataset knn_vs_reference;
     Prop.make ~name:"kernels/gc-products-vs-naive" ~show:show_gc gen_gc

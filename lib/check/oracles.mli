@@ -3,8 +3,9 @@
 
     The families:
     - {!kernels}: the rewritten numeric kernels against the frozen
-      pre-rewrite implementations in {!Yali_ml.Reference} (decision tree,
-      forest, k-NN, svm snapshots byte for byte), the neural window
+      pre-rewrite implementations in {!Yali_ml.Reference} (decision trees
+      and forests node for node, on dense counts and on
+      {!histogram_rows}; k-NN; svm snapshots byte for byte), the neural window
       kernels against a per-sample loop and against [Fmat.matmul_naive] of
       an explicit im2col, Dgcnn's three graph-convolution products on the
       window kernels against [Fmat.matmul_naive] and explicit transposes
@@ -42,6 +43,18 @@
       (DESIGN.md §12). *)
 
 val kernels : Prop.t list
+
+(** [histogram_rows rng ~n ~d ~n_classes] draws [n] labelled rows shaped
+    like [Histogram.of_module]'s opcode counts: most of the [d] columns
+    zero, a few constant, the rest sparse small counts that lean towards
+    some classes.  The tree and forest oracles draw half their datasets
+    this way. *)
+val histogram_rows :
+  Yali_util.Rng.t ->
+  n:int ->
+  d:int ->
+  n_classes:int ->
+  float array array * int array
 val metrics : Prop.t list
 val exec : Prop.t list
 val engines : Prop.t list

@@ -122,11 +122,14 @@ type incumbent = {
   mutable node_gini : float;
 }
 
-(* Per-tree scratch, so one tree never reallocates nor races another.
-   Each node lists its classes once, in ascending order, and numbers them
+(* Split scratch, reused by every node of a tree and by every tree of a
+   pool chunk (never shared between chunks, so trees never race).  Each
+   node lists its classes once, in ascending order, and numbers them
    0 .. [n_cls - 1]; the class counts below are indexed by that number, so
    the bucket sweep, both Gini sums and the clearing visit only the node's
-   classes. *)
+   classes.  Every count is zero again when a node is done and every
+   [constant] mark is cleared when its subtree is, so a tree does not
+   depend on what the scratch grew before. *)
 type scratch = {
   hist : int array;  (** max_bins x n_cls class counts, zero between nodes *)
   bin_tot : int array;  (** max_bins per-bucket totals, zero between nodes *)
@@ -142,6 +145,11 @@ type scratch = {
   mutable best_feature : int;  (** the incumbent's feature, -1 for none *)
   marks : bool array;  (** the node's candidate features *)
   perm : int array;  (** the feature sample's Fisher–Yates shuffle *)
+  constant : bool array;
+      (** binned features whose samples fell in one bucket at an ancestor
+          (or this node): one bucket in every descendant too, so skipped *)
+  set_at : int array;  (** the features set in [constant], oldest first *)
+  mutable n_set : int;
 }
 
 let make_scratch ~(n_classes : int) ~(d : int) ~(rows : int) : scratch =
@@ -160,6 +168,9 @@ let make_scratch ~(n_classes : int) ~(d : int) ~(rows : int) : scratch =
     best_feature = -1;
     marks = Array.make d true;
     perm = Array.make d 0;
+    constant = Array.make d false;
+    set_at = Array.make d 0;
+    n_set = 0;
   }
 
 (* Mark [Rng.sample rng k] over the features [0 .. d-1]: the same
@@ -177,6 +188,14 @@ let sample_features (s : scratch) (rng : Rng.t) ~(k : int) ~(d : int) : unit =
   for i = 0 to min k d - 1 do
     s.marks.(s.perm.(i)) <- true
   done
+
+(* Unmark the [constant] features set since [n_set] was [live]: the
+   subtree that found them constant is done. *)
+let release (s : scratch) (live : int) : unit =
+  for q = live to s.n_set - 1 do
+    s.constant.(s.set_at.(q)) <- false
+  done;
+  s.n_set <- live
 
 (* ascending insertion sort of the occupied-bucket prefix (<= 256 ids) *)
 let sort_occ (occ : int array) (n_occ : int) : unit =
@@ -249,45 +268,58 @@ let consider (s : scratch) ~(n : int) (f : int) (vals : float array) (a : int)
     s.best_feature <- f
   end
 
-(* the histogram sweep of one feature with at most {!max_bins} values *)
+(* The histogram sweep of one feature with at most {!max_bins} values;
+   true when the node's samples all fell in one bucket (the feature cannot
+   split this node or any below it).  Counts are cleared with loops over
+   the node's [nc] classes: a C call per bucket costs more than that. *)
 let scan_binned (s : scratch) (pb : prebinned) (idx : int array) (f : int) :
-    unit =
+    bool =
   let n = Array.length idx and nc = s.n_cls in
   let base = f * pb.pb_n in
-  let vals = pb.bin_values.(f) in
+  let hist = s.hist and bin_tot = s.bin_tot and occ = s.occ in
   let n_occ = ref 0 in
   for t = 0 to n - 1 do
     let i = Array.unsafe_get idx t in
     let b = Char.code (Bytes.unsafe_get pb.codes (base + i)) in
-    if s.bin_tot.(b) = 0 then begin
-      s.occ.(!n_occ) <- b;
+    if bin_tot.(b) = 0 then begin
+      occ.(!n_occ) <- b;
       incr n_occ
     end;
-    s.bin_tot.(b) <- s.bin_tot.(b) + 1;
+    bin_tot.(b) <- bin_tot.(b) + 1;
     let h = (b * nc) + Array.unsafe_get s.labels t in
-    s.hist.(h) <- s.hist.(h) + 1
+    hist.(h) <- hist.(h) + 1
   done;
-  sort_occ s.occ !n_occ;
-  Array.fill s.left 0 nc 0;
-  Array.blit s.parent 0 s.right 0 nc;
-  let nl = ref 0 in
-  for q = 0 to !n_occ - 2 do
-    let b = s.occ.(q) in
-    let hbase = b * nc in
+  if !n_occ >= 2 then begin
+    sort_occ occ !n_occ;
+    let left = s.left and right = s.right and parent = s.parent in
     for k = 0 to nc - 1 do
-      let h = Array.unsafe_get s.hist (hbase + k) in
-      Array.unsafe_set s.left k (Array.unsafe_get s.left k + h);
-      Array.unsafe_set s.right k (Array.unsafe_get s.right k - h)
+      left.(k) <- 0;
+      right.(k) <- parent.(k)
     done;
-    nl := !nl + s.bin_tot.(b);
-    consider s ~n f vals b s.occ.(q + 1) !nl
-  done;
+    let vals = pb.bin_values.(f) in
+    let nl = ref 0 in
+    for q = 0 to !n_occ - 2 do
+      let b = occ.(q) in
+      let hbase = b * nc in
+      for k = 0 to nc - 1 do
+        let h = Array.unsafe_get hist (hbase + k) in
+        Array.unsafe_set left k (Array.unsafe_get left k + h);
+        Array.unsafe_set right k (Array.unsafe_get right k - h)
+      done;
+      nl := !nl + bin_tot.(b);
+      consider s ~n f vals b occ.(q + 1) !nl
+    done
+  end;
   (* clear only the buckets this node touched *)
   for q = 0 to !n_occ - 1 do
-    let b = s.occ.(q) in
-    s.bin_tot.(b) <- 0;
-    Array.fill s.hist (b * nc) nc 0
-  done
+    let b = occ.(q) in
+    bin_tot.(b) <- 0;
+    let hbase = b * nc in
+    for k = 0 to nc - 1 do
+      Array.unsafe_set hist (hbase + k) 0
+    done
+  done;
+  !n_occ < 2
 
 (* exact fallback for features with > max_bins distinct values: the
    classic per-node sort-and-sweep, on gathered contiguous buffers *)
@@ -313,7 +345,9 @@ let scan_wide (s : scratch) (x : Fmat.t) (idx : int array) (f : int) : unit =
 
 (* Best (feature, threshold) for the sample subset [idx] over the marked
    candidate features, scanned in ascending index order; [None] unless
-   some split gains more than 1e-12. *)
+   some split gains more than 1e-12.  A binned feature an ancestor found
+   constant is skipped: its one-bucket scan would consider no boundary.
+   A feature found constant here is set in [constant] for the subtree. *)
 let best_split ~(n_classes : int) ~(pb : prebinned) ~(s : scratch)
     (x : Fmat.t) (ys : int array) (idx : int array) : (int * float) option =
   s.best.node_gini <- node_classes ~n_classes s ys idx;
@@ -321,8 +355,13 @@ let best_split ~(n_classes : int) ~(pb : prebinned) ~(s : scratch)
   s.best.gain <- Float.nan;
   s.best_feature <- -1;
   for f = 0 to x.Fmat.d - 1 do
-    if s.marks.(f) then
-      if pb.wide.(f) then scan_wide s x idx f else scan_binned s pb idx f
+    if s.marks.(f) && not s.constant.(f) then
+      if pb.wide.(f) then scan_wide s x idx f
+      else if scan_binned s pb idx f then begin
+        s.constant.(f) <- true;
+        s.set_at.(s.n_set) <- f;
+        s.n_set <- s.n_set + 1
+      end
   done;
   if s.best_feature >= 0 && s.best.gain > 1e-12 then
     Some (s.best_feature, s.best.threshold)
@@ -332,23 +371,43 @@ let best_split ~(n_classes : int) ~(pb : prebinned) ~(s : scratch)
 (* training                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let train ?(params = default_params) ?prebinned ?sample (rng : Rng.t)
-    ~(n_classes : int) (x : Fmat.t) (ys : int array) : t =
-  let d = x.Fmat.d in
+let train ?(params = default_params) ?prebinned ?sample ?scratch
+    (rng : Rng.t) ~(n_classes : int) (x : Fmat.t) (ys : int array) : t =
+  let n = x.Fmat.n and d = x.Fmat.d in
+  if Array.length ys <> n then
+    invalid_arg "Decision_tree.train: labels and rows differ in number";
+  if Array.exists (fun y -> y < 0 || y >= n_classes) ys then
+    invalid_arg "Decision_tree.train: label outside [0, n_classes)";
   let pb =
     match prebinned with
     | Some pb ->
-        if pb.pb_n <> x.Fmat.n || pb.pb_d <> d then
+        if pb.pb_n <> n || pb.pb_d <> d then
           invalid_arg "Decision_tree.train: prebinned shape mismatch";
         pb
     | None -> prebin x
   in
   let idx =
     match sample with
-    | Some s -> s
-    | None -> Array.init x.Fmat.n Fun.id
+    | Some s ->
+        if Array.exists (fun i -> i < 0 || i >= n) s then
+          invalid_arg "Decision_tree.train: sample index out of range";
+        s
+    | None -> Array.init n Fun.id
   in
-  let s = make_scratch ~n_classes ~d ~rows:(Array.length idx) in
+  let rows = Array.length idx in
+  let s =
+    match scratch with
+    | Some s ->
+        if
+          Array.length s.counts <> n_classes
+          || Array.length s.marks <> d
+          || Array.length s.labels < rows
+        then invalid_arg "Decision_tree.train: scratch does not fit";
+        s
+    | None -> make_scratch ~n_classes ~d ~rows
+  in
+  (* a scratch last used with a feature sample: consider every feature *)
+  if params.features_per_split = None then Array.fill s.marks 0 d true;
   let data = x.Fmat.data in
   let rec grow (idx : int array) (depth : int) : node =
     let pure =
@@ -363,38 +422,43 @@ let train ?(params = default_params) ?prebinned ?sample (rng : Rng.t)
       Option.iter
         (fun k -> sample_features s rng ~k ~d)
         params.features_per_split;
-      match best_split ~n_classes ~pb ~s x ys idx with
-      | None -> Leaf (majority ~n_classes ys idx)
-      | Some (feature, threshold) ->
-          let m = Array.length idx in
-          let nl = ref 0 in
-          for t = 0 to m - 1 do
-            if data.((idx.(t) * d) + feature) <= threshold then incr nl
-          done;
-          if !nl = 0 || !nl = m then Leaf (majority ~n_classes ys idx)
-          else begin
-            let left_idx = Array.make !nl 0 in
-            let right_idx = Array.make (m - !nl) 0 in
-            let li = ref 0 and ri = ref 0 in
+      let live = s.n_set in
+      let node =
+        match best_split ~n_classes ~pb ~s x ys idx with
+        | None -> Leaf (majority ~n_classes ys idx)
+        | Some (feature, threshold) ->
+            let m = Array.length idx in
+            let nl = ref 0 in
             for t = 0 to m - 1 do
-              let i = idx.(t) in
-              if data.((i * d) + feature) <= threshold then begin
-                left_idx.(!li) <- i;
-                incr li
-              end
-              else begin
-                right_idx.(!ri) <- i;
-                incr ri
-              end
+              if data.((idx.(t) * d) + feature) <= threshold then incr nl
             done;
-            Split
-              {
-                feature;
-                threshold;
-                left = grow left_idx (depth + 1);
-                right = grow right_idx (depth + 1);
-              }
-          end
+            if !nl = 0 || !nl = m then Leaf (majority ~n_classes ys idx)
+            else begin
+              let left_idx = Array.make !nl 0 in
+              let right_idx = Array.make (m - !nl) 0 in
+              let li = ref 0 and ri = ref 0 in
+              for t = 0 to m - 1 do
+                let i = idx.(t) in
+                if data.((i * d) + feature) <= threshold then begin
+                  left_idx.(!li) <- i;
+                  incr li
+                end
+                else begin
+                  right_idx.(!ri) <- i;
+                  incr ri
+                end
+              done;
+              Split
+                {
+                  feature;
+                  threshold;
+                  left = grow left_idx (depth + 1);
+                  right = grow right_idx (depth + 1);
+                }
+            end
+      in
+      release s live;
+      node
     end
   in
   { root = grow idx 0; n_classes }

@@ -39,15 +39,34 @@ type prebinned
 (** @raise Invalid_argument via {!train} when shapes mismatch. *)
 val prebin : Fmat.t -> prebinned
 
-(** [train ?params ?prebinned ?sample rng ~n_classes x ys] grows a tree on
-    the rows of [x] listed in [sample] (default: all rows, in order;
-    duplicated indices express bootstrap resampling without copying rows).
-    [prebinned] must come from {!prebin} on this same [x].
-    @raise Invalid_argument when [prebinned] was built for another shape. *)
+(** The split-finding buffers of one tree at a time: class histograms
+    for up to 256 buckets, per-class counts, the feature sample and the
+    constant-feature marks.  A tree leaves them as it found them, so one
+    scratch can grow any number of trees in turn, each the same tree a
+    fresh scratch grows; it must not be shared by concurrent trainings. *)
+type scratch
+
+(** [make_scratch ~n_classes ~d ~rows] fits trees over [d] features and
+    [n_classes] classes whose sample has at most [rows] entries. *)
+val make_scratch : n_classes:int -> d:int -> rows:int -> scratch
+
+(** [train ?params ?prebinned ?sample ?scratch rng ~n_classes x ys] grows
+    a tree on the rows of [x] listed in [sample] (default: all rows, in
+    order; duplicated indices express bootstrap resampling without copying
+    rows).  [prebinned] must come from {!prebin} on this same [x];
+    [scratch] (default: a fresh one) is reused as is, which saves its
+    allocation when one caller grows many trees.
+    Every input is checked before the scratch is touched, so a scratch
+    stays reusable after a refusal.
+    @raise Invalid_argument unless [ys] has one label in [[0, n_classes)]
+    per row of [x], every [sample] index is a row of [x], [prebinned] was
+    built for [x]'s shape and [scratch] was made for [n_classes], [x]'s
+    width and at least the sample's length. *)
 val train :
   ?params:params ->
   ?prebinned:prebinned ->
   ?sample:int array ->
+  ?scratch:scratch ->
   Yali_util.Rng.t ->
   n_classes:int ->
   Fmat.t ->

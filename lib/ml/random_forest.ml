@@ -4,7 +4,11 @@
     The training matrix is binned once ({!Decision_tree.prebin}) and the
     read-only binning is shared by all trees; each bootstrap sample is an
     index array into the shared matrix, so bagging copies no feature data
-    at all. *)
+    at all.  Trees grow over the pool's chunks, and a chunk grows its
+    trees one after another through one {!Decision_tree.scratch} instead
+    of allocating split buffers per tree (a max_bins x n_classes histogram
+    is 48 KB at 24 classes).  A tree leaves the scratch as it found it, so
+    each tree, and the forest, is the same at any [jobs]. *)
 
 module Rng = Yali_util.Rng
 
@@ -22,6 +26,19 @@ let max_tree_rows = 65536
 
 let gather_group = 8
 
+(* Grow tree [t] as [grow scratch t] for every [t] in [[0, n_trees)],
+   over the pool's chunks, one split scratch per chunk: a tree leaves the
+   scratch as it found it, so the forest does not depend on the chunking,
+   nor on [jobs]. *)
+let grow_chunked ~n_classes ~d ~rows n_trees grow =
+  let trees = Array.make n_trees { Decision_tree.root = Leaf 0; n_classes } in
+  Yali_exec.Pool.parallel_for_chunks n_trees (fun lo hi ->
+      let scratch = Decision_tree.make_scratch ~n_classes ~d ~rows in
+      for t = lo to hi - 1 do
+        trees.(t) <- grow scratch t
+      done);
+  trees
+
 (** Forest growth over blocks.  A source that is one block — any [Mem]
     source given no [block_rows] — is read once and binned once
     ({!Decision_tree.prebin}); the binning is shared read-only by all
@@ -32,7 +49,8 @@ let gather_group = 8
     of {!gather_group} trees, copying only the rows a tree actually sampled
     into a per-tree gather matrix (unique rows; duplicates stay
     index-level).  Resident memory is then one block plus one group's
-    gathers, bounded by {!max_tree_rows}. *)
+    gathers, bounded by {!max_tree_rows}.  On both paths each pool chunk
+    of trees shares one split scratch. *)
 let train ?(params = default_params) ?block_rows (rng : Rng.t)
     ~(n_classes : int) (src : Fblock.source) (ys : int array) : t =
   let n = Fblock.rows src in
@@ -52,15 +70,15 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
     let x = Fblock.materialize src in
     let pb = Decision_tree.prebin x in
     let trees =
-      Yali_exec.Pool.parallel_array_map
-        (fun tree_rng ->
+      grow_chunked ~n_classes ~d ~rows:n params.n_trees
+        (fun scratch t ->
+          let tree_rng = tree_rngs.(t) in
           let bidx = Array.make n 0 in
           for i = 0 to n - 1 do
             bidx.(i) <- Rng.int tree_rng n
           done;
           Decision_tree.train ~params:tree_params ~prebinned:pb ~sample:bidx
-            tree_rng ~n_classes x ys)
-        tree_rngs
+            ~scratch tree_rng ~n_classes x ys)
     in
     { trees; n_classes }
   end
@@ -72,7 +90,7 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
     let samples =
       Array.map (fun tr -> Array.init s (fun _ -> Rng.int tr n)) tree_rngs
     in
-    let trees = Array.make params.n_trees None in
+    let groups = ref [] in
     let g0 = ref 0 in
     while !g0 < params.n_trees do
       let g1 = min params.n_trees (!g0 + gather_group) in
@@ -110,26 +128,19 @@ let train ?(params = default_params) ?block_rows (rng : Rng.t)
               cursors.(k) <- p + 1
             done
           done);
+      let first = !g0 in
       let grown =
-        Yali_exec.Pool.parallel_array_map
-          (fun k ->
-            let t = !g0 + k in
+        grow_chunked ~n_classes ~d ~rows:s gk (fun scratch k ->
             let ys_g = Array.map (fun r -> ys.(r)) rows.(k) in
             let pb = Decision_tree.prebin gathers.(k) in
-            ( t,
-              Decision_tree.train ~params:tree_params ~prebinned:pb
-                ~sample:remap.(k) tree_rngs.(t) ~n_classes gathers.(k) ys_g ))
-          (Array.init gk Fun.id)
+            Decision_tree.train ~params:tree_params ~prebinned:pb
+              ~sample:remap.(k) ~scratch tree_rngs.(first + k) ~n_classes
+              gathers.(k) ys_g)
       in
-      Array.iter (fun (t, tree) -> trees.(t) <- Some tree) grown;
+      groups := grown :: !groups;
       g0 := g1
     done;
-    let trees =
-      Array.map
-        (function Some t -> t | None -> failwith "rf stream: tree not grown")
-        trees
-    in
-    { trees; n_classes }
+    { trees = Array.concat (List.rev !groups); n_classes }
   end
 
 let trees (f : t) : Decision_tree.t array = f.trees

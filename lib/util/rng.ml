@@ -5,29 +5,37 @@
     explicit [Rng.t], so experiments are reproducible from a single seed and
     property tests are stable.  No global state. *)
 
-type t = { mutable state : int64 }
+(* The state is 8 bytes read and written with the unboxed 64-bit
+   primitives, so a draw allocates no boxed [int64]. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let make (seed : int) : t = { state = Int64.of_int seed }
+let of_state (z : int64) : t =
+  let t = Bytes.create 8 in
+  set64 t 0 z;
+  t
 
-let copy (t : t) : t = { state = t.state }
+let make (seed : int) : t = of_state (Int64.of_int seed)
 
-let next_int64 (t : t) : int64 =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(** An independent generator derived from this one. *)
-let split (t : t) : t = { state = next_int64 t }
+let copy (t : t) : t = Bytes.copy t
 
 (* the splitmix64 finalizer: a bijective avalanche over the raw state *)
-let mix64 (z : int64) : int64 =
+let[@inline] mix64 (z : int64) : int64 =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] next_int64 (t : t) : int64 =
+  let z = Int64.add (get64 t 0) golden in
+  set64 t 0 z;
+  mix64 z
+
+(** An independent generator derived from this one. *)
+let split (t : t) : t = of_state (next_int64 t)
 
 (** [split_ix t i] derives the [i]-th child stream of [t]'s current state
     without advancing [t]: the same (state, index) pair always yields the
@@ -38,7 +46,7 @@ let mix64 (z : int64) : int64 =
     ones bit for bit. *)
 let split_ix (t : t) (i : int) : t =
   let offset = Int64.mul (Int64.of_int (i + 1)) golden in
-  { state = mix64 (Int64.add t.state offset) }
+  of_state (mix64 (Int64.add (get64 t 0) offset))
 
 (** [split_n t n] pre-derives [n] children exactly as [n] successive
     {!split} calls would (advancing [t] [n] times) — the drop-in way to
@@ -52,10 +60,17 @@ let split_n (t : t) (n : int) : t array =
   done;
   out
 
-(** Uniform integer in [0, bound). *)
+(** Uniform integer in [0, bound): the raw draw's unsigned remainder.
+    Below 2^60 it is [((z lsr 2) mod b * 4 + z land 3) mod b] on [int]s
+    (every operand is below 2^62, so a 63-bit [int] holds it); larger
+    bounds take [Int64.unsigned_rem]. *)
 let int (t : t) (bound : int) : int =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  Int64.to_int (Int64.unsigned_rem (next_int64 t) (Int64.of_int bound))
+  let z = next_int64 t in
+  if bound < 1 lsl 60 then
+    let q = Int64.to_int (Int64.shift_right_logical z 2) mod bound in
+    ((q lsl 2) + (Int64.to_int z land 3)) mod bound
+  else Int64.to_int (Int64.unsigned_rem z (Int64.of_int bound))
 
 (** Uniform integer in [lo, hi] inclusive. *)
 let int_range (t : t) (lo : int) (hi : int) : int =

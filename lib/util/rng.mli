@@ -4,6 +4,8 @@
     [Rng.t]; there is no global state, so experiments are reproducible from
     a single seed and property tests are stable. *)
 
+(** The splitmix64 state, 8 bytes read and written unboxed: a draw
+    allocates nothing. *)
 type t
 
 (** Create a generator from a seed. *)
@@ -32,7 +34,12 @@ val split_ix : t -> int -> t
     shared generator, preserving every stream bit for bit. *)
 val split_n : t -> int -> t array
 
-(** Uniform integer in [0, bound).  @raise Invalid_argument on bound <= 0 *)
+(** Uniform integer in [0, bound): the unsigned remainder of the next
+    raw draw by [bound].  Bounds below 2^60 compute it on [int]s, as
+    [((z lsr 2) mod bound * 4 + z land 3) mod bound] (every operand is
+    below 2^62; a 63-bit [int] is assumed), so a draw allocates nothing;
+    larger bounds take [Int64.unsigned_rem].  Both give the same value.
+    @raise Invalid_argument on bound <= 0 *)
 val int : t -> int -> int
 
 (** Uniform integer in [lo, hi], inclusive. *)

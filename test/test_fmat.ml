@@ -176,25 +176,39 @@ let gen_gauss (rng : Rng.t) ~(n : int) ~(d : int) ~(n_classes : int) =
    trainers' per-class loops run both four-row blocks and a tail. *)
 let draw_classes (rng : Rng.t) = 2 + Rng.int rng 30
 
+(* rows shaped like the histogram embedding's: mostly zero columns, a few
+   constant ones, sparse small counts (the features rf really splits) *)
+let gen_histogram = Yali.Check.Oracles.histogram_rows
+
+(* Each seed checks [prop] on dense counts, from the draws it always had,
+   and on histogram-shaped rows up to 63 wide, from a second stream. *)
+let for_both_families seed ~dense_d prop =
+  prop gen_counts ~draw_d:dense_d (Rng.make seed)
+  && prop gen_histogram
+       ~draw_d:(fun rng -> 8 + Rng.int rng 56)
+       (Rng.make (seed + 100))
+
 let test_tree_matches_reference_binned =
   qtest ~count:12 "tree = reference tree (histogram path)" (fun seed ->
-      let rng = Rng.make (seed + 1) in
-      let n_classes = draw_classes rng in
-      let n = 20 + Rng.int rng 100 and d = 1 + Rng.int rng 10 in
-      let xs, ys = gen_counts rng ~n ~d ~n_classes in
-      let txs, _ = gen_counts rng ~n:40 ~d ~n_classes in
-      let t_new =
-        Ml.Decision_tree.train (Rng.make seed) ~n_classes (F.of_rows xs) ys
-      in
-      let t_ref =
-        Ml.Reference.Decision_tree.train (Rng.make seed) ~n_classes xs ys
-      in
-      Ml.Reference.Decision_tree.same_tree t_new.root t_ref.root
-      && Array.for_all
-           (fun x ->
-             Ml.Decision_tree.predict t_new x
-             = Ml.Reference.Decision_tree.predict t_ref x)
-           (Array.append xs txs))
+      for_both_families (seed + 1)
+        ~dense_d:(fun rng -> 1 + Rng.int rng 10)
+        (fun gen ~draw_d rng ->
+          let n_classes = draw_classes rng in
+          let n = 20 + Rng.int rng 100 and d = draw_d rng in
+          let xs, ys = gen rng ~n ~d ~n_classes in
+          let txs, _ = gen rng ~n:40 ~d ~n_classes in
+          let t_new =
+            Ml.Decision_tree.train (Rng.make seed) ~n_classes (F.of_rows xs) ys
+          in
+          let t_ref =
+            Ml.Reference.Decision_tree.train (Rng.make seed) ~n_classes xs ys
+          in
+          Ml.Reference.Decision_tree.same_tree t_new.root t_ref.root
+          && Array.for_all
+               (fun x ->
+                 Ml.Decision_tree.predict t_new x
+                 = Ml.Reference.Decision_tree.predict t_ref x)
+               (Array.append xs txs)))
 
 let test_tree_matches_reference_wide =
   qtest ~count:4 "tree = reference tree (wide/exact path)" (fun seed ->
@@ -220,33 +234,35 @@ let test_tree_matches_reference_wide =
 
 let test_forest_matches_reference =
   qtest ~count:6 "forest = reference forest" (fun seed ->
-      let rng = Rng.make (seed + 3) in
-      let n_classes = draw_classes rng in
-      let n = 30 + Rng.int rng 80 and d = 4 + Rng.int rng 8 in
-      let xs, ys = gen_counts rng ~n ~d ~n_classes in
-      let txs, _ = gen_counts rng ~n:40 ~d ~n_classes in
-      let params = { Ml.Random_forest.n_trees = 8; max_depth = 10 } in
-      let ref_params =
-        { Ml.Reference.Random_forest.n_trees = 8; max_depth = 10 }
-      in
-      let f_new =
-        Ml.Random_forest.train ~params (Rng.make seed) ~n_classes
-          (Ml.Fblock.Mem (F.of_rows xs)) ys
-      in
-      let f_ref =
-        Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed)
-          ~n_classes xs ys
-      in
-      let t = Ml.Model.restore (Ml.Model.S_rf f_new) in
-      let batch = t.predict_batch (F.of_rows txs) in
-      Array.for_all2
-        (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
-          Ml.Reference.Decision_tree.same_tree a.root b.root)
-        (Ml.Random_forest.trees f_new) f_ref.trees
-      && Array.for_all
-           (fun x -> t.predict x = Ml.Reference.Random_forest.predict f_ref x)
-           (Array.append xs txs)
-      && batch = Array.map (Ml.Reference.Random_forest.predict f_ref) txs)
+      for_both_families (seed + 3)
+        ~dense_d:(fun rng -> 4 + Rng.int rng 8)
+        (fun gen ~draw_d rng ->
+          let n_classes = draw_classes rng in
+          let n = 30 + Rng.int rng 80 and d = draw_d rng in
+          let xs, ys = gen rng ~n ~d ~n_classes in
+          let txs, _ = gen rng ~n:40 ~d ~n_classes in
+          let params = { Ml.Random_forest.n_trees = 8; max_depth = 10 } in
+          let ref_params =
+            { Ml.Reference.Random_forest.n_trees = 8; max_depth = 10 }
+          in
+          let f_new =
+            Ml.Random_forest.train ~params (Rng.make seed) ~n_classes
+              (Ml.Fblock.Mem (F.of_rows xs)) ys
+          in
+          let f_ref =
+            Ml.Reference.Random_forest.train ~params:ref_params (Rng.make seed)
+              ~n_classes xs ys
+          in
+          let t = Ml.Model.restore (Ml.Model.S_rf f_new) in
+          let batch = t.predict_batch (F.of_rows txs) in
+          Array.for_all2
+            (fun (a : Ml.Decision_tree.t) (b : Ml.Reference.Decision_tree.t) ->
+              Ml.Reference.Decision_tree.same_tree a.root b.root)
+            (Ml.Random_forest.trees f_new) f_ref.trees
+          && Array.for_all
+               (fun x -> t.predict x = Ml.Reference.Random_forest.predict f_ref x)
+               (Array.append xs txs)
+          && batch = Array.map (Ml.Reference.Random_forest.predict f_ref) txs))
 
 let test_knn_matches_reference =
   qtest ~count:12 "knn = reference knn" (fun seed ->

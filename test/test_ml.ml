@@ -226,6 +226,62 @@ let test_decision_tree_pure_leaf () =
   Alcotest.(check int) "right" 1 (Ml.Decision_tree.predict t [| 20.0 |]);
   Alcotest.(check bool) "small tree" true (Ml.Decision_tree.node_count t.root <= 3)
 
+(* [train] reads bucket codes unchecked, so it must refuse rows that do
+   not exist: unchecked, labels for four rows of a two-row matrix grow a
+   tree from labels alone, and a sample of rows 2 and 3 reads past the
+   codes. *)
+let test_decision_tree_rejects_missing_rows () =
+  let x = Ml.Fmat.of_rows [| [| 0. |]; [| 1. |] |] in
+  let train ?sample ys () =
+    ignore (Ml.Decision_tree.train ?sample (Rng.make 1) ~n_classes:2 x ys)
+  in
+  let bad_sample = Invalid_argument "Decision_tree.train: sample index out of range" in
+  Alcotest.check_raises "four labels for two rows"
+    (Invalid_argument "Decision_tree.train: labels and rows differ in number")
+    (train ~sample:[| 3; 3 |] [| 0; 1; 1; 0 |]);
+  Alcotest.check_raises "rows 2 and 3 of two" bad_sample
+    (train ~sample:[| 2; 3 |] [| 0; 1 |]);
+  Alcotest.check_raises "row -1" bad_sample (train ~sample:[| -1; 0 |] [| 0; 1 |]);
+  let bad_label = Invalid_argument "Decision_tree.train: label outside [0, n_classes)" in
+  Alcotest.check_raises "label 2 of 2 classes" bad_label (train [| 0; 2 |]);
+  Alcotest.check_raises "label -1" bad_label (train [| -1; 1 |])
+
+(* One scratch grows tree after tree, with and without a feature sample,
+   each byte for byte the tree a fresh scratch grows; a scratch made for
+   another class count, width or a shorter sample is refused. *)
+let test_decision_tree_scratch_reuse () =
+  let rng = Rng.make 3 in
+  let n = 80 and d = 12 and n_classes = 6 in
+  let xs, ys = Yali.Check.Oracles.histogram_rows rng ~n ~d ~n_classes in
+  let x = Ml.Fmat.of_rows xs in
+  let bytes t =
+    let b = Buffer.create 256 in
+    Ml.Decision_tree.to_bin b t;
+    Buffer.contents b
+  in
+  let scratch = Ml.Decision_tree.make_scratch ~n_classes ~d ~rows:n in
+  for seed = 1 to 24 do
+    let params =
+      { Ml.Decision_tree.default_params with
+        features_per_split = (if seed mod 3 = 0 then None else Some 4) }
+    in
+    let sample = Array.init (n - (seed mod 5)) (fun _ -> Rng.int rng n) in
+    let grow ?scratch () =
+      bytes (Ml.Decision_tree.train ~params ~sample ?scratch (Rng.make seed) ~n_classes x ys)
+    in
+    Alcotest.(check string) (Printf.sprintf "tree %d" seed) (grow ()) (grow ~scratch ())
+  done;
+  let misfit = Invalid_argument "Decision_tree.train: scratch does not fit" in
+  List.iter
+    (fun (what, scratch) ->
+      Alcotest.check_raises what misfit (fun () ->
+          ignore (Ml.Decision_tree.train ~scratch (Rng.make 1) ~n_classes x ys)))
+    [
+      ("classes", Ml.Decision_tree.make_scratch ~n_classes:(n_classes + 1) ~d ~rows:n);
+      ("width", Ml.Decision_tree.make_scratch ~n_classes ~d:(d - 1) ~rows:n);
+      ("rows", Ml.Decision_tree.make_scratch ~n_classes ~d ~rows:(n - 1));
+    ]
+
 (* -- snapshot margins ------------------------------------------------------- *)
 
 (* predict v = argmax (margins v) = predict_batch [v], whatever v holds *)
@@ -401,6 +457,10 @@ let suite =
         test_knn_exact_on_training_points;
       Alcotest.test_case "decision tree pure leaves" `Quick
         test_decision_tree_pure_leaf;
+      Alcotest.test_case "decision tree rejects missing rows" `Quick
+        test_decision_tree_rejects_missing_rows;
+      Alcotest.test_case "decision tree scratch reuse" `Quick
+        test_decision_tree_scratch_reuse;
       Alcotest.test_case "margins agree with predict" `Quick
         test_margins_agree_with_predict;
       Alcotest.test_case "margins survive save/load" `Quick

@@ -124,6 +124,67 @@ let test_choice_member =
       let xs = [ 1; 5; 9; 12 ] in
       List.mem (Rng.choice rng xs) xs)
 
+(* [Rng.int r b] is the unsigned remainder of the raw draw, whatever
+   arithmetic computes it: small bounds, 2^20 and its neighbours, both
+   sides of the [int] path's 2^60 limit, powers of two and [max_int],
+   over 10^5 states seeded from full 64-bit draws, so the raw draws cover
+   the top bit. *)
+let test_int_is_unsigned_rem () =
+  let bounds =
+    [| 1; 2; 3; 63; 64; (1 lsl 20) - 1; 1 lsl 20; (1 lsl 20) + 1; 1 lsl 32;
+       (1 lsl 40) + 7; (1 lsl 60) - 1; 1 lsl 60; (1 lsl 60) + 1; max_int |]
+  in
+  let seeds = Rng.make 2024 in
+  let top_bit = ref 0 and mismatches = ref 0 in
+  for _ = 1 to 100_000 do
+    let r = Rng.make (Int64.to_int (Rng.next_int64 seeds)) in
+    Array.iter
+      (fun b ->
+        let raw = Rng.next_int64 (Rng.copy r) in
+        if Int64.compare raw 0L < 0 then incr top_bit;
+        let want = Int64.to_int (Int64.unsigned_rem raw (Int64.of_int b)) in
+        if Rng.int r b <> want then incr mismatches)
+      bounds
+  done;
+  Alcotest.(check int) "int = unsigned_rem of the raw draw" 0 !mismatches;
+  Alcotest.(check bool) "draws with the top bit set" true (!top_bit > 100_000)
+
+(* One digest over fixed-seed streams of every primitive the framework
+   draws through, recorded before [Rng]'s representation changed: a
+   different state layout or reduction must leave it as it is. *)
+let test_streams_pinned () =
+  let buf = Buffer.create 65536 in
+  let add_int i = Buffer.add_string buf (string_of_int i ^ ",") in
+  let add_raw r = Buffer.add_string buf (Int64.to_string (Rng.next_int64 r) ^ ",") in
+  let r = Rng.make 1234567 in
+  for _ = 1 to 500 do
+    add_raw r
+  done;
+  List.iter
+    (fun b ->
+      for _ = 1 to 200 do
+        add_int (Rng.int r b)
+      done)
+    [ 1; 2; 7; 24; 63; 104; 1000; (1 lsl 20) - 1; 1 lsl 20; 1 lsl 33; max_int ];
+  for _ = 1 to 200 do
+    Buffer.add_string buf (Printf.sprintf "%h," (Rng.float r))
+  done;
+  let s = Rng.split r in
+  for _ = 1 to 50 do
+    add_raw s;
+    add_raw r
+  done;
+  for i = 0 to 9 do
+    add_raw (Rng.split_ix r i)
+  done;
+  let perm = Array.init 63 Fun.id in
+  for _ = 1 to 20 do
+    Rng.shuffle_in_place r perm;
+    Array.iter add_int perm
+  done;
+  Alcotest.(check string) "stream digest" "81aa6d5799827c47fd5957596ae89c3a"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -142,4 +203,7 @@ let suite =
     Alcotest.test_case "gaussian moments" `Slow test_gaussian_moments;
     Alcotest.test_case "weighted choice" `Quick test_weighted_choice;
     test_choice_member;
+    Alcotest.test_case "int is the raw draw's unsigned remainder" `Quick
+      test_int_is_unsigned_rem;
+    Alcotest.test_case "streams pinned" `Quick test_streams_pinned;
   ]
